@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-medium bench-paper bench-smoke chaos-smoke runtime-smoke shard-smoke soak-smoke overload-smoke mgmt-smoke report examples ci clean
+.PHONY: install test bench bench-medium bench-paper bench-smoke perf-smoke chaos-smoke runtime-smoke shard-smoke soak-smoke overload-smoke mgmt-smoke report examples ci clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -34,6 +34,14 @@ bench-smoke:
 		benchmarks/bench_perf_runtime.py \
 		benchmarks/bench_perf_overload.py -q --benchmark-disable
 	$(PYTHON) scripts/bench_report.py
+
+# The declared benchmark's own consistency check (BENCHMARK.json,
+# benchmarks/perf/): every workload once at toy size, ~15 s.  Fails
+# when a name the span tracer wraps has moved, when mean_stretch is
+# not reproducible between two independent boots, or when any
+# operation failed.
+perf-smoke:
+	python3 benchmarks/perf/run.py --smoke
 
 # The live-runtime acceptance scenario: boot a 64-node cluster over
 # the loopback transport (joins travel as wire frames), drive 1000
@@ -107,6 +115,7 @@ ci:
 	$(MAKE) mgmt-smoke
 	$(MAKE) bench-smoke
 	$(PYTHON) scripts/bench_report.py --check
+	$(MAKE) perf-smoke
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex =="; $(PYTHON) $$ex; echo; done

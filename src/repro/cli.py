@@ -193,7 +193,6 @@ def _cluster_config(args):
 def cmd_cluster(args) -> int:
     """Boot a live cluster, drive lookups, print latency + parity."""
     import asyncio
-    import inspect
 
     from repro.runtime import make_cluster
 
@@ -223,19 +222,10 @@ def cmd_cluster(args) -> int:
                 seed=args.seed,
                 concurrency=args.concurrency,
             )
-            verdict = None
-            if config.shards > 1 or not args.bulk_boot:
-                # a single-process bulk boot shares membership and zones
-                # with the sim but builds tables against the final
-                # tessellation, so hop-for-hop parity is not expected;
-                # sharded replicas build the reference the same way they
-                # booted, so they verify in either mode
-                verdict = await cluster.verify_against_sim(
-                    lookups=min(args.lookups, 128), routes=32, seed=args.seed
-                )
-            overload = cluster.overload_counters()
-            if inspect.isawaitable(overload):  # sharded: aggregated RPC
-                overload = await overload
+            verdict = await cluster.verify_against_sim(
+                lookups=min(args.lookups, 128), routes=32, seed=args.seed
+            )
+            overload = (await cluster.counters())["overload"]
         finally:
             if controller is not None:
                 await controller.stop()
@@ -269,9 +259,6 @@ def cmd_cluster(args) -> int:
             f"{overload['breaker_opens']} (fast-fails "
             f"{overload['breaker_fastfails']})"
         )
-    if verdict is None:
-        print("verify-against-sim: skipped (--bulk-boot)")
-        return 0 if report.errors == 0 else 1
     status = "ok" if verdict["ok"] else "MISMATCH"
     print(
         f"verify-against-sim: {status} "
@@ -482,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bulk-boot",
         action="store_true",
         help="boot through the builder's batched bulk-join fast path "
-        "(skips the hop-level sim-parity check: tables differ by design)",
+        "(parity is checked against a bulk-built reference sim)",
     )
     cluster.add_argument(
         "--mailbox-cap",

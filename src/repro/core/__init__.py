@@ -16,6 +16,7 @@ from repro.core.recovery import (
     DetectorParams,
     FailureDetector,
     RecoveryManager,
+    SwimCore,
     check_invariants,
 )
 from repro.core.reliability import NO_RETRY, RetryPolicy, measure_vector_reliably
@@ -33,6 +34,7 @@ __all__ = [
     "OverlayParams",
     "RecoveryManager",
     "RetryPolicy",
+    "SwimCore",
     "Telemetry",
     "TopologyAwareOverlay",
     "TraceEvent",

@@ -7,16 +7,20 @@ and diverged stores.  This module closes the loop with four pieces,
 all driven by the simulated clock through the fault-injectable probe
 path (so every recovery action has a message bill and a latency):
 
-* :class:`FailureDetector` -- SWIM-style: each protocol period every
-  live member direct-pings one rotating peer; on silence it issues
-  indirect ping-reqs through ``witnesses`` other members; only when
-  every path stays silent does the target become *suspected*, and
-  only after ``suspicion_periods`` further all-silent rounds is it
-  confirmed dead.  Any answered probe refutes the suspicion, so probe
-  loss alone never kills a live node.  Death verdicts are additionally
-  held while an active transit partition severs the prober from the
-  target (:meth:`FaultInjector.active_partitions` makes the window
-  visible), so partitioned-but-alive nodes survive to be reconciled.
+* :class:`SwimCore` -- the SWIM-style detector as a clock- and IO-free
+  state machine: each protocol period every live member direct-pings
+  one rotating peer; on silence it issues indirect ping-reqs through
+  ``witnesses`` other members; only when every path stays silent does
+  the target become *suspected*, and only after ``suspicion_periods``
+  further all-silent rounds is it confirmed dead.  Any answered probe
+  refutes the suspicion, so probe loss alone never kills a live node.
+  Death verdicts are additionally held while an active transit
+  partition severs the prober from the target
+  (:meth:`FaultInjector.active_partitions` makes the window visible),
+  so partitioned-but-alive nodes survive to be reconciled.
+  :class:`FailureDetector` is its adapter onto the simulated clock;
+  :class:`~repro.runtime.recovery.RuntimeRecovery` is the one onto
+  the live runtime's HEARTBEAT frames.
 * :class:`RecoveryManager` -- on a confirmed death it drives the CAN
   takeover for the corpse's zones (``crash_takeover``), eagerly
   invalidates every expressway entry pointing at it
@@ -87,8 +91,17 @@ class DetectorParams:
             raise ValueError("suspicion_periods must be non-negative")
 
 
-class FailureDetector:
-    """Clock-driven SWIM-style failure detection over the overlay.
+class SwimCore:
+    """The SWIM failure-detection state machine, free of clocks and IO.
+
+    Inputs are the sorted membership, which members run the protocol,
+    and the tri-state verdict of every probe; outputs are probe
+    requests and the targets whose death is confirmed.  The adapters
+    (:class:`FailureDetector` on the simulated clock,
+    :class:`~repro.runtime.recovery.RuntimeRecovery` on the event
+    loop) only move probes and pick the moment a round runs; rotation,
+    witness draws, the suspicion ledger, partition shielding and
+    confirm bookkeeping all live here.
 
     Probers rotate deterministically: in round ``r`` the ``i``-th
     member (sorted) pings member ``i + 1 + (r mod (n-1))`` -- a
@@ -98,9 +111,10 @@ class FailureDetector:
     skipped), but they stay *probed* until confirmed.
     """
 
-    def __init__(self, overlay, params: DetectorParams = None, seed: int = 0xFD):
-        self.overlay = overlay
-        self.network = overlay.network
+    #: where ``fd_refute`` / ``fd_confirm_death`` events go (or None)
+    telemetry = None
+
+    def __init__(self, params: DetectorParams = None, seed: int = 0xFD):
         self.params = params if params is not None else DetectorParams()
         self.rng = np.random.default_rng(seed)
         #: node_id -> consecutive all-silent rounds observed
@@ -108,7 +122,7 @@ class FailureDetector:
         #: confirmed-dead node ids, in confirmation order
         self.confirmed_dead: list = []
         #: death verdicts rendered against nodes that were in fact
-        #: alive (the simulator knows ground truth); must stay 0 under
+        #: alive (the harness knows ground truth); must stay 0 under
         #: probe loss alone
         self.false_kills = 0
         #: suspicions cleared by a later answered probe
@@ -118,6 +132,171 @@ class FailureDetector:
         self.rounds = 0
         #: callbacks invoked as ``fn(node_id)`` on a confirmed death
         self.on_death: list = []
+
+    def plan_round(self, members: list, runs_protocol) -> list:
+        """Open the next round; returns its ``(prober, target)`` pairs.
+
+        ``members`` is the sorted membership, ``runs_protocol(member)``
+        is False for a member whose process is dead.
+        """
+        self.rounds += 1
+        n = len(members)
+        if n < 2:
+            return []
+        shift = 1 + (self.rounds - 1) % (n - 1)
+        return [
+            (prober, members[(i + shift) % n])
+            for i, prober in enumerate(members)
+            if runs_protocol(prober)
+        ]
+
+    def probe_script(self, prober: int, target: int, members: list):
+        """One prober's round against ``target``, as a generator.
+
+        Yields probe requests ``(src, dst, indirect)`` and is sent
+        each one's verdict: True (answered), False (clean silence) or
+        None (inconclusive).  Direct pings come first
+        (``ping_attempts`` of them); on silence ``witnesses`` other
+        members are asked to probe on the prober's behalf.  Returns
+        True as soon as anything answered, False when at least one
+        direct probe was cleanly silent, None when every probe
+        abstained.
+        """
+        saw_silence = False
+        for _ in range(max(1, self.params.ping_attempts)):
+            verdict = yield prober, target, False
+            if verdict:
+                return True
+            if verdict is False:
+                saw_silence = True
+        # the prober picks witnesses from its *view* of the membership
+        # (which may include undetected corpses -- their ping-req then
+        # goes unanswered, exactly as in a real deployment)
+        pool = [
+            m
+            for m in members
+            if m != prober and m != target and m not in self.suspected
+        ]
+        k = min(self.params.witnesses, len(pool))
+        if k:
+            for index in self.rng.choice(len(pool), size=k, replace=False):
+                if (yield pool[int(index)], target, True):
+                    return True
+        return False if saw_silence else None
+
+    def settle_round(self, pairs: list, verdicts: list, domain_of, faults) -> list:
+        """Close a round; returns the targets to confirm dead.
+
+        ``verdicts[i]`` is :meth:`probe_script`'s result for
+        ``pairs[i]``: an answer refutes a suspicion, only *clean*
+        silence (False) feeds the ledger, an abstained probe (None) is
+        no evidence at all.  ``domain_of(member)`` is the member's
+        transit domain, or None once it departed (a target that left
+        while the round was in flight is skipped); ``faults`` is the
+        injector whose active partitions may explain a silence.
+        """
+        answered = {t for (_, t), ok in zip(pairs, verdicts) if ok}
+        silent = {t: p for (p, t), ok in zip(pairs, verdicts) if ok is False}
+        for target in answered:
+            if self.refute(target) and self.telemetry is not None:
+                self.telemetry.emit("fd_refute", node_id=target)
+
+        confirmed = []
+        for target, prober in silent.items():
+            if target in answered or domain_of(target) is None:
+                continue
+            count = self.suspected.get(target, 0) + 1
+            self.suspected[target] = count
+            if count <= self.params.suspicion_periods:
+                continue
+            if self._shielded(domain_of(prober), domain_of(target), faults):
+                # hold the verdict: an active partition explains the
+                # silence; reconciliation re-probes after the heal
+                self.shielded_verdicts += 1
+                continue
+            confirmed.append(target)
+        return confirmed
+
+    @staticmethod
+    def _shielded(prober_domain, target_domain, faults) -> bool:
+        """Is the silence explainable by an active transit partition?
+
+        Two cases hold a verdict: the partition severs prober from
+        target (the direct path is down), or the target's domain is
+        *inside* the partitioned set -- then most witnesses sit on the
+        far side and their ping-reqs are blocked, so even a same-side
+        prober's silence proves nothing.
+        """
+        if faults is None or prober_domain is None:
+            return False
+        return any(
+            target_domain in p.domains or p.severs(prober_domain, target_domain)
+            for p in faults.active_partitions()
+        )
+
+    def confirm_death(self, node_id: int, genuinely_dead: bool) -> None:
+        """Render the verdict: ledger, telemetry, ``on_death`` callbacks."""
+        self.suspected.pop(node_id, None)
+        self.confirmed_dead.append(node_id)
+        if not genuinely_dead:
+            self.false_kills += 1
+        if self.telemetry is not None:
+            self.telemetry.emit(
+                "fd_confirm_death", node_id=node_id, false_positive=not genuinely_dead
+            )
+        for callback in list(self.on_death):
+            callback(node_id)
+
+    def refute(self, target: int) -> bool:
+        """An answer from ``target`` clears its suspicion, if it had one."""
+        if target not in self.suspected:
+            return False
+        del self.suspected[target]
+        self.refutations += 1
+        return True
+
+    def reprobe_plan(self, members: list, runs_protocol) -> tuple:
+        """Who direct-pings whom after a partition heal.
+
+        Suspects that departed are dropped from the ledger; returns
+        ``(probers, suspects)`` -- up to ``witnesses`` + 1 live,
+        unsuspected probers and the suspects still in ``members``.
+        Any answer un-suspects through :meth:`refute`.
+        """
+        present = set(members)
+        for target in [t for t in self.suspected if t not in present]:
+            del self.suspected[target]
+        probers = [
+            m for m in members if m not in self.suspected and runs_protocol(m)
+        ]
+        return probers[: self.params.witnesses + 1], list(self.suspected)
+
+
+def member_domains(overlay):
+    """``domain_of(member)`` over ``overlay``: the transit domain of a
+    member's host, or None once the member departed."""
+    nodes = overlay.ecan.can.nodes
+    domains = overlay.network.topology.transit_domain
+
+    def domain_of(member):
+        node = nodes.get(member)
+        return None if node is None else int(domains[node.host])
+
+    return domain_of
+
+
+class FailureDetector(SwimCore):
+    """:class:`SwimCore` on the simulated clock.
+
+    A probe is one charged ``network.rtt`` call through the
+    fault-injectable path; a round fires from a clock timer and runs
+    with the clock frozen.
+    """
+
+    def __init__(self, overlay, params: DetectorParams = None, seed: int = 0xFD):
+        super().__init__(params, seed)
+        self.overlay = overlay
+        self.network = overlay.network
         self._timer = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -137,15 +316,19 @@ class FailureDetector:
     # -- probing -----------------------------------------------------------
 
     @property
-    def _telemetry(self):
+    def telemetry(self):
         return getattr(self.network, "telemetry", None)
 
     def _crashed_hosts(self) -> set:
         faults = self.network.faults
         return faults.crashed_hosts if faults is not None else set()
 
-    def _ping(self, src_host: int, dst_host: int, attempts: int, category: str) -> bool:
-        """Charged liveness ping(s) through the fault path.
+    def _runs_protocol(self, member: int) -> bool:
+        """A member on a crashed host is a dead process."""
+        return self.overlay.ecan.can.nodes[member].host not in self._crashed_hosts()
+
+    def _ping(self, src: int, dst: int, indirect: bool = False) -> bool:
+        """One charged liveness ping between two members' hosts.
 
         Attempts are *not* backed off on the shared simulated clock:
         all probers of a round act concurrently in a real deployment,
@@ -155,60 +338,26 @@ class FailureDetector:
         """
         from repro.netsim.faults import ProbeTimeout
 
-        for _ in range(max(1, attempts)):
-            try:
-                self.network.rtt(src_host, dst_host, category=category)
-                return True
-            except ProbeTimeout:
-                continue
-        return False
+        nodes = self.overlay.ecan.can.nodes
+        try:
+            self.network.rtt(
+                nodes[src].host,
+                nodes[dst].host,
+                category="fd_ping_req" if indirect else "fd_ping",
+            )
+        except ProbeTimeout:
+            return False
+        return True
 
     def _probe_target(self, prober: int, target: int, members: list) -> bool:
-        """Direct ping, then indirect ping-reqs; True when any answered."""
-        nodes = self.overlay.ecan.can.nodes
-        prober_host = nodes[prober].host
-        target_host = nodes[target].host
-        if self._ping(
-            prober_host, target_host, self.params.ping_attempts, "fd_ping"
-        ):
-            return True
-        # indirect: ask k witnesses to probe the target on our behalf.
-        # The prober picks witnesses from its *view* of the membership
-        # (which may include undetected corpses -- their ping-req then
-        # goes unanswered, exactly as in a real deployment).
-        pool = [
-            m
-            for m in members
-            if m != prober and m != target and m not in self.suspected
-        ]
-        k = min(self.params.witnesses, len(pool))
-        if k:
-            picks = self.rng.choice(len(pool), size=k, replace=False)
-            for index in picks:
-                witness_host = nodes[pool[int(index)]].host
-                if self._ping(witness_host, target_host, 1, "fd_ping_req"):
-                    return True
-        return False
-
-    def _shielded(self, prober_host: int, target_host: int) -> bool:
-        """Is the silence explainable by an active transit partition?
-
-        Two cases hold a verdict: the partition severs prober from
-        target (the direct path is down), or the target's domain is
-        *inside* the partitioned set -- then most witnesses sit on the
-        far side and their ping-reqs are blocked, so even a same-side
-        prober's silence proves nothing.
-        """
-        faults = self.network.faults
-        if faults is None:
-            return False
-        domains = self.network.topology.transit_domain
-        prober_domain = int(domains[prober_host])
-        target_domain = int(domains[target_host])
-        return any(
-            target_domain in p.domains or p.severs(prober_domain, target_domain)
-            for p in faults.active_partitions()
-        )
+        """Answer :meth:`probe_script`'s requests with charged pings."""
+        script = self.probe_script(prober, target, members)
+        verdict = None
+        try:
+            while True:
+                verdict = self._ping(*script.send(verdict))
+        except StopIteration as done:
+            return done.value
 
     # -- rounds ------------------------------------------------------------
 
@@ -221,7 +370,7 @@ class FailureDetector:
         concurrently, and the protocol ``period`` is what bounds the
         round's duration, not the sum of their private retry waits.
         """
-        telemetry = self._telemetry
+        telemetry = self.telemetry
         with self.network.clock.frozen():
             if telemetry is None:
                 return self._tick()
@@ -231,64 +380,16 @@ class FailureDetector:
     def _tick(self) -> list:
         nodes = self.overlay.ecan.can.nodes
         members = sorted(nodes)
-        n = len(members)
-        self.rounds += 1
-        if n < 2:
-            return []
-        crashed = self._crashed_hosts()
-        shift = 1 + (self.rounds - 1) % (n - 1)
-        answered: set = set()
-        silent: dict = {}
-        for i, prober in enumerate(members):
-            if nodes[prober].host in crashed:
-                continue  # a dead process runs no protocol
-            target = members[(i + shift) % n]
-            if prober == target:
-                continue
-            if self._probe_target(prober, target, members):
-                answered.add(target)
-            else:
-                silent[target] = prober
-
-        for target in answered:
-            if target in self.suspected:
-                del self.suspected[target]
-                self.refutations += 1
-                if self._telemetry is not None:
-                    self._telemetry.emit("fd_refute", node_id=target)
-
-        confirmed = []
-        for target, prober in silent.items():
-            if target in answered:
-                continue
-            count = self.suspected.get(target, 0) + 1
-            self.suspected[target] = count
-            if count <= self.params.suspicion_periods:
-                continue
-            if self._shielded(nodes[prober].host, nodes[target].host):
-                # hold the verdict: an active partition explains the
-                # silence; reconciliation re-probes after the heal
-                self.shielded_verdicts += 1
-                continue
-            confirmed.append(target)
-
+        pairs = self.plan_round(members, self._runs_protocol)
+        verdicts = [self._probe_target(p, t, members) for p, t in pairs]
+        confirmed = self.settle_round(
+            pairs, verdicts, member_domains(self.overlay), self.network.faults
+        )
         for target in confirmed:
-            self._confirm(target)
-        return confirmed
-
-    def _confirm(self, node_id: int) -> None:
-        self.suspected.pop(node_id, None)
-        self.confirmed_dead.append(node_id)
-        node = self.overlay.ecan.can.nodes.get(node_id)
-        genuinely_dead = node is None or node.host in self._crashed_hosts()
-        if not genuinely_dead:
-            self.false_kills += 1
-        if self._telemetry is not None:
-            self._telemetry.emit(
-                "fd_confirm_death", node_id=node_id, false_positive=not genuinely_dead
+            self.confirm_death(
+                target, target not in nodes or not self._runs_protocol(target)
             )
-        for callback in list(self.on_death):
-            callback(node_id)
+        return confirmed
 
     # -- reconciliation support --------------------------------------------
 
@@ -296,34 +397,20 @@ class FailureDetector:
         """Direct-ping every suspect from up to ``witnesses`` + 1 live
         probers; any answer un-suspects (partition-heal refutation).
         Returns the number of suspicions cleared."""
-        nodes = self.overlay.ecan.can.nodes
-        crashed = self._crashed_hosts()
-        probers = [
-            m
-            for m in sorted(nodes)
-            if m not in self.suspected and nodes[m].host not in crashed
-        ]
+        probers, suspects = self.reprobe_plan(
+            sorted(self.overlay.ecan.can.nodes), self._runs_protocol
+        )
         cleared = 0
-        for target in list(self.suspected):
-            target_node = nodes.get(target)
-            if target_node is None:
-                del self.suspected[target]
-                continue
-            for prober in probers[: self.params.witnesses + 1]:
-                if self._ping(
-                    nodes[prober].host, target_node.host, 1, "fd_ping"
-                ):
-                    del self.suspected[target]
-                    self.refutations += 1
-                    cleared += 1
-                    break
+        for target in suspects:
+            if any(self._ping(prober, target) for prober in probers):
+                cleared += self.refute(target)
         return cleared
 
 
 class RecoveryManager:
     """Turns death verdicts and partition heals into repairs."""
 
-    def __init__(self, overlay, detector: FailureDetector):
+    def __init__(self, overlay, detector: SwimCore):
         self.overlay = overlay
         self.detector = detector
         self.network = overlay.network
@@ -551,7 +638,7 @@ class RecoveryManager:
         return summary
 
 
-def check_invariants(overlay, detector: FailureDetector = None) -> dict:
+def check_invariants(overlay, detector: SwimCore = None) -> dict:
     """Stack-wide structural invariants after a chaos scenario.
 
     Raises ``AssertionError`` on the first violation; returns a small
@@ -639,21 +726,17 @@ def check_invariants(overlay, detector: FailureDetector = None) -> dict:
     }
 
 
-def detector_verdicts(detector, members) -> dict:
+def detector_verdicts(detector: SwimCore, members) -> dict:
     """Per-member SWIM verdicts as the detector currently sees them.
 
-    ``detector`` is anything with the detector duck-type
-    (:class:`FailureDetector` or the runtime's
-    :class:`~repro.runtime.recovery.RuntimeRecovery`): a ``suspected``
-    mapping of node id to consecutive silent rounds and a
-    ``confirmed_dead`` list.  ``None`` means no detector is armed and
-    every member reads as ``alive``.  Returns ``{node_id: verdict}``
-    over ``members`` where the verdict is ``"alive"``, ``"suspected"``
-    or ``"confirmed_dead"`` -- the per-node health the management
-    plane's ``/health`` endpoint surfaces.
+    ``None`` means no detector is armed and every member reads as
+    ``alive``.  Returns ``{node_id: verdict}`` over ``members`` where
+    the verdict is ``"alive"``, ``"suspected"`` or ``"confirmed_dead"``
+    -- the per-node health the management plane's ``/health`` endpoint
+    surfaces.
     """
-    suspected = dict(getattr(detector, "suspected", None) or {})
-    confirmed = set(getattr(detector, "confirmed_dead", None) or ())
+    suspected = {} if detector is None else detector.suspected
+    confirmed = set() if detector is None else set(detector.confirmed_dead)
     verdicts = {}
     for node_id in members:
         node_id = int(node_id)

@@ -1,14 +1,10 @@
 """Management-plane snapshots: topology, stats and health as plain dicts.
 
-Everything the HTTP API serves is computed here, over the surface the
-two cluster harnesses share: the single-process
-:class:`~repro.runtime.cluster.Cluster` and the multi-process
-:class:`~repro.runtime.shard.ShardedCluster` both expose ``config``,
-``network``, ``overlay``, ``routing``, ``crashed`` and an async
-``counters()`` aggregate, and differ only in what is optional
-(``actors`` and ``recovery`` exist in-process, ``assignment`` exists
-sharded) -- the builders duck-type those differences away so one
-controller serves both.
+Everything the HTTP API serves is computed here, over
+:class:`~repro.runtime.cluster.ClusterSurface` -- the state and
+methods the single-process :class:`~repro.runtime.cluster.Cluster`
+and the multi-process :class:`~repro.runtime.shard.ShardedCluster`
+inherit alike -- so one controller serves both.
 
 Every snapshot is schema-versioned, JSON-serialisable and emitted
 with sorted keys/members, so two identically-seeded clusters produce
@@ -17,8 +13,6 @@ endpoint tests pin).
 """
 
 from __future__ import annotations
-
-import inspect
 
 from repro.core.recovery import check_invariants, detector_verdicts
 
@@ -29,13 +23,6 @@ HEALTH_SCHEMA_VERSION = 1
 
 #: health verdict -> HTTP status code served by the controller
 HEALTH_STATUS_CODES = {"healthy": 200, "degraded": 503, "unhealthy": 500}
-
-
-async def _resolve(value):
-    """Await ``value`` when it is awaitable (sharded RPC aggregates)."""
-    if inspect.isawaitable(value):
-        return await value
-    return value
 
 
 def _sorted_numbers(mapping) -> dict:
@@ -67,7 +54,6 @@ def topology_snapshot(cluster) -> dict:
     nodes = can.nodes
     domains = cluster.network.topology.transit_domain
     registry = cluster.overlay.store.registry
-    assignment = getattr(cluster, "assignment", None) or {}
 
     members = []
     for node_id in sorted(nodes):
@@ -79,7 +65,7 @@ def topology_snapshot(cluster) -> dict:
                 "id": int(node_id),
                 "host": host,
                 "domain": int(domains[host]),
-                "shard": int(assignment.get(node_id, 0)),
+                "shard": int(cluster.shard_of(node_id)),
                 "zones": [
                     {
                         "lo": [float(x) for x in zone.lo],
@@ -109,8 +95,7 @@ def topology_snapshot(cluster) -> dict:
                     }
                 )
 
-    shard_count = int(getattr(config, "shards", 1) or 1)
-    by_shard = [0] * shard_count
+    by_shard = [0] * config.shards
     for member in members:
         by_shard[member["shard"]] += 1
 
@@ -125,7 +110,7 @@ def topology_snapshot(cluster) -> dict:
             {"id": int(node_id), "host": int(host)}
             for node_id, host in sorted(cluster.crashed.items())
         ],
-        "shards": {"count": shard_count, "members_per_shard": by_shard},
+        "shards": {"count": config.shards, "members_per_shard": by_shard},
         "volume": float(can.total_volume()),
     }
 
@@ -143,12 +128,11 @@ async def stats_snapshot(cluster) -> dict:
     same document :func:`repro.mgmt.prometheus.render_prometheus`
     renders as text exposition.
     """
-    counters = await _resolve(cluster.counters())
+    counters = await cluster.counters()
     telemetry = cluster.network.telemetry.snapshot()
-    retry = getattr(cluster, "retry_counters", None)
     snapshot = {
         "schema_version": STATS_SCHEMA_VERSION,
-        "shards": int(getattr(cluster.config, "shards", 1) or 1),
+        "shards": cluster.config.shards,
         "transport": cluster.config.transport,
         "events": _sorted_numbers(counters.get("events", {})),
         "counters": _sorted_numbers(counters.get("metrics", {})),
@@ -163,7 +147,7 @@ async def stats_snapshot(cluster) -> dict:
         },
         "transport_counters": _sorted_numbers(counters.get("transport", {})),
         "overload": _sorted_numbers(counters.get("overload", {})),
-        "retries": retry() if callable(retry) else {"retries": 0, "backoff_ms": 0.0},
+        "retries": cluster.retry_counters(),
     }
     per_shard = counters.get("per_shard")
     if per_shard is not None:
@@ -185,16 +169,13 @@ def _breaker_summary(cluster, members) -> dict:
 
     Breakers toward departed peers are ignored: a breaker opened
     against a node the recovery stack has since removed is stale
-    bookkeeping, not an active degradation.  On a sharded cluster the
-    parent holds no actors; the aggregated ``breakers_open_now``
-    overload counter stands in (already filtered per worker).
+    bookkeeping, not an active degradation.  A sharded parent serves
+    no actors, so its summary is all zeros; the aggregated
+    ``breakers_open_now`` overload counter in ``/stats`` stands in.
     """
-    actors = getattr(cluster, "actors", None)
     summary = {"closed": 0, "open": 0, "half_open": 0}
-    if actors is None:
-        return summary
     live = set(members)
-    for actor in actors.values():
+    for actor in cluster.actors.values():
         for peer, breaker in actor._breakers.items():
             if peer not in live:
                 continue
@@ -216,7 +197,7 @@ def _recovery_section(cluster) -> dict:
     a typed ``NotSupportedError`` -- surfaced here instead of as a
     500), and ``"disabled"`` otherwise.
     """
-    recovery = getattr(cluster, "recovery", None)
+    recovery = cluster.recovery
     if recovery is not None:
         return {
             "state": "active",
@@ -230,13 +211,8 @@ def _recovery_section(cluster) -> dict:
             "refutations": int(recovery.refutations),
             "shielded_verdicts": int(recovery.shielded_verdicts),
         }
-    state = (
-        "unavailable (sharded)"
-        if int(getattr(cluster.config, "shards", 1) or 1) > 1
-        else "disabled"
-    )
     return {
-        "state": state,
+        "state": "unavailable (sharded)" if cluster.config.shards > 1 else "disabled",
         "rounds": 0,
         "suspected": {},
         "confirmed_dead": [],
@@ -267,17 +243,10 @@ def health_snapshot(cluster, run_invariants: bool = True) -> dict:
     """
     can = cluster.overlay.ecan.can
     members = sorted(int(n) for n in can.nodes)
-    recovery = getattr(cluster, "recovery", None)
-    actors = getattr(cluster, "actors", None)
-    assignment = getattr(cluster, "assignment", None)
+    recovery = cluster.recovery
     verdicts = detector_verdicts(recovery, members)
     for node_id in members:
-        if verdicts[node_id] != "alive":
-            continue
-        if actors is not None:
-            if node_id not in actors:
-                verdicts[node_id] = "down"
-        elif assignment is not None and node_id not in assignment:
+        if verdicts[node_id] == "alive" and not cluster.is_up(node_id):
             verdicts[node_id] = "down"
 
     domains = cluster.network.topology.transit_domain
@@ -286,7 +255,7 @@ def health_snapshot(cluster, run_invariants: bool = True) -> dict:
             "id": node_id,
             "host": int(can.nodes[node_id].host),
             "domain": int(domains[int(can.nodes[node_id].host)]),
-            "shard": int((assignment or {}).get(node_id, 0)),
+            "shard": int(cluster.shard_of(node_id)),
             "verdict": verdicts[node_id],
         }
         for node_id in members
@@ -300,7 +269,7 @@ def health_snapshot(cluster, run_invariants: bool = True) -> dict:
     live = sum(1 for node_id in members if verdicts[node_id] == "alive")
     disturbed = (
         live < len(members)
-        or bool(getattr(recovery, "suspected", None))
+        or (recovery is not None and bool(recovery.suspected))
         or partitions > 0
         or breakers["open"] > 0
         or breakers["half_open"] > 0

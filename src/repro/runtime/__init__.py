@@ -44,9 +44,9 @@ from repro.core.reliability import CircuitOpenError
 from repro.runtime.cluster import (
     Cluster,
     ClusterConfig,
+    ClusterSurface,
     RoutingView,
     make_cluster,
-    verify_cluster_against_sim,
 )
 from repro.runtime.loadgen import LoadReport, latency_percentiles, run_load
 from repro.runtime.node import NodeProcess, PeerBusy, RemoteError, RequestTimeout
@@ -79,6 +79,7 @@ __all__ = [
     "CircuitOpenError",
     "Cluster",
     "ClusterConfig",
+    "ClusterSurface",
     "Frame",
     "FrameDecoder",
     "LoadReport",
@@ -106,5 +107,4 @@ __all__ = [
     "make_transport",
     "run_load",
     "shard_assignment",
-    "verify_cluster_against_sim",
 ]

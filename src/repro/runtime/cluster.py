@@ -163,29 +163,228 @@ class ClusterConfig:
             self.overlay = replace(self.overlay, num_nodes=self.nodes)
 
 
-class Cluster:
-    """N live overlay-node actors over one wire transport."""
+class ClusterSurface:
+    """What every live harness is, however many processes serve it.
+
+    The single-process :class:`Cluster` and the multi-process
+    :class:`~repro.runtime.shard.ShardedCluster` both own one
+    deterministic overlay replica built from (config, seed), a crash
+    ledger, and the same RPC names (``lookup`` / ``route`` /
+    ``lookup_map`` / ``publish`` / ``ping`` / ``run_load`` /
+    ``counters``, all async).  This base declares the state and the
+    methods that do not depend on where the actors run; subclasses
+    keep how an RPC reaches an actor, how a boot and a churn event
+    spread, and how counters are gathered.
+    """
 
     def __init__(self, config: ClusterConfig):
         self.config = config
         self.network = make_network(config.network)
         self.overlay = TopologyAwareOverlay(self.network, config.overlay)
-        #: the only overlay surface actors touch (replicated per shard
-        #: in a :class:`~repro.runtime.shard.ShardedCluster` worker)
+        #: the only overlay surface actors touch (every shard worker
+        #: wraps its own replica)
         self.routing = RoutingView(self.overlay)
-        self.transport = self._make_transport()
-        #: node id -> NodeProcess, in join order
+        #: node id -> NodeProcess served by *this* process, in join
+        #: order (a sharded parent serves none: its workers do)
         self.actors: dict = {}
         #: crash-stopped node id -> physical host (corpses; the overlay
         #: still lists them until the failure detector repairs)
         self.crashed: dict = {}
-        #: armed by :meth:`enable_recovery`
+        #: the armed :class:`~repro.runtime.recovery.RuntimeRecovery`,
+        #: or None (see ``enable_recovery``)
         self.recovery = None
-        self._rejoin_ids = itertools.count(1)
         self._started = False
 
+    # -- membership --------------------------------------------------------
+
+    @property
+    def _up(self) -> dict:
+        """Members whose process is up, keyed by node id in join order."""
+        return self.actors
+
+    @property
+    def node_ids(self) -> list:
+        return list(self._up)
+
+    def __len__(self) -> int:
+        return len(self._up)
+
+    def is_up(self, node_id: int) -> bool:
+        """Is this member's process running (ground truth, not a verdict)?"""
+        return node_id in self._up
+
+    def shard_of(self, node_id: int) -> int:
+        """The worker process serving ``node_id`` (always 0 in-process)."""
+        return 0
+
+    async def __aenter__(self):
+        return await self.start()
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.stop()
+
+    # -- churn -------------------------------------------------------------
+
+    def _ensure_faults(self):
+        """Arm a (possibly empty) injector over the network, lazily.
+
+        Crash semantics -- the crashed-host ledger that
+        :func:`~repro.core.recovery.check_invariants` and the store's
+        copy-death accounting read -- live on ``network.faults``; live
+        churn arms an empty plan on first use so fault-free runs keep
+        the perfect-network fast path until the first crash.
+        """
+        if self.network.faults is None:
+            from repro.netsim.faults import FaultPlan
+
+            self.network.arm_faults(FaultPlan(), seed=self.config.fault_seed)
+        return self.network.faults
+
+    def _injectors(self) -> list:
+        """Every injector that must agree on crash/partition state."""
+        return [self._ensure_faults()]
+
+    def _require_member(self, node_id: int) -> None:
+        """KeyError unless ``node_id`` is a member on a running machine
+        (judged from the replica, so every process agrees)."""
+        if node_id in self.crashed or node_id not in self.overlay.ecan.can.nodes:
+            raise KeyError(f"node {node_id} is not a cluster member")
+
+    async def crash(self, node_id: int) -> dict:
+        """Crash-stop a member's *machine* with no immediate repair.
+
+        Crash semantics are host-level, matching the simulator's
+        ``crash_node``: physical hosts are shared, so when the machine
+        dies every member process it runs dies with it.  The actors
+        die mid-flight (pending requests fail fast), the host stops
+        answering probes and frames, and every map copy the victims
+        hosted vanishes -- but the overlay still lists the corpses
+        until the wire failure detector (``enable_recovery``) confirms
+        the deaths and repairs zones, tables and replicas.
+
+        Replica-safe: the bookkeeping is a pure function of the
+        replica, so every process of a sharded cluster applies the
+        same call and only stops (and reports ``runtime_crash`` for)
+        the victims it serves itself.  Returns the victim list and
+        copy-loss summary.
+        """
+        self._require_member(node_id)
+        nodes = self.overlay.ecan.can.nodes
+        host = int(nodes[node_id].host)
+        victims = sorted(
+            n
+            for n, node in nodes.items()
+            if int(node.host) == host and n not in self.crashed
+        )
+        for injector in self._injectors():
+            injector.crash_host(host)
+        salvageable = lost = 0
+        for victim in victims:
+            actor = self.actors.pop(victim, None)
+            if actor is not None:
+                await actor.stop()
+            kept, gone = self.overlay.store.drop_hosted_by(victim)
+            salvageable += len(kept)
+            lost += len(gone)
+            self.crashed[victim] = host
+            if actor is not None:
+                self.network.telemetry.emit(
+                    "runtime_crash", node_id=victim, host=host, lost=len(gone)
+                )
+        return {"victims": victims, "salvageable": salvageable, "lost": lost}
+
+    async def leave(self, node_id: int) -> None:
+        """Graceful departure: withdraw records, hand zones over, stop.
+
+        Replica-safe like :meth:`crash`: only the process serving the
+        member has an actor to stop.
+        """
+        self._require_member(node_id)
+        actor = self.actors.pop(node_id, None)
+        if actor is not None:
+            await actor.stop()
+        self.overlay.remove_node(node_id, graceful=True)
+
+    def retry_counters(self) -> dict:
+        """Cluster-wide request resend accounting (see ``config.retry``)."""
+        policy = self.config.retry
+        if policy is None:
+            return {"retries": 0, "backoff_ms": 0.0}
+        return {
+            "retries": int(policy.retries),
+            "backoff_ms": float(policy.backoff_slept_ms),
+        }
+
+    # -- sim parity --------------------------------------------------------
+
+    def _build(self, overlay) -> list:
+        """Populate ``overlay`` the way ``config`` says replicas are
+        built (bulk or incremental); returns the member ids."""
+        build = overlay.build_bulk if self.config.bulk_boot else overlay.build
+        return build(self.config.nodes)
+
+    def build_reference_sim(self) -> TopologyAwareOverlay:
+        """A fresh synchronous overlay from this cluster's (config, seed),
+        built the way the cluster booted (bulk or incremental)."""
+        network = make_network(self.config.network)
+        sim = TopologyAwareOverlay(network, self.config.overlay)
+        self._build(sim)
+        return sim
+
+    async def verify_against_sim(
+        self, lookups: int = 256, routes: int = 64, seed: int = 0xC0FFEE, sim=None
+    ) -> dict:
+        """Cross-validate the live cluster against the synchronous simulator.
+
+        Builds an *independent* sim overlay with the same (config,
+        seed), replays a seeded workload on both sides, and compares
+        lookup owners and route endpoints.  Returns a summary dict;
+        ``ok`` is True only if every comparison matched bit-for-bit --
+        the same bar however many processes served the live side.
+        """
+        if sim is None:
+            sim = self.build_reference_sim()
+        rng = np.random.default_rng(seed)
+        ids = np.array(self.node_ids)
+        dims = self.routing.dims
+        mismatches = 0
+        for i in range(lookups):
+            src = int(ids[int(rng.integers(0, len(ids)))])
+            point = tuple(float(x) for x in rng.random(dims))
+            live = await self.lookup(src, point)
+            sim_result = sim.ecan.route(src, point, category="parity_check")
+            if not sim_result.success or live["owner"] != sim_result.owner:
+                mismatches += 1
+        for i in range(routes):
+            src, dst = (int(x) for x in rng.choice(ids, size=2, replace=False))
+            live = await self.route(src, dst)
+            sim_dst = sim.ecan.can.nodes[dst]
+            sim_result = sim.ecan.route(
+                src, sim_dst.zone.center(), category="parity_check"
+            )
+            endpoint = sim_result.path[-1] if sim_result.success else None
+            if live["path"][-1] != endpoint or live["owner"] != endpoint:
+                mismatches += 1
+        checked = lookups + routes
+        return {
+            "checked": checked,
+            "lookups": lookups,
+            "routes": routes,
+            "mismatches": mismatches,
+            "ok": mismatches == 0,
+        }
+
+
+class Cluster(ClusterSurface):
+    """N live overlay-node actors over one wire transport."""
+
+    def __init__(self, config: ClusterConfig):
+        super().__init__(config)
+        self.transport = self._make_transport()
+        self._rejoin_ids = itertools.count(1)
+
     def _make_transport(self):
-        """Build this cluster's transport (shard workers override)."""
+        """Build this cluster's transport (shard workers wrap it)."""
         config = self.config
         faults = None
         if config.fault_plan is not None:
@@ -209,13 +408,6 @@ class Cluster:
         return make_transport(config.transport, **transport_kwargs)
 
     # -- membership --------------------------------------------------------
-
-    @property
-    def node_ids(self) -> list:
-        return list(self.actors)
-
-    def __len__(self) -> int:
-        return len(self.actors)
 
     @property
     def bootstrap(self) -> NodeProcess:
@@ -289,12 +481,6 @@ class Cluster:
         await self.transport.close()
         self._started = False
 
-    async def __aenter__(self) -> "Cluster":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
-
     def _actor(self, node_id: int) -> NodeProcess:
         actor = self.actors.get(node_id)
         if actor is None:
@@ -302,21 +488,6 @@ class Cluster:
         return actor
 
     # -- churn & self-healing ----------------------------------------------
-
-    def _ensure_faults(self):
-        """Arm a (possibly empty) injector over the network, lazily.
-
-        Crash semantics -- the crashed-host ledger that
-        :func:`~repro.core.recovery.check_invariants` and the store's
-        copy-death accounting read -- live on ``network.faults``; live
-        churn arms an empty plan on first use so fault-free runs keep
-        the perfect-network fast path until the first crash.
-        """
-        if self.network.faults is None:
-            from repro.netsim.faults import FaultPlan
-
-            self.network.arm_faults(FaultPlan(), seed=self.config.fault_seed)
-        return self.network.faults
 
     def _injectors(self) -> list:
         """Every injector that must agree on crash/partition state.
@@ -332,38 +503,6 @@ class Cluster:
         if self.transport.faults is faults:
             return [faults]
         return [faults, self.transport.faults]
-
-    async def crash(self, node_id: int) -> dict:
-        """Crash-stop a member's *machine* with no immediate repair.
-
-        Crash semantics are host-level, matching the simulator's
-        ``crash_node``: physical hosts are shared, so when the machine
-        dies every member process it runs dies with it.  The actors
-        die mid-flight (pending requests fail fast), the host stops
-        answering probes and frames, and every map copy the victims
-        hosted vanishes -- but the overlay still lists the corpses
-        until the wire failure detector (:meth:`enable_recovery`)
-        confirms the deaths and repairs zones, tables and replicas.
-        Returns the victim list and copy-loss summary.
-        """
-        host = int(self._actor(node_id).host)
-        victims = sorted(
-            n for n, actor in self.actors.items() if int(actor.host) == host
-        )
-        for injector in self._injectors():
-            injector.crash_host(host)
-        salvageable = lost = 0
-        for victim in victims:
-            actor = self.actors.pop(victim)
-            await actor.stop()
-            kept, gone = self.overlay.store.drop_hosted_by(victim)
-            salvageable += len(kept)
-            lost += len(gone)
-            self.crashed[victim] = host
-            self.network.telemetry.emit(
-                "runtime_crash", node_id=victim, host=host, lost=len(gone)
-            )
-        return {"victims": victims, "salvageable": salvageable, "lost": lost}
 
     async def kill_fraction(self, fraction: float, seed: int = 0) -> list:
         """Crash ``fraction`` of the membership at once (never the
@@ -382,13 +521,6 @@ class Cluster:
             if victim in self.actors:  # not already dead via a co-hosted pick
                 victims.extend((await self.crash(victim))["victims"])
         return sorted(victims)
-
-    async def leave(self, node_id: int) -> None:
-        """Graceful departure: withdraw records, hand zones over, stop."""
-        actor = self._actor(node_id)
-        await actor.stop()
-        del self.actors[node_id]
-        self.overlay.remove_node(node_id, graceful=True)
 
     async def restart(self, node_id: int = None) -> int:
         """Start a fresh process that (re)joins over the wire.
@@ -454,16 +586,6 @@ class Cluster:
             await self.recovery.start()
         return self.recovery
 
-    def retry_counters(self) -> dict:
-        """Cluster-wide request resend accounting (see ``config.retry``)."""
-        policy = self.config.retry
-        if policy is None:
-            return {"retries": 0, "backoff_ms": 0.0}
-        return {
-            "retries": int(policy.retries),
-            "backoff_ms": float(policy.backoff_slept_ms),
-        }
-
     def overload_counters(self) -> dict:
         """Cluster-wide overload-protection accounting.
 
@@ -495,14 +617,10 @@ class Cluster:
         }
 
     async def counters(self) -> dict:
-        """Cluster-wide counters in the sharded harness's aggregate shape.
-
-        Mirrors :meth:`~repro.runtime.shard.ShardedCluster.counters`
-        (``events`` / ``metrics`` / ``transport`` / ``overload``
-        sections) so the management plane reads one surface regardless
-        of which harness it owns.  Async for the same reason: on a
-        sharded cluster the numbers ride the control channel.
-        """
+        """Cluster-wide counters: ``events`` / ``metrics`` /
+        ``transport`` / ``overload`` sections of summable numbers (a
+        sharded cluster adds them up across workers, over the control
+        channel -- hence async)."""
         snapshot = self.network.telemetry.snapshot()
         return {
             "events": snapshot["events"],
@@ -578,74 +696,6 @@ class Cluster:
             self, rate=rate, count=count, seed=seed, op=op,
             concurrency=concurrency,
         )
-
-    # -- sim parity --------------------------------------------------------
-
-    def build_reference_sim(self) -> TopologyAwareOverlay:
-        """A fresh synchronous overlay from this cluster's (config, seed)."""
-        network = make_network(self.config.network)
-        sim = TopologyAwareOverlay(network, self.config.overlay)
-        sim.build(self.config.nodes)
-        return sim
-
-    async def verify_against_sim(
-        self, lookups: int = 256, routes: int = 64, seed: int = 0xC0FFEE, sim=None
-    ) -> dict:
-        """Cross-validate the live cluster against the synchronous simulator.
-
-        Builds an *independent* sim overlay with the same (config,
-        seed), replays a seeded workload on both sides, and compares
-        lookup owners and route endpoints.  Returns a summary dict;
-        ``ok`` is True only if every comparison matched bit-for-bit.
-        """
-        return await verify_cluster_against_sim(
-            self, lookups=lookups, routes=routes, seed=seed, sim=sim
-        )
-
-
-async def verify_cluster_against_sim(
-    cluster, lookups: int = 256, routes: int = 64, seed: int = 0xC0FFEE, sim=None
-) -> dict:
-    """The sim-parity check, over any cluster-shaped harness.
-
-    Needs only ``node_ids``, ``routing``, async ``lookup``/``route``
-    and ``build_reference_sim`` from ``cluster``, so the single-process
-    :class:`Cluster` and the multi-process
-    :class:`~repro.runtime.shard.ShardedCluster` share one parity
-    definition -- a sharded run is held to exactly the same
-    bit-identical owners/endpoints bar as the in-process one.
-    """
-    if sim is None:
-        sim = cluster.build_reference_sim()
-    rng = np.random.default_rng(seed)
-    ids = np.array(cluster.node_ids)
-    dims = cluster.routing.dims
-    mismatches = 0
-    for i in range(lookups):
-        src = int(ids[int(rng.integers(0, len(ids)))])
-        point = tuple(float(x) for x in rng.random(dims))
-        live = await cluster.lookup(src, point)
-        sim_result = sim.ecan.route(src, point, category="parity_check")
-        if not sim_result.success or live["owner"] != sim_result.owner:
-            mismatches += 1
-    for i in range(routes):
-        src, dst = (int(x) for x in rng.choice(ids, size=2, replace=False))
-        live = await cluster.route(src, dst)
-        sim_dst = sim.ecan.can.nodes[dst]
-        sim_result = sim.ecan.route(
-            src, sim_dst.zone.center(), category="parity_check"
-        )
-        endpoint = sim_result.path[-1] if sim_result.success else None
-        if live["path"][-1] != endpoint or live["owner"] != endpoint:
-            mismatches += 1
-    checked = lookups + routes
-    return {
-        "checked": checked,
-        "lookups": lookups,
-        "routes": routes,
-        "mismatches": mismatches,
-        "ok": mismatches == 0,
-    }
 
 
 def make_cluster(config: ClusterConfig):

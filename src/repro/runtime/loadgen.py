@@ -204,7 +204,7 @@ async def run_load(
     )
     # the shared policy instance carries cluster-wide accounting;
     # snapshot so the report charges only this run's resends
-    policy = getattr(cluster.config, "retry", None)
+    policy = cluster.config.retry
     retries_before = 0 if policy is None else policy.retries
     backoff_before = 0.0 if policy is None else policy.backoff_slept_ms
     telemetry = cluster.network.telemetry

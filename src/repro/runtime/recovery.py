@@ -3,76 +3,60 @@
 The simulator's recovery stack (:mod:`repro.core.recovery`) runs on
 the simulated clock: probes are charged RTT calls and repairs fire
 inside clock callbacks.  The live runtime has no simulated time --
-only wall-clock heartbeats over a real transport -- so this module
-ports the *detection* half to the event loop while reusing the
-*repair* half unchanged.  That is the clock-abstraction seam:
-:class:`RuntimeRecovery` renders SWIM verdicts from HEARTBEAT frames
-(rotating direct probes, indirect k-probing through witness relays,
-suspect/confirm bookkeeping, partition shielding), and every confirmed
-death is handled by the very same
-:class:`~repro.core.recovery.RecoveryManager` the simulator uses --
-zone takeover, eager table invalidation, replica re-hosting and record
-purging are clock-free state transformations, so they run identically
-whether a simulated tick or a live verdict triggers them.
+only wall-clock heartbeats over a real transport -- so
+:class:`RuntimeRecovery` adapts the clock-free halves onto the event
+loop: the SWIM state machine is
+:class:`~repro.core.recovery.SwimCore` itself (rotation, witness
+draws, suspicion ledger, partition shielding), answered here with
+HEARTBEAT frames, and every confirmed death is handled by the very
+same :class:`~repro.core.recovery.RecoveryManager` the simulator uses
+-- zone takeover, eager table invalidation, replica re-hosting and
+record purging are clock-free state transformations, so they run
+identically whether a simulated tick or a live verdict triggers them.
 
-Probe semantics match :class:`~repro.core.recovery.FailureDetector`
-round for round: in round ``r`` the ``i``-th member (sorted) probes
-member ``i + 1 + (r mod (n-1))`` -- a fixed-point-free rotation --
-with ``ping_attempts`` direct HEARTBEATs and, on silence, up to
-``witnesses`` indirect probes relayed through random live peers
-(``{"relay": target}`` ping-reqs answered by the witness's own
-heartbeat round-trip).  Crashed members run no protocol but stay
-probed until confirmed, and a verdict is held while an active
-partition explains the silence.
+A direct probe is one HEARTBEAT round-trip; an indirect one is a
+``{"relay": target}`` ping-req answered by the witness's own heartbeat
+round-trip.  A member whose actor is gone runs no protocol but stays
+probed until confirmed.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-import numpy as np
-
-from repro.core.recovery import DetectorParams, RecoveryManager
+from repro.core.recovery import (
+    DetectorParams,
+    RecoveryManager,
+    SwimCore,
+    member_domains,
+)
 from repro.runtime.node import PeerBusy, RequestTimeout
 from repro.runtime.wire import MsgType
 
 
-class RuntimeRecovery:
-    """SWIM failure detection + recovery, driven by a live cluster.
+class RuntimeRecovery(SwimCore):
+    """:class:`~repro.core.recovery.SwimCore` + recovery on a live cluster.
 
-    Duck-types the detector interface :class:`RecoveryManager` and
-    :func:`~repro.core.recovery.check_invariants` consume (``suspected``,
-    ``confirmed_dead``, ``false_kills``, ``on_death``, ...), so the
-    simulator's repair engine plugs in without modification.
+    A probe is a HEARTBEAT frame between two actors, a round fires
+    from an event-loop task and its probes run concurrently.
     """
 
     def __init__(self, cluster, params: DetectorParams = None, seed: int = 0xFD):
-        self.cluster = cluster
         if params is None:
             # one detector round per configured heartbeat period
             params = DetectorParams(
                 period=cluster.config.heartbeat_period * 1000.0
             )
-        self.params = params
-        self.rng = np.random.default_rng(seed)
-        #: node_id -> consecutive all-silent rounds observed
-        self.suspected: dict = {}
-        #: confirmed-dead node ids, in confirmation order
-        self.confirmed_dead: list = []
-        #: death verdicts against nodes whose process was in fact alive
-        #: (the harness knows ground truth: the actor table)
-        self.false_kills = 0
-        #: suspicions cleared by a later answered probe
-        self.refutations = 0
-        #: verdicts deferred because a partition shielded the target
-        self.shielded_verdicts = 0
-        self.rounds = 0
-        #: callbacks invoked as ``fn(node_id)`` on a confirmed death
-        self.on_death: list = []
+        super().__init__(params, seed)
+        self.cluster = cluster
         #: the simulator's repair engine, reused verbatim (clock-free);
         #: registers its ``handle_death`` on :attr:`on_death`
         self.manager = RecoveryManager(cluster.overlay, self)
         self._task = None
+
+    @property
+    def telemetry(self):
+        return self.cluster.network.telemetry
 
     @property
     def period_s(self) -> float:
@@ -153,165 +137,69 @@ class RuntimeRecovery:
         return bool(ack.get("ok")) or None  # witness saying "no" is weak
 
     async def _probe_target(self, prober: int, target: int, members: list):
-        """Direct probes, then indirect relays; tri-state verdict.
-
-        True as soon as anything answered; False when at least one
-        probe produced clean silence and none answered; None when
-        every probe abstained (no evidence this round).
-        """
-        saw_silence = False
-        for _ in range(max(1, self.params.ping_attempts)):
-            verdict = await self._heartbeat(prober, target)
-            if verdict:
-                return True
-            if verdict is False:
-                saw_silence = True
-        # the prober picks witnesses from its *view* of the membership,
-        # which may include undetected corpses -- their relayed ping-req
-        # then goes unanswered, exactly as in a real deployment
-        pool = [
-            m
-            for m in members
-            if m != prober and m != target and m not in self.suspected
-        ]
-        k = min(self.params.witnesses, len(pool))
-        if k:
-            picks = self.rng.choice(len(pool), size=k, replace=False)
-            for index in picks:
-                verdict = await self._heartbeat(pool[int(index)], target, relay=target)
-                if verdict:
-                    return True
-        return False if saw_silence else None
-
-    def _shielded(self, prober: int, target: int) -> bool:
-        """Is the silence explainable by an active partition window?
-
-        Mirrors the simulator's rule: a verdict is held when the
-        partition severs prober from target, or when the target's
-        domain sits inside the partitioned set (most witnesses are then
-        on the far side, so silence proves nothing).
-        """
-        network = self.cluster.network
-        faults = self.cluster.transport.faults or network.faults
-        if faults is None:
-            return False
-        nodes = self.cluster.overlay.ecan.can.nodes
-        prober_node = nodes.get(prober)
-        target_node = nodes.get(target)
-        if prober_node is None or target_node is None:
-            return False  # departed while the round was in flight
-        domains = network.topology.transit_domain
-        prober_domain = int(domains[prober_node.host])
-        target_domain = int(domains[target_node.host])
-        return any(
-            target_domain in p.domains or p.severs(prober_domain, target_domain)
-            for p in faults.active_partitions()
-        )
+        """Answer :meth:`probe_script`'s requests with HEARTBEAT frames."""
+        script = self.probe_script(prober, target, members)
+        verdict = None
+        try:
+            while True:
+                src, dst, indirect = script.send(verdict)
+                verdict = await self._heartbeat(
+                    src, dst, relay=dst if indirect else None
+                )
+        except StopIteration as done:
+            return done.value
 
     # -- rounds ------------------------------------------------------------
 
+    def _runs_protocol(self, member: int) -> bool:
+        """A member whose actor is gone is a dead process."""
+        return member in self.cluster.actors
+
     async def tick(self) -> list:
         """One detector round; returns nodes confirmed dead this round."""
-        overlay = self.cluster.overlay
-        nodes = overlay.ecan.can.nodes
-        members = sorted(nodes)
-        n = len(members)
-        self.rounds += 1
-        if n < 2:
-            return []
-        shift = 1 + (self.rounds - 1) % (n - 1)
-        pairs = []
-        for i, prober in enumerate(members):
-            if prober not in self.cluster.actors:
-                continue  # a dead process runs no protocol
-            target = members[(i + shift) % n]
-            if prober != target:
-                pairs.append((prober, target))
+        cluster = self.cluster
+        members = sorted(cluster.overlay.ecan.can.nodes)
+        pairs = self.plan_round(members, self._runs_protocol)
         verdicts = await asyncio.gather(
             *(self._probe_target(p, t, members) for p, t in pairs)
         )
-
-        # tri-state verdicts: only *clean* silence (False) feeds
-        # suspicion; an abstained round (None) is no evidence at all
-        answered = {t for (_, t), ok in zip(pairs, verdicts) if ok}
-        silent = {t: p for (p, t), ok in zip(pairs, verdicts) if ok is False}
-        telemetry = self.cluster.network.telemetry
-        for target in answered:
-            if target in self.suspected:
-                del self.suspected[target]
-                self.refutations += 1
-                telemetry.emit("fd_refute", node_id=target)
-
-        confirmed = []
-        for target, prober in silent.items():
-            if target in answered:
-                continue
-            if target not in nodes:
-                continue  # departed while the round was in flight
-            count = self.suspected.get(target, 0) + 1
-            self.suspected[target] = count
-            if count <= self.params.suspicion_periods:
-                continue
-            if self._shielded(prober, target):
-                self.shielded_verdicts += 1
-                continue
-            confirmed.append(target)
-
+        confirmed = self.settle_round(
+            pairs,
+            verdicts,
+            member_domains(cluster.overlay),
+            cluster.transport.faults or cluster.network.faults,
+        )
         for target in confirmed:
-            await self._confirm(target)
+            genuinely_dead = target not in cluster.actors
+            if not genuinely_dead:
+                # falsely confirmed: the protocol has already decided,
+                # so make the verdict true -- crash the accused node's
+                # host -- rather than leave a live actor the overlay no
+                # longer recognizes (SWIM's "suicide on accusation")
+                await cluster.crash(target)
+            self.confirm_death(target, genuinely_dead)
             # each confirm runs a synchronous takeover repair; yield so
             # in-flight replies of live peers get processed between them
             await asyncio.sleep(0)
         return confirmed
-
-    async def _confirm(self, node_id: int) -> None:
-        self.suspected.pop(node_id, None)
-        self.confirmed_dead.append(node_id)
-        genuinely_dead = node_id not in self.cluster.actors
-        if not genuinely_dead:
-            # falsely confirmed: the protocol has already decided, so
-            # make the verdict true -- crash the accused node's host --
-            # rather than leave a live actor the overlay no longer
-            # recognizes (SWIM's "suicide on accusation")
-            self.false_kills += 1
-            await self.cluster.crash(node_id)
-        self.cluster.network.telemetry.emit(
-            "fd_confirm_death", node_id=node_id, false_positive=not genuinely_dead
-        )
-        for callback in list(self.on_death):
-            callback(node_id)
 
     # -- reconciliation ----------------------------------------------------
 
     async def reprobe_suspects(self) -> int:
         """Direct-probe every suspect concurrently; any answer un-suspects
         (partition-heal refutation).  Returns suspicions cleared."""
-        nodes = self.cluster.overlay.ecan.can.nodes
-        probers = [
-            m
-            for m in sorted(self.cluster.actors)
-            if m not in self.suspected and m in nodes
-        ]
-        if not probers:
-            return 0
+        probers, suspects = self.reprobe_plan(
+            sorted(self.cluster.overlay.ecan.can.nodes), self._runs_protocol
+        )
 
-        async def attempt(target):
-            for prober in probers[: self.params.witnesses + 1]:
+        async def answered(target) -> bool:
+            for prober in probers:
                 if await self._heartbeat(prober, target):
-                    return target
-            return None
+                    return True
+            return False
 
-        targets = [t for t in list(self.suspected) if t in nodes]
-        for t in list(self.suspected):
-            if t not in nodes:
-                del self.suspected[t]
-        cleared = 0
-        for target in await asyncio.gather(*(attempt(t) for t in targets)):
-            if target is not None and target in self.suspected:
-                del self.suspected[target]
-                self.refutations += 1
-                cleared += 1
-        return cleared
+        verdicts = await asyncio.gather(*(answered(t) for t in suspects))
+        return sum(self.refute(t) for t, ok in zip(suspects, verdicts) if ok)
 
     async def reconcile(self) -> dict:
         """Anti-entropy after churn or a partition heal.

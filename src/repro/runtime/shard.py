@@ -52,18 +52,11 @@ import multiprocessing
 import struct
 import time
 
-from repro.core.builder import TopologyAwareOverlay
-from repro.core.config import make_network
 from repro.runtime import wire
-from repro.runtime.cluster import (
-    Cluster,
-    ClusterConfig,
-    verify_cluster_against_sim,
-)
+from repro.runtime.cluster import Cluster, ClusterConfig, ClusterSurface
 from repro.runtime.loadgen import LoadReport, run_load
-from repro.runtime.transport import Transport, TransportError, make_transport
+from repro.runtime.transport import StreamTransport, Transport, TransportError
 from repro.runtime.wire import Frame, encode_frame
-from repro.softstate.maps import Region
 
 
 class ShardError(Exception):
@@ -159,17 +152,16 @@ class _EnvelopeDecoder:
         return out
 
 
-class PeeringTransport(Transport):
+class PeeringTransport(StreamTransport):
     """Hybrid shard transport: local fast path + one TCP link per peer shard.
 
     Frames between co-sharded members delegate to the worker's inner
     transport (loopback or per-node TCP) with unchanged semantics.  A
     frame for a member of another shard is encoded once (wire v3,
     untouched), prefixed with its 4-byte destination node id, and
-    coalesced into that shard's outbox; one flusher task per
-    destination shard writes whole batches with drain backpressure,
-    mirroring :class:`~repro.runtime.transport.TcpTransport`.  The
-    receiving worker's single peering server demultiplexes by the
+    coalesced into that shard's outbox -- the batched stream links of
+    :class:`~repro.runtime.transport.StreamTransport`, keyed by shard.
+    The receiving worker's single peering server demultiplexes by the
     envelope id onto its local handlers.
     """
 
@@ -183,24 +175,18 @@ class PeeringTransport(Transport):
         interface: str = "127.0.0.1",
         outbox_cap: int = 8192,
     ):
-        super().__init__(encoding=inner.encoding)
+        super().__init__(
+            encoding=inner.encoding, interface=interface, outbox_cap=outbox_cap
+        )
         self.shard_id = shard_id
         #: node id -> owning shard (string joiner addrs are never
         #: sharded: anything unknown is treated as local)
         self.shard_of = shard_of
         self.inner = inner
-        self.interface = interface
-        self.outbox_cap = outbox_cap
-        self.backpressure_drops = 0
-        #: shard id -> (host, port) peering endpoints, set after boot
-        self.peers: dict = {}
+        #: this worker's peering port; :attr:`endpoints` maps every
+        #: shard id to its peering endpoint once the parent has them all
         self.port = None
-        self._server = None
         self._local: dict = {}
-        self._writers: dict = {}
-        self._writer_locks: dict = {}
-        self._readers: set = set()
-        self._outbox: dict = {}
         #: peered frames that arrived for an unbound (dead?) member
         self.misrouted = 0
         self.peer_sent = 0
@@ -208,10 +194,9 @@ class PeeringTransport(Transport):
 
     async def start(self) -> None:
         await self.inner.start()
-        self._server = await asyncio.start_server(
-            self._serve, self.interface, 0
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        server = await asyncio.start_server(self._serve, self.interface, 0)
+        self._servers[self.shard_id] = server
+        self.port = server.sockets[0].getsockname()[1]
 
     async def bind(self, addr, handler, host: int = None) -> None:
         self._local[addr] = handler
@@ -229,53 +214,9 @@ class PeeringTransport(Transport):
             return await self.inner.send(src, dst, frame)
         self.sent += 1
         self.peer_sent += 1
-        data = _ENVELOPE.pack(dst) + encode_frame(frame, packed=self._packed)
-        batch = self._outbox.get(shard)
-        if batch is None:
-            self._outbox[shard] = [data]
-            self._spawn(self._flush(shard))
-        elif self.outbox_cap is not None and len(batch) >= self.outbox_cap:
-            self.backpressure_drops += 1
-            self.dropped += 1
-            return False
-        else:
-            batch.append(data)
-        return True
-
-    async def _writer_for(self, shard) -> asyncio.StreamWriter:
-        lock = self._writer_locks.setdefault(shard, asyncio.Lock())
-        async with lock:
-            writer = self._writers.get(shard)
-            if writer is not None:
-                if not writer.is_closing():
-                    return writer
-                self._writers.pop(shard, None)
-                writer.close()
-            endpoint = self.peers.get(shard)
-            if endpoint is None:
-                raise TransportError(f"no peering endpoint for shard {shard}")
-            try:
-                _, writer = await asyncio.open_connection(*endpoint)
-            except OSError as exc:
-                raise TransportError(
-                    f"peering connect to shard {shard} failed: {exc}"
-                ) from exc
-            self._writers[shard] = writer
-            return writer
-
-    async def _flush(self, shard) -> None:
-        while True:
-            batch = self._outbox.get(shard)
-            if not batch:
-                self._outbox.pop(shard, None)
-                return
-            self._outbox[shard] = []
-            try:
-                writer = await self._writer_for(shard)
-                writer.write(b"".join(batch))
-                await writer.drain()
-            except (TransportError, OSError):
-                self.dropped += len(batch)
+        return self._enqueue(
+            shard, _ENVELOPE.pack(dst) + encode_frame(frame, packed=self._packed)
+        )
 
     async def _serve(self, reader, writer) -> None:
         decoder = _EnvelopeDecoder()
@@ -318,15 +259,6 @@ class PeeringTransport(Transport):
 
     async def close(self) -> None:
         await super().close()
-        self._outbox.clear()
-        for writer in list(self._writers.values()) + list(self._readers):
-            writer.close()
-        self._writers.clear()
-        self._readers.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         await self.inner.close()
 
 
@@ -336,22 +268,25 @@ class PeeringTransport(Transport):
 class _WorkerCluster(Cluster):
     """One shard: a full deterministic replica, actors for owned nodes only."""
 
+    #: the methods the parent may invoke over the control pipe, by name
+    CONTROL_OPS = frozenset(
+        {
+            "peers", "lookup", "route", "lookup_map", "publish", "ping",
+            "run_load", "counters", "crash", "leave",
+        }
+    )
+
     def __init__(self, config: ClusterConfig, shard_id: int, assignment: dict):
         self.shard_id = shard_id
         self.assignment = assignment
         super().__init__(config)
 
     def _make_transport(self):
-        config = self.config
-        inner_kwargs = dict(encoding=config.wire_encoding)
-        if config.transport == "tcp":
-            inner_kwargs["outbox_cap"] = config.outbox_cap
-        inner = make_transport(config.transport, **inner_kwargs)
         return PeeringTransport(
             self.shard_id,
             self.assignment,
-            inner,
-            outbox_cap=config.outbox_cap,
+            super()._make_transport(),
+            outbox_cap=self.config.outbox_cap,
         )
 
     async def start(self) -> "Cluster":
@@ -360,111 +295,31 @@ class _WorkerCluster(Cluster):
         self._started = True
         await self.transport.start()
         with self.network.telemetry.phase("runtime_boot"):
-            build = (
-                self.overlay.build_bulk
-                if self.config.bulk_boot
-                else self.overlay.build
-            )
-            members = build(self.config.nodes)
             owned = [
-                n for n in members if self.assignment[int(n)] == self.shard_id
+                n
+                for n in self._build(self.overlay)
+                if self.assignment[int(n)] == self.shard_id
             ]
             await self.start_actors(owned)
         return self
 
+    async def control(self, op: str, *args):
+        """Run one control-pipe command: an allow-listed method, by name."""
+        if op not in self.CONTROL_OPS:
+            raise ShardError(f"unknown control op {op!r}")
+        return await getattr(self, op)(*args)
 
-async def _worker_crash(cluster: _WorkerCluster, node_id: int) -> list:
-    """Apply a crash on this replica (owner also stops the actors).
+    async def peers(self, endpoints: dict) -> None:
+        """Learn every shard's peering endpoint (end of the boot handshake)."""
+        self.transport.endpoints.update(endpoints)
 
-    Host-level semantics match :meth:`Cluster.crash`: every co-hosted
-    member dies with the machine.  Every worker runs the identical
-    bookkeeping (crash ledger, replica copy-death accounting), so the
-    replicas stay bit-identical; only the owning shard has live actors
-    to stop.
-    """
-    host = cluster.routing.host_of(node_id)
-    nodes = cluster.routing.ecan.can.nodes
-    victims = sorted(n for n, rec in nodes.items() if int(rec.host) == host)
-    cluster._ensure_faults().crash_host(host)
-    for victim in victims:
-        actor = cluster.actors.pop(victim, None)
-        if actor is not None:
-            await actor.stop()
-        cluster.overlay.store.drop_hosted_by(victim)
-        cluster.crashed[victim] = host
-    return victims
-
-
-async def _worker_leave(cluster: _WorkerCluster, node_id: int) -> None:
-    """Graceful departure, applied identically on every replica."""
-    actor = cluster.actors.pop(node_id, None)
-    if actor is not None:
-        await actor.stop()
-    cluster.overlay.remove_node(node_id, graceful=True)
-
-
-async def _worker_load(cluster: _WorkerCluster, spec: dict) -> dict:
-    """Drive this shard's slice of a distributed load run."""
-    report = await run_load(
-        cluster,
-        rate=spec["rate"],
-        count=spec["count"],
-        seed=spec["seed"],
-        op=spec["op"],
-        concurrency=spec["concurrency"],
-        sources=list(cluster.actors),
-    )
-    return {
-        "ops": report.ops,
-        "errors": report.errors,
-        "latencies_ms": report.latencies_ms,
-        "error_latencies_ms": report.error_latencies_ms,
-        "mode": report.mode,
-        "concurrency": report.concurrency,
-        "wall_duration_s": report.wall_duration_s,
-        "retries": report.retries,
-        "backoff_ms": report.backoff_ms,
-        "busy_errors": report.busy_errors,
-        "breaker_fastfails": report.breaker_fastfails,
-        "shed": report.shed,
-        "loop": report.loop,
-    }
-
-
-def _worker_counters(cluster: _WorkerCluster) -> dict:
-    telemetry = cluster.network.telemetry
-    return {
-        "events": dict(telemetry.event_counts),
-        "metrics": dict(telemetry.counters),
-        "transport": cluster.transport.counters(),
-        "overload": cluster.overload_counters(),
-    }
-
-
-async def _worker_handle(cluster: _WorkerCluster, msg: tuple):
-    op = msg[0]
-    if op == "peers":
-        cluster.transport.peers.update(msg[1])
-        return None
-    if op == "lookup":
-        return await cluster.lookup(msg[1], msg[2])
-    if op == "route":
-        return await cluster.route(msg[1], msg[2])
-    if op == "lookup_map":
-        return await cluster.lookup_map(msg[1], Region(msg[2], tuple(msg[3])))
-    if op == "publish":
-        return await cluster.publish(msg[1])
-    if op == "ping":
-        return await cluster.ping(msg[1], msg[2], seq=msg[3])
-    if op == "load":
-        return await _worker_load(cluster, msg[1])
-    if op == "counters":
-        return _worker_counters(cluster)
-    if op == "crash":
-        return await _worker_crash(cluster, msg[1])
-    if op == "leave":
-        return await _worker_leave(cluster, msg[1])
-    raise ShardError(f"unknown control op {op!r}")
+    async def run_load(self, rate, count, seed, op, concurrency) -> LoadReport:
+        """This shard's slice of a scattered load run: requests
+        originate from owned members only."""
+        return await run_load(
+            self, rate=rate, count=count, seed=seed, op=op,
+            concurrency=concurrency, sources=list(self.actors),
+        )
 
 
 async def _worker(config, shard_id, assignment, conn) -> None:
@@ -492,7 +347,7 @@ async def _worker(config, shard_id, assignment, conn) -> None:
             if msg[0] == "stop":
                 break
             try:
-                result = await _worker_handle(cluster, msg)
+                result = await cluster.control(*msg)
             except Exception as exc:
                 conn.send(("error", repr(exc)))
             else:
@@ -539,13 +394,13 @@ class _WorkerHandle:
         return self.process.exitcode is not None
 
 
-class ShardedCluster:
+class ShardedCluster(ClusterSurface):
     """N overlay members sharded across worker processes.
 
-    Same high-level surface as :class:`Cluster` (``start``/``stop``,
-    ``lookup``/``route``/``lookup_map``/``publish``/``ping``,
-    ``run_load``, ``verify_against_sim``, ``crash``/``leave``,
-    counter aggregation), built on the control channel.  The parent
+    The :class:`~repro.runtime.cluster.ClusterSurface` over a control
+    channel: every RPC is forwarded to the worker serving its origin
+    member, churn is broadcast so every replica applies the same
+    mutation, and counters are summed across workers.  The parent
     keeps its own replica for zone geometry and shard routing but
     serves no data-plane traffic.
     """
@@ -560,31 +415,20 @@ class ShardedCluster:
             raise ValueError(
                 "transport fault plans are not supported across shards yet"
             )
-        self.config = config
-        self.network = make_network(config.network)
-        self.overlay = TopologyAwareOverlay(self.network, config.overlay)
-        from repro.runtime.cluster import RoutingView
-
-        self.routing = RoutingView(self.overlay)
+        super().__init__(config)
         self.workers: list = []
-        #: node id -> owning shard, set at boot
+        #: node id -> owning shard for every member whose process is
+        #: up, set at boot
         self.assignment: dict = {}
-        self.crashed: dict = {}
-        #: always ``None``: the wire SWIM loop does not span shards yet
-        #: (:meth:`enable_recovery` raises :class:`NotSupportedError`);
-        #: kept so harness-agnostic readers -- the management plane's
-        #: ``/health`` -- need no isinstance checks
-        self.recovery = None
-        self._started = False
 
     # -- lifecycle ---------------------------------------------------------
 
     @property
-    def node_ids(self) -> list:
-        return list(self.assignment)
+    def _up(self) -> dict:
+        return self.assignment
 
-    def __len__(self) -> int:
-        return len(self.assignment)
+    def shard_of(self, node_id: int) -> int:
+        return self.assignment.get(node_id, 0)
 
     @property
     def shards(self) -> int:
@@ -596,10 +440,7 @@ class ShardedCluster:
         self._started = True
         config = self.config
         with self.network.telemetry.phase("runtime_boot"):
-            build = (
-                self.overlay.build_bulk if config.bulk_boot else self.overlay.build
-            )
-            members = build(config.nodes)
+            members = self._build(self.overlay)
             hosts = {int(n): self.routing.host_of(n) for n in members}
             self.assignment = shard_assignment(
                 self.network, hosts, config.shards
@@ -629,9 +470,7 @@ class ShardedCluster:
                 ports[shard_id] = ("127.0.0.1", int(port))
                 worker.boot_s = float(boot_s)
                 worker.owned = int(owned)
-            await asyncio.gather(
-                *(self._call(w, ("peers", ports)) for w in self.workers)
-            )
+            await self._broadcast(("peers", ports))
         return self
 
     async def stop(self) -> None:
@@ -651,12 +490,6 @@ class ShardedCluster:
             worker.conn.close()
         self.workers.clear()
         self._started = False
-
-    async def __aenter__(self) -> "ShardedCluster":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
 
     # -- control channel ---------------------------------------------------
 
@@ -680,7 +513,10 @@ class ShardedCluster:
         return msg
 
     async def _call(self, worker: _WorkerHandle, msg: tuple):
-        """One command round-trip; a dead worker raises, never hangs."""
+        """One command round-trip; a dead worker raises, never hangs.
+
+        ``msg`` is ``(op, *args)`` for :meth:`_WorkerCluster.control`.
+        """
         async with worker.lock:
             if worker.dead:
                 raise ShardCrashed(
@@ -697,6 +533,10 @@ class ShardedCluster:
         if reply[0] == "error":
             raise ShardError(f"shard {worker.shard_id}: {reply[1]}")
         return reply[1]
+
+    async def _broadcast(self, msg: tuple) -> list:
+        """The same command on every worker; replies in shard order."""
+        return await asyncio.gather(*(self._call(w, msg) for w in self.workers))
 
     # -- RPCs --------------------------------------------------------------
 
@@ -715,8 +555,7 @@ class ShardedCluster:
 
     async def lookup_map(self, querier_id: int, region) -> dict:
         return await self._call(
-            self._owner(querier_id),
-            ("lookup_map", int(querier_id), int(region.level), list(region.cell)),
+            self._owner(querier_id), ("lookup_map", int(querier_id), region)
         )
 
     async def publish(self, node_id: int) -> dict:
@@ -755,45 +594,43 @@ class ShardedCluster:
             slice_count = base + (1 if i < extra else 0)
             if slice_count == 0:
                 continue
-            spec = {
-                "rate": rate / shards if rate else 0.0,
-                "count": slice_count,
-                "seed": seed + 7919 * i,
-                "op": op,
-                "concurrency": (
-                    max(1, conc_base + (1 if i < conc_extra else 0))
-                    if closed
-                    else 0
-                ),
-            }
-            calls.append(self._call(worker, ("load", spec)))
+            slice_concurrency = (
+                max(1, conc_base + (1 if i < conc_extra else 0)) if closed else 0
+            )
+            calls.append(
+                self._call(
+                    worker,
+                    (
+                        "run_load", rate / shards if rate else 0.0, slice_count,
+                        seed + 7919 * i, op, slice_concurrency,
+                    ),
+                )
+            )
         slices = await asyncio.gather(*calls)
         report = LoadReport(
-            ops=sum(s["ops"] for s in slices),
-            errors=sum(s["errors"] for s in slices),
+            ops=sum(s.ops for s in slices),
+            errors=sum(s.errors for s in slices),
             offered_rate=0.0 if closed else float(rate),
             mode="closed" if closed else "open",
-            concurrency=sum(s["concurrency"] for s in slices),
+            concurrency=sum(s.concurrency for s in slices),
         )
         for s in slices:
-            report.latencies_ms.extend(s["latencies_ms"])
-            report.error_latencies_ms.extend(s["error_latencies_ms"])
-        report.wall_duration_s = max(s["wall_duration_s"] for s in slices)
-        report.retries = sum(s["retries"] for s in slices)
-        report.backoff_ms = sum(s["backoff_ms"] for s in slices)
-        report.busy_errors = sum(s["busy_errors"] for s in slices)
-        report.breaker_fastfails = sum(s["breaker_fastfails"] for s in slices)
-        report.shed = sum(s["shed"] for s in slices)
-        report.loop = slices[0]["loop"] if slices else ""
+            report.latencies_ms.extend(s.latencies_ms)
+            report.error_latencies_ms.extend(s.error_latencies_ms)
+        report.wall_duration_s = max(s.wall_duration_s for s in slices)
+        report.retries = sum(s.retries for s in slices)
+        report.backoff_ms = sum(s.backoff_ms for s in slices)
+        report.busy_errors = sum(s.busy_errors for s in slices)
+        report.breaker_fastfails = sum(s.breaker_fastfails for s in slices)
+        report.shed = sum(s.shed for s in slices)
+        report.loop = slices[0].loop if slices else ""
         return report
 
     # -- aggregation -------------------------------------------------------
 
     async def counters(self) -> dict:
         """Cluster-wide counters, summed across every shard replica."""
-        per_shard = await asyncio.gather(
-            *(self._call(w, ("counters",)) for w in self.workers)
-        )
+        per_shard = await self._broadcast(("counters",))
         merged = {"events": {}, "metrics": {}, "transport": {}, "overload": {}}
         for shard in per_shard:
             for section, values in shard.items():
@@ -803,9 +640,6 @@ class ShardedCluster:
                         bucket[key] = bucket.get(key, 0) + value
         merged["per_shard"] = per_shard
         return merged
-
-    async def overload_counters(self) -> dict:
-        return (await self.counters())["overload"]
 
     def boot_report(self) -> dict:
         """Per-shard boot walls + membership split (bench bookkeeping)."""
@@ -818,36 +652,19 @@ class ShardedCluster:
 
     async def crash(self, node_id: int) -> dict:
         """Crash-stop a member's machine on every replica (broadcast)."""
-        if node_id not in self.assignment:
-            raise KeyError(f"node {node_id} is not a cluster member")
-        results = await asyncio.gather(
-            *(self._call(w, ("crash", int(node_id))) for w in self.workers)
-        )
-        victims = results[0]
-        host = self.routing.host_of(node_id)
-        self._parent_faults().crash_host(host)
-        for victim in victims:
-            self.overlay.store.drop_hosted_by(victim)
-            self.crashed[victim] = host
+        self._require_member(node_id)  # before any replica is touched
+        await self._broadcast(("crash", int(node_id)))
+        summary = await super().crash(node_id)
+        for victim in summary["victims"]:
             self.assignment.pop(victim, None)
-        return {"victims": victims}
+        return summary
 
     async def leave(self, node_id: int) -> None:
         """Graceful departure, broadcast to every replica."""
-        if node_id not in self.assignment:
-            raise KeyError(f"node {node_id} is not a cluster member")
-        await asyncio.gather(
-            *(self._call(w, ("leave", int(node_id))) for w in self.workers)
-        )
-        self.overlay.remove_node(node_id, graceful=True)
+        self._require_member(node_id)
+        await self._broadcast(("leave", int(node_id)))
+        await super().leave(node_id)
         self.assignment.pop(node_id, None)
-
-    def _parent_faults(self):
-        if self.network.faults is None:
-            from repro.netsim.faults import FaultPlan
-
-            self.network.arm_faults(FaultPlan(), seed=self.config.fault_seed)
-        return self.network.faults
 
     async def enable_recovery(self, params=None, seed: int = 0xFD):
         """Unsupported: raises a typed :class:`NotSupportedError`.
@@ -855,31 +672,14 @@ class ShardedCluster:
         The wire-level SWIM loop would have to probe across worker
         processes; porting it onto the TCP peering plane is the
         tracked next step (ROADMAP, DESIGN.md §13).  Until then
-        crash/leave injection flows over the control channel, and the
-        management plane reports ``recovery: unavailable (sharded)``
-        in ``/health`` instead of surfacing this as a server error.
+        :attr:`recovery` stays ``None``, crash/leave injection flows
+        over the control channel, and the management plane reports
+        ``recovery: unavailable (sharded)`` in ``/health`` instead of
+        surfacing this as a server error.
         """
         raise NotSupportedError(
             "the wire-level SWIM recovery loop does not span shard "
             "workers yet (port it onto the TCP peering plane -- see "
             "DESIGN.md §13 and the ROADMAP item); crash/leave "
             "injection flows over the control channel instead"
-        )
-
-    # -- sim parity --------------------------------------------------------
-
-    def build_reference_sim(self) -> TopologyAwareOverlay:
-        """A fresh synchronous overlay, built the way the replicas were."""
-        network = make_network(self.config.network)
-        sim = TopologyAwareOverlay(network, self.config.overlay)
-        build = sim.build_bulk if self.config.bulk_boot else sim.build
-        build(self.config.nodes)
-        return sim
-
-    async def verify_against_sim(
-        self, lookups: int = 256, routes: int = 64, seed: int = 0xC0FFEE, sim=None
-    ) -> dict:
-        """The identical parity bar :class:`Cluster` is held to."""
-        return await verify_cluster_against_sim(
-            self, lookups=lookups, routes=routes, seed=seed, sim=sim
         )

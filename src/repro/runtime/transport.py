@@ -215,10 +215,18 @@ class LoopbackTransport(Transport):
         await handler(frame)
 
 
-class TcpTransport(Transport):
-    """Real sockets: one localhost ``asyncio`` server per endpoint."""
+class StreamTransport(Transport):
+    """Batched stream links: one cached connection and outbox per key.
 
-    kind = "tcp"
+    What every socket-backed transport shares, keyed by whatever it
+    connects *to* (an endpoint address for :class:`TcpTransport`, a
+    peer shard for the sharded runtime's
+    :class:`~repro.runtime.shard.PeeringTransport`): encoded frames
+    queue in a per-key outbox and one flusher task writes the whole
+    batch and awaits ``drain()`` once per flush.  Subclasses start the
+    listening servers, fill the :attr:`endpoints` address book and
+    decode what their accepted connections carry.
+    """
 
     def __init__(
         self,
@@ -233,21 +241,101 @@ class TcpTransport(Transport):
         if outbox_cap is not None and outbox_cap < 1:
             raise ValueError("outbox_cap must be >= 1 (or None for unbounded)")
         self.interface = interface
-        #: per-destination write-queue cap in frames: a peer whose
-        #: flusher cannot keep up stops ballooning sender memory --
-        #: overflow frames drop (send returns False) and count below
+        #: per-key write-queue cap in frames: a peer whose flusher
+        #: cannot keep up stops ballooning sender memory -- overflow
+        #: frames drop (send returns False) and count below
         self.outbox_cap = outbox_cap
-        #: frames dropped because a destination's outbox was full
+        #: frames dropped because a key's outbox was full
         self.backpressure_drops = 0
-        self._servers: dict = {}
-        #: address book: addr -> (interface, port)
+        #: address book: key -> (interface, port)
         self.endpoints: dict = {}
+        #: listening servers, by the key they accept for
+        self._servers: dict = {}
         self._writers: dict = {}
         self._writer_locks: dict = {}
         self._readers: set = set()
-        #: dst -> list of encoded frames awaiting the flusher; the key's
-        #: presence doubles as "a flusher task owns this destination"
+        #: key -> list of encoded frames awaiting the flusher; the key's
+        #: presence doubles as "a flusher task owns this key"
         self._outbox: dict = {}
+
+    async def _writer_for(self, key) -> asyncio.StreamWriter:
+        lock = self._writer_locks.setdefault(key, asyncio.Lock())
+        async with lock:
+            writer = self._writers.get(key)
+            if writer is not None:
+                if not writer.is_closing():
+                    return writer
+                # close the moribund connection for real instead of
+                # letting the overwritten writer leak its socket
+                self._writers.pop(key, None)
+                writer.close()
+            endpoint = self.endpoints.get(key)
+            if endpoint is None:
+                raise TransportError(f"no endpoint bound for {key!r}")
+            try:
+                _, writer = await asyncio.open_connection(*endpoint)
+            except OSError as exc:
+                raise TransportError(f"connect to {key!r} failed: {exc}") from exc
+            self._writers[key] = writer
+            return writer
+
+    def _enqueue(self, key, data: bytes) -> bool:
+        """Queue one encoded frame for ``key``'s flusher; False = refused."""
+        batch = self._outbox.get(key)
+        if batch is None:
+            self._outbox[key] = [data]
+            self._spawn(self._flush(key))
+        elif self.outbox_cap is not None and len(batch) >= self.outbox_cap:
+            # the flusher is behind by a full cap: refuse the frame
+            # instead of queueing unbounded sender-side memory
+            self.backpressure_drops += 1
+            self.dropped += 1
+            return False
+        else:
+            batch.append(data)
+        return True
+
+    async def _flush(self, key) -> None:
+        """Drain ``key``'s outbox: one write + one drain per batch.
+
+        Frames sent while a previous batch is draining coalesce into
+        the next one, so backpressure from a slow peer throttles the
+        sender at batch granularity instead of per frame.
+        """
+        while True:
+            batch = self._outbox.get(key)
+            if not batch:
+                self._outbox.pop(key, None)
+                return
+            self._outbox[key] = []
+            try:
+                writer = await self._writer_for(key)
+                writer.write(b"".join(batch))
+                await writer.drain()
+            except (TransportError, OSError):
+                self.dropped += len(batch)
+
+    async def close(self) -> None:
+        await super().close()
+        self._outbox.clear()
+        for writer in list(self._writers.values()) + list(self._readers):
+            writer.close()
+        self._writers.clear()
+        self._readers.clear()
+        for server in self._servers.values():
+            server.close()
+        await asyncio.gather(
+            *(server.wait_closed() for server in self._servers.values()),
+            return_exceptions=True,
+        )
+        self._servers.clear()
+        self.endpoints.clear()
+
+
+class TcpTransport(StreamTransport):
+    """Real sockets: one localhost ``asyncio`` server per endpoint."""
+
+    kind = "tcp"
 
     async def bind(self, addr, handler, host: int = None) -> None:
         if addr in self._servers:
@@ -305,27 +393,6 @@ class TcpTransport(Transport):
             self._readers.discard(writer)
             writer.close()
 
-    async def _writer_for(self, dst) -> asyncio.StreamWriter:
-        lock = self._writer_locks.setdefault(dst, asyncio.Lock())
-        async with lock:
-            writer = self._writers.get(dst)
-            if writer is not None:
-                if not writer.is_closing():
-                    return writer
-                # close the moribund connection for real instead of
-                # letting the overwritten writer leak its socket
-                self._writers.pop(dst, None)
-                writer.close()
-            endpoint = self.endpoints.get(dst)
-            if endpoint is None:
-                raise TransportError(f"no endpoint bound for {dst!r}")
-            try:
-                _, writer = await asyncio.open_connection(*endpoint)
-            except OSError as exc:
-                raise TransportError(f"connect to {dst!r} failed: {exc}") from exc
-            self._writers[dst] = writer
-            return writer
-
     async def send(self, src, dst, frame: Frame) -> bool:
         if self._closed:
             raise TransportError("transport is closed")
@@ -342,39 +409,7 @@ class TcpTransport(Transport):
             # shaped frames keep their individual departure times
             self._spawn(self._write(dst, data, delay))
             return True
-        batch = self._outbox.get(dst)
-        if batch is None:
-            self._outbox[dst] = [data]
-            self._spawn(self._flush(dst))
-        elif self.outbox_cap is not None and len(batch) >= self.outbox_cap:
-            # the flusher is behind by a full cap: refuse the frame
-            # instead of queueing unbounded sender-side memory
-            self.backpressure_drops += 1
-            self.dropped += 1
-            return False
-        else:
-            batch.append(data)
-        return True
-
-    async def _flush(self, dst) -> None:
-        """Drain ``dst``'s outbox: one write + one drain per batch.
-
-        Frames sent while a previous batch is draining coalesce into
-        the next one, so backpressure from a slow peer throttles the
-        sender at batch granularity instead of per frame.
-        """
-        while True:
-            batch = self._outbox.get(dst)
-            if not batch:
-                self._outbox.pop(dst, None)
-                return
-            self._outbox[dst] = []
-            try:
-                writer = await self._writer_for(dst)
-                writer.write(b"".join(batch))
-                await writer.drain()
-            except (TransportError, OSError):
-                self.dropped += len(batch)
+        return self._enqueue(dst, data)
 
     async def _write(self, dst, data: bytes, delay: float) -> None:
         if delay > 0.0:
@@ -385,23 +420,6 @@ class TcpTransport(Transport):
             await writer.drain()
         except (TransportError, OSError):
             self.dropped += 1
-
-    async def close(self) -> None:
-        await super().close()
-        self._outbox.clear()
-        for writer in list(self._writers.values()) + list(self._readers):
-            writer.close()
-        self._writers.clear()
-        self._readers.clear()
-        for server in self._servers.values():
-            server.close()
-        await asyncio.gather(
-            *(server.wait_closed() for server in self._servers.values()),
-            return_exceptions=True,
-        )
-        self._servers.clear()
-        self.endpoints.clear()
-
 
 def make_transport(kind: str, **kwargs) -> Transport:
     """Build a transport by name (``"loopback"`` or ``"tcp"``)."""

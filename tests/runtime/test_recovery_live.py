@@ -13,8 +13,9 @@ import math
 
 import pytest
 
-from repro.core.config import NetworkParams, OverlayParams
-from repro.core.recovery import DetectorParams, check_invariants
+from repro.core.builder import TopologyAwareOverlay
+from repro.core.config import NetworkParams, OverlayParams, make_network
+from repro.core.recovery import DetectorParams, FailureDetector, check_invariants
 from repro.runtime import Cluster, ClusterConfig
 from repro.runtime.recovery import RuntimeRecovery
 
@@ -102,6 +103,43 @@ class TestCrashDetection:
         run(scenario())
 
 
+class TestOnePlan:
+    def test_sim_and_live_adapters_probe_the_same_pairs(self):
+        """Same membership, same round number: same (prober, target)
+        plan from both adapters, dead probers skipped alike."""
+
+        async def scenario():
+            async with Cluster(make_config(nodes=12)) as cluster:
+                live = make_detector(cluster)
+                sim = FailureDetector(cluster.overlay, live.params, seed=11)
+                await cluster.crash(pick_victim(cluster))
+                live_probes, sim_probes = [], []
+
+                async def heartbeat(prober, target, relay=None):
+                    live_probes.append((prober, target))
+                    return True
+
+                def ping(src, dst, indirect=False):
+                    sim_probes.append((src, dst))
+                    return True
+
+                live._heartbeat, sim._ping = heartbeat, ping
+                plans = []
+                for _ in range(2 * len(cluster.overlay.ecan.can.nodes)):
+                    await live.tick()
+                    sim.tick()
+                    assert live.rounds == sim.rounds
+                    assert live_probes == sim_probes
+                    plans.append(tuple(live_probes))
+                    live_probes.clear()
+                    sim_probes.clear()
+                return plans, len(cluster.actors)
+
+        plans, live_members = run(scenario())
+        assert all(len(plan) == live_members for plan in plans)
+        assert len(set(plans)) > 1  # the rotation actually rotates
+
+
 class TestPartitionShielding:
     def test_partition_shields_then_heals(self):
         async def scenario():
@@ -157,8 +195,14 @@ class TestRestart:
 class TestBulkBoot:
     def test_bulk_boot_matches_incremental_membership_and_zones(self):
         async def scenario():
-            async with Cluster(make_config(bulk_boot=True)) as cluster:
-                reference = cluster.build_reference_sim()
+            config = make_config(bulk_boot=True)
+            async with Cluster(config) as cluster:
+                # the cluster's own reference sim is bulk-built too, so
+                # the incremental side of the comparison is built here
+                reference = TopologyAwareOverlay(
+                    make_network(config.network), config.overlay
+                )
+                reference.build(config.nodes)
                 live_nodes = cluster.overlay.ecan.can.nodes
                 sim_nodes = reference.ecan.can.nodes
                 assert set(live_nodes) == set(sim_nodes)
