@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-medium bench-paper bench-smoke perf-smoke chaos-smoke runtime-smoke shard-smoke soak-smoke overload-smoke mgmt-smoke report examples ci clean
+.PHONY: install test bench bench-medium bench-paper bench-smoke perf-smoke perf-pairs chaos-smoke runtime-smoke shard-smoke soak-smoke overload-smoke mgmt-smoke report examples ci clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -42,6 +42,19 @@ bench-smoke:
 # operation failed.
 perf-smoke:
 	python3 benchmarks/perf/run.py --smoke
+
+# The pairs rule for claiming a gain on the declared benchmark: N
+# alternating runs of BASE (exported to a temp dir) and this tree on
+# one workload, then wins/ties, both medians and quartiles, and the
+# nine-tenths + parent-IQR verdict.  ~20 s per run, so ~7 min at 10.
+#   make perf-pairs BASE=HEAD~1 WORKLOAD=live_map_mixed METRIC=cpu_us_per_op
+BASE ?= HEAD~1
+WORKLOAD ?= live_lookup_closed
+METRIC ?= cpu_us_per_op
+PAIRS ?= 10
+perf-pairs:
+	$(PYTHON) scripts/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+		--metric $(METRIC) --pairs $(PAIRS)
 
 # The live-runtime acceptance scenario: boot a 64-node cluster over
 # the loopback transport (joins travel as wire frames), drive 1000

@@ -1,0 +1,163 @@
+"""The pairs rule as a command: does this tree beat ``--base`` on one metric?
+
+``benchmarks/perf/README.md`` says a gain "is claimed by the pairs
+rule"; this runs it.  The base revision is exported (``git archive``)
+into a temporary directory, and for seeds 1..N both trees run
+
+    python3 benchmarks/perf/run.py --workload W --seed i --trace 0
+
+one after the other, alternating which side goes first so that a slow
+minute of the box lands on both.  It prints every pair, both sides'
+medians and quartiles, wins / ties / losses, and the verdict of the
+choosing-metrics rule: the change **wins at least nine tenths of all
+pairs run** (a tie counts for neither side) **and the medians differ
+by more than the parent's own interquartile range**.
+
+    python scripts/perf_pairs.py --base HEAD~1 \\
+        --workload live_lookup_closed --metric cpu_us_per_op
+
+It reads only ``BENCHMARK.json`` (for the metric's direction) and the
+last line ``run.py`` prints; it imports nothing from and writes
+nothing under ``benchmarks/perf/``.  Exit status: 0 gain shown, 1 not
+shown, 2 a run failed or answered incorrectly.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def quartiles(values) -> tuple:
+    """(q1, median, q3); a single run is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def judge(base: list, change: list, better: str) -> dict:
+    """Apply the pairs rule to paired samples (``base[i]`` ran with
+    ``change[i]``); ``better`` is ``"lower"`` or ``"higher"``."""
+    sign = -1.0 if better == "lower" else 1.0
+    gains = [sign * (c - b) for b, c in zip(base, change)]
+    wins = sum(1 for gain in gains if gain > 0)
+    ties = sum(1 for gain in gains if gain == 0)
+    base_q1, base_median, base_q3 = quartiles(base)
+    _, change_median, _ = quartiles(change)
+    gain = sign * (change_median - base_median)
+    spread = base_q3 - base_q1
+    enough_wins = 10 * wins >= 9 * len(gains)
+    clear_of_spread = gain > spread
+    return {
+        "pairs": len(gains),
+        "wins": wins,
+        "ties": ties,
+        "losses": len(gains) - wins - ties,
+        "median_gain": gain,
+        "base_iqr": spread,
+        "enough_wins": enough_wins,
+        "clear_of_spread": clear_of_spread,
+        "gain_shown": enough_wins and clear_of_spread,
+    }
+
+
+def direction_of(metric: str) -> str:
+    with open(ROOT / "BENCHMARK.json") as handle:
+        declared = json.load(handle)["end_to_end"]
+    for entry in declared:
+        if entry["name"] == metric:
+            return entry["better"]
+    names = ", ".join(entry["name"] for entry in declared)
+    sys.exit(f"perf_pairs: {metric!r} is not an end-to-end metric ({names})")
+
+
+def export_base(rev: str, target: Path) -> None:
+    """The committed files of ``rev`` under ``target``; the repository
+    itself (index, worktree list) is left exactly as it was."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        check=True, capture_output=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
+
+
+def measure(tree: Path, workload: str, metric: str, seed: int) -> float:
+    done = subprocess.run(
+        [
+            sys.executable, "benchmarks/perf/run.py",
+            "--workload", workload, "--seed", str(seed), "--trace", "0",
+        ],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        sys.stderr.write(done.stderr)
+        sys.exit(2)
+    outcome = json.loads(lines[-1])
+    if not outcome["correct"] or outcome["failed"]:
+        print(
+            f"perf_pairs: {tree} seed {seed}: correct={outcome['correct']} "
+            f"failed={outcome['failed']}/{outcome['attempted']}",
+            file=sys.stderr,
+        )
+        sys.exit(2)
+    return float(outcome["metrics"][metric]["value"])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--metric", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args()
+    better = direction_of(args.metric)
+    base, change = [], []
+    with tempfile.TemporaryDirectory(prefix="perf_pairs_") as scratch:
+        base_tree = Path(scratch)
+        export_base(args.base, base_tree)
+        print(f"# {args.workload} {args.metric} ({better} is better), "
+              f"base {args.base} vs {ROOT}")
+        print("| seed | first | base | change |")
+        print("|---|---|---|---|")
+        for seed in range(1, args.pairs + 1):
+            order = ("base", "change") if seed % 2 else ("change", "base")
+            values = {}
+            for side in order:
+                tree = base_tree if side == "base" else ROOT
+                values[side] = measure(tree, args.workload, args.metric, seed)
+            base.append(values["base"])
+            change.append(values["change"])
+            print(
+                f"| {seed} | {order[0]} | {values['base']:.6g} "
+                f"| {values['change']:.6g} |",
+                flush=True,
+            )
+    verdict = judge(base, change, better)
+    for side, values in (("base", base), ("change", change)):
+        q1, median, q3 = quartiles(values)
+        print(f"{side:>6}: median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
+    print(
+        f"change wins {verdict['wins']}/{verdict['pairs']}, "
+        f"ties {verdict['ties']}, losses {verdict['losses']} "
+        f"(needs nine tenths: {'yes' if verdict['enough_wins'] else 'no'})"
+    )
+    print(
+        f"median gain {verdict['median_gain']:.6g} vs parent IQR "
+        f"{verdict['base_iqr']:.6g} "
+        f"(needs more: {'yes' if verdict['clear_of_spread'] else 'no'})"
+    )
+    print("verdict:", "gain shown" if verdict["gain_shown"] else "gain NOT shown")
+    return 0 if verdict["gain_shown"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,9 +12,11 @@ requests do not re-arrive in lockstep, :class:`CircuitBreaker` stops
 hammering a peer that keeps shedding or timing out (closed -> open ->
 half-open probe -> closed), and :class:`AdaptiveTimeout` derives a
 Jacobson-style per-peer RTO from EWMA RTT + variance so timeouts
-track the network instead of a static ``--request-timeout``.  These
-three are pure state machines over an injected clock/rng, so they
-stay unit-testable and deterministic outside the event loop.
+track the network instead of a static ``--request-timeout``, and
+:class:`DeadlineTable` enforces those timeouts for every in-flight
+request of a process from one shared sweep timer.  All four are pure
+state machines over an injected clock/rng/timer, so they stay
+unit-testable and deterministic outside the event loop.
 
 Consumers receive a policy instance rather than importing this module
 (the soft-state and overlay packages sit *below* ``repro.core`` in
@@ -337,6 +339,67 @@ class AdaptiveTimeout:
     def backoff(self) -> None:
         """Double the effective RTO after a timeout (Karn-style)."""
         self._backoff = min(self._backoff * 2.0, 64.0)
+
+
+#: seconds between two sweeps of a non-empty :class:`DeadlineTable`: how
+#: late a deadline may fire, and the only timer rate a process pays
+DEADLINE_TICK_S = 0.010
+
+
+class DeadlineTable:
+    """Request deadlines of one process: a table entry each, one timer.
+
+    ``add(future, deadline)`` records an absolute deadline on the
+    injected ``clock``; ``discard(future)`` forgets it.  While the
+    table is non-empty exactly one ``call_later`` timer is armed, and
+    every :data:`DEADLINE_TICK_S` its sweep fails each still-pending
+    future whose deadline has passed with :class:`TimeoutError` -- so a
+    deadline never fires early and fires at most one tick late, and a
+    request costs two dict operations instead of a timer of its own.
+    The sweep that finds the table empty does not re-arm; the next
+    ``add`` does.  A future is anything with ``done()`` and
+    ``set_exception()``; one completed before its deadline is dropped
+    untouched.  ``call_later(delay, callback)`` must return a handle
+    with ``cancel()`` (an event loop's own ``call_later`` does).
+    """
+
+    __slots__ = ("_clock", "_call_later", "_deadlines", "_timer")
+
+    def __init__(self, clock, call_later):
+        self._clock = clock
+        self._call_later = call_later
+        #: future -> absolute deadline on ``clock``
+        self._deadlines: dict = {}
+        self._timer = None
+
+    def __len__(self) -> int:
+        return len(self._deadlines)
+
+    def add(self, future, deadline: float) -> None:
+        self._deadlines[future] = deadline
+        if self._timer is None:
+            self._timer = self._call_later(DEADLINE_TICK_S, self._sweep)
+
+    def discard(self, future) -> None:
+        self._deadlines.pop(future, None)
+
+    def clear(self) -> None:
+        """Forget every deadline and cancel the timer (owner shutdown)."""
+        self._deadlines.clear()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _sweep(self) -> None:
+        self._timer = None
+        deadlines = self._deadlines
+        now = self._clock()
+        for future in [f for f, due in deadlines.items() if due <= now]:
+            del deadlines[future]
+            if not future.done():
+                future.set_exception(TimeoutError())
+        if deadlines:
+            self._timer = self._call_later(DEADLINE_TICK_S, self._sweep)
 
 
 def measure_vector_reliably(

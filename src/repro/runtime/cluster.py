@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.builder import TopologyAwareOverlay
 from repro.core.config import NetworkParams, OverlayParams, make_network
+from repro.core.reliability import DeadlineTable
 from repro.netsim.faults import Partition
 from repro.runtime.node import NodeProcess
 from repro.runtime.transport import make_transport
@@ -85,8 +86,11 @@ class ClusterConfig:
     overlay: OverlayParams = field(default_factory=OverlayParams)
     #: "loopback" or "tcp"
     transport: str = "loopback"
-    #: frame payload encoding: "packed" (struct fast path for ROUTE/
-    #: LOOKUP/ACK, JSON fallback elsewhere) or "json" (everything)
+    #: frame payload encoding: "packed" (struct layouts for the data
+    #: plane -- ROUTE, LOOKUP and every lookup/route/lookup_map/
+    #: publish ACK; the control plane -- JOIN, HEARTBEAT, ERROR, BUSY
+    #: -- stays JSON, see :mod:`repro.runtime.wire`) or "json"
+    #: (everything)
     wire_encoding: str = "packed"
     #: wall seconds per simulated ms of one-way latency (0 = no shaping)
     latency_scale: float = 0.0
@@ -193,6 +197,14 @@ class ClusterSurface:
         #: the armed :class:`~repro.runtime.recovery.RuntimeRecovery`,
         #: or None (see ``enable_recovery``)
         self.recovery = None
+        #: request deadlines of every actor this process serves: one
+        #: sweep timer on whichever loop is running when it is armed
+        self.deadlines = DeadlineTable(
+            clock=lambda: asyncio.get_running_loop().time(),
+            call_later=lambda delay, callback: asyncio.get_running_loop().call_later(
+                delay, callback
+            ),
+        )
         self._started = False
 
     # -- membership --------------------------------------------------------
@@ -478,6 +490,7 @@ class Cluster(ClusterSurface):
         for actor in list(self.actors.values()):
             await actor.stop()
         self.actors.clear()
+        self.deadlines.clear()
         await self.transport.close()
         self._started = False
 

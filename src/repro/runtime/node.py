@@ -42,7 +42,11 @@ replies retry on a decorrelated-jitter schedule, a per-peer
 after ``breaker_threshold`` consecutive BUSY/timeout failures, and
 per-peer Jacobson RTO (:class:`~repro.core.reliability.AdaptiveTimeout`)
 replaces the static request timeout for data traffic once RTT
-samples exist.
+samples exist.  Whatever the timeout, enforcing it costs a request one
+entry in the process-wide :class:`~repro.core.reliability.DeadlineTable`
+(``cluster.deadlines``): register, await the bare reply future,
+deregister -- one shared sweep timer fails the overdue ones, and a
+request answered inside ``send()`` never registers at all.
 
 Routing is hop-by-hop over the wire: each actor makes exactly one
 forwarding decision (:meth:`EcanOverlay.next_hop`, the fault-free
@@ -426,44 +430,45 @@ class NodeProcess:
         request_id = next(self._req_ids)
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        self.pending[request_id] = future
+        deadlines = self.cluster.deadlines
         frame = Frame(kind, request_id, {**payload, "src": self.addr})
         started = loop.time()
-        if dst == self.addr:
-            # a self-addressed frame never crosses a network in any
-            # real deployment, so it skips the transport (and its
-            # codec round trip, faults, and shaping) and dispatches
-            # straight off the mailbox; the payload built above is
-            # this frame's private copy, as a decode would guarantee
-            await self.on_frame(frame)
-        else:
-            sent = await self.transport.send(self.addr, dst, frame)
-            if not sent:
-                self.pending.pop(request_id, None)
-                raise TransportError(f"frame to {dst!r} was not sent")
-        if future.done():
-            # run-to-completion dispatch often resolves the future
-            # inside send(); skip wait_for's timer setup entirely
-            result = future.result()
-            if rto is not None:
-                rto.observe(loop.time() - started)
-            return result
-        # a crash may fail this future after its awaiter timed out and
-        # moved on; retrieve defensively so no "exception was never
-        # retrieved" noise outlives the actor (a future consumed on
-        # the fast path above never needs the callback)
-        future.add_done_callback(
-            lambda f: None if f.cancelled() else f.exception()
-        )
+        self.pending[request_id] = future
         try:
-            result = await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
+            if dst == self.addr:
+                # a self-addressed frame never crosses a network in any
+                # real deployment, so it skips the transport (and its
+                # codec round trip, faults, and shaping) and dispatches
+                # straight off the mailbox; the payload built above is
+                # this frame's private copy, as a decode would guarantee
+                await self.on_frame(frame)
+            elif not await self.transport.send(self.addr, dst, frame):
+                raise TransportError(f"frame to {dst!r} was not sent")
+            if future.done():
+                # run-to-completion dispatch often resolves the future
+                # inside send(); it never needs a deadline at all
+                result = future.result()
+            else:
+                # register -> await -> sweep: the deadline is one entry
+                # in the process-wide table, whose single timer fails
+                # the future with TimeoutError once it has passed (at
+                # most one tick late)
+                deadlines.add(future, started + timeout)
+                try:
+                    result = await future
+                except TimeoutError:
+                    if rto is not None:
+                        rto.backoff()
+                    raise RequestTimeout(
+                        f"{kind.name} to {dst!r} unanswered after {timeout}s"
+                    ) from None
+        finally:
+            # however the attempt ended (reply, deadline, refused send,
+            # cancellation) the request is over: nothing stays behind
+            # for stop() to fail unheard, and a reply that still
+            # arrives finds no entry and drops in on_frame
+            deadlines.discard(future)
             self.pending.pop(request_id, None)
-            if rto is not None:
-                rto.backoff()
-            raise RequestTimeout(
-                f"{kind.name} to {dst!r} unanswered after {timeout}s"
-            ) from None
         if rto is not None:
             rto.observe(loop.time() - started)
         return result

@@ -9,8 +9,8 @@ share the same contract:
 * ``send(src, dst, frame)`` is fire-and-forget: it returns once the
   frame is *in flight* (True) or known undeliverable (False);
 * **payload encoding** -- ``encoding="packed"`` selects the struct
-  fast path of :mod:`repro.runtime.wire` for hot frame kinds (JSON
-  stays the automatic fallback for everything else), ``"json"`` keeps
+  layouts of :mod:`repro.runtime.wire` for the data plane (the
+  control plane stays JSON, as listed there), ``"json"`` keeps
   every payload as JSON; both decode to identical payload dicts;
 * **latency shaping** -- when built with a
   :class:`~repro.netsim.distance.DistanceOracle` and a

@@ -17,16 +17,25 @@ The payload travels in one of two encodings, discriminated by the
 :data:`PACKED_FLAG` bit of the type byte:
 
 * **JSON** (flag clear) -- compact UTF-8 JSON, small, debuggable and
-  structure-flexible.  Every frame kind can travel as JSON; control
-  frames (JOIN, PUBLISH, HEARTBEAT, ERROR) always do.
-* **packed** (flag set, wire version >= 2) -- the hot frame kinds of
-  the data path (ROUTE, LOOKUP and the ACKs answering them) carry
-  points, paths and integer ids, so their payloads pack into fixed
-  struct layouts through the same :mod:`struct` machinery as the
-  header: no JSON stringification per hop.  Packing is best-effort at
-  encode time -- a payload outside the packed schema (extra keys,
-  out-of-range ids, non-float coordinates) silently falls back to
-  JSON -- and lossless: ``decode(encode(p, packed=True)) == p``.
+  structure-flexible.  Every frame kind can travel as JSON, and the
+  control plane always does: JOIN, HEARTBEAT, ERROR and BUSY carry
+  string addresses, optional relay fields and free-text reasons, and
+  no workload of ``BENCHMARK.json`` loads them, so no struct layout is
+  justified for them yet.  The bare ``{"src"}`` PUBLISH *request* is
+  listed with them for a different reason: a node only ever addresses
+  it to itself, and a self-addressed frame skips the codec altogether.
+* **packed** (flag set, wire version >= 2) -- the data plane (ROUTE,
+  LOOKUP and every ACK answering a ``lookup`` / ``route`` /
+  ``lookup_map`` / ``publish`` RPC) carries points, paths and integer
+  ids, so its payloads pack into fixed struct layouts through the
+  same :mod:`struct` machinery as the header: no JSON stringification
+  per hop.  Packing is decided at encode time -- a payload outside its
+  packed schema (extra keys, out-of-range ids, non-float coordinates)
+  falls back to JSON -- and lossless:
+  ``decode(encode(p, packed=True)) == p``.  The runtime itself never
+  produces such a payload on the data plane (``tests/runtime`` spies
+  on :func:`pack_payload` to keep it so); the fallback exists for
+  foreign writers, not as a second path.
 
 Version 1 readers never see packed frames they cannot parse (the flag
 bit doubles as an unknown-type byte there), and version 2 readers
@@ -40,7 +49,13 @@ timeout).  BUSY always rides as JSON.  The header layout, the packed
 schemas and every v1/v2 frame are unchanged, so v3 readers decode
 v2 (and v1) traffic byte-for-byte; a v2 reader that receives a BUSY
 frame rejects only that frame's type byte, exactly as it rejects any
-other unknown kind.
+other unknown kind.  Two packed schemas have grown inside v3 without
+a bump, both value-compatible: the map-read triple carries
+``widened`` as the ring count the store produces (0..127, in the bits
+of its flags byte above the old boolean, so an old ``True`` decodes
+as 1), and the ``{"regions", "node_id"}`` ACK of a PUBLISH has a
+packed tag of its own (an older v3 reader rejects that one frame's
+tag, as it would any unknown one).
 
 Decoding is strict: bad magic, unknown version or message type, an
 oversized length, malformed JSON, a malformed packed layout, or a
@@ -100,6 +115,7 @@ _FUSED_FIX = struct.Struct("!IBB")
 _LOOKUP_FIX = struct.Struct("!IBB")
 _MAP_FIX = struct.Struct("!BIH")
 _ACK_FIX = struct.Struct("!IHH")
+_PUBLISH_FIX = struct.Struct("!HI")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 _U8 = struct.Struct("!B")
@@ -165,6 +181,7 @@ _TAG_LOOKUP = 2       # {querier, level, cell, src}
 _TAG_ACK_ROUTE = 3    # {owner, path, hops}
 _TAG_ACK_FUSED = 4    # {owner, path, hops, served_by, widened, records}
 _TAG_ACK_MAP = 5      # {served_by, widened, records}
+_TAG_ACK_PUBLISH = 6  # {regions, node_id}
 
 _OP_CODES = {"route": 0, "lookup": 1}
 _OP_NAMES = {code: name for name, code in _OP_CODES.items()}
@@ -180,6 +197,7 @@ _ACK_FUSED_KEYS = frozenset(
     {"owner", "path", "hops", "served_by", "widened", "records"}
 )
 _ACK_MAP_KEYS = frozenset({"served_by", "widened", "records"})
+_ACK_PUBLISH_KEYS = frozenset({"regions", "node_id"})
 
 # Integer fields lean on struct's own C-level range checks (a value
 # outside u32/i32, a non-int, or an overlong list raises struct.error
@@ -282,12 +300,16 @@ def _unpack_lookup(data, offset: int) -> tuple:
 
 
 def _pack_map_read(served_by, widened, records):
-    """The map-read result triple, shared by fused and plain lookup ACKs."""
-    if type(widened) is not bool:
-        return None
-    flags = (0 if served_by is None else 1) | (2 if widened else 0)
+    """The map-read result triple, shared by fused and plain lookup ACKs.
+
+    The flags byte carries "``served_by`` present" in bit 0 and
+    ``widened`` -- the number of rings the store widened the read by
+    -- in bits 1-7; a count outside 0..127 overflows the byte and
+    falls back.  Frames written when ``widened`` was a bool set bit 1
+    for ``True``, which reads back as the count 1.
+    """
     return _layout(f"!BIH{len(records)}I").pack(
-        flags,
+        (served_by is not None) | (widened << 1),
         0 if served_by is None else served_by,
         len(records),
         *records,
@@ -301,7 +323,7 @@ def _unpack_map_read(data, offset: int) -> tuple:
     offset += 4 * nrecords
     triple = {
         "served_by": served_by if flags & 1 else None,
-        "widened": bool(flags & 2),
+        "widened": flags >> 1,
         "records": records,
     }
     return triple, offset
@@ -310,12 +332,13 @@ def _unpack_map_read(data, offset: int) -> tuple:
 def _pack_ack(payload: dict):
     keys = payload.keys()
     if keys == _ACK_MAP_KEYS:
-        body = _pack_map_read(
+        return _U8.pack(_TAG_ACK_MAP) + _pack_map_read(
             payload["served_by"], payload["widened"], payload["records"]
         )
-        if body is None:
-            return None
-        return _U8.pack(_TAG_ACK_MAP) + body
+    if keys == _ACK_PUBLISH_KEYS:
+        return _U8.pack(_TAG_ACK_PUBLISH) + _PUBLISH_FIX.pack(
+            payload["regions"], payload["node_id"]
+        )
     fused = keys == _ACK_FUSED_KEYS
     if not fused and keys != _ACK_ROUTE_KEYS:
         return None
@@ -329,17 +352,17 @@ def _pack_ack(payload: dict):
     )
     if not fused:
         return head
-    body = _pack_map_read(
+    return head + _pack_map_read(
         payload["served_by"], payload["widened"], payload["records"]
     )
-    if body is None:
-        return None
-    return head + body
 
 
 def _unpack_ack(tag: int, data, offset: int) -> tuple:
     if tag == _TAG_ACK_MAP:
         return _unpack_map_read(data, offset)
+    if tag == _TAG_ACK_PUBLISH:
+        regions, node_id = _PUBLISH_FIX.unpack_from(data, offset)
+        return {"regions": regions, "node_id": node_id}, offset + 6
     owner, hops, npath = _ACK_FIX.unpack_from(data, offset)
     offset += 8
     path = list(_layout(f"!{npath}I").unpack_from(data, offset))
@@ -359,7 +382,9 @@ _PACKERS = {
 
 _ROUTE_TAGS = frozenset({_TAG_ROUTE})
 _LOOKUP_TAGS = frozenset({_TAG_LOOKUP})
-_ACK_TAGS = frozenset({_TAG_ACK_ROUTE, _TAG_ACK_FUSED, _TAG_ACK_MAP})
+_ACK_TAGS = frozenset(
+    {_TAG_ACK_ROUTE, _TAG_ACK_FUSED, _TAG_ACK_MAP, _TAG_ACK_PUBLISH}
+)
 
 _TAGS_FOR = {
     MsgType.ROUTE: _ROUTE_TAGS,
@@ -369,10 +394,11 @@ _TAGS_FOR = {
 
 
 def pack_payload(kind: MsgType, payload: dict):
-    """Struct-pack ``payload`` for a hot-path ``kind``.
+    """Struct-pack ``payload`` for a data-plane ``kind``.
 
-    Returns the packed bytes, or ``None`` when the payload does not
-    fit the kind's packed schema (the caller falls back to JSON).
+    Returns the packed bytes, or ``None`` when the kind has no packed
+    schema or the payload does not fit it (the caller falls back to
+    JSON).
     """
     packer = _PACKERS.get(kind)
     if packer is None:
@@ -413,9 +439,9 @@ def unpack_payload(kind: MsgType, data) -> dict:
 def encode_frame(frame: Frame, packed: bool = False) -> bytes:
     """Serialize ``frame`` to its wire bytes.
 
-    With ``packed=True`` the hot frame kinds (ROUTE, LOOKUP, ACK) use
-    the struct fast path when the payload fits its schema; everything
-    else -- and any payload outside the schema -- rides as JSON.  Both
+    With ``packed=True`` the data-plane kinds (ROUTE, LOOKUP, ACK) use
+    their struct layout when the payload fits its schema; the control
+    plane -- and any payload outside a schema -- rides as JSON.  Both
     encodings decode to the identical payload dict.
     """
     payload = None

@@ -1,0 +1,66 @@
+"""scripts/perf_pairs.py: the pairs rule itself (no benchmark runs)."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    path = REPO_ROOT / "scripts" / "perf_pairs.py"
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BASE = [95.0, 94.0, 96.0, 95.5, 94.5, 95.2, 94.8, 95.1, 96.2, 94.1]
+
+
+def test_clear_gain_on_a_lower_is_better_metric(pairs):
+    verdict = pairs.judge(BASE, [b - 15.0 for b in BASE], "lower")
+    assert verdict["wins"] == 10 and verdict["ties"] == 0
+    assert verdict["gain_shown"]
+    assert verdict["median_gain"] == pytest.approx(15.0)
+
+
+def test_direction_flips_for_higher_is_better(pairs):
+    faster = [b + 15.0 for b in BASE]
+    assert pairs.judge(BASE, faster, "higher")["gain_shown"]
+    assert not pairs.judge(BASE, faster, "lower")["gain_shown"]
+    assert pairs.judge(BASE, faster, "lower")["losses"] == 10
+
+
+def test_two_losses_in_ten_is_not_nine_tenths(pairs):
+    change = [b - 15.0 for b in BASE]
+    change[3] = BASE[3] + 1.0
+    assert pairs.judge(BASE, change, "lower")["gain_shown"]  # 9/10 still passes
+    change[7] = BASE[7] + 1.0
+    verdict = pairs.judge(BASE, change, "lower")
+    assert verdict["wins"] == 8 and not verdict["enough_wins"]
+    assert not verdict["gain_shown"]
+
+
+def test_ties_count_for_neither_side(pairs):
+    change = [b - 15.0 for b in BASE]
+    change[0], change[1] = BASE[0], BASE[1]
+    verdict = pairs.judge(BASE, change, "lower")
+    assert (verdict["wins"], verdict["ties"], verdict["losses"]) == (8, 2, 0)
+    assert not verdict["gain_shown"]
+
+
+def test_gain_inside_the_parents_own_spread_is_not_shown(pairs):
+    verdict = pairs.judge(BASE, [b - 0.5 for b in BASE], "lower")
+    assert verdict["wins"] == 10 and verdict["enough_wins"]
+    assert verdict["base_iqr"] > 0.5
+    assert not verdict["clear_of_spread"] and not verdict["gain_shown"]
+
+
+def test_undeclared_metric_is_refused(pairs):
+    assert pairs.direction_of("cpu_us_per_op") == "lower"
+    assert pairs.direction_of("ops_per_s_ref") == "higher"
+    with pytest.raises(SystemExit):
+        pairs.direction_of("wire.fallback_share")

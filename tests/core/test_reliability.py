@@ -404,3 +404,146 @@ class TestAdaptiveTimeout:
         rto = AdaptiveTimeout(initial_s=1.0)
         with pytest.raises(ValueError, match="rtt_s"):
             rto.observe(-1.0)
+
+
+class FakeFuture:
+    """The two methods a :class:`DeadlineTable` needs of a future."""
+
+    def __init__(self, clock=None):
+        self.clock = clock
+        self.error = None
+        self.failed_at = None
+        self.completed = False
+
+    def done(self) -> bool:
+        return self.completed or self.error is not None
+
+    def set_exception(self, error) -> None:
+        assert not self.done(), "a finished future must never be touched"
+        self.error = error
+        if self.clock is not None:
+            self.failed_at = self.clock.now
+
+
+class FakeTimers:
+    """``call_later`` stand-in: timers fire as the test advances the clock."""
+
+    class Handle:
+        def __init__(self, due, callback):
+            self.due = due
+            self.callback = callback
+            self.cancelled = False
+
+        def cancel(self) -> None:
+            self.cancelled = True
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.handles = []
+        self.scheduled = 0
+
+    def call_later(self, delay, callback):
+        handle = self.Handle(self.clock.now + delay, callback)
+        self.handles.append(handle)
+        self.scheduled += 1
+        return handle
+
+    @property
+    def armed(self) -> int:
+        return sum(1 for handle in self.handles if not handle.cancelled)
+
+    def advance(self, dt: float) -> None:
+        """Move the clock ``dt`` forward, firing each timer at its due time."""
+        end = self.clock.now + dt
+        while True:
+            due = [h for h in self.handles if not h.cancelled and h.due <= end]
+            if not due:
+                break
+            handle = min(due, key=lambda h: h.due)
+            self.handles.remove(handle)
+            self.clock.now = max(self.clock.now, handle.due)
+            handle.callback()
+        self.clock.now = end
+
+
+class TestDeadlineTable:
+    def make(self):
+        from repro.core.reliability import DeadlineTable
+
+        clock = FakeClock()
+        timers = FakeTimers(clock)
+        return DeadlineTable(clock, timers.call_later), clock, timers
+
+    def test_never_fires_early_and_at_most_one_tick_late(self):
+        from repro.core.reliability import DEADLINE_TICK_S
+
+        table, clock, timers = self.make()
+        step = DEADLINE_TICK_S / 7.0
+        futures = {}
+        for k in range(40):  # deadlines at every phase of the tick
+            future = FakeFuture(clock)
+            futures[future] = clock.now + 0.05 + k * step
+            table.add(future, futures[future])
+            timers.advance(step)
+        timers.advance(1.0)
+        for future, deadline in futures.items():
+            assert isinstance(future.error, TimeoutError)
+            assert deadline <= future.failed_at <= deadline + DEADLINE_TICK_S
+
+    def test_a_thousand_deadlines_share_one_timer(self):
+        from repro.core.reliability import DEADLINE_TICK_S
+
+        table, clock, timers = self.make()
+        assert timers.armed == 0
+        futures = [FakeFuture() for _ in range(1000)]
+        for k, future in enumerate(futures):
+            table.add(future, 5.0 + k * 1e-4)
+            assert timers.armed == 1
+        assert len(table) == 1000
+        timers.advance(1.0)  # a hundred sweeps, nothing due
+        assert timers.armed == 1
+        assert not any(future.done() for future in futures)
+        for future in futures:
+            table.discard(future)
+        assert len(table) == 0
+        timers.advance(DEADLINE_TICK_S)  # the sweep that finds it empty
+        assert timers.armed == 0
+        scheduled = timers.scheduled
+        timers.advance(1.0)
+        assert timers.scheduled == scheduled, "an empty table schedules nothing"
+
+    def test_completed_future_is_dropped_untouched(self):
+        table, clock, timers = self.make()
+        answered, silent = FakeFuture(), FakeFuture()
+        table.add(answered, 0.1)
+        table.add(silent, 0.1)
+        answered.completed = True  # FakeFuture asserts if it is failed now
+        timers.advance(0.2)
+        assert answered.error is None
+        assert isinstance(silent.error, TimeoutError)
+        assert len(table) == 0 and timers.armed == 0
+
+    def test_rearms_after_going_empty(self):
+        table, clock, timers = self.make()
+        first = FakeFuture()
+        table.add(first, 0.05)
+        timers.advance(0.1)
+        assert first.done() and timers.armed == 0
+        second = FakeFuture()
+        table.add(second, clock.now + 0.05)
+        assert timers.armed == 1
+        timers.advance(0.04)
+        assert not second.done()
+        timers.advance(0.03)
+        assert isinstance(second.error, TimeoutError)
+
+    def test_clear_cancels_the_timer_and_forgets_everything(self):
+        table, clock, timers = self.make()
+        future = FakeFuture()
+        table.add(future, 0.05)
+        table.clear()
+        assert len(table) == 0 and timers.armed == 0
+        timers.advance(1.0)
+        assert not future.done()
+        table.add(future, clock.now + 0.05)  # still usable afterwards
+        assert timers.armed == 1

@@ -147,7 +147,8 @@ class TestMalformedFrames:
                 pass
 
 
-#: payloads exactly matching the packed schemas of the hot frame kinds
+#: payloads exactly matching the packed schemas of the data plane, with
+#: ``widened`` as the ring count ``SoftStateStore.lookup`` produces
 PACKED_PAYLOADS = [
     (MsgType.ROUTE, {"point": [0.25, 0.75], "path": [0, 4, 9], "op": "lookup", "src": 3}),
     (MsgType.ROUTE, {"point": [0.5, 0.5], "path": [7], "op": "route", "src": 7}),
@@ -172,14 +173,16 @@ PACKED_PAYLOADS = [
             "path": [1, 5],
             "hops": 1,
             "served_by": 9,
-            "widened": True,
+            "widened": 2,
             "records": [3, 9, 11],
         },
     ),
     (
         MsgType.ACK,
-        {"served_by": None, "widened": False, "records": []},
+        {"served_by": None, "widened": 0, "records": []},
     ),
+    (MsgType.ACK, {"served_by": 4, "widened": 127, "records": [4]}),
+    (MsgType.ACK, {"regions": 3, "node_id": 12}),
 ]
 
 
@@ -236,6 +239,36 @@ class TestPackedEncoding:
         data = encode_frame(frame, packed=True)
         assert not (data[3] & PACKED_FLAG)
         assert decode_frame(data).payload == payload
+
+    @pytest.mark.parametrize("widened", [-1, 128, 1.0, None])
+    def test_ring_count_outside_the_flags_byte_falls_back(self, widened):
+        payload = {"served_by": 9, "widened": widened, "records": [3]}
+        data = encode_frame(Frame(MsgType.ACK, 1, payload), packed=True)
+        assert not (data[3] & PACKED_FLAG)
+        assert decode_frame(data).payload == payload
+
+    def test_v3_frames_with_the_bool_widened_flag_still_decode(self):
+        """Golden bytes from the writer that packed ``widened`` as a
+        bool in bit 1 of the flags byte: ``True`` reads back as one
+        ring, ``False`` as none -- equal payloads, same frame length."""
+        fused = bytes.fromhex(
+            "52570386000000000000002a00000024"
+            "0400000005000100020000000100000005"
+            "0300000009000300000003000000090000000b"
+        )
+        payload = {
+            "owner": 5, "path": [1, 5], "hops": 1,
+            "served_by": 9, "widened": True, "records": [3, 9, 11],
+        }
+        decoded = decode_frame(fused)
+        assert decoded.kind is MsgType.ACK and decoded.request_id == 42
+        assert decoded.payload == payload
+        assert decoded.payload["widened"] == 1
+        assert encode_frame(Frame(MsgType.ACK, 42, payload), packed=True) == fused
+        plain = bytes.fromhex("525703860000000000000007000000080500000000000000")
+        assert decode_frame(plain).payload == {
+            "served_by": None, "widened": False, "records": [],
+        }
 
     def test_control_kinds_never_pack(self):
         for kind in (MsgType.JOIN, MsgType.PUBLISH, MsgType.HEARTBEAT, MsgType.ERROR):
