@@ -16,10 +16,16 @@ by more than the parent's own interquartile range**.
     python scripts/perf_pairs.py --base HEAD~1 \\
         --workload live_lookup_closed --metric cpu_us_per_op
 
-It reads only ``BENCHMARK.json`` (for the metric's direction) and the
-last line ``run.py`` prints; it imports nothing from and writes
-nothing under ``benchmarks/perf/``.  Exit status: 0 gain shown, 1 not
-shown, 2 a run failed or answered incorrectly.
+The last line ``run.py`` prints carries every end-to-end metric, so
+the same pairs also answer the other half of a claim: after the
+verdict on ``--metric`` it lists the remaining end-to-end metrics of
+that workload (both medians, their ratio, the bound ``BENCHMARK.json``
+fixes) as ``within bound`` or ``WORSE``.
+
+It reads only ``BENCHMARK.json`` (each metric's direction and bound)
+and that last line; it imports nothing from and writes nothing under
+``benchmarks/perf/``.  Exit status: 0 gain shown and nothing worse
+than its bound, 1 otherwise, 2 a run failed or answered incorrectly.
 """
 
 from __future__ import annotations
@@ -69,14 +75,38 @@ def judge(base: list, change: list, better: str) -> dict:
     }
 
 
-def direction_of(metric: str) -> str:
+def declared_metrics() -> list:
+    """``BENCHMARK.json``'s end-to-end entries: name, better, bound."""
     with open(ROOT / "BENCHMARK.json") as handle:
-        declared = json.load(handle)["end_to_end"]
+        return json.load(handle)["end_to_end"]
+
+
+def direction_of(metric: str) -> str:
+    declared = declared_metrics()
     for entry in declared:
         if entry["name"] == metric:
             return entry["better"]
     names = ", ".join(entry["name"] for entry in declared)
     sys.exit(f"perf_pairs: {metric!r} is not an end-to-end metric ({names})")
+
+
+def bound_check(base: list, change: list, better: str, bound: float) -> dict:
+    """Is the change's median worse than the base's by more than ``bound``?
+
+    ``bound`` is the fraction of the base median a metric may worsen
+    by (0 = may not move against its direction at all).
+    """
+    base_median = statistics.median(base)
+    change_median = statistics.median(change)
+    sign = 1.0 if better == "lower" else -1.0
+    worsening = sign * (change_median - base_median)
+    return {
+        "base_median": base_median,
+        "change_median": change_median,
+        "ratio": change_median / base_median if base_median else float("nan"),
+        "bound": bound,
+        "worse": worsening > bound * abs(base_median),
+    }
 
 
 def export_base(rev: str, target: Path) -> None:
@@ -89,7 +119,8 @@ def export_base(rev: str, target: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
 
 
-def measure(tree: Path, workload: str, metric: str, seed: int) -> float:
+def measure(tree: Path, workload: str, seed: int) -> dict:
+    """One run's end-to-end metrics, name -> value."""
     done = subprocess.run(
         [
             sys.executable, "benchmarks/perf/run.py",
@@ -109,7 +140,9 @@ def measure(tree: Path, workload: str, metric: str, seed: int) -> float:
             file=sys.stderr,
         )
         sys.exit(2)
-    return float(outcome["metrics"][metric]["value"])
+    return {
+        name: float(entry["value"]) for name, entry in outcome["metrics"].items()
+    }
 
 
 def main() -> int:
@@ -120,7 +153,7 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
     better = direction_of(args.metric)
-    base, change = [], []
+    base, change = [], []  # one {metric: value} per run
     with tempfile.TemporaryDirectory(prefix="perf_pairs_") as scratch:
         base_tree = Path(scratch)
         export_base(args.base, base_tree)
@@ -133,16 +166,21 @@ def main() -> int:
             values = {}
             for side in order:
                 tree = base_tree if side == "base" else ROOT
-                values[side] = measure(tree, args.workload, args.metric, seed)
+                values[side] = measure(tree, args.workload, seed)
             base.append(values["base"])
             change.append(values["change"])
             print(
-                f"| {seed} | {order[0]} | {values['base']:.6g} "
-                f"| {values['change']:.6g} |",
+                f"| {seed} | {order[0]} | {values['base'][args.metric]:.6g} "
+                f"| {values['change'][args.metric]:.6g} |",
                 flush=True,
             )
-    verdict = judge(base, change, better)
-    for side, values in (("base", base), ("change", change)):
+
+    def column(runs, metric):
+        return [run[metric] for run in runs]
+
+    claimed = column(base, args.metric), column(change, args.metric)
+    verdict = judge(*claimed, better)
+    for side, values in zip(("base", "change"), claimed):
         q1, median, q3 = quartiles(values)
         print(f"{side:>6}: median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
     print(
@@ -156,7 +194,28 @@ def main() -> int:
         f"(needs more: {'yes' if verdict['clear_of_spread'] else 'no'})"
     )
     print("verdict:", "gain shown" if verdict["gain_shown"] else "gain NOT shown")
-    return 0 if verdict["gain_shown"] else 1
+
+    print(f"# the other end-to-end metrics of {args.workload}, same pairs")
+    print("| metric | base median | change median | change/base | bound | |")
+    print("|---|---|---|---|---|---|")
+    worse = []
+    for entry in declared_metrics():
+        name = entry["name"]
+        if name == args.metric:
+            continue
+        check = bound_check(
+            column(base, name), column(change, name), entry["better"], entry["bound"]
+        )
+        if check["worse"]:
+            worse.append(name)
+        print(
+            f"| {name} | {check['base_median']:.6g} | {check['change_median']:.6g} "
+            f"| {check['ratio']:.3f} | {check['bound']:g} "
+            f"| {'WORSE' if check['worse'] else 'within bound'} |"
+        )
+    if worse:
+        print("worse than its bound:", ", ".join(worse))
+    return 0 if verdict["gain_shown"] and not worse else 1
 
 
 if __name__ == "__main__":

@@ -699,6 +699,7 @@ def check_invariants(overlay, detector: SwimCore = None) -> dict:
     for node_id in store.registry:
         assert node_id in members, f"registry holds dead identity {node_id}"
 
+    overlay.ecan.check_valid_memo()
     for node_id, table in overlay.ecan._tables.items():
         assert node_id in members, f"expressway table of dead node {node_id}"
         for row in table.values():

@@ -79,8 +79,13 @@ class CanOverlay:
         #: observers notified as (event, node_id) on zone-set changes
         self.observers: list = []
         #: monotonically increasing tessellation version; bumped on every
-        #: zone-set mutation so external caches can key their validity off it
+        #: zone-set mutation
         self.zone_version = 0
+        #: member id -> :attr:`zone_version` at that member's last zone-set
+        #: change.  Stamped in the same statement that bumps the version,
+        #: so a cache keyed on one node's stamp (eCAN's validity memo) can
+        #: never read a verdict older than the zones it was computed from.
+        self.zone_epoch: dict = {}
         #: point -> owner memo; a pure function of the tessellation, so it
         #: is cleared wholesale whenever a zone is (un)indexed.  Local data
         #: structure only -- resolutions through it are never charged.
@@ -110,20 +115,28 @@ class CanOverlay:
 
     def _index_zone(self, zone: Zone, node_id: int) -> None:
         self._by_depth.setdefault(zone.depth, {})[self._zone_index(zone)] = node_id
-        self._invalidate_owners()
+        self._zones_changed(node_id)
 
     def _unindex_zone(self, zone: Zone) -> None:
+        holder = None
         bucket = self._by_depth.get(zone.depth)
         if bucket is not None:
-            bucket.pop(self._zone_index(zone), None)
+            holder = bucket.pop(self._zone_index(zone), None)
             if not bucket:
                 del self._by_depth[zone.depth]
-        self._invalidate_owners()
+        self._zones_changed(holder)
 
-    def _invalidate_owners(self) -> None:
+    def _zones_changed(self, node_id) -> None:
+        """One zone of ``node_id`` was (un)indexed: new version, new stamp."""
         self.zone_version += 1
+        if node_id is not None:
+            self.zone_epoch[node_id] = self.zone_version
         if self._owner_memo:
             self._owner_memo.clear()
+
+    def _forget(self, node_id: int) -> None:
+        del self.nodes[node_id]
+        self.zone_epoch.pop(node_id, None)
 
     def _notify(self, event: str, node_id: int) -> None:
         for observer in self.observers:
@@ -131,7 +144,7 @@ class CanOverlay:
 
     def random_node(self) -> int:
         """A uniformly random current member (for bootstrap contacts)."""
-        if not self._node_order:
+        if not self.nodes:
             raise RuntimeError("overlay is empty")
         while True:
             node_id = self._node_order[int(self.rng.integers(0, len(self._node_order)))]
@@ -231,9 +244,11 @@ class CanOverlay:
         self.nodes[node_id] = node
         self._node_order.append(node_id)
 
-        # neighbor updates are local: the newcomer can only abut the old
-        # owner and the owner's previous neighbors.
-        self._rewire({owner.node_id, node_id} | set(owner.neighbors))
+        # neighbor updates are local: only the two nodes whose zones
+        # changed can gain or lose links, and ``_rewire`` tests them
+        # against the owner's previous neighborhood (the only nodes the
+        # newcomer can abut); links among those third parties stand.
+        self._rewire({owner.node_id, node_id})
         self._count("join_update", len(node.neighbors) + 1)
         self._notify("join", node_id)
         self._notify("zone_change", owner.node_id)
@@ -262,7 +277,7 @@ class CanOverlay:
         if len(self.nodes) == 1:
             for zone in node.zones:
                 self._unindex_zone(zone)
-            del self.nodes[node_id]
+            self._forget(node_id)
             self._notify("leave", node_id)
             return set()
 
@@ -276,7 +291,7 @@ class CanOverlay:
             self._index_zone(zone, taker)
             takers.add(taker)
             self._count(category)
-        del self.nodes[node_id]
+        self._forget(node_id)
 
         for taker in takers:
             self._merge_zones(self.nodes[taker])
@@ -424,6 +439,13 @@ class CanOverlay:
         """Raise AssertionError if the zone set or neighbor sets are broken."""
         volume = self.total_volume()
         assert abs(volume - 1.0) < 1e-9, f"zone volumes sum to {volume}"
+        assert set(self.zone_epoch) == set(self.nodes), (
+            "zone-epoch stamps out of step with the membership"
+        )
+        for point, owner in self._owner_memo.items():
+            assert owner == self._resolve_owner(point), (
+                f"owner memo says {owner} for {point}"
+            )
         for node_id, node in self.nodes.items():
             assert node.zones, f"node {node_id} owns no zone"
             for neighbor_id in node.neighbors:

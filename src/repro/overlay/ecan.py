@@ -137,8 +137,10 @@ class EcanOverlay:
         self._indexed: dict = {}
         # node id -> {level -> {sibling cell -> representative node id}}
         self._tables: dict = {}
-        # (entry, level, cell) -> bool validity verdicts, flushed when
-        # the tessellation version moves (None key holds the version)
+        # entry node -> (zone epoch the verdicts were computed at,
+        # {(level, cell) -> bool}).  A verdict depends only on the entry
+        # node's own zones, so a slot lives until *that node's* stamp in
+        # ``can.zone_epoch`` moves; everyone else's joins leave it alone.
         self._valid_memo: dict = {}
         self.can.observers.append(self._on_can_event)
 
@@ -167,6 +169,7 @@ class EcanOverlay:
         elif event == "leave":
             self._unindex(node_id)
             self._tables.pop(node_id, None)
+            self._valid_memo.pop(node_id, None)
             for key in [k for k in self._entry_failures if k[0] == node_id]:
                 del self._entry_failures[key]
 
@@ -209,9 +212,11 @@ class EcanOverlay:
         """
         found = self._members.get(level, {}).get(cell)
         if found:
-            if exclude is None:
-                return list(found)
-            out = [n for n in found if n != exclude]
+            out = list(found)
+            if exclude is not None:
+                i = bisect_left(out, exclude)
+                if i < len(out) and out[i] == exclude:
+                    del out[i]
             if out:
                 return out
         owner = self.can.owner_of_point(cell_center(cell, level))
@@ -314,19 +319,37 @@ class EcanOverlay:
         return entry, repaired
 
     def _entry_valid(self, entry: int, level: int, cell) -> bool:
-        # validity is a pure function of the tessellation, so verdicts
-        # are memoised until any zone changes (can.zone_version bumps)
-        version = self.can.zone_version
-        memo = self._valid_memo
-        if memo.get(None) != version:
-            memo.clear()
-            memo[None] = version
-        key = (entry, level, cell)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        memo[key] = verdict = self._entry_valid_uncached(entry, level, cell)
-        return verdict
+        # validity is a pure function of the entry node's zones, so its
+        # verdicts are memoised until that node's zone epoch moves
+        epoch = self.can.zone_epoch.get(entry)
+        if epoch is None:
+            return False  # not a member
+        slot = self._valid_memo.get(entry)
+        if slot is None or slot[0] != epoch:
+            slot = self._valid_memo[entry] = (epoch, {})
+        verdicts = slot[1]
+        key = (level, cell)
+        hit = verdicts.get(key)
+        if hit is None:
+            hit = verdicts[key] = self._entry_valid_uncached(entry, level, cell)
+        return hit
+
+    def check_valid_memo(self) -> None:
+        """AssertionError unless every current verdict matches a recount.
+
+        Slots whose epoch has moved are dead weight (replaced at next
+        use), so only current ones are compared; run from the
+        stack-wide :func:`repro.core.recovery.check_invariants`.
+        """
+        epochs = self.can.zone_epoch
+        for entry, (epoch, verdicts) in self._valid_memo.items():
+            if epochs.get(entry) != epoch:
+                continue
+            for (level, cell), verdict in verdicts.items():
+                assert verdict == self._entry_valid_uncached(entry, level, cell), (
+                    f"validity memo says {verdict} for entry {entry} "
+                    f"at level {level} cell {cell}"
+                )
 
     def _entry_valid_uncached(self, entry: int, level: int, cell) -> bool:
         node = self.can.nodes.get(entry)
@@ -354,8 +377,8 @@ class EcanOverlay:
 
         Every send attempt is charged under ``category`` (a lost
         message was still transmitted); injected faults are accounted
-        by the injector itself.  Without an armed injector the first
-        attempt always succeeds -- the perfect-network fast path.
+        by the injector itself.  Without an armed injector (a traced
+        route on a perfect network) the first attempt always succeeds.
         """
         self._count(category)
         telemetry = getattr(self.network, "telemetry", None)
@@ -399,6 +422,71 @@ class EcanOverlay:
         else:
             self._entry_failures[key] = failures
 
+    def _expressway(self, current, point, pcells: list) -> tuple:
+        """The expressway candidate for one hop from ``current``.
+
+        Returns ``(entry, level, cell, repaired)``: the representative
+        for the destination's cell at the first level where it differs
+        from the node's own, or ``entry`` None when no level differs or
+        the cell has no member.  ``pcells`` memoises the destination's
+        cell per level across the hops of one route (index 0 unused).
+        A table entry whose validity verdict is memoised and current is
+        read in place; anything else -- empty slot, stale verdict,
+        invalid entry -- goes through :meth:`table_entry`, which repairs.
+        """
+        zcells = current.zone.cells()
+        known = len(pcells)
+        for level in range(1, len(zcells)):
+            if level == known:
+                pcells.append(point_cell(point, level))
+                known += 1
+            cell = pcells[level]
+            if zcells[level] == cell:
+                continue
+            node_id = current.node_id
+            try:
+                entry = self._tables[node_id][level][cell]
+                epoch, verdicts = self._valid_memo[entry]
+            except KeyError:
+                pass
+            else:
+                if epoch == self.can.zone_epoch.get(entry) and verdicts.get(
+                    (level, cell)
+                ):
+                    return entry, level, cell, False
+            entry, repaired = self.table_entry(node_id, level, cell)
+            return entry, level, cell, repaired
+        return None, None, None, False
+
+    def _decide(self, current, point, pcells: list, visited) -> tuple:
+        """The forwarding rule on a network that delivers every message.
+
+        Returns ``(next_id, level, cell, repaired)``: an unvisited
+        expressway representative (``level`` and ``cell`` name its
+        table slot), else the unvisited CAN neighbor nearest to
+        ``point`` with ``level`` None, else ``next_id`` None (stuck).
+        Shared by :meth:`next_hop` and the fault-free loop of
+        :meth:`route`, so the live runtime and the simulator cannot
+        drift apart.
+        """
+        entry, level, cell, repaired = self._expressway(current, point, pcells)
+        if entry is not None and entry not in visited:
+            return entry, level, cell, repaired
+        nodes = self.can.nodes
+        torus = self.can.torus
+        # the first attempt always delivers, so only the nearest
+        # candidate is ever tried: min() picks the (distance, id) pair
+        # a full sort would put first
+        best = min(
+            (
+                (nodes[n].distance_to_point(point, torus), n)
+                for n in current.neighbors
+                if n not in visited
+            ),
+            default=None,
+        )
+        return (None if best is None else best[1]), None, None, repaired
+
     def next_hop(self, node_id: int, point, visited=frozenset()) -> tuple:
         """One perfect-network forwarding decision from ``node_id``.
 
@@ -406,39 +494,19 @@ class EcanOverlay:
         point lies in the node's own zone, ``(id, "expressway")`` for a
         high-order jump, ``(id, "can")`` for a greedy CAN hop, or
         ``(None, "stuck")`` when every neighbor was already visited.
-        Mirrors the fault-free branch of :meth:`route` exactly -- the
-        live runtime (:mod:`repro.runtime`) forwards one wire frame
-        per decision, and the resulting hop sequence matches what the
-        synchronous simulator would produce for the same tessellation.
+        The same :meth:`_decide` drives the fault-free loop of
+        :meth:`route` -- the live runtime (:mod:`repro.runtime`)
+        forwards one wire frame per decision, and the resulting hop
+        sequence matches what the synchronous simulator produces for
+        the same tessellation.
         """
-        nodes = self.can.nodes
-        current = nodes[node_id]
+        current = self.can.nodes[node_id]
         if current.contains(point):
             return None, "delivered"
-        zcells = current.zone.cells()
-        diff_level = None
-        target_cell = None
-        for level in range(1, len(zcells)):
-            cell = point_cell(point, level)
-            if zcells[level] != cell:
-                diff_level = level
-                target_cell = cell
-                break
-        if diff_level is not None:
-            entry, _ = self.table_entry(node_id, diff_level, target_cell)
-            if entry is not None and entry not in visited:
-                return entry, "expressway"
-        best = min(
-            (
-                (nodes[n].distance_to_point(point, self.can.torus), n)
-                for n in current.neighbors
-                if n not in visited
-            ),
-            default=None,
-        )
-        if best is None:
+        next_id, level, _, _ = self._decide(current, point, [None], visited)
+        if next_id is None:
             return None, "stuck"
-        return best[1], "can"
+        return next_id, "can" if level is None else "expressway"
 
     def route(
         self,
@@ -449,16 +517,70 @@ class EcanOverlay:
     ) -> RouteResult:
         """Prefix-style routing: expressway jumps, then CAN greedy hops.
 
-        With faults armed, each hop is a (possibly lost) message send:
-        a :class:`RetryPolicy` resends with sim-clock backoff,
+        On a network that delivers every message (no injector armed)
+        and with tracing off, the route is a run of :meth:`_decide`
+        steps whose hops are charged once at the end.  Otherwise each
+        hop is a (possibly lost, possibly traced) message send: a
+        :class:`RetryPolicy` resends with sim-clock backoff,
         expressway entries that keep failing are skipped (and evicted
         after ``dead_entry_threshold`` strikes) in favour of greedy
         CAN neighbors, and alternative neighbors are tried before the
         route is declared failed.  Without a policy a single lost hop
         fails the route -- the fire-and-forget baseline.
         """
-        if start_node not in self.can.nodes:
+        nodes = self.can.nodes
+        if start_node not in nodes:
             raise KeyError(f"start node {start_node} not present")
+        network = self.network
+        faults = network.faults if network is not None else None
+        telemetry = getattr(network, "telemetry", None)
+        if (faults is not None and faults.armed) or (
+            telemetry is not None and telemetry.tracing
+        ):
+            return self._route_per_hop(start_node, point, category, max_hops)
+        path = [start_node]
+        visited = {start_node}
+        result = RouteResult(path=path)
+        current = nodes[start_node]
+        pcells: list = [None]
+        failures = self._entry_failures
+        try:
+            while not current.contains(point):
+                if len(path) > max_hops:
+                    result.success = False
+                    break
+                next_id, level, cell, repaired = self._decide(
+                    current, point, pcells, visited
+                )
+                if repaired:
+                    result.repairs += 1
+                if next_id is None:
+                    result.success = False
+                    break
+                if level is None:
+                    result.can_hops += 1
+                else:
+                    result.expressway_hops += 1
+                    if failures:
+                        failures.pop((current.node_id, level, cell), None)
+                current = nodes[next_id]
+                visited.add(next_id)
+                path.append(next_id)
+            else:
+                result.owner = current.node_id
+        finally:
+            # every hop made was a message sent, however the route ended
+            hops = len(path) - 1
+            if hops:
+                self._count(category, hops)
+                if telemetry is not None:
+                    telemetry.bump("hop", hops)
+        return result
+
+    def _route_per_hop(
+        self, start_node: int, point, category: str, max_hops: int
+    ) -> RouteResult:
+        """:meth:`route` when a hop can be lost or must be traced."""
         path = [start_node]
         visited = {start_node}
         unreachable: set = set()
@@ -467,93 +589,46 @@ class EcanOverlay:
         torus = self.can.torus
         current = nodes[start_node]
         degrade = self.retry_policy is not None
-        faults = self.network.faults if self.network is not None else None
-        perfect = faults is None or not faults.armed
-        # the destination point is fixed for the whole route, so its
-        # quadtree cell per level is computed once and reused per hop
         pcells: list = [None]
         while not current.contains(point):
             if len(path) > max_hops:
-                result.owner = None
                 result.success = False
                 return result
             next_id = None
-            zcells = current.zone.cells()
-            top = len(zcells)
-            while len(pcells) < top:
-                pcells.append(point_cell(point, len(pcells)))
-            diff_level = None
-            for level in range(1, top):
-                if zcells[level] != pcells[level]:
-                    diff_level = level
-                    break
-            if diff_level is not None:
-                target_cell = pcells[diff_level]
-                entry, repaired = self.table_entry(
-                    current.node_id, diff_level, target_cell
-                )
-                result.repairs += int(repaired)
-                if entry is not None and entry not in visited and entry not in unreachable:
-                    if self._try_hop(
-                        current.host, nodes[entry].host, category, result
-                    ):
-                        next_id = entry
-                        result.expressway_hops += 1
-                        self._entry_failures.pop(
-                            (current.node_id, diff_level, target_cell), None
-                        )
-                    else:
-                        self._record_entry_failure(
-                            current.node_id, diff_level, target_cell
-                        )
-                        if not degrade:
-                            result.owner = None
-                            result.success = False
-                            return result
-                        unreachable.add(entry)
-                        result.degraded += 1
+            entry, level, cell, repaired = self._expressway(current, point, pcells)
+            result.repairs += int(repaired)
+            if entry is not None and entry not in visited and entry not in unreachable:
+                if self._try_hop(current.host, nodes[entry].host, category, result):
+                    next_id = entry
+                    result.expressway_hops += 1
+                    self._entry_failures.pop((current.node_id, level, cell), None)
+                else:
+                    self._record_entry_failure(current.node_id, level, cell)
+                    if not degrade:
+                        result.success = False
+                        return result
+                    unreachable.add(entry)
+                    result.degraded += 1
             if next_id is None:
                 candidates = (
                     (nodes[n].distance_to_point(point, torus), n)
                     for n in current.neighbors
                     if n not in visited and n not in unreachable
                 )
-                if perfect:
-                    # without faults the first attempt always delivers,
-                    # so only the nearest candidate is ever tried -- a
-                    # min() picks the same (distance, id) pair a full
-                    # sort would put first
-                    best = min(candidates, default=None)
-                    if best is None:
-                        result.owner = None
-                        result.success = False
-                        return result
-                    neighbor_id = best[1]
-                    self._try_hop(
+                for _, neighbor_id in sorted(candidates):
+                    if self._try_hop(
                         current.host, nodes[neighbor_id].host, category, result
-                    )
-                    next_id = neighbor_id
-                    result.can_hops += 1
-                else:
-                    for _, neighbor_id in sorted(candidates):
-                        if self._try_hop(
-                            current.host,
-                            nodes[neighbor_id].host,
-                            category,
-                            result,
-                        ):
-                            next_id = neighbor_id
-                            result.can_hops += 1
-                            break
-                        if not degrade:
-                            result.owner = None
-                            result.success = False
-                            return result
-                        unreachable.add(neighbor_id)
-                    if next_id is None:
-                        result.owner = None
+                    ):
+                        next_id = neighbor_id
+                        result.can_hops += 1
+                        break
+                    if not degrade:
                         result.success = False
                         return result
+                    unreachable.add(neighbor_id)
+                if next_id is None:
+                    result.success = False
+                    return result
             current = nodes[next_id]
             visited.add(next_id)
             path.append(next_id)

@@ -90,29 +90,47 @@ class SoftStateNeighborPolicy(NeighborPolicy):
             return None
 
         host = ecan.can.nodes[node_id].host
+        probed = alive[: self.rtt_budget]
+        network = self.network
+        if (
+            network.faults is None
+            and self.retry_policy is None
+            and not network.telemetry.tracing
+        ):
+            # nothing can be lost, retried or traced per probe: one batch
+            # charges the same count and reads the same float64 RTTs
+            rtts = network.rtt_many(
+                host, [record.host for record in probed], category="neighbor_probe"
+            ).tolist()
+        else:
+            rtts = [self._probe(host, record.host) for record in probed]
         best = None
-        for record in alive[: self.rtt_budget]:
-            try:
-                if self.retry_policy is not None:
-                    rtt = self.retry_policy.probe(
-                        self.network, host, record.host, category="neighbor_probe"
-                    )
-                else:
-                    rtt = self.network.rtt(host, record.host, category="neighbor_probe")
-            except ProbeTimeout:
-                # candidate unconfirmable right now; skip rather than stall
-                self.network.stats.count("neighbor_probe_timeout")
+        for record, rtt in zip(probed, rtts):
+            if rtt is None:
                 continue
             score = rtt
             if self.load_weight > 0:
                 score = rtt * (1.0 + self.load_weight * min(record.utilization, 10.0))
-            if best is None or (score, record.node_id) < best[:2]:
+            if best is None or (score, record.node_id) < best:
                 best = (score, record.node_id)
         if best is None:
             # every confirmation probe timed out: degrade to landmark-only
             # ranking (the lookup already sorted by landmark distance)
             return alive[0].node_id
         return best[1]
+
+    def _probe(self, host: int, target: int):
+        """One confirmation probe; None when it timed out."""
+        try:
+            if self.retry_policy is not None:
+                return self.retry_policy.probe(
+                    self.network, host, target, category="neighbor_probe"
+                )
+            return self.network.rtt(host, target, category="neighbor_probe")
+        except ProbeTimeout:
+            # candidate unconfirmable right now; skip rather than stall
+            self.network.stats.count("neighbor_probe_timeout")
+            return None
 
 
 def probe_and_pick(network, host: int, records, budget: int):

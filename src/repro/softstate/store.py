@@ -112,6 +112,11 @@ class SoftStateStore:
         #: re-resolves only the touched owner's entries and a lookup
         #: reads the serving node's shard without scanning the map
         self._attributed: dict = {}
+        #: (owner, region) -> (records in seq order, their landmark vectors
+        #: stacked as one read-only matrix): what a lookup served by
+        #: ``owner`` reads, built on first use and dropped whenever that
+        #: one shard of :attr:`_attributed` (or a record in it) changes
+        self._views: dict = {}
         #: region -> next insertion sequence number (never reused, so
         #: seq order always equals bucket insertion order)
         self._seq: dict = {}
@@ -162,6 +167,7 @@ class SoftStateStore:
         if shard is None:
             return
         shard.discard(node_id)
+        self._views.pop((owner, region), None)
         if not shard:
             del by_region[region]
             if not by_region:
@@ -175,6 +181,8 @@ class SoftStateStore:
             self._attribution_drop(old, region, node_id)
         owners[node_id] = owner
         self._attributed.setdefault(owner, {}).setdefault(region, set()).add(node_id)
+        # also on a refresh by the same owner: the stored record is new
+        self._views.pop((owner, region), None)
 
     def _index_remove(self, region: Region, node_id: int) -> None:
         """Drop ``(region, node_id)`` from both sides of the index."""
@@ -214,6 +222,29 @@ class SoftStateStore:
                 if node is not None and node.contains(stored.position):
                     continue
                 self._index_insert(region, node_id, owner_of(stored.position))
+
+    def _collect_shard(self, owner: int, region: Region) -> list:
+        """Records attributed to ``(owner, region)``, in ``seq`` order."""
+        shard = self._attributed.get(owner, {}).get(region)
+        if not shard:
+            return []
+        bucket = self.maps.get(region, {})
+        found = [stored for nid in shard if (stored := bucket.get(nid)) is not None]
+        found.sort(key=lambda s: s.seq)
+        return [s.record for s in found]
+
+    def _shard_view(self, owner: int, region: Region):
+        """Cached ``(records, matrix)`` of one shard; None when it is empty."""
+        key = (owner, region)
+        view = self._views.get(key)
+        if view is None:
+            records = self._collect_shard(owner, region)
+            if not records:
+                return None
+            matrix = np.array([r.vector() for r in records])
+            matrix.flags.writeable = False
+            view = self._views[key] = (records, matrix)
+        return view
 
     # -- internals ---------------------------------------------------------
 
@@ -454,6 +485,8 @@ class SoftStateStore:
             if stored is None:
                 continue
             stored.record = record
+            # the one mutation that reaches a shard without passing the index
+            self._views.pop((self._owners.get(region, {}).get(node_id), region), None)
             if charge:
                 self.network.stats.count("softstate_load_update")
             self._emit(EventKind.LOAD_UPDATED, region, record)
@@ -622,27 +655,35 @@ class SoftStateStore:
         else:
             served_by = self.ecan.can.owner_of_point(position)
 
-        bucket = self.maps.get(region, {})
         if self.use_owner_index:
             # zero owner walks and no bucket scan: the reverse index
             # yields exactly the asked-for node's records, in bucket
             # insertion order (seq), at cost proportional to what that
             # node hosts rather than to the region's map size
-            def hosted(owner: int) -> list:
-                by_region = self._attributed.get(owner)
-                shard = None if by_region is None else by_region.get(region)
-                if not shard:
-                    return []
-                found = [
-                    stored
-                    for nid in shard
-                    if (stored := bucket.get(nid)) is not None
+            view = self._shard_view(served_by, region)
+            if view is not None:
+                # the common case, no widening: rank straight off the
+                # cached matrix.  Same arithmetic as the norm below;
+                # sorting before dropping the querier's own row (a
+                # shard holds at most one) keeps the others' stable
+                # relative order, so one spare candidate suffices.
+                records, matrix = view
+                delta = matrix - query_vector
+                order = np.sqrt(np.add.reduce(delta * delta, axis=1)).argsort(
+                    kind="stable"
+                )
+                ranked = [
+                    record
+                    for i in order[: max_results + 1].tolist()
+                    if (record := records[i]).node_id != querier_id
                 ]
-                found.sort(key=lambda s: s.seq)
-                return [s.record for s in found]
+                return LookupResult(records=ranked[:max_results], served_by=served_by)
+
+            def hosted(owner: int) -> list:
+                return self._collect_shard(owner, region)
         else:
             hosted_by: dict = {}
-            for node_id, stored in bucket.items():
+            for node_id, stored in self.maps.get(region, {}).items():
                 owner = self.ecan.can.owner_of_point(stored.position)
                 hosted_by.setdefault(owner, []).append(stored.record)
 
@@ -737,6 +778,14 @@ class SoftStateStore:
         assert reverse == total, (
             f"reverse index holds {reverse} attributions, maps hold {total}"
         )
+        for (owner, region), (records, matrix) in self._views.items():
+            fresh = self._collect_shard(owner, region)
+            assert len(records) == len(fresh) and all(
+                a is b for a, b in zip(records, fresh)
+            ), f"shard view of ({owner}, {region}) is out of step with the map"
+            assert np.array_equal(matrix, np.array([r.vector() for r in fresh])), (
+                f"shard view of ({owner}, {region}) caches a stale matrix"
+            )
 
     def rebuild_owner_index(self) -> int:
         """Recompute the position->owner index from scratch; return fixes.
@@ -754,6 +803,7 @@ class SoftStateStore:
         stale = self._owners
         self._owners = {}
         self._attributed = {}
+        self._views = {}
         owner_of = self.ecan.can.owner_of_point
         changed = 0
         for region, bucket in self.maps.items():

@@ -64,3 +64,31 @@ def test_undeclared_metric_is_refused(pairs):
     assert pairs.direction_of("ops_per_s_ref") == "higher"
     with pytest.raises(SystemExit):
         pairs.direction_of("wire.fallback_share")
+
+
+def test_bound_check_allows_a_worsening_inside_the_bound(pairs):
+    slower = [b * 1.10 for b in BASE]
+    check = pairs.bound_check(BASE, slower, "lower", 0.25)
+    assert not check["worse"]
+    assert check["ratio"] == pytest.approx(1.10)
+    assert pairs.bound_check(BASE, [b * 1.30 for b in BASE], "lower", 0.25)["worse"]
+
+
+def test_bound_check_follows_the_metric_direction(pairs):
+    # 30 % fewer ops/s is worse; 30 % more is a gain, never a regression
+    assert pairs.bound_check(BASE, [b * 0.70 for b in BASE], "higher", 0.25)["worse"]
+    assert not pairs.bound_check(BASE, [b * 1.30 for b in BASE], "higher", 0.25)["worse"]
+    assert not pairs.bound_check(BASE, [b * 0.50 for b in BASE], "lower", 0.25)["worse"]
+
+
+def test_bound_zero_means_the_median_may_not_worsen_at_all(pairs):
+    stretch = [1.8125] * 10
+    assert not pairs.bound_check(stretch, stretch, "lower", 0)["worse"]
+    assert pairs.bound_check(stretch, [1.8126] * 10, "lower", 0)["worse"]
+    assert not pairs.bound_check(stretch, [1.8] * 10, "lower", 0)["worse"]
+
+
+def test_every_declared_metric_carries_a_bound(pairs):
+    declared = pairs.declared_metrics()
+    assert {entry["name"] for entry in declared} >= {"cpu_us_per_op", "mean_stretch"}
+    assert all("bound" in entry and "better" in entry for entry in declared)

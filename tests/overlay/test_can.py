@@ -39,6 +39,26 @@ class TestJoin:
         can = build_can(60, dims=dims, seed=dims)
         can.check_invariants()
 
+    def test_rewiring_two_nodes_per_join_keeps_every_link(self):
+        """``join`` rewires only the split owner and the newcomer.
+
+        ``check_invariants`` after every join proves each link present
+        is symmetric and adjacent; the all-pairs recount proves no link
+        a wider rewire would have found is missing.
+        """
+        can = CanOverlay(dims=2, rng=np.random.default_rng(21))
+        for i in range(512):
+            can.join(i, host=i)
+            can.check_invariants()
+            if i in (7, 63, 200, 511):
+                for a, node in can.nodes.items():
+                    expected = {
+                        b
+                        for b, other in can.nodes.items()
+                        if b != a and can._adjacent(node, other)
+                    }
+                    assert node.neighbors == expected
+
     def test_join_at_specific_point(self):
         can = build_can(1)
         can.join(1, host=5, point=(0.9, 0.9))
@@ -146,6 +166,17 @@ class TestLeave:
         can = build_can(1)
         can.leave(0)
         assert len(can) == 0
+
+    def test_random_node_on_an_overlay_emptied_by_departures(self):
+        can = build_can(2)
+        can.leave(1)
+        can.leave(0)
+        # the order list still names the departed; the documented error,
+        # not the rng's "high <= 0", must come out
+        with pytest.raises(RuntimeError, match="overlay is empty"):
+            can.random_node()
+        can.join(5, host=1)
+        assert can.random_node() == 5
 
     def test_sibling_merge_restores_single_zone(self):
         can = build_can(1)

@@ -87,6 +87,65 @@ class TestSelection:
         assert new_refs < table_refs[hot]
 
 
+class TestBatchProbe:
+    """Without an injector, a retry policy or tracing the confirmation
+    probes go out as one ``rtt_many``; every other mode probes one by
+    one.  On a perfect network the two must be indistinguishable."""
+
+    @staticmethod
+    def grown(topology, load_weight=0.0, **kwargs) -> TopologyAwareOverlay:
+        network = Network(topology, ManualLatencyModel())
+        ov = TopologyAwareOverlay(
+            network,
+            OverlayParams(
+                num_nodes=64, landmarks=6, rtt_budget=4, load_weight=load_weight,
+                seed=3,
+            ),
+            **kwargs,
+        )
+        ov.build()
+        for i, node_id in enumerate(ov.node_ids):
+            ov.store.update_load(node_id, float(i % 5))
+        for node_id in ov.node_ids:
+            ov.ecan.build_table(node_id)
+        return ov
+
+    @pytest.mark.parametrize("load_weight", [0.0, 2.0])
+    def test_same_pick_and_same_charge_with_a_retry_policy(
+        self, tiny_topology, load_weight
+    ):
+        from repro.core.reliability import RetryPolicy
+
+        batched = self.grown(tiny_topology, load_weight)
+        one_by_one = self.grown(tiny_topology, load_weight, retry_policy=RetryPolicy())
+        assert batched.ecan.policy.retry_policy is None
+        assert one_by_one.ecan.policy.retry_policy is not None
+        for node_id in batched.node_ids:
+            assert batched.ecan.table_of(node_id) == one_by_one.ecan.table_of(node_id)
+        assert batched.network.stats.snapshot() == one_by_one.network.stats.snapshot()
+        assert batched.network.stats.get("neighbor_probe") > 0
+        assert (
+            batched.network.telemetry.event_counts["probe"]
+            == one_by_one.network.telemetry.event_counts["probe"]
+        )
+
+    def test_tracing_probes_one_by_one_and_agrees(self, tiny_topology):
+        batched = self.grown(tiny_topology)
+        traced = self.grown(tiny_topology)
+        traced.network.telemetry.tracing = True
+        for ov in (batched, traced):
+            for node_id in ov.node_ids[:16]:
+                ov.ecan.build_table(node_id)
+        for node_id in batched.node_ids:
+            assert batched.ecan.table_of(node_id) == traced.ecan.table_of(node_id)
+        assert batched.network.stats.snapshot() == traced.network.stats.snapshot()
+        probes = [
+            e for e in traced.network.telemetry.events
+            if e.kind == "probe" and e.fields.get("category") == "neighbor_probe"
+        ]
+        assert probes and all("v" in e.fields for e in probes)
+
+
 class TestProbeAndPick:
     def test_picks_minimum_rtt(self, overlay):
         network = overlay.network
