@@ -22,14 +22,17 @@ bench-paper:
 report:
 	$(PYTHON) -m repro report
 
-# One core + one ext bench plus the hot-path scale bench at quick
-# scale, then validate the JSON records against benchmarks/schema.json
-# and refresh the repo-root BENCH_core.json / BENCH_ext.json
-# perf-trajectory files.
+# One core + one ext bench, the two generality ports (so a drift in
+# their rows shows in BENCH_ext.json on every CI run) plus the
+# hot-path scale bench at quick scale, then validate the JSON records
+# against benchmarks/schema.json and refresh the repo-root
+# BENCH_core.json / BENCH_ext.json perf-trajectory files.
 bench-smoke:
 	REPRO_SCALE=quick $(PYTHON) -m pytest \
 		benchmarks/bench_fig05_hybrid_small.py \
 		benchmarks/bench_ext_fault_injection.py \
+		benchmarks/bench_ext_chord_generality.py \
+		benchmarks/bench_ext_pastry_generality.py \
 		benchmarks/bench_perf_scale.py \
 		benchmarks/bench_perf_runtime.py \
 		benchmarks/bench_perf_overload.py -q --benchmark-disable

@@ -2,8 +2,29 @@
 
 "The techniques are generic for overlay networks such as Pastry,
 Chord, and eCAN, where there exists flexibility in selecting routing
-neighbors."  This example builds all three overlays on the same
-physical internet and fills their flexible slots three ways each.
+neighbors."  In this library that sentence is a contract.  One ring
+substrate (`repro.overlay.ring.IdRing`: membership, lazy table repair,
+stretch) and one soft-state engine (`repro.softstate.ring`: registry,
+maps, landmark-number placement, the lookup + RTT-probe policy, the
+assembler) serve every id-ring overlay; porting the technique to
+overlay X means implementing five geometry hooks:
+
+  on the ring        slot_interval(node, slot)  the id interval a table
+                                                slot may point into
+                     route(start, key)          the forwarding rule, and
+                                                with it who owns a key
+  on the soft-state  regions_of(node)           the regions a node
+                                                publishes its record into
+                     region_bounds(region)      a region's id interval
+                     slot_regions(node, slot)   the region(s) to query
+                                                when filling a slot
+
+(plus where a node keeps its table and which slots it fills).  Chord
+answers with finger intervals, greedy clockwise routing to the
+successor, and aligned arcs; Pastry with digit prefixes, leaf sets and
+prefix routing to the numerically closest id.  This example builds all
+three overlays on the same physical internet and fills their flexible
+slots three ways each.
 
 The interesting comparison is *how much* proximity selection buys on
 each structure: lots on eCAN and Pastry (base-4 hierarchies, most
@@ -17,7 +38,6 @@ import numpy as np
 
 from repro import NetworkParams, OverlayParams, TopologyAwareOverlay, make_network
 from repro.chord.softstate import build_soft_state_ring
-from repro.netsim import Network
 from repro.pastry import build_soft_state_pastry
 
 NUM_NODES = 160
@@ -38,18 +58,20 @@ def ecan_stretch(policy: str) -> float:
     return float(overlay.measure_stretch(400, rng=np.random.default_rng(9)).mean())
 
 
-def chord_stretch(policy: str) -> float:
-    ring, _ = build_soft_state_ring(
-        fresh_network(), NUM_NODES, policy_name=policy, bits=18, seed=5
+def ring_stretch(build, policy: str, **geometry) -> float:
+    """Both ports go through the one assembler; only the geometry differs."""
+    ring, _ = build(
+        fresh_network(), NUM_NODES, policy_name=policy, seed=5, **geometry
     )
     return float(ring.measure_stretch(400, rng=np.random.default_rng(9)).mean())
+
+
+def chord_stretch(policy: str) -> float:
+    return ring_stretch(build_soft_state_ring, policy, bits=18)
 
 
 def pastry_stretch(policy: str) -> float:
-    ring, _ = build_soft_state_pastry(
-        fresh_network(), NUM_NODES, policy_name=policy, digits=14, seed=5
-    )
-    return float(ring.measure_stretch(400, rng=np.random.default_rng(9)).mean())
+    return ring_stretch(build_soft_state_pastry, policy, digits=14)
 
 
 def main() -> None:
@@ -67,6 +89,9 @@ def main() -> None:
     print("\n(columns are mean routing stretch; 'saving' is soft-state vs random)")
     print("the base-4 hierarchies (eCAN, Pastry) give proximity selection more")
     print("high-choice hops than the binary Chord ring -- same ordering, bigger win")
+    print("\nChord and Pastry are two geometries over one ring substrate and one")
+    print("soft-state engine: five hooks each (slot_interval, route, regions_of,")
+    print("region_bounds, slot_regions) -- a third prefix overlay costs the same")
 
 
 if __name__ == "__main__":

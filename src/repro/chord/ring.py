@@ -1,21 +1,18 @@
 """A Chord ring with policy-driven finger selection.
 
-Simulator conventions:
+The geometry Chord puts on the shared id-ring substrate
+(:mod:`repro.overlay.ring`: consistent membership, lazy finger repair
+through the policy, ``measure_stretch``):
 
-* Ring membership is kept globally consistent (joins and leaves update
-  a sorted ID list) -- this models a converged stabilization protocol,
-  the same idealization the CAN substrate makes about its neighbor
-  sets.  Finger tables, by contrast, are per-node state chosen by a
-  :class:`FingerPolicy` and may go stale; routing validates entries
-  lazily and repairs through the policy, charging ``table_repair``.
 * Finger ``i`` of node ``n`` may be ANY member of the ID interval
   ``[n + 2^i, n + 2^(i+1))`` -- the standard proximity-neighbor-
   selection freedom on Chord.  Vanilla Chord (the first node of the
   interval, i.e. ``successor(n + 2^i)``) is the
   :class:`SuccessorFingerPolicy`.
-* Greedy routing forwards to the furthest finger that does not
-  overshoot the key; each hop at least halves the remaining clockwise
-  distance, so hops stay O(log N) for any per-interval choice.
+* A key is owned by its successor, and greedy routing forwards to the
+  furthest finger that does not overshoot the key; each hop at least
+  halves the remaining clockwise distance, so hops stay O(log N) for
+  any per-interval choice.
 """
 
 from __future__ import annotations
@@ -23,17 +20,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-import numpy as np
-
-
-def distance_cw(a: int, b: int, space: int) -> int:
-    """Clockwise distance from ``a`` to ``b`` on the ring."""
-    return (b - a) % space
-
-
-def in_interval(x: int, lo: int, hi: int, space: int) -> bool:
-    """True if ``x`` lies in the clockwise half-open interval [lo, hi)."""
-    return distance_cw(lo, x, space) < distance_cw(lo, hi, space)
+from repro.overlay.ring import IdRing, SlotPolicy, distance_cw, in_interval
+from repro.overlay.routing import RouteResult
 
 
 @dataclass
@@ -46,17 +34,7 @@ class ChordNode:
     fingers: dict = field(default_factory=dict)
 
 
-class FingerPolicy:
-    """Strategy for choosing a finger among an interval's members."""
-
-    name = "base"
-
-    def select(self, ring: "ChordRing", node_id: int, index: int, candidates):
-        """Pick from non-empty ``candidates``; None defers to successor."""
-        raise NotImplementedError
-
-
-class SuccessorFingerPolicy(FingerPolicy):
+class SuccessorFingerPolicy(SlotPolicy):
     """Vanilla Chord: the first node at or after ``n + 2^i``."""
 
     name = "successor"
@@ -66,46 +44,19 @@ class SuccessorFingerPolicy(FingerPolicy):
         return min(candidates, key=lambda c: distance_cw(start, c, ring.space))
 
 
-class ChordRing:
+class ChordRing(IdRing):
     """The ring, its members, routing, and finger management."""
 
+    Node = ChordNode
+
     def __init__(self, bits: int = 24, network=None, rng=None, stats=None,
-                 policy: FingerPolicy = None):
+                 policy: SlotPolicy = None):
         if bits < 3:
             raise ValueError("bits must be >= 3")
-        self.bits = bits
-        self.space = 1 << bits
-        self.network = network
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.stats = stats
-        self.policy = policy if policy is not None else SuccessorFingerPolicy()
-        self._ids: list = []  # sorted member ids
-        self.nodes: dict = {}
-        #: observers notified as (event, node_id)
-        self.observers: list = []
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.nodes
-
-    def _count(self, category: str, n: int = 1) -> None:
-        if self.stats is not None and category is not None and n:
-            self.stats.count(category, n)
-
-    def members(self) -> list:
-        return list(self._ids)
-
-    def random_member(self) -> int:
-        if not self._ids:
-            raise RuntimeError("ring is empty")
-        return self._ids[int(self.rng.integers(0, len(self._ids)))]
-
-    def random_key(self) -> int:
-        return int(self.rng.integers(0, self.space))
+        super().__init__(
+            bits, network, rng, stats,
+            policy if policy is not None else SuccessorFingerPolicy(),
+        )
 
     # -- ring arithmetic -------------------------------------------------------
 
@@ -124,65 +75,10 @@ class ChordRing:
         i = bisect.bisect_left(self._ids, node_id)
         return self._ids[(i - 1) % len(self._ids)]
 
-    def interval_members(self, lo: int, hi: int) -> list:
-        """Members with ids in the clockwise interval [lo, hi)."""
-        lo %= self.space
-        hi %= self.space
-        if lo == hi:
-            return []
-        if lo < hi:
-            i = bisect.bisect_left(self._ids, lo)
-            j = bisect.bisect_left(self._ids, hi)
-            return self._ids[i:j]
-        i = bisect.bisect_left(self._ids, lo)
-        j = bisect.bisect_left(self._ids, hi)
-        return self._ids[i:] + self._ids[:j]
-
-    # -- membership ---------------------------------------------------------------
-
-    def join(self, host: int, node_id: int = None) -> int:
-        """Add a member; returns its ring id."""
-        if node_id is None:
-            while True:
-                node_id = int(self.rng.integers(0, self.space))
-                if node_id not in self.nodes:
-                    break
-        elif node_id in self.nodes:
-            raise ValueError(f"id {node_id} already on the ring")
-        bisect.insort(self._ids, node_id)
-        self.nodes[node_id] = ChordNode(node_id=node_id, host=host)
-        # a join costs one lookup for the id position, as in Chord
-        if len(self._ids) > 1:
-            self.route(self.random_member(), node_id, category="join_route")
-        for observer in self.observers:
-            observer("join", node_id)
-        return node_id
-
-    def leave(self, node_id: int) -> None:
-        if node_id not in self.nodes:
-            raise KeyError(f"id {node_id} not on the ring")
-        self._ids.remove(node_id)
-        del self.nodes[node_id]
-        for observer in self.observers:
-            observer("leave", node_id)
-
-    def invalidate_member(self, dead_id: int) -> int:
-        """Eagerly drop every finger pointing at ``dead_id``.
-
-        Crash recovery calls this once a death is *confirmed*, instead
-        of leaving each stale finger to be discovered (and charged as
-        ``table_repair``) on first use.  Returns entries removed.
-        """
-        removed = 0
-        for node in self.nodes.values():
-            stale = [i for i, entry in node.fingers.items() if entry == dead_id]
-            for index in stale:
-                del node.fingers[index]
-            removed += len(stale)
-        self._count("eager_invalidate", removed)
-        return removed
-
     # -- fingers ------------------------------------------------------------------------
+
+    def table_of(self, node_id: int) -> dict:
+        return self.nodes[node_id].fingers
 
     def finger_interval(self, node_id: int, index: int) -> tuple:
         """The clockwise ID interval finger ``index`` may point into."""
@@ -190,52 +86,27 @@ class ChordRing:
         hi = (node_id + (1 << (index + 1))) % self.space
         return lo, hi
 
-    def _select_finger(self, node_id: int, index: int):
-        lo, hi = self.finger_interval(node_id, index)
-        candidates = [c for c in self.interval_members(lo, hi) if c != node_id]
-        if not candidates:
-            return None
-        chosen = self.policy.select(self, node_id, index, candidates)
-        if chosen is None:
-            start = (node_id + (1 << index)) % self.space
-            chosen = min(candidates, key=lambda c: distance_cw(start, c, self.space))
-        self._count("neighbor_select")
-        return chosen
-
     def build_fingers(self, node_id: int) -> None:
         """(Re)build every finger of ``node_id`` through the policy."""
-        node = self.nodes[node_id]
-        node.fingers = {}
+        fingers = self.nodes[node_id].fingers = {}
         for index in range(self.bits):
-            chosen = self._select_finger(node_id, index)
+            chosen = self._select(node_id, index)
             if chosen is not None:
-                node.fingers[index] = chosen
+                fingers[index] = chosen
 
     def finger(self, node_id: int, index: int):
         """Current finger, lazily repaired when stale or missing."""
-        node = self.nodes[node_id]
-        entry = node.fingers.get(index)
-        if entry is not None and entry in self.nodes:
-            lo, hi = self.finger_interval(node_id, index)
-            if in_interval(entry, lo, hi, self.space):
-                return entry
-        repaired = entry is not None
-        entry = self._select_finger(node_id, index)
-        if entry is None:
-            node.fingers.pop(index, None)
-            return None
-        if repaired:
-            self._count("table_repair")
-        node.fingers[index] = entry
-        return entry
+        return self.entry(node_id, index)
+
+    # a slot is a finger: the substrate's hooks under Chord's names
+    slot_interval = finger_interval
+    build_table = build_fingers
 
     # -- routing --------------------------------------------------------------------------
 
     def route(self, start_id: int, key: int, category: str = "chord_route",
               max_hops: int = None):
         """Greedy clockwise routing; returns (path ids, owner id)."""
-        from repro.overlay.routing import RouteResult
-
         if start_id not in self.nodes:
             raise KeyError(f"start node {start_id} not on the ring")
         if max_hops is None:
@@ -281,31 +152,3 @@ class ChordRing:
             path.append(next_hop)
             current = next_hop
             self._count(category)
-
-    # -- metrics -------------------------------------------------------------------------------
-
-    def host_of(self, node_id: int) -> int:
-        return self.nodes[node_id].host
-
-    def measure_stretch(self, samples: int, rng=None) -> np.ndarray:
-        """Routing stretch over random member pairs (needs a network)."""
-        if self.network is None:
-            raise RuntimeError("ring has no attached network")
-        if rng is None:
-            rng = self.rng
-        ids = np.array(self._ids)
-        stretches = []
-        attempts = 0
-        while len(stretches) < samples and attempts < 4 * samples:
-            attempts += 1
-            src, dst = rng.choice(ids, size=2, replace=False)
-            result = self.route(int(src), int(dst))
-            if not result.success or result.owner != int(dst):
-                continue
-            hosts = [self.nodes[n].host for n in result.path]
-            direct = self.network.latency(self.nodes[int(src)].host,
-                                          self.nodes[int(dst)].host)
-            if direct <= 1e-9:
-                continue
-            stretches.append(self.network.path_latency(hosts) / direct)
-        return np.asarray(stretches)

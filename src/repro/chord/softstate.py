@@ -1,17 +1,12 @@
 """Global soft-state on Chord: landmark-keyed maps and finger selection.
 
-On a ring the paper's placement hash degenerates pleasantly: a prefix
-region is an aligned ID interval, and a landmark number is *scaled*
-directly into the (condensed prefix of the) interval -- "use the
-landmark number as the key", per the appendix.  Closeness in landmark
-number then means closeness in ring position, so records of nearby
-nodes co-locate on the same successor, exactly as on eCAN.
-
-A node publishes its record into the map of every aligned interval
-(prefix region) that contains its ring id -- at most ``log N`` useful
-levels -- and a finger selection queries the region(s) overlapping the
-finger's interval, ranks the returned records by landmark-vector
-distance, and confirms the top few with RTT probes.
+The region geometry Chord puts on the shared ring engine
+(:mod:`repro.softstate.ring`: registry, maps, ``map_key`` placement,
+publish / withdraw / lookup, the landmark+RTT slot policy).  A prefix
+region is an aligned ID interval; a node publishes its record into the
+map of every aligned interval that contains its ring id -- at most
+``log N`` useful levels -- and a finger selection queries the
+region(s) overlapping the finger's interval.
 """
 
 from __future__ import annotations
@@ -20,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.chord.ring import ChordRing, FingerPolicy, in_interval
-from repro.softstate.records import NodeRecord
+from repro.chord.ring import ChordRing, SuccessorFingerPolicy
+from repro.softstate.ring import RingSoftState, build_soft_state_overlay
 
 
 @dataclass(frozen=True)
@@ -41,48 +36,14 @@ class ChordRegion:
         return cls(level=level, index=node_id >> (bits - level))
 
 
-class ChordSoftState:
+class ChordSoftState(RingSoftState):
     """Publish / lookup proximity records over the ring."""
-
-    def __init__(
-        self,
-        ring: ChordRing,
-        network,
-        space,
-        max_level: int = None,
-        condense_rate: float = 1.0 / 16.0,
-        max_results: int = 16,
-    ):
-        self.ring = ring
-        self.network = network
-        self.space = space  # LandmarkSpace
-        self.condense_rate = condense_rate
-        self.max_results = max_results
-        self.max_level = max_level if max_level is not None else min(12, ring.bits - 1)
-        self.registry: dict = {}
-        #: region -> {ring id -> (record, map key)}
-        self.maps: dict = {}
-        ring.observers.append(self._on_ring_event)
-
-    def _on_ring_event(self, event: str, node_id: int) -> None:
-        if event == "leave":
-            self.withdraw(node_id, charge=False)
-
-    # -- placement -----------------------------------------------------------
 
     def levels_for(self) -> range:
         """Useful region levels: arcs holding >= a handful of nodes."""
         population = max(len(self.ring), 2)
         useful = max(1, int(np.ceil(np.log2(population))) - 1)
-        return range(1, min(useful, self.max_level) + 1)
-
-    def map_key(self, landmark_number: int, region: ChordRegion) -> int:
-        """Ring key at which a record is stored inside ``region``."""
-        lo, hi = region.bounds(self.ring.bits)
-        span = int((hi - lo) * self.condense_rate)
-        span = max(span, 1)
-        fraction = landmark_number / self.space.number_range
-        return (lo + int(fraction * span)) % self.ring.space
+        return range(1, min(useful, 12, self.ring.bits - 1) + 1)
 
     def regions_of(self, node_id: int) -> list:
         return [
@@ -90,73 +51,19 @@ class ChordSoftState:
             for level in self.levels_for()
         ]
 
-    # -- publish / withdraw -----------------------------------------------------
+    def region_bounds(self, region: ChordRegion) -> tuple:
+        return region.bounds(self.ring.bits)
 
-    def register_identity(self, node_id: int, host: int, landmark_vector) -> NodeRecord:
-        vector = tuple(float(x) for x in landmark_vector)
-        record = NodeRecord(
-            node_id=node_id,
-            host=host,
-            landmark_vector=vector,
-            landmark_number=self.space.number(np.asarray(vector)),
-        )
-        self.registry[node_id] = record
-        return record
-
-    def publish(self, node_id: int, charge: bool = True) -> int:
-        """Write the record to all current regions; drop stale placements.
-
-        Soft-state refresh naturally reconciles level drift: as the
-        ring grows, deeper region levels become useful and the next
-        refresh covers them.
-        """
-        record = self.registry[node_id]
-        wanted = set(self.regions_of(node_id))
-        for region in [r for r in self.maps if node_id in self.maps[r]]:
-            if region not in wanted:
-                self.maps[region].pop(node_id, None)
-                if not self.maps[region]:
-                    del self.maps[region]
-        for region in sorted(wanted, key=lambda r: r.level):
-            key = self.map_key(record.landmark_number, region)
-            self.maps.setdefault(region, {})[node_id] = (record, key)
-            if charge:
-                self.ring.route(node_id, key, category="softstate_publish")
-        return len(wanted)
-
-    def withdraw(self, node_id: int, charge: bool = True) -> int:
-        removed = 0
-        for region in list(self.maps):
-            if self.maps[region].pop(node_id, None) is not None:
-                removed += 1
-                if charge:
-                    self.network.stats.count("softstate_withdraw")
-            if not self.maps[region]:
-                del self.maps[region]
-        self.registry.pop(node_id, None)
-        return removed
-
-    # -- lookup --------------------------------------------------------------------
-
-    def lookup(self, querier_id: int, region: ChordRegion,
-               max_results: int = None, charge: bool = True) -> list:
-        """Candidates of ``region`` closest (landmark-wise) to the querier."""
-        if max_results is None:
-            max_results = self.max_results
-        own = self.registry[querier_id]
-        key = self.map_key(own.landmark_number, region)
-        if charge:
-            self.ring.route(querier_id, key, category="softstate_lookup")
-        bucket = self.maps.get(region, {})
-        records = [rec for node_id, (rec, _k) in bucket.items()
-                   if node_id != querier_id and node_id in self.ring.nodes]
-        if not records:
-            return []
-        own_vector = np.asarray(own.landmark_vector)
-        vectors = np.array([r.landmark_vector for r in records])
-        order = np.argsort(np.linalg.norm(vectors - own_vector, axis=1),
-                           kind="stable")
-        return [records[i] for i in order[:max_results]]
+    def slot_regions(self, node_id: int, index: int) -> set:
+        # the finest region level whose arcs are not smaller than the
+        # finger interval, for both arcs the interval may straddle
+        bits = self.ring.bits
+        lo, hi = self.ring.finger_interval(node_id, index)
+        level = min(max(self.levels_for(), default=1), max(1, bits - (index + 1)))
+        return {
+            ChordRegion.containing(lo, level, bits),
+            ChordRegion.containing((hi - 1) % self.ring.space, level, bits),
+        }
 
     def entries_per_node(self) -> dict:
         counts: dict = {}
@@ -165,84 +72,6 @@ class ChordSoftState:
                 owner = self.ring.successor_of(key)
                 counts[owner] = counts.get(owner, 0) + 1
         return counts
-
-
-class RandomFingerPolicy(FingerPolicy):
-    """Baseline: any member of the finger interval, uniformly."""
-
-    name = "random"
-
-    def __init__(self, rng=None):
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def select(self, ring, node_id, index, candidates):
-        return candidates[int(self.rng.integers(0, len(candidates)))]
-
-
-class ChordClosestFingerPolicy(FingerPolicy):
-    """Oracle: the physically closest interval member (free probes)."""
-
-    name = "optimal"
-
-    def __init__(self, network):
-        self.network = network
-
-    def select(self, ring, node_id, index, candidates):
-        host = ring.nodes[node_id].host
-        return min(
-            candidates,
-            key=lambda c: (self.network.latency(host, ring.nodes[c].host), c),
-        )
-
-
-class ChordSoftStateFingerPolicy(FingerPolicy):
-    """The paper's technique on Chord: map lookup + RTT confirmation."""
-
-    name = "softstate"
-
-    def __init__(self, softstate: ChordSoftState, network, rtt_budget: int = 10):
-        self.softstate = softstate
-        self.network = network
-        self.rtt_budget = rtt_budget
-        self._selecting = False
-
-    def select(self, ring, node_id, index, candidates):
-        if self._selecting or node_id not in self.softstate.registry:
-            return None
-        lo, hi = ring.finger_interval(node_id, index)
-        # query the finest region level whose arcs are not smaller than
-        # the finger interval, for both arcs the interval may straddle
-        interval_bits = index + 1
-        level = min(
-            max(self.softstate.levels_for(), default=1),
-            max(1, ring.bits - interval_bits),
-        )
-        regions = {
-            ChordRegion.containing(lo % ring.space, level, ring.bits),
-            ChordRegion.containing((hi - 1) % ring.space, level, ring.bits),
-        }
-        self._selecting = True
-        try:
-            records = []
-            for region in regions:
-                records.extend(self.softstate.lookup(node_id, region))
-        finally:
-            self._selecting = False
-        usable = [
-            r for r in records
-            if r.node_id != node_id
-            and r.node_id in ring.nodes
-            and in_interval(r.node_id, lo, hi, ring.space)
-        ]
-        if not usable:
-            return None
-        host = ring.nodes[node_id].host
-        best = None
-        for record in usable[: self.rtt_budget]:
-            rtt = self.network.rtt(host, record.host, category="neighbor_probe")
-            if best is None or (rtt, record.node_id) < best:
-                best = (rtt, record.node_id)
-        return best[1]
 
 
 def build_soft_state_ring(
@@ -257,58 +86,10 @@ def build_soft_state_ring(
 ):
     """Assemble a Chord ring with the chosen finger policy, fully built.
 
-    ``converge=True`` runs one finger-rebuild round after all joins
-    (the steady state Chord's fix-fingers stabilization converges to;
-    its cost is charged to the usual counters).  Returns ``(ring,
-    softstate)``; ``softstate`` is None for non-soft-state policies.
+    ``policy_name`` is ``successor``, ``random``, ``softstate`` or
+    ``optimal``; see :func:`~repro.softstate.ring.build_soft_state_overlay`.
     """
-    from repro.proximity.landmarks import LandmarkSpace, select_landmarks
-
-    seeds = np.random.SeedSequence(seed).spawn(4)
-    ring_rng = np.random.default_rng(seeds[0])
-    host_rng = np.random.default_rng(seeds[1])
-    landmark_rng = np.random.default_rng(seeds[2])
-    policy_rng = np.random.default_rng(seeds[3])
-
-    ring = ChordRing(bits=bits, network=network, rng=ring_rng, stats=network.stats)
-    landmark_set = select_landmarks(network, landmarks, landmark_rng)
-    space = LandmarkSpace(landmark_set)
-    softstate = ChordSoftState(ring, network, space)
-
-    if policy_name == "random":
-        ring.policy = RandomFingerPolicy(policy_rng)
-    elif policy_name == "optimal":
-        ring.policy = ChordClosestFingerPolicy(network)
-    elif policy_name == "successor":
-        ring.policy = SuccessorFingerPolicyDefault()
-    elif policy_name == "softstate":
-        ring.policy = ChordSoftStateFingerPolicy(softstate, network, rtt_budget)
-    else:
-        raise ValueError(f"unknown finger policy {policy_name!r}")
-
-    hosts = network.sample_hosts(num_nodes, host_rng)
-    for host in hosts:
-        node_id = ring.join(int(host))
-        if policy_name == "softstate":
-            vector = space.measure(network, int(host))
-            softstate.register_identity(node_id, int(host), vector)
-            softstate.publish(node_id)
-        ring.build_fingers(node_id)
-    if converge:
-        if policy_name == "softstate":
-            for node_id in ring.members():
-                softstate.publish(node_id)  # soft-state refresh round
-        for node_id in ring.members():
-            ring.build_fingers(node_id)
-    return ring, (softstate if policy_name == "softstate" else None)
-
-
-class SuccessorFingerPolicyDefault(FingerPolicy):
-    """Alias of the vanilla policy, importable by name."""
-
-    name = "successor"
-
-    def select(self, ring, node_id, index, candidates):
-        from repro.chord.ring import SuccessorFingerPolicy
-
-        return SuccessorFingerPolicy().select(ring, node_id, index, candidates)
+    return build_soft_state_overlay(
+        ChordRing, ChordSoftState, SuccessorFingerPolicy(), network, num_nodes,
+        landmarks, policy_name, rtt_budget, seed, converge, bits=bits,
+    )

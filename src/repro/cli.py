@@ -156,13 +156,30 @@ def _install_uvloop() -> bool:
     return True
 
 
+def _shared_cluster_fields(args) -> dict:
+    """The :class:`ClusterConfig` fields set by the flags ``repro
+    cluster`` and ``repro controller`` share (:func:`_shared_cluster_flags`)."""
+    from repro.core.config import NetworkParams, OverlayParams
+
+    return dict(
+        nodes=args.nodes,
+        network=NetworkParams(topo_scale=args.topo_scale, seed=args.seed),
+        overlay=OverlayParams(num_nodes=args.nodes, seed=args.seed),
+        transport=args.transport,
+        wire_encoding=args.encoding,
+        heartbeat_period=args.heartbeat_period,
+        probe_timeout=args.probe_timeout,
+        bulk_boot=args.bulk_boot,
+        shards=args.shards,
+    )
+
+
 def _cluster_config(args):
     """Build the :class:`ClusterConfig` a ``repro cluster`` run uses.
 
     Split from :func:`cmd_cluster` so tests can assert every CLI flag
     lands on the config without booting a cluster.
     """
-    from repro.core.config import NetworkParams, OverlayParams
     from repro.runtime import ClusterConfig
 
     retry = None
@@ -171,22 +188,14 @@ def _cluster_config(args):
 
         retry = RetryPolicy(max_attempts=args.retries)
     return ClusterConfig(
-        nodes=args.nodes,
-        network=NetworkParams(topo_scale=args.topo_scale, seed=args.seed),
-        overlay=OverlayParams(num_nodes=args.nodes, seed=args.seed),
-        transport=args.transport,
-        wire_encoding=args.encoding,
+        **_shared_cluster_fields(args),
         latency_scale=args.latency_scale,
         request_timeout=args.request_timeout,
-        heartbeat_period=args.heartbeat_period,
-        probe_timeout=args.probe_timeout,
         retry=retry,
-        bulk_boot=args.bulk_boot,
         mailbox_cap=args.mailbox_cap if args.mailbox_cap > 0 else None,
         shed_policy=args.shed_policy,
         breaker_threshold=args.breaker_threshold,
         adaptive_timeout=args.adaptive_timeout,
-        shards=args.shards,
     )
 
 
@@ -274,21 +283,10 @@ def _controller_configs(args):
     Split from :func:`cmd_controller` so tests can assert every CLI
     flag lands on the right config without booting anything.
     """
-    from repro.core.config import NetworkParams, OverlayParams
     from repro.mgmt import ControllerConfig
     from repro.runtime import ClusterConfig
 
-    cluster_config = ClusterConfig(
-        nodes=args.nodes,
-        network=NetworkParams(topo_scale=args.topo_scale, seed=args.seed),
-        overlay=OverlayParams(num_nodes=args.nodes, seed=args.seed),
-        transport=args.transport,
-        wire_encoding=args.encoding,
-        heartbeat_period=args.heartbeat_period,
-        probe_timeout=args.probe_timeout,
-        bulk_boot=args.bulk_boot,
-        shards=args.shards,
-    )
+    cluster_config = ClusterConfig(**_shared_cluster_fields(args))
     controller_config = ControllerConfig(
         host=args.host,
         port=args.port,
@@ -343,6 +341,71 @@ def cmd_controller(args) -> int:
         return 0
 
 
+def _shared_cluster_flags() -> argparse.ArgumentParser:
+    """Parent parser: the flags ``repro cluster`` and ``repro
+    controller`` share, consumed by :func:`_shared_cluster_fields`
+    (and ``--uvloop`` by both commands)."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
+        "--nodes", type=int, default=64, help="overlay members to boot (default 64)"
+    )
+    shared.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes to shard the membership across; 1 keeps "
+        "the classic single-process cluster (default 1)",
+    )
+    shared.add_argument(
+        "--transport",
+        choices=["loopback", "tcp"],
+        default="loopback",
+        help="wire transport (default loopback)",
+    )
+    shared.add_argument(
+        "--encoding",
+        choices=["packed", "json"],
+        default="packed",
+        help="frame payload encoding: struct fast path or JSON-only "
+        "(default packed)",
+    )
+    shared.add_argument(
+        "--heartbeat-period",
+        type=float,
+        default=0.25,
+        metavar="S",
+        help="wall seconds between failure-detector rounds (default 0.25)",
+    )
+    shared.add_argument(
+        "--probe-timeout",
+        type=float,
+        default=0.5,
+        metavar="S",
+        help="wall seconds one HEARTBEAT probe waits (default 0.5)",
+    )
+    shared.add_argument(
+        "--bulk-boot",
+        action="store_true",
+        help="boot through the builder's batched bulk-join fast path "
+        "(parity is checked against a bulk-built reference sim)",
+    )
+    shared.add_argument(
+        "--topo-scale",
+        type=float,
+        default=0.25,
+        help="transit-stub topology scale (default 0.25)",
+    )
+    shared.add_argument(
+        "--uvloop",
+        action="store_true",
+        help="install the uvloop event-loop policy when available "
+        "(falls back to the stdlib loop with a note)",
+    )
+    shared.add_argument("--seed", type=int, default=0, help="workload/overlay seed")
+    return shared
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -373,12 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="functions shown per profile (default 25, by cumulative time)",
     )
     run.set_defaults(func=cmd_run)
+    shared = _shared_cluster_flags()
     cluster = sub.add_parser(
         "cluster",
+        parents=[shared],
         help="boot a live asyncio cluster, run lookups, report latency",
-    )
-    cluster.add_argument(
-        "--nodes", type=int, default=64, help="overlay members to boot (default 64)"
     )
     cluster.add_argument(
         "--lookups", type=int, default=1000, help="lookups to drive (default 1000)"
@@ -390,19 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop arrival rate, lookups/second (default 2000)",
     )
     cluster.add_argument(
-        "--transport",
-        choices=["loopback", "tcp"],
-        default="loopback",
-        help="wire transport (default loopback)",
-    )
-    cluster.add_argument(
-        "--encoding",
-        choices=["packed", "json"],
-        default="packed",
-        help="frame payload encoding: struct fast path or JSON-only "
-        "(default packed)",
-    )
-    cluster.add_argument(
         "--concurrency",
         type=int,
         default=0,
@@ -411,30 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
         "0 keeps the open-loop Poisson schedule (default 0)",
     )
     cluster.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes to shard the membership across; 1 keeps "
-        "the classic single-process cluster (default 1)",
-    )
-    cluster.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="install the uvloop event-loop policy when available "
-        "(falls back to the stdlib loop with a note)",
-    )
-    cluster.add_argument(
         "--latency-scale",
         type=float,
         default=0.0,
         help="wall seconds per simulated ms of one-way latency (default 0)",
-    )
-    cluster.add_argument(
-        "--topo-scale",
-        type=float,
-        default=0.25,
-        help="transit-stub topology scale (default 0.25)",
     )
     cluster.add_argument(
         "--request-timeout",
@@ -444,32 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall seconds before a pending request times out (default 30)",
     )
     cluster.add_argument(
-        "--heartbeat-period",
-        type=float,
-        default=0.25,
-        metavar="S",
-        help="wall seconds between failure-detector rounds (default 0.25)",
-    )
-    cluster.add_argument(
-        "--probe-timeout",
-        type=float,
-        default=0.5,
-        metavar="S",
-        help="wall seconds one HEARTBEAT probe waits (default 0.5)",
-    )
-    cluster.add_argument(
         "--retries",
         type=int,
         default=1,
         metavar="N",
         help="attempts per request: >1 arms a cluster-wide RetryPolicy "
         "with exponential backoff (default 1 = no resends)",
-    )
-    cluster.add_argument(
-        "--bulk-boot",
-        action="store_true",
-        help="boot through the builder's batched bulk-join fast path "
-        "(parity is checked against a bulk-built reference sim)",
     )
     cluster.add_argument(
         "--mailbox-cap",
@@ -512,34 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
         "and the zone-map view) on this loopback port while the load "
         "runs (0 picks a free port; default off)",
     )
-    cluster.add_argument("--seed", type=int, default=0, help="workload/overlay seed")
     cluster.set_defaults(func=cmd_cluster)
     controller = sub.add_parser(
         "controller",
+        parents=[shared],
         help="boot a cluster and serve the management API / zone-map view",
-    )
-    controller.add_argument(
-        "--nodes", type=int, default=64, help="overlay members to boot (default 64)"
-    )
-    controller.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes to shard the membership across; 1 keeps "
-        "the classic single-process cluster (default 1)",
-    )
-    controller.add_argument(
-        "--transport",
-        choices=["loopback", "tcp"],
-        default="loopback",
-        help="wire transport (default loopback)",
-    )
-    controller.add_argument(
-        "--encoding",
-        choices=["packed", "json"],
-        default="packed",
-        help="frame payload encoding (default packed)",
     )
     controller.add_argument(
         "--host",
@@ -570,20 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Ctrl-C (default 0)",
     )
     controller.add_argument(
-        "--heartbeat-period",
-        type=float,
-        default=0.25,
-        metavar="S",
-        help="wall seconds between failure-detector rounds (default 0.25)",
-    )
-    controller.add_argument(
-        "--probe-timeout",
-        type=float,
-        default=0.5,
-        metavar="S",
-        help="wall seconds one HEARTBEAT probe waits (default 0.5)",
-    )
-    controller.add_argument(
         "--recovery",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -596,25 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="run the stack-wide invariant check on each /health "
         "(default on; disable when the scrape budget matters)",
-    )
-    controller.add_argument(
-        "--bulk-boot",
-        action="store_true",
-        help="boot through the builder's batched bulk-join fast path",
-    )
-    controller.add_argument(
-        "--topo-scale",
-        type=float,
-        default=0.25,
-        help="transit-stub topology scale (default 0.25)",
-    )
-    controller.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="install the uvloop event-loop policy when available",
-    )
-    controller.add_argument(
-        "--seed", type=int, default=0, help="workload/overlay seed"
     )
     controller.set_defaults(func=cmd_controller)
     sub.add_parser("report", help="rewrite EXPERIMENTS.md from benchmarks/out")\

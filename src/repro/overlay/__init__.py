@@ -11,6 +11,9 @@
   representative per sibling cell at every level, giving O(log N)
   routing and the freedom in neighbor choice that proximity-neighbor
   selection exploits.
+* :mod:`repro.overlay.ring` -- the id-ring substrate the Chord and
+  Pastry ports are geometries over: consistent membership, policy-
+  filled slot tables with lazy repair, routing-stretch measurement.
 * :mod:`repro.overlay.routing` -- route results and path metrics.
 """
 
@@ -21,6 +24,12 @@ from repro.overlay.ecan import (
     NeighborPolicy,
     RandomNeighborPolicy,
 )
+from repro.overlay.ring import (
+    ClosestSlotPolicy,
+    IdRing,
+    RandomSlotPolicy,
+    SlotPolicy,
+)
 from repro.overlay.routing import RouteResult
 from repro.overlay.zone import Zone
 
@@ -28,9 +37,13 @@ __all__ = [
     "CanNode",
     "CanOverlay",
     "ClosestNeighborPolicy",
+    "ClosestSlotPolicy",
     "EcanOverlay",
+    "IdRing",
     "NeighborPolicy",
     "RandomNeighborPolicy",
+    "RandomSlotPolicy",
     "RouteResult",
+    "SlotPolicy",
     "Zone",
 ]

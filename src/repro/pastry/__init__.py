@@ -10,34 +10,23 @@ set of nodes sharing an id prefix, and the appendix prescribes: "we
 can use a prefix of the nodeIds to partition the logical space into
 grids" for map placement.
 
-* :mod:`repro.pastry.ring` -- a Pastry overlay: base-4 digit ids,
-  leaf sets, per-(row, digit) routing tables with pluggable slot
-  choice, standard prefix routing with the leaf-set shortcut.
-* :mod:`repro.pastry.softstate` -- per-prefix-region proximity maps
-  (an id prefix is an aligned ring interval, so placement reuses the
-  1-d landmark-number scaling), plus the landmark+RTT slot policy.
+Like the Chord port, this package is a geometry over the shared ring
+substrate (:mod:`repro.overlay.ring`, :mod:`repro.softstate.ring`):
+
+* :mod:`repro.pastry.ring` -- what makes the ring Pastry: base-4
+  digit ids, leaf sets, per-(row, digit) routing-table slots with
+  pluggable choice, standard prefix routing with the leaf-set shortcut.
+* :mod:`repro.pastry.softstate` -- Pastry's regions: id prefixes (an
+  id prefix is an aligned ring interval, so placement reuses the 1-d
+  landmark-number scaling) and the one region a slot selection queries.
 """
 
-from repro.pastry.ring import (
-    FirstSlotPolicy,
-    PastryRing,
-    RandomSlotPolicy,
-    SlotPolicy,
-)
-from repro.pastry.softstate import (
-    PastryClosestSlotPolicy,
-    PastrySoftState,
-    PastrySoftStateSlotPolicy,
-    build_soft_state_pastry,
-)
+from repro.pastry.ring import FirstSlotPolicy, PastryRing
+from repro.pastry.softstate import PastrySoftState, build_soft_state_pastry
 
 __all__ = [
     "FirstSlotPolicy",
-    "PastryClosestSlotPolicy",
     "PastryRing",
     "PastrySoftState",
-    "PastrySoftStateSlotPolicy",
-    "RandomSlotPolicy",
-    "SlotPolicy",
     "build_soft_state_pastry",
 ]

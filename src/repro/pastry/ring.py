@@ -1,7 +1,11 @@
 """A Pastry overlay with policy-driven routing-table slots.
 
-Ids are integers of ``digits`` base-``2^digit_bits`` digits (default
-16 digits of 2 bits: a 32-bit id space).  Per node:
+The geometry Pastry puts on the shared id-ring substrate
+(:mod:`repro.overlay.ring`: consistent membership, lazy slot repair
+through the policy and charged as ``table_repair``,
+``measure_stretch``).  Ids are integers of ``digits``
+base-``2^digit_bits`` digits (default 16 digits of 2 bits: a 32-bit
+id space).  Per node:
 
 * a **leaf set** -- the ``leaf_span`` numerically closest members on
   each side of the id (derived from the globally consistent member
@@ -10,16 +14,13 @@ Ids are integers of ``digits`` base-``2^digit_bits`` digits (default
   whose id shares the first ``row`` digits with the node and has
   ``digit`` at position ``row``.  *Any* such member qualifies: this
   is the freedom proximity-neighbor selection exploits, abstracted as
-  :class:`SlotPolicy`.
+  :class:`~repro.overlay.ring.SlotPolicy`.
 
 Routing (Rowstron & Druschel, Middleware 2001): if the key falls in
 the leaf-set range, jump to the numerically closest leaf; otherwise
 forward to the slot matching one more prefix digit; if that slot is
 empty, fall back to any known node strictly closer to the key with at
 least as long a shared prefix.  Hop count is O(log_b N).
-
-Stale slots (after churn) are repaired lazily through the policy and
-charged as ``table_repair``, like the other overlays in this library.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-import numpy as np
+from repro.overlay.ring import IdRing, RandomSlotPolicy, SlotPolicy
+from repro.overlay.routing import RouteResult
 
 
 def ring_distance(a: int, b: int, space: int) -> int:
@@ -38,21 +40,12 @@ def ring_distance(a: int, b: int, space: int) -> int:
 
 @dataclass
 class PastryNode:
+    """State of one overlay participant."""
+
     node_id: int
     host: int
     #: (row, digit) -> chosen node id
     table: dict = field(default_factory=dict)
-
-
-class SlotPolicy:
-    """Strategy for filling a routing-table slot."""
-
-    name = "base"
-
-    def select(self, ring: "PastryRing", node_id: int, row: int, digit: int,
-               candidates):
-        """Pick from non-empty ``candidates``; None means 'any'."""
-        raise NotImplementedError
 
 
 class FirstSlotPolicy(SlotPolicy):
@@ -60,65 +53,26 @@ class FirstSlotPolicy(SlotPolicy):
 
     name = "first"
 
-    def select(self, ring, node_id, row, digit, candidates):
+    def select(self, ring, node_id, slot, candidates):
         return min(candidates)
 
 
-class RandomSlotPolicy(SlotPolicy):
-    """The no-proximity baseline: any prefix-matching node."""
-
-    name = "random"
-
-    def __init__(self, rng=None):
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def select(self, ring, node_id, row, digit, candidates):
-        return candidates[int(self.rng.integers(0, len(candidates)))]
-
-
-class PastryRing:
+class PastryRing(IdRing):
     """The Pastry overlay."""
+
+    Node = PastryNode
 
     def __init__(self, digits: int = 16, digit_bits: int = 2, leaf_span: int = 4,
                  network=None, rng=None, stats=None, policy: SlotPolicy = None):
         if digits < 2 or digit_bits < 1:
             raise ValueError("need digits >= 2 and digit_bits >= 1")
+        super().__init__(digits * digit_bits, network, rng, stats, policy)
         self.digits = digits
         self.digit_bits = digit_bits
         self.base = 1 << digit_bits
-        self.bits = digits * digit_bits
-        self.space = 1 << self.bits
         self.leaf_span = leaf_span
-        self.network = network
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.stats = stats
-        self.policy = policy if policy is not None else RandomSlotPolicy(self.rng)
-        self._ids: list = []
-        self.nodes: dict = {}
-        self.observers: list = []
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.nodes
-
-    def _count(self, category: str, n: int = 1) -> None:
-        if self.stats is not None and category is not None and n:
-            self.stats.count(category, n)
-
-    def members(self) -> list:
-        return list(self._ids)
-
-    def random_member(self) -> int:
-        if not self._ids:
-            raise RuntimeError("ring is empty")
-        return self._ids[int(self.rng.integers(0, len(self._ids)))]
-
-    def random_key(self) -> int:
-        return int(self.rng.integers(0, self.space))
+        if policy is None:  # the default draws from the ring's own stream
+            self.policy = RandomSlotPolicy(self.rng)
 
     # -- id arithmetic -------------------------------------------------------
 
@@ -141,11 +95,6 @@ class PastryRing:
         lo = ((prefix << self.digit_bits) | digit) << shift
         return lo, lo + (1 << shift)
 
-    def prefix_members(self, lo: int, hi: int) -> list:
-        i = bisect.bisect_left(self._ids, lo)
-        j = bisect.bisect_left(self._ids, hi)
-        return self._ids[i:j]
-
     def numerically_closest(self, key: int) -> int:
         """The member whose id is circularly closest to ``key``."""
         if not self._ids:
@@ -158,48 +107,6 @@ class PastryRing:
                 best = (gap, candidate)
         return best[1]
 
-    # -- membership ---------------------------------------------------------------
-
-    def join(self, host: int, node_id: int = None) -> int:
-        if node_id is None:
-            while True:
-                node_id = int(self.rng.integers(0, self.space))
-                if node_id not in self.nodes:
-                    break
-        elif node_id in self.nodes:
-            raise ValueError(f"id {node_id} already present")
-        bisect.insort(self._ids, node_id)
-        self.nodes[node_id] = PastryNode(node_id=node_id, host=host)
-        if len(self._ids) > 1:
-            self.route(self.random_member(), node_id, category="join_route")
-        for observer in self.observers:
-            observer("join", node_id)
-        return node_id
-
-    def leave(self, node_id: int) -> None:
-        if node_id not in self.nodes:
-            raise KeyError(f"id {node_id} not present")
-        self._ids.remove(node_id)
-        del self.nodes[node_id]
-        for observer in self.observers:
-            observer("leave", node_id)
-
-    def invalidate_member(self, dead_id: int) -> int:
-        """Eagerly drop every routing-table slot naming ``dead_id``.
-
-        Crash recovery calls this once a death is *confirmed*, instead
-        of leaving each stale slot to be discovered (and charged as
-        ``table_repair``) on first use.  Returns slots removed.
-        """
-        removed = 0
-        for node in self.nodes.values():
-            stale = [s for s, entry in node.table.items() if entry == dead_id]
-            for slot in stale:
-                del node.table[slot]
-            removed += len(stale)
-        self._count("eager_invalidate", removed)
-        return removed
-
     # -- leaf set -------------------------------------------------------------------
 
     def leaf_set(self, node_id: int) -> list:
@@ -209,7 +116,7 @@ class PastryRing:
         n = len(self._ids)
         if n == 1:
             return []
-        i = self._ids.index(node_id)
+        i = bisect.bisect_left(self._ids, node_id)
         span = min(self.leaf_span, (n - 1) // 2 + 1)
         leaves = []
         for offset in range(1, span + 1):
@@ -217,8 +124,7 @@ class PastryRing:
             leaves.append(self._ids[(i - offset) % n])
         return sorted(set(leaves) - {node_id})
 
-    def _in_leaf_range(self, node_id: int, key: int) -> bool:
-        leaves = self.leaf_set(node_id)
+    def _in_leaf_range(self, node_id: int, key: int, leaves: list) -> bool:
         if not leaves:
             return True
         lo = min(leaves + [node_id])
@@ -234,63 +140,37 @@ class PastryRing:
 
     # -- routing table -----------------------------------------------------------------
 
-    def _slot_candidates(self, node_id: int, row: int, digit: int) -> list:
-        lo, hi = self.prefix_interval(node_id, row, digit)
-        return [c for c in self.prefix_members(lo, hi) if c != node_id]
+    def table_of(self, node_id: int) -> dict:
+        return self.nodes[node_id].table
 
-    def _select_slot(self, node_id: int, row: int, digit: int):
-        candidates = self._slot_candidates(node_id, row, digit)
-        if not candidates:
-            return None
-        chosen = self.policy.select(self, node_id, row, digit, candidates)
-        if chosen is None:
-            chosen = min(candidates)
-        self._count("neighbor_select")
-        return chosen
+    def slot_interval(self, node_id: int, slot: tuple) -> tuple:
+        return self.prefix_interval(node_id, *slot)
 
-    def build_table(self, node_id: int, max_rows: int = None) -> None:
+    def build_table(self, node_id: int) -> None:
         """(Re)build the routing table through the policy."""
-        node = self.nodes[node_id]
-        node.table = {}
-        rows = self.digits if max_rows is None else min(max_rows, self.digits)
-        for row in range(rows):
+        table = self.nodes[node_id].table = {}
+        for row in range(self.digits):
             own_digit = self.digit(node_id, row)
             populated = False
             for digit in range(self.base):
                 if digit == own_digit:
                     continue
-                entry = self._select_slot(node_id, row, digit)
+                entry = self._select(node_id, (row, digit))
                 if entry is not None:
-                    node.table[(row, digit)] = entry
+                    table[(row, digit)] = entry
                     populated = True
             if not populated and row > 0:
                 break  # deeper rows are empty once the prefix is unique
 
     def slot(self, node_id: int, row: int, digit: int):
         """Slot entry, lazily repaired when dead or stale."""
-        node = self.nodes[node_id]
-        entry = node.table.get((row, digit))
-        if entry is not None and entry in self.nodes:
-            lo, hi = self.prefix_interval(node_id, row, digit)
-            if lo <= entry < hi:
-                return entry
-        repaired = entry is not None
-        entry = self._select_slot(node_id, row, digit)
-        if entry is None:
-            node.table.pop((row, digit), None)
-            return None
-        if repaired:
-            self._count("table_repair")
-        node.table[(row, digit)] = entry
-        return entry
+        return self.entry(node_id, (row, digit))
 
     # -- routing --------------------------------------------------------------------------
 
     def route(self, start_id: int, key: int, category: str = "pastry_route",
               max_hops: int = None):
         """Prefix routing with leaf-set completion."""
-        from repro.overlay.routing import RouteResult
-
         if start_id not in self.nodes:
             raise KeyError(f"start node {start_id} not present")
         if max_hops is None:
@@ -306,10 +186,10 @@ class PastryRing:
                 result.success = False
                 return result
             next_hop = None
-            if self._in_leaf_range(current, key):
-                leaves = self.leaf_set(current) + [current]
+            leaves = self.leaf_set(current)
+            if self._in_leaf_range(current, key, leaves):
                 closest = min(
-                    leaves,
+                    leaves + [current],
                     key=lambda l: (ring_distance(l, key, self.space), l),
                 )
                 if closest != current:
@@ -328,7 +208,7 @@ class PastryRing:
                 # candidate pool, as in Pastry's rule)
                 row = self.shared_prefix(current, key)
                 gap = ring_distance(current, key, self.space)
-                for candidate in self.leaf_set(current):
+                for candidate in leaves:
                     if candidate in path:
                         continue
                     if (
@@ -346,29 +226,3 @@ class PastryRing:
             self._count(category)
         result.owner = owner
         return result
-
-    # -- metrics -------------------------------------------------------------------------------
-
-    def measure_stretch(self, samples: int, rng=None) -> np.ndarray:
-        """Routing stretch over random member pairs (needs a network)."""
-        if self.network is None:
-            raise RuntimeError("ring has no attached network")
-        if rng is None:
-            rng = self.rng
-        ids = np.array(self._ids)
-        stretches = []
-        attempts = 0
-        while len(stretches) < samples and attempts < 4 * samples:
-            attempts += 1
-            src, dst = rng.choice(ids, size=2, replace=False)
-            result = self.route(int(src), int(dst))
-            if not result.success or result.owner != int(dst):
-                continue
-            hosts = [self.nodes[n].host for n in result.path]
-            direct = self.network.latency(
-                self.nodes[int(src)].host, self.nodes[int(dst)].host
-            )
-            if direct <= 1e-9:
-                continue
-            stretches.append(self.network.path_latency(hosts) / direct)
-        return np.asarray(stretches)

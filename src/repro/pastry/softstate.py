@@ -1,11 +1,13 @@
 """Global soft-state on Pastry: per-prefix maps and slot selection.
 
-A Pastry prefix region is an aligned interval of the id space, so map
-placement is the same 1-dimensional landmark-number scaling used on
-Chord ("use a prefix of the nodeIds to partition the logical space
-into grids", per the appendix): a node's record is stored, for every
-prefix region containing its id, at the region's base id plus the
-scaled landmark number (condensed to a prefix of the region).
+The region geometry Pastry puts on the shared ring engine
+(:mod:`repro.softstate.ring`).  A Pastry prefix region is an aligned
+interval of the id space, so map placement is the same 1-dimensional
+landmark-number scaling used on Chord ("use a prefix of the nodeIds to
+partition the logical space into grids", per the appendix): a node's
+record is stored, for every prefix region containing its id, at the
+region's base id plus the scaled landmark number (condensed to a
+prefix of the region).
 
 The slot policy then mirrors eCAN's: to fill slot ``(row, digit)``, a
 node looks up the map of the corresponding prefix region under its
@@ -17,30 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.pastry.ring import PastryRing, SlotPolicy
-from repro.softstate.records import NodeRecord
+from repro.pastry.ring import FirstSlotPolicy, PastryRing
+from repro.softstate.ring import RingSoftState, build_soft_state_overlay
 
 
-class PastrySoftState:
+class PastrySoftState(RingSoftState):
     """Publish / lookup proximity records over prefix regions."""
-
-    def __init__(self, ring: PastryRing, network, space,
-                 condense_rate: float = 1.0 / 16.0, max_results: int = 16):
-        self.ring = ring
-        self.network = network
-        self.space = space  # LandmarkSpace
-        self.condense_rate = condense_rate
-        self.max_results = max_results
-        self.registry: dict = {}
-        #: region (row, prefix value) -> {node id -> (record, map key)}
-        self.maps: dict = {}
-        ring.observers.append(self._on_ring_event)
-
-    def _on_ring_event(self, event: str, node_id: int) -> None:
-        if event == "leave":
-            self.withdraw(node_id, charge=False)
-
-    # -- regions -------------------------------------------------------------
 
     def useful_rows(self) -> range:
         """Prefix lengths whose regions hold more than a node or two."""
@@ -53,136 +37,20 @@ class PastrySoftState:
         shift = self.ring.bits - row * self.ring.digit_bits
         return (row, node_id >> shift)
 
+    def regions_of(self, node_id: int) -> list:
+        return [self.region_of(node_id, row) for row in self.useful_rows()]
+
     def region_bounds(self, region: tuple) -> tuple:
         row, prefix = region
         shift = self.ring.bits - row * self.ring.digit_bits
         lo = prefix << shift
         return lo, lo + (1 << shift)
 
-    def map_key(self, landmark_number: int, region: tuple) -> int:
-        lo, hi = self.region_bounds(region)
-        span = max(1, int((hi - lo) * self.condense_rate))
-        return lo + int(landmark_number / self.space.number_range * span)
-
-    def regions_of(self, node_id: int) -> list:
-        return [self.region_of(node_id, row) for row in self.useful_rows()]
-
-    # -- publish / withdraw -----------------------------------------------------
-
-    def register_identity(self, node_id: int, host: int, landmark_vector) -> NodeRecord:
-        vector = tuple(float(x) for x in landmark_vector)
-        record = NodeRecord(
-            node_id=node_id,
-            host=host,
-            landmark_vector=vector,
-            landmark_number=self.space.number(np.asarray(vector)),
-        )
-        self.registry[node_id] = record
-        return record
-
-    def publish(self, node_id: int, charge: bool = True) -> int:
-        record = self.registry[node_id]
-        wanted = set(self.regions_of(node_id))
-        for region in [r for r in self.maps if node_id in self.maps[r]]:
-            if region not in wanted:
-                self.maps[region].pop(node_id, None)
-                if not self.maps[region]:
-                    del self.maps[region]
-        for region in sorted(wanted):
-            key = self.map_key(record.landmark_number, region)
-            self.maps.setdefault(region, {})[node_id] = (record, key)
-            if charge:
-                self.ring.route(node_id, key, category="softstate_publish")
-        return len(wanted)
-
-    def withdraw(self, node_id: int, charge: bool = True) -> int:
-        removed = 0
-        for region in list(self.maps):
-            if self.maps[region].pop(node_id, None) is not None:
-                removed += 1
-                if charge:
-                    self.network.stats.count("softstate_withdraw")
-            if not self.maps[region]:
-                del self.maps[region]
-        self.registry.pop(node_id, None)
-        return removed
-
-    # -- lookup --------------------------------------------------------------------
-
-    def lookup(self, querier_id: int, region: tuple, max_results: int = None,
-               charge: bool = True) -> list:
-        if max_results is None:
-            max_results = self.max_results
-        own = self.registry[querier_id]
-        key = self.map_key(own.landmark_number, region)
-        if charge:
-            self.ring.route(querier_id, key, category="softstate_lookup")
-        bucket = self.maps.get(region, {})
-        records = [
-            rec for node_id, (rec, _k) in bucket.items()
-            if node_id != querier_id and node_id in self.ring.nodes
-        ]
-        if not records:
-            return []
-        own_vector = np.asarray(own.landmark_vector)
-        vectors = np.array([r.landmark_vector for r in records])
-        order = np.argsort(
-            np.linalg.norm(vectors - own_vector, axis=1), kind="stable"
-        )
-        return [records[i] for i in order[:max_results]]
-
-
-class PastryClosestSlotPolicy(SlotPolicy):
-    """Oracle: the physically closest prefix-matching node."""
-
-    name = "optimal"
-
-    def __init__(self, network):
-        self.network = network
-
-    def select(self, ring, node_id, row, digit, candidates):
-        host = ring.nodes[node_id].host
-        return min(
-            candidates,
-            key=lambda c: (self.network.latency(host, ring.nodes[c].host), c),
-        )
-
-
-class PastrySoftStateSlotPolicy(SlotPolicy):
-    """The paper's technique on Pastry: map lookup + RTT confirmation."""
-
-    name = "softstate"
-
-    def __init__(self, softstate: PastrySoftState, network, rtt_budget: int = 10):
-        self.softstate = softstate
-        self.network = network
-        self.rtt_budget = rtt_budget
-        self._selecting = False
-
-    def select(self, ring, node_id, row, digit, candidates):
-        if self._selecting or node_id not in self.softstate.registry:
-            return None
-        lo, hi = ring.prefix_interval(node_id, row, digit)
-        region = (row + 1, lo >> (ring.bits - (row + 1) * ring.digit_bits))
-        self._selecting = True
-        try:
-            records = self.softstate.lookup(node_id, region)
-        finally:
-            self._selecting = False
-        usable = [
-            r for r in records
-            if r.node_id != node_id and r.node_id in ring.nodes
-            and lo <= r.node_id < hi
-        ]
-        if not usable:
-            return None
-        host = ring.nodes[node_id].host
-        best = None
-        for record in usable[: self.rtt_budget]:
-            rtt = self.network.rtt(host, record.host, category="neighbor_probe")
-            if best is None or (rtt, record.node_id) < best:
-                best = (rtt, record.node_id)
-        return best[1]
+    def slot_regions(self, node_id: int, slot: tuple) -> tuple:
+        # a slot's candidates are exactly one prefix region, one digit deeper
+        row, digit = slot
+        lo, _hi = self.ring.prefix_interval(node_id, row, digit)
+        return (self.region_of(lo, row + 1),)
 
 
 def build_soft_state_pastry(
@@ -197,47 +65,10 @@ def build_soft_state_pastry(
 ):
     """Assemble a Pastry overlay with the chosen slot policy.
 
-    Returns ``(ring, softstate)``; ``softstate`` is None unless the
-    soft-state policy is selected.
+    ``policy_name`` is ``first``, ``random``, ``softstate`` or
+    ``optimal``; see :func:`~repro.softstate.ring.build_soft_state_overlay`.
     """
-    from repro.pastry.ring import FirstSlotPolicy, RandomSlotPolicy
-    from repro.proximity.landmarks import LandmarkSpace, select_landmarks
-
-    seeds = np.random.SeedSequence(seed).spawn(4)
-    ring_rng = np.random.default_rng(seeds[0])
-    host_rng = np.random.default_rng(seeds[1])
-    landmark_rng = np.random.default_rng(seeds[2])
-    policy_rng = np.random.default_rng(seeds[3])
-
-    ring = PastryRing(digits=digits, network=network, rng=ring_rng,
-                      stats=network.stats)
-    landmark_set = select_landmarks(network, landmarks, landmark_rng)
-    space = LandmarkSpace(landmark_set)
-    softstate = PastrySoftState(ring, network, space)
-
-    if policy_name == "random":
-        ring.policy = RandomSlotPolicy(policy_rng)
-    elif policy_name == "first":
-        ring.policy = FirstSlotPolicy()
-    elif policy_name == "optimal":
-        ring.policy = PastryClosestSlotPolicy(network)
-    elif policy_name == "softstate":
-        ring.policy = PastrySoftStateSlotPolicy(softstate, network, rtt_budget)
-    else:
-        raise ValueError(f"unknown slot policy {policy_name!r}")
-
-    hosts = network.sample_hosts(num_nodes, host_rng)
-    for host in hosts:
-        node_id = ring.join(int(host))
-        if policy_name == "softstate":
-            vector = space.measure(network, int(host))
-            softstate.register_identity(node_id, int(host), vector)
-            softstate.publish(node_id)
-        ring.build_table(node_id)
-    if converge:
-        if policy_name == "softstate":
-            for node_id in ring.members():
-                softstate.publish(node_id)
-        for node_id in ring.members():
-            ring.build_table(node_id)
-    return ring, (softstate if policy_name == "softstate" else None)
+    return build_soft_state_overlay(
+        PastryRing, PastrySoftState, FirstSlotPolicy(), network, num_nodes,
+        landmarks, policy_name, rtt_budget, seed, converge, digits=digits,
+    )

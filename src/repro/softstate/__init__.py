@@ -19,6 +19,9 @@ close nodes sit logically close:
   policies: reactive purge, periodic polling, proactive deregistration.
 * :mod:`repro.softstate.neighbor_selection` -- proximity-neighbor
   selection through the maps: landmark pre-selection + RTT probes.
+* :mod:`repro.softstate.ring` -- the same technique on an id ring
+  (regions are aligned id intervals, the landmark number is the key):
+  the engine the Chord and Pastry ports supply their geometry to.
 """
 
 from repro.softstate.maintenance import MaintenanceDriver, MaintenancePolicy
@@ -26,6 +29,11 @@ from repro.softstate.maps import Region, map_position, regions_of_zone
 from repro.softstate.neighbor_selection import SoftStateNeighborPolicy
 from repro.softstate.pubsub import Condition, PubSubService, Subscription
 from repro.softstate.records import NodeRecord
+from repro.softstate.ring import (
+    RingSoftState,
+    SoftStateSlotPolicy,
+    build_soft_state_overlay,
+)
 from repro.softstate.store import SoftStateStore
 
 __all__ = [
@@ -35,9 +43,12 @@ __all__ = [
     "NodeRecord",
     "PubSubService",
     "Region",
+    "RingSoftState",
     "SoftStateNeighborPolicy",
+    "SoftStateSlotPolicy",
     "SoftStateStore",
     "Subscription",
+    "build_soft_state_overlay",
     "map_position",
     "regions_of_zone",
 ]
