@@ -474,28 +474,11 @@ class RecoveryManager:
     # -- partition-heal reconciliation -------------------------------------
 
     def republish_lost(self) -> int:
-        """Subjects of crash-lost records re-publish (charged as publish
-        + ``recovery_republish`` bookkeeping).  Returns records restored.
-
-        Gated on the store's crash-loss ledger so a record purged by
-        lease expiry stays gone until its subject refreshes it.
+        """Subjects of crash-lost records re-publish
+        (:meth:`~repro.softstate.store.SoftStateStore.republish_lost`).
+        Returns records restored.
         """
-        overlay = self.overlay
-        store = overlay.store
-        members = overlay.ecan.can.nodes
-        restored = 0
-        for node_id in sorted({n for _, n in store.lost_records}):
-            if node_id not in members:
-                continue
-            if store.missing_regions(node_id):
-                store.publish(node_id)
-                self.network.stats.count("recovery_republish")
-                restored += 1
-        store.lost_records = [
-            (region, n)
-            for region, n in store.lost_records
-            if n in members and store.missing_regions(n)
-        ]
+        restored = len(self.overlay.store.republish_lost())
         self.republished += restored
         return restored
 

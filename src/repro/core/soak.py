@@ -21,7 +21,8 @@ join/leave/crash/partition churn on the simulated clock;
 :class:`~repro.runtime.cluster.Cluster` over the wire, measuring
 lookup availability through a kill-33%-of-nodes event.  Both record
 rounds-to-convergence per corruption class -- the bound the
-``ext_churn_soak`` bench and the ``soak-smoke`` CI gate assert on.
+``ext_churn_soak`` bench and the ``soak`` scenario of
+``scripts/smoke.py`` assert on.
 """
 
 from __future__ import annotations

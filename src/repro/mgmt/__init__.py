@@ -17,8 +17,8 @@ stdlib asyncio HTTP server on the same event loop:
   with per-zone load shading and expressway chords.
 
 Boot one from the CLI with ``repro controller`` (or add
-``--status-port`` to ``repro cluster``); gate it in CI with
-``make mgmt-smoke``.
+``--status-port`` to ``repro cluster``); CI gates it with the
+``mgmt`` scenario of ``scripts/smoke.py`` (``make smoke``).
 """
 
 from repro.mgmt.controller import Controller, ControllerConfig

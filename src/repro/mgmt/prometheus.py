@@ -11,8 +11,9 @@ The parser is the validation half: it re-reads an exposition
 strictly -- families must be declared before their samples, types
 must be known, label syntax and float values must parse, duplicate
 samples are rejected -- and returns the samples grouped by family.
-The endpoint tests and ``scripts/mgmt_smoke.py`` run every ``/metrics``
-response through it, so a malformed exposition can not ship silently.
+The endpoint tests and the ``mgmt`` scenario of ``scripts/smoke.py``
+run every ``/metrics`` response through it, so a malformed exposition
+can not ship silently.
 """
 
 from __future__ import annotations

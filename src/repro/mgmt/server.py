@@ -10,8 +10,8 @@ it).  Handler exceptions become a 500 with a JSON body instead of a
 torn connection.
 
 The module also ships :func:`http_get`, the matching minimal client,
-so the endpoint tests and ``scripts/mgmt_smoke.py`` exercise the real
-socket path without pulling in an HTTP library.
+so the endpoint tests and the ``mgmt`` scenario of ``scripts/smoke.py``
+exercise the real socket path without pulling in an HTTP library.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class HttpServer:
 async def http_get(host: str, port: int, path: str, timeout: float = 10.0):
     """Minimal HTTP GET: returns ``(status, headers, body_bytes)``.
 
-    A real-socket client for tests and smoke scripts; speaks exactly
+    A real-socket client for tests and the smoke runner; speaks exactly
     the ``Connection: close`` dialect the server serves, so the body
     is simply everything until EOF.
     """

@@ -9,9 +9,10 @@ Every message on the wire is one *frame*::
       2 B    1 B    1 B       8 B (BE)     4 B (BE)    pay_len B
 
 A fixed :data:`MAGIC` guards against cross-protocol traffic, the
-version byte rejects frames from a newer writer, and
-:data:`MAX_PAYLOAD` caps a frame so a corrupt (or hostile) length
-field can never make a reader buffer gigabytes.
+version byte rejects frames from any other protocol version (a reader
+accepts exactly :data:`WIRE_VERSION`), and :data:`MAX_PAYLOAD` caps a
+frame so a corrupt (or hostile) length field can never make a reader
+buffer gigabytes.
 
 The payload travels in one of two encodings, discriminated by the
 :data:`PACKED_FLAG` bit of the type byte:
@@ -24,38 +25,30 @@ The payload travels in one of two encodings, discriminated by the
   justified for them yet.  The bare ``{"src"}`` PUBLISH *request* is
   listed with them for a different reason: a node only ever addresses
   it to itself, and a self-addressed frame skips the codec altogether.
-* **packed** (flag set, wire version >= 2) -- the data plane (ROUTE,
-  LOOKUP and every ACK answering a ``lookup`` / ``route`` /
-  ``lookup_map`` / ``publish`` RPC) carries points, paths and integer
-  ids, so its payloads pack into fixed struct layouts through the
-  same :mod:`struct` machinery as the header: no JSON stringification
-  per hop.  Packing is decided at encode time -- a payload outside its
-  packed schema (extra keys, out-of-range ids, non-float coordinates)
-  falls back to JSON -- and lossless:
-  ``decode(encode(p, packed=True)) == p``.  The runtime itself never
-  produces such a payload on the data plane (``tests/runtime`` spies
-  on :func:`pack_payload` to keep it so); the fallback exists for
-  foreign writers, not as a second path.
+* **packed** (flag set) -- the data plane (ROUTE, LOOKUP and every ACK
+  answering a ``lookup`` / ``route`` / ``lookup_map`` / ``publish``
+  RPC) carries points, paths and integer ids, so its payloads pack
+  into fixed struct layouts through the same :mod:`struct` machinery
+  as the header: no JSON stringification per hop.  Packing is decided
+  at encode time -- a payload outside its packed schema (extra keys,
+  out-of-range ids, non-float coordinates) falls back to JSON -- and
+  lossless: ``decode(encode(p, packed=True)) == p``.  The runtime
+  itself never produces such a payload on the data plane
+  (``tests/runtime`` spies on :func:`pack_payload` to keep it so); the
+  fallback exists for foreign writers, not as a second path.
 
-Version 1 readers never see packed frames they cannot parse (the flag
-bit doubles as an unknown-type byte there), and version 2 readers
-accept v1 JSON frames unchanged, so the bump is compatible.
-
-Version 3 adds one frame kind: **BUSY**, an overload-shed
-notification correlated to the request it sheds (see
-:mod:`repro.runtime.node` -- a full data-lane mailbox drops a frame
-and answers BUSY so the requester backs off instead of waiting out a
-timeout).  BUSY always rides as JSON.  The header layout, the packed
-schemas and every v1/v2 frame are unchanged, so v3 readers decode
-v2 (and v1) traffic byte-for-byte; a v2 reader that receives a BUSY
-frame rejects only that frame's type byte, exactly as it rejects any
-other unknown kind.  Two packed schemas have grown inside v3 without
-a bump, both value-compatible: the map-read triple carries
-``widened`` as the ring count the store produces (0..127, in the bits
-of its flags byte above the old boolean, so an old ``True`` decodes
-as 1), and the ``{"regions", "node_id"}`` ACK of a PUBLISH has a
-packed tag of its own (an older v3 reader rejects that one frame's
-tag, as it would any unknown one).
+Version 3 is the only version on the wire.  Besides the frame kinds
+above it carries **BUSY**, an overload-shed notification correlated to
+the request it sheds (see :mod:`repro.runtime.node` -- a full
+data-lane mailbox drops a frame and answers BUSY so the requester
+backs off instead of waiting out a timeout); BUSY always rides as
+JSON.  Two packed schemas have grown inside v3 without a bump, both
+value-compatible: the map-read triple carries ``widened`` as the ring
+count the store produces (0..127, in the bits of its flags byte above
+the old boolean, so an old ``True`` decodes as 1), and the
+``{"regions", "node_id"}`` ACK of a PUBLISH has a packed tag of its
+own (an older v3 reader rejects that one frame's tag, as it would any
+unknown one).
 
 Decoding is strict: bad magic, unknown version or message type, an
 oversized length, malformed JSON, a malformed packed layout, or a
@@ -80,9 +73,6 @@ MAGIC = b"RW"
 
 #: wire format version (bump on any incompatible header/payload change)
 WIRE_VERSION = 3
-
-#: oldest version this build still decodes (v1 frames are plain JSON)
-MIN_WIRE_VERSION = 1
 
 #: type-byte bit marking a struct-packed (non-JSON) payload
 PACKED_FLAG = 0x80
@@ -474,14 +464,13 @@ def _parse_header(buffer, offset: int = 0) -> tuple:
     )
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r} (want {MAGIC!r})")
-    if not MIN_WIRE_VERSION <= version <= WIRE_VERSION:
+    if version != WIRE_VERSION:
         raise ProtocolError(
             f"unsupported wire version {version} (this build speaks {WIRE_VERSION})"
         )
     packed = type_byte & PACKED_FLAG
     kind = _MSG_BY_BYTE.get(type_byte & ~PACKED_FLAG)
-    if kind is None or (packed and version < 2):
-        # v1 had no packed flag, so a flagged v1 byte is just unknown
+    if kind is None:
         raise ProtocolError(f"unknown message type {type_byte}")
     if length > MAX_PAYLOAD:
         raise ProtocolError(

@@ -198,36 +198,12 @@ class MaintenanceDriver:
                 )
         removed += self.store.expire_stale()
         self.purged += removed
-        self._republish_lost()
+        restored = self.store.republish_lost()
+        self.republished += len(restored)
+        if telemetry is not None:
+            for node_id in restored:
+                telemetry.emit("republish", node_id=node_id)
         return removed
-
-    def _republish_lost(self) -> int:
-        """Still-live subjects of crash-lost records re-publish them --
-        soft-state durability's last line of defence.
-
-        Only records in the store's crash-loss ledger qualify: a record
-        purged by *lease expiry* must stay gone until its subject
-        refreshes it, not be resurrected by the sweep.
-        """
-        telemetry = self._telemetry
-        store = self.store
-        restored = 0
-        for node_id in sorted({n for _, n in store.lost_records}):
-            if node_id not in self.ecan.can.nodes:
-                continue
-            if store.missing_regions(node_id):
-                store.publish(node_id)
-                self.network.stats.count("recovery_republish")
-                restored += 1
-                if telemetry is not None:
-                    telemetry.emit("republish", node_id=node_id)
-        store.lost_records = [
-            (region, n)
-            for region, n in store.lost_records
-            if n in self.ecan.can.nodes and store.missing_regions(n)
-        ]
-        self.republished += restored
-        return restored
 
     def stale_entries(self) -> int:
         """Records in the maps whose nodes are no longer overlay members."""

@@ -598,6 +598,30 @@ class SoftStateStore:
                 rehosted += 1
         return rehosted
 
+    def republish_lost(self) -> list:
+        """Still-live subjects of crash-lost records re-publish them --
+        soft-state durability's last line of defence.  Returns the
+        subject ids restored, each charged as a publish plus one
+        ``recovery_republish`` count.
+
+        Only records in the crash-loss ledger (:attr:`lost_records`)
+        qualify: a record purged by *lease expiry* must stay gone until
+        its subject refreshes it, not be resurrected by a sweep.
+        """
+        members = self.ecan.can.nodes
+        restored = []
+        for node_id in sorted({n for _, n in self.lost_records}):
+            if node_id in members and self.missing_regions(node_id):
+                self.publish(node_id)
+                self.network.stats.count("recovery_republish")
+                restored.append(node_id)
+        self.lost_records = [
+            (region, n)
+            for region, n in self.lost_records
+            if n in members and self.missing_regions(n)
+        ]
+        return restored
+
     def missing_regions(self, node_id: int) -> list:
         """Regions that should hold the node's record but do not.
 
