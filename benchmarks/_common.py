@@ -4,23 +4,19 @@ Each bench regenerates one paper figure's rows, prints them (visible
 with ``pytest benchmarks/ -s`` or on the captured-output section of a
 failure) and writes them under ``benchmarks/out/``:
 
-* ``<name>.txt`` -- the aligned table EXPERIMENTS.md is assembled from;
-* ``<name>.json`` -- a schema-versioned perf record (see
-  ``benchmarks/schema.json``): parameters, seed, simulated and wall
-  time, the :class:`~repro.netsim.network.MessageStats` breakdown,
-  telemetry event/phase deltas, the raw rows and bootstrap summary
-  statistics.  ``scripts/bench_report.py`` merges the records into the
-  repo-root ``BENCH_core.json`` / ``BENCH_ext.json`` trajectory files.
+* ``<name>.txt`` -- the aligned table, every column included (ignored
+  by git; ``benchmarks/results_medium/`` archives the set
+  EXPERIMENTS.md is assembled from);
+* ``<name>.json`` -- the committed record (shape checked by
+  ``scripts/bench_report.py``): parameters, seed, the raw rows and
+  their bootstrap summary.
 
-Measurement is delta-based: the autouse fixture in
-``benchmarks/conftest.py`` snapshots every live
-:class:`~repro.netsim.network.Network` (stats, telemetry, sim clock)
-when a bench starts, and :func:`emit` charges the record with exactly
-what happened since -- memoised networks shared across benches
-therefore do not leak counts between records.  All deterministic
-fields of a record are byte-stable across same-seed runs; wall-clock
-durations live only under keys prefixed ``wall`` so trajectories can
-be compared modulo wall time (``bench_report.strip_wall``).
+A record holds only what a same-seed run reproduces byte for byte, so
+``git diff -- benchmarks/out`` after a bench run is an exact regression
+check.  Wall-clock measurements (and counts that depend on a wall-clock
+race) live under keys prefixed ``wall``; :func:`emit` prints them but
+drops them from the JSON.  A bench whose point is a message bill reads
+it from its own network into a row column.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-import time
 
 import numpy as np
 
@@ -36,80 +31,18 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 SCHEMA_VERSION = 1
 
-#: snapshot of every live network taken when the current bench started
-#: (installed by the autouse fixture in ``benchmarks/conftest.py``)
-_BASELINE = None
 
-
-def begin_measurement() -> None:
-    """Snapshot all live networks; deltas are charged by :func:`emit`."""
-    global _BASELINE
-    from repro.netsim.network import Network
-
-    _BASELINE = {
-        "wall_start": time.perf_counter(),
-        "networks": {
-            net.created_seq: {
-                "stats": net.stats.snapshot(),
-                "telemetry": net.telemetry.snapshot(),
-                "sim_ms": net.clock.now,
-            }
-            for net in Network.instances()
-        },
-    }
-
-
-def end_measurement() -> None:
-    global _BASELINE
-    _BASELINE = None
-
-
-def measure() -> dict:
-    """What every live network did since :func:`begin_measurement`.
-
-    Networks created mid-bench (absent from the baseline) contribute
-    their full totals.  Aggregation order is creation order, so float
-    sums are deterministic.
-    """
-    from repro.core.telemetry import diff_snapshots
-    from repro.netsim.network import Network
-
-    baseline = _BASELINE or {"wall_start": None, "networks": {}}
-    message_stats: dict = {}
-    events: dict = {}
-    counters: dict = {}
-    phases: dict = {}
-    sim_ms = 0.0
-    for net in Network.instances():
-        base = baseline["networks"].get(net.created_seq, {})
-        for category, n in net.stats.delta(base.get("stats", {})).items():
-            message_stats[category] = message_stats.get(category, 0) + n
-        delta = diff_snapshots(net.telemetry.snapshot(), base.get("telemetry"))
-        for kind, n in delta["events"].items():
-            events[kind] = events.get(kind, 0) + n
-        for name, n in delta["counters"].items():
-            counters[name] = counters.get(name, 0) + n
-        for name, acc in delta["phases"].items():
-            slot = phases.setdefault(
-                name, {"sim_ms": 0.0, "entries": 0, "wall_s": 0.0}
-            )
-            for part in slot:
-                slot[part] += acc[part]
-        sim_ms += net.clock.now - base.get("sim_ms", 0.0)
-    wall_start = baseline.get("wall_start")
-    wall_s = (
-        time.perf_counter() - wall_start if wall_start is not None else 0.0
-    )
-    return {
-        "message_stats": message_stats,
-        "telemetry": {
-            "counters": counters,
-            "events": events,
-            "phases": phases,
-        },
-        "sim_ms": sim_ms,
-        "wall_s": wall_s,
-    }
+def drop_wall(value):
+    """Clone with every key starting with ``wall`` removed, at any depth."""
+    if isinstance(value, dict):
+        return {
+            k: drop_wall(v)
+            for k, v in value.items()
+            if not str(k).startswith("wall")
+        }
+    if isinstance(value, (list, tuple)):
+        return [drop_wall(v) for v in value]
+    return value
 
 
 def _jsonable(value):
@@ -186,10 +119,13 @@ def emit(
 ) -> str:
     """Print and persist one figure's regenerated series.
 
-    Besides the legacy ``<name>.txt`` table, writes ``<name>.json``
-    with the full perf record when ``rows`` are given (the usual
-    case); benches pass the runner parameters that shaped the cell in
-    ``params``.
+    ``<name>.txt`` gets the table as printed; when ``rows`` are given
+    (the usual case) ``<name>.json`` gets the record, with the runner
+    parameters that shaped the cell in ``params``.  The summary is
+    drawn over every column and the ``wall*`` ones dropped afterwards:
+    the seeded bootstrap spends its draws by column order and sample
+    size, never by value, so the surviving intervals do not depend on
+    what a wall column measured.
     """
     text = f"== {title} ==\n{body}\n"
     print(f"\n{text}")
@@ -205,6 +141,5 @@ def emit(
             "rows": list(rows),
             "summary": summarize_rows(rows, seed=seed),
         }
-        record.update(measure())
-        (OUT_DIR / f"{name}.json").write_text(canonical_json(record))
+        (OUT_DIR / f"{name}.json").write_text(canonical_json(drop_wall(record)))
     return text

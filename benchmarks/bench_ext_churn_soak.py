@@ -1,7 +1,7 @@
 """Churn-soak benchmark: self-stabilization bounds for both modes.
 
 Not a paper figure -- this records the self-stabilization trajectory
-of the recovery stack in BENCH_ext.json, at the acceptance sizes: the
+of the recovery stack, at the acceptance sizes: the
 simulated overlay at 1024 nodes and the live loopback cluster at 256
 nodes, each put through continuous join/leave/crash (+ partition)
 churn with one adversarial corruption class per epoch (scrambled
@@ -14,8 +14,8 @@ false-purge counts that must stay zero.
 The sim rows run on the simulated clock and are byte-stable per seed;
 every live-mode quantity that depends on wall-clock races (rounds,
 availability, corruption placement, retry traffic) lives under a
-``wall``-prefixed key per the trajectory contract
-(``bench_report.strip_wall``).
+``wall``-prefixed key, which ``_common.emit`` prints but keeps out of
+the committed record.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Overload benchmark: goodput and safety past the saturation knee.
 
-Not a paper figure -- this records the overload-protection trajectory
-of the live runtime in BENCH_ext.json.  One loopback cluster boots
+Not a paper figure -- this exercises the overload protection of the
+live runtime past its knee.  One loopback cluster boots
 with small data-lane mailboxes and the SWIM recovery stack armed,
 then takes a closed-loop sweep: worker pools holding 0.5x, 1x, 2x and
 4x the capacity-probe concurrency in flight.  (A closed loop is the
@@ -26,9 +26,10 @@ pins:
   count past the knee.
 
 Goodput, latency, shed and breaker columns depend on wall-clock races
-so they live under ``wall``-prefixed keys per the trajectory contract
-(``bench_report.strip_wall``); the deterministic columns are the
-multiplier/concurrency grid and the protection knobs.
+so they live under ``wall``-prefixed keys, which ``_common.emit``
+prints but keeps out of the committed record; what is committed is the
+multiplier/concurrency grid and the protection knobs the assertions
+below were judged under.
 """
 
 from __future__ import annotations

@@ -1,213 +1,122 @@
-"""Merge per-bench JSON records into the repo-root perf trajectory.
+"""Validate the per-bench JSON records under ``benchmarks/out/``.
 
-Each bench run leaves one schema-versioned record per bench under
-``benchmarks/out/*.json`` (written by ``benchmarks/_common.emit``).
-This script folds them into two repo-root files that are checked in,
-so the perf trajectory of the project travels with its history:
-
-* ``BENCH_core.json`` -- the paper-figure benches;
-* ``BENCH_ext.json``  -- the extension benches (``ext_*`` records).
-
-Every record (and the merged files) is validated against
-``benchmarks/schema.json`` -- a small built-in validator covering the
-JSON-Schema subset the schema uses, so no extra dependency is needed.
+Each bench run leaves one record per bench there (written by
+``benchmarks/_common.emit``): exactly the seven keys of
+:data:`RECORD_FIELDS`, holding only what a same-seed run reproduces
+byte for byte -- so no key starting with ``wall`` at any depth.  The
+records are committed, and ``git diff --exit-code -- benchmarks/out``
+after a bench run (``make ci``) is the regression gate; this script
+only checks their shape and writes nothing.
 
 Usage::
 
-    python scripts/bench_report.py            # validate + merge
-    python scripts/bench_report.py --check    # validate only (CI gate)
-
-Two same-seed runs produce byte-identical records except for
-wall-clock durations, which live only under keys prefixed ``wall``;
-:func:`strip_wall` removes them for such comparisons.
+    python scripts/bench_report.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT_DIR = REPO_ROOT / "benchmarks" / "out"
-SCHEMA_PATH = REPO_ROOT / "benchmarks" / "schema.json"
 
 SCHEMA_VERSION = 1
 
-TARGETS = {
-    "core": REPO_ROOT / "BENCH_core.json",
-    "ext": REPO_ROOT / "BENCH_ext.json",
+#: the whole record: key -> JSON type
+RECORD_FIELDS = {
+    "schema_version": int,
+    "name": str,
+    "title": str,
+    "params": dict,
+    "seed": int,
+    "rows": list,
+    "summary": dict,
 }
 
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-    "boolean": bool,
-    "null": type(None),
-}
+#: one ``summary`` entry: mean and bootstrap 95% CI over ``n`` values
+CI_FIELDS = ("mean", "lo", "hi", "n")
 
 
-def validate(instance, schema: dict, root: dict = None, path: str = "$") -> list:
-    """Errors of ``instance`` against the JSON-Schema subset we use.
-
-    Supports: ``type``, ``enum``, ``required``, ``properties``,
-    ``additionalProperties`` (schema form), ``items`` and local
-    ``$ref`` (``#/definitions/...``).  Returns a list of error
-    strings; empty means valid.
-    """
-    root = root if root is not None else schema
-    ref = schema.get("$ref")
-    if ref is not None:
-        target = root
-        for part in ref.lstrip("#/").split("/"):
-            target = target[part]
-        return validate(instance, target, root, path)
-
-    errors = []
-    expected = schema.get("type")
-    if expected is not None:
-        names = expected if isinstance(expected, list) else [expected]
-        ok = any(
-            isinstance(instance, _TYPES[name])
-            and not (name in ("integer", "number") and isinstance(instance, bool))
-            for name in names
-        )
-        if not ok:
-            return [f"{path}: expected {expected}, got {type(instance).__name__}"]
-    if "enum" in schema and instance not in schema["enum"]:
-        errors.append(f"{path}: {instance!r} not in {schema['enum']!r}")
-    if isinstance(instance, dict):
-        for key in schema.get("required", ()):
-            if key not in instance:
-                errors.append(f"{path}: missing required key {key!r}")
-        properties = schema.get("properties", {})
-        extra = schema.get("additionalProperties")
-        for key, value in instance.items():
-            if key in properties:
-                errors.extend(
-                    validate(value, properties[key], root, f"{path}.{key}")
-                )
-            elif isinstance(extra, dict):
-                errors.extend(validate(value, extra, root, f"{path}.{key}"))
-    if isinstance(instance, list) and "items" in schema:
-        for i, value in enumerate(instance):
-            errors.extend(validate(value, schema["items"], root, f"{path}[{i}]"))
-    return errors
+def _is(value, kind) -> bool:
+    """``isinstance`` that does not take a bool for a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def strip_wall(value):
-    """Clone with every key starting with ``wall`` removed, recursively.
-
-    Applying this to two same-seed records must yield byte-identical
-    canonical JSON -- the determinism contract of the bench layer.
-    """
+def wall_keys(value, path: str = "$") -> list:
+    """Paths of every key starting with ``wall``, at any depth."""
+    found = []
     if isinstance(value, dict):
-        return {
-            k: strip_wall(v)
-            for k, v in value.items()
-            if not str(k).startswith("wall")
-        }
-    if isinstance(value, list):
-        return [strip_wall(v) for v in value]
-    return value
+        for key, child in value.items():
+            if key.startswith("wall"):
+                found.append(f"{path}.{key}")
+            else:
+                found.extend(wall_keys(child, f"{path}.{key}"))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            found.extend(wall_keys(child, f"{path}[{i}]"))
+    return found
 
 
-def load_schema() -> dict:
-    return json.loads(SCHEMA_PATH.read_text())
+def check_record(record: dict) -> list:
+    """Shape errors of one record as strings; empty means valid."""
+    errors = [
+        f"missing required key {key!r}"
+        for key in RECORD_FIELDS
+        if key not in record
+    ]
+    errors.extend(
+        f"unexpected key {key!r}" for key in record if key not in RECORD_FIELDS
+    )
+    for key, kind in RECORD_FIELDS.items():
+        if key in record and not _is(record[key], kind):
+            errors.append(
+                f"{key}: expected {kind.__name__}, "
+                f"got {type(record[key]).__name__}"
+            )
+    if errors:
+        return errors
+    if record["schema_version"] != SCHEMA_VERSION:
+        errors.append(
+            f"schema_version: {record['schema_version']!r} is not {SCHEMA_VERSION}"
+        )
+    for i, row in enumerate(record["rows"]):
+        if not isinstance(row, dict):
+            errors.append(f"rows[{i}]: expected dict, got {type(row).__name__}")
+    for column, ci in record["summary"].items():
+        if not isinstance(ci, dict) or not all(
+            _is(ci.get(part), (int, float)) for part in CI_FIELDS
+        ):
+            errors.append(f"summary.{column}: expected numbers {CI_FIELDS}")
+    errors.extend(
+        f"{path}: wall-clock key in a committed record"
+        for path in wall_keys(record)
+    )
+    return errors
 
 
 def load_records(out_dir: pathlib.Path = OUT_DIR) -> dict:
-    """``name -> record`` for every ``*.json`` under ``out_dir``."""
-    records = {}
-    for record_path in sorted(out_dir.glob("*.json")):
-        record = json.loads(record_path.read_text())
-        records[record["name"]] = record
-    return records
+    """``file stem -> record`` for every ``*.json`` under ``out_dir``."""
+    return {
+        record_path.stem: json.loads(record_path.read_text())
+        for record_path in sorted(out_dir.glob("*.json"))
+    }
 
 
-def bucket_of(name: str) -> str:
-    return "ext" if name.startswith("ext_") else "core"
-
-
-def canonical_json(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def merge(records: dict, targets: dict = None) -> dict:
-    """Fold records into the trajectory files; returns written paths."""
-    targets = targets or TARGETS
-    written = {}
-    for bucket, target in targets.items():
-        fresh = {
-            name: record
-            for name, record in records.items()
-            if bucket_of(name) == bucket
-        }
-        if not fresh:
-            continue
-        if target.exists():
-            merged = json.loads(target.read_text())
-        else:
-            merged = {"schema_version": SCHEMA_VERSION, "benches": {}}
-        merged["benches"].update(fresh)
-        target.write_text(canonical_json(merged))
-        written[bucket] = target
-    return written
-
-
-def check(records: dict, targets: dict = None) -> list:
-    """Validate records and any existing trajectory files."""
-    schema = load_schema()
-    record_schema = {"$ref": "#/definitions/record"}
-    errors = []
-    for name, record in sorted(records.items()):
-        errors.extend(validate(record, record_schema, root=schema, path=name))
-    for target in (targets or TARGETS).values():
-        if target.exists():
-            errors.extend(
-                validate(
-                    json.loads(target.read_text()),
-                    schema,
-                    path=target.name,
-                )
-            )
-    return errors
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="validate records and trajectory files without merging",
-    )
-    parser.add_argument(
-        "--out-dir",
-        type=pathlib.Path,
-        default=OUT_DIR,
-        help="directory holding the per-bench *.json records",
-    )
-    args = parser.parse_args(argv)
-
-    records = load_records(args.out_dir)
+def main() -> int:
+    records = load_records()
     if not records:
-        print(f"no bench records under {args.out_dir}", file=sys.stderr)
+        print(f"no bench records under {OUT_DIR}", file=sys.stderr)
         return 1
-    errors = check(records)
-    if errors:
-        for error in errors:
-            print(f"schema violation: {error}", file=sys.stderr)
-        return 1
-    print(f"{len(records)} records valid against {SCHEMA_PATH.name}")
-    if not args.check:
-        for bucket, target in sorted(merge(records).items()):
-            merged = json.loads(target.read_text())
-            print(f"{target.name}: {len(merged['benches'])} benches ({bucket})")
-    return 0
+    failed = False
+    for name, record in records.items():
+        for error in check_record(record):
+            print(f"{name}: {error}", file=sys.stderr)
+            failed = True
+    if not failed:
+        print(f"{len(records)} bench records valid")
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -570,8 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(default on; disable when the scrape budget matters)",
     )
     controller.set_defaults(func=cmd_controller)
-    sub.add_parser("report", help="rewrite EXPERIMENTS.md from benchmarks/out")\
-        .set_defaults(func=cmd_report)
+    sub.add_parser(
+        "report", help="rewrite EXPERIMENTS.md from benchmarks/results_medium"
+    ).set_defaults(func=cmd_report)
     sub.add_parser("quickstart", help="build one overlay and print its stretch")\
         .set_defaults(func=cmd_quickstart)
     return parser

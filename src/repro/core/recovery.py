@@ -317,7 +317,7 @@ class FailureDetector(SwimCore):
 
     @property
     def telemetry(self):
-        return getattr(self.network, "telemetry", None)
+        return self.network.telemetry
 
     def _crashed_hosts(self) -> set:
         faults = self.network.faults
@@ -370,11 +370,8 @@ class FailureDetector(SwimCore):
         concurrently, and the protocol ``period`` is what bounds the
         round's duration, not the sum of their private retry waits.
         """
-        telemetry = self.telemetry
         with self.network.clock.frozen():
-            if telemetry is None:
-                return self._tick()
-            with telemetry.phase("failure_detection"):
+            with self.telemetry.phase("failure_detection"):
                 return self._tick()
 
     def _tick(self) -> list:
@@ -429,10 +426,6 @@ class RecoveryManager:
         self.scrubbed = 0
         detector.on_death.append(self.handle_death)
 
-    @property
-    def _telemetry(self):
-        return getattr(self.network, "telemetry", None)
-
     def watch_partitions(self) -> int:
         """Arm partition-heal reconciliation on every scheduled window."""
         faults = self.network.faults
@@ -448,9 +441,8 @@ class RecoveryManager:
         node = overlay.ecan.can.nodes.get(node_id)
         if node is None:
             return  # already departed (verdict raced a graceful leave)
-        telemetry = self._telemetry
-
-        def repair():
+        telemetry = self.network.telemetry
+        with telemetry.phase("recovery"):
             # other current suspects are likely corpses too: never hand
             # the zones to one of them
             dead = set(self.detector.suspected) | {node_id}
@@ -462,14 +454,7 @@ class RecoveryManager:
             self.rehosted += overlay.store.rehost_from_replicas(node_id)
             overlay._used_hosts.discard(node.host)
             overlay._adaptive.discard(node_id)
-            if telemetry is not None:
-                telemetry.emit("recovery_takeover", node_id=node_id)
-
-        if telemetry is None:
-            repair()
-        else:
-            with telemetry.phase("recovery"):
-                repair()
+            telemetry.emit("recovery_takeover", node_id=node_id)
 
     # -- partition-heal reconciliation -------------------------------------
 
@@ -505,30 +490,17 @@ class RecoveryManager:
         un-suspected, lost records are re-published by their subjects,
         and records naming dead members are purged.
         """
-        telemetry = self._telemetry
+        telemetry = self.network.telemetry
         self.network.stats.count("recovery_reconcile")
         self.reconciliations += 1
-
-        def run():
-            resynced = self.overlay.pubsub.resync_once()
-            unsuspected = self.detector.reprobe_suspects()
-            republished = self.republish_lost()
-            purged = self.purge_dead_references()
-            return {
-                "resynced": resynced,
-                "unsuspected": unsuspected,
-                "republished": republished,
-                "purged": purged,
+        with self.network.clock.frozen(), telemetry.phase("reconcile"):
+            summary = {
+                "resynced": self.overlay.pubsub.resync_once(),
+                "unsuspected": self.detector.reprobe_suspects(),
+                "republished": self.republish_lost(),
+                "purged": self.purge_dead_references(),
             }
-
-        with self.network.clock.frozen():
-            if telemetry is None:
-                summary = run()
-            else:
-                with telemetry.phase("reconcile"):
-                    summary = run()
-        if telemetry is not None:
-            telemetry.emit("reconcile", **summary)
+        telemetry.emit("reconcile", **summary)
         return summary
 
     # -- self-stabilization scrubs ------------------------------------------
@@ -601,22 +573,15 @@ class RecoveryManager:
         already legitimate (pure validation, no writes).  Returns the
         per-structure repair counts.
         """
-        telemetry = self._telemetry
-
-        def run():
-            tables = self.scrub_tables()
-            records = self.scrub_store()
-            index = self.overlay.store.rebuild_owner_index()
-            return {"tables": tables, "records": records, "index": index}
-
-        with self.network.clock.frozen():
-            if telemetry is None:
-                summary = run()
-            else:
-                with telemetry.phase("scrub"):
-                    summary = run()
+        telemetry = self.network.telemetry
+        with self.network.clock.frozen(), telemetry.phase("scrub"):
+            summary = {
+                "tables": self.scrub_tables(),
+                "records": self.scrub_store(),
+                "index": self.overlay.store.rebuild_owner_index(),
+            }
         self.scrubbed += sum(summary.values())
-        if telemetry is not None and any(summary.values()):
+        if any(summary.values()):
             telemetry.emit("scrub_repairs", **summary)
         return summary
 

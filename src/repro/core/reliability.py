@@ -151,7 +151,7 @@ class RetryPolicy:
         return self.call(
             lambda attempt: network.rtt(u, v, category=category),
             clock=network.clock,
-            telemetry=getattr(network, "telemetry", None),
+            telemetry=network.telemetry,
         )
 
     def probe_alive(self, network, u: int, v: int, category: str = "liveness_probe") -> bool:
@@ -423,7 +423,6 @@ def measure_vector_reliably(
     """
     if policy is None:
         policy = RetryPolicy()
-    telemetry = getattr(network, "telemetry", None)
     hosts = np.asarray(landmarks.hosts, dtype=np.int64)
     vector, spiked = network.rtt_many_detailed(int(host), hosts, category=category)
     vector = np.asarray(vector, dtype=np.float64)
@@ -432,7 +431,7 @@ def measure_vector_reliably(
         missing = np.isnan(vector)
         if not missing.any():
             break
-        policy.sleep(attempt, clock=network.clock, telemetry=telemetry)
+        policy.sleep(attempt, clock=network.clock, telemetry=network.telemetry)
         refreshed, re_spiked = network.rtt_many_detailed(
             int(host), hosts[missing], category=category
         )

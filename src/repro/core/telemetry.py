@@ -20,11 +20,9 @@ instrumented layers report what they are doing:
   fields) to a bounded buffer for post-hoc inspection.
 
 Everything is JSON-serialisable (:meth:`Telemetry.snapshot` /
-:meth:`Telemetry.to_json` / :meth:`Telemetry.from_json`), and
-:func:`diff_snapshots` subtracts two snapshots so benchmarks can
-charge exactly one measured block.  All deterministic fields survive a
-JSON round trip byte-identically; wall-clock parts live under keys
-prefixed ``wall`` so perf records can be compared modulo wall time.
+:meth:`Telemetry.to_json` / :meth:`Telemetry.from_json`).  All
+deterministic fields survive a JSON round trip byte-identically;
+wall-clock parts live under keys prefixed ``wall``.
 """
 
 from __future__ import annotations
@@ -188,39 +186,3 @@ class Telemetry:
             f"Telemetry(events={dict(self.event_counts)!r}, "
             f"phases={sorted(self.phases)})"
         )
-
-
-def diff_snapshots(after: dict, before: dict = None) -> dict:
-    """What happened between two :meth:`Telemetry.snapshot` calls.
-
-    Counters, event counts and phase accumulators are subtracted
-    (zero-delta entries dropped); gauges take the ``after`` value; the
-    trace buffer is not diffed (slice it by time instead).
-    """
-    before = before or {}
-
-    def sub_counts(key):
-        out = {}
-        earlier = before.get(key, {})
-        for name, value in after.get(key, {}).items():
-            delta = value - earlier.get(name, 0)
-            if delta:
-                out[name] = delta
-        return out
-
-    phases = {}
-    earlier_phases = before.get("phases", {})
-    for name, acc in after.get("phases", {}).items():
-        base = earlier_phases.get(name, {})
-        delta = {
-            part: acc.get(part, 0) - base.get(part, 0)
-            for part in ("sim_ms", "entries", "wall_s")
-        }
-        if delta["entries"] or delta["sim_ms"] or delta["wall_s"]:
-            phases[name] = delta
-    return {
-        "counters": sub_counts("counters"),
-        "gauges": dict(after.get("gauges", {})),
-        "events": sub_counts("events"),
-        "phases": phases,
-    }

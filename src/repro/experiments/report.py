@@ -1,14 +1,16 @@
 """Assemble EXPERIMENTS.md from the benchmark outputs.
 
 Each figure bench writes its regenerated series to
-``benchmarks/out/<name>.txt``; this module pairs those files with the
-paper's expected result and a measured-vs-paper verdict, and renders
-the whole thing as EXPERIMENTS.md.
+``benchmarks/out/<name>.txt``, and ``benchmarks/results_medium/``
+archives the medium-scale set the prose below was written for; this
+module pairs those tables with the paper's expected result and a
+measured-vs-paper verdict, and renders the whole thing as
+EXPERIMENTS.md.
 
 Usage::
 
-    pytest benchmarks/ --benchmark-only      # produce benchmarks/out/*
     python -m repro.experiments.report       # rewrite EXPERIMENTS.md
+    REPRO_BENCH_DIR=benchmarks/out python -m repro.experiments.report
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import pathlib
 from dataclasses import dataclass
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
-#: table source; point REPRO_BENCH_DIR at benchmarks/results_medium to
-#: rebuild EXPERIMENTS.md from the archived medium-scale run
+#: table source: the archived medium-scale run the "We measure" prose
+#: describes; point REPRO_BENCH_DIR at benchmarks/out for a fresh run
 OUT_DIR = pathlib.Path(
-    os.environ.get("REPRO_BENCH_DIR", REPO_ROOT / "benchmarks" / "out")
+    os.environ.get(
+        "REPRO_BENCH_DIR", REPO_ROOT / "benchmarks" / "results_medium"
+    )
 )
 TARGET = REPO_ROOT / "EXPERIMENTS.md"
 
@@ -382,8 +386,8 @@ Regenerate everything with:
 ```bash
 pytest benchmarks/ --benchmark-only                     # quick scale (default)
 REPRO_SCALE=medium pytest benchmarks/ --benchmark-only  # the scale shown below
-python -m repro report                                  # rewrite this file from benchmarks/out/
-REPRO_BENCH_DIR=benchmarks/results_medium python -m repro report  # from the archive
+python -m repro report                                  # rewrite this file from benchmarks/results_medium/
+REPRO_BENCH_DIR=benchmarks/out python -m repro report   # ... or from the run that came last
 ```
 
 The OCR of the paper available to this reproduction stripped nearly all
@@ -397,9 +401,9 @@ each parameter.
 Scales: `quick` (default; ~1k-node topologies, 192-256-node overlays,
 ~2 min for the whole suite), `medium` (full ~10k-node topologies,
 1024-node overlays, ~30 min) and `paper` (4096-node overlays, 2N route
-samples). The tables below are whatever run last populated
-`benchmarks/out/` -- the scale is printed in each table's title line.
-A `medium` archive is kept in `benchmarks/results_medium/`.
+samples). The tables below are the `medium` archive kept in
+`benchmarks/results_medium/`, the run the "We measure" paragraphs
+describe -- the scale is printed in each table's title line.
 """
 
 

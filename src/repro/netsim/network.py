@@ -17,8 +17,6 @@ the physical network exclusively through this class:
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -74,12 +72,6 @@ class MessageStats:
 class Network:
     """Simulated physical network: topology + latency model + oracle."""
 
-    #: live instances in creation order (weakly held) -- benchmarks
-    #: snapshot every network's stats/clock/telemetry around a measured
-    #: block without threading the network through each runner.
-    _instances = weakref.WeakSet()
-    _created = itertools.count()
-
     def __init__(
         self,
         topology: Topology,
@@ -101,13 +93,6 @@ class Network:
         self.telemetry = Telemetry(clock=self.clock)
         #: armed :class:`FaultInjector`, or None for the perfect network
         self.faults = None
-        self.created_seq = next(Network._created)
-        Network._instances.add(self)
-
-    @classmethod
-    def instances(cls) -> list:
-        """Live networks, oldest first (deterministic aggregation order)."""
-        return sorted(cls._instances, key=lambda net: net.created_seq)
 
     @property
     def num_nodes(self) -> int:

@@ -141,7 +141,7 @@ def hybrid_search(
         )
         builder.record(estimate, int(candidate_hosts[fallback_idx]))
         builder.method = f"lmk-only[{rank}]"
-        telemetry = getattr(network, "telemetry", None)
-        if telemetry is not None:
-            telemetry.emit("degraded", rank=rank, query_host=int(query_host))
+        network.telemetry.emit(
+            "degraded", rank=rank, query_host=int(query_host)
+        )
     return builder.build()

@@ -87,10 +87,9 @@ class ClusterConfig:
     #: "loopback" or "tcp"
     transport: str = "loopback"
     #: frame payload encoding: "packed" (struct layouts for the data
-    #: plane -- ROUTE, LOOKUP and every lookup/route/lookup_map/
-    #: publish ACK; the control plane -- JOIN, HEARTBEAT, ERROR, BUSY
-    #: -- stays JSON, see :mod:`repro.runtime.wire`) or "json"
-    #: (everything)
+    #: plane -- ROUTE and every lookup/route/lookup_map/publish ACK;
+    #: the control plane -- JOIN, HEARTBEAT, ERROR, BUSY -- stays
+    #: JSON, see :mod:`repro.runtime.wire`) or "json" (everything)
     wire_encoding: str = "packed"
     #: wall seconds per simulated ms of one-way latency (0 = no shaping)
     latency_scale: float = 0.0
@@ -112,7 +111,7 @@ class ClusterConfig:
     #: of sequential wire JOINs (same membership/zones, tables may
     #: differ; for large soak clusters where O(N) wire joins dominate)
     bulk_boot: bool = False
-    #: data-lane depth cap per actor (ROUTE/LOOKUP/PUBLISH); frames
+    #: data-lane depth cap per actor (ROUTE/PUBLISH); frames
     #: past the cap are shed with a BUSY reply.  None = unbounded
     #: (the pre-overload-protection behavior).
     mailbox_cap: int = 1024

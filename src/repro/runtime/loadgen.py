@@ -20,8 +20,8 @@ them into the success percentiles would smear a latency cliff into
 the p99), achieved throughput and error counts.  Deterministic facts
 (operations, errors, per-op owners) go into the network's telemetry
 counters; wall-clock durations are reported under ``wall``-prefixed
-keys only, matching the bench layer's determinism contract (see
-``benchmarks/_common``).
+keys only, which the bench layer prints but keeps out of its committed
+records (see ``benchmarks/_common``).
 """
 
 from __future__ import annotations

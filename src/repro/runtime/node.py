@@ -14,7 +14,7 @@ Overload protection (PR 8) splits the mailbox into two lanes:
   first, so liveness probes and membership traffic keep flowing no
   matter how much data traffic piles up -- an overloaded node must
   stay distinguishable from a crashed one;
-* the **data lane** (ROUTE, LOOKUP, PUBLISH) is capped at
+* the **data lane** (ROUTE, PUBLISH) is capped at
   ``ClusterConfig.mailbox_cap``.  A frame that would overflow it is
   *shed*: dropped, counted (``runtime_shed``), and answered with a
   BUSY frame to the request origin so the client backs off instead
@@ -81,7 +81,7 @@ _KIND_NAME = {member: member.name for member in MsgType}
 _CONTROL_KINDS = frozenset({MsgType.HEARTBEAT, MsgType.JOIN})
 
 #: capped lane; sheds answer BUSY to the request origin
-_DATA_KINDS = frozenset({MsgType.ROUTE, MsgType.LOOKUP, MsgType.PUBLISH})
+_DATA_KINDS = frozenset({MsgType.ROUTE, MsgType.PUBLISH})
 
 
 class RemoteError(Exception):
@@ -107,7 +107,7 @@ class NodeProcess:
         self.host = host
         #: HEARTBEAT/JOIN frames; unbounded, drained first
         self.control_lane: deque = deque()
-        #: ROUTE/LOOKUP/PUBLISH frames; capped at config.mailbox_cap
+        #: ROUTE/PUBLISH frames; capped at config.mailbox_cap
         self.data_lane: deque = deque()
         #: request_id -> Future awaiting an ACK/ERROR/BUSY
         self.pending: dict = {}
@@ -499,8 +499,6 @@ class NodeProcess:
             await self._handle_join(frame)
         elif frame.kind is MsgType.PUBLISH:
             await self._handle_publish(frame)
-        elif frame.kind is MsgType.LOOKUP:
-            await self._handle_lookup(frame)
         elif frame.kind is MsgType.HEARTBEAT:
             await self._handle_heartbeat(frame)
         else:  # pragma: no cover - on_frame filters reply kinds already
@@ -547,12 +545,9 @@ class NodeProcess:
         regions = self.cluster.routing.store.publish(self.node_id)
         await self._reply(frame, {"regions": regions, "node_id": self.node_id})
 
-    async def _handle_lookup(self, frame: Frame) -> None:
-        """Serve a soft-state map read from this node's shard."""
-        await self._reply(frame, await self._serve_map_read(frame.payload))
-
-    #: forwarding-kind -> message-stats counter (saves an f-string per hop)
-    _HOP_STAT = {"can": "runtime_can_hop", "expressway": "runtime_expressway_hop"}
+    #: forwarding-kind -> telemetry event (saves an f-string per hop);
+    #: /stats and /metrics export the expressway share from these two
+    _HOP_EVENT = {"can": "runtime_can_hop", "expressway": "runtime_expressway_hop"}
 
     async def _handle_route(self, frame: Frame) -> None:
         # hot path: `payload` is this frame's private decoded dict, so
@@ -584,9 +579,7 @@ class NodeProcess:
                 kind=MsgType.ERROR,
             )
             return
-        network = cluster.network
-        network.stats.count(self._HOP_STAT[kind])
-        network.telemetry.bump("runtime_hop")
+        cluster.network.telemetry.bump(self._HOP_EVENT[kind])
         payload["path"] = path + [next_id]
         forwarded = Frame(MsgType.ROUTE, frame.request_id, payload)
         sent = await self.transport.send(self.addr, next_id, forwarded)

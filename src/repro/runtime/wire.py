@@ -25,11 +25,12 @@ The payload travels in one of two encodings, discriminated by the
   justified for them yet.  The bare ``{"src"}`` PUBLISH *request* is
   listed with them for a different reason: a node only ever addresses
   it to itself, and a self-addressed frame skips the codec altogether.
-* **packed** (flag set) -- the data plane (ROUTE, LOOKUP and every ACK
+* **packed** (flag set) -- the data plane (ROUTE and every ACK
   answering a ``lookup`` / ``route`` / ``lookup_map`` / ``publish``
-  RPC) carries points, paths and integer ids, so its payloads pack
-  into fixed struct layouts through the same :mod:`struct` machinery
-  as the header: no JSON stringification per hop.  Packing is decided
+  RPC; a map read rides fused into the ROUTE that delivers it) carries
+  points, paths and integer ids, so its payloads pack into fixed
+  struct layouts through the same :mod:`struct` machinery as the
+  header: no JSON stringification per hop.  Packing is decided
   at encode time -- a payload outside its packed schema (extra keys,
   out-of-range ids, non-float coordinates) falls back to JSON -- and
   lossless: ``decode(encode(p, packed=True)) == p``.  The runtime
@@ -48,7 +49,9 @@ count the store produces (0..127, in the bits of its flags byte above
 the old boolean, so an old ``True`` decodes as 1), and the
 ``{"regions", "node_id"}`` ACK of a PUBLISH has a packed tag of its
 own (an older v3 reader rejects that one frame's tag, as it would any
-unknown one).
+unknown one).  Type byte 4 and packed tags 2 and 5 are unassigned:
+they belonged to a standalone map-read request that no writer ever
+sent, and are rejected like any other unknown value.
 
 Decoding is strict: bad magic, unknown version or message type, an
 oversized length, malformed JSON, a malformed packed layout, or a
@@ -102,12 +105,10 @@ def _layout(fmt: str) -> struct.Struct:
 # fixed-layout segments, compiled once at import
 _ROUTE_FIX = struct.Struct("!BBIB")
 _FUSED_FIX = struct.Struct("!IBB")
-_LOOKUP_FIX = struct.Struct("!IBB")
 _MAP_FIX = struct.Struct("!BIH")
 _ACK_FIX = struct.Struct("!IHH")
 _PUBLISH_FIX = struct.Struct("!HI")
 _U16 = struct.Struct("!H")
-_U32 = struct.Struct("!I")
 _U8 = struct.Struct("!B")
 
 
@@ -121,7 +122,6 @@ class MsgType(enum.IntEnum):
     JOIN = 1
     ROUTE = 2
     PUBLISH = 3
-    LOOKUP = 4
     HEARTBEAT = 5
     ACK = 6
     ERROR = 7
@@ -167,10 +167,8 @@ class Frame:
 # falls back to JSON.
 
 _TAG_ROUTE = 1        # {point, path, op, src} (+ optional map-read triple)
-_TAG_LOOKUP = 2       # {querier, level, cell, src}
 _TAG_ACK_ROUTE = 3    # {owner, path, hops}
 _TAG_ACK_FUSED = 4    # {owner, path, hops, served_by, widened, records}
-_TAG_ACK_MAP = 5      # {served_by, widened, records}
 _TAG_ACK_PUBLISH = 6  # {regions, node_id}
 
 _OP_CODES = {"route": 0, "lookup": 1}
@@ -181,12 +179,10 @@ _ROUTE_KEYS = frozenset({"point", "path", "op", "src"})
 _ROUTE_FUSED_KEYS = frozenset(
     {"point", "path", "op", "src", "querier", "level", "cell"}
 )
-_LOOKUP_KEYS = frozenset({"querier", "level", "cell", "src"})
 _ACK_ROUTE_KEYS = frozenset({"owner", "path", "hops"})
 _ACK_FUSED_KEYS = frozenset(
     {"owner", "path", "hops", "served_by", "widened", "records"}
 )
-_ACK_MAP_KEYS = frozenset({"served_by", "widened", "records"})
 _ACK_PUBLISH_KEYS = frozenset({"regions", "node_id"})
 
 # Integer fields lean on struct's own C-level range checks (a value
@@ -265,32 +261,8 @@ def _unpack_route(data, offset: int) -> tuple:
     return payload, offset
 
 
-def _pack_lookup(payload: dict):
-    if payload.keys() != _LOOKUP_KEYS:
-        return None
-    cell = payload["cell"]
-    return _layout(f"!BIBB{len(cell)}iI").pack(
-        _TAG_LOOKUP,
-        payload["querier"],
-        payload["level"],
-        len(cell),
-        *cell,
-        payload["src"],
-    )
-
-
-def _unpack_lookup(data, offset: int) -> tuple:
-    querier, level, ncell = _LOOKUP_FIX.unpack_from(data, offset)
-    offset += 6
-    cell = list(_layout(f"!{ncell}i").unpack_from(data, offset))
-    offset += 4 * ncell
-    (src,) = _U32.unpack_from(data, offset)
-    offset += 4
-    return {"querier": querier, "level": level, "cell": cell, "src": src}, offset
-
-
 def _pack_map_read(served_by, widened, records):
-    """The map-read result triple, shared by fused and plain lookup ACKs.
+    """The map-read result triple that ends a fused lookup ACK.
 
     The flags byte carries "``served_by`` present" in bit 0 and
     ``widened`` -- the number of rings the store widened the read by
@@ -321,10 +293,6 @@ def _unpack_map_read(data, offset: int) -> tuple:
 
 def _pack_ack(payload: dict):
     keys = payload.keys()
-    if keys == _ACK_MAP_KEYS:
-        return _U8.pack(_TAG_ACK_MAP) + _pack_map_read(
-            payload["served_by"], payload["widened"], payload["records"]
-        )
     if keys == _ACK_PUBLISH_KEYS:
         return _U8.pack(_TAG_ACK_PUBLISH) + _PUBLISH_FIX.pack(
             payload["regions"], payload["node_id"]
@@ -348,8 +316,6 @@ def _pack_ack(payload: dict):
 
 
 def _unpack_ack(tag: int, data, offset: int) -> tuple:
-    if tag == _TAG_ACK_MAP:
-        return _unpack_map_read(data, offset)
     if tag == _TAG_ACK_PUBLISH:
         regions, node_id = _PUBLISH_FIX.unpack_from(data, offset)
         return {"regions": regions, "node_id": node_id}, offset + 6
@@ -366,19 +332,14 @@ def _unpack_ack(tag: int, data, offset: int) -> tuple:
 
 _PACKERS = {
     MsgType.ROUTE: _pack_route,
-    MsgType.LOOKUP: _pack_lookup,
     MsgType.ACK: _pack_ack,
 }
 
 _ROUTE_TAGS = frozenset({_TAG_ROUTE})
-_LOOKUP_TAGS = frozenset({_TAG_LOOKUP})
-_ACK_TAGS = frozenset(
-    {_TAG_ACK_ROUTE, _TAG_ACK_FUSED, _TAG_ACK_MAP, _TAG_ACK_PUBLISH}
-)
+_ACK_TAGS = frozenset({_TAG_ACK_ROUTE, _TAG_ACK_FUSED, _TAG_ACK_PUBLISH})
 
 _TAGS_FOR = {
     MsgType.ROUTE: _ROUTE_TAGS,
-    MsgType.LOOKUP: _LOOKUP_TAGS,
     MsgType.ACK: _ACK_TAGS,
 }
 
@@ -410,8 +371,6 @@ def unpack_payload(kind: MsgType, data) -> dict:
             )
         if tag == _TAG_ROUTE:
             payload, end = _unpack_route(data, 1)
-        elif tag == _TAG_LOOKUP:
-            payload, end = _unpack_lookup(data, 1)
         else:
             payload, end = _unpack_ack(tag, data, 1)
     except struct.error as exc:
@@ -429,7 +388,7 @@ def unpack_payload(kind: MsgType, data) -> dict:
 def encode_frame(frame: Frame, packed: bool = False) -> bytes:
     """Serialize ``frame`` to its wire bytes.
 
-    With ``packed=True`` the data-plane kinds (ROUTE, LOOKUP, ACK) use
+    With ``packed=True`` the data-plane kinds (ROUTE, ACK) use
     their struct layout when the payload fits its schema; the control
     plane -- and any payload outside a schema -- rides as JSON.  Both
     encodings decode to the identical payload dict.

@@ -93,18 +93,16 @@ class MaintenanceDriver:
 
     # -- policy entry points ---------------------------------------------------
 
-    @property
-    def _telemetry(self):
-        return getattr(self.network, "telemetry", None)
-
     def on_failed_use(self, node_id: int) -> int:
         """A neighbor selection / forwarding found ``node_id`` dead."""
         if self.policy is not MaintenancePolicy.REACTIVE:
             return 0
         removed = self.store.purge_record(node_id, charge=True)
         self.purged += removed
-        if removed and self._telemetry is not None:
-            self._telemetry.emit("purge", node_id=node_id, policy="reactive")
+        if removed:
+            self.network.telemetry.emit(
+                "purge", node_id=node_id, policy="reactive"
+            )
         return removed
 
     def on_departure(self, node_id: int, graceful: bool = True) -> int:
@@ -139,11 +137,12 @@ class MaintenanceDriver:
         """
         policy = self.retry_policy
         clock = self.network.clock
+        telemetry = self.network.telemetry
         for _ in range(max(1, self.confirmations)):
             attempts = policy.max_attempts if policy is not None else 1
             for attempt in range(attempts):
                 if attempt and policy is not None:
-                    policy.sleep(attempt - 1, clock=clock, telemetry=self._telemetry)
+                    policy.sleep(attempt - 1, clock=clock, telemetry=telemetry)
                 if self._ping(src_host, dst_host, alive):
                     return False
         return True
@@ -155,14 +154,11 @@ class MaintenanceDriver:
         through the fault-injectable probe path; suspected deaths are
         re-probed per :meth:`_confirm_dead` before the purge.
         """
-        telemetry = self._telemetry
-        if telemetry is None:
-            return self._poll_once()
-        with telemetry.phase("maintenance"):
+        with self.network.telemetry.phase("maintenance"):
             return self._poll_once()
 
     def _poll_once(self) -> int:
-        telemetry = self._telemetry
+        telemetry = self.network.telemetry
         verdicts: dict = {}
         for region, bucket in list(self.store.maps.items()):
             for node_id, stored in list(bucket.items()):
@@ -189,20 +185,18 @@ class MaintenanceDriver:
             if false_positive:
                 self.false_purges += 1
             removed += self.store.purge_record(node_id, charge=False)
-            if telemetry is not None:
-                telemetry.emit(
-                    "purge",
-                    node_id=node_id,
-                    policy="periodic",
-                    false_positive=false_positive,
-                )
+            telemetry.emit(
+                "purge",
+                node_id=node_id,
+                policy="periodic",
+                false_positive=false_positive,
+            )
         removed += self.store.expire_stale()
         self.purged += removed
         restored = self.store.republish_lost()
         self.republished += len(restored)
-        if telemetry is not None:
-            for node_id in restored:
-                telemetry.emit("republish", node_id=node_id)
+        for node_id in restored:
+            telemetry.emit("republish", node_id=node_id)
         return removed
 
     def stale_entries(self) -> int:

@@ -399,9 +399,10 @@ class SoftStateStore:
             if fresh:
                 self._emit(EventKind.NODE_JOINED, region, record)
         self._published[node_id] = wanted
-        telemetry = getattr(self.network, "telemetry", None)
-        if telemetry is not None and wanted:
-            telemetry.emit("publish", n=len(wanted), node_id=node_id)
+        if wanted:
+            self.network.telemetry.emit(
+                "publish", n=len(wanted), node_id=node_id
+            )
         return len(wanted)
 
     @contextlib.contextmanager
@@ -556,9 +557,8 @@ class SoftStateStore:
         if salvageable:
             self._pending_rehost.setdefault(dead_id, []).extend(salvageable)
         self.lost_records.extend(lost)
-        telemetry = getattr(self.network, "telemetry", None)
-        if telemetry is not None and (salvageable or lost):
-            telemetry.emit(
+        if salvageable or lost:
+            self.network.telemetry.emit(
                 "record_loss",
                 dead_id=dead_id,
                 lost=len(lost),

@@ -1,9 +1,11 @@
-"""Bench perf records: schema validation, merging, determinism."""
+"""Bench records: shape validation, byte-stable emission, no registry."""
 
+import gc
 import importlib.util
 import json
 import math
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -44,107 +46,67 @@ def make_record(name="fig00_demo", seed=0):
         "summary": {
             "mean_stretch": {"mean": 1.85, "lo": 1.2, "hi": 2.5, "n": 2}
         },
-        "message_stats": {"rtt_probe": 9},
-        "telemetry": {
-            "counters": {"backoff_ms": 10.0},
-            "events": {"probe": 9},
-            "phases": {
-                "routing": {"sim_ms": 40.0, "entries": 1, "wall_s": 0.01}
-            },
-        },
-        "sim_ms": 40.0,
-        "wall_s": 0.02,
     }
 
 
 class TestValidator:
     def test_valid_record_passes(self, report):
-        schema = report.load_schema()
-        errors = report.validate(
-            make_record(), {"$ref": "#/definitions/record"}, root=schema
-        )
-        assert errors == []
+        assert report.check_record(make_record()) == []
 
     def test_missing_key_and_wrong_type_flagged(self, report):
-        schema = report.load_schema()
         record = make_record()
-        del record["sim_ms"]
+        del record["rows"]
         record["seed"] = "zero"
-        errors = report.validate(
-            record, {"$ref": "#/definitions/record"}, root=schema
-        )
-        assert any("sim_ms" in e for e in errors)
+        errors = report.check_record(record)
+        assert any("rows" in e for e in errors)
         assert any("seed" in e for e in errors)
 
     def test_bool_is_not_a_number(self, report):
-        errors = report.validate(True, {"type": "number"})
-        assert errors
+        record = make_record()
+        record["summary"]["mean_stretch"]["n"] = True
+        assert report.check_record(record)
+        assert report.check_record(dict(make_record(), seed=False))
 
-    def test_merged_file_schema(self, report):
-        schema = report.load_schema()
-        merged = {"schema_version": 1, "benches": {"fig00_demo": make_record()}}
-        assert report.validate(merged, schema) == []
-        merged["schema_version"] = 99
-        assert report.validate(merged, schema)
+    @pytest.mark.parametrize(
+        "field", ["message_stats", "telemetry", "sim_ms", "wall_s"]
+    )
+    def test_fields_that_never_reproduced_are_refused(self, report, field):
+        errors = report.check_record(dict(make_record(), **{field: 0}))
+        assert errors == [f"unexpected key {field!r}"]
+
+    def test_wall_key_at_any_depth_is_refused(self, report):
+        record = make_record()
+        record["rows"][1]["wall_p50_ms"] = 0.4
+        record["params"]["wall_codec_s"] = 0.01
+        errors = report.check_record(record)
+        assert len(errors) == 2
+        assert any("$.rows[1].wall_p50_ms" in e for e in errors)
+
+    def test_every_committed_record_is_valid(self, report):
+        """Also the proof that none carries a ``wall*`` key or one of
+        the four removed fields: ``check_record`` refuses both."""
+        records = report.load_records()
+        assert len(records) >= 30
+        for name, record in records.items():
+            assert record["name"] == name
+            assert report.check_record(record) == [], name
 
 
 class TestStripWall:
-    def test_removes_wall_keys_recursively(self, report):
-        stripped = report.strip_wall(make_record())
-        assert "wall_s" not in stripped
-        assert "wall_s" not in stripped["telemetry"]["phases"]["routing"]
-        assert stripped["sim_ms"] == 40.0
+    def test_removes_wall_keys_recursively(self, common):
+        record = make_record()
+        record["params"]["wall_codec_s"] = 0.1
+        record["rows"][0]["wall_boot_s_per_shard"] = [0.1, 0.2]
+        record["summary"]["wall_p50_ms"] = {"mean": 1, "lo": 1, "hi": 1, "n": 1}
+        assert common.drop_wall(record) == make_record()
 
-    def test_same_seed_records_identical_modulo_wall(self, report):
+    def test_same_seed_records_identical_modulo_wall(self, common):
         a, b = make_record(), make_record()
-        b["wall_s"] = 99.9
-        b["telemetry"]["phases"]["routing"]["wall_s"] = 1.5
-        assert report.canonical_json(
-            report.strip_wall(a)
-        ) == report.canonical_json(report.strip_wall(b))
-
-
-class TestMerge:
-    def test_buckets_and_merge(self, report, tmp_path):
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        core = make_record("fig00_demo")
-        ext = make_record("ext_demo")
-        for record in (core, ext):
-            (out_dir / f"{record['name']}.json").write_text(
-                json.dumps(record)
-            )
-        records = report.load_records(out_dir)
-        assert set(records) == {"fig00_demo", "ext_demo"}
-        assert report.bucket_of("fig00_demo") == "core"
-        assert report.bucket_of("ext_demo") == "ext"
-
-        targets = {
-            "core": tmp_path / "BENCH_core.json",
-            "ext": tmp_path / "BENCH_ext.json",
-        }
-        written = report.merge(records, targets=targets)
-        assert set(written) == {"core", "ext"}
-        merged = json.loads(targets["core"].read_text())
-        assert merged["schema_version"] == 1
-        assert "fig00_demo" in merged["benches"]
-        assert report.check(records, targets=targets) == []
-
-    def test_merge_preserves_existing_benches(self, report, tmp_path):
-        target = tmp_path / "BENCH_core.json"
-        target.write_text(
-            report.canonical_json(
-                {
-                    "schema_version": 1,
-                    "benches": {"fig99_old": make_record("fig99_old")},
-                }
-            )
-        )
-        report.merge(
-            {"fig00_demo": make_record()}, targets={"core": target}
-        )
-        merged = json.loads(target.read_text())
-        assert set(merged["benches"]) == {"fig99_old", "fig00_demo"}
+        b["rows"][1]["wall_p50_ms"] = 99.9
+        b["params"]["wall_codec_s"] = 1.5
+        assert common.canonical_json(
+            common.drop_wall(b)
+        ) == common.canonical_json(a)
 
 
 class TestEmitRecord:
@@ -180,28 +142,59 @@ class TestEmitRecord:
         summary = common.summarize_rows(rows)
         assert summary["x"]["n"] == 2
 
-    def test_emit_writes_valid_record(self, common, report, tmp_path, capsys):
-        out_dir = common.OUT_DIR
-        try:
-            common.OUT_DIR = tmp_path
-            common.begin_measurement()
+    def test_emit_writes_valid_record(
+        self, common, report, tmp_path, monkeypatch
+    ):
+        """Two runs that differ only in their wall-clock columns write
+        the same bytes: the JSON drops every ``wall*`` key (rows,
+        params and summary alike), the table keeps every column."""
+        written = []
+        for run, wall in enumerate((0.25, 0.75)):
+            monkeypatch.setattr(common, "OUT_DIR", tmp_path / str(run))
+            rows = [
+                {"probes": 1, "wall_build_s": wall, "mean_stretch": 2.0},
+                {"probes": 8, "wall_build_s": 2 * wall, "mean_stretch": 1.5},
+            ]
             common.emit(
                 "fig00_demo",
                 "demo",
-                "table",
-                rows=[{"probes": 1, "mean_stretch": 2.0}],
-                params={"scale": "quick"},
+                f"probes wall_build_s\n1 {wall}\n8 {2 * wall}",
+                rows=rows,
+                params={"scale": "quick", "wall_codec_s": wall},
                 seed=0,
             )
-        finally:
-            common.OUT_DIR = out_dir
-            common.end_measurement()
-        record = json.loads((tmp_path / "fig00_demo.json").read_text())
-        schema = report.load_schema()
-        assert (
-            report.validate(
-                record, {"$ref": "#/definitions/record"}, root=schema
-            )
-            == []
+            written.append((tmp_path / str(run) / "fig00_demo.json").read_bytes())
+        assert written[0] == written[1]
+        record = json.loads(written[0])
+        assert report.check_record(record) == []
+        assert report.wall_keys(record) == []
+        assert set(record["summary"]) == {"probes", "mean_stretch"}
+        assert record["params"] == {"scale": "quick"}
+        # the surviving intervals are the ones drawn with the wall
+        # column in place, so stripping a parent record equals a re-run
+        assert record["summary"] == common.drop_wall(
+            common.summarize_rows(rows, seed=0)
         )
-        assert (tmp_path / "fig00_demo.txt").read_text().startswith("== demo ==")
+        text = (tmp_path / "1" / "fig00_demo.txt").read_text()
+        assert text.startswith("== demo ==\nprobes wall_build_s\n1 0.75\n")
+
+
+def test_networks_are_not_registered_anywhere():
+    """No process-wide registry, weak or strong: nothing else refers to
+    a fresh Network, and dropping it frees it."""
+    from repro.core.config import NetworkParams, make_network
+
+    nets = [
+        make_network(NetworkParams(topo_scale=0.25, seed=seed))
+        for seed in (0, 1)
+    ]
+    # a weakly held registry (the removed WeakSet) would show up here ...
+    assert [weakref.getweakrefcount(net) for net in nets] == [0, 0]
+    freed = []
+    for seed, net in enumerate(nets):
+        weakref.finalize(net, freed.append, seed)
+    del net
+    nets.clear()
+    gc.collect()
+    # ... and a strongly held one here
+    assert sorted(freed) == [0, 1]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.telemetry import Telemetry, TraceEvent, diff_snapshots
+from repro.core.telemetry import Telemetry, TraceEvent
 from repro.netsim.events import EventScheduler
 
 
@@ -136,38 +136,11 @@ class TestSnapshotOrdering:
         assert json.dumps(first.snapshot()) == json.dumps(second.snapshot())
 
 
-class TestDiff:
-    def test_subtracts_counts_and_phases(self):
-        clock = EventScheduler()
-        telemetry = Telemetry(clock=clock)
-        telemetry.emit("probe", n=3)
-        with telemetry.phase("routing"):
-            clock.advance(10.0)
-        before = telemetry.snapshot()
-        telemetry.emit("probe", n=2)
-        telemetry.emit("purge")
-        telemetry.gauge("overlay_size", 9)
-        with telemetry.phase("routing"):
-            clock.advance(30.0)
-        delta = diff_snapshots(telemetry.snapshot(), before)
-        assert delta["events"] == {"probe": 2, "purge": 1}
-        assert delta["gauges"] == {"overlay_size": 9}
-        assert delta["phases"]["routing"]["sim_ms"] == 30.0
-        assert delta["phases"]["routing"]["entries"] == 1
-
-    def test_none_baseline_is_identity(self):
-        telemetry = Telemetry()
-        telemetry.emit("hop", n=4)
-        delta = diff_snapshots(telemetry.snapshot(), None)
-        assert delta["events"] == {"hop": 4}
-
-
 class TestNetworkIntegration:
     def test_probes_and_builds_are_charged(self, tiny_network):
         telemetry = tiny_network.telemetry
-        before = telemetry.snapshot()
+        before = telemetry.event_counts["probe"]
         hosts = tiny_network.topology.stub_nodes()
         tiny_network.rtt(int(hosts[0]), int(hosts[1]))
         tiny_network.rtt_many(int(hosts[0]), hosts[:4])
-        delta = diff_snapshots(telemetry.snapshot(), before)
-        assert delta["events"]["probe"] == 5
+        assert telemetry.event_counts["probe"] - before == 5

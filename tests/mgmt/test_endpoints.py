@@ -118,6 +118,38 @@ class TestStatsAndMetrics:
         assert "repro_health_status" in families
         assert families["repro_members"]["samples"] == [({}, 16.0)]
 
+    def test_hops_are_exported_split_by_forwarding_kind(self):
+        """Expressway share is readable from /stats and /metrics: every
+        forwarded hop is one event under its kind, and nothing else."""
+
+        async def scenario():
+            async with Cluster(make_config(nodes=16)) as cluster:
+                hops = 0
+                for src in sorted(cluster.actors):
+                    for point in ((0.1, 0.9), (0.8, 0.2)):
+                        hops += (await cluster.lookup(src, point))["hops"]
+                async with Controller(cluster) as controller:
+                    _, stats = await get_json(controller, "/stats")
+                    _, _, body = await http_get(
+                        "127.0.0.1", controller.port, "/metrics"
+                    )
+                    return hops, stats["events"], body
+
+        hops, events, body = run(scenario())
+        split = {
+            kind: events[f"runtime_{kind}_hop"] for kind in ("can", "expressway")
+        }
+        assert min(split.values()) > 0 and sum(split.values()) == hops
+        assert "runtime_hop" not in events
+        exported = {
+            labels["event"]: value
+            for labels, value in parse_exposition(body.decode("utf-8"))[
+                "repro_events_total"
+            ]["samples"]
+        }
+        for kind, count in split.items():
+            assert exported[f"runtime_{kind}_hop"] == count
+
 
 class TestHealthTransitions:
     def test_crash_flips_healthy_to_degraded_immediately(self):

@@ -46,10 +46,6 @@ def far_pair(cluster):
     return asker, target
 
 
-def lookup_payload(querier):
-    return {"querier": querier, "level": 1, "cell": [0, 0]}
-
-
 class LoopNoise:
     """Collects whatever the loop's exception handler is told."""
 
@@ -76,7 +72,11 @@ class TestTimeoutWindow:
                 loop = asyncio.get_running_loop()
                 began = loop.time()
                 request = asyncio.ensure_future(
-                    actor.request(target, MsgType.LOOKUP, lookup_payload(asker))
+                    actor.request(
+                        target,
+                        MsgType.ROUTE,
+                        {"point": [0.5, 0.5], "path": [target], "op": "route"},
+                    )
                 )
                 await asyncio.sleep(0)  # the frame is in flight
                 await cluster.crash(target)

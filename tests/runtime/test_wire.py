@@ -26,7 +26,6 @@ SAMPLE_PAYLOADS = {
     MsgType.JOIN: {"src": "joiner:3", "capacity": 1.0},
     MsgType.ROUTE: {"point": [0.25, 0.75], "path": [0, 4, 9], "op": "lookup"},
     MsgType.PUBLISH: {"src": 12},
-    MsgType.LOOKUP: {"querier": 7, "level": 1, "cell": [0, 1]},
     MsgType.HEARTBEAT: {"seq": 41, "src": 2},
     MsgType.ACK: {"owner": 5, "path": [1, 5], "hops": 1},
     MsgType.ERROR: {"error": "route stuck after 3 hops"},
@@ -64,9 +63,13 @@ class TestMalformedFrames:
                 decode_frame(data[:cut])
 
     def test_unknown_message_type(self):
-        bad = HEADER.pack(MAGIC, WIRE_VERSION, 250, 1, 2) + b"{}"
-        with pytest.raises(ProtocolError, match="unknown message type 250"):
-            decode_frame(bad)
+        """4 was a standalone LOOKUP request; it is as unknown as 250."""
+        for type_byte in (250, 4, 4 | PACKED_FLAG):
+            bad = HEADER.pack(MAGIC, WIRE_VERSION, type_byte, 1, 2) + b"{}"
+            with pytest.raises(
+                ProtocolError, match=f"unknown message type {type_byte}"
+            ):
+                decode_frame(bad)
 
     def test_bad_magic(self):
         bad = HEADER.pack(b"XX", WIRE_VERSION, int(MsgType.ACK), 1, 2) + b"{}"
@@ -164,7 +167,19 @@ PACKED_PAYLOADS = [
             "cell": [0, 1],
         },
     ),
-    (MsgType.LOOKUP, {"querier": 7, "level": 2, "cell": [1, 3], "src": 7}),
+    (
+        # a map read on behalf of a querier other than the routing source
+        MsgType.ROUTE,
+        {
+            "point": [0.6, 0.2],
+            "path": [7, 3],
+            "op": "lookup",
+            "src": 3,
+            "querier": 7,
+            "level": 2,
+            "cell": [1, 3],
+        },
+    ),
     (MsgType.ACK, {"owner": 5, "path": [1, 5], "hops": 1}),
     (
         MsgType.ACK,
@@ -179,9 +194,18 @@ PACKED_PAYLOADS = [
     ),
     (
         MsgType.ACK,
-        {"served_by": None, "widened": 0, "records": []},
+        {
+            "owner": 5, "path": [5], "hops": 0,
+            "served_by": None, "widened": 0, "records": [],
+        },
     ),
-    (MsgType.ACK, {"served_by": 4, "widened": 127, "records": [4]}),
+    (
+        MsgType.ACK,
+        {
+            "owner": 4, "path": [1, 4], "hops": 1,
+            "served_by": 4, "widened": 127, "records": [4],
+        },
+    ),
     (MsgType.ACK, {"regions": 3, "node_id": 12}),
 ]
 
@@ -242,7 +266,10 @@ class TestPackedEncoding:
 
     @pytest.mark.parametrize("widened", [-1, 128, 1.0, None])
     def test_ring_count_outside_the_flags_byte_falls_back(self, widened):
-        payload = {"served_by": 9, "widened": widened, "records": [3]}
+        payload = {
+            "owner": 5, "path": [1, 5], "hops": 1,
+            "served_by": 9, "widened": widened, "records": [3],
+        }
         data = encode_frame(Frame(MsgType.ACK, 1, payload), packed=True)
         assert not (data[3] & PACKED_FLAG)
         assert decode_frame(data).payload == payload
@@ -250,7 +277,7 @@ class TestPackedEncoding:
     def test_v3_frames_with_the_bool_widened_flag_still_decode(self):
         """Golden bytes from the writer that packed ``widened`` as a
         bool in bit 1 of the flags byte: ``True`` reads back as one
-        ring, ``False`` as none -- equal payloads, same frame length."""
+        ring -- equal payloads, same frame length."""
         fused = bytes.fromhex(
             "52570386000000000000002a00000024"
             "0400000005000100020000000100000005"
@@ -265,10 +292,6 @@ class TestPackedEncoding:
         assert decoded.payload == payload
         assert decoded.payload["widened"] == 1
         assert encode_frame(Frame(MsgType.ACK, 42, payload), packed=True) == fused
-        plain = bytes.fromhex("525703860000000000000007000000080500000000000000")
-        assert decode_frame(plain).payload == {
-            "served_by": None, "widened": False, "records": [],
-        }
 
     def test_control_kinds_never_pack(self):
         for kind in (MsgType.JOIN, MsgType.PUBLISH, MsgType.HEARTBEAT, MsgType.ERROR):
@@ -277,10 +300,8 @@ class TestPackedEncoding:
             assert not (data[3] & PACKED_FLAG)
 
     def test_wrong_kind_tag_rejected(self):
-        """A LOOKUP payload smuggled under a ROUTE header must not parse."""
-        data = pack_payload(
-            MsgType.LOOKUP, {"querier": 1, "level": 1, "cell": [0], "src": 1}
-        )
+        """An ACK payload smuggled under a ROUTE header must not parse."""
+        data = pack_payload(MsgType.ACK, {"owner": 1, "path": [1], "hops": 0})
         with pytest.raises(ProtocolError, match="does not belong"):
             unpack_payload(MsgType.ROUTE, data)
 
