@@ -316,10 +316,10 @@ CAPACITY_POOL = 16
 GOODPUT_FLOOR = 0.5
 
 
-async def overload(seed: int) -> dict:
+async def overload(seed: int, multiplier: int) -> dict:
     """Tiny data-lane mailboxes, capacity measured closed-loop, then
-    twice that pool held in flight -- sustained, not a burst -- with
-    the SWIM detector ticking against the saturated nodes."""
+    ``multiplier`` times that pool held in flight -- sustained, not a
+    burst -- with the SWIM detector ticking against the saturated nodes."""
     config = cluster_config(
         OVERLOAD_NODES,
         seed,
@@ -337,7 +337,7 @@ async def overload(seed: int) -> dict:
         load = asyncio.ensure_future(
             run_load(
                 cluster, rate=0.0, count=OVERLOAD_OPS, seed=seed + 1,
-                concurrency=2 * CAPACITY_POOL,
+                concurrency=multiplier * CAPACITY_POOL,
             )
         )
         ticks = 0
@@ -357,12 +357,16 @@ async def overload(seed: int) -> dict:
     }
 
 
-OVERLOAD_GATES = (
+OVERLOAD_SAFETY_GATES = (
     ("protection engaged: shed > 0", lambda r: r["wall_shed"] > 0),
     ("zero false crash verdicts", lambda r: r["false_crashes"] == 0),
     ("nobody confirmed dead", lambda r: r["confirmed_dead"] == []),
     ("detector ticked during saturation",
      lambda r: r["detector_ticks_during_load"] >= 1),
+)
+#: judged at 2x only: at this size (8 nodes, cap 8) the 4x goodput ratio
+#: is not seed-robust, and the calibrated knee belongs to BENCHMARK.json
+GOODPUT_GATES = (
     (f"goodput >= {GOODPUT_FLOOR}x capacity",
      lambda r: r["wall_throughput_ops"] >= GOODPUT_FLOOR * r["capacity_ops"]),
 )
@@ -554,7 +558,11 @@ SCENARIOS = {
         ("sim", soak_sim, (0,), SOAK_GATES),
         ("live", soak_live, (0,), SOAK_GATES + LIVE_SOAK_GATES),
     ),
-    "overload": (("overload", overload, (0,), OVERLOAD_GATES),),
+    "overload": (
+        ("2x", functools.partial(overload, multiplier=2), (0,),
+         OVERLOAD_SAFETY_GATES + GOODPUT_GATES),
+        ("4x", functools.partial(overload, multiplier=4), (0,), OVERLOAD_SAFETY_GATES),
+    ),
     "mgmt": (
         ("single", mgmt_single, (3,), ENDPOINT_GATES + HEALTH_FLIP_GATES),
         ("sharded", mgmt_sharded, (3,), ENDPOINT_GATES + REFUSAL_GATES),

@@ -195,7 +195,6 @@ def _cluster_config(args):
         mailbox_cap=args.mailbox_cap if args.mailbox_cap > 0 else None,
         shed_policy=args.shed_policy,
         breaker_threshold=args.breaker_threshold,
-        adaptive_timeout=args.adaptive_timeout,
     )
 
 
@@ -503,14 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="consecutive BUSY/timeout failures that open a per-peer "
         "circuit breaker (0 disables breakers; default 8)",
-    )
-    cluster.add_argument(
-        "--adaptive-timeout",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="derive per-peer request timeouts from EWMA RTT + variance "
-        "(Jacobson RTO) instead of the static --request-timeout "
-        "(default on; --no-adaptive-timeout restores static timeouts)",
     )
     cluster.add_argument(
         "--status-port",

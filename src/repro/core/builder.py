@@ -159,13 +159,15 @@ class TopologyAwareOverlay:
             return int(pool[int(self._host_rng.integers(0, len(pool)))])
         return free[int(self._host_rng.integers(0, len(free)))]
 
-    def add_node(self, host: int = None, capacity: float = 1.0) -> int:
-        """Join one node: measure landmarks, join CAN, publish, select."""
+    def _admit(self, host: int, capacity: float) -> int:
+        """What every join starts with, one at a time or in bulk: take a
+        host (drawn when None) and the next id, measure the landmark
+        vector, join the CAN and register the identity.  Publishing and
+        the expressway table are the caller's, now or batched."""
         if host is None:
             host = self._pick_host()
         self._used_hosts.add(host)
         node_id = next(self._ids)
-
         if self.network.faults is not None:
             # a fresh process on this host: it answers probes again
             self.network.faults.revive_host(host)
@@ -179,6 +181,11 @@ class TopologyAwareOverlay:
             vector = self.space.measure(self.network, host)
         self.ecan.can.join(node_id, host)
         self.store.register_identity(node_id, host, vector, capacity=capacity)
+        return node_id
+
+    def add_node(self, host: int = None, capacity: float = 1.0) -> int:
+        """Join one node: measure landmarks, join CAN, publish, select."""
+        node_id = self._admit(host, capacity)
         self.store.publish(node_id)
         self.ecan.build_table(node_id)
         return node_id
@@ -196,9 +203,9 @@ class TopologyAwareOverlay:
         :meth:`build` republishes the split owner's record on every
         zone change, so growing to N members costs O(N) incremental
         republish cascades against throw-away intermediate
-        tessellations -- the reason joins/s *drops* as N grows in the
-        ``perf_scale`` bench.  Bulk mode defers those republishes
-        behind :meth:`~repro.softstate.store.SoftStateStore.bulk_load`:
+        tessellations -- the reason joins/s *drops* as N grows.  Bulk
+        mode defers those republishes behind
+        :meth:`~repro.softstate.store.SoftStateStore.bulk_load`:
         all members join the CAN first, then each publishes exactly
         once against the final tessellation and builds its expressway
         table.  Membership, hosts and zones are identical to
@@ -214,21 +221,7 @@ class TopologyAwareOverlay:
         with self.network.telemetry.phase("overlay_build_bulk"):
             with self.store.bulk_load() as dirty:
                 for _ in range(num_nodes - len(self)):
-                    host = self._pick_host()
-                    self._used_hosts.add(host)
-                    node_id = next(self._ids)
-                    if self.network.faults is not None:
-                        self.network.faults.revive_host(host)
-                        vector = measure_vector_reliably(
-                            self.network,
-                            self.space.landmarks,
-                            host,
-                            policy=self.retry_policy or RetryPolicy(),
-                        )
-                    else:
-                        vector = self.space.measure(self.network, host)
-                    self.ecan.can.join(node_id, host)
-                    self.store.register_identity(node_id, host, vector)
+                    node_id = self._admit(None, 1.0)
                     dirty.add(node_id)
                     added.append(node_id)
             for node_id in added:

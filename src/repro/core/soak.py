@@ -52,23 +52,12 @@ class SoakConfig:
     churn_joins: int = 2
     churn_leaves: int = 2
     churn_crashes: int = 2
-    #: fraction of each structure's entries the adversary corrupts
-    corrupt_fraction: float = 0.2
     #: maximum repair rounds allowed before convergence counts as failed
     round_budget: int = 30
     #: availability probes per epoch (sim) / load requests (live)
     lookups: int = 128
     seed: int = 0
     topo_scale: float = 0.25
-    #: simulated ms between detector rounds (sim mode)
-    detector_period: float = 500.0
-    #: install a transit partition window on odd epochs (sim mode)
-    partition_epochs: bool = True
-    #: live mode: offered load (req/s) and detector/probe cadence (wall s)
-    live_rate: float = 400.0
-    live_heartbeat_period: float = 0.05
-    live_probe_timeout: float = 0.25
-    live_request_timeout: float = 1.0
 
 
 # -- the adversary -----------------------------------------------------------
@@ -77,8 +66,9 @@ class SoakConfig:
 def inject_corruption(overlay, kind: str, rng, fraction: float = 0.2) -> int:
     """Corrupt live overlay state in place; returns entries corrupted.
 
-    Each class trips a distinct :func:`check_invariants` assertion
-    until the matching repair runs:
+    ``fraction`` of the chosen structure's entries are hit (at least
+    one).  Each class trips a distinct :func:`check_invariants`
+    assertion until the matching repair runs:
 
     * ``scramble_tables`` -- point expressway entries at ghost node
       ids that are not members; caught by the table-liveness
@@ -112,12 +102,13 @@ def inject_corruption(overlay, kind: str, rng, fraction: float = 0.2) -> int:
             ecan._tables[node_id][level][cell] = ghost
             ghost -= 1
         return count
+    # the other two classes pick among the stored map records
+    entries = [
+        (region, node_id)
+        for region, bucket in store.maps.items()
+        for node_id in bucket
+    ]
     if kind == "stale_replicas":
-        entries = [
-            (region, node_id)
-            for region, bucket in store.maps.items()
-            for node_id in bucket
-        ]
         if not entries:
             return 0
         count = min(len(entries), max(1, int(fraction * len(entries))))
@@ -134,18 +125,13 @@ def inject_corruption(overlay, kind: str, rng, fraction: float = 0.2) -> int:
         return count
     if kind == "poison_owner_index":
         members = sorted(overlay.ecan.can.nodes)
-        entries = [
-            (region, node_id)
-            for region, owners in store._owners.items()
-            for node_id in owners
-        ]
         if not entries or len(members) < 2:
             return 0
         count = min(len(entries), max(1, int(fraction * len(entries))))
         picks = rng.choice(len(entries), size=count, replace=False)
         for index in picks:
             region, node_id = entries[int(index)]
-            current = store._owners[region][node_id]
+            current = store.maps[region][node_id].owner
             wrong = members[int(rng.integers(0, len(members)))]
             if wrong == current:
                 wrong = members[(members.index(wrong) + 1) % len(members)]
@@ -232,7 +218,7 @@ def run_sim_soak(config: SoakConfig) -> dict:
     )
     overlay.build_bulk(config.nodes)
     overlay.arm_faults(FaultPlan(), seed=config.seed)
-    overlay.enable_recovery(DetectorParams(period=config.detector_period))
+    overlay.enable_recovery()
     rng = np.random.default_rng(config.seed)
     detector = overlay.detector
     epochs = []
@@ -249,14 +235,12 @@ def run_sim_soak(config: SoakConfig) -> dict:
             members = _live_members(overlay)
             victim = members[int(rng.integers(0, len(members)))]
             crash_loss += overlay.crash_node(victim)["lost"]
-        if config.partition_epochs and epoch % 2 == 1:
+        if epoch % 2 == 1:  # the partition half of the churn mix
             _install_partition(overlay, rng)
         # -- availability while the corpses are still members ------------
         availability = _sim_availability(overlay, rng, config.lookups)
         # -- adversarial corruption --------------------------------------
-        corrupted = inject_corruption(
-            overlay, kind, rng, config.corrupt_fraction
-        )
+        corrupted = inject_corruption(overlay, kind, rng)
         # -- bounded convergence -----------------------------------------
         rounds, violation = _converge_sim(overlay, config.round_budget)
         # lease maintenance sweeps the now-clean state: with every
@@ -320,6 +304,13 @@ def _install_partition(overlay, rng) -> Partition:
 
 # -- live-runtime soak -------------------------------------------------------
 
+#: offered lookup load (req/s) through the kill-33% event
+LIVE_RATE = 400.0
+#: detector cadence, probe patience and request timeout (wall s)
+LIVE_HEARTBEAT_PERIOD = 0.05
+LIVE_PROBE_TIMEOUT = 0.25
+LIVE_REQUEST_TIMEOUT = 1.0
+
 
 async def _converge_live(cluster, recovery, budget: int) -> tuple:
     """(rounds_to_converge | None, last_violation) on the wall clock."""
@@ -354,9 +345,9 @@ async def run_live_soak(config: SoakConfig, transport: str = "loopback") -> dict
         network=NetworkParams(topo_scale=config.topo_scale, seed=config.seed),
         overlay=OverlayParams(num_nodes=config.nodes, seed=config.seed),
         transport=transport,
-        request_timeout=config.live_request_timeout,
-        heartbeat_period=config.live_heartbeat_period,
-        probe_timeout=config.live_probe_timeout,
+        request_timeout=LIVE_REQUEST_TIMEOUT,
+        heartbeat_period=LIVE_HEARTBEAT_PERIOD,
+        probe_timeout=LIVE_PROBE_TIMEOUT,
         retry=RetryPolicy(max_attempts=2, base_delay=20.0, max_delay=100.0),
         bulk_boot=True,
     )
@@ -366,19 +357,16 @@ async def run_live_soak(config: SoakConfig, transport: str = "loopback") -> dict
     try:
         recovery = await cluster.enable_recovery(
             DetectorParams(
-                period=config.live_heartbeat_period * 1000.0,
+                period=LIVE_HEARTBEAT_PERIOD * 1000.0,
                 suspicion_periods=1,
             )
         )
         # -- (1) lookup traffic through a kill-33% event -----------------
         load = asyncio.get_running_loop().create_task(
-            run_load(
-                cluster, rate=config.live_rate, count=config.lookups,
-                seed=config.seed,
-            )
+            run_load(cluster, rate=LIVE_RATE, count=config.lookups, seed=config.seed)
         )
         # let roughly a third of the arrivals land, then pull the rug
-        await asyncio.sleep(config.lookups / (3.0 * config.live_rate))
+        await asyncio.sleep(config.lookups / (3.0 * LIVE_RATE))
         victims = await cluster.kill_fraction(1.0 / 3.0, seed=config.seed)
         report = await load
         availability = report.succeeded / report.ops if report.ops else 0.0
@@ -423,9 +411,7 @@ async def run_live_soak(config: SoakConfig, transport: str = "loopback") -> dict
             live = [n for n in cluster.actors if n != cluster.bootstrap.addr]
             await cluster.leave(live[int(rng.integers(0, len(live)))])
         for kind in CORRUPTION_KINDS:
-            corrupted = inject_corruption(
-                cluster.overlay, kind, rng, config.corrupt_fraction
-            )
+            corrupted = inject_corruption(cluster.overlay, kind, rng)
             rounds, violation = await _converge_live(
                 cluster, recovery, config.round_budget
             )

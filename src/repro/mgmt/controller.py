@@ -56,15 +56,10 @@ class ControllerConfig:
     #: run the (O(N) and worse) stack-wide invariant check on /health;
     #: disable on very large clusters where the scrape budget matters
     check_invariants: bool = True
-    #: page title + poll period of the served zone-map view
-    title: str = "repro overlay — live zone map"
-    viz_refresh_ms: int = 1000
 
     def __post_init__(self):
         if self.refresh_s <= 0:
             raise ValueError("refresh_s must be positive")
-        if self.viz_refresh_ms < 50:
-            raise ValueError("viz_refresh_ms must be >= 50")
 
 
 class Controller:
@@ -136,8 +131,9 @@ class Controller:
                 )
             except Exception:
                 # a torn mid-churn read must not kill the daemon; the
-                # next pass (or an on-demand request) recomputes
-                pass
+                # next pass (or an on-demand request) recomputes, and
+                # the count shows on /stats and /metrics
+                self.cluster.network.telemetry.bump("mgmt_refresh_error")
             await asyncio.sleep(self.config.refresh_s)
 
     # -- snapshot access (cached) ------------------------------------------
@@ -182,11 +178,7 @@ class Controller:
 
     async def _serve_index(self, _request) -> Response:
         self._bump("index")
-        return Response.html(
-            render_zone_map_html(
-                title=self.config.title, refresh_ms=self.config.viz_refresh_ms
-            )
-        )
+        return Response.html(render_zone_map_html())
 
     async def _serve_topology(self, _request) -> Response:
         self._bump("topology")

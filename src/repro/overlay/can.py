@@ -90,9 +90,6 @@ class CanOverlay:
         #: is cleared wholesale whenever a zone is (un)indexed.  Local data
         #: structure only -- resolutions through it are never charged.
         self._owner_memo: dict = {}
-        #: kill switch for the memo (the determinism regression test runs
-        #: with it off to prove caching never leaks into charged behavior)
-        self.owner_cache_enabled = True
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -167,8 +164,6 @@ class CanOverlay:
         owner is local computation and never charged.
         """
         key = point if type(point) is tuple else tuple(point)
-        if not self.owner_cache_enabled:
-            return self._resolve_owner(key)
         memo = self._owner_memo
         owner = memo.get(key)
         if owner is None:

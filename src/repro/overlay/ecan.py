@@ -44,6 +44,11 @@ from repro.overlay.zone import cell_center, point_cell, sibling_cells
 #: any overlay size this simulator will see.
 MAX_LEVEL = 24
 
+#: path length past which a route counts as failed, in the simulator
+#: (the default of :meth:`EcanOverlay.route`) and on the wire (a live
+#: actor refuses to forward a ROUTE frame whose path is longer)
+MAX_HOPS = 512
+
 
 class NeighborPolicy:
     """Strategy for choosing a high-order (expressway) neighbor."""
@@ -513,7 +518,7 @@ class EcanOverlay:
         start_node: int,
         point,
         category: str = "ecan_route",
-        max_hops: int = 512,
+        max_hops: int = MAX_HOPS,
     ) -> RouteResult:
         """Prefix-style routing: expressway jumps, then CAN greedy hops.
 

@@ -96,9 +96,7 @@ class ClusterConfig:
     #: optional :class:`~repro.netsim.faults.FaultPlan` applied at the
     #: transport (drop/partition decisions per frame)
     fault_plan: object = None
-    fault_seed: int = 0
     request_timeout: float = 30.0
-    max_hops: int = 512
     #: wall seconds between live failure-detector rounds
     heartbeat_period: float = 0.25
     #: wall seconds one HEARTBEAT probe waits before counting as silence
@@ -126,17 +124,9 @@ class ClusterConfig:
     #: extra resend attempts granted to BUSY sheds (decorrelated
     #: jitter, separate from the loss-retry budget)
     busy_retries: int = 2
-    #: decorrelated-jitter ladder for BUSY retries (wall ms)
-    busy_backoff_base_ms: float = 2.0
-    busy_backoff_cap_ms: float = 250.0
-    #: derive per-peer request timeouts from EWMA RTT + variance
-    #: (Jacobson RTO) instead of the static request_timeout
-    adaptive_timeout: bool = True
-    #: floor for the adaptive RTO (seconds)
+    #: floor for the per-peer adaptive request timeout of data traffic
+    #: (Jacobson RTO from EWMA RTT + variance, capped at request_timeout)
     rto_min_s: float = 0.25
-    #: per-peer TCP write-queue cap in frames (tcp transport only);
-    #: frames past the cap drop and count as backpressure
-    outbox_cap: int = 8192
     #: worker processes the membership shards across (1 = the classic
     #: single-process cluster; >1 boots a
     #: :class:`~repro.runtime.shard.ShardedCluster`, one event loop
@@ -246,9 +236,7 @@ class ClusterSurface:
         the perfect-network fast path until the first crash.
         """
         if self.network.faults is None:
-            from repro.netsim.faults import FaultPlan
-
-            self.network.arm_faults(FaultPlan(), seed=self.config.fault_seed)
+            self.network.arm_faults()
         return self.network.faults
 
     def _injectors(self) -> list:
@@ -404,19 +392,15 @@ class Cluster(ClusterSurface):
             # while the overlay stack itself stays on the perfect path
             from repro.netsim.faults import FaultInjector
 
-            faults = FaultInjector(
-                self.network, config.fault_plan, seed=config.fault_seed
-            )
+            faults = FaultInjector(self.network, config.fault_plan)
             faults.armed = True
-        transport_kwargs = dict(
+        return make_transport(
+            config.transport,
             oracle=self.network.oracle,
             latency_scale=config.latency_scale,
             faults=faults,
             encoding=config.wire_encoding,
         )
-        if config.transport == "tcp":
-            transport_kwargs["outbox_cap"] = config.outbox_cap
-        return make_transport(config.transport, **transport_kwargs)
 
     # -- membership --------------------------------------------------------
 
@@ -550,7 +534,6 @@ class Cluster(ClusterSurface):
         ack = await joiner.request(self.bootstrap.addr, MsgType.JOIN, {})
         await joiner.rebind(int(ack["node_id"]), host=int(ack["host"]))
         self.actors[joiner.addr] = joiner
-        self.network.telemetry.bump("runtime_join")
         return joiner.addr
 
     def partition(self, domains) -> None:

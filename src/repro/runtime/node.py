@@ -33,7 +33,7 @@ saturating data flood would run each request to completion on the
 arrival stack, the lanes would never fill, and heartbeats would
 starve behind the ready queue rather than the mailbox.  Chains
 deeper than :attr:`NodeProcess.MAX_INLINE_DEPTH` spill to the drain
-task as before, keeping a ``max_hops``-length route clear of the
+task as before, keeping a ``MAX_HOPS``-length route clear of the
 interpreter's recursion limit.
 
 Client-side reaction lives in :meth:`NodeProcess.request`: BUSY
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import random
 from collections import deque
 
 from repro.core.reliability import (
@@ -69,6 +70,7 @@ from repro.core.reliability import (
     CircuitOpenError,
     DecorrelatedJitter,
 )
+from repro.overlay.ecan import MAX_HOPS
 from repro.runtime.transport import TransportError
 from repro.runtime.wire import Frame, MsgType
 from repro.softstate.maps import Region
@@ -121,6 +123,9 @@ class NodeProcess:
         self.retries = 0
         #: BUSY replies this actor retried after backoff
         self.busy_retries = 0
+        #: draws the BUSY-retry jitter: seeded, so the resend timing of
+        #: a run is reproducible from (overlay seed, first address)
+        self._jitter_rng = random.Random(f"{cluster.config.overlay.seed}:{addr}")
         #: dst -> CircuitBreaker (data-kind requests only)
         self._breakers: dict = {}
         #: dst -> AdaptiveTimeout (data-kind requests only)
@@ -183,7 +188,7 @@ class NodeProcess:
 
     #: inline loopback chains nested deeper than this (one level per
     #: actor handing off to the next) spill to a scheduled drain task,
-    #: keeping a max_hops-length route clear of the recursion limit
+    #: keeping a MAX_HOPS-length route clear of the recursion limit
     MAX_INLINE_DEPTH = 64
     _inline_depth = 0
 
@@ -322,9 +327,11 @@ class NodeProcess:
             return None
         breaker = self._breakers.get(dst)
         if breaker is None:
+            # the loop's clock, like every other time the request path reads
             breaker = self._breakers[dst] = CircuitBreaker(
                 threshold=config.breaker_threshold,
                 reset_timeout_s=config.breaker_reset_s,
+                clock=asyncio.get_running_loop().time,
             )
         return breaker
 
@@ -388,10 +395,7 @@ class NodeProcess:
                 busy_budget -= 1
                 self.busy_retries += 1
                 if jitter is None:
-                    jitter = DecorrelatedJitter(
-                        base_ms=config.busy_backoff_base_ms,
-                        cap_ms=config.busy_backoff_cap_ms,
-                    )
+                    jitter = DecorrelatedJitter(rng=self._jitter_rng)
                 await asyncio.sleep(jitter.next_delay() / 1000.0)
             except RequestTimeout:
                 if breaker is not None and breaker.record_failure():
@@ -422,7 +426,7 @@ class NodeProcess:
         config = self.cluster.config
         rto = None
         if timeout is None:
-            if config.adaptive_timeout and kind in _DATA_KINDS:
+            if kind in _DATA_KINDS:
                 rto = self._rto_for(dst)
                 timeout = rto.timeout()
             else:
@@ -572,7 +576,7 @@ class NodeProcess:
                 result.update(lookup)
             await self._reply(frame, result)
             return
-        if next_id is None or len(path) > cluster.config.max_hops:
+        if next_id is None or len(path) > MAX_HOPS:
             await self._reply(
                 frame,
                 {"error": f"route stuck after {len(path) - 1} hops", "path": path},

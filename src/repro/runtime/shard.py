@@ -173,11 +173,8 @@ class PeeringTransport(StreamTransport):
         shard_of: dict,
         inner: Transport,
         interface: str = "127.0.0.1",
-        outbox_cap: int = 8192,
     ):
-        super().__init__(
-            encoding=inner.encoding, interface=interface, outbox_cap=outbox_cap
-        )
+        super().__init__(encoding=inner.encoding, interface=interface)
         self.shard_id = shard_id
         #: node id -> owning shard (string joiner addrs are never
         #: sharded: anything unknown is treated as local)
@@ -283,10 +280,7 @@ class _WorkerCluster(Cluster):
 
     def _make_transport(self):
         return PeeringTransport(
-            self.shard_id,
-            self.assignment,
-            super()._make_transport(),
-            outbox_cap=self.config.outbox_cap,
+            self.shard_id, self.assignment, super()._make_transport()
         )
 
     async def start(self) -> "Cluster":

@@ -59,6 +59,11 @@ class StoredRecord:
     #: reproduces the bucket's dict insertion order, so index-served
     #: lookups return records in exactly the order a bucket scan would
     seq: int = 0
+    #: overlay node hosting the primary copy, kept current through the
+    #: CAN's observer events so lookups and sweeps never re-resolve
+    #: ``owner_of_point`` per record (owner resolution is a local data
+    #: structure, never charged); None until the store attributes it
+    owner: int = None
 
 
 @dataclass
@@ -101,14 +106,8 @@ class SoftStateStore:
         self.replication_factor = replication_factor
         #: region -> {node_id -> StoredRecord}
         self.maps: dict = {}
-        #: region -> {node_id -> overlay node hosting the primary copy}.
-        #: An incremental mirror of :attr:`maps` kept current through the
-        #: CAN's observer events, so lookups and sweeps never re-resolve
-        #: ``owner_of_point`` per record (owner resolution is a local
-        #: data structure, never charged).
-        self._owners: dict = {}
-        #: reverse side of :attr:`_owners`: owner node -> {region ->
-        #: set(node_id)} entries attributed to it, so a zone event
+        #: reverse side of :attr:`StoredRecord.owner`: owner node -> {region
+        #: -> set(node_id)} entries attributed to it, so a zone event
         #: re-resolves only the touched owner's entries and a lookup
         #: reads the serving node's shard without scanning the map
         self._attributed: dict = {}
@@ -120,10 +119,6 @@ class SoftStateStore:
         #: region -> next insertion sequence number (never reused, so
         #: seq order always equals bucket insertion order)
         self._seq: dict = {}
-        #: kill switch for the incremental index; the determinism
-        #: regression test runs with it off to prove the cache never
-        #: leaks into charged behavior
-        self.use_owner_index = True
         #: node_id -> its own NodeRecord (identity registry)
         self.registry: dict = {}
         #: node_id -> set of regions currently holding its record
@@ -175,25 +170,13 @@ class SoftStateStore:
 
     def _index_insert(self, region: Region, node_id: int, owner: int) -> None:
         """Attribute ``(region, node_id)`` to ``owner`` in both directions."""
-        owners = self._owners.setdefault(region, {})
-        old = owners.get(node_id)
-        if old is not None and old != owner:
-            self._attribution_drop(old, region, node_id)
-        owners[node_id] = owner
+        stored = self.maps[region][node_id]
+        if stored.owner is not None and stored.owner != owner:
+            self._attribution_drop(stored.owner, region, node_id)
+        stored.owner = owner
         self._attributed.setdefault(owner, {}).setdefault(region, set()).add(node_id)
         # also on a refresh by the same owner: the stored record is new
         self._views.pop((owner, region), None)
-
-    def _index_remove(self, region: Region, node_id: int) -> None:
-        """Drop ``(region, node_id)`` from both sides of the index."""
-        owners = self._owners.get(region)
-        if owners is None:
-            return
-        owner = owners.pop(node_id, None)
-        if not owners:
-            del self._owners[region]
-        if owner is not None:
-            self._attribution_drop(owner, region, node_id)
 
     def _reassign_hosted(self, changed_id: int) -> None:
         """Re-resolve owner-index entries attributed to ``changed_id``.
@@ -205,8 +188,6 @@ class SoftStateStore:
         walk; positions that moved (or whose host departed) are
         re-resolved against the fresh tessellation.
         """
-        if not self.use_owner_index:
-            return
         by_region = self._attributed.get(changed_id)
         if not by_region:
             return
@@ -217,7 +198,7 @@ class SoftStateStore:
             for node_id in list(shard):
                 stored = bucket.get(node_id)
                 if stored is None:  # defensive: index out of step with map
-                    self._index_remove(region, node_id)
+                    self._attribution_drop(changed_id, region, node_id)
                     continue
                 if node is not None and node.contains(stored.position):
                     continue
@@ -304,20 +285,8 @@ class SoftStateStore:
         return tuple(out)
 
     def record_owner(self, region: Region, node_id: int) -> int:
-        """Owner of the record's primary copy, served from the index.
-
-        Falls back to a fresh ``owner_of_point`` walk when the index is
-        disabled or (defensively) missing the entry.
-        """
-        if self.use_owner_index:
-            owner = self._owners.get(region, {}).get(node_id)
-            if owner is not None:
-                return owner
-        return self.ecan.can.owner_of_point(self.maps[region][node_id].position)
-
-    def hosting_node(self, region: Region, node_id: int) -> int:
-        """Overlay node currently hosting ``node_id``'s record in ``region``."""
-        return self.record_owner(region, node_id)
+        """Owner of the record's primary copy, served from the index."""
+        return self.maps[region][node_id].owner
 
     def copy_hosts(self, region: Region, node_id: int) -> list:
         """Overlay nodes hosting each copy (primary first) of a record."""
@@ -386,12 +355,13 @@ class SoftStateStore:
             else:
                 seq = prior.seq
             bucket[node_id] = StoredRecord(
-                record=record, position=position, replicas=replicas, seq=seq
+                record=record,
+                position=position,
+                replicas=replicas,
+                seq=seq,
+                owner=None if fresh else prior.owner,
             )
-            if self.use_owner_index:
-                self._index_insert(
-                    region, node_id, self.ecan.can.owner_of_point(position)
-                )
+            self._index_insert(region, node_id, self.ecan.can.owner_of_point(position))
             if charge:
                 self._charge_route(node_id, position, "softstate_publish")
                 for replica in replicas:
@@ -465,7 +435,7 @@ class SoftStateStore:
         stored = bucket.pop(node_id, None)
         if stored is None:
             return 0
-        self._index_remove(region, node_id)
+        self._attribution_drop(stored.owner, region, node_id)
         if not bucket:
             del self.maps[region]
         if charge:
@@ -487,7 +457,7 @@ class SoftStateStore:
                 continue
             stored.record = record
             # the one mutation that reaches a shard without passing the index
-            self._views.pop((self._owners.get(region, {}).get(node_id), region), None)
+            self._views.pop((stored.owner, region), None)
             if charge:
                 self.network.stats.count("softstate_load_update")
             self._emit(EventKind.LOAD_UPDATED, region, record)
@@ -679,76 +649,64 @@ class SoftStateStore:
         else:
             served_by = self.ecan.can.owner_of_point(position)
 
-        if self.use_owner_index:
-            # zero owner walks and no bucket scan: the reverse index
-            # yields exactly the asked-for node's records, in bucket
-            # insertion order (seq), at cost proportional to what that
-            # node hosts rather than to the region's map size
-            view = self._shard_view(served_by, region)
-            if view is not None:
-                # the common case, no widening: rank straight off the
-                # cached matrix.  Same arithmetic as the norm below;
-                # sorting before dropping the querier's own row (a
-                # shard holds at most one) keeps the others' stable
-                # relative order, so one spare candidate suffices.
-                records, matrix = view
-                delta = matrix - query_vector
-                order = np.sqrt(np.add.reduce(delta * delta, axis=1)).argsort(
-                    kind="stable"
-                )
-                ranked = [
-                    record
-                    for i in order[: max_results + 1].tolist()
-                    if (record := records[i]).node_id != querier_id
-                ]
-                return LookupResult(records=ranked[:max_results], served_by=served_by)
+        # zero owner walks and no bucket scan: the reverse index yields
+        # exactly the asked-for node's records, in bucket insertion
+        # order (seq), at cost proportional to what that node hosts
+        # rather than to the region's map size
+        view = self._shard_view(served_by, region)
+        if view is not None:
+            # the common case, no widening: rank straight off the
+            # cached matrix.  Same arithmetic as the norm below;
+            # sorting before dropping the querier's own row (a
+            # shard holds at most one) keeps the others' stable
+            # relative order, so one spare candidate suffices.
+            records, matrix = view
+            delta = matrix - query_vector
+            order = np.sqrt(np.add.reduce(delta * delta, axis=1)).argsort(
+                kind="stable"
+            )
+            ranked = [
+                record
+                for i in order[: max_results + 1].tolist()
+                if (record := records[i]).node_id != querier_id
+            ]
+            return LookupResult(records=ranked[:max_results], served_by=served_by)
 
-            def hosted(owner: int) -> list:
-                return self._collect_shard(owner, region)
-        else:
-            hosted_by: dict = {}
-            for node_id, stored in self.maps.get(region, {}).items():
-                owner = self.ecan.can.owner_of_point(stored.position)
-                hosted_by.setdefault(owner, []).append(stored.record)
-
-            def hosted(owner: int) -> list:
-                return hosted_by.get(owner, ())
-
-        collected = list(hosted(served_by))
+        # the first shard is empty (a None view means exactly that):
+        # widen within the region, ring by ring over CAN neighbors
+        collected = []
         widened = 0
-        if not collected:
-            # widen within the region, ring by ring over CAN neighbors
-            region_zone = region.zone()
-            visited = {served_by}
-            frontier = [served_by]
-            while not collected and widened < self.widen_ttl and frontier:
-                widened += 1
-                next_frontier = []
-                for node_id in frontier:
-                    node = self.ecan.can.nodes.get(node_id)
-                    if node is None:
+        region_zone = region.zone()
+        visited = {served_by}
+        frontier = [served_by]
+        while not collected and widened < self.widen_ttl and frontier:
+            widened += 1
+            next_frontier = []
+            for node_id in frontier:
+                node = self.ecan.can.nodes.get(node_id)
+                if node is None:
+                    continue
+                for neighbor_id in sorted(node.neighbors):
+                    if neighbor_id in visited:
                         continue
-                    for neighbor_id in sorted(node.neighbors):
-                        if neighbor_id in visited:
-                            continue
-                        neighbor = self.ecan.can.nodes[neighbor_id]
-                        inside = any(
-                            all(
-                                zl < h and l < zh
-                                for zl, zh, l, h in zip(
-                                    z.lo, z.hi, region_zone.lo, region_zone.hi
-                                )
+                    neighbor = self.ecan.can.nodes[neighbor_id]
+                    inside = any(
+                        all(
+                            zl < h and l < zh
+                            for zl, zh, l, h in zip(
+                                z.lo, z.hi, region_zone.lo, region_zone.hi
                             )
-                            for z in neighbor.zones
                         )
-                        if not inside:
-                            continue
-                        visited.add(neighbor_id)
-                        next_frontier.append(neighbor_id)
-                        if charge:
-                            self.network.stats.count("softstate_lookup")
-                        collected.extend(hosted(neighbor_id))
-                frontier = next_frontier
+                        for z in neighbor.zones
+                    )
+                    if not inside:
+                        continue
+                    visited.add(neighbor_id)
+                    next_frontier.append(neighbor_id)
+                    if charge:
+                        self.network.stats.count("softstate_lookup")
+                    collected.extend(self._collect_shard(neighbor_id, region))
+            frontier = next_frontier
 
         collected = [r for r in collected if r.node_id != querier_id]
         if collected:
@@ -775,20 +733,13 @@ class SoftStateStore:
         ``owner_of_point`` walk over the live tessellation; run from the
         stack-wide :func:`repro.core.recovery.check_invariants`.
         """
-        if not self.use_owner_index:
-            return
         owner_of = self.ecan.can._resolve_owner
         for region, bucket in self.maps.items():
-            owners = self._owners.get(region, {})
-            assert set(owners) == set(bucket), (
-                f"owner index of {region} tracks {sorted(owners)} "
-                f"but the map holds {sorted(bucket)}"
-            )
             for node_id, stored in bucket.items():
                 expected = owner_of(stored.position)
-                assert owners[node_id] == expected, (
+                assert stored.owner == expected, (
                     f"owner index of {region} attributes record {node_id} "
-                    f"to {owners[node_id]}, brute force says {expected}"
+                    f"to {stored.owner}, brute force says {expected}"
                 )
                 assert node_id in self._attributed.get(expected, {}).get(region, ()), (
                     f"reverse index misses ({region}, {node_id}) under {expected}"
@@ -820,26 +771,20 @@ class SoftStateStore:
         which restores the invariant :meth:`check_owner_index` asserts
         no matter what state the index was left in.  Purely local
         data-structure work, never charged.  Returns the number of
-        attributions that changed (or were dropped as orphans).
+        attributions that changed.
         """
-        if not self.use_owner_index:
-            return 0
-        stale = self._owners
-        self._owners = {}
         self._attributed = {}
         self._views = {}
         owner_of = self.ecan.can.owner_of_point
         changed = 0
         for region, bucket in self.maps.items():
-            prior = stale.get(region, {})
             for node_id, stored in bucket.items():
                 owner = owner_of(stored.position)
-                if prior.get(node_id) != owner:
+                if stored.owner != owner:
                     changed += 1
+                # the reverse side was just emptied: nothing to drop there
+                stored.owner = None
                 self._index_insert(region, node_id, owner)
-        for region, prior in stale.items():
-            bucket = self.maps.get(region, {})
-            changed += sum(1 for node_id in prior if node_id not in bucket)
         return changed
 
     def total_entries(self) -> int:

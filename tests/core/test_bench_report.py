@@ -86,7 +86,7 @@ class TestValidator:
         """Also the proof that none carries a ``wall*`` key or one of
         the four removed fields: ``check_record`` refuses both."""
         records = report.load_records()
-        assert len(records) >= 30
+        assert len(records) >= 27
         for name, record in records.items():
             assert record["name"] == name
             assert report.check_record(record) == [], name

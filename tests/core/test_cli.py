@@ -66,14 +66,12 @@ class TestCommands:
                 "--mailbox-cap", "64",
                 "--shed-policy", "newest",
                 "--breaker-threshold", "3",
-                "--no-adaptive-timeout",
             ]
         )
         config = _cluster_config(args)
         assert config.mailbox_cap == 64
         assert config.shed_policy == "newest"
         assert config.breaker_threshold == 3
-        assert config.adaptive_timeout is False
 
     def test_cluster_overload_flag_defaults(self):
         from repro.cli import _cluster_config
@@ -83,7 +81,6 @@ class TestCommands:
         assert config.mailbox_cap == 1024
         assert config.shed_policy == "oldest"
         assert config.breaker_threshold == 8
-        assert config.adaptive_timeout is True
 
     def test_cluster_mailbox_cap_zero_means_unbounded(self):
         from repro.cli import _cluster_config

@@ -21,6 +21,11 @@ def smoke():
 
 LOAD = {"ops": 1000, "errors": 0, "parity_mismatches": 0}
 SOAK = {"unconverged": [], "false_kills": 0, "false_purges": 0}
+OVERLOAD = {
+    "wall_shed": 1, "false_crashes": 0, "confirmed_dead": [],
+    "detector_ticks_during_load": 1, "capacity_ops": 1000.0,
+    "wall_throughput_ops": 500.0,
+}  # fmt: skip
 ENDPOINTS = {
     "page_status": 200, "page_has_svg": True, "non_json": [],
     "topology_status": 200, "topology_schema": 1, "members_without_zone_box": [],
@@ -41,11 +46,8 @@ HEALTHY = {
     ("shard", "shard"): {**LOAD, "wall_throughput_ops": 500.0, "frames_cross_shard": 1},
     ("soak", "sim"): SOAK,
     ("soak", "live"): {**SOAK, "wall_availability": 0.01},
-    ("overload", "overload"): {
-        "wall_shed": 1, "false_crashes": 0, "confirmed_dead": [],
-        "detector_ticks_during_load": 1, "capacity_ops": 1000.0,
-        "wall_throughput_ops": 500.0,
-    },
+    ("overload", "2x"): OVERLOAD,
+    ("overload", "4x"): OVERLOAD,
     ("mgmt", "single"): {
         **ENDPOINTS,
         "nodes": 32, "shards": 1, "topology_members": 32, "topology_shards": 1,
@@ -71,6 +73,12 @@ SOAK_BAD = {
     "every epoch converges within budget": {"unconverged": ["stale_replicas: x"]},
     "zero false kills": {"false_kills": 1},
     "zero false purges": {"false_purges": 1},
+}
+OVERLOAD_BAD = {
+    "protection engaged: shed > 0": {"wall_shed": 0},
+    "zero false crash verdicts": {"false_crashes": 1},
+    "nobody confirmed dead": {"confirmed_dead": [2]},
+    "detector ticked during saturation": {"detector_ticks_during_load": 0},
 }
 ENDPOINTS_BAD = {
     "zone-map page serves an <svg>": {"page_has_svg": False},
@@ -113,13 +121,12 @@ VIOLATIONS = {
     },
     ("soak", "sim"): SOAK_BAD,
     ("soak", "live"): {**SOAK_BAD, "availability > 0": {"wall_availability": 0.0}},
-    ("overload", "overload"): {
-        "protection engaged: shed > 0": {"wall_shed": 0},
-        "zero false crash verdicts": {"false_crashes": 1},
-        "nobody confirmed dead": {"confirmed_dead": [2]},
-        "detector ticked during saturation": {"detector_ticks_during_load": 0},
+    ("overload", "2x"): {
+        **OVERLOAD_BAD,
         "goodput >= 0.5x capacity": {"wall_throughput_ops": 499.0},
     },
+    # safety only: a goodput ratio the 2x step would fail passes here
+    ("overload", "4x"): OVERLOAD_BAD,
     ("mgmt", "single"): {
         **ENDPOINTS_BAD,
         # only a sharded harness owes the breakdown: claim two shards throughout
@@ -170,11 +177,12 @@ def test_healthy_record_passes_and_each_violation_names_its_gate(smoke, key):
 
 
 def test_a_failure_shows_the_values_the_predicate_read(smoke):
-    gates = _steps(smoke)[("overload", "overload")]
-    record = {**HEALTHY[("overload", "overload")], "wall_throughput_ops": 120.0}
-    assert smoke.failed_gates(gates, record) == [
+    steps = _steps(smoke)
+    record = {**OVERLOAD, "wall_throughput_ops": 120.0}
+    assert smoke.failed_gates(steps[("overload", "2x")], record) == [
         "goodput >= 0.5x capacity (wall_throughput_ops=120.0, capacity_ops=1000.0)"
     ]
+    assert smoke.failed_gates(steps[("overload", "4x")], record) == []
 
 
 def test_thresholds_sit_exactly_where_the_retired_scripts_had_them(smoke):
@@ -186,7 +194,7 @@ def test_thresholds_sit_exactly_where_the_retired_scripts_had_them(smoke):
         ("runtime", [(0,), (0,)]),
         ("shard", [(0,)]),
         ("soak", [(0,), (0,)]),
-        ("overload", [(0,)]),
+        ("overload", [(0,), (0,)]),
         ("mgmt", [(3,), (3,)]),
     ]
 

@@ -2,9 +2,9 @@
 
 The caches under the simulator's hot path (validity memo, shard views,
 owner memo, owner index) are only legitimate if they never change what
-a run *does*.  ``test_perf_caching`` pins that against the brute-force
-kill switches; this file pins it against history: for a fixed seed the
-charged messages, every expressway table, every map (ids and ``seq``),
+a run *does*.  ``check_invariants`` re-derives each of them from the
+authoritative state; this file pins them against history: for a fixed
+seed the charged messages, every expressway table, every map (ids and ``seq``),
 every neighbour set, every zone and a batch of routes and lookups hash
 to the digests recorded below.  A hot-path change that moves any of
 them changed behaviour, not just speed.

@@ -315,3 +315,33 @@ class TestServerBehavior:
         refreshes, gauge = run(scenario())
         assert refreshes >= 2
         assert gauge == refreshes
+
+    def test_a_failed_refresh_is_counted_and_the_loop_survives(self, monkeypatch):
+        from repro.mgmt import controller as controller_module
+
+        calls = []
+
+        def torn_once(cluster):
+            calls.append(cluster)
+            if len(calls) == 1:
+                raise RuntimeError("torn mid-churn read")
+            return topology_snapshot(cluster)
+
+        monkeypatch.setattr(controller_module, "topology_snapshot", torn_once)
+
+        async def scenario():
+            async with Cluster(make_config(nodes=8)) as cluster:
+                config = ControllerConfig(refresh_s=0.02)
+                async with Controller(cluster, config) as controller:
+                    while controller.refreshes < 1:
+                        await asyncio.sleep(0.01)
+                    _, stats = await get_json(controller, "/stats")
+                    _, _, metrics = await http_get(
+                        "127.0.0.1", controller.port, "/metrics"
+                    )
+                    return stats["events"], parse_exposition(metrics.decode("utf-8"))
+
+        events, families = run(scenario())
+        assert events["mgmt_refresh_error"] == 1
+        samples = families["repro_events_total"]["samples"]
+        assert ({"event": "mgmt_refresh_error"}, 1.0) in samples

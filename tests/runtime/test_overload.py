@@ -8,6 +8,8 @@ flowing -- no wall-clock races decide what gets shed.
 """
 
 import asyncio
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -326,6 +328,36 @@ class TestCircuitBreaker:
         assert closed["breakers_open_now"] == 0
         assert isinstance(ack, dict)
 
+    def test_reset_window_runs_on_the_event_loop_clock(self):
+        """The window elapses when the loop's clock says so, with no wall
+        time passing: a breaker reads the clock the deadline table and
+        the RTO read, not ``time.monotonic``."""
+
+        class SteppedLoop(asyncio.SelectorEventLoop):
+            offset = 0.0
+
+            def time(self):
+                return super().time() + self.offset
+
+        async def scenario():
+            config = make_config(breaker_threshold=1, breaker_reset_s=3600.0)
+            async with Cluster(config) as cluster:
+                origin = cluster.bootstrap
+                victim_id = pick_peer(cluster)
+                origin._breaker_for(victim_id).record_failure()
+                with pytest.raises(CircuitOpenError):
+                    await origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
+                asyncio.get_running_loop().offset += 3600.0
+                # the half-open probe goes out, and its ACK closes the circuit
+                await origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
+                return cluster.overload_counters()["breakers_open_now"]
+
+        loop = SteppedLoop()
+        try:
+            assert loop.run_until_complete(scenario()) == 0
+        finally:
+            loop.close()
+
     def test_control_traffic_ignores_breakers(self):
         """HEARTBEATs flow to a peer whose data breaker is open."""
 
@@ -383,8 +415,6 @@ class TestCircuitBreaker:
                 mailbox_cap=1,
                 shed_policy="newest",
                 busy_retries=8,
-                busy_backoff_base_ms=5.0,
-                busy_backoff_cap_ms=20.0,
             )
             async with Cluster(config) as cluster:
                 origin = cluster.bootstrap
@@ -418,6 +448,44 @@ class TestCircuitBreaker:
         assert isinstance(ack, dict)
         assert busy_retries >= 1
 
+    def test_busy_retry_timing_is_a_function_of_the_seed(self):
+        """Two boots from one seed back off by the same delay ladder."""
+
+        async def ladder(seed):
+            config = make_config(mailbox_cap=1, shed_policy="newest", busy_retries=5)
+            config.overlay = replace(config.overlay, seed=seed)
+            async with Cluster(config) as cluster:
+                origin = cluster.bootstrap
+                victim_id = pick_peer(cluster)
+                gate = gate_dispatch(cluster.actors[victim_id])
+                hung = []
+                for _ in range(2):  # one held in dispatch, one filling the lane
+                    hung.append(
+                        asyncio.ensure_future(
+                            origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
+                        )
+                    )
+                    await asyncio.sleep(0.01)
+                delays = []
+                real_sleep = asyncio.sleep
+
+                async def recording_sleep(delay):
+                    delays.append(delay * 1000.0)
+                    await real_sleep(0)
+
+                # every resend is shed again: the whole ladder is drawn
+                with mock.patch.object(asyncio, "sleep", recording_sleep):
+                    with pytest.raises(PeerBusy):
+                        await origin.request(victim_id, MsgType.PUBLISH, {})
+                gate.set()
+                await asyncio.gather(*hung)
+                return [delay for delay in delays if delay > 0.0]
+
+        first, again, other = run(ladder(5)), run(ladder(5)), run(ladder(6))
+        assert len(first) == 5 and all(2.0 <= delay <= 250.0 for delay in first)
+        assert first == again
+        assert first != other
+
 
 class TestAdaptiveTimeoutIntegration:
     def test_rtt_samples_tighten_the_request_timeout(self):
@@ -443,17 +511,6 @@ class TestAdaptiveTimeoutIntegration:
             # collapses to the floor instead of the 30 s static value
             assert timeout == pytest.approx(0.25)
             assert timeout < static
-
-    def test_disabled_adaptive_timeout_keeps_static_behavior(self):
-        async def scenario():
-            config = make_config(nodes=12, mailbox_cap=1024, adaptive_timeout=False)
-            async with Cluster(config) as cluster:
-                src = cluster.bootstrap.addr
-                for i in range(4):
-                    await cluster.lookup(src, (0.1 * i + 0.05, 0.5))
-                return dict(cluster.actors[src]._rtos)
-
-        assert run(scenario()) == {}
 
 
 class TestCrashDropAccounting:

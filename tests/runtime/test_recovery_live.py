@@ -191,6 +191,20 @@ class TestRestart:
 
         run(scenario())
 
+    @pytest.mark.parametrize("bulk_boot", [False, True], ids=["wire-join", "bulk-boot"])
+    def test_runtime_join_counts_each_member_once(self, bulk_boot):
+        """``/stats`` and ``/metrics`` export this event: one per
+        admission, however the cluster booted, a restart included."""
+
+        async def scenario():
+            async with Cluster(make_config(nodes=8, bulk_boot=bulk_boot)) as cluster:
+                await cluster.restart()
+                events = cluster.network.telemetry.event_counts
+                return events["runtime_join"], len(cluster)
+
+        joins, members = run(scenario())
+        assert joins == members == 9
+
 
 class TestBulkBoot:
     def test_bulk_boot_matches_incremental_membership_and_zones(self):

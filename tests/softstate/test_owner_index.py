@@ -108,6 +108,8 @@ class TestIndexSurvivesChurn:
             (r, b) for r, b in store.maps.items() if b
         )
         node_id = next(iter(bucket))
-        store._owners[region][node_id] = -1  # corrupt one attribution
+        bucket[node_id].owner = -1  # corrupt one attribution
         with pytest.raises(AssertionError):
             store.check_owner_index()
+        assert store.rebuild_owner_index() == 1
+        store.check_owner_index()
