@@ -57,7 +57,8 @@ perf-pairs:
 
 # The acceptance scenarios, one process, ~15 s (scripts/smoke.py): chaos
 # recovery on three seeds, live-runtime sim parity under both payload
-# encodings, the same bar across 4 worker processes, the churn soak in
+# encodings and over real TCP sockets (the only step that opens one per
+# node), the same bar across 4 worker processes, the churn soak in
 # both execution modes, 2x and 4x overload with the detector live, and the
 # management plane through a crash.  Each scenario's bar is a tuple of
 # (label, predicate) gates next to it; every scenario runs even if an

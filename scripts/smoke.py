@@ -1,6 +1,6 @@
 """One smoke runner: the six acceptance scenarios, their gates as data.
 
-``make smoke`` and CI run this once.  A scenario is one or two steps;
+``make smoke`` and CI run this once.  A scenario is one to three steps;
 a step is a function of a seed returning a flat record (``async def``
 when it drives the live runtime) plus the tuple of ``(label,
 predicate)`` gates that record must pass, and :data:`SCENARIOS` binds
@@ -15,7 +15,7 @@ Usage::
 
     python scripts/smoke.py                  # all six, in table order
     python scripts/smoke.py shard mgmt       # just these
-    python scripts/smoke.py runtime --uvloop
+    python scripts/smoke.py runtime shard --uvloop
 """
 
 from __future__ import annotations
@@ -202,11 +202,15 @@ RUNTIME_LOOKUPS = 1000
 RUNTIME_RATE = 2000.0
 
 
-async def runtime(seed: int, encoding: str) -> dict:
+async def runtime(seed: int, encoding: str, transport: str = "loopback") -> dict:
     """One-process cluster, joins over the wire, open-loop lookups, then
     bit-identical owners and endpoints against the simulator.  Run under
-    both payload encodings it pins the packed path to JSON semantics."""
-    config = cluster_config(RUNTIME_NODES, seed, wire_encoding=encoding)
+    both payload encodings it pins the packed path to JSON semantics;
+    the ``tcp`` step is the only scenario that opens a socket per node
+    (connects, the per-tick outbox write, the write-buffer reads)."""
+    config = cluster_config(
+        RUNTIME_NODES, seed, wire_encoding=encoding, transport=transport
+    )
     async with Cluster(config) as cluster:
         report = await run_load(
             cluster, rate=RUNTIME_RATE, count=RUNTIME_LOOKUPS, seed=seed
@@ -549,9 +553,11 @@ SCENARIOS = {
         ("crash", chaos_crash, (0, 1, 2), CRASH_GATES),
         ("loss-only", chaos_loss_only, (0, 1, 2), LOSS_ONLY_GATES),
     ),
-    "runtime": tuple(
-        (encoding, functools.partial(runtime, encoding=encoding), (0,), RUNTIME_GATES)
-        for encoding in ("json", "packed")
+    "runtime": (
+        ("json", functools.partial(runtime, encoding="json"), (0,), RUNTIME_GATES),
+        ("packed", functools.partial(runtime, encoding="packed"), (0,), RUNTIME_GATES),
+        ("tcp", functools.partial(runtime, encoding="packed", transport="tcp"), (0,),
+         RUNTIME_GATES),
     ),
     "shard": (("shard", shard, (0,), SHARD_GATES),),
     "soak": (

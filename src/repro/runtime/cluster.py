@@ -35,7 +35,7 @@ from repro.core.builder import TopologyAwareOverlay
 from repro.core.config import NetworkParams, OverlayParams, make_network
 from repro.core.reliability import DeadlineTable
 from repro.netsim.faults import Partition
-from repro.runtime.node import NodeProcess
+from repro.runtime.node import NodeProcess, Pump
 from repro.runtime.transport import make_transport
 from repro.runtime.wire import MsgType
 
@@ -194,6 +194,8 @@ class ClusterSurface:
                 delay, callback
             ),
         )
+        #: the one drain task of every actor this process serves
+        self.pump = Pump()
         self._started = False
 
     # -- membership --------------------------------------------------------

@@ -26,15 +26,19 @@ Dispatch is *run-to-completion* on the forwarding path: a nested
 inline hop (one actor handing a ROUTE to the next on the same stack)
 drains the receiving mailbox inline, which removes an event-loop
 round trip from every hop.  *Ingress* deliveries -- the outermost
-frame of a chain -- instead enqueue and kick a single drain task per
-actor, and that task yields to the event loop every
-:attr:`NodeProcess.YIELD_EVERY` frames: without that decoupling a
-saturating data flood would run each request to completion on the
-arrival stack, the lanes would never fill, and heartbeats would
-starve behind the ready queue rather than the mailbox.  Chains
-deeper than :attr:`NodeProcess.MAX_INLINE_DEPTH` spill to the drain
-task as before, keeping a ``MAX_HOPS``-length route clear of the
-interpreter's recursion limit.
+frame of a chain -- instead enqueue and kick the process's one
+:class:`Pump` (``cluster.pump``): a single task that serves every
+kicked actor in turn, at most :attr:`NodeProcess.YIELD_EVERY` frames
+per turn, and yields to the event loop that often.  Without that
+decoupling a saturating data flood would run each request to
+completion on the arrival stack, the lanes would never fill, and
+heartbeats would starve behind the ready queue rather than the
+mailbox.  Chains deeper than :attr:`NodeProcess.MAX_INLINE_DEPTH`
+spill to the pump too, keeping a ``MAX_HOPS``-length route clear of
+the interpreter's recursion limit.  One pump serves the whole process,
+so **a handler that has to wait spawns, it never suspends the drain**:
+a SWIM witness relaying a probe hands the wait to a task the actor
+owns and replies when it settles.
 
 Client-side reaction lives in :meth:`NodeProcess.request`: BUSY
 replies retry on a decorrelated-jitter schedule, a per-peer
@@ -98,6 +102,44 @@ class PeerBusy(Exception):
     """A peer shed the request from a full data lane (BUSY frame)."""
 
 
+class Pump:
+    """The one drain task of a process: every kicked actor, in turn.
+
+    A turn serves at most what is left of a ``YIELD_EVERY``-frame
+    budget, an actor still holding frames goes back behind the others,
+    and the task yields to the loop each time the budget is spent: so
+    deliveries (heartbeats!) interleave with a flood on any actor.
+    """
+
+    def __init__(self):
+        #: kicked actors awaiting their turn, each queued at most once
+        self.ready: deque = deque()
+        self._task = None
+
+    def kick(self, actor) -> None:
+        """Queue ``actor`` (once) and ensure the pump task is alive."""
+        if actor._queued:
+            return
+        actor._queued = True
+        self.ready.append(actor)
+        if self._task is None or self._task.done():
+            self._task = asyncio.get_running_loop().create_task(self._run())
+
+    async def _run(self) -> None:
+        ready = self.ready
+        budget = NodeProcess.YIELD_EVERY
+        while ready:
+            actor = ready.popleft()
+            actor._queued = False
+            budget -= await actor._drain(budget)
+            if actor.control_lane or actor.data_lane:
+                self.kick(actor)  # to the tail: the others go first
+            if budget <= 0:
+                # deliveries land here; their control frames go first
+                await asyncio.sleep(0)
+                budget = NodeProcess.YIELD_EVERY
+
+
 class NodeProcess:
     """An async overlay-node actor speaking the wire protocol."""
 
@@ -115,7 +157,10 @@ class NodeProcess:
         self.pending: dict = {}
         self._req_ids = itertools.count(1)
         self._draining = False
-        self._drain_task = None
+        #: waiting for a turn on ``cluster.pump`` (the pump's flag)
+        self._queued = False
+        #: relayed SWIM probes in flight (a handler that waits spawns)
+        self._relays: set = set()
         self._stopped = True
         #: frames this actor processed, by kind name (diagnostics)
         self.handled: dict = {}
@@ -174,7 +219,12 @@ class NodeProcess:
                 future.set_exception(
                     TransportError(f"node {self.addr!r} stopped")
                 )
+        # relayed probes die with their witness instead of reporting
+        # the target silent on the strength of the futures just failed
+        for task in self._relays:
+            task.cancel()
         await self.transport.unbind(self.addr)
+        await asyncio.gather(*self._relays, return_exceptions=True)
 
     async def rebind(self, addr, host: int = None) -> None:
         """Adopt a new address (temporary joiner -> member node id)."""
@@ -187,13 +237,13 @@ class NodeProcess:
     # -- frame plumbing ----------------------------------------------------
 
     #: inline loopback chains nested deeper than this (one level per
-    #: actor handing off to the next) spill to a scheduled drain task,
-    #: keeping a MAX_HOPS-length route clear of the recursion limit
+    #: actor handing off to the next) spill to the pump, keeping a
+    #: MAX_HOPS-length route clear of the recursion limit
     MAX_INLINE_DEPTH = 64
     _inline_depth = 0
 
-    #: an outermost drain task yields to the event loop this often so
-    #: transport deliveries (heartbeats!) interleave with a deep drain
+    #: frames the pump serves between two yields to the event loop,
+    #: and so the most one actor is served in a turn
     YIELD_EVERY = 32
 
     async def on_frame(self, frame: Frame) -> None:
@@ -245,14 +295,7 @@ class NodeProcess:
             # ingress (depth 0) or too-deep chain: decouple from the
             # arrival stack so floods queue in the *lanes* (where the
             # cap and shed policy apply) instead of the ready queue
-            self._kick()
-
-    def _kick(self) -> None:
-        """Ensure exactly one scheduled drain task is alive."""
-        task = self._drain_task
-        if task is not None and not task.done():
-            return
-        self._drain_task = asyncio.get_running_loop().create_task(self._drain())
+            self.cluster.pump.kick(self)
 
     async def _shed(self, frame: Frame) -> None:
         """Drop ``frame`` from a full data lane and tell its origin."""
@@ -271,15 +314,16 @@ class NodeProcess:
     #: dispatch-error reprs kept per actor before truncation
     MAX_ERROR_REPRS = 16
 
-    async def _drain(self) -> None:
+    async def _drain(self, quantum: int = None) -> int:
+        """Serve up to ``quantum`` frames (all of them when nested
+        inline), control lane first; returns how many."""
         if self._draining:  # single-threaded loop: check-and-set is atomic
-            return
+            return 0
         self._draining = True
-        outermost = NodeProcess._inline_depth == 0
         NodeProcess._inline_depth += 1
         processed = 0
         try:
-            while not self._stopped:
+            while not self._stopped and processed != quantum:
                 if self.control_lane:
                     frame = self.control_lane.popleft()
                 elif self.data_lane:
@@ -311,13 +355,10 @@ class NodeProcess:
                             ),
                         )
                 processed += 1
-                if outermost and processed % self.YIELD_EVERY == 0:
-                    # let queued transport deliveries land; control
-                    # frames they bring are drained first on resume
-                    await asyncio.sleep(0)
         finally:
             NodeProcess._inline_depth -= 1
             self._draining = False
+        return processed
 
     # -- client side -------------------------------------------------------
 
@@ -528,7 +569,15 @@ class NodeProcess:
         if relay is None:
             await self._reply(frame, {"seq": seq, "from": self.addr})
             return
-        timeout = payload.get("timeout", self.cluster.config.probe_timeout)
+        # the probe waits on the target, so it rides a task of its own:
+        # this mailbox (heartbeats included) keeps draining meanwhile
+        task = asyncio.ensure_future(self._relay_probe(frame, seq, relay))
+        self._relays.add(task)
+        task.add_done_callback(self._relays.discard)
+
+    async def _relay_probe(self, frame: Frame, seq, relay) -> None:
+        """Heartbeat ``relay`` on the prober's behalf; reply when settled."""
+        timeout = frame.payload.get("timeout", self.cluster.config.probe_timeout)
         try:
             await self.request(
                 relay, MsgType.HEARTBEAT, {"seq": seq}, timeout=timeout, retry=False

@@ -30,9 +30,9 @@ deterministic mutation on every replica.
 * *data plane, cross-shard*: each worker listens on one TCP *peering
   socket*; a frame for a remote member rides the existing wire v3
   encoding prefixed with a 4-byte destination node id
-  (:class:`PeeringTransport`).  Batching mirrors the TCP transport:
-  frames coalesce per destination shard and one flusher writes each
-  batch;
+  (:class:`PeeringTransport`).  Batching is the TCP transport's:
+  frames coalesce per destination shard and one callback per loop
+  tick writes every shard's batch;
 * *control plane*: one :mod:`multiprocessing` pipe per worker carries
   boot orchestration, RPCs (lookup/route/map reads for the parity
   check), load-generation commands, crash/leave injection and

@@ -30,10 +30,15 @@ path costs a codec round-trip and a mailbox put -- no scheduler hop.
 :class:`TcpTransport` runs one ``asyncio.start_server`` per endpoint
 on localhost and speaks the length-prefixed protocol over real
 sockets; endpoints may live in different processes as long as they
-share the address book.  Unshaped TCP sends coalesce: frames queue in
-a per-destination outbox and one flusher task writes the whole batch
-and awaits ``drain()`` once per flush -- explicit backpressure without
-a syscall-and-drain per frame.
+share the address book.  TCP sends coalesce: frames queue (shaped
+ones once their delay is up) in a per-destination outbox and one
+``call_soon`` callback per loop tick writes every destination's batch
+to its live connection -- no task per frame or per flush.  Only a
+destination that has to wait (no connection yet, a closing one, a
+write buffer over its high-water mark) gets a ``_flush`` coroutine,
+which owns that outbox until it is empty and awaits ``drain()`` per
+batch: explicit backpressure, and per-destination send order on
+either path.
 """
 
 from __future__ import annotations
@@ -222,10 +227,12 @@ class StreamTransport(Transport):
     connects *to* (an endpoint address for :class:`TcpTransport`, a
     peer shard for the sharded runtime's
     :class:`~repro.runtime.shard.PeeringTransport`): encoded frames
-    queue in a per-key outbox and one flusher task writes the whole
-    batch and awaits ``drain()`` once per flush.  Subclasses start the
-    listening servers, fill the :attr:`endpoints` address book and
-    decode what their accepted connections carry.
+    queue in a per-key outbox; one callback per loop tick writes every
+    key's batch to its live connection (:meth:`_tick`), and a key that
+    must wait -- to connect, or for a full write buffer to drain -- is
+    owned by a :meth:`_flush` coroutine until its outbox is empty.
+    Subclasses start the listening servers, fill the :attr:`endpoints`
+    address book and decode what their accepted connections carry.
     """
 
     def __init__(
@@ -252,41 +259,47 @@ class StreamTransport(Transport):
         #: listening servers, by the key they accept for
         self._servers: dict = {}
         self._writers: dict = {}
-        self._writer_locks: dict = {}
         self._readers: set = set()
-        #: key -> list of encoded frames awaiting the flusher; the key's
-        #: presence doubles as "a flusher task owns this key"
+        #: key -> encoded frames not yet written; present while the
+        #: next tick or a ``_flush`` task owes the key a write
         self._outbox: dict = {}
+        #: keys the next tick writes (the rest belong to a ``_flush``)
+        self._due: list = []
 
     async def _writer_for(self, key) -> asyncio.StreamWriter:
-        lock = self._writer_locks.setdefault(key, asyncio.Lock())
-        async with lock:
-            writer = self._writers.get(key)
-            if writer is not None:
-                if not writer.is_closing():
-                    return writer
-                # close the moribund connection for real instead of
-                # letting the overwritten writer leak its socket
-                self._writers.pop(key, None)
-                writer.close()
-            endpoint = self.endpoints.get(key)
-            if endpoint is None:
-                raise TransportError(f"no endpoint bound for {key!r}")
-            try:
-                _, writer = await asyncio.open_connection(*endpoint)
-            except OSError as exc:
-                raise TransportError(f"connect to {key!r} failed: {exc}") from exc
-            self._writers[key] = writer
-            return writer
+        # only the ``_flush`` owning ``key`` calls this: connects never race
+        writer = self._writers.get(key)
+        if writer is not None:
+            if not writer.is_closing():
+                return writer
+            # close the moribund connection for real instead of
+            # letting the overwritten writer leak its socket
+            self._writers.pop(key, None)
+            writer.close()
+        endpoint = self.endpoints.get(key)
+        if endpoint is None:
+            raise TransportError(f"no endpoint bound for {key!r}")
+        try:
+            _, writer = await asyncio.open_connection(*endpoint)
+        except OSError as exc:
+            raise TransportError(f"connect to {key!r} failed: {exc}") from exc
+        self._writers[key] = writer
+        return writer
 
     def _enqueue(self, key, data: bytes) -> bool:
-        """Queue one encoded frame for ``key``'s flusher; False = refused."""
+        """Queue one encoded frame for ``key``; False = refused."""
         batch = self._outbox.get(key)
         if batch is None:
             self._outbox[key] = [data]
-            self._spawn(self._flush(key))
+            if key not in self._writers:
+                # first contact connects now, not a tick later
+                self._spawn(self._flush(key))
+            else:
+                if not self._due:
+                    asyncio.get_running_loop().call_soon(self._tick)
+                self._due.append(key)
         elif self.outbox_cap is not None and len(batch) >= self.outbox_cap:
-            # the flusher is behind by a full cap: refuse the frame
+            # the writer is behind by a full cap: refuse the frame
             # instead of queueing unbounded sender-side memory
             self.backpressure_drops += 1
             self.dropped += 1
@@ -295,28 +308,54 @@ class StreamTransport(Transport):
             batch.append(data)
         return True
 
-    async def _flush(self, key) -> None:
-        """Drain ``key``'s outbox: one write + one drain per batch.
+    def _tick(self) -> None:
+        """Write every due key's batch to its live connection; a key
+        that would have to wait (connection gone or closing, write
+        buffer over the stream's own high-water mark) goes to
+        :meth:`_flush`, its batch still queued."""
+        due, self._due = self._due, []
+        if self._closed:
+            return  # close() counts what is still queued
+        writers, outbox = self._writers, self._outbox
+        for key in due:
+            writer = writers.get(key)
+            if writer is not None and not writer.is_closing():
+                stream = writer.transport
+                high_water = stream.get_write_buffer_limits()[1]
+                if stream.get_write_buffer_size() <= high_water:
+                    writer.write(b"".join(outbox.pop(key)))
+                    continue
+            self._spawn(self._flush(key))
 
-        Frames sent while a previous batch is draining coalesce into
-        the next one, so backpressure from a slow peer throttles the
-        sender at batch granularity instead of per frame.
+    async def _flush(self, key) -> None:
+        """Own ``key``'s outbox until it is empty: the path that waits.
+
+        One connect if needed, then one write and one ``drain()`` per
+        batch; frames sent meanwhile coalesce into the next, so a slow
+        peer throttles the sender at batch granularity.  A batch leaves
+        the outbox only once there is a connection for it: what a
+        cancelled connect leaves behind is :meth:`close`'s to count.
         """
-        while True:
-            batch = self._outbox.get(key)
-            if not batch:
-                self._outbox.pop(key, None)
-                return
-            self._outbox[key] = []
+        outbox = self._outbox
+        while outbox.get(key):
             try:
                 writer = await self._writer_for(key)
+            except TransportError:
+                self.dropped += len(outbox.pop(key))
+                return
+            batch, outbox[key] = outbox[key], []
+            try:
                 writer.write(b"".join(batch))
                 await writer.drain()
-            except (TransportError, OSError):
+            except OSError:
                 self.dropped += len(batch)
+        outbox.pop(key, None)
 
     async def close(self) -> None:
+        """Stop everything; frames accepted but never written count as
+        dropped, so ``sent == delivered + dropped`` still adds up."""
         await super().close()
+        self.dropped += sum(len(batch) for batch in self._outbox.values())
         self._outbox.clear()
         for writer in list(self._writers.values()) + list(self._readers):
             writer.close()
@@ -407,19 +446,15 @@ class TcpTransport(StreamTransport):
         delay = self.delay_for(src, dst)
         if delay > 0.0:
             # shaped frames keep their individual departure times
-            self._spawn(self._write(dst, data, delay))
+            self._spawn(self._depart(dst, data, delay))
             return True
         return self._enqueue(dst, data)
 
-    async def _write(self, dst, data: bytes, delay: float) -> None:
-        if delay > 0.0:
-            await asyncio.sleep(delay)
-        try:
-            writer = await self._writer_for(dst)
-            writer.write(data)
-            await writer.drain()
-        except (TransportError, OSError):
-            self.dropped += 1
+    async def _depart(self, dst, data: bytes, delay: float) -> None:
+        """A shaped frame joins ``dst``'s outbox when its time comes."""
+        await asyncio.sleep(delay)
+        self._enqueue(dst, data)
+
 
 def make_transport(kind: str, **kwargs) -> Transport:
     """Build a transport by name (``"loopback"`` or ``"tcp"``)."""

@@ -43,6 +43,7 @@ HEALTHY = {
     ("chaos", "loss-only"): {"confirmed": [], "false_kills": 0, "violation": None},
     ("runtime", "json"): LOAD,
     ("runtime", "packed"): LOAD,
+    ("runtime", "tcp"): LOAD,
     ("shard", "shard"): {**LOAD, "wall_throughput_ops": 500.0, "frames_cross_shard": 1},
     ("soak", "sim"): SOAK,
     ("soak", "live"): {**SOAK, "wall_availability": 0.01},
@@ -114,6 +115,7 @@ VIOLATIONS = {
     },
     ("runtime", "json"): RUNTIME_BAD,
     ("runtime", "packed"): RUNTIME_BAD,
+    ("runtime", "tcp"): RUNTIME_BAD,
     ("shard", "shard"): {
         **LOAD_BAD,
         "throughput >= 500 ops/s": {"wall_throughput_ops": 499.9},
@@ -191,7 +193,7 @@ def test_thresholds_sit_exactly_where_the_retired_scripts_had_them(smoke):
     assert smoke.MGMT_PROBE_PERIOD_S == 0.1
     assert [(n, [s[2] for s in steps]) for n, steps in smoke.SCENARIOS.items()] == [
         ("chaos", [(0, 1, 2), (0, 1, 2)]),
-        ("runtime", [(0,), (0,)]),
+        ("runtime", [(0,), (0,), (0,)]),
         ("shard", [(0,)]),
         ("soak", [(0,), (0,)]),
         ("overload", [(0,), (0,)]),
