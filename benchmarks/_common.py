@@ -1,22 +1,19 @@
-"""Shared output plumbing for the figure benchmarks.
+"""Record plumbing for the figure bench (``bench_figures.py``).
 
-Each bench regenerates one paper figure's rows, prints them (visible
-with ``pytest benchmarks/ -s`` or on the captured-output section of a
-failure) and writes them under ``benchmarks/out/``:
-
-* ``<name>.txt`` -- the aligned table, every column included (ignored
-  by git; ``benchmarks/results_medium/`` archives the set
-  EXPERIMENTS.md is assembled from);
-* ``<name>.json`` -- the committed record (shape checked by
-  ``scripts/bench_report.py``): parameters, seed, the raw rows and
-  their bootstrap summary.
+A bench run prints one figure's table (visible with ``pytest
+benchmarks/ -s`` or on the captured-output section of a failure) and
+writes its record, ``<name>.json`` (shape checked by
+``scripts/bench_report.py``): parameters, seed, the raw rows and their
+bootstrap summary.  The directory follows the scale
+(``repro.experiments.report.record_dir``): ``benchmarks/out/`` at
+quick, ``benchmarks/results_medium/`` at medium -- both committed.
 
 A record holds only what a same-seed run reproduces byte for byte, so
-``git diff -- benchmarks/out`` after a bench run is an exact regression
+``git diff -- benchmarks/`` after a bench run is an exact regression
 check.  Wall-clock measurements (and counts that depend on a wall-clock
-race) live under keys prefixed ``wall``; :func:`emit` prints them but
-drops them from the JSON.  A bench whose point is a message bill reads
-it from its own network into a row column.
+race) live under keys prefixed ``wall``; :func:`emit` drops them from
+the JSON.  A bench whose point is a message bill reads it from its own
+network into a row column.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ import math
 import pathlib
 
 import numpy as np
-
-OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 SCHEMA_VERSION = 1
 
@@ -109,37 +104,22 @@ def canonical_json(record) -> str:
     ) + "\n"
 
 
-def emit(
-    name: str,
-    title: str,
-    body: str,
-    rows=None,
-    params: dict = None,
-    seed: int = 0,
-) -> str:
-    """Print and persist one figure's regenerated series.
+def emit(record: dict, table: str, out_dir: pathlib.Path) -> None:
+    """Print ``table`` and write ``record`` to ``out_dir/<name>.json``.
 
-    ``<name>.txt`` gets the table as printed; when ``rows`` are given
-    (the usual case) ``<name>.json`` gets the record, with the runner
-    parameters that shaped the cell in ``params``.  The summary is
-    drawn over every column and the ``wall*`` ones dropped afterwards:
-    the seeded bootstrap spends its draws by column order and sample
-    size, never by value, so the surviving intervals do not depend on
-    what a wall column measured.
+    ``record`` is what :meth:`repro.experiments.registry.Figure.record`
+    returns; the schema version and the summary are added here.  The
+    summary is drawn over every column and the ``wall*`` ones dropped
+    afterwards: the seeded bootstrap spends its draws by column order
+    and sample size, never by value, so the surviving intervals do not
+    depend on what a wall column measured.
     """
-    text = f"== {title} ==\n{body}\n"
-    print(f"\n{text}")
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / f"{name}.txt").write_text(text)
-    if rows is not None:
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "name": name,
-            "title": title,
-            "params": dict(params or {}),
-            "seed": seed,
-            "rows": list(rows),
-            "summary": summarize_rows(rows, seed=seed),
-        }
-        (OUT_DIR / f"{name}.json").write_text(canonical_json(drop_wall(record)))
-    return text
+    print(f"\n{table}\n")
+    out_dir.mkdir(exist_ok=True)
+    full = {
+        "schema_version": SCHEMA_VERSION,
+        **record,
+        "summary": summarize_rows(record["rows"], seed=record["seed"]),
+    }
+    path = out_dir / f"{record['name']}.json"
+    path.write_text(canonical_json(drop_wall(full)))

@@ -1,12 +1,14 @@
-"""Validate the per-bench JSON records under ``benchmarks/out/``.
+"""Validate the committed bench records, quick and medium.
 
-Each bench run leaves one record per bench there (written by
-``benchmarks/_common.emit``): exactly the seven keys of
-:data:`RECORD_FIELDS`, holding only what a same-seed run reproduces
-byte for byte -- so no key starting with ``wall`` at any depth.  The
-records are committed, and ``git diff --exit-code -- benchmarks/out``
-after a bench run (``make ci``) is the regression gate; this script
-only checks their shape and writes nothing.
+A bench run leaves one record per catalogue row in its scale's
+directory (written by ``benchmarks/_common.emit``): exactly the seven
+keys of :data:`RECORD_FIELDS`, holding only what a same-seed run
+reproduces byte for byte -- so no key starting with ``wall`` at any
+depth.  The records are committed, and ``git diff --exit-code --
+benchmarks/out`` after a bench run (``make ci``) is the regression
+gate; this script only checks their shape and writes nothing.  (Whether
+a record keeps its figure's *shape* is the registry's gates' job:
+``tests/experiments/test_report.py``.)
 
 Usage::
 
@@ -20,7 +22,11 @@ import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-OUT_DIR = REPO_ROOT / "benchmarks" / "out"
+#: the committed record directories: quick scale, medium scale
+RECORD_DIRS = (
+    REPO_ROOT / "benchmarks" / "out",
+    REPO_ROOT / "benchmarks" / "results_medium",
+)
 
 SCHEMA_VERSION = 1
 
@@ -96,7 +102,7 @@ def check_record(record: dict) -> list:
     return errors
 
 
-def load_records(out_dir: pathlib.Path = OUT_DIR) -> dict:
+def load_records(out_dir: pathlib.Path) -> dict:
     """``file stem -> record`` for every ``*.json`` under ``out_dir``."""
     return {
         record_path.stem: json.loads(record_path.read_text())
@@ -105,17 +111,17 @@ def load_records(out_dir: pathlib.Path = OUT_DIR) -> dict:
 
 
 def main() -> int:
-    records = load_records()
-    if not records:
-        print(f"no bench records under {OUT_DIR}", file=sys.stderr)
-        return 1
     failed = False
-    for name, record in records.items():
-        for error in check_record(record):
-            print(f"{name}: {error}", file=sys.stderr)
+    for out_dir in RECORD_DIRS:
+        records = load_records(out_dir)
+        if not records:
+            print(f"no bench records under {out_dir}", file=sys.stderr)
             failed = True
-    if not failed:
-        print(f"{len(records)} bench records valid")
+        for name, record in records.items():
+            for error in check_record(record):
+                print(f"{out_dir.name}/{name}: {error}", file=sys.stderr)
+                failed = True
+        print(f"{out_dir.name}: {len(records)} bench records checked")
     return int(failed)
 
 

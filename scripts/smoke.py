@@ -37,6 +37,7 @@ import numpy as np  # noqa: E402
 from repro.core import DetectorParams, NetworkParams, OverlayParams  # noqa: E402
 from repro.core import TopologyAwareOverlay, check_invariants  # noqa: E402
 from repro.core import make_network  # noqa: E402
+from repro.core.gates import failed_gates  # noqa: E402
 from repro.core.recovery import RECOVERY_CATEGORIES  # noqa: E402
 from repro.core.soak import SoakConfig, run_live_soak, run_sim_soak  # noqa: E402
 from repro.mgmt import Controller, ControllerConfig  # noqa: E402
@@ -46,36 +47,6 @@ from repro.runtime import Cluster, ClusterConfig, ShardedCluster  # noqa: E402
 from repro.runtime import NotSupportedError, run_load  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "benchmarks" / "out" / "smoke"
-
-
-# -- gates -------------------------------------------------------------------
-
-
-class _Reads(dict):
-    """A record that remembers which of its fields a predicate read."""
-
-    def __init__(self, record):
-        super().__init__(record)
-        self.fields = []
-
-    def __getitem__(self, key):
-        self.fields.append(key)
-        return super().__getitem__(key)
-
-
-def failed_gates(gates, record) -> list:
-    """``"label (field=value, ...)"`` for every gate ``record`` violates.
-
-    The values shown are the fields the predicate read, so a failure
-    names its offender without each gate formatting its own message.
-    """
-    failed = []
-    for label, predicate in gates:
-        seen = _Reads(record)
-        if not predicate(seen):
-            values = ", ".join(f"{k}={record[k]!r}" for k in dict.fromkeys(seen.fields))
-            failed.append(f"{label} ({values})")
-    return failed
 
 
 # -- what the live scenarios share -------------------------------------------

@@ -19,7 +19,8 @@ maps and the landmark+RTT selection policy:
   space-filling curve needed on a ring), and the region(s) a finger
   selection queries.
 
-The ``bench_ext_chord_generality`` benchmark shows the same
+The ``ext_chord_generality`` experiment
+(:mod:`repro.experiments.ring_generality`) shows the same
 random < soft-state < oracle stretch ordering as on eCAN.
 """
 

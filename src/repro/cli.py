@@ -2,80 +2,32 @@
 
 Usage (also via ``python -m repro``)::
 
-    python -m repro list                  # available experiments
-    python -m repro run fig02             # one figure, table to stdout
+    python -m repro list                  # the experiment catalogue
+    python -m repro run fig02_hops        # one row: its table and gate verdicts
     python -m repro run all               # everything
     python -m repro report                # rewrite EXPERIMENTS.md
     python -m repro quickstart            # the README demo
 
-``--scale quick|paper`` overrides the ``REPRO_SCALE`` environment
+``--scale quick|medium|paper`` overrides the ``REPRO_SCALE`` environment
 variable for the invocation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 
-def _figure_registry() -> dict:
-    """Name -> zero-arg callable returning printable text."""
-    from repro.experiments import format_table
-    from repro.experiments import (
-        churn_timeline,
-        failure_resilience,
-        fig02_hops,
-        fig03_06_nn,
-        fig10_13_stretch_rtts,
-        fig14_15_stretch_nodes,
-        fig16_condense,
-        intro_tacan_imbalance,
-        join_cost,
-        pubsub_ablation,
-        qos_load,
-    )
-
-    def table(rows):
-        return format_table(rows)
-
-    return {
-        "fig02": lambda: table(fig02_hops.run()),
-        "fig03": lambda: table(
-            fig03_06_nn.run("tsk-large", methods=("lmk+rtt", "ers"))
-        ),
-        "fig04": lambda: table(fig03_06_nn.run("tsk-large", methods=("ers",))),
-        "fig05": lambda: table(fig03_06_nn.run("tsk-small", methods=("lmk+rtt",))),
-        "fig06": lambda: table(fig03_06_nn.run("tsk-small", methods=("ers",))),
-        "fig10": lambda: table(fig10_13_stretch_rtts.run("tsk-large", "generated")),
-        "fig11": lambda: table(fig10_13_stretch_rtts.run("tsk-large", "manual")),
-        "fig12": lambda: table(fig10_13_stretch_rtts.run("tsk-small", "generated")),
-        "fig13": lambda: table(fig10_13_stretch_rtts.run("tsk-small", "manual")),
-        "fig14": lambda: table(fig14_15_stretch_nodes.run("generated")),
-        "fig15": lambda: table(fig14_15_stretch_nodes.run("manual")),
-        "fig16": lambda: table(fig16_condense.run()),
-        "tacan": lambda: table(
-            [
-                {"layout": "topologically-aware CAN", **intro_tacan_imbalance.run()["tacan"]},
-                {"layout": "uniform CAN", **intro_tacan_imbalance.run()["uniform"]},
-            ]
-        ),
-        "gaps": lambda: table([fig10_13_stretch_rtts.gap_breakdown()]),
-        "pubsub": lambda: table(pubsub_ablation.run()),
-        "qos": lambda: table(qos_load.run()),
-        "join-cost": lambda: table(join_cost.run()),
-        "churn": lambda: table(churn_timeline.run()),
-        "resilience": lambda: table(failure_resilience.run()),
-        "fault-injection": lambda: table(failure_resilience.run_fault_injection()),
-        "recovery": lambda: table(failure_resilience.run_recovery_policies()),
-    }
-
-
 def cmd_list(_args) -> int:
+    from repro.experiments import SCALES
+    from repro.experiments.registry import FIGURES
+
     print("experiments:")
-    for name in _figure_registry():
-        print(f"  {name}")
-    print("\nrun one with: python -m repro run <name> [--scale quick|paper]")
+    for figure in FIGURES:
+        print(f"  {figure.name}")
+    print(f"\nrun one with: python -m repro run <name> [--scale {'|'.join(SCALES)}]")
     return 0
 
 
@@ -94,22 +46,29 @@ def _profiled(fn, top: int):
 
 
 def cmd_run(args) -> int:
-    registry = _figure_registry()
-    names = list(registry) if "all" in args.names else args.names
-    unknown = [n for n in names if n not in registry]
+    """Run catalogue rows; print each table and its gates' verdicts."""
+    from repro.experiments import current_scale
+    from repro.experiments.registry import BY_NAME
+
+    names = list(BY_NAME) if "all" in args.names else args.names
+    unknown = [n for n in names if n not in BY_NAME]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"known: {', '.join(registry)}", file=sys.stderr)
+        print(f"known: {', '.join(BY_NAME)}", file=sys.stderr)
         return 2
     for name in names:
-        print(f"== {name} ==")
+        figure = BY_NAME[name]
+        run = functools.partial(figure.record, current_scale())
         if args.profile:
-            text, profile = _profiled(registry[name], args.profile_top)
-            print(text)
+            record, profile = _profiled(run, args.profile_top)
+        else:
+            record = run()
+        print(figure.table(record))
+        for label, verdict in figure.verdicts(record).items():
+            print(f"{verdict}: {label}")
+        if args.profile:
             print(f"-- profile ({name}, top {args.profile_top} by cumulative) --")
             print(profile)
-        else:
-            print(registry[name]())
         print()
     return 0
 
@@ -411,9 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduction of 'Building Topology-Aware Overlays Using "
         "Global Soft-State' (ICDCS 2003)",
     )
+    from repro.experiments import SCALES
+
     parser.add_argument(
         "--scale",
-        choices=["quick", "paper"],
+        choices=list(SCALES),
         help="experiment scale preset (overrides REPRO_SCALE)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -562,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     controller.set_defaults(func=cmd_controller)
     sub.add_parser(
-        "report", help="rewrite EXPERIMENTS.md from benchmarks/results_medium"
+        "report", help="rewrite EXPERIMENTS.md from the committed bench records"
     ).set_defaults(func=cmd_report)
     sub.add_parser("quickstart", help="build one overlay and print its stretch")\
         .set_defaults(func=cmd_quickstart)

@@ -1,9 +1,10 @@
-"""Experiment runners: one module per paper figure/claim.
+"""Experiment runners: one module per paper figure/claim family.
 
-Every runner returns plain row dictionaries so the benches, the
-EXPERIMENTS.md generator and the tests can all consume them.  Scale
-comes from :func:`repro.experiments.common.current_scale` -- set
-``REPRO_SCALE=paper`` for full-size runs (the default ``quick``
+Every runner returns plain row dictionaries; :mod:`.registry` is the one
+catalogue of them (runner + parameters, shape gates, EXPERIMENTS.md
+prose per committed record) that the bench, the CLI and :mod:`.report`
+read.  Scale comes from :func:`repro.experiments.common.current_scale`
+-- set ``REPRO_SCALE=paper`` for full-size runs (the default ``quick``
 preset keeps each bench in seconds).
 """
 

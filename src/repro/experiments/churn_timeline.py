@@ -23,6 +23,12 @@ from repro.core.config import OverlayParams
 from repro.experiments.common import Scale, current_scale, get_network
 from repro.softstate.maintenance import MaintenancePolicy
 
+#: trace length in the sim clock's unit, ms -- the unit the maintenance
+#: driver's confirmation backoffs advance the shared clock by.  A trace
+#: laid over fewer units than one sweep's backoffs is overtaken by the
+#: first poll, and the periodic timer never fires again.
+DURATION_MS = 120_000.0
+
 
 def run_policy(
     policy: MaintenancePolicy,
@@ -31,7 +37,7 @@ def run_policy(
     scale: Scale = None,
     seed: int = 0,
     graceful_fraction: float = 0.2,
-    poll_interval: float = 20.0,
+    poll_interval: float = 20_000.0,
 ) -> dict:
     """One churn run; returns the timeline plus end-state summary."""
     if scale is None:
@@ -49,9 +55,8 @@ def run_policy(
     overlay.maintenance.start()
 
     rng = np.random.default_rng(seed + 73)
-    duration = 120.0
-    rate = scale.churn_events / duration / 2
-    events = poisson_churn(rng, duration, join_rate=rate, leave_rate=rate)
+    rate = scale.churn_events / DURATION_MS / 2
+    events = poisson_churn(rng, DURATION_MS, join_rate=rate, leave_rate=rate)
     driver = ChurnDriver(
         overlay, rng=rng, graceful_fraction=graceful_fraction,
         min_nodes=max(8, scale.overlay_nodes // 4),

@@ -105,3 +105,12 @@ def run(
         "tacan": stats(tacan),
         "uniform": stats(uniform),
     }
+
+
+def run_rows(scale: Scale = None, seed: int = 0, num_landmarks: int = 4) -> list:
+    """:func:`run` as two table rows, one per layout."""
+    result = run(scale=scale, num_landmarks=num_landmarks, seed=seed)
+    return [
+        {"layout": "topologically-aware CAN", **result["tacan"]},
+        {"layout": "uniform CAN", **result["uniform"]},
+    ]

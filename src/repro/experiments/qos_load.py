@@ -102,3 +102,17 @@ def run(
 ) -> list:
     """Rows comparing proximity-only and load-aware selection."""
     return [run_weight(w, topology, latency, scale, seed) for w in weights]
+
+
+def run_seeds(
+    scale: Scale = None,
+    seeds: tuple = (0, 1, 2),
+    weights: tuple = (0.0, 0.5, 2.0),
+) -> list:
+    """:func:`run` pooled over ``seeds``, each row tagged with its seed
+    (one seed's utilization tail is too noisy to compare weights on)."""
+    return [
+        {"seed": seed, **row}
+        for seed in seeds
+        for row in run(scale=scale, seed=seed, weights=weights)
+    ]

@@ -85,11 +85,12 @@ class TestValidator:
     def test_every_committed_record_is_valid(self, report):
         """Also the proof that none carries a ``wall*`` key or one of
         the four removed fields: ``check_record`` refuses both."""
-        records = report.load_records()
-        assert len(records) >= 27
-        for name, record in records.items():
-            assert record["name"] == name
-            assert report.check_record(record) == [], name
+        for out_dir in report.RECORD_DIRS:
+            records = report.load_records(out_dir)
+            assert len(records) == 27, out_dir
+            for name, record in records.items():
+                assert record["name"] == name
+                assert report.check_record(record) == [], (out_dir.name, name)
 
 
 class TestStripWall:
@@ -142,27 +143,28 @@ class TestEmitRecord:
         summary = common.summarize_rows(rows)
         assert summary["x"]["n"] == 2
 
-    def test_emit_writes_valid_record(
-        self, common, report, tmp_path, monkeypatch
-    ):
+    def test_emit_writes_valid_record(self, common, report, tmp_path, capsys):
         """Two runs that differ only in their wall-clock columns write
         the same bytes: the JSON drops every ``wall*`` key (rows,
-        params and summary alike), the table keeps every column."""
+        params and summary alike); the table is printed, not written."""
         written = []
         for run, wall in enumerate((0.25, 0.75)):
-            monkeypatch.setattr(common, "OUT_DIR", tmp_path / str(run))
             rows = [
                 {"probes": 1, "wall_build_s": wall, "mean_stretch": 2.0},
                 {"probes": 8, "wall_build_s": 2 * wall, "mean_stretch": 1.5},
             ]
-            common.emit(
-                "fig00_demo",
-                "demo",
-                f"probes wall_build_s\n1 {wall}\n8 {2 * wall}",
-                rows=rows,
-                params={"scale": "quick", "wall_codec_s": wall},
-                seed=0,
-            )
+            record = {
+                "name": "fig00_demo",
+                "title": "demo",
+                "params": {"scale": "quick", "wall_codec_s": wall},
+                "seed": 0,
+                "rows": rows,
+            }
+            common.emit(record, f"== demo ==\n1 {wall}", tmp_path / str(run))
+            assert capsys.readouterr().out == f"\n== demo ==\n1 {wall}\n\n"
+            assert [p.name for p in (tmp_path / str(run)).iterdir()] == [
+                "fig00_demo.json"
+            ]
             written.append((tmp_path / str(run) / "fig00_demo.json").read_bytes())
         assert written[0] == written[1]
         record = json.loads(written[0])
@@ -175,8 +177,6 @@ class TestEmitRecord:
         assert record["summary"] == common.drop_wall(
             common.summarize_rows(rows, seed=0)
         )
-        text = (tmp_path / "1" / "fig00_demo.txt").read_text()
-        assert text.startswith("== demo ==\nprobes wall_build_s\n1 0.75\n")
 
 
 def test_networks_are_not_registered_anywhere():

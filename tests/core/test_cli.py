@@ -20,11 +20,14 @@ class TestParser:
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_scale_flag_sets_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
         import os
 
-        main(["--scale", "quick", "list"])
-        assert os.environ["REPRO_SCALE"] == "quick"
+        from repro.experiments import SCALES
+
+        for scale in SCALES:  # medium used to be refused by argparse
+            monkeypatch.delenv("REPRO_SCALE", raising=False)
+            main(["--scale", scale, "list"])
+            assert os.environ["REPRO_SCALE"] == scale
 
 
 class TestCommands:
@@ -35,10 +38,18 @@ class TestCommands:
         assert "mean routing stretch" in out
 
     def test_run_single_figure(self, capsys, monkeypatch):
+        """The CLI and the committed record are the same experiment:
+        ``repro run <name>`` prints the record's table byte for byte."""
+        from repro.experiments.registry import BY_NAME
+        from repro.experiments.report import load_record
+
         monkeypatch.setenv("REPRO_SCALE", "quick")
-        assert main(["run", "gaps"]) == 0
-        out = capsys.readouterr().out
-        assert "softstate_stretch" in out
+        for name in ("intro_tacan_imbalance", "gap_breakdown_tsk-large"):
+            assert main(["run", name]) == 0
+            out = capsys.readouterr().out
+            committed = BY_NAME[name].table(load_record(name, "quick"))
+            assert out.startswith(committed + "\nPASS: "), name
+            assert "FAIL" not in out
 
     def test_cluster_boots_and_verifies(self, capsys):
         code = main(
@@ -179,8 +190,9 @@ class TestCommands:
 
     def test_run_with_profile(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "quick")
-        assert main(["run", "gaps", "--profile", "--profile-top", "5"]) == 0
+        name = "gap_breakdown_tsk-small"
+        assert main(["run", name, "--profile", "--profile-top", "5"]) == 0
         out = capsys.readouterr().out
         assert "softstate_stretch" in out  # the table still prints
-        assert "-- profile (gaps, top 5 by cumulative) --" in out
+        assert f"-- profile ({name}, top 5 by cumulative) --" in out
         assert "cumulative" in out  # pstats header

@@ -55,6 +55,28 @@ class TestChurnTimeline:
         times = [r["time"] for r in result["timeline"]]
         assert times == sorted(times)
 
+    def test_periodic_policy_polls_all_along_the_trace(self, monkeypatch):
+        """One sweep's confirmation backoffs advance the shared clock in
+        ms: a trace laid over fewer units than that is overtaken by the
+        first poll and the periodic timer never fires again."""
+        from repro.softstate.maintenance import MaintenanceDriver
+
+        polls = []
+        poll_once = MaintenanceDriver.poll_once
+
+        def counted(driver):
+            polls.append(driver.network.clock.now)
+            return poll_once(driver)
+
+        monkeypatch.setattr(MaintenanceDriver, "poll_once", counted)
+        interval = churn_timeline.DURATION_MS / 6
+        result = churn_timeline.run_policy(
+            MaintenancePolicy.PERIODIC, scale=MICRO, poll_interval=interval
+        )
+        last_event = result["timeline"][-1]["time"]
+        assert last_event > 3 * interval
+        assert len(polls) >= last_event // interval - 1
+
 
 class TestFailureResilience:
     @pytest.fixture(scope="class")
