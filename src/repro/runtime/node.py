@@ -38,7 +38,10 @@ spill to the pump too, keeping a ``MAX_HOPS``-length route clear of
 the interpreter's recursion limit.  One pump serves the whole process,
 so **a handler that has to wait spawns, it never suspends the drain**:
 a SWIM witness relaying a probe hands the wait to a task the actor
-owns and replies when it settles.
+owns and replies when it settles.  The transport's side of this is
+:meth:`NodeProcess.ingress`, a plain call that never blocks and returns
+what the delivering side owes it (the nested drain, a shed's BUSY
+send) or ``None``; :meth:`NodeProcess.on_frame` is its awaited form.
 
 Client-side reaction lives in :meth:`NodeProcess.request`: BUSY
 replies retry on a decorrelated-jitter schedule, a per-peer
@@ -194,7 +197,7 @@ class NodeProcess:
 
     async def start(self) -> None:
         self._stopped = False
-        await self.transport.bind(self.addr, self.on_frame, host=self.host)
+        await self.transport.bind(self.addr, self.ingress, host=self.host)
 
     async def stop(self) -> None:
         # an in-flight drain (running on whichever task delivered the
@@ -232,7 +235,7 @@ class NodeProcess:
         self.addr = addr
         if host is not None:
             self.host = host
-        await self.transport.bind(self.addr, self.on_frame, host=self.host)
+        await self.transport.bind(self.addr, self.ingress, host=self.host)
 
     # -- frame plumbing ----------------------------------------------------
 
@@ -247,7 +250,13 @@ class NodeProcess:
     YIELD_EVERY = 32
 
     async def on_frame(self, frame: Frame) -> None:
-        """Transport delivery callback."""
+        """:meth:`ingress`, awaited: for self-sends, tests and tracers."""
+        owed = self.ingress(frame)
+        if owed is not None:
+            await owed
+
+    def ingress(self, frame: Frame):
+        """Transport delivery callback: never blocks, may be owed an await."""
         kind = frame.kind
         if kind is MsgType.ACK or kind is MsgType.ERROR or kind is MsgType.BUSY:
             future = self.pending.pop(frame.request_id, None)
@@ -265,9 +274,10 @@ class NodeProcess:
                     future.set_exception(
                         RemoteError(frame.payload.get("error", "remote error"))
                     )
-            return
+            return None
         if self._stopped:
-            return  # the actor is gone; arrivals drop on the floor
+            return None  # the actor is gone; arrivals drop on the floor
+        owed = None
         if kind in _CONTROL_KINDS:
             self.control_lane.append(frame)
         else:
@@ -278,24 +288,23 @@ class NodeProcess:
                     # admit the arrival, shed the head: under sustained
                     # overload the freshest work is the likeliest to
                     # still have a waiting client
-                    await self._shed(lane.popleft())
+                    owed = self._shed(lane.popleft())
                     lane.append(frame)
                 else:  # "newest": refuse the arrival itself
-                    await self._shed(frame)
+                    owed = self._shed(frame)
             else:
                 lane.append(frame)
         if self._draining:
-            return  # the active drain picks it up
-        depth = NodeProcess._inline_depth
-        if 0 < depth < self.MAX_INLINE_DEPTH:
+            return owed  # the active drain picks it up
+        if owed is None and 0 < NodeProcess._inline_depth < self.MAX_INLINE_DEPTH:
             # nested hop of an in-flight chain: run to completion on
             # the delivering stack (the per-hop fast path)
-            await self._drain()
-        else:
-            # ingress (depth 0) or too-deep chain: decouple from the
-            # arrival stack so floods queue in the *lanes* (where the
-            # cap and shed policy apply) instead of the ready queue
-            self.cluster.pump.kick(self)
+            return self._drain()
+        # ingress (depth 0), too-deep chain or a shed: decouple from the
+        # arrival stack so floods queue in the *lanes* (where the cap
+        # and shed policy apply) instead of the ready queue
+        self.cluster.pump.kick(self)
+        return owed
 
     async def _shed(self, frame: Frame) -> None:
         """Drop ``frame`` from a full data lane and tell its origin."""

@@ -49,14 +49,12 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import struct
 import time
 
-from repro.runtime import wire
 from repro.runtime.cluster import Cluster, ClusterConfig, ClusterSurface
 from repro.runtime.loadgen import LoadReport, run_load
 from repro.runtime.transport import StreamTransport, Transport, TransportError
-from repro.runtime.wire import Frame, encode_frame
+from repro.runtime.wire import ENVELOPE, Frame, encode_frame
 
 
 class ShardError(Exception):
@@ -116,42 +114,6 @@ def shard_assignment(network, hosts: dict, nshards: int) -> dict:
 
 # -- cross-shard peering -----------------------------------------------------
 
-#: peering envelope: destination node id prefixed to each wire frame
-_ENVELOPE = struct.Struct("!I")
-
-
-class _EnvelopeDecoder:
-    """Incremental (dst, frame) reassembly on a peering byte stream."""
-
-    def __init__(self):
-        self._buffer = bytearray()
-
-    def feed(self, chunk: bytes) -> list:
-        buffer = self._buffer
-        buffer.extend(chunk)
-        out = []
-        offset = 0
-        head = _ENVELOPE.size + wire.HEADER.size
-        try:
-            while len(buffer) - offset >= head:
-                (dst,) = _ENVELOPE.unpack_from(buffer, offset)
-                kind, packed, request_id, length = wire._parse_header(
-                    buffer, offset + _ENVELOPE.size
-                )
-                start = offset + head
-                if len(buffer) - start < length:
-                    break
-                payload = wire._parse_payload(
-                    kind, packed, bytes(buffer[start:start + length])
-                )
-                out.append((dst, Frame(kind, request_id, payload)))
-                offset = start + length
-        finally:
-            if offset:
-                del buffer[:offset]
-        return out
-
-
 class PeeringTransport(StreamTransport):
     """Hybrid shard transport: local fast path + one TCP link per peer shard.
 
@@ -191,9 +153,7 @@ class PeeringTransport(StreamTransport):
 
     async def start(self) -> None:
         await self.inner.start()
-        server = await asyncio.start_server(self._serve, self.interface, 0)
-        self._servers[self.shard_id] = server
-        self.port = server.sockets[0].getsockname()[1]
+        self.port = await self._listen(self.shard_id, self._route, envelope=True)
 
     async def bind(self, addr, handler, host: int = None) -> None:
         self._local[addr] = handler
@@ -212,35 +172,22 @@ class PeeringTransport(StreamTransport):
         self.sent += 1
         self.peer_sent += 1
         return self._enqueue(
-            shard, _ENVELOPE.pack(dst) + encode_frame(frame, packed=self._packed)
+            shard, ENVELOPE.pack(dst) + encode_frame(frame, packed=self._packed)
         )
 
-    async def _serve(self, reader, writer) -> None:
-        decoder = _EnvelopeDecoder()
-        self._readers.add(writer)
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for dst, frame in decoder.feed(chunk):
-                    handler = self._local.get(dst)
-                    if handler is None:
-                        # a crashed/unbound member: the frame drops and
-                        # the origin's request times out, exactly like
-                        # a frame to a dead host on the flat transports
-                        self.misrouted += 1
-                        continue
-                    self.peer_delivered += 1
-                    self.delivered += 1
-                    await handler(frame)
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass
-        except wire.ProtocolError:
-            self.dropped += 1
-        finally:
-            self._readers.discard(writer)
-            writer.close()
+    def _route(self, envelope):
+        """Hand one peered ``(dst, frame)`` to the member it names."""
+        dst, frame = envelope
+        handler = self._local.get(dst)
+        if handler is None:
+            # a crashed/unbound member: the frame drops and the origin's
+            # request times out, exactly like a frame to a dead host on
+            # the flat transports
+            self.misrouted += 1
+            return None
+        self.peer_delivered += 1
+        self.delivered += 1
+        return handler(frame)
 
     def counters(self) -> dict:
         """Peering + inner traffic accounting for aggregation."""

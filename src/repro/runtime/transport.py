@@ -4,8 +4,10 @@ A transport moves wire frames between named endpoints (overlay node
 ids, plus short-lived string addresses during joins).  Both flavours
 share the same contract:
 
-* ``bind(addr, handler, host=...)`` registers an endpoint; ``handler``
-  is an async callable receiving each delivered :class:`Frame`;
+* ``bind(addr, handler, host=...)`` registers an endpoint;
+  ``handler(frame)`` receives each delivered :class:`Frame`, never
+  blocks, and returns ``None`` or the awaitable the delivering side
+  owes it (an ``async def`` handler is the always-owed case);
 * ``send(src, dst, frame)`` is fire-and-forget: it returns once the
   frame is *in flight* (True) or known undeliverable (False);
 * **payload encoding** -- ``encoding="packed"`` selects the struct
@@ -27,23 +29,26 @@ through the binary codec, so the wire format is exercised on every
 test) and is deterministic and fast; unshaped frames are delivered
 inline from ``send`` rather than through a spawned task, so the hot
 path costs a codec round-trip and a mailbox put -- no scheduler hop.
-:class:`TcpTransport` runs one ``asyncio.start_server`` per endpoint
-on localhost and speaks the length-prefixed protocol over real
-sockets; endpoints may live in different processes as long as they
-share the address book.  TCP sends coalesce: frames queue (shaped
-ones once their delay is up) in a per-destination outbox and one
-``call_soon`` callback per loop tick writes every destination's batch
-to its live connection -- no task per frame or per flush.  Only a
-destination that has to wait (no connection yet, a closing one, a
-write buffer over its high-water mark) gets a ``_flush`` coroutine,
-which owns that outbox until it is empty and awaits ``drain()`` per
-batch: explicit backpressure, and per-destination send order on
-either path.
+:class:`TcpTransport` listens on one localhost port per endpoint and
+speaks the length-prefixed protocol over real sockets; endpoints may
+live in different processes as long as they share the address book.
+Sends coalesce: frames queue (shaped ones once their delay is up) in a
+per-destination outbox and one ``call_soon`` callback per loop tick
+writes every destination's batch to its live connection; a destination
+that has to wait (no connection yet, a closing one, a write buffer
+over its high-water mark) gets a ``_flush`` coroutine, which owns that
+outbox until it is empty and awaits ``drain()`` per batch.  Reads are
+one protocol per accepted connection, whose ``data_received`` delivers
+every frame of a chunk before it returns; a connection whose handler
+is owed an awaitable is paused and gets a ``_serve`` coroutine, which
+owns it until its backlog is delivered.  Either side costs a task only
+while it waits, with explicit backpressure and frames in order.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 
 from repro.runtime.wire import (
     Frame,
@@ -97,6 +102,8 @@ class Transport:
         """Prepare shared machinery (no-op for both built-ins)."""
 
     async def bind(self, addr, handler, host: int = None) -> None:
+        """``handler(frame)`` never blocks; it returns ``None`` or the
+        awaitable the delivering side owes it."""
         raise NotImplementedError
 
     async def unbind(self, addr) -> None:
@@ -146,10 +153,11 @@ class Transport:
             return False
         return not self.faults.deliver(src_host, dst_host)
 
-    def _spawn(self, coroutine) -> None:
+    def _spawn(self, coroutine) -> asyncio.Task:
         task = asyncio.get_running_loop().create_task(coroutine)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        return task
 
     async def send(self, src, dst, frame: Frame) -> bool:
         raise NotImplementedError
@@ -204,7 +212,9 @@ class LoopbackTransport(Transport):
             # blocks and saves a task spawn plus a scheduler round-trip
             # per frame
             self.delivered += 1
-            await handler(frame)
+            owed = handler(frame)
+            if owed is not None:
+                await owed
             return True
         self._spawn(self._deliver(dst, frame, delay))
         return True
@@ -217,7 +227,73 @@ class LoopbackTransport(Transport):
             self.dropped += 1
             return
         self.delivered += 1
-        await handler(frame)
+        owed = handler(frame)
+        if owed is not None:
+            await owed
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted stream connection: ``data_received`` hands every
+    frame its chunk completes to ``deliver`` before it returns.  Once a
+    delivery is owed an awaitable the connection stops reading and a
+    :meth:`StreamTransport._serve` task owns it, and the frames behind
+    that one in :attr:`backlog`, until nothing is owed."""
+
+    def __init__(self, owner, deliver, envelope: bool):
+        self.owner, self.deliver = owner, deliver
+        self.decoder = FrameDecoder(envelope)
+        #: decoded, undelivered frames; non-empty only while :attr:`owed`
+        self.backlog: deque = deque()
+        #: what the last delivery is owed (None: nobody has to wait)
+        self.owed = None
+
+    def connection_made(self, stream) -> None:
+        self.stream = stream
+        self.owner._readers.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.owner._readers.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self.backlog.extend(self.decoder.feed(data))
+        except ProtocolError:
+            pass
+        if self.owed is None and self.pump() is not None:
+            self.stream.pause_reading()
+            task = self.owner._spawn(self.owner._serve(self, self.owed))
+            task.add_done_callback(self._released)
+        if self.decoder.poisoned:
+            # a poisoned byte stream (bad magic, corrupt length, junk
+            # payload) kills only this connection, after the frames it
+            # completed: the endpoint stays bound, and the peer's next
+            # connection gets a fresh decoder
+            self.owner.dropped += 1
+            self.stream.close()
+
+    def pump(self):
+        """Deliver the backlog in order, up to the first frame that is
+        owed an awaitable; returns (and keeps) that awaitable."""
+        backlog, deliver = self.backlog, self.deliver
+        self.owed = None
+        while backlog and self.owed is None:
+            self.owed = deliver(backlog.popleft())
+        return self.owed
+
+    def _released(self, _task) -> None:
+        """``_serve`` is done: read on, unless it was stopped half-way."""
+        if self.owed is None:
+            self.stream.resume_reading()
+        else:
+            self.close()
+
+    def close(self) -> None:
+        """Drop the connection; frames decoded but never delivered count."""
+        self.owner.dropped += len(self.backlog)
+        self.backlog.clear()
+        if hasattr(self.owed, "close"):
+            self.owed.close()  # ``_serve`` was cancelled before it awaited it
+        self.stream.close()
 
 
 class StreamTransport(Transport):
@@ -231,8 +307,8 @@ class StreamTransport(Transport):
     key's batch to its live connection (:meth:`_tick`), and a key that
     must wait -- to connect, or for a full write buffer to drain -- is
     owned by a :meth:`_flush` coroutine until its outbox is empty.
-    Subclasses start the listening servers, fill the :attr:`endpoints`
-    address book and decode what their accepted connections carry.
+    Reads mirror it: :meth:`_listen` accepts, :meth:`_serve` is the
+    path that waits.  Subclasses fill the :attr:`endpoints` address book.
     """
 
     def __init__(
@@ -351,9 +427,26 @@ class StreamTransport(Transport):
                 self.dropped += len(batch)
         outbox.pop(key, None)
 
+    async def _listen(self, key, deliver, envelope: bool = False) -> int:
+        """Serve ``key`` on a fresh port (returned) via ``deliver(frame)``."""
+        server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self, deliver, envelope), self.interface, 0
+        )
+        self._servers[key] = server
+        return server.sockets[0].getsockname()[1]
+
+    async def _serve(self, connection, owed) -> None:
+        """Own ``connection`` until nothing is owed: the read that
+        waits, as :meth:`_flush` is the write that waits.  The connection
+        is paused meanwhile (the kernel throttles the peer) and reads on
+        once its backlog is delivered, in arrival order."""
+        while owed is not None:
+            await owed
+            owed = connection.pump()
+
     async def close(self) -> None:
-        """Stop everything; frames accepted but never written count as
-        dropped, so ``sent == delivered + dropped`` still adds up."""
+        """Stop everything; frames never written, or decoded and never
+        delivered, count as dropped: ``sent == delivered + dropped``."""
         await super().close()
         self.dropped += sum(len(batch) for batch in self._outbox.values())
         self._outbox.clear()
@@ -379,14 +472,12 @@ class TcpTransport(StreamTransport):
     async def bind(self, addr, handler, host: int = None) -> None:
         if addr in self._servers:
             raise TransportError(f"address {addr!r} already bound")
-        server = await asyncio.start_server(
-            lambda reader, writer: self._serve(handler, reader, writer),
-            self.interface,
-            0,
-        )
-        port = server.sockets[0].getsockname()[1]
-        self._servers[addr] = server
-        self.endpoints[addr] = (self.interface, port)
+
+        def deliver(frame):
+            self.delivered += 1
+            return handler(frame)
+
+        self.endpoints[addr] = (self.interface, await self._listen(addr, deliver))
         if host is not None:
             self.hosts[addr] = int(host)
         # a rebind hands the address a fresh port, so a cached writer
@@ -407,29 +498,6 @@ class TcpTransport(StreamTransport):
         """Drop (and actually close) the cached connection to ``dst``."""
         writer = self._writers.pop(dst, None)
         if writer is not None:
-            writer.close()
-
-    async def _serve(self, handler, reader, writer) -> None:
-        """One accepted connection: reassemble frames, dispatch each."""
-        decoder = FrameDecoder()
-        self._readers.add(writer)
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for frame in decoder.feed(chunk):
-                    self.delivered += 1
-                    await handler(frame)
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass
-        except ProtocolError:
-            # a poisoned byte stream (bad magic, corrupt length, junk
-            # payload) kills only this connection -- the endpoint stays
-            # bound, and the peer's next connection gets a fresh decoder
-            self.dropped += 1
-        finally:
-            self._readers.discard(writer)
             writer.close()
 
     async def send(self, src, dst, frame: Frame) -> bool:

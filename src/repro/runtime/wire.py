@@ -86,6 +86,9 @@ MAX_PAYLOAD = 1 << 20
 #: magic(2s) version(B) type(B) request_id(Q) payload_len(I)
 HEADER = struct.Struct("!2sBBQI")
 
+#: peering envelope: a destination node id preceding each frame
+ENVELOPE = struct.Struct("!I")
+
 
 @lru_cache(maxsize=512)
 def _layout(fmt: str) -> struct.Struct:
@@ -494,10 +497,13 @@ class FrameDecoder:
     """Incremental frame reassembly over an arbitrary byte stream.
 
     ``feed(chunk)`` returns every frame completed by the chunk; bytes
-    of a not-yet-complete frame stay buffered for the next feed.  A
-    malformed header or payload raises :class:`ProtocolError`
-    immediately -- the stream is unrecoverable past that point, so the
-    decoder refuses further input.
+    of a not-yet-complete frame stay buffered for the next feed.  With
+    ``envelope=True`` each frame follows a 4-byte :data:`ENVELOPE`
+    destination id and comes back as a ``(dst, frame)`` pair.  A
+    malformed header or payload poisons the decoder -- the stream is
+    unrecoverable past that point: however it was cut into chunks, the
+    frames completed before the corrupt one are returned first and the
+    first feed with nothing else to return raises :class:`ProtocolError`.
 
     Parsing walks the buffer by offset (``unpack_from`` on the
     bytearray, one payload-sized copy per frame) and compacts the
@@ -505,9 +511,11 @@ class FrameDecoder:
     not the O(bytes^2) a per-frame full-buffer copy would.
     """
 
-    def __init__(self):
+    def __init__(self, envelope: bool = False):
         self._buffer = bytearray()
-        self._poisoned = False
+        self._prefix = ENVELOPE.size if envelope else 0
+        #: a protocol error was found: no feed decodes anything again
+        self.poisoned = False
 
     @property
     def pending_bytes(self) -> int:
@@ -515,27 +523,34 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, chunk: bytes) -> list:
-        if self._poisoned:
+        if self.poisoned:
             raise ProtocolError("decoder poisoned by an earlier protocol error")
         buffer = self._buffer
         buffer.extend(chunk)
         frames = []
         offset = 0
-        header_size = HEADER.size
+        prefix = self._prefix
+        head = prefix + HEADER.size
         try:
-            while len(buffer) - offset >= header_size:
-                kind, packed, request_id, length = _parse_header(buffer, offset)
-                start = offset + header_size
+            while len(buffer) - offset >= head:
+                kind, packed, request_id, length = _parse_header(
+                    buffer, offset + prefix
+                )
+                start = offset + head
                 if len(buffer) - start < length:
                     break
                 payload = _parse_payload(
                     kind, packed, bytes(buffer[start:start + length])
                 )
+                frame = Frame(kind, request_id, payload)
+                if prefix:
+                    frame = (ENVELOPE.unpack_from(buffer, offset)[0], frame)
+                frames.append(frame)
                 offset = start + length
-                frames.append(Frame(kind, request_id, payload))
         except ProtocolError:
-            self._poisoned = True
-            raise
+            self.poisoned = True
+            if not frames:
+                raise
         finally:
             if offset:
                 del buffer[:offset]

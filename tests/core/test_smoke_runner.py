@@ -43,7 +43,7 @@ HEALTHY = {
     ("chaos", "loss-only"): {"confirmed": [], "false_kills": 0, "violation": None},
     ("runtime", "json"): LOAD,
     ("runtime", "packed"): LOAD,
-    ("runtime", "tcp"): LOAD,
+    ("runtime", "tcp"): {**LOAD, "reader_tasks": 0},
     ("shard", "shard"): {**LOAD, "wall_throughput_ops": 500.0, "frames_cross_shard": 1},
     ("soak", "sim"): SOAK,
     ("soak", "live"): {**SOAK, "wall_availability": 0.01},
@@ -115,7 +115,10 @@ VIOLATIONS = {
     },
     ("runtime", "json"): RUNTIME_BAD,
     ("runtime", "packed"): RUNTIME_BAD,
-    ("runtime", "tcp"): RUNTIME_BAD,
+    ("runtime", "tcp"): {
+        **RUNTIME_BAD,
+        "no reader task alive once the load has settled": {"reader_tasks": 1},
+    },
     ("shard", "shard"): {
         **LOAD_BAD,
         "throughput >= 500 ops/s": {"wall_throughput_ops": 499.9},
@@ -166,7 +169,8 @@ def test_the_tables_here_cover_every_step_and_every_gate(smoke):
         assert len(set(labels)) == len(labels), f"{key}: duplicate gate label"
         assert set(labels) == set(VIOLATIONS[key]), key
     distinct = {gate for gates in steps.values() for gate in gates}
-    assert len(distinct) == 47  # the retired scripts' count, see CHANGES.md
+    # the retired scripts' 47 (see CHANGES.md) + PR 22's reader-task gate
+    assert len(distinct) == 48
 
 
 @pytest.mark.parametrize("key", sorted(HEALTHY), ids="/".join)

@@ -17,8 +17,16 @@ from repro.core.config import NetworkParams, OverlayParams
 from repro.netsim.faults import FaultInjector, FaultPlan, Partition
 from repro.runtime import Cluster, ClusterConfig
 from repro.runtime.node import RemoteError
-from repro.runtime.transport import TransportError, make_transport
-from repro.runtime.wire import Frame, FrameDecoder, MsgType, ProtocolError, encode_frame
+from repro.runtime.shard import PeeringTransport
+from repro.runtime.transport import LoopbackTransport, TransportError, make_transport
+from repro.runtime.wire import (
+    ENVELOPE,
+    Frame,
+    FrameDecoder,
+    MsgType,
+    ProtocolError,
+    encode_frame,
+)
 
 
 def run(coroutine):
@@ -234,3 +242,43 @@ class TestDecoderPoisonRecovery:
         sent, request_id = run(scenario())
         assert sent is True
         assert request_id == 7
+
+    @pytest.mark.parametrize("plane", ["tcp", "peering"])
+    def test_good_frames_before_a_corrupt_one_are_delivered_and_counted(self, plane):
+        """Two good frames and a corrupt third in one chunk: two are
+        delivered, the connection drops, the endpoint stays bound, and
+        ``delivered + dropped`` accounts for all three."""
+
+        async def scenario():
+            inbox = Collector()
+            if plane == "tcp":
+                transport = make_transport("tcp")
+                await transport.start()
+                await transport.bind(2, inbox)
+                endpoint, prefix = transport.endpoints[2], b""
+            else:
+                transport = PeeringTransport(1, {2: 1}, LoopbackTransport())
+                await transport.start()
+                await transport.bind(2, inbox)
+                endpoint, prefix = ("127.0.0.1", transport.port), ENVELOPE.pack(2)
+            good = [Frame(MsgType.HEARTBEAT, i, {"seq": i}) for i in (1, 2)]
+            reader, writer = await asyncio.open_connection(*endpoint)
+            writer.write(
+                b"".join(prefix + encode_frame(f) for f in good)
+                + prefix + b"XX" + b"\x00" * 32
+            )
+            hung_up = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            ledger = (transport.delivered, transport.dropped)
+            # a fresh connection to the same endpoint still delivers
+            _, again = await asyncio.open_connection(*endpoint)
+            again.write(prefix + encode_frame(Frame(MsgType.HEARTBEAT, 3, {"seq": 3})))
+            await inbox.wait(3)
+            again.close()
+            await transport.close()
+            return hung_up, ledger, [f.request_id for f in inbox.frames]
+
+        hung_up, ledger, arrived = run(scenario())
+        assert hung_up == b""  # the server dropped the poisoned connection
+        assert ledger == (2, 1)
+        assert arrived == [1, 2, 3]

@@ -121,6 +121,37 @@ class TestLanesAndShedding:
         # arrivals 5-8 bounced off the full lane; the queue kept 1-4
         assert run(scenario()) == [4, 5, 6, 7]
 
+    def test_a_full_lane_over_tcp_still_answers_busy_and_counts_the_shed(self):
+        """On a socket the BUSY send is what ``ingress`` is owed: the
+        read side's slow path awaits it, frame order intact."""
+
+        async def scenario():
+            config = make_config(shed_policy="newest", transport="tcp")
+            async with Cluster(config) as cluster:
+                origin = cluster.bootstrap
+                victim_id = pick_peer(cluster)
+                gate = gate_dispatch(cluster.actors[victim_id])
+                # one batch, one chunk: 4 fill the lane, the 5th bounces
+                # off it; the pump's first turn comes before the rest
+                tasks = [
+                    asyncio.ensure_future(
+                        origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
+                    )
+                    for _ in range(8)
+                ]
+                await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
+                first_done = [i for i, task in enumerate(tasks) if task.done()]
+                gate.set()
+                results = await asyncio.gather(*tasks, return_exceptions=True)
+                busy = [i for i, r in enumerate(results) if isinstance(r, PeerBusy)]
+                served = sum(isinstance(r, dict) for r in results)
+                return first_done, busy, served, cluster.overload_counters()["shed"]
+
+        first_done, busy, served, shed = run(scenario())
+        assert first_done[0] == busy[0] == 4  # BUSY arrives while dispatch is gated
+        assert len(busy) == shed >= 2
+        assert served == 8 - shed
+
     def test_control_lane_is_never_shed(self):
         """HEARTBEATs pile up past any cap without a single shed."""
 

@@ -17,7 +17,7 @@ from repro.runtime import Cluster, ClusterConfig
 from repro.runtime.node import NodeProcess
 from repro.runtime.shard import PeeringTransport
 from repro.runtime.transport import LoopbackTransport, TcpTransport, TransportError
-from repro.runtime.wire import Frame, MsgType
+from repro.runtime.wire import Frame, MsgType, encode_frame
 
 NODES = 12
 YIELD_EVERY = NodeProcess.YIELD_EVERY
@@ -265,6 +265,16 @@ class Inbox:
         self.ids.append(frame.request_id)
 
 
+class Sink:
+    """A TCP endpoint that never waits: a plain callable, owed nothing."""
+
+    def __init__(self):
+        self.ids = []
+
+    def __call__(self, frame):
+        self.ids.append(frame.request_id)
+
+
 def beat(request_id, blob="") -> Frame:
     return Frame(MsgType.HEARTBEAT, request_id, {"seq": request_id, "blob": blob})
 
@@ -291,7 +301,9 @@ class TestOutboxTick:
         async def scenario():
             transport = TcpTransport()
             await transport.start()
-            inboxes = {f"rx{i}": Inbox() for i in range(8)}
+            # plain callables: an ``async`` receiver is owed its coroutine
+            # and would cost the read side one ``_serve`` task each
+            inboxes = {f"rx{i}": Sink() for i in range(8)}
             for addr, inbox in inboxes.items():
                 await transport.bind(addr, inbox)
                 assert await transport.send("tx", addr, beat(0))
@@ -410,6 +422,105 @@ class TestOutboxTick:
         assert counters["dropped"] == counters["backpressure_drops"] == 0
 
 
+class Door:
+    """A TCP endpoint that waits only for the frames marked ``hold``."""
+
+    def __init__(self):
+        self.ids = []
+        self.open = asyncio.Event()
+
+    def __call__(self, frame):
+        if frame.payload["blob"] == "hold":
+            return self._held(frame)
+        self.ids.append(frame.request_id)
+
+    async def _held(self, frame):
+        await self.open.wait()
+        self.ids.append(frame.request_id)
+
+
+def serve_tasks(tasks) -> int:
+    return sum(t.get_coro().__qualname__.endswith("._serve") for t in tasks)
+
+
+class TestProtocolReader:
+    """The read side: delivered before ``data_received`` returns, and a
+    ``_serve`` task only while a handler waits."""
+
+    def test_a_chunk_is_delivered_before_data_received_returns(self):
+        async def scenario():
+            async with Cluster(make_config(transport="tcp")) as cluster:
+                flooded, target = list(cluster.actors.values())[1:3]
+                before = set(cluster.transport._readers)
+                _, writer = await asyncio.open_connection(
+                    *cluster.transport.endpoints[target.addr]
+                )
+                await until(lambda: set(cluster.transport._readers) - before)
+                (connection,) = set(cluster.transport._readers) - before
+                reply = asyncio.get_running_loop().create_future()
+                target.pending[77] = reply
+                # a running pump: the flood keeps its one task alive
+                for i in range(10 * YIELD_EVERY):
+                    await flooded.on_frame(own_route(cluster, flooded.addr, i))
+                tasks = count_tasks()
+                burst = [own_route(cluster, target.addr, i) for i in range(5)]
+                ack = Frame(MsgType.ACK, 77, {"owner": 1, "path": [1], "hops": 0})
+                connection.data_received(
+                    b"".join(encode_frame(f, packed=True) for f in burst + [ack])
+                )
+                # no await since the call: this is what it left behind
+                seen = (
+                    [f.request_id for f in target.data_lane],
+                    reply.done() and reply.result(),
+                    target in cluster.pump.ready,
+                )
+                await until(lambda: target.handled.get("ROUTE") == 5)
+                writer.close()
+                return seen, len(tasks), cluster.transport.delivered
+
+        (lane, reply, kicked), tasks, delivered = run(scenario())
+        assert lane == [0, 1, 2, 3, 4]
+        assert reply == {"owner": 1, "path": [1], "hops": 0}
+        assert kicked and tasks == 0
+        assert delivered >= 6
+
+    def test_a_handler_that_waits_pauses_only_its_own_connection(self):
+        async def scenario():
+            transport, other = TcpTransport(), TcpTransport()
+            await transport.start()
+            door = Door()
+            await transport.bind("rx", door)
+            other.endpoints.update(transport.endpoints)  # a second connection
+            for sender, request_id in ((transport, 0), (other, 10)):
+                assert await sender.send("tx", "rx", beat(request_id))
+            await until(lambda: len(door.ids) == 2)
+            tasks = count_tasks()
+            for request_id, blob in ((1, "hold"), (2, ""), (3, "")):
+                assert await transport.send("tx", "rx", beat(request_id, blob))
+            await until(lambda: serve_tasks(tasks))
+            for request_id in (11, 12):
+                assert await other.send("tx", "rx", beat(request_id))
+            await until(lambda: len(door.ids) == 4)
+            while_held = list(door.ids)
+            reading = sorted(c.stream.is_reading() for c in transport._readers)
+            door.open.set()
+            await until(lambda: len(door.ids) == 7)
+            assert await transport.send("tx", "rx", beat(4))  # reading again
+            await until(lambda: len(door.ids) == 8)
+            resumed = all(c.stream.is_reading() for c in transport._readers)
+            counters, tasks = transport.counters(), list(tasks)
+            await other.close()
+            await transport.close()
+            return while_held, reading, resumed, door.ids, tasks, counters
+
+        while_held, reading, resumed, ids, tasks, counters = run(scenario())
+        assert while_held == [0, 10, 11, 12]
+        assert reading == [False, True] and resumed
+        assert ids == [0, 10, 11, 12, 1, 2, 3, 4]
+        assert len(tasks) == serve_tasks(tasks) == 1
+        assert counters["delivered"] == 8 and counters["dropped"] == 0
+
+
 class TestCloseAccounting:
     """``sent == delivered + dropped`` on a closed stream transport."""
 
@@ -453,6 +564,54 @@ class TestCloseAccounting:
         counters, arrived = run(scenario())
         assert (counters["sent"], counters["delivered"], counters["dropped"]) == (3, 0, 3)
         assert arrived == []
+
+    def test_a_paused_connection_s_backlog_counts_as_dropped(self):
+        async def scenario():
+            transport, inbox = await self._tcp(warm=True)
+            inbox.reading.clear()
+            for request_id in (1, 2, 3):  # one tick, one chunk: 1 waits, 2 and 3 queue
+                assert await transport.send("tx", "rx", beat(request_id))
+            await until(lambda: transport.delivered == 2)
+            (connection,) = transport._readers
+            backlog = len(connection.backlog)
+            await transport.close()
+            return transport.counters(), backlog, inbox.ids
+
+        counters, backlog, arrived = run(scenario())
+        assert backlog == 2
+        assert (counters["sent"], counters["delivered"], counters["dropped"]) == (4, 2, 2)
+        assert arrived == [0]
+
+    def test_a_paused_peering_connection_counts_the_same_way(self):
+        async def scenario():
+            near, far, inbox = await self._peered()
+            inbox.reading.clear()
+            for request_id in (1, 2, 3):
+                assert await near.send(1, 2, beat(request_id))
+            await until(lambda: far.delivered == 2)
+            await far.close()
+            await near.close()
+            return near, far, inbox.ids
+
+        near, far, arrived = run(scenario())
+        assert (near.sent, near.dropped, far.delivered, far.dropped) == (4, 0, 2, 2)
+        assert near.sent == far.delivered + far.dropped + near.dropped
+        assert arrived == [0]
+
+    @staticmethod
+    async def _peered():
+        """Two in-process shards, member 2 on the far one, link warm."""
+        shard_of = {1: 0, 2: 1}
+        near = PeeringTransport(0, shard_of, LoopbackTransport())
+        far = PeeringTransport(1, shard_of, LoopbackTransport())
+        await near.start()
+        await far.start()
+        near.endpoints[1] = far.endpoints[1] = ("127.0.0.1", far.port)
+        inbox = Inbox()
+        await far.bind(2, inbox)
+        assert await near.send(1, 2, beat(0))
+        await until(lambda: inbox.ids)
+        return near, far, inbox
 
     def test_the_peering_plane_counts_the_same_way(self):
         async def scenario():

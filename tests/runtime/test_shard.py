@@ -15,8 +15,7 @@ from repro.runtime import (
     make_cluster,
     shard_assignment,
 )
-from repro.runtime.shard import _ENVELOPE, _EnvelopeDecoder
-from repro.runtime.wire import Frame, MsgType, encode_frame
+from repro.runtime.wire import ENVELOPE, Frame, FrameDecoder, MsgType, encode_frame
 
 
 def run(coroutine):
@@ -80,10 +79,10 @@ class TestEnvelope:
             Frame(MsgType.HEARTBEAT, i, {"seq": i}) for i in range(5)
         ]
         blob = b"".join(
-            _ENVELOPE.pack(100 + i) + encode_frame(f, packed=True)
+            ENVELOPE.pack(100 + i) + encode_frame(f, packed=True)
             for i, f in enumerate(frames)
         )
-        decoder = _EnvelopeDecoder()
+        decoder = FrameDecoder(envelope=True)
         out = []
         for i in range(0, len(blob), 7):  # feed in awkward 7-byte slivers
             out.extend(decoder.feed(blob[i:i + 7]))

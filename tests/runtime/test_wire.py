@@ -4,8 +4,11 @@ import json
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.wire import (
+    ENVELOPE,
     HEADER,
     MAGIC,
     MAX_PAYLOAD,
@@ -371,6 +374,23 @@ class TestFrameDecoder:
         with pytest.raises(ProtocolError, match="poisoned"):
             decoder.feed(b"")
 
+    def test_frames_before_a_corrupt_one_in_the_same_chunk_are_returned(self):
+        """good + good + bad in one feed: both frames come back, the
+        error is the next feed's -- exactly as byte-by-byte feeding
+        would have it."""
+        good = [Frame(MsgType.ACK, i, {"i": i}) for i in (1, 2)]
+        stream = b"".join(encode_frame(f) for f in good) + b"XX" + b"\x00" * 32
+        decoder = FrameDecoder()
+        assert decoder.feed(stream) == good
+        assert decoder.poisoned
+        with pytest.raises(ProtocolError, match="poisoned"):
+            decoder.feed(b"")
+        trickled, out = FrameDecoder(), []
+        with pytest.raises(ProtocolError, match="bad magic"):
+            for i in range(len(stream)):
+                out.extend(trickled.feed(stream[i : i + 1]))
+        assert out == good
+
     def test_header_size_is_stable(self):
         """The frame header is part of the versioned wire contract."""
         assert HEADER.size == 16
@@ -400,6 +420,70 @@ class TestFrameDecoder:
         assert [f.payload["i"] for f in out[:3]] == [0, 1, 2]
         assert decoder.pending_bytes == 0
         assert elapsed < 5.0, f"coalesced feed took {elapsed:.2f}s"
+
+
+#: every frame kind as JSON rides, plus every packable data-plane shape
+STREAM_POOL = list(SAMPLE_PAYLOADS.items()) + [
+    (MsgType.ROUTE, {"point": [0.25, 0.75], "path": [0, 4, 9], "op": "route", "src": 3}),
+    (
+        MsgType.ROUTE,
+        {
+            "point": [0.5, 0.125], "path": [7], "op": "lookup", "src": 7,
+            "querier": 7, "level": 2, "cell": [1, -3],
+        },
+    ),
+    (MsgType.ACK, {"owner": 5, "path": [1, 5], "hops": 1}),
+    (
+        MsgType.ACK,
+        {
+            "owner": 5, "path": [1, 5], "hops": 1,
+            "served_by": None, "widened": 2, "records": [4, 9],
+        },
+    ),
+    (MsgType.ACK, {"regions": 2, "node_id": 7}),
+]  # fmt: skip
+
+
+class TestAnyChunking:
+    """The differential fuzzer of the stream decoder (ROADMAP item 3d)."""
+
+    @given(
+        picks=st.lists(
+            st.tuples(
+                st.integers(0, len(STREAM_POOL) - 1),
+                st.integers(0, 2**64 - 1),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        packed=st.booleans(),
+        envelope=st.booleans(),
+        cuts=st.lists(st.integers(min_value=0), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_partition_and_any_truncation_of_a_stream(
+        self, picks, packed, envelope, cuts
+    ):
+        expected, ends, stream = [], [], b""
+        for index, request_id, dst in picks:
+            kind, payload = STREAM_POOL[index]
+            frame = Frame(kind, request_id, payload)
+            prefix = ENVELOPE.pack(dst) if envelope else b""
+            stream += prefix + encode_frame(frame, packed=packed)
+            ends.append(len(stream))
+            expected.append((dst, frame) if envelope else frame)
+        assert FrameDecoder(envelope).feed(stream) == expected
+        bounds = sorted({cut % (len(stream) + 1) for cut in cuts} | {0, len(stream)})
+        chunked, out = FrameDecoder(envelope), []
+        for begin, end in zip(bounds, bounds[1:]):
+            out.extend(chunked.feed(stream[begin:end]))
+        assert out == expected and chunked.pending_bytes == 0
+        for cut in bounds:  # a truncated stream yields whole frames only
+            truncated = FrameDecoder(envelope)
+            whole = sum(1 for end in ends if end <= cut)
+            assert truncated.feed(stream[:cut]) == expected[:whole]
+            assert truncated.pending_bytes == cut - ([0] + ends)[whole]
 
 
 class TestLayoutCache:
