@@ -41,7 +41,7 @@ from repro.core.gates import failed_gates  # noqa: E402
 from repro.core.recovery import RECOVERY_CATEGORIES  # noqa: E402
 from repro.core.soak import SoakConfig, run_live_soak, run_sim_soak  # noqa: E402
 from repro.mgmt import Controller, ControllerConfig  # noqa: E402
-from repro.mgmt import http_get, parse_exposition  # noqa: E402
+from repro.mgmt import counter_samples, http_get, parse_exposition  # noqa: E402
 from repro.netsim.faults import FaultPlan, Partition  # noqa: E402
 from repro.runtime import Cluster, ClusterConfig, ShardedCluster  # noqa: E402
 from repro.runtime import NotSupportedError, run_load  # noqa: E402
@@ -369,8 +369,7 @@ MGMT_PROBE_PERIOD_S = 0.1
 #: wall seconds the live recovery stack gets to repair the crash
 MGMT_REPAIR_BUDGET_S = 20.0
 STATS_SECTIONS = (
-    "events", "counters", "gauges", "phases",
-    "transport_counters", "overload", "retries",
+    "events", "gauges", "phases", "transport_counters", "overload", "retries",
 )
 METRIC_FAMILIES = ("repro_events_total", "repro_health_status")
 
@@ -415,7 +414,19 @@ async def _scrape(port: int) -> dict:
         families = {}
         fields["metrics_parse_error"] = str(exc)
     fields["metrics_missing"] = [f for f in METRIC_FAMILIES if f not in families]
+    fields["counter_samples"] = counter_samples(families)
     return fields
+
+
+async def _decreased_since(controller, fields: dict) -> list:
+    """Scrape again once the first scrape's ``/stats`` cache has expired:
+    the counter-typed samples that now read lower than ``fields`` has them."""
+    await asyncio.sleep(controller.config.refresh_s)
+    now = (await _scrape(controller.port))["counter_samples"]
+    return [
+        name for name, value in fields["counter_samples"].items()
+        if now.get(name, 0.0) < value
+    ]
 
 
 async def _poll_health(port: int, want: str, budget_s: float):
@@ -460,6 +471,7 @@ async def mgmt_single(seed: int) -> dict:
                 members_after_repair=healed["members"],
                 takeovers=recovery.manager.takeovers,
                 false_kills=recovery.false_kills,
+                counters_decreased=await _decreased_since(controller, fields),
                 scrapes=controller.server.requests,
             )
     return fields
@@ -468,7 +480,8 @@ async def mgmt_single(seed: int) -> dict:
 async def mgmt_sharded(seed: int) -> dict:
     """The same endpoint contract on a multi-process cluster, where
     ``enable_recovery`` must refuse with the typed error and ``/health``
-    must say so instead of answering 500."""
+    must say so instead of answering 500; the sums over workers must
+    survive a member's crash like one process's counts do."""
     config = cluster_config(
         MGMT_SHARD_NODES, seed, heartbeat_period=MGMT_PROBE_PERIOD_S,
         shards=MGMT_SHARDS,
@@ -481,6 +494,8 @@ async def mgmt_sharded(seed: int) -> dict:
             refused = True
         async with Controller(cluster, ControllerConfig()) as controller:
             fields = await _scrape(controller.port)
+            await cluster.crash(max(cluster.node_ids))
+            fields["counters_decreased"] = await _decreased_since(controller, fields)
     fields.update(nodes=MGMT_SHARD_NODES, shards=MGMT_SHARDS, recovery_refused=refused)
     return fields
 
@@ -507,6 +522,10 @@ ENDPOINT_GATES = (
     ("/health 200 healthy at boot",
      lambda r: r["health_status"] == 200 and r["health"] == "healthy"),
 )
+MONOTONE_GATE = (
+    "no counter-typed sample decreased across the crash",
+    lambda r: r["counters_decreased"] == [],
+)
 HEALTH_FLIP_GATES = (
     ("recovery active", lambda r: r["recovery_state"] == "active"),
     ("degraded within one probe period",
@@ -518,11 +537,13 @@ HEALTH_FLIP_GATES = (
     ("post-repair membership == nodes - victims",
      lambda r: r["members_after_repair"] == r["nodes"] - len(r["victims"])),
     ("zero false kills", lambda r: r["false_kills"] == 0),
+    MONOTONE_GATE,
 )
 REFUSAL_GATES = (
     ("enable_recovery refuses with NotSupportedError", lambda r: r["recovery_refused"]),
     ("recovery unavailable (sharded)",
      lambda r: r["recovery_state"] == "unavailable (sharded)"),
+    MONOTONE_GATE,
 )
 
 

@@ -21,7 +21,7 @@ from repro.core.recovery import (
 )
 from repro.core.reliability import NO_RETRY, RetryPolicy, measure_vector_reliably
 from repro.core.stats import aggregate_over_seeds, bootstrap_ci, paired_improvement
-from repro.core.telemetry import Telemetry, TraceEvent
+from repro.core.telemetry import Telemetry
 
 __all__ = [
     "ChurnDriver",
@@ -37,7 +37,6 @@ __all__ = [
     "SwimCore",
     "Telemetry",
     "TopologyAwareOverlay",
-    "TraceEvent",
     "aggregate_over_seeds",
     "bootstrap_ci",
     "check_invariants",

@@ -266,9 +266,7 @@ class TopologyAwareOverlay:
             )
         faults.crash_host(node.host)
         salvageable, lost = self.store.drop_hosted_by(node_id)
-        self.network.telemetry.emit(
-            "crash", node_id=node_id, host=node.host, lost=len(lost)
-        )
+        self.network.telemetry.count("crash")
         return {"salvageable": len(salvageable), "lost": len(lost)}
 
     def enable_recovery(self, detector_params=None, seed: int = 0xFD):

@@ -199,7 +199,7 @@ class SwimCore:
         silent = {t: p for (p, t), ok in zip(pairs, verdicts) if ok is False}
         for target in answered:
             if self.refute(target) and self.telemetry is not None:
-                self.telemetry.emit("fd_refute", node_id=target)
+                self.telemetry.count("fd_refute")
 
         confirmed = []
         for target, prober in silent.items():
@@ -241,9 +241,7 @@ class SwimCore:
         if not genuinely_dead:
             self.false_kills += 1
         if self.telemetry is not None:
-            self.telemetry.emit(
-                "fd_confirm_death", node_id=node_id, false_positive=not genuinely_dead
-            )
+            self.telemetry.count("fd_confirm_death")
         for callback in list(self.on_death):
             callback(node_id)
 
@@ -454,7 +452,7 @@ class RecoveryManager:
             self.rehosted += overlay.store.rehost_from_replicas(node_id)
             overlay._used_hosts.discard(node.host)
             overlay._adaptive.discard(node_id)
-            telemetry.emit("recovery_takeover", node_id=node_id)
+            telemetry.count("recovery_takeover")
 
     # -- partition-heal reconciliation -------------------------------------
 
@@ -500,7 +498,7 @@ class RecoveryManager:
                 "republished": self.republish_lost(),
                 "purged": self.purge_dead_references(),
             }
-        telemetry.emit("reconcile", **summary)
+        telemetry.count("reconcile")
         return summary
 
     # -- self-stabilization scrubs ------------------------------------------
@@ -582,7 +580,7 @@ class RecoveryManager:
             }
         self.scrubbed += sum(summary.values())
         if any(summary.values()):
-            telemetry.emit("scrub_repairs", **summary)
+            telemetry.count("scrub_repairs")
         return summary
 
 

@@ -75,10 +75,6 @@ class RetryPolicy:
             raise ValueError("backoff_factor must be >= 1")
         if self.max_delay < self.base_delay:
             raise ValueError("max_delay must be >= base_delay")
-        # accounting attributes (not dataclass fields: the policy stays
-        # hashable/comparable on its schedule parameters alone)
-        object.__setattr__(self, "backoff_slept_ms", 0.0)
-        object.__setattr__(self, "retries", 0)
 
     # -- schedule ----------------------------------------------------------
 
@@ -98,39 +94,29 @@ class RetryPolicy:
 
     # -- execution ---------------------------------------------------------
 
-    def sleep(self, attempt: int, clock=None, telemetry=None) -> float:
+    def sleep(self, attempt: int, *, telemetry, clock=None) -> float:
         """Back off after failed attempt ``attempt`` and account for it.
 
         Advances the simulated ``clock`` when one is given, and always
-        adds the delay to :attr:`backoff_slept_ms` (plus a ``retry``
-        event and a ``backoff_ms`` counter on ``telemetry``) -- a
-        caller that forgets the clock can no longer silently
-        under-report recovery time, because the slept backoff stays
-        visible to the accounting layer either way.
+        charges one ``retry`` and the delay as ``backoff_ms`` to
+        ``telemetry`` -- the ledger of the network the retry happened
+        on.  ``telemetry`` is required: a caller that forgets it fails
+        with a ``TypeError`` instead of under-reporting recovery time,
+        and the policy itself stays a pure, shareable schedule.
         """
         delay = self.delay(attempt)
         if clock is not None:
             clock.advance(delay)
-        object.__setattr__(self, "backoff_slept_ms", self.backoff_slept_ms + delay)
-        object.__setattr__(self, "retries", self.retries + 1)
-        if telemetry is not None:
-            telemetry.emit("retry", backoff_ms=delay, attempt=attempt)
-            telemetry.count("backoff_ms", delay)
+        telemetry.count("retry")
+        telemetry.count("backoff_ms", delay)
         return delay
 
-    def reset_accounting(self) -> None:
-        """Zero the cumulative backoff/retry accounting."""
-        object.__setattr__(self, "backoff_slept_ms", 0.0)
-        object.__setattr__(self, "retries", 0)
-
-    def call(self, fn, clock=None, retry_on=(ProbeTimeout,), telemetry=None):
+    def call(self, fn, *, telemetry, clock=None, retry_on=(ProbeTimeout,)):
         """Run ``fn(attempt)`` until it succeeds or attempts run out.
 
         Between attempts the simulated ``clock`` (if given) is advanced
-        by the backoff delay; every backoff is tracked in
-        :attr:`backoff_slept_ms` (and charged to ``telemetry``) even
-        without a clock, so recovery-time reports cannot silently drop
-        it.  The final failure re-raises.
+        by the backoff delay and every backoff is charged to
+        ``telemetry`` (see :meth:`sleep`).  The final failure re-raises.
         """
         last = None
         for attempt in range(self.max_attempts):
@@ -139,7 +125,7 @@ class RetryPolicy:
             except retry_on as exc:
                 last = exc
                 if attempt + 1 < self.max_attempts:
-                    self.sleep(attempt, clock=clock, telemetry=telemetry)
+                    self.sleep(attempt, telemetry=telemetry, clock=clock)
         raise last
 
     def probe(self, network, u: int, v: int, category: str = "rtt_probe"):
@@ -226,7 +212,8 @@ class CircuitBreaker:
         self.failures = 0
         self._opened_at = 0.0
         self._probing = False
-        # lifetime accounting, surfaced by the overload bench
+        # lifetime accounting of this one breaker (the cluster-wide
+        # totals are telemetry counts that outlive it)
         self.opens = 0
         self.closes = 0
         self.fast_fails = 0
@@ -249,12 +236,15 @@ class CircuitBreaker:
         self._probing = True
         return True
 
-    def record_success(self) -> None:
+    def record_success(self) -> bool:
+        """Account one success; True when this call *closed* the circuit."""
         self.failures = 0
         self._probing = False
-        if self.state != self.CLOSED:
-            self.state = self.CLOSED
-            self.closes += 1
+        if self.state == self.CLOSED:
+            return False
+        self.state = self.CLOSED
+        self.closes += 1
+        return True
 
     def record_failure(self) -> bool:
         """Account one failure; True when this call *opened* the circuit."""

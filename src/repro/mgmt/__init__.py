@@ -24,6 +24,7 @@ Boot one from the CLI with ``repro controller`` (or add
 from repro.mgmt.controller import Controller, ControllerConfig
 from repro.mgmt.prometheus import (
     MetricFamily,
+    counter_samples,
     escape_label_value,
     parse_exposition,
     render_exposition,
@@ -47,6 +48,7 @@ __all__ = [
     "MetricFamily",
     "Request",
     "Response",
+    "counter_samples",
     "escape_label_value",
     "health_snapshot",
     "http_get",

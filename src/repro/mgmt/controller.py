@@ -133,7 +133,7 @@ class Controller:
                 # a torn mid-churn read must not kill the daemon; the
                 # next pass (or an on-demand request) recomputes, and
                 # the count shows on /stats and /metrics
-                self.cluster.network.telemetry.bump("mgmt_refresh_error")
+                self.cluster.network.telemetry.count("mgmt_refresh_error")
             await asyncio.sleep(self.config.refresh_s)
 
     # -- snapshot access (cached) ------------------------------------------
@@ -173,29 +173,26 @@ class Controller:
 
     # -- route handlers ----------------------------------------------------
 
-    def _bump(self, endpoint: str) -> None:
-        self.cluster.network.telemetry.bump(f"mgmt_http_{endpoint}")
-
     async def _serve_index(self, _request) -> Response:
-        self._bump("index")
+        self.cluster.network.telemetry.count("mgmt_http_index")
         return Response.html(render_zone_map_html())
 
     async def _serve_topology(self, _request) -> Response:
-        self._bump("topology")
+        self.cluster.network.telemetry.count("mgmt_http_topology")
         return Response.json(await self.topology())
 
     async def _serve_stats(self, _request) -> Response:
-        self._bump("stats")
+        self.cluster.network.telemetry.count("mgmt_http_stats")
         return Response.json(await self.stats())
 
     async def _serve_metrics(self, _request) -> Response:
-        self._bump("metrics")
+        self.cluster.network.telemetry.count("mgmt_http_metrics")
         stats = await self.stats()
         health = await self.health()
         return Response.text(render_prometheus(stats, health))
 
     async def _serve_health(self, _request) -> Response:
-        self._bump("health")
+        self.cluster.network.telemetry.count("mgmt_http_health")
         health = await self.health()
         return Response.json(
             health, status=HEALTH_STATUS_CODES[health["status"]]

@@ -123,20 +123,11 @@ def stats_families(stats: dict, health: dict = None) -> list:
     events = MetricFamily(
         "repro_events_total",
         "counter",
-        "Structured telemetry event occurrences by kind.",
+        "Telemetry counts by name (occurrences; backoff_ms is milliseconds).",
     )
     for name, value in stats.get("events", {}).items():
         events.add({"event": name}, value)
     families.append(events)
-
-    counters = MetricFamily(
-        "repro_counters_total",
-        "counter",
-        "Monotonic telemetry counters (milliseconds, totals) by name.",
-    )
-    for name, value in stats.get("counters", {}).items():
-        counters.add({"name": name}, value)
-    families.append(counters)
 
     gauges = MetricFamily(
         "repro_gauge", "gauge", "Last-written telemetry gauges by name."
@@ -320,3 +311,17 @@ def parse_exposition(text: str) -> dict:
         if family["type"] is None:
             raise ValueError(f"family {name!r} has HELP but no TYPE")
     return families
+
+
+def counter_samples(families: dict) -> dict:
+    """Every ``counter``-typed sample of a parsed exposition, by name.
+
+    ``{"family{label=value,...}": value}``: the samples that may never
+    read lower on a later scrape of the same process.
+    """
+    return {
+        name + "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}": value
+        for name, family in families.items()
+        if family["type"] == "counter"
+        for labels, value in family["samples"]
+    }

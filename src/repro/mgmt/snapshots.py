@@ -15,10 +15,11 @@ endpoint tests pin).
 from __future__ import annotations
 
 from repro.core.recovery import check_invariants, detector_verdicts
+from repro.runtime.cluster import retry_counts
 
 #: bump when a serving change breaks consumers of the JSON documents
 TOPOLOGY_SCHEMA_VERSION = 1
-STATS_SCHEMA_VERSION = 1
+STATS_SCHEMA_VERSION = 2
 HEALTH_SCHEMA_VERSION = 1
 
 #: health verdict -> HTTP status code served by the controller
@@ -119,35 +120,35 @@ def topology_snapshot(cluster) -> dict:
 
 
 async def stats_snapshot(cluster) -> dict:
-    """Aggregated telemetry counters, transport and overload accounting.
+    """Aggregated telemetry counts, transport and overload accounting.
 
     Wraps the harness's ``counters()`` aggregate (summed across shard
     replicas on a :class:`~repro.runtime.shard.ShardedCluster`) with
     the parent telemetry's gauges and phase timers and the retry
-    accounting, every section sorted for deterministic export -- the
-    same document :func:`repro.mgmt.prometheus.render_prometheus`
-    renders as text exposition.
+    accounting read off the same event counts, every section sorted
+    for deterministic export -- the same document
+    :func:`repro.mgmt.prometheus.render_prometheus` renders as text
+    exposition.
     """
     counters = await cluster.counters()
-    telemetry = cluster.network.telemetry.snapshot()
+    telemetry = cluster.network.telemetry
     snapshot = {
         "schema_version": STATS_SCHEMA_VERSION,
         "shards": cluster.config.shards,
         "transport": cluster.config.transport,
-        "events": _sorted_numbers(counters.get("events", {})),
-        "counters": _sorted_numbers(counters.get("metrics", {})),
-        "gauges": _sorted_numbers(telemetry["gauges"]),
+        "events": _sorted_numbers(counters["events"]),
+        "gauges": _sorted_numbers(telemetry.gauges),
         "phases": {
             name: {
                 "sim_ms": float(acc["sim_ms"]),
                 "wall_s": float(acc["wall_s"]),
                 "entries": int(acc["entries"]),
             }
-            for name, acc in telemetry["phases"].items()
+            for name, acc in sorted(telemetry.phases.items())
         },
-        "transport_counters": _sorted_numbers(counters.get("transport", {})),
-        "overload": _sorted_numbers(counters.get("overload", {})),
-        "retries": cluster.retry_counters(),
+        "transport_counters": _sorted_numbers(counters["transport"]),
+        "overload": _sorted_numbers(counters["overload"]),
+        "retries": retry_counts(counters["events"]),
     }
     per_shard = counters.get("per_shard")
     if per_shard is not None:

@@ -249,7 +249,7 @@ class FaultInjector:
     def _inject(self, category: str) -> None:
         self.injected[category] += 1
         self.network.stats.count(category)
-        self.network.telemetry.emit("fault", category=category)
+        self.network.telemetry.count("fault")
 
     def _blocked(self, u: int, v: int):
         """Structural reason ``u``/``v`` cannot talk right now, or None."""

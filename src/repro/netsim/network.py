@@ -135,11 +135,7 @@ class Network:
         :class:`~repro.netsim.faults.ProbeTimeout`.
         """
         self.stats.count(category)
-        telemetry = self.telemetry
-        if telemetry.tracing:
-            telemetry.emit("probe", category=category, u=int(u), v=int(v))
-        else:
-            telemetry.bump("probe")
+        self.telemetry.count("probe")
         if self.faults is not None:
             return self.faults.probe(u, v)
         return 2.0 * self.oracle.distance(u, v)
@@ -164,11 +160,7 @@ class Network:
         """
         hosts = np.asarray(hosts, dtype=np.int64)
         self.stats.count(category, len(hosts))
-        telemetry = self.telemetry
-        if telemetry.tracing:
-            telemetry.emit("probe", n=len(hosts), category=category, u=int(u))
-        else:
-            telemetry.bump("probe", len(hosts))
+        self.telemetry.count("probe", len(hosts))
         if self.faults is not None:
             return self.faults.probe_many_detailed(u, hosts)
         row = self.oracle.row(u)

@@ -382,30 +382,24 @@ class EcanOverlay:
 
         Every send attempt is charged under ``category`` (a lost
         message was still transmitted); injected faults are accounted
-        by the injector itself.  Without an armed injector (a traced
-        route on a perfect network) the first attempt always succeeds.
+        by the injector itself.  Only :meth:`_route_per_hop` sends
+        through here, so the network's injector is armed.
         """
+        network = self.network
+        telemetry = network.telemetry
+        faults = network.faults
         self._count(category)
-        telemetry = getattr(self.network, "telemetry", None)
-        if telemetry is not None:
-            if telemetry.tracing:
-                telemetry.emit("hop", category=category)
-            else:
-                telemetry.bump("hop")
-        faults = self.network.faults if self.network is not None else None
-        if faults is None or not faults.armed:
-            return True
+        telemetry.count("hop")
         if faults.deliver(src_host, dst_host):
             return True
         policy = self.retry_policy
         if policy is None:
             return False
         for attempt in range(1, policy.max_attempts):
-            policy.sleep(attempt - 1, clock=self.network.clock, telemetry=telemetry)
+            policy.sleep(attempt - 1, clock=network.clock, telemetry=telemetry)
             result.retries += 1
             self._count(category)
-            if telemetry is not None:
-                telemetry.emit("hop", category=category, resend=True)
+            telemetry.count("hop")
             if faults.deliver(src_host, dst_host):
                 return True
         return False
@@ -523,25 +517,21 @@ class EcanOverlay:
         """Prefix-style routing: expressway jumps, then CAN greedy hops.
 
         On a network that delivers every message (no injector armed)
-        and with tracing off, the route is a run of :meth:`_decide`
-        steps whose hops are charged once at the end.  Otherwise each
-        hop is a (possibly lost, possibly traced) message send: a
-        :class:`RetryPolicy` resends with sim-clock backoff,
-        expressway entries that keep failing are skipped (and evicted
-        after ``dead_entry_threshold`` strikes) in favour of greedy
-        CAN neighbors, and alternative neighbors are tried before the
-        route is declared failed.  Without a policy a single lost hop
-        fails the route -- the fire-and-forget baseline.
+        the route is a run of :meth:`_decide` steps whose hops are
+        charged once at the end.  Otherwise each hop is a (possibly
+        lost) message send: a :class:`RetryPolicy` resends with
+        sim-clock backoff, expressway entries that keep failing are
+        skipped (and evicted after ``dead_entry_threshold`` strikes) in
+        favour of greedy CAN neighbors, and alternative neighbors are
+        tried before the route is declared failed.  Without a policy a
+        single lost hop fails the route -- the fire-and-forget baseline.
         """
         nodes = self.can.nodes
         if start_node not in nodes:
             raise KeyError(f"start node {start_node} not present")
         network = self.network
         faults = network.faults if network is not None else None
-        telemetry = getattr(network, "telemetry", None)
-        if (faults is not None and faults.armed) or (
-            telemetry is not None and telemetry.tracing
-        ):
+        if faults is not None and faults.armed:
             return self._route_per_hop(start_node, point, category, max_hops)
         path = [start_node]
         visited = {start_node}
@@ -578,14 +568,14 @@ class EcanOverlay:
             hops = len(path) - 1
             if hops:
                 self._count(category, hops)
-                if telemetry is not None:
-                    telemetry.bump("hop", hops)
+                if network is not None:
+                    network.telemetry.count("hop", hops)
         return result
 
     def _route_per_hop(
         self, start_node: int, point, category: str, max_hops: int
     ) -> RouteResult:
-        """:meth:`route` when a hop can be lost or must be traced."""
+        """:meth:`route` when a hop can be lost (an injector is armed)."""
         path = [start_node]
         visited = {start_node}
         unreachable: set = set()

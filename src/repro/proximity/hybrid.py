@@ -141,7 +141,5 @@ def hybrid_search(
         )
         builder.record(estimate, int(candidate_hosts[fallback_idx]))
         builder.method = f"lmk-only[{rank}]"
-        network.telemetry.emit(
-            "degraded", rank=rank, query_host=int(query_host)
-        )
+        network.telemetry.count("degraded")
     return builder.build()

@@ -102,8 +102,8 @@ class ClusterConfig:
     #: wall seconds one HEARTBEAT probe waits before counting as silence
     probe_timeout: float = 0.5
     #: optional :class:`~repro.core.reliability.RetryPolicy` resending
-    #: timed-out/undeliverable requests (delays read as wall ms); the
-    #: shared instance accumulates cluster-wide retry accounting
+    #: timed-out/undeliverable requests (delays read as wall ms); each
+    #: resend is charged to this cluster's ``network.telemetry``
     retry: object = None
     #: boot through the builder's batched bulk-join fast path instead
     #: of sequential wire JOINs (same membership/zones, tables may
@@ -154,6 +154,18 @@ class ClusterConfig:
             raise ValueError("busy_retries must be >= 0")
         if self.overlay.num_nodes != self.nodes:
             self.overlay = replace(self.overlay, num_nodes=self.nodes)
+
+
+def retry_counts(events) -> dict:
+    """Resend accounting read off an ``events`` map.
+
+    The map is one process's, or the sum over shard workers that
+    ``counters()`` returns.
+    """
+    return {
+        "retries": int(events.get("retry", 0)),
+        "backoff_ms": float(events.get("backoff_ms", 0.0)),
+    }
 
 
 class ClusterSurface:
@@ -289,9 +301,7 @@ class ClusterSurface:
             lost += len(gone)
             self.crashed[victim] = host
             if actor is not None:
-                self.network.telemetry.emit(
-                    "runtime_crash", node_id=victim, host=host, lost=len(gone)
-                )
+                self.network.telemetry.count("runtime_crash")
         return {"victims": victims, "salvageable": salvageable, "lost": lost}
 
     async def leave(self, node_id: int) -> None:
@@ -307,14 +317,9 @@ class ClusterSurface:
         self.overlay.remove_node(node_id, graceful=True)
 
     def retry_counters(self) -> dict:
-        """Cluster-wide request resend accounting (see ``config.retry``)."""
-        policy = self.config.retry
-        if policy is None:
-            return {"retries": 0, "backoff_ms": 0.0}
-        return {
-            "retries": int(policy.retries),
-            "backoff_ms": float(policy.backoff_slept_ms),
-        }
+        """Backoffs charged to this process's network (request resends
+        under ``config.retry`` and any sim-layer retry on the replica)."""
+        return retry_counts(self.network.telemetry.events)
 
     # -- sim parity --------------------------------------------------------
 
@@ -419,7 +424,7 @@ class Cluster(ClusterSurface):
         """
         node_id = self.overlay.add_node(capacity=capacity)
         host = self.overlay.ecan.can.nodes[node_id].host
-        self.network.telemetry.bump("runtime_join")
+        self.network.telemetry.count("runtime_join")
         return node_id, int(host)
 
     async def start(self) -> "Cluster":
@@ -460,7 +465,7 @@ class Cluster(ClusterSurface):
         for node_id in node_ids:
             actor = NodeProcess(self, node_id, host=self.routing.host_of(node_id))
             self.actors[node_id] = actor
-            self.network.telemetry.bump("runtime_join")
+            self.network.telemetry.count("runtime_join")
             batch.append(actor)
             if len(batch) >= self.BOOT_BATCH:
                 await asyncio.gather(*(a.start() for a in batch))
@@ -586,27 +591,26 @@ class Cluster(ClusterSurface):
     def overload_counters(self) -> dict:
         """Cluster-wide overload-protection accounting.
 
-        Aggregates the telemetry counters the shed/BUSY path bumps
-        with the per-actor circuit-breaker state machines and the TCP
-        transport's backpressure drops -- the numbers the overload
-        bench records per offered-load cell.
+        Every key but one is a process-lifetime telemetry count (or the
+        transport's own backpressure tally), so it never decreases when
+        the actor that earned it crashes or leaves;
+        ``breakers_open_now`` is the one gauge, read off the breakers
+        of the actors still alive.  Zeros are reported, not omitted.
         """
-        counters = self.network.telemetry.event_counts
-        breakers = [
-            breaker
-            for actor in self.actors.values()
-            for breaker in actor._breakers.values()
-        ]
+        events = self.network.telemetry.events
         return {
-            "shed": int(counters.get("runtime_shed", 0)),
-            "busy_replies": int(counters.get("runtime_busy_reply", 0)),
-            "busy_retries": sum(a.busy_retries for a in self.actors.values()),
-            "crash_dropped": int(counters.get("runtime_crash_dropped", 0)),
-            "breaker_opens": sum(b.opens for b in breakers),
-            "breaker_closes": sum(b.closes for b in breakers),
-            "breaker_fastfails": int(counters.get("runtime_breaker_fastfail", 0)),
+            "shed": int(events["runtime_shed"]),
+            "busy_replies": int(events["runtime_busy_reply"]),
+            "busy_retries": int(events["runtime_busy_retry"]),
+            "crash_dropped": int(events["runtime_crash_dropped"]),
+            "breaker_opens": int(events["runtime_breaker_open"]),
+            "breaker_closes": int(events["runtime_breaker_close"]),
+            "breaker_fastfails": int(events["runtime_breaker_fastfail"]),
             "breakers_open_now": sum(
-                1 for b in breakers if b.state != b.CLOSED
+                1
+                for actor in self.actors.values()
+                for breaker in actor._breakers.values()
+                if breaker.state != breaker.CLOSED
             ),
             "backpressure_drops": int(
                 getattr(self.transport, "backpressure_drops", 0)
@@ -614,14 +618,12 @@ class Cluster(ClusterSurface):
         }
 
     async def counters(self) -> dict:
-        """Cluster-wide counters: ``events`` / ``metrics`` /
-        ``transport`` / ``overload`` sections of summable numbers (a
-        sharded cluster adds them up across workers, over the control
-        channel -- hence async)."""
-        snapshot = self.network.telemetry.snapshot()
+        """Cluster-wide counters: ``events`` / ``transport`` /
+        ``overload`` sections of summable numbers (a sharded cluster
+        adds them up across workers, over the control channel -- hence
+        async)."""
         return {
-            "events": snapshot["events"],
-            "metrics": snapshot["counters"],
+            "events": self.network.telemetry.snapshot()["events"],
             "transport": self.transport.counters(),
             "overload": self.overload_counters(),
         }
@@ -634,14 +636,14 @@ class Cluster(ClusterSurface):
         Returns ``{"owner", "path", "hops"}`` from the final ACK.
         """
         result = await self._actor(src_id).rpc_route(point, op="lookup")
-        self.network.telemetry.bump("runtime_lookup")
+        self.network.telemetry.count("runtime_lookup")
         return result
 
     async def route(self, src_id: int, dst_id: int) -> dict:
         """Route from ``src_id`` to member ``dst_id``'s zone center."""
         center = self.routing.zone_center(dst_id)
         result = await self._actor(src_id).rpc_route(center, op="route")
-        self.network.telemetry.bump("runtime_route")
+        self.network.telemetry.count("runtime_route")
         return result
 
     async def lookup_map(self, querier_id: int, region) -> dict:
@@ -662,7 +664,7 @@ class Cluster(ClusterSurface):
                 "cell": list(region.cell),
             },
         )
-        self.network.telemetry.bump("runtime_map_lookup")
+        self.network.telemetry.count("runtime_map_lookup")
         return ack
 
     async def publish(self, node_id: int) -> dict:

@@ -202,13 +202,13 @@ async def run_load(
         mode="closed" if closed else "open",
         concurrency=int(concurrency) if closed else 0,
     )
-    # the shared policy instance carries cluster-wide accounting;
-    # snapshot so the report charges only this run's resends
-    policy = cluster.config.retry
-    retries_before = 0 if policy is None else policy.retries
-    backoff_before = 0.0 if policy is None else policy.backoff_slept_ms
+    # the network's counts are process-lifetime; read them before and
+    # after so the report charges only this run's resends and sheds
     telemetry = cluster.network.telemetry
-    shed_before = telemetry.event_counts.get("runtime_shed", 0)
+    events = telemetry.events
+    before = {
+        name: events[name] for name in ("retry", "backoff_ms", "runtime_shed")
+    }
 
     async def issue(index: int) -> None:
         began = time.perf_counter()
@@ -267,16 +267,13 @@ async def run_load(
             pending.append(loop.create_task(issue(index)))
         await asyncio.gather(*pending)
     report.wall_duration_s = time.perf_counter() - wall_began
-    if policy is not None:
-        report.retries = int(policy.retries - retries_before)
-        report.backoff_ms = float(policy.backoff_slept_ms - backoff_before)
-    report.shed = int(telemetry.event_counts.get("runtime_shed", 0) - shed_before)
+    report.retries = int(events["retry"] - before["retry"])
+    report.backoff_ms = float(events["backoff_ms"] - before["backoff_ms"])
+    report.shed = int(events["runtime_shed"] - before["runtime_shed"])
     report.loop = type(loop).__module__.split(".")[0]
 
     telemetry.count("loadgen_ops", report.ops)
     telemetry.count("loadgen_errors", report.errors)
-    if report.retries:
-        telemetry.count("loadgen_retries", report.retries)
     pct = report.percentiles()
     if np.isfinite(pct["p99"]):
         telemetry.gauge("loadgen_wall_p99_ms", pct["p99"])

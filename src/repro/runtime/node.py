@@ -167,10 +167,6 @@ class NodeProcess:
         self._stopped = True
         #: frames this actor processed, by kind name (diagnostics)
         self.handled: dict = {}
-        #: request attempts this actor resent under its retry policy
-        self.retries = 0
-        #: BUSY replies this actor retried after backoff
-        self.busy_retries = 0
         #: draws the BUSY-retry jitter: seeded, so the resend timing of
         #: a run is reproducible from (overlay seed, first address)
         self._jitter_rng = random.Random(f"{cluster.config.overlay.seed}:{addr}")
@@ -207,7 +203,7 @@ class NodeProcess:
         self._stopped = True
         dropped = len(self.control_lane) + len(self.data_lane)
         if dropped:
-            self.cluster.network.telemetry.bump("runtime_crash_dropped", dropped)
+            self.cluster.network.telemetry.count("runtime_crash_dropped", dropped)
         self.control_lane.clear()
         self.data_lane.clear()
         # fail pending requests *before* the unbind await: callers
@@ -308,7 +304,7 @@ class NodeProcess:
 
     async def _shed(self, frame: Frame) -> None:
         """Drop ``frame`` from a full data lane and tell its origin."""
-        self.cluster.network.telemetry.bump("runtime_shed")
+        self.cluster.network.telemetry.count("runtime_shed")
         src = frame.payload.get("src")
         if src is not None:
             await self.transport.send(
@@ -348,7 +344,7 @@ class NodeProcess:
                     # so without this accounting the failure would vanish
                     # until the requester's timeout: count every dispatch
                     # error and keep the repr visible in the diagnostics
-                    self.cluster.network.telemetry.bump(
+                    self.cluster.network.telemetry.count(
                         "runtime_dispatch_error"
                     )
                     errors = self.handled.setdefault("dispatch_errors", [])
@@ -406,10 +402,10 @@ class NodeProcess:
         is unset too), ``False`` forces a single attempt, and a
         :class:`~repro.core.reliability.RetryPolicy` overrides both.
         Lost or unanswered attempts back off by the policy's schedule
-        -- interpreted as wall milliseconds -- and the shared policy
-        instance accumulates the retry/backoff accounting, giving
-        cluster-wide counters for free.  A :class:`RemoteError` is
-        never retried: the peer answered, it just said no.
+        -- interpreted as wall milliseconds -- and each backoff is
+        charged to the cluster network's telemetry (``retry`` /
+        ``backoff_ms``).  A :class:`RemoteError` is never retried: the
+        peer answered, it just said no.
 
         Data-kind requests additionally react to overload: a BUSY
         shed retries up to ``ClusterConfig.busy_retries`` times on a
@@ -428,7 +424,7 @@ class NodeProcess:
         data_kind = kind in _DATA_KINDS
         breaker = self._breaker_for(dst) if data_kind else None
         if breaker is not None and not breaker.allow():
-            telemetry.bump("runtime_breaker_fastfail")
+            telemetry.count("runtime_breaker_fastfail")
             raise CircuitOpenError(dst, breaker.retry_after_s())
         busy_budget = config.busy_retries if data_kind else 0
         jitter = None
@@ -437,39 +433,34 @@ class NodeProcess:
             try:
                 result = await self._request_once(dst, kind, payload, timeout)
             except PeerBusy:
-                telemetry.bump("runtime_busy_reply")
+                telemetry.count("runtime_busy_reply")
                 if breaker is not None and breaker.record_failure():
-                    telemetry.bump("runtime_breaker_open")
+                    telemetry.count("runtime_breaker_open")
                 if busy_budget <= 0:
                     raise
                 busy_budget -= 1
-                self.busy_retries += 1
+                telemetry.count("runtime_busy_retry")
                 if jitter is None:
                     jitter = DecorrelatedJitter(rng=self._jitter_rng)
                 await asyncio.sleep(jitter.next_delay() / 1000.0)
-            except RequestTimeout:
-                if breaker is not None and breaker.record_failure():
-                    telemetry.bump("runtime_breaker_open")
-                attempt += 1
-                if attempt >= attempts:
-                    raise
-                self.retries += 1
-                delay_ms = retry.sleep(attempt - 1)
-                if delay_ms > 0.0:
-                    await asyncio.sleep(delay_ms / 1000.0)
-            except TransportError:
+            except (RequestTimeout, TransportError) as failure:
                 # refused sends feed the failure detector, not the
                 # breaker: a dead peer needs takeover, not backoff
+                if (
+                    isinstance(failure, RequestTimeout)
+                    and breaker is not None
+                    and breaker.record_failure()
+                ):
+                    telemetry.count("runtime_breaker_open")
                 attempt += 1
                 if attempt >= attempts:
                     raise
-                self.retries += 1
-                delay_ms = retry.sleep(attempt - 1)
+                delay_ms = retry.sleep(attempt - 1, telemetry=telemetry)
                 if delay_ms > 0.0:
                     await asyncio.sleep(delay_ms / 1000.0)
             else:
-                if breaker is not None:
-                    breaker.record_success()
+                if breaker is not None and breaker.record_success():
+                    telemetry.count("runtime_breaker_close")
                 return result
 
     async def _request_once(self, dst, kind: MsgType, payload: dict, timeout) -> dict:
@@ -641,7 +632,7 @@ class NodeProcess:
                 kind=MsgType.ERROR,
             )
             return
-        cluster.network.telemetry.bump(self._HOP_EVENT[kind])
+        cluster.network.telemetry.count(self._HOP_EVENT[kind])
         payload["path"] = path + [next_id]
         forwarded = Frame(MsgType.ROUTE, frame.request_id, payload)
         sent = await self.transport.send(self.addr, next_id, forwarded)

@@ -572,7 +572,7 @@ class ShardedCluster(ClusterSurface):
     async def counters(self) -> dict:
         """Cluster-wide counters, summed across every shard replica."""
         per_shard = await self._broadcast(("counters",))
-        merged = {"events": {}, "metrics": {}, "transport": {}, "overload": {}}
+        merged = {"events": {}, "transport": {}, "overload": {}}
         for shard in per_shard:
             for section, values in shard.items():
                 bucket = merged.setdefault(section, {})

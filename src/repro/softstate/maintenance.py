@@ -100,9 +100,7 @@ class MaintenanceDriver:
         removed = self.store.purge_record(node_id, charge=True)
         self.purged += removed
         if removed:
-            self.network.telemetry.emit(
-                "purge", node_id=node_id, policy="reactive"
-            )
+            self.network.telemetry.count("purge")
         return removed
 
     def on_departure(self, node_id: int, graceful: bool = True) -> int:
@@ -181,22 +179,16 @@ class MaintenanceDriver:
         dead = {n for n, verdict in verdicts.items() if not verdict}
         removed = 0
         for node_id in dead:
-            false_positive = node_id in self.ecan.can.nodes
-            if false_positive:
+            if node_id in self.ecan.can.nodes:
                 self.false_purges += 1
             removed += self.store.purge_record(node_id, charge=False)
-            telemetry.emit(
-                "purge",
-                node_id=node_id,
-                policy="periodic",
-                false_positive=false_positive,
-            )
+            telemetry.count("purge")
         removed += self.store.expire_stale()
         self.purged += removed
         restored = self.store.republish_lost()
         self.republished += len(restored)
-        for node_id in restored:
-            telemetry.emit("republish", node_id=node_id)
+        if restored:
+            telemetry.count("republish", len(restored))
         return removed
 
     def stale_entries(self) -> int:

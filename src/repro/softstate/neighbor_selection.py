@@ -92,12 +92,8 @@ class SoftStateNeighborPolicy(NeighborPolicy):
         host = ecan.can.nodes[node_id].host
         probed = alive[: self.rtt_budget]
         network = self.network
-        if (
-            network.faults is None
-            and self.retry_policy is None
-            and not network.telemetry.tracing
-        ):
-            # nothing can be lost, retried or traced per probe: one batch
+        if network.faults is None and self.retry_policy is None:
+            # nothing can be lost or retried per probe: one batch
             # charges the same count and reads the same float64 RTTs
             rtts = network.rtt_many(
                 host, [record.host for record in probed], category="neighbor_probe"

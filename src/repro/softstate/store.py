@@ -370,9 +370,7 @@ class SoftStateStore:
                 self._emit(EventKind.NODE_JOINED, region, record)
         self._published[node_id] = wanted
         if wanted:
-            self.network.telemetry.emit(
-                "publish", n=len(wanted), node_id=node_id
-            )
+            self.network.telemetry.count("publish", len(wanted))
         return len(wanted)
 
     @contextlib.contextmanager
@@ -528,12 +526,7 @@ class SoftStateStore:
             self._pending_rehost.setdefault(dead_id, []).extend(salvageable)
         self.lost_records.extend(lost)
         if salvageable or lost:
-            self.network.telemetry.emit(
-                "record_loss",
-                dead_id=dead_id,
-                lost=len(lost),
-                salvageable=len(salvageable),
-            )
+            self.network.telemetry.count("record_loss")
         return salvageable, lost
 
     def rehost_from_replicas(self, dead_id: int, charge: bool = True) -> int:

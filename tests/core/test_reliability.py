@@ -1,5 +1,8 @@
 """Retry policies: backoff schedule, execution, reliable measurement."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -48,8 +51,8 @@ class TestCall:
                 raise ProbeTimeout(0, 1)
             return "ok"
 
-        start = tiny_network.clock.now
-        assert policy.call(flaky, clock=tiny_network.clock) == "ok"
+        start, ledger = tiny_network.clock.now, tiny_network.telemetry
+        assert policy.call(flaky, clock=tiny_network.clock, telemetry=ledger) == "ok"
         assert attempts == [0, 1, 2]
         # two backoffs were slept through on the simulated clock
         assert tiny_network.clock.now == start + 5.0 + 10.0
@@ -61,7 +64,9 @@ class TestCall:
             raise ProbeTimeout(0, 1, reason=f"attempt-{attempt}")
 
         with pytest.raises(ProbeTimeout) as exc_info:
-            policy.call(always_lost, clock=tiny_network.clock)
+            policy.call(
+                always_lost, clock=tiny_network.clock, telemetry=tiny_network.telemetry
+            )
         assert exc_info.value.reason == "attempt-1"
 
     def test_unlisted_exceptions_propagate_immediately(self):
@@ -73,7 +78,7 @@ class TestCall:
             raise KeyError("not a network fault")
 
         with pytest.raises(KeyError):
-            policy.call(broken)
+            policy.call(broken, telemetry=Telemetry())
         assert calls == [0]
 
     def test_backoff_tracked_without_clock(self):
@@ -81,18 +86,37 @@ class TestCall:
         clock was passed, so clockless callers silently under-reported
         recovery time."""
         policy = RetryPolicy(max_attempts=3, base_delay=5.0)
+        telemetry = Telemetry()
 
         def flaky(attempt):
             if attempt < 2:
                 raise ProbeTimeout(0, 1)
             return "ok"
 
-        assert policy.call(flaky) == "ok"  # note: clock=None
-        assert policy.backoff_slept_ms == 5.0 + 10.0
-        assert policy.retries == 2
-        policy.reset_accounting()
-        assert policy.backoff_slept_ms == 0.0
-        assert policy.retries == 0
+        assert policy.call(flaky, telemetry=telemetry) == "ok"  # note: clock=None
+        assert telemetry.events == {"retry": 2, "backoff_ms": 5.0 + 10.0}
+        # the ledger is not optional: forgetting it fails loudly
+        with pytest.raises(TypeError):
+            policy.call(flaky)
+        with pytest.raises(TypeError):
+            policy.sleep(0)
+
+    def test_a_policy_is_a_pure_schedule(self):
+        """Using a policy leaves nothing on it: equal policies stay
+        interchangeable through ``pickle`` and ``replace``."""
+        policy = RetryPolicy(max_attempts=3, base_delay=5.0)
+        policy.sleep(0, telemetry=Telemetry())
+        fields = {f.name for f in dataclasses.fields(RetryPolicy)}
+        assert len(fields) == 4
+        for copy in (
+            policy,
+            pickle.loads(pickle.dumps(policy)),
+            dataclasses.replace(policy, max_attempts=4),
+            NO_RETRY,
+        ):
+            assert set(vars(copy)) == fields
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.retries = 1
 
     def test_backoff_charged_to_telemetry(self):
         clock = EventScheduler()
@@ -104,8 +128,7 @@ class TestCall:
 
         with pytest.raises(ProbeTimeout):
             policy.call(always_lost, clock=clock, telemetry=telemetry)
-        assert telemetry.counters["backoff_ms"] == 15.0
-        assert telemetry.event_counts["retry"] == 2
+        assert telemetry.events == {"retry": 2, "backoff_ms": 15.0}
         assert clock.now == 15.0
 
     def test_probe_advances_network_clock_and_telemetry(self, tiny_network):
@@ -114,12 +137,12 @@ class TestCall:
         tiny_network.arm_faults(FaultPlan(probe_loss_rate=1.0), seed=0)
         policy = RetryPolicy(max_attempts=3, base_delay=7.0)
         start = tiny_network.clock.now
-        backoff_before = tiny_network.telemetry.counters["backoff_ms"]
+        backoff_before = tiny_network.telemetry.events["backoff_ms"]
         with pytest.raises(ProbeTimeout):
             policy.probe(tiny_network, u, v)
         assert tiny_network.clock.now == start + 7.0 + 14.0
         assert (
-            tiny_network.telemetry.counters["backoff_ms"] - backoff_before
+            tiny_network.telemetry.events["backoff_ms"] - backoff_before
             == 21.0
         )
         tiny_network.disarm_faults()

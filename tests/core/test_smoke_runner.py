@@ -55,13 +55,13 @@ HEALTHY = {
         "stats_shards": 1, "stats_per_shard": 0, "recovery_state": "active",
         "victims": [1], "health_after_crash": "degraded", "down_after_crash": [1],
         "health_after_repair": "healthy", "members_after_repair": 31,
-        "false_kills": 0,
+        "false_kills": 0, "counters_decreased": [],
     },
     ("mgmt", "sharded"): {
         **ENDPOINTS,
         "nodes": 16, "shards": 2, "topology_members": 16, "topology_shards": 2,
         "stats_shards": 2, "stats_per_shard": 2, "recovery_refused": True,
-        "recovery_state": "unavailable (sharded)",
+        "recovery_state": "unavailable (sharded)", "counters_decreased": [],
     },
 }  # fmt: skip
 
@@ -80,6 +80,11 @@ OVERLOAD_BAD = {
     "zero false crash verdicts": {"false_crashes": 1},
     "nobody confirmed dead": {"confirmed_dead": [2]},
     "detector ticked during saturation": {"detector_ticks_during_load": 0},
+}
+MONOTONE_BAD = {
+    "no counter-typed sample decreased across the crash": {
+        "counters_decreased": ["repro_overload_total{kind=busy_retries}"],
+    },
 }
 ENDPOINTS_BAD = {
     "zone-map page serves an <svg>": {"page_has_svg": False},
@@ -144,9 +149,11 @@ VIOLATIONS = {
         "healthy again within 20 s": {"health_after_repair": "degraded"},
         "post-repair membership == nodes - victims": {"members_after_repair": 32},
         "zero false kills": {"false_kills": 1},
+        **MONOTONE_BAD,
     },
     ("mgmt", "sharded"): {
         **ENDPOINTS_BAD,
+        **MONOTONE_BAD,
         "enable_recovery refuses with NotSupportedError": {"recovery_refused": False},
         "recovery unavailable (sharded)": {"recovery_state": "active"},
     },
@@ -170,7 +177,8 @@ def test_the_tables_here_cover_every_step_and_every_gate(smoke):
         assert set(labels) == set(VIOLATIONS[key]), key
     distinct = {gate for gates in steps.values() for gate in gates}
     # the retired scripts' 47 (see CHANGES.md) + PR 22's reader-task gate
-    assert len(distinct) == 48
+    # + PR 23's counters-never-decrease gate
+    assert len(distinct) == 49
 
 
 @pytest.mark.parametrize("key", sorted(HEALTHY), ids="/".join)

@@ -1,10 +1,14 @@
-"""Telemetry: counters, phase timers, trace events, JSON round trip."""
+"""Telemetry: one count map, gauges, phase timers, a sorted snapshot."""
 
+import ast
+import inspect
 import json
+import pathlib
+import re
 
 import pytest
 
-from repro.core.telemetry import Telemetry, TraceEvent
+from repro.core.telemetry import Telemetry
 from repro.netsim.events import EventScheduler
 
 
@@ -15,35 +19,17 @@ class TestInstruments:
         telemetry.count("backoff_ms", 7.5)
         telemetry.gauge("overlay_size", 64)
         telemetry.gauge("overlay_size", 63)
-        assert telemetry.counters["backoff_ms"] == 20.0
+        assert telemetry.events["backoff_ms"] == 20.0
         assert telemetry.gauges["overlay_size"] == 63
 
     def test_event_counts_always_kept(self):
         telemetry = Telemetry()
-        telemetry.emit("probe", category="rtt_probe")
-        telemetry.emit("probe", n=5, category="rtt_probe")
-        assert telemetry.event_counts["probe"] == 6
-        # tracing is opt-in: no TraceEvents without it
-        assert telemetry.events == []
+        telemetry.count("probe")
+        telemetry.count("probe", 5)
+        assert telemetry.events == {"probe": 6}
 
-    def test_tracing_records_sim_time_and_fields(self):
-        clock = EventScheduler()
-        telemetry = Telemetry(clock=clock, tracing=True)
-        clock.advance(25.0)
-        telemetry.emit("purge", node_id=3, policy="periodic")
-        (event,) = telemetry.events
-        assert isinstance(event, TraceEvent)
-        assert event.kind == "purge"
-        assert event.time == 25.0
-        assert event.fields == {"node_id": 3, "policy": "periodic"}
-
-    def test_trace_buffer_bounded(self):
-        telemetry = Telemetry(tracing=True, trace_limit=3)
-        for i in range(5):
-            telemetry.emit("hop", i=i)
-        assert len(telemetry.events) == 3
-        assert telemetry.dropped_events == 2
-        assert telemetry.event_counts["hop"] == 5
+    def test_the_constructor_takes_a_clock_and_nothing_else(self):
+        assert list(inspect.signature(Telemetry).parameters) == ["clock"]
 
 
 class TestPhases:
@@ -79,34 +65,6 @@ class TestPhases:
         assert telemetry.phases["outer"]["sim_ms"] == 25.0
 
 
-class TestRoundTrip:
-    def build(self):
-        clock = EventScheduler()
-        telemetry = Telemetry(clock=clock, tracing=True)
-        telemetry.count("backoff_ms", 42.0)
-        telemetry.gauge("overlay_size", 7)
-        clock.advance(5.0)
-        telemetry.emit("probe", category="rtt_probe", u=1, v=2)
-        with telemetry.phase("maintenance"):
-            clock.advance(60.0)
-        return telemetry
-
-    def test_emit_to_json_and_reload(self):
-        telemetry = self.build()
-        reloaded = Telemetry.from_json(telemetry.to_json())
-        assert reloaded.snapshot() == telemetry.snapshot()
-        assert reloaded.counters["backoff_ms"] == 42.0
-        assert reloaded.event_counts["probe"] == 1
-        assert reloaded.events[0].fields == {"category": "rtt_probe", "u": 1, "v": 2}
-
-    def test_json_is_valid_and_sorted(self):
-        text = self.build().to_json(indent=2)
-        data = json.loads(text)
-        assert data["events"] == {"probe": 1}
-        # canonical: re-dumping with sorted keys is a fixpoint
-        assert json.dumps(data, sort_keys=True, indent=2) == text
-
-
 class TestSnapshotOrdering:
     def test_snapshot_sections_are_sorted_by_name(self):
         """/metrics and bench JSON depend on a stable key order: the
@@ -115,11 +73,13 @@ class TestSnapshotOrdering:
         for name in ("zeta", "alpha", "mid"):
             telemetry.count(name, 1.0)
             telemetry.gauge(name, 2)
-            telemetry.emit(name)
             with telemetry.phase(name):
                 pass
         snapshot = telemetry.snapshot()
-        for section in ("counters", "gauges", "events", "phases"):
+        assert set(snapshot) == set(Telemetry().snapshot()) == {
+            "events", "gauges", "phases"
+        }
+        for section in snapshot:
             keys = list(snapshot[section])
             assert keys == sorted(keys) == ["alpha", "mid", "zeta"]
 
@@ -128,7 +88,7 @@ class TestSnapshotOrdering:
             telemetry = Telemetry()
             for name in order:
                 telemetry.count(name, 1.0)
-                telemetry.emit(name)
+                telemetry.gauge(name, 2)
             return telemetry
 
         first = build(["b", "a", "c"])
@@ -139,8 +99,47 @@ class TestSnapshotOrdering:
 class TestNetworkIntegration:
     def test_probes_and_builds_are_charged(self, tiny_network):
         telemetry = tiny_network.telemetry
-        before = telemetry.event_counts["probe"]
+        before = telemetry.events["probe"]
         hosts = tiny_network.topology.stub_nodes()
         tiny_network.rtt(int(hosts[0]), int(hosts[1]))
         tiny_network.rtt_many(int(hosts[0]), hosts[:4])
-        assert telemetry.event_counts["probe"] - before == 5
+        assert telemetry.events["probe"] - before == 5
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: ``count()`` sites whose name is computed: the expression, as written,
+#: and every value it can take
+COMPUTED_NAMES = {
+    "self._HOP_EVENT[kind]": {"runtime_can_hop", "runtime_expressway_hop"},
+}
+
+
+def counted_names() -> set:
+    """Every name ``src/repro`` passes to ``<...telemetry>.count(``."""
+    names = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "count"
+                and ast.unparse(node.func.value).endswith("telemetry")
+            ):
+                name = node.args[0]
+                if isinstance(name, ast.Constant):
+                    names.add(name.value)
+                else:
+                    names |= COMPUTED_NAMES[ast.unparse(name)]
+    return names
+
+
+def test_design_md_tabulates_exactly_the_names_the_source_counts():
+    """DESIGN.md section 7 is the one place a counted name is explained:
+    its table's first column is the set of ``count()`` call-site names."""
+    design = (REPO_ROOT / "DESIGN.md").read_text()
+    table = design[design.index("| name | counted by | unit |"):]
+    table = table[: table.index("\n\n")]
+    rows = re.findall(r"^\s*\| `(\w+)` \|", table, flags=re.MULTILINE)
+    assert len(rows) == len(set(rows)), "a name is tabulated twice"
+    assert set(rows) == counted_names()

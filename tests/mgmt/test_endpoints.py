@@ -7,11 +7,14 @@ from repro.core.config import NetworkParams, OverlayParams
 from repro.mgmt import (
     Controller,
     ControllerConfig,
+    counter_samples,
     http_get,
     parse_exposition,
     topology_snapshot,
 )
 from repro.runtime import Cluster, ClusterConfig, ShardedCluster
+from tests.runtime.test_overload import TRIPPING, trip_a_breaker
+from tests.runtime.test_overload import make_config as overload_config
 
 
 def run(coroutine):
@@ -102,19 +105,21 @@ class TestStatsAndMetrics:
 
         status, stats, mstatus, headers, body = run(scenario())
         assert status == 200 and mstatus == 200
-        for section in (
-            "events", "counters", "gauges", "phases",
+        assert set(stats) == {
+            "schema_version", "shards", "transport",
+            "events", "gauges", "phases",
             "transport_counters", "overload", "retries",
-        ):
-            assert section in stats
+        }
+        assert stats["schema_version"] == 2
         assert stats["shards"] == 1
         assert stats["transport_counters"]["delivered"] > 0
-        for section in ("events", "counters", "gauges"):
+        for section in ("events", "gauges"):
             keys = list(stats[section])
             assert keys == sorted(keys)
         assert headers["content-type"].startswith("text/plain; version=0.0.4")
         families = parse_exposition(body.decode("utf-8"))
         assert "repro_events_total" in families
+        assert "repro_counters_total" not in families
         assert "repro_health_status" in families
         assert families["repro_members"]["samples"] == [({}, 16.0)]
 
@@ -149,6 +154,34 @@ class TestStatsAndMetrics:
         }
         for kind, count in split.items():
             assert exported[f"runtime_{kind}_hop"] == count
+
+
+    def test_no_counter_typed_sample_decreases_through_a_crash(self):
+        """An origin earns BUSY retries and a tripped breaker, then its
+        machine crashes: every sample of every ``# TYPE ... counter``
+        family reads at least what it read before."""
+
+        async def scrape(controller):
+            await asyncio.sleep(2 * controller.config.refresh_s)  # stale cache out
+            _, _, body = await http_get("127.0.0.1", controller.port, "/metrics")
+            return counter_samples(parse_exposition(body.decode("utf-8")))
+
+        async def scenario():
+            async with Cluster(overload_config(**TRIPPING)) as cluster:
+                origin_id, _, release = await trip_a_breaker(cluster)
+                async with Controller(
+                    cluster, ControllerConfig(refresh_s=0.01)
+                ) as controller:
+                    before = await scrape(controller)
+                    await cluster.crash(origin_id)
+                    await release()
+                    return before, await scrape(controller)
+
+        before, after = run(scenario())
+        assert before["repro_overload_total{kind=busy_retries}"] == 2
+        assert before["repro_overload_total{kind=breaker_opens}"] == 1
+        assert before["repro_events_total{event=runtime_busy_retry}"] == 2
+        assert [key for key, value in before.items() if after.get(key, 0) < value] == []
 
 
 class TestHealthTransitions:

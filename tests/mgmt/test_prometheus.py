@@ -16,8 +16,7 @@ from repro.mgmt.prometheus import (
 
 def minimal_stats(**overrides):
     stats = {
-        "events": {"probe": 5},
-        "counters": {"backoff_ms": 12.5},
+        "events": {"probe": 5, "backoff_ms": 12.5},
         "gauges": {"overlay_size": 64},
         "phases": {"routing": {"sim_ms": 1.0, "wall_s": 0.25, "entries": 3}},
         "transport_counters": {"sent": 10, "delivered": 9, "dropped": 1},
@@ -35,7 +34,6 @@ class TestRenderer:
         lines = text.splitlines()
         for family in (
             "repro_events_total",
-            "repro_counters_total",
             "repro_gauge",
             "repro_transport_frames_total",
             "repro_overload_total",

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import NetworkParams, OverlayParams
-from repro.netsim.faults import FaultPlan
-from repro.runtime import Cluster, ClusterConfig
+from repro.core.reliability import RetryPolicy
+from repro.netsim.faults import FaultInjector, FaultPlan
+from repro.runtime import Cluster, ClusterConfig, TransportError
 from repro.softstate.maps import Region
 
 
@@ -197,7 +198,7 @@ class TestDispatchErrors:
                 )
                 await asyncio.sleep(0)
                 return (
-                    cluster.network.telemetry.event_counts.get(
+                    cluster.network.telemetry.events.get(
                         "runtime_dispatch_error", 0
                     ),
                     list(actor.handled.get("dispatch_errors", [])),
@@ -227,7 +228,7 @@ class TestDispatchErrors:
                     )
                 await asyncio.sleep(0)
                 return (
-                    cluster.network.telemetry.event_counts.get(
+                    cluster.network.telemetry.events.get(
                         "runtime_dispatch_error", 0
                     ),
                     len(actor.handled.get("dispatch_errors", [])),
@@ -250,7 +251,7 @@ class TestDispatchErrors:
                     await cluster._actor(asker).request(
                         victim, MsgType.ROUTE, {"bogus": True}, timeout=2.0
                     )
-                return cluster.network.telemetry.event_counts.get(
+                return cluster.network.telemetry.events.get(
                     "runtime_dispatch_error", 0
                 )
 
@@ -288,6 +289,28 @@ class TestTransportFaults:
                 await cluster.stop()
 
         assert run(scenario()) in ("TransportError", "RequestTimeout")
+
+    def test_a_shared_retry_policy_charges_only_the_cluster_that_resent(self):
+        """One ``RetryPolicy`` in two configs: the resend is booked on
+        the network it happened on, not on the (frozen) schedule."""
+
+        async def scenario():
+            policy = RetryPolicy(max_attempts=2, base_delay=1.0)
+            idle = Cluster(make_config(nodes=8, retry=policy))  # never started
+            async with Cluster(make_config(nodes=8, retry=policy)) as cluster:
+                injector = FaultInjector(
+                    cluster.network, FaultPlan(message_loss_rate=1.0), seed=0
+                )
+                injector.armed = True
+                cluster.transport.faults = injector
+                with pytest.raises(TransportError):
+                    await cluster.ping(0, 1)
+                cluster.transport.faults = None
+                return cluster.retry_counters(), idle.retry_counters()
+
+        resent, idle = run(scenario())
+        assert resent == {"retries": 1, "backoff_ms": 1.0}
+        assert idle == {"retries": 0, "backoff_ms": 0.0}
 
     def test_partial_loss_still_serves_some_lookups(self):
         async def scenario():

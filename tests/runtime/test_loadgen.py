@@ -108,7 +108,7 @@ class TestRunLoad:
         async def scenario():
             async with Cluster(make_config(nodes=8)) as cluster:
                 await run_load(cluster, rate=4000, count=25, seed=1)
-                counters = dict(cluster.network.telemetry.counters)
+                counters = dict(cluster.network.telemetry.events)
                 return counters
 
         counters = run(scenario())

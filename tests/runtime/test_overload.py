@@ -61,6 +61,50 @@ def pick_peer(cluster, not_on_host=None):
     raise AssertionError("no suitable peer")
 
 
+async def saturate(origin, victim) -> tuple:
+    """Gate ``victim``'s dispatch and park two of ``origin``'s requests
+    on it: the first is popped in flight (and hangs on the gate), the
+    second fills a one-slot lane, so the next data frame is shed.
+    Returns ``(gate, hung)``."""
+    gate = gate_dispatch(victim)
+    hung = []
+    for _ in range(2):
+        hung.append(
+            asyncio.ensure_future(
+                origin.request(victim.addr, MsgType.PUBLISH, {}, retry=False)
+            )
+        )
+        await asyncio.sleep(0.01)
+    return gate, hung
+
+
+#: the config under which :func:`trip_a_breaker` earns exactly two BUSY
+#: retries and one breaker trip
+TRIPPING = dict(
+    nodes=16, mailbox_cap=1, shed_policy="newest",
+    busy_retries=2, breaker_threshold=3, breaker_reset_s=30.0,
+)  # fmt: skip
+
+
+async def trip_a_breaker(cluster):
+    """A non-bootstrap origin is shed three times by a gated victim on
+    another machine: two jittered resends, then the third consecutive
+    BUSY trips its breaker.  Returns ``(origin_id, victim_id, release)``;
+    ``await release()`` opens the gate and reaps the hung requests."""
+    origin_id = pick_peer(cluster)
+    origin = cluster.actors[origin_id]
+    victim_id = pick_peer(cluster, not_on_host=origin.host)
+    gate, hung = await saturate(origin, cluster.actors[victim_id])
+    with pytest.raises(PeerBusy):
+        await origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
+
+    async def release():
+        gate.set()
+        await asyncio.gather(*hung, return_exceptions=True)
+
+    return origin_id, victim_id, release
+
+
 class TestLanesAndShedding:
     def test_oldest_policy_sheds_queue_head_and_answers_busy(self):
         async def scenario():
@@ -312,30 +356,13 @@ class TestCircuitBreaker:
             async with Cluster(config) as cluster:
                 origin = cluster.bootstrap
                 victim_id = pick_peer(cluster)
-                victim = cluster.actors[victim_id]
-                gate = gate_dispatch(victim)
-                # req 1 is popped in-flight (hangs on the gate); once
-                # it is, req 2 fills the one-slot lane; both survive
-                hung = [
-                    asyncio.ensure_future(
-                        origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
-                    )
-                ]
-                await asyncio.sleep(0.01)
-                hung.append(
-                    asyncio.ensure_future(
-                        origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
-                    )
-                )
-                await asyncio.sleep(0.01)
+                gate, hung = await saturate(origin, cluster.actors[victim_id])
                 # two BUSY sheds in a row open the breaker...
-                failures = []
                 for _ in range(2):
                     with pytest.raises(PeerBusy):
                         await origin.request(
                             victim_id, MsgType.PUBLISH, {}, retry=False
                         )
-                    failures.append("busy")
                 counters_open = cluster.overload_counters()
                 # ...and the next request fast-fails locally
                 with pytest.raises(CircuitOpenError):
@@ -399,20 +426,7 @@ class TestCircuitBreaker:
             async with Cluster(config) as cluster:
                 origin = cluster.bootstrap
                 victim_id = pick_peer(cluster)
-                victim = cluster.actors[victim_id]
-                gate = gate_dispatch(victim)
-                hung = [
-                    asyncio.ensure_future(
-                        origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
-                    )
-                ]
-                await asyncio.sleep(0.01)
-                hung.append(
-                    asyncio.ensure_future(
-                        origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
-                    )
-                )
-                await asyncio.sleep(0.01)
+                gate, hung = await saturate(origin, cluster.actors[victim_id])
                 with pytest.raises(PeerBusy):
                     await origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
                 assert cluster.overload_counters()["breakers_open_now"] == 1
@@ -450,20 +464,7 @@ class TestCircuitBreaker:
             async with Cluster(config) as cluster:
                 origin = cluster.bootstrap
                 victim_id = pick_peer(cluster)
-                victim = cluster.actors[victim_id]
-                gate = gate_dispatch(victim)
-                hung = [
-                    asyncio.ensure_future(
-                        origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
-                    )
-                ]
-                await asyncio.sleep(0.01)
-                hung.append(
-                    asyncio.ensure_future(
-                        origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
-                    )
-                )
-                await asyncio.sleep(0.01)
+                gate, hung = await saturate(origin, cluster.actors[victim_id])
                 # this request gets shed now, but its jittered resends
                 # land after the gate opens
                 retried = asyncio.ensure_future(
@@ -473,11 +474,42 @@ class TestCircuitBreaker:
                 gate.set()
                 await asyncio.gather(*hung)
                 ack = await retried
-                return ack, origin.busy_retries
+                return ack, cluster.overload_counters()["busy_retries"]
 
         ack, busy_retries = run(scenario())
         assert isinstance(ack, dict)
         assert busy_retries >= 1
+
+    def test_overload_counts_outlive_the_actor_that_earned_them(self):
+        """Every key but the ``breakers_open_now`` gauge is a
+        process-lifetime count: the origin's BUSY retries and tripped
+        breaker stay on the books through its crash, a rejoin and
+        another member's departure."""
+
+        async def scenario():
+            async with Cluster(make_config(**TRIPPING)) as cluster:
+                origin_id, victim_id, release = await trip_a_breaker(cluster)
+                reads = [cluster.overload_counters()]
+                await cluster.crash(origin_id)
+                reads.append(cluster.overload_counters())
+                await release()
+                await cluster.restart(origin_id)
+                reads.append(cluster.overload_counters())
+                await cluster.leave(victim_id)
+                reads.append(cluster.overload_counters())
+                return reads
+
+        reads = run(scenario())
+        earned = reads[0]
+        assert earned["busy_retries"] == 2 and earned["breaker_opens"] == 1
+        assert earned["busy_replies"] == earned["shed"] == 3
+        assert earned["breakers_open_now"] == 1
+        assert reads[1]["breakers_open_now"] == 0  # the one gauge
+        for earlier, later in zip(reads, reads[1:]):
+            assert set(later) == set(earlier)
+            for key in later:
+                if key != "breakers_open_now":
+                    assert later[key] >= earlier[key], (key, reads)
 
     def test_busy_retry_timing_is_a_function_of_the_seed(self):
         """Two boots from one seed back off by the same delay ladder."""
@@ -488,15 +520,7 @@ class TestCircuitBreaker:
             async with Cluster(config) as cluster:
                 origin = cluster.bootstrap
                 victim_id = pick_peer(cluster)
-                gate = gate_dispatch(cluster.actors[victim_id])
-                hung = []
-                for _ in range(2):  # one held in dispatch, one filling the lane
-                    hung.append(
-                        asyncio.ensure_future(
-                            origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
-                        )
-                    )
-                    await asyncio.sleep(0.01)
+                gate, hung = await saturate(origin, cluster.actors[victim_id])
                 delays = []
                 real_sleep = asyncio.sleep
 

@@ -199,7 +199,7 @@ class TestRestart:
         async def scenario():
             async with Cluster(make_config(nodes=8, bulk_boot=bulk_boot)) as cluster:
                 await cluster.restart()
-                events = cluster.network.telemetry.event_counts
+                events = cluster.network.telemetry.events
                 return events["runtime_join"], len(cluster)
 
         joins, members = run(scenario())

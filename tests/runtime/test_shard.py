@@ -173,7 +173,7 @@ class TestCrossShard:
         assert report.loop == "asyncio"
         # every lookup was issued by exactly one worker, and the
         # aggregated telemetry sees all of them
-        assert counters["metrics"]["loadgen_ops"] == 120
+        assert counters["events"]["loadgen_ops"] == 120
         assert counters["events"]["runtime_lookup"] == 120
 
     def test_counter_aggregation_sums_per_shard(self):

@@ -48,7 +48,8 @@ class TestSurfaceContract:
         crash, counters, retries, shard_ids = run(scenario())
         assert set(crash) == {"victims", "salvageable", "lost"}
         assert crash["victims"] and crash["salvageable"] + crash["lost"] >= 0
-        assert {"events", "metrics", "transport", "overload"} <= set(counters)
+        assert {"events", "transport", "overload"} <= set(counters)
+        assert "metrics" not in counters
         assert {"dropped", "backpressure_drops"} <= set(counters["transport"])
         assert {"shed", "busy_retries", "breaker_opens"} <= set(counters["overload"])
         # every replica applies the crash; only the victims' own

@@ -1,10 +1,12 @@
 """Soft-state proximity-neighbor selection."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core import OverlayParams, TopologyAwareOverlay
-from repro.netsim import ManualLatencyModel, Network
+from repro.netsim import FaultPlan, ManualLatencyModel, Network
 from repro.softstate import Region
 from repro.softstate.neighbor_selection import probe_and_pick
 
@@ -88,9 +90,9 @@ class TestSelection:
 
 
 class TestBatchProbe:
-    """Without an injector, a retry policy or tracing the confirmation
-    probes go out as one ``rtt_many``; every other mode probes one by
-    one.  On a perfect network the two must be indistinguishable."""
+    """Without an injector or a retry policy the confirmation probes go
+    out as one ``rtt_many``; every other mode probes one by one.  On a
+    perfect network the two must be indistinguishable."""
 
     @staticmethod
     def grown(topology, load_weight=0.0, **kwargs) -> TopologyAwareOverlay:
@@ -125,25 +127,29 @@ class TestBatchProbe:
         assert batched.network.stats.snapshot() == one_by_one.network.stats.snapshot()
         assert batched.network.stats.get("neighbor_probe") > 0
         assert (
-            batched.network.telemetry.event_counts["probe"]
-            == one_by_one.network.telemetry.event_counts["probe"]
+            batched.network.telemetry.events["probe"]
+            == one_by_one.network.telemetry.events["probe"]
         )
 
     def test_tracing_probes_one_by_one_and_agrees(self, tiny_topology):
+        """The armed lossless ``FaultPlan`` twin of the test above (the
+        name predates the trace buffer's removal)."""
         batched = self.grown(tiny_topology)
-        traced = self.grown(tiny_topology)
-        traced.network.telemetry.tracing = True
-        for ov in (batched, traced):
-            for node_id in ov.node_ids[:16]:
-                ov.ecan.build_table(node_id)
+        armed = self.grown(tiny_topology)
+        armed.arm_faults(FaultPlan(), seed=5)
+        policy = armed.ecan.policy
+        with mock.patch.object(policy, "_probe", wraps=policy._probe) as one_by_one:
+            for ov in (batched, armed):
+                for node_id in ov.node_ids[:16]:
+                    ov.ecan.build_table(node_id)
+        assert one_by_one.called
         for node_id in batched.node_ids:
-            assert batched.ecan.table_of(node_id) == traced.ecan.table_of(node_id)
-        assert batched.network.stats.snapshot() == traced.network.stats.snapshot()
-        probes = [
-            e for e in traced.network.telemetry.events
-            if e.kind == "probe" and e.fields.get("category") == "neighbor_probe"
-        ]
-        assert probes and all("v" in e.fields for e in probes)
+            assert batched.ecan.table_of(node_id) == armed.ecan.table_of(node_id)
+        assert batched.network.stats.snapshot() == armed.network.stats.snapshot()
+        assert (
+            batched.network.telemetry.events["probe"]
+            == armed.network.telemetry.events["probe"]
+        )
 
 
 class TestProbeAndPick:
