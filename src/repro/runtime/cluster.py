@@ -612,9 +612,7 @@ class Cluster(ClusterSurface):
                 for breaker in actor._breakers.values()
                 if breaker.state != breaker.CLOSED
             ),
-            "backpressure_drops": int(
-                getattr(self.transport, "backpressure_drops", 0)
-            ),
+            "backpressure_drops": self.transport.backpressure_drops,
         }
 
     async def counters(self) -> dict:

@@ -1,4 +1,4 @@
-"""One overlay member as a run-to-completion async actor.
+"""One overlay member as an async actor.
 
 A :class:`NodeProcess` owns an address on the transport, a two-lane
 mailbox, and (once joined) an overlay node id.  Frames dispatch one
@@ -22,26 +22,20 @@ Overload protection (PR 8) splits the mailbox into two lanes:
   of the queue (the arrival is admitted -- freshest work survives),
   ``"newest"`` refuses the arrival itself.
 
-Dispatch is *run-to-completion* on the forwarding path: a nested
-inline hop (one actor handing a ROUTE to the next on the same stack)
-drains the receiving mailbox inline, which removes an event-loop
-round trip from every hop.  *Ingress* deliveries -- the outermost
-frame of a chain -- instead enqueue and kick the process's one
-:class:`Pump` (``cluster.pump``): a single task that serves every
-kicked actor in turn, at most :attr:`NodeProcess.YIELD_EVERY` frames
-per turn, and yields to the event loop that often.  Without that
-decoupling a saturating data flood would run each request to
-completion on the arrival stack, the lanes would never fill, and
-heartbeats would starve behind the ready queue rather than the
-mailbox.  Chains deeper than :attr:`NodeProcess.MAX_INLINE_DEPTH`
-spill to the pump too, keeping a ``MAX_HOPS``-length route clear of
-the interpreter's recursion limit.  One pump serves the whole process,
-so **a handler that has to wait spawns, it never suspends the drain**:
-a SWIM witness relaying a probe hands the wait to a task the actor
-owns and replies when it settles.  The transport's side of this is
+Every delivery -- a self-addressed request, a loopback hop, a frame
+off a socket -- enqueues and kicks the process's one :class:`Pump`
+(``cluster.pump``): a single task that serves every kicked actor in
+turn, at most :attr:`NodeProcess.YIELD_EVERY` frames per turn, and
+yields to the event loop that often.  So floods queue in the *lanes*
+(where the cap and the shed policy apply), heartbeats interleave with
+them, and the interpreter stack is as deep at the last hop of a route
+as at the first.  One pump serves the whole process, so **a handler
+that has to wait spawns, it never suspends the drain**: a SWIM witness
+relaying a probe hands the wait to a task the actor owns and replies
+when it settles.  The transport's side of this is
 :meth:`NodeProcess.ingress`, a plain call that never blocks and returns
-what the delivering side owes it (the nested drain, a shed's BUSY
-send) or ``None``; :meth:`NodeProcess.on_frame` is its awaited form.
+what the delivering side owes it (a shed's BUSY send) or ``None``;
+:meth:`NodeProcess.on_frame` is its awaited form.
 
 Client-side reaction lives in :meth:`NodeProcess.request`: BUSY
 replies retry on a decorrelated-jitter schedule, a per-peer
@@ -52,8 +46,7 @@ replaces the static request timeout for data traffic once RTT
 samples exist.  Whatever the timeout, enforcing it costs a request one
 entry in the process-wide :class:`~repro.core.reliability.DeadlineTable`
 (``cluster.deadlines``): register, await the bare reply future,
-deregister -- one shared sweep timer fails the overdue ones, and a
-request answered inside ``send()`` never registers at all.
+deregister -- one shared sweep timer fails the overdue ones.
 
 Routing is hop-by-hop over the wire: each actor makes exactly one
 forwarding decision (:meth:`EcanOverlay.next_hop`, the fault-free
@@ -159,7 +152,6 @@ class NodeProcess:
         #: request_id -> Future awaiting an ACK/ERROR/BUSY
         self.pending: dict = {}
         self._req_ids = itertools.count(1)
-        self._draining = False
         #: waiting for a turn on ``cluster.pump`` (the pump's flag)
         self._queued = False
         #: relayed SWIM probes in flight (a handler that waits spawns)
@@ -196,10 +188,10 @@ class NodeProcess:
         await self.transport.bind(self.addr, self.ingress, host=self.host)
 
     async def stop(self) -> None:
-        # an in-flight drain (running on whichever task delivered the
-        # frame) halts before its next dispatch; queued frames drop --
-        # visibly: each cleared frame counts as runtime_crash_dropped
-        # so a crash can never silently eat queued work
+        # an in-flight drain (on the pump) halts before its next
+        # dispatch; queued frames drop -- visibly: each cleared frame
+        # counts as runtime_crash_dropped so a crash can never silently
+        # eat queued work
         self._stopped = True
         dropped = len(self.control_lane) + len(self.data_lane)
         if dropped:
@@ -234,12 +226,6 @@ class NodeProcess:
         await self.transport.bind(self.addr, self.ingress, host=self.host)
 
     # -- frame plumbing ----------------------------------------------------
-
-    #: inline loopback chains nested deeper than this (one level per
-    #: actor handing off to the next) spill to the pump, keeping a
-    #: MAX_HOPS-length route clear of the recursion limit
-    MAX_INLINE_DEPTH = 64
-    _inline_depth = 0
 
     #: frames the pump serves between two yields to the event loop,
     #: and so the most one actor is served in a turn
@@ -290,15 +276,8 @@ class NodeProcess:
                     owed = self._shed(frame)
             else:
                 lane.append(frame)
-        if self._draining:
-            return owed  # the active drain picks it up
-        if owed is None and 0 < NodeProcess._inline_depth < self.MAX_INLINE_DEPTH:
-            # nested hop of an in-flight chain: run to completion on
-            # the delivering stack (the per-hop fast path)
-            return self._drain()
-        # ingress (depth 0), too-deep chain or a shed: decouple from the
-        # arrival stack so floods queue in the *lanes* (where the cap
-        # and shed policy apply) instead of the ready queue
+        # decoupled from the arrival stack: floods queue in the *lanes*
+        # (where the cap and shed policy apply), not the ready queue
         self.cluster.pump.kick(self)
         return owed
 
@@ -319,50 +298,38 @@ class NodeProcess:
     #: dispatch-error reprs kept per actor before truncation
     MAX_ERROR_REPRS = 16
 
-    async def _drain(self, quantum: int = None) -> int:
-        """Serve up to ``quantum`` frames (all of them when nested
-        inline), control lane first; returns how many."""
-        if self._draining:  # single-threaded loop: check-and-set is atomic
-            return 0
-        self._draining = True
-        NodeProcess._inline_depth += 1
+    async def _drain(self, quantum: int) -> int:
+        """Serve up to ``quantum`` frames, control lane first; returns
+        how many.  :meth:`Pump._run` is the one caller."""
         processed = 0
-        try:
-            while not self._stopped and processed != quantum:
-                if self.control_lane:
-                    frame = self.control_lane.popleft()
-                elif self.data_lane:
-                    frame = self.data_lane.popleft()
-                else:
-                    break
-                name = _KIND_NAME[frame.kind]
-                self.handled[name] = self.handled.get(name, 0) + 1
-                try:
-                    await self._dispatch(frame)
-                except Exception as exc:  # answer rather than kill the actor
-                    # a srcless frame has nobody to bounce the ERROR to,
-                    # so without this accounting the failure would vanish
-                    # until the requester's timeout: count every dispatch
-                    # error and keep the repr visible in the diagnostics
-                    self.cluster.network.telemetry.count(
-                        "runtime_dispatch_error"
+        while not self._stopped and processed != quantum:
+            if self.control_lane:
+                frame = self.control_lane.popleft()
+            elif self.data_lane:
+                frame = self.data_lane.popleft()
+            else:
+                break
+            name = _KIND_NAME[frame.kind]
+            self.handled[name] = self.handled.get(name, 0) + 1
+            try:
+                await self._dispatch(frame)
+            except Exception as exc:  # answer rather than kill the actor
+                # a srcless frame has nobody to bounce the ERROR to,
+                # so without this accounting the failure would vanish
+                # until the requester's timeout: count every dispatch
+                # error and keep the repr visible in the diagnostics
+                self.cluster.network.telemetry.count("runtime_dispatch_error")
+                errors = self.handled.setdefault("dispatch_errors", [])
+                if len(errors) < self.MAX_ERROR_REPRS:
+                    errors.append(f"{name}: {exc!r}")
+                src = frame.payload.get("src")
+                if src is not None:
+                    await self.transport.send(
+                        self.addr,
+                        src,
+                        frame.reply({"error": repr(exc)}, kind=MsgType.ERROR),
                     )
-                    errors = self.handled.setdefault("dispatch_errors", [])
-                    if len(errors) < self.MAX_ERROR_REPRS:
-                        errors.append(f"{name}: {exc!r}")
-                    src = frame.payload.get("src")
-                    if src is not None:
-                        await self.transport.send(
-                            self.addr,
-                            src,
-                            frame.reply(
-                                {"error": repr(exc)}, kind=MsgType.ERROR
-                            ),
-                        )
-                processed += 1
-        finally:
-            NodeProcess._inline_depth -= 1
-            self._draining = False
+            processed += 1
         return processed
 
     # -- client side -------------------------------------------------------
@@ -489,24 +456,19 @@ class NodeProcess:
                 await self.on_frame(frame)
             elif not await self.transport.send(self.addr, dst, frame):
                 raise TransportError(f"frame to {dst!r} was not sent")
-            if future.done():
-                # run-to-completion dispatch often resolves the future
-                # inside send(); it never needs a deadline at all
-                result = future.result()
-            else:
-                # register -> await -> sweep: the deadline is one entry
-                # in the process-wide table, whose single timer fails
-                # the future with TimeoutError once it has passed (at
-                # most one tick late)
-                deadlines.add(future, started + timeout)
-                try:
-                    result = await future
-                except TimeoutError:
-                    if rto is not None:
-                        rto.backoff()
-                    raise RequestTimeout(
-                        f"{kind.name} to {dst!r} unanswered after {timeout}s"
-                    ) from None
+            # register -> await -> sweep: the deadline is one entry in
+            # the process-wide table, whose single timer fails the
+            # future with TimeoutError once it has passed (at most one
+            # tick late)
+            deadlines.add(future, started + timeout)
+            try:
+                result = await future
+            except TimeoutError:
+                if rto is not None:
+                    rto.backoff()
+                raise RequestTimeout(
+                    f"{kind.name} to {dst!r} unanswered after {timeout}s"
+                ) from None
         finally:
             # however the attempt ended (reply, deadline, refused send,
             # cancellation) the request is over: nothing stays behind

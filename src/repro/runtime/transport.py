@@ -26,9 +26,9 @@ share the same contract:
 
 :class:`LoopbackTransport` stays in-process (frames still round-trip
 through the binary codec, so the wire format is exercised on every
-test) and is deterministic and fast; unshaped frames are delivered
-inline from ``send`` rather than through a spawned task, so the hot
-path costs a codec round-trip and a mailbox put -- no scheduler hop.
+test) and is deterministic and fast; an unshaped frame is handed to
+its handler before ``send`` returns, so the hot path costs a codec
+round-trip and a mailbox put -- no task per frame.
 :class:`TcpTransport` listens on one localhost port per endpoint and
 speaks the length-prefixed protocol over real sockets; endpoints may
 live in different processes as long as they share the address book.
@@ -93,6 +93,8 @@ class Transport:
         self.sent = 0
         self.dropped = 0
         self.delivered = 0
+        #: frames refused by a full outbox (stream transports only)
+        self.backpressure_drops = 0
         self._tasks: set = set()
         self._closed = False
 
@@ -128,7 +130,7 @@ class Transport:
             "sent": self.sent,
             "delivered": self.delivered,
             "dropped": self.dropped,
-            "backpressure_drops": int(getattr(self, "backpressure_drops", 0)),
+            "backpressure_drops": self.backpressure_drops,
         }
 
     # -- shaping and faults ------------------------------------------------
@@ -207,10 +209,9 @@ class LoopbackTransport(Transport):
             return False
         delay = self.delay_for(src, dst)
         if delay <= 0.0:
-            # unshaped fast path: deliver inline -- the handler only
-            # enqueues (mailbox put / future resolution), so this never
-            # blocks and saves a task spawn plus a scheduler round-trip
-            # per frame
+            # unshaped fast path: the handler only enqueues (mailbox
+            # put / future resolution), so this never blocks and saves
+            # a task spawn per frame
             self.delivered += 1
             owed = handler(frame)
             if owed is not None:
@@ -220,8 +221,7 @@ class LoopbackTransport(Transport):
         return True
 
     async def _deliver(self, dst, frame: Frame, delay: float) -> None:
-        if delay > 0.0:
-            await asyncio.sleep(delay)
+        await asyncio.sleep(delay)
         handler = self._handlers.get(dst)
         if handler is None:  # unbound while the frame was in flight
             self.dropped += 1
@@ -326,10 +326,9 @@ class StreamTransport(Transport):
         self.interface = interface
         #: per-key write-queue cap in frames: a peer whose flusher
         #: cannot keep up stops ballooning sender memory -- overflow
-        #: frames drop (send returns False) and count below
+        #: frames drop (send returns False) and count as
+        #: ``backpressure_drops``
         self.outbox_cap = outbox_cap
-        #: frames dropped because a key's outbox was full
-        self.backpressure_drops = 0
         #: address book: key -> (interface, port)
         self.endpoints: dict = {}
         #: listening servers, by the key they accept for

@@ -41,8 +41,8 @@ HEALTHY = {
         "violation": None, "sweeps": 1,
     },
     ("chaos", "loss-only"): {"confirmed": [], "false_kills": 0, "violation": None},
-    ("runtime", "json"): LOAD,
-    ("runtime", "packed"): LOAD,
+    ("runtime", "json"): {**LOAD, "pump_tasks": 990},
+    ("runtime", "packed"): {**LOAD, "pump_tasks": 990},
     ("runtime", "tcp"): {**LOAD, "reader_tasks": 0},
     ("shard", "shard"): {**LOAD, "wall_throughput_ops": 500.0, "frames_cross_shard": 1},
     ("soak", "sim"): SOAK,
@@ -70,6 +70,10 @@ LOAD_BAD = {
     "zero parity mismatches": {"parity_mismatches": 1},
 }
 RUNTIME_BAD = {**LOAD_BAD, "every requested lookup driven": {"ops": 999}}
+LOOPBACK_BAD = {
+    **RUNTIME_BAD,
+    "a hop never costs a task: pump tasks <= lookups driven": {"pump_tasks": 1001},
+}
 SOAK_BAD = {
     "every epoch converges within budget": {"unconverged": ["stale_replicas: x"]},
     "zero false kills": {"false_kills": 1},
@@ -118,8 +122,8 @@ VIOLATIONS = {
         "zero false kills": {"false_kills": 2},
         "invariants clean": {"violation": "index drift"},
     },
-    ("runtime", "json"): RUNTIME_BAD,
-    ("runtime", "packed"): RUNTIME_BAD,
+    ("runtime", "json"): LOOPBACK_BAD,
+    ("runtime", "packed"): LOOPBACK_BAD,
     ("runtime", "tcp"): {
         **RUNTIME_BAD,
         "no reader task alive once the load has settled": {"reader_tasks": 1},
@@ -177,8 +181,8 @@ def test_the_tables_here_cover_every_step_and_every_gate(smoke):
         assert set(labels) == set(VIOLATIONS[key]), key
     distinct = {gate for gates in steps.values() for gate in gates}
     # the retired scripts' 47 (see CHANGES.md) + PR 22's reader-task gate
-    # + PR 23's counters-never-decrease gate
-    assert len(distinct) == 49
+    # + PR 23's counters-never-decrease gate + PR 24's pump-task gate
+    assert len(distinct) == 50
 
 
 @pytest.mark.parametrize("key", sorted(HEALTHY), ids="/".join)

@@ -165,6 +165,26 @@ class TestLanesAndShedding:
         # arrivals 5-8 bounced off the full lane; the queue kept 1-4
         assert run(scenario()) == [4, 5, 6, 7]
 
+    def test_a_self_addressed_request_refused_by_its_own_full_lane(self):
+        """The one reply that is there before ``_request_once`` awaits:
+        the BUSY of a refused self-send comes back inside the owed await
+        of ``on_frame``.  Same ``PeerBusy``, nothing left behind."""
+
+        async def scenario():
+            config = make_config(mailbox_cap=1, shed_policy="newest")
+            async with Cluster(config) as cluster:
+                victim = cluster.actors[pick_peer(cluster)]
+                gate, hung = await saturate(cluster.bootstrap, victim)
+                registered = len(cluster.deadlines)
+                with pytest.raises(PeerBusy):
+                    await victim.rpc_route((0.3, 0.7))
+                left = dict(victim.pending), len(cluster.deadlines) - registered
+                gate.set()
+                await asyncio.gather(*hung)
+                return left, cluster.overload_counters()["shed"]
+
+        assert run(scenario()) == (({}, 0), 1)
+
     def test_a_full_lane_over_tcp_still_answers_busy_and_counts_the_shed(self):
         """On a socket the BUSY send is what ``ingress`` is owed: the
         read side's slow path awaits it, frame order intact."""

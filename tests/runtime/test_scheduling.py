@@ -9,6 +9,7 @@ events, never off wall time.
 
 import asyncio
 import socket
+import sys
 
 import pytest
 
@@ -58,13 +59,25 @@ async def until(predicate, turns=20000):
     raise AssertionError("condition never held")
 
 
-def own_route(cluster, node_id, request_id=1, src=None) -> Frame:
-    """A ROUTE frame ``node_id`` delivers itself (its own zone centre)."""
-    point = [float(x) for x in cluster.routing.zone_center(node_id)]
+def own_route(cluster, node_id, request_id=1, src=None, to=None) -> Frame:
+    """A ROUTE frame ``node_id`` delivers itself (its own zone centre),
+    or forwards towards ``to``'s."""
+    target = node_id if to is None else to
+    point = [float(x) for x in cluster.routing.zone_center(target)]
     return Frame(
         MsgType.ROUTE, request_id,
         {"point": point, "path": [node_id], "op": "route", "src": src},
     )  # fmt: skip
+
+
+async def served_per_turn(actors) -> list:
+    """ROUTE dispatches per loop turn, summed over ``actors``, until
+    their lanes are empty."""
+    served = [0]
+    while any(a.mailbox_depth for a in actors):
+        await asyncio.sleep(0)
+        served.append(sum(a.handled.get("ROUTE", 0) for a in actors))
+    return [b - a for a, b in zip(served, served[1:])]
 
 
 class Probe:
@@ -122,7 +135,7 @@ class TestPump:
                 served_at_reply = probe.seen[0]
                 # ... and a control frame that lands mid-flood jumps the lane
                 queued_at = len(order)
-                assert flooded.data_lane and not flooded._draining
+                assert flooded.data_lane
                 await flooded.on_frame(beat)
                 await until(lambda: len(order) == flood + 1)
                 return served_at_reply, queued_at, order, len(tasks)
@@ -140,25 +153,13 @@ class TestPump:
                 for actor in actors:
                     for i in range(YIELD_EVERY // 2 + 1):
                         await actor.on_frame(own_route(cluster, actor.addr, i))
-                served = []
-                turns = 0
-                while any(a.mailbox_depth for a in actors):
-                    await asyncio.sleep(0)
-                    turns += 1
-                    served.append(sum(a.handled.get("ROUTE", 0) for a in actors))
-                return served
+                return await served_per_turn(actors)
 
-        served = run(scenario())
-        steps = [b - a for a, b in zip([0] + served, served)]
+        steps = run(scenario())
         assert max(steps) == YIELD_EVERY
         assert sum(steps) == 4 * (YIELD_EVERY // 2 + 1)
 
-    def test_a_chain_past_the_inline_depth_stays_on_the_running_pump(
-        self, monkeypatch
-    ):
-        # depth 1 already "too deep": every hop of the route spills
-        monkeypatch.setattr(NodeProcess, "MAX_INLINE_DEPTH", 1)
-
+    def test_a_chain_stays_on_the_running_pump(self):
         async def scenario():
             async with Cluster(make_config()) as cluster:
                 ids = cluster.node_ids
@@ -171,8 +172,58 @@ class TestPump:
                 return hops
 
         hops = run(scenario())
-        assert max(h for h, _ in hops) >= 2, "need a multi-hop route to spill"
+        assert max(h for h, _ in hops) >= 2, "need a multi-hop route"
         assert [spawned for _, spawned in hops] == [1] * len(hops)
+
+    def test_stack_depth_inside_dispatch_is_the_same_at_every_hop(self):
+        def stack_depth() -> int:
+            depth, frame = 0, sys._getframe()
+            while frame is not None:
+                depth, frame = depth + 1, frame.f_back
+            return depth
+
+        async def scenario():
+            async with Cluster(make_config()) as cluster:
+                depths = []
+
+                def recording(dispatch):
+                    async def wrapped(frame):
+                        depths.append(stack_depth())
+                        await dispatch(frame)
+
+                    return wrapped
+
+                for actor in cluster.actors.values():
+                    actor._dispatch = recording(actor._dispatch)
+                ids = cluster.node_ids
+                routes = []
+                for src in ids[:4]:
+                    depths.clear()
+                    result = await cluster.route(src, ids[-1])
+                    routes.append((result["hops"], list(depths)))
+                return routes
+
+        hops, depths = max(run(scenario()))
+        assert hops >= 3
+        assert len(depths) == hops + 1  # the origin's own decision, then each hop
+        assert len(set(depths)) == 1
+
+    def test_the_quantum_counts_hops(self):
+        async def scenario():
+            async with Cluster(make_config()) as cluster:
+                ids = cluster.node_ids
+                actors = list(cluster.actors.values())
+                routes = 4 * YIELD_EVERY
+                for i in range(routes):
+                    src = ids[i % 4]
+                    await cluster.actors[src].on_frame(
+                        own_route(cluster, src, i, to=ids[-1])
+                    )
+                return routes, await served_per_turn(actors)
+
+        routes, steps = run(scenario())
+        assert sum(steps) >= 2 * routes, "need multi-hop routes"
+        assert max(steps) == YIELD_EVERY  # dispatches, whichever actors ran them
 
     def test_an_actor_stopped_while_queued_is_skipped_and_counted(self):
         async def scenario():
