@@ -20,7 +20,7 @@ from repro.core.recovery import (
     check_invariants,
 )
 from repro.core.reliability import NO_RETRY, RetryPolicy, measure_vector_reliably
-from repro.core.stats import aggregate_over_seeds, bootstrap_ci, paired_improvement
+from repro.core.stats import bootstrap_ci
 from repro.core.telemetry import Telemetry
 
 __all__ = [
@@ -37,12 +37,10 @@ __all__ = [
     "SwimCore",
     "Telemetry",
     "TopologyAwareOverlay",
-    "aggregate_over_seeds",
     "bootstrap_ci",
     "check_invariants",
     "make_network",
     "measure_vector_reliably",
-    "paired_improvement",
     "pareto_capacities",
     "poisson_churn",
     "summarize",

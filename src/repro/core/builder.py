@@ -348,20 +348,6 @@ class TopologyAwareOverlay:
                     stretches.append(stretch)
         return np.asarray(stretches)
 
-    def measure_hops(self, samples: int, rng=None) -> np.ndarray:
-        """Logical hop counts over random member pairs (Figure 2)."""
-        if rng is None:
-            rng = self.rng
-        ids = np.array(self.node_ids)
-        hops = []
-        for _ in range(samples):
-            src, dst = rng.choice(ids, size=2, replace=False)
-            dst_node = self.ecan.can.nodes[int(dst)]
-            result = self.ecan.route(int(src), dst_node.zone.center())
-            if result.success:
-                hops.append(result.hops)
-        return np.asarray(hops)
-
     # -- soft-state refresh ----------------------------------------------------------
 
     def start_refresh(self, interval: float = None) -> None:

@@ -61,9 +61,6 @@ class OverlayParams:
         if self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
 
-    def with_policy(self, policy: str, **changes) -> "OverlayParams":
-        return replace(self, policy=policy, **changes)
-
 
 def topology_config(name: str, scale: float = 1.0) -> TransitStubConfig:
     """Named topology presets from the paper's evaluation."""

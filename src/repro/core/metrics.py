@@ -31,10 +31,3 @@ def gini(values) -> float:
     n = arr.size
     index = np.arange(1, n + 1)
     return float((2 * (index * arr).sum() - (n + 1) * arr.sum()) / (n * arr.sum()))
-
-
-def improvement(baseline: float, value: float) -> float:
-    """Relative reduction of ``value`` versus ``baseline`` (0.2 = 20%)."""
-    if baseline == 0:
-        return 0.0
-    return (baseline - value) / baseline

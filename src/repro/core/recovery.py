@@ -490,7 +490,6 @@ class RecoveryManager:
         """
         telemetry = self.network.telemetry
         self.network.stats.count("recovery_reconcile")
-        self.reconciliations += 1
         with self.network.clock.frozen(), telemetry.phase("reconcile"):
             summary = {
                 "resynced": self.overlay.pubsub.resync_once(),
@@ -498,7 +497,14 @@ class RecoveryManager:
                 "republished": self.republish_lost(),
                 "purged": self.purge_dead_references(),
             }
-        telemetry.count("reconcile")
+        return self.reconciled(summary)
+
+    def reconciled(self, summary: dict) -> dict:
+        """Count one finished reconciliation pass, the simulator's or the
+        live runtime's (:meth:`~repro.runtime.recovery.RuntimeRecovery.reconcile`),
+        and return its ``summary``."""
+        self.reconciliations += 1
+        self.network.telemetry.count("reconcile")
         return summary
 
     # -- self-stabilization scrubs ------------------------------------------

@@ -88,10 +88,6 @@ class RetryPolicy:
         """All backoff delays a fully exhausted call sleeps through."""
         return tuple(self.delay(k) for k in range(self.max_attempts - 1))
 
-    def total_delay(self) -> float:
-        """Simulated ms spent backing off when every attempt fails."""
-        return float(sum(self.schedule()))
-
     # -- execution ---------------------------------------------------------
 
     def sleep(self, attempt: int, *, telemetry, clock=None) -> float:
@@ -140,14 +136,6 @@ class RetryPolicy:
             telemetry=network.telemetry,
         )
 
-    def probe_alive(self, network, u: int, v: int, category: str = "liveness_probe") -> bool:
-        """True when some attempt of a liveness probe was answered."""
-        try:
-            self.probe(network, u, v, category=category)
-        except ProbeTimeout:
-            return False
-        return True
-
 
 #: the fire-and-forget baseline: one attempt, no waiting
 NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0, max_delay=0.0)
@@ -159,8 +147,8 @@ class DecorrelatedJitter:
     Each delay is ``min(cap, uniform(base, prev * 3))`` -- the spread
     grows with consecutive retries but successive clients never sync
     up on a common schedule the way plain exponential backoff does,
-    so a shedding peer is not hit by a retry *wave*.  ``reset()``
-    returns the ladder to ``base`` after a success.
+    so a shedding peer is not hit by a retry *wave*.  One ladder
+    serves one request.
     """
 
     def __init__(self, base_ms: float = 2.0, cap_ms: float = 250.0, rng=None):
@@ -178,9 +166,6 @@ class DecorrelatedJitter:
         delay = min(self.cap_ms, self._rng.uniform(self.base_ms, self._prev_ms * 3.0))
         self._prev_ms = delay
         return delay
-
-    def reset(self) -> None:
-        self._prev_ms = self.base_ms
 
 
 class CircuitBreaker:

@@ -1,9 +1,8 @@
 """Statistical helpers for experiment aggregation.
 
 Quick-scale experiment cells are noisy (hundreds of routes on a
-~1k-node topology); these utilities let runners and benches report
-seed-aggregated means with bootstrap confidence intervals instead of
-single draws.
+~1k-node topology); a bootstrap confidence interval says how far a
+mean over them can be trusted.
 """
 
 from __future__ import annotations
@@ -43,72 +42,3 @@ def bootstrap_ci(
         float(np.quantile(stats, alpha)),
         float(np.quantile(stats, 1.0 - alpha)),
     )
-
-
-def aggregate_over_seeds(
-    run_fn, seeds, key_fields, value_fields, rng: np.random.Generator = None
-) -> list:
-    """Run ``run_fn(seed)`` for each seed and merge its row lists.
-
-    Rows are grouped by ``key_fields``; each field in ``value_fields``
-    becomes three output columns: mean, ``*_lo`` and ``*_hi``
-    (bootstrap 95% CI across seeds).  Rows missing a value field (or
-    holding None) are skipped for that field.
-
-    One ``rng`` (seeded here if the caller passes none) is threaded
-    through every :func:`bootstrap_ci` call, so each cell draws fresh
-    resample indices instead of all cells sharing one deterministic
-    draw -- identical draws would correlate the CIs across rows.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    grouped: dict = {}
-    order: list = []
-    for seed in seeds:
-        for row in run_fn(seed):
-            key = tuple(row[k] for k in key_fields)
-            if key not in grouped:
-                grouped[key] = {field: [] for field in value_fields}
-                order.append(key)
-            for field in value_fields:
-                value = row.get(field)
-                if value is not None and np.isfinite(value):
-                    grouped[key][field].append(float(value))
-    out = []
-    for key in order:
-        row = dict(zip(key_fields, key))
-        row["seeds"] = len(seeds)
-        for field in value_fields:
-            values = grouped[key][field]
-            if not values:
-                row[field] = None
-                continue
-            row[field] = float(np.mean(values))
-            low, high = bootstrap_ci(values, rng=rng)
-            row[f"{field}_lo"] = low
-            row[f"{field}_hi"] = high
-        out.append(row)
-    return out
-
-
-def paired_improvement(baseline, treated) -> dict:
-    """Summary of a paired comparison (same seeds, two treatments)."""
-    baseline = np.asarray(list(baseline), dtype=np.float64)
-    treated = np.asarray(list(treated), dtype=np.float64)
-    if baseline.shape != treated.shape or baseline.size == 0:
-        raise ValueError("need equal-length, non-empty paired samples")
-    deltas = baseline - treated
-    wins = int((deltas > 0).sum())
-    return {
-        "n": int(baseline.size),
-        "mean_baseline": float(baseline.mean()),
-        "mean_treated": float(treated.mean()),
-        "mean_saving": float(deltas.mean() / baseline.mean())
-        if baseline.mean() != 0
-        else 0.0,
-        "wins": wins,
-        "win_rate": wins / baseline.size,
-    }

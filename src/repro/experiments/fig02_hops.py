@@ -20,7 +20,7 @@ from repro.overlay import CanOverlay, EcanOverlay
 
 
 def _measure_hops(overlay, node_ids, samples: int, rng) -> float:
-    nodes = overlay.nodes if isinstance(overlay, EcanOverlay) else overlay.nodes
+    nodes = overlay.nodes
     ids = np.asarray(node_ids)
     hops = []
     for _ in range(samples):

@@ -41,7 +41,6 @@ from repro.netsim.latency import (
     latency_model_from_name,
 )
 from repro.netsim.network import MessageStats, Network
-from repro.netsim.serialize import load_topology, save_topology
 from repro.netsim.transit_stub import (
     LinkClass,
     NodeKind,
@@ -71,6 +70,4 @@ __all__ = [
     "TransitStubConfig",
     "generate_transit_stub",
     "latency_model_from_name",
-    "load_topology",
-    "save_topology",
 ]

@@ -121,11 +121,6 @@ class DistanceOracle:
             return float(cached[v])
         return float(self.row(u)[v])
 
-    def pairwise(self, hosts) -> np.ndarray:
-        """Dense ``(H, H)`` distance matrix among ``hosts``."""
-        hosts = np.asarray(hosts, dtype=np.int64)
-        return self.rows(hosts)[:, hosts]
-
     def cache_info(self) -> dict:
         """Diagnostic view of the row cache."""
         return {"rows": len(self._rows), "capacity": self.max_cached_rows}

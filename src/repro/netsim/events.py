@@ -143,21 +143,3 @@ class EventScheduler:
             executed += 1
         self.now = max(self.now, time)
         return executed
-
-    def run_for(self, duration: float) -> int:
-        """Execute events during the next ``duration`` time units."""
-        return self.run_until(self.now + duration)
-
-    def run_all(self, max_events: int = 1_000_000) -> int:
-        """Drain the queue entirely (bounded by ``max_events``)."""
-        executed = 0
-        while self._heap and executed < max_events:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.now = max(self.now, event.time)
-            event.callback()
-            executed += 1
-        if self._heap and executed >= max_events:
-            raise RuntimeError("event budget exhausted; runaway schedule?")
-        return executed

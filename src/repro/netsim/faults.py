@@ -17,8 +17,7 @@ and the *simulated* clock, never wall-clock time -- injects:
   set of transit domains is severed from the rest of the topology
   (``fault_partition_drop``);
 * **crash-stop node failures** -- hosts marked crashed answer nothing
-  until revived (``fault_crash_drop``), plus scheduled crashes of
-  random overlay members via :meth:`FaultInjector.schedule_crashes`.
+  until revived (``fault_crash_drop``).
 
 Every injected fault is also accounted in the network's
 :class:`~repro.netsim.network.MessageStats` under its own category,
@@ -113,8 +112,8 @@ class Partition:
 class FaultPlan:
     """Knobs describing which faults to inject and how often.
 
-    All probabilities are per-probe / per-hop; ``partitions`` and
-    ``crash_times`` are schedules over simulated time.
+    All probabilities are per-probe / per-hop; ``partitions`` is a
+    schedule over simulated time.
     """
 
     #: probability a charged RTT probe is silently lost
@@ -128,9 +127,6 @@ class FaultPlan:
     probe_timeout_ms: float = math.inf
     #: scheduled :class:`Partition` windows
     partitions: tuple = ()
-    #: simulated times at which one random overlay member crash-stops
-    #: (consumed by :meth:`FaultInjector.schedule_crashes`)
-    crash_times: tuple = ()
 
     def __post_init__(self):
         for name in ("probe_loss_rate", "message_loss_rate", "latency_spike_rate"):
@@ -142,9 +138,6 @@ class FaultPlan:
         if self.probe_timeout_ms <= 0:
             raise ValueError("probe_timeout_ms must be positive")
         object.__setattr__(self, "partitions", tuple(self.partitions))
-        object.__setattr__(
-            self, "crash_times", tuple(float(t) for t in self.crash_times)
-        )
 
     def with_loss(self, rate: float) -> "FaultPlan":
         """Convenience: same plan with probe *and* message loss ``rate``."""
@@ -178,29 +171,6 @@ class FaultInjector:
     def revive_host(self, host: int) -> None:
         """A new process started on ``host``; traffic flows again."""
         self.crashed_hosts.discard(int(host))
-
-    def schedule_crashes(self, overlay, times=None) -> int:
-        """Arm the plan's crash-stop schedule against ``overlay``.
-
-        At each time one random member is removed *ungracefully* (its
-        soft-state stays stale, its host stops answering).  Victims
-        are drawn from the injector's RNG so the schedule is part of
-        the deterministic fault sequence.  Returns the number of
-        crashes scheduled.
-        """
-        times = self.plan.crash_times if times is None else times
-        clock = self.network.clock
-
-        def crash():
-            members = sorted(overlay.node_ids)
-            if len(members) <= 1:
-                return
-            victim = int(members[int(self.rng.integers(0, len(members)))])
-            overlay.remove_node(victim, graceful=False)
-
-        for time in times:
-            clock.schedule_at(float(time), crash)
-        return len(times)
 
     # -- partition visibility ----------------------------------------------
 
@@ -288,10 +258,6 @@ class FaultInjector:
             self._inject("fault_probe_timeout")
             raise ProbeTimeout(u, v, reason="timeout", waited=plan.probe_timeout_ms)
         return ProbeResult(rtt, spiked=spiked)
-
-    def probe_many(self, u: int, hosts) -> np.ndarray:
-        """Probe each host; lost probes surface as ``NaN`` entries."""
-        return self.probe_many_detailed(u, hosts)[0]
 
     def probe_many_detailed(self, u: int, hosts) -> tuple:
         """Probe each host; returns ``(rtts, spiked)``.

@@ -62,9 +62,6 @@ class MessageStats:
                 out[key] = diff
         return out
 
-    def reset(self) -> None:
-        self._counts.clear()
-
     def __repr__(self):
         return f"MessageStats({dict(self._counts)!r})"
 

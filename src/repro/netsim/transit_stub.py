@@ -156,11 +156,6 @@ class Topology:
         """Ids of all transit (backbone) nodes."""
         return np.flatnonzero(self.node_kind == NodeKind.TRANSIT)
 
-    def classify_edges(self) -> dict:
-        """Histogram of edge counts per :class:`LinkClass`."""
-        classes, counts = np.unique(self.edge_class, return_counts=True)
-        return {LinkClass(c): int(n) for c, n in zip(classes, counts)}
-
     def degree(self) -> np.ndarray:
         """Per-node degree."""
         deg = np.zeros(self.num_nodes, dtype=np.int64)

@@ -140,9 +140,6 @@ class IdRing:
             raise RuntimeError("ring is empty")
         return self._ids[int(self.rng.integers(0, len(self._ids)))]
 
-    def random_key(self) -> int:
-        return int(self.rng.integers(0, self.space))
-
     def interval_members(self, lo: int, hi: int) -> list:
         """Members with ids in the clockwise interval [lo, hi)."""
         lo %= self.space

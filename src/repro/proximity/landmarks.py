@@ -197,14 +197,6 @@ class LandmarkSpace:
         self._derived[key] = derived
         return derived
 
-    def bin_vector(self, vector: np.ndarray) -> tuple:
-        """Grid cell of the vector's first ``index_dims`` components."""
-        return self._derive(vector)[0]
-
     def number(self, vector: np.ndarray) -> int:
         """Landmark number: Hilbert index of the vector's grid cell."""
         return self._derive(vector)[1]
-
-    def number_distance(self, a: int, b: int) -> int:
-        """1-D distance between landmark numbers (closeness proxy)."""
-        return abs(a - b)

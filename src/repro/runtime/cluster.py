@@ -93,9 +93,6 @@ class ClusterConfig:
     wire_encoding: str = "packed"
     #: wall seconds per simulated ms of one-way latency (0 = no shaping)
     latency_scale: float = 0.0
-    #: optional :class:`~repro.netsim.faults.FaultPlan` applied at the
-    #: transport (drop/partition decisions per frame)
-    fault_plan: object = None
     request_timeout: float = 30.0
     #: wall seconds between live failure-detector rounds
     heartbeat_period: float = 0.25
@@ -253,10 +250,6 @@ class ClusterSurface:
             self.network.arm_faults()
         return self.network.faults
 
-    def _injectors(self) -> list:
-        """Every injector that must agree on crash/partition state."""
-        return [self._ensure_faults()]
-
     def _require_member(self, node_id: int) -> None:
         """KeyError unless ``node_id`` is a member on a running machine
         (judged from the replica, so every process agrees)."""
@@ -289,8 +282,7 @@ class ClusterSurface:
             for n, node in nodes.items()
             if int(node.host) == host and n not in self.crashed
         )
-        for injector in self._injectors():
-            injector.crash_host(host)
+        self._ensure_faults().crash_host(host)
         salvageable = lost = 0
         for victim in victims:
             actor = self.actors.pop(victim, None)
@@ -392,20 +384,10 @@ class Cluster(ClusterSurface):
     def _make_transport(self):
         """Build this cluster's transport (shard workers wrap it)."""
         config = self.config
-        faults = None
-        if config.fault_plan is not None:
-            # transport-level faults reuse the simulator's plans but run
-            # on a *detached* injector: frames drop deterministically
-            # while the overlay stack itself stays on the perfect path
-            from repro.netsim.faults import FaultInjector
-
-            faults = FaultInjector(self.network, config.fault_plan)
-            faults.armed = True
         return make_transport(
             config.transport,
             oracle=self.network.oracle,
             latency_scale=config.latency_scale,
-            faults=faults,
             encoding=config.wire_encoding,
         )
 
@@ -492,20 +474,12 @@ class Cluster(ClusterSurface):
 
     # -- churn & self-healing ----------------------------------------------
 
-    def _injectors(self) -> list:
-        """Every injector that must agree on crash/partition state.
-
-        The transport consults only its own (possibly detached)
-        injector for frame drops; when none was configured the
-        network's injector is adopted so wire traffic sees the same
-        crashes and partitions the overlay bookkeeping does.
-        """
-        faults = self._ensure_faults()
-        if self.transport.faults is None:
-            self.transport.faults = faults
-        if self.transport.faults is faults:
-            return [faults]
-        return [faults, self.transport.faults]
+    def _ensure_faults(self):
+        """The network's injector, which the transport reads too: wire
+        frames see the crashes and partitions the overlay bookkeeping
+        does."""
+        self.transport.faults = super()._ensure_faults()
+        return self.transport.faults
 
     async def kill_fraction(self, fraction: float, seed: int = 0) -> list:
         """Crash ``fraction`` of the membership at once (never the
@@ -547,17 +521,18 @@ class Cluster(ClusterSurface):
         """Sever ``domains`` from the rest of the topology, open-ended.
 
         Installs an active :class:`~repro.netsim.faults.Partition`
-        window (``end = inf``) on every injector, so frames crossing
-        the cut drop and the failure detector shields its verdicts
-        against the severed side.  :meth:`heal_partition` ends it.
+        window (``end = inf``) on the network's injector, so frames
+        crossing the cut drop and the failure detector shields its
+        verdicts against the severed side.  :meth:`heal_partition`
+        ends it.
         """
         window = Partition(
             start=self.network.clock.now, end=math.inf, domains=tuple(domains)
         )
-        for injector in self._injectors():
-            injector.plan = replace(
-                injector.plan, partitions=injector.plan.partitions + (window,)
-            )
+        faults = self._ensure_faults()
+        faults.plan = replace(
+            faults.plan, partitions=faults.plan.partitions + (window,)
+        )
 
     def heal_partition(self) -> int:
         """End every open-ended partition; returns how many were healed.
@@ -566,13 +541,10 @@ class Cluster(ClusterSurface):
         advance under the runtime), so after healing the caller should
         run ``recovery.reconcile()`` to re-probe shielded suspects.
         """
-        healed = 0
-        for injector in self._injectors():
-            keep = tuple(
-                p for p in injector.plan.partitions if p.end != math.inf
-            )
-            healed = max(healed, len(injector.plan.partitions) - len(keep))
-            injector.plan = replace(injector.plan, partitions=keep)
+        faults = self._ensure_faults()
+        keep = tuple(p for p in faults.plan.partitions if p.end != math.inf)
+        healed = len(faults.plan.partitions) - len(keep)
+        faults.plan = replace(faults.plan, partitions=keep)
         return healed
 
     async def enable_recovery(self, params=None, seed: int = 0xFD):

@@ -167,7 +167,7 @@ class RuntimeRecovery(SwimCore):
             pairs,
             verdicts,
             member_domains(cluster.overlay),
-            cluster.transport.faults or cluster.network.faults,
+            cluster.network.faults,
         )
         for target in confirmed:
             genuinely_dead = target not in cluster.actors
@@ -217,13 +217,14 @@ class RuntimeRecovery(SwimCore):
         resynced = overlay.pubsub.resync_once()
         republished = self.manager.republish_lost()
         purged = self.manager.purge_dead_references()
-        self.manager.reconciliations += 1
-        return {
-            "unsuspected": unsuspected,
-            "resynced": resynced,
-            "republished": republished,
-            "purged": purged,
-        }
+        return self.manager.reconciled(
+            {
+                "unsuspected": unsuspected,
+                "resynced": resynced,
+                "republished": republished,
+                "purged": purged,
+            }
+        )
 
     def scrub(self) -> dict:
         """One self-stabilization scrub pass (tables, records, index)."""

@@ -352,10 +352,6 @@ class ShardedCluster(ClusterSurface):
                 "latency shaping is not supported across shards yet "
                 "(use shards=1 for shaped runs)"
             )
-        if config.fault_plan is not None:
-            raise ValueError(
-                "transport fault plans are not supported across shards yet"
-            )
         super().__init__(config)
         self.workers: list = []
         #: node id -> owning shard for every member whose process is

@@ -95,6 +95,8 @@ class Transport:
         self.delivered = 0
         #: frames refused by a full outbox (stream transports only)
         self.backpressure_drops = 0
+        #: shaped frames still waiting out their delay
+        self._on_wire = 0
         self._tasks: set = set()
         self._closed = False
 
@@ -112,12 +114,16 @@ class Transport:
         raise NotImplementedError
 
     async def close(self) -> None:
+        """Stop every task; a shaped frame it cancels on the wire counts
+        as dropped, whether or not its task had started."""
         self._closed = True
         for task in list(self._tasks):
             task.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
+        self.dropped += self._on_wire
+        self._on_wire = 0
 
     def counters(self) -> dict:
         """Frame-accounting totals, in the shape stats aggregation merges.
@@ -217,11 +223,13 @@ class LoopbackTransport(Transport):
             if owed is not None:
                 await owed
             return True
+        self._on_wire += 1
         self._spawn(self._deliver(dst, frame, delay))
         return True
 
     async def _deliver(self, dst, frame: Frame, delay: float) -> None:
         await asyncio.sleep(delay)
+        self._on_wire -= 1
         handler = self._handlers.get(dst)
         if handler is None:  # unbound while the frame was in flight
             self.dropped += 1
@@ -311,6 +319,11 @@ class StreamTransport(Transport):
     path that waits.  Subclasses fill the :attr:`endpoints` address book.
     """
 
+    #: per-key write-queue cap in frames: a peer whose flusher cannot
+    #: keep up stops ballooning sender memory -- overflow frames drop
+    #: (send returns False) and count as ``backpressure_drops``
+    OUTBOX_CAP = 8192
+
     def __init__(
         self,
         oracle=None,
@@ -318,17 +331,9 @@ class StreamTransport(Transport):
         faults=None,
         encoding: str = "json",
         interface: str = "127.0.0.1",
-        outbox_cap: int = 8192,
     ):
         super().__init__(oracle, latency_scale, faults, encoding)
-        if outbox_cap is not None and outbox_cap < 1:
-            raise ValueError("outbox_cap must be >= 1 (or None for unbounded)")
         self.interface = interface
-        #: per-key write-queue cap in frames: a peer whose flusher
-        #: cannot keep up stops ballooning sender memory -- overflow
-        #: frames drop (send returns False) and count as
-        #: ``backpressure_drops``
-        self.outbox_cap = outbox_cap
         #: address book: key -> (interface, port)
         self.endpoints: dict = {}
         #: listening servers, by the key they accept for
@@ -373,7 +378,7 @@ class StreamTransport(Transport):
                 if not self._due:
                     asyncio.get_running_loop().call_soon(self._tick)
                 self._due.append(key)
-        elif self.outbox_cap is not None and len(batch) >= self.outbox_cap:
+        elif len(batch) >= self.OUTBOX_CAP:
             # the writer is behind by a full cap: refuse the frame
             # instead of queueing unbounded sender-side memory
             self.backpressure_drops += 1
@@ -513,6 +518,7 @@ class TcpTransport(StreamTransport):
         delay = self.delay_for(src, dst)
         if delay > 0.0:
             # shaped frames keep their individual departure times
+            self._on_wire += 1
             self._spawn(self._depart(dst, data, delay))
             return True
         return self._enqueue(dst, data)
@@ -520,6 +526,7 @@ class TcpTransport(StreamTransport):
     async def _depart(self, dst, data: bytes, delay: float) -> None:
         """A shaped frame joins ``dst``'s outbox when its time comes."""
         await asyncio.sleep(delay)
+        self._on_wire -= 1
         self._enqueue(dst, data)
 
 

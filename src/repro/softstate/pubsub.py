@@ -103,8 +103,8 @@ class DeliveryReport:
     ``subscribers`` is every matching subscriber; ``delivered`` the
     ones whose tree path completed (each acknowledged back to the
     rendezvous, charged as ``pubsub_ack``); ``failed`` the ones whose
-    path broke -- those are *not* counted as delivered, and the
-    anti-entropy loop re-syncs them later.
+    path broke -- those are *not* counted as delivered, and the next
+    reconciliation's :meth:`PubSubService.resync_once` re-syncs them.
     """
 
     event: MapEvent
@@ -135,7 +135,6 @@ class PubSubService:
         self._missed: dict = {}
         #: notifications recovered by anti-entropy so far
         self.resynced = 0
-        self._anti_entropy_timer = None
         store.hooks.append(self._on_event)
 
     # -- subscription management ----------------------------------------------
@@ -261,25 +260,6 @@ class PubSubService:
 
     # -- anti-entropy ----------------------------------------------------------
 
-    def start_anti_entropy(self, interval: float = 120.0) -> None:
-        """Arm the clock-driven re-sync loop for missed notifications.
-
-        Each tick, every subscriber with missed notifications pulls
-        them from the rendezvous (charged as ``pubsub_resync``
-        routes); deliveries that fail again stay queued for the next
-        tick.
-        """
-        if self._anti_entropy_timer is not None:
-            return
-        self._anti_entropy_timer = self.network.clock.schedule_every(
-            interval, self.resync_once
-        )
-
-    def stop_anti_entropy(self) -> None:
-        if self._anti_entropy_timer is not None:
-            self._anti_entropy_timer.cancel()
-            self._anti_entropy_timer = None
-
     def resync_once(self) -> int:
         """One anti-entropy round; returns notifications recovered."""
         recovered = 0
@@ -308,14 +288,6 @@ class PubSubService:
 
     # -- diagnostics ---------------------------------------------------------------
 
-    def delivery_messages(self) -> int:
-        """Total tree edges used across all deliveries so far."""
-        return sum(d.tree_edges for d in self.deliveries)
-
     def missed_count(self) -> int:
         """Notifications currently awaiting anti-entropy re-sync."""
         return sum(len(pending) for pending in self._missed.values())
-
-    def failed_deliveries(self) -> int:
-        """Total failed per-subscriber deliveries across all reports."""
-        return sum(len(d.failed) for d in self.deliveries)

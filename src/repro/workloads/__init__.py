@@ -1,10 +1,5 @@
 """Workload generation for experiments and benches."""
 
-from repro.workloads.generator import (
-    poisson_arrivals,
-    random_pairs,
-    uniform_points,
-    zipf_points,
-)
+from repro.workloads.generator import poisson_arrivals, uniform_points, zipf_points
 
-__all__ = ["poisson_arrivals", "random_pairs", "uniform_points", "zipf_points"]
+__all__ = ["poisson_arrivals", "uniform_points", "zipf_points"]

@@ -11,18 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def random_pairs(node_ids, count: int, rng: np.random.Generator) -> list:
-    """``count`` ordered (src, dst) pairs of distinct members."""
-    ids = np.asarray(list(node_ids))
-    if len(ids) < 2:
-        raise ValueError("need at least two nodes for pair workloads")
-    pairs = []
-    for _ in range(count):
-        src, dst = rng.choice(ids, size=2, replace=False)
-        pairs.append((int(src), int(dst)))
-    return pairs
-
-
 def poisson_arrivals(
     rate: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:

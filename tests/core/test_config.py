@@ -24,11 +24,6 @@ class TestOverlayParams:
         with pytest.raises(ValueError):
             OverlayParams(rtt_budget=0)
 
-    def test_with_policy(self):
-        params = OverlayParams(num_nodes=64).with_policy("random")
-        assert params.policy == "random"
-        assert params.num_nodes == 64
-
 
 class TestTopologyConfig:
     def test_named_presets(self):

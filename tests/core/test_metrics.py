@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.metrics import gini, improvement, summarize
+from repro.core.metrics import gini, summarize
 
 
 class TestSummarize:
@@ -53,14 +53,3 @@ class TestGini:
     def test_scale_invariant(self):
         a = [1, 2, 3, 4]
         assert gini(a) == pytest.approx(gini([10 * x for x in a]))
-
-
-class TestImprovement:
-    def test_reduction(self):
-        assert improvement(10.0, 8.0) == pytest.approx(0.2)
-
-    def test_regression_is_negative(self):
-        assert improvement(10.0, 12.0) == pytest.approx(-0.2)
-
-    def test_zero_baseline(self):
-        assert improvement(0.0, 5.0) == 0.0

@@ -20,14 +20,12 @@ class TestSchedule:
             max_attempts=5, base_delay=10.0, backoff_factor=2.0, max_delay=35.0
         )
         assert policy.schedule() == (10.0, 20.0, 35.0, 35.0)
-        assert policy.total_delay() == 100.0
         assert policy.delay(0) == 10.0
         assert policy.delay(10) == 35.0
 
     def test_no_retry_baseline_never_waits(self):
         assert NO_RETRY.max_attempts == 1
         assert NO_RETRY.schedule() == ()
-        assert NO_RETRY.total_delay() == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -156,7 +154,6 @@ class TestCall:
         rtt = policy.probe(tiny_network, u, v)
         assert float(rtt) > 0
         assert injector.injected["fault_probe_lost"] >= 1
-        assert policy.probe_alive(tiny_network, u, v)
         tiny_network.disarm_faults()
 
 
@@ -351,17 +348,6 @@ class TestDecorrelatedJitter:
             delay = jitter.next_delay()
             assert 2.0 <= delay <= prev * 3.0
             prev = delay
-
-    def test_reset_returns_to_base(self):
-        import random
-
-        from repro.core.reliability import DecorrelatedJitter
-
-        jitter = DecorrelatedJitter(base_ms=2.0, cap_ms=1000.0, rng=random.Random(5))
-        for _ in range(10):
-            jitter.next_delay()
-        jitter.reset()
-        assert jitter.next_delay() <= 6.0  # uniform(base, base*3)
 
     def test_validation(self):
         from repro.core.reliability import DecorrelatedJitter

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.builder import TopologyAwareOverlay
 from repro.core.config import OverlayParams
@@ -14,6 +16,7 @@ from repro.core.soak import (
     inject_corruption,
     run_sim_soak,
 )
+from repro.netsim import ManualLatencyModel, Network
 from repro.netsim.faults import FaultPlan
 
 
@@ -49,6 +52,73 @@ class TestInjectCorruption:
     def test_unknown_kind_rejected(self, armed_overlay):
         with pytest.raises(ValueError, match="unknown corruption kind"):
             inject_corruption(armed_overlay, "melt_everything", np.random.default_rng(0))
+
+
+def corruptible_overlay(topology) -> TopologyAwareOverlay:
+    """A small bulk-built overlay with the recovery stack armed."""
+    overlay = TopologyAwareOverlay(
+        Network(topology, ManualLatencyModel()),
+        OverlayParams(num_nodes=24, policy="softstate", replication_factor=2, seed=2),
+    )
+    overlay.build_bulk()
+    overlay.arm_faults(FaultPlan(), seed=3)
+    overlay.enable_recovery(DetectorParams(period=500.0))
+    return overlay
+
+
+class TestArbitraryCorruption:
+    """Convergence from *arbitrary* states, not three hand-picked ones:
+    any expressway entry may hold any int (ghosts, members that do not
+    cover the cell), any stored copy any position, any owner attribution
+    any member (both index sides).  One scrub + reconcile round must
+    restore the legitimacy predicate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scrub_and_reconcile_restore_invariants(self, tiny_topology, data):
+        overlay = corruptible_overlay(tiny_topology)
+        tables, store = overlay.ecan._tables, overlay.store
+        members = sorted(overlay.ecan.can.nodes)
+        slots = [
+            (node_id, level, cell)
+            for node_id, table in tables.items()
+            for level, row in table.items()
+            for cell in row
+        ]
+        entries = [
+            (region, node_id)
+            for region, bucket in store.maps.items()
+            for node_id in bucket
+        ]
+
+        def corrupt(items, values) -> list:
+            """Which of ``items`` to overwrite, and with what."""
+            chosen = data.draw(
+                st.dictionaries(st.integers(0, len(items) - 1), values)
+            )
+            return [(items[index], value) for index, value in sorted(chosen.items())]
+
+        any_entry = st.one_of(st.integers(), st.sampled_from(members))
+        for (node_id, level, cell), entry in corrupt(slots, any_entry):
+            tables[node_id][level][cell] = entry
+        any_point = st.tuples(
+            *[st.floats(0.0, 1.0, exclude_max=True)] * overlay.ecan.dims
+        )
+        for (region, node_id), position in corrupt(entries, any_point):
+            store.maps[region][node_id].position = position
+        for (region, node_id), owner in corrupt(entries, st.sampled_from(members)):
+            store._index_insert(region, node_id, owner)
+
+        overlay.recovery.scrub()
+        overlay.recovery.reconcile()
+        check_invariants(overlay, overlay.detector)
+        # scrub_tables' own promise, beyond the predicate's liveness check
+        assert all(
+            overlay.ecan._entry_valid_uncached(entry, level, cell)
+            for table in tables.values()
+            for level, row in table.items()
+            for cell, entry in row.items()
+        )
 
 
 class TestRebuildOwnerIndex:

@@ -1,9 +1,9 @@
-"""Bootstrap/aggregation helpers."""
+"""Bootstrap confidence intervals."""
 
 import numpy as np
 import pytest
 
-from repro.core.stats import aggregate_over_seeds, bootstrap_ci, paired_improvement
+from repro.core.stats import bootstrap_ci
 
 
 class TestBootstrap:
@@ -32,78 +32,3 @@ class TestBootstrap:
         sample = rng.normal(5.0, 1.0, size=100)
         low, high = bootstrap_ci(sample, statistic=np.median, rng=rng)
         assert low < np.median(sample) < high
-
-
-class TestAggregate:
-    def run_fn(self, seed):
-        rng = np.random.default_rng(seed)
-        return [
-            {"n": n, "stretch": 2.0 + n / 100 + rng.normal(0, 0.05)}
-            for n in (16, 32)
-        ]
-
-    def test_grouping_and_ci_columns(self):
-        rows = aggregate_over_seeds(self.run_fn, range(5), ["n"], ["stretch"])
-        assert [r["n"] for r in rows] == [16, 32]
-        for row in rows:
-            assert row["seeds"] == 5
-            assert row["stretch_lo"] <= row["stretch"] <= row["stretch_hi"]
-
-    def test_preserves_trend(self):
-        rows = aggregate_over_seeds(self.run_fn, range(5), ["n"], ["stretch"])
-        assert rows[0]["stretch"] < rows[1]["stretch"]
-
-    def test_missing_values_skipped(self):
-        def with_none(seed):
-            return [{"n": 1, "stretch": None}, {"n": 2, "stretch": 3.0}]
-
-        rows = aggregate_over_seeds(with_none, range(2), ["n"], ["stretch"])
-        assert rows[0]["stretch"] is None
-        assert rows[1]["stretch"] == 3.0
-
-    def test_needs_seeds(self):
-        with pytest.raises(ValueError):
-            aggregate_over_seeds(self.run_fn, [], ["n"], ["stretch"])
-
-    def test_cells_draw_fresh_resamples(self):
-        """Identical-value cells must get *different* bootstrap CIs.
-
-        Regression: each bootstrap_ci call used to fall back to its own
-        ``default_rng(0)``, so every cell resampled with identical
-        indices and the CIs correlated perfectly across rows.
-        """
-
-        def run_fn(seed):
-            rng = np.random.default_rng(seed)
-            values = rng.normal(10.0, 1.0, size=2)
-            # both cells see the *same* per-seed draws
-            return [{"n": n, "stretch": float(values.sum())} for n in (1, 2)]
-
-        rows = aggregate_over_seeds(run_fn, range(8), ["n"], ["stretch"])
-        first, second = rows
-        assert first["stretch"] == second["stretch"]  # same data by design
-        assert (first["stretch_lo"], first["stretch_hi"]) != (
-            second["stretch_lo"],
-            second["stretch_hi"],
-        )
-
-    def test_deterministic_across_runs(self):
-        runs = [
-            aggregate_over_seeds(self.run_fn, range(4), ["n"], ["stretch"])
-            for _ in range(2)
-        ]
-        assert runs[0] == runs[1]
-
-
-class TestPaired:
-    def test_summary(self):
-        out = paired_improvement([10.0, 8.0, 12.0], [5.0, 9.0, 6.0])
-        assert out["n"] == 3
-        assert out["wins"] == 2
-        assert out["mean_saving"] == pytest.approx(1 - 20 / 30)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            paired_improvement([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            paired_improvement([], [])

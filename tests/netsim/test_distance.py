@@ -65,14 +65,6 @@ class TestExactness:
         for i, src in enumerate([2, 4, 6]):
             assert np.allclose(bulk[i], oracle.row(src), rtol=1e-6)
 
-    def test_pairwise(self, tiny_topology):
-        oracle = DistanceOracle.from_topology(tiny_topology, ManualLatencyModel())
-        hosts = [1, 5, 9]
-        mat = oracle.pairwise(hosts)
-        assert mat.shape == (3, 3)
-        assert np.allclose(np.diag(mat), 0.0)
-        assert mat[0, 1] == pytest.approx(oracle.distance(1, 5), rel=1e-6)
-
 
 class TestCache:
     def test_rows_are_cached_and_reused(self, tiny_topology):

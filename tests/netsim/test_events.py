@@ -63,14 +63,14 @@ class TestScheduling:
         sched.run_until(3.0)
         assert fired == ["first", "second"]
 
-    def test_run_for(self):
+    def test_successive_run_until_windows(self):
         sched = EventScheduler()
         fired = []
         sched.schedule(1.0, lambda: fired.append(1))
         sched.schedule(3.0, lambda: fired.append(2))
-        sched.run_for(2.0)
+        sched.run_until(sched.now + 2.0)
         assert fired == [1]
-        sched.run_for(2.0)
+        sched.run_until(sched.now + 2.0)
         assert fired == [1, 2]
 
 
@@ -111,9 +111,3 @@ class TestRecurring:
     def test_zero_interval_rejected(self):
         with pytest.raises(ValueError):
             EventScheduler().schedule_every(0.0, lambda: None)
-
-    def test_run_all_guards_against_runaway(self):
-        sched = EventScheduler()
-        sched.schedule_every(1.0, lambda: None)
-        with pytest.raises(RuntimeError):
-            sched.run_all(max_events=10)

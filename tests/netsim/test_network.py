@@ -34,12 +34,6 @@ class TestMessageStats:
         stats.count("a", 2)
         assert stats.delta(stats.snapshot()) == {}
 
-    def test_reset(self):
-        stats = MessageStats()
-        stats.count("a")
-        stats.reset()
-        assert stats.total() == 0
-
 
 class TestRtt:
     def test_rtt_is_twice_latency(self, tiny_network):

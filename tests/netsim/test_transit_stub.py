@@ -116,9 +116,6 @@ class TestGeneration:
     def test_degrees_positive(self, topo):
         assert (topo.degree() > 0).all()
 
-    def test_classify_edges_covers_everything(self, topo):
-        assert sum(topo.classify_edges().values()) == topo.num_edges
-
 
 class TestExtras:
     def test_multihoming_adds_transit_stub_links(self):

@@ -85,13 +85,6 @@ class TestLandmarkSpace:
         with pytest.raises(ValueError):
             LandmarkSpace(landmark_set, index_dims=0)
 
-    def test_bin_vector_within_grid(self, tiny_network, landmark_set):
-        space = LandmarkSpace(landmark_set, bits_per_dim=4, index_dims=3)
-        vector = measure_vector(tiny_network, 7, landmark_set)
-        cell = space.bin_vector(vector)
-        assert len(cell) == 3
-        assert all(0 <= c < 16 for c in cell)
-
     def test_number_in_range(self, tiny_network, landmark_set):
         space = LandmarkSpace(landmark_set, bits_per_dim=4, index_dims=3)
         for host in (2, 9, 30):
@@ -126,8 +119,3 @@ class TestLandmarkSpace:
         vb = measure_vector(tiny_network, int(same_stub[1]), landmark_set)
         close_gaps.append(abs(space.number(va) - space.number(vb)))
         assert np.mean(close_gaps) < np.mean(far_gaps)
-
-    def test_number_distance(self, landmark_set):
-        space = LandmarkSpace(landmark_set)
-        assert space.number_distance(5, 9) == 4
-        assert space.number_distance(9, 5) == 4

@@ -263,29 +263,19 @@ class TestTransportFaults:
         """Dropped frames surface as fast failures, never hangs."""
 
         async def scenario():
-            config = make_config(
-                nodes=8,
-                fault_plan=FaultPlan(message_loss_rate=1.0),
-                request_timeout=0.2,
-            )
-            # boot with faults disarmed so joins succeed, then arm
-            config_faults = config.fault_plan
-            config.fault_plan = None
-            cluster = Cluster(config)
+            cluster = Cluster(make_config(nodes=8, request_timeout=0.2))
+            # boot fault-free so joins succeed, then arm the network's
+            # injector, the one the transport reads
             await cluster.start()
             try:
-                from repro.netsim.faults import FaultInjector
-
-                injector = FaultInjector(
-                    cluster.network, config_faults, seed=0
+                cluster.transport.faults = cluster.network.arm_faults(
+                    FaultPlan(message_loss_rate=1.0), seed=0
                 )
-                injector.armed = True
-                cluster.transport.faults = injector
                 with pytest.raises(Exception) as failure:
                     await cluster.lookup(0, (0.9, 0.9))
                 return failure.type.__name__
             finally:
-                cluster.transport.faults = None
+                cluster.network.disarm_faults()
                 await cluster.stop()
 
         assert run(scenario()) in ("TransportError", "RequestTimeout")

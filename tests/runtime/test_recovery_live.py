@@ -73,6 +73,8 @@ class TestCrashDetection:
                     lambda: set(victims) <= set(recovery.confirmed_dead),
                 )
                 await recovery.reconcile()
+                # counted where the simulator's pass is, so /stats shows it
+                assert (await cluster.counters())["events"]["reconcile"] == 1
                 assert recovery.false_kills == 0
                 assert recovery.manager.takeovers >= len(victims)
                 nodes = cluster.overlay.ecan.can.nodes

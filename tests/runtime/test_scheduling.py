@@ -17,7 +17,12 @@ from repro.core.config import NetworkParams, OverlayParams
 from repro.runtime import Cluster, ClusterConfig
 from repro.runtime.node import NodeProcess
 from repro.runtime.shard import PeeringTransport
-from repro.runtime.transport import LoopbackTransport, TcpTransport, TransportError
+from repro.runtime.transport import (
+    LoopbackTransport,
+    TcpTransport,
+    TransportError,
+    make_transport,
+)
 from repro.runtime.wire import Frame, MsgType, encode_frame
 
 NODES = 12
@@ -632,6 +637,27 @@ class TestCloseAccounting:
         assert backlog == 2
         assert (counters["sent"], counters["delivered"], counters["dropped"]) == (4, 2, 2)
         assert arrived == [0]
+
+    @pytest.mark.parametrize("kind", ["loopback", "tcp"])
+    def test_shaped_frames_still_on_the_wire_count_as_dropped(self, kind):
+        class OneMs:
+            def distance(self, u, v):
+                return 1.0
+
+        async def scenario():
+            transport = make_transport(kind, oracle=OneMs(), latency_scale=0.01)
+            await transport.start()
+            inbox = Inbox()
+            await transport.bind("rx", inbox, host=1)
+            transport.hosts["tx"] = 0
+            for request_id in (1, 2, 3):  # each waits 10 ms before it departs
+                assert await transport.send("tx", "rx", beat(request_id))
+            await transport.close()
+            return transport.counters(), inbox.ids
+
+        counters, arrived = run(scenario())
+        assert (counters["sent"], counters["delivered"], counters["dropped"]) == (3, 0, 3)
+        assert arrived == []
 
     def test_a_paused_peering_connection_counts_the_same_way(self):
         async def scenario():

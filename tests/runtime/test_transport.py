@@ -302,7 +302,8 @@ class TestOutboxBackpressure:
         """
 
         async def scenario():
-            transport = TcpTransport(outbox_cap=4)
+            transport = TcpTransport()
+            transport.OUTBOX_CAP = 4
             await transport.start()
             inbox = Collector()
             await transport.bind("rx", inbox)
@@ -324,9 +325,9 @@ class TestOutboxBackpressure:
         assert backpressure == 2
         assert delivered == 4
 
-    def test_uncapped_outbox_still_accepts_everything(self):
+    def test_an_outbox_under_the_cap_accepts_everything(self):
         async def scenario():
-            transport = TcpTransport(outbox_cap=None)
+            transport = TcpTransport()
             await transport.start()
             inbox = Collector()
             await transport.bind("rx", inbox)
@@ -342,7 +343,3 @@ class TestOutboxBackpressure:
         backpressure, delivered = run(scenario())
         assert backpressure == 0
         assert delivered == 64
-
-    def test_outbox_cap_validation(self):
-        with pytest.raises(ValueError, match="outbox_cap"):
-            TcpTransport(outbox_cap=0)

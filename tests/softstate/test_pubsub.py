@@ -231,7 +231,6 @@ class TestLossyDelivery:
         delivered_all = {s for r in reports for s in r.delivered}
         assert set(received) <= delivered_all
         assert overlay.pubsub.missed_count() == len(failed)
-        assert overlay.pubsub.failed_deliveries() == len(failed)
         assert overlay.network.stats.get("pubsub_notify_failed") >= 1
 
     def test_anti_entropy_recovers_missed_notifications(self, overlay):
@@ -253,20 +252,6 @@ class TestLossyDelivery:
         # the pull was charged as resync routing traffic
         assert overlay.network.stats.delta(before).get("pubsub_resync", 0) >= 1
         assert len(received) >= recovered
-
-    def test_anti_entropy_timer_runs_on_clock(self, overlay):
-        received = []
-        self.subscribe_all_cells(overlay, overlay.node_ids[:8], received)
-        overlay.arm_faults(FaultPlan(message_loss_rate=1.0), seed=0)
-        try:
-            overlay.add_node()
-        finally:
-            overlay.disarm_faults()
-        assert overlay.pubsub.missed_count() > 0
-        overlay.pubsub.start_anti_entropy(interval=60.0)
-        overlay.network.clock.run_for(100.0)
-        assert overlay.pubsub.missed_count() == 0
-        overlay.pubsub.stop_anti_entropy()
 
     def test_departed_subscriber_backlog_dropped(self, overlay):
         received = []

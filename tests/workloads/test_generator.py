@@ -3,25 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads import (
-    poisson_arrivals,
-    random_pairs,
-    uniform_points,
-    zipf_points,
-)
-
-
-class TestRandomPairs:
-    def test_shape_and_distinctness(self, rng):
-        pairs = random_pairs(range(20), 50, rng)
-        assert len(pairs) == 50
-        for src, dst in pairs:
-            assert src != dst
-            assert 0 <= src < 20 and 0 <= dst < 20
-
-    def test_needs_two_nodes(self, rng):
-        with pytest.raises(ValueError):
-            random_pairs([1], 5, rng)
+from repro.workloads import poisson_arrivals, uniform_points, zipf_points
 
 
 class TestUniformPoints:
