@@ -47,14 +47,19 @@ perf-smoke:
 # alternating runs of BASE (exported to a temp dir) and this tree on
 # one workload, then wins/ties, both medians and quartiles, and the
 # nine-tenths + parent-IQR verdict.  ~20 s per run, so ~7 min at 10.
+# ALSO names more workloads (or "all") that get their own N pairs and
+# the bound table of every end-to-end metric: the whole no-regression
+# check in one command (~45 min at 10 pairs for all seven).
 #   make perf-pairs BASE=HEAD~1 WORKLOAD=live_map_mixed METRIC=cpu_us_per_op
+#   make perf-pairs BASE=HEAD~1 WORKLOAD=sim_route ALSO=all
 BASE ?= HEAD~1
 WORKLOAD ?= live_lookup_closed
 METRIC ?= cpu_us_per_op
 PAIRS ?= 10
+ALSO ?=
 perf-pairs:
 	$(PYTHON) scripts/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) \
-		--metric $(METRIC) --pairs $(PAIRS)
+		--metric $(METRIC) --pairs $(PAIRS) $(foreach w,$(ALSO),--also $(w))
 
 # The acceptance scenarios, one process, ~15 s (scripts/smoke.py): chaos
 # recovery on three seeds, live-runtime sim parity under both payload

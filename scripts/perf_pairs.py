@@ -22,10 +22,20 @@ verdict on ``--metric`` it lists the remaining end-to-end metrics of
 that workload (both medians, their ratio, the bound ``BENCHMARK.json``
 fixes) as ``within bound`` or ``WORSE``.
 
-It reads only ``BENCHMARK.json`` (each metric's direction and bound)
-and that last line; it imports nothing from and writes nothing under
-``benchmarks/perf/``.  Exit status: 0 gain shown and nothing worse
-than its bound, 1 otherwise, 2 a run failed or answered incorrectly.
+``--also W`` (repeatable; ``--also all`` for every other declared
+workload) makes the same command the whole no-regression check: each
+named workload gets its own N alternating pairs against the same
+exported base, and the bound table of all its end-to-end metrics.
+Only ``--workload`` gets the gain verdict.
+
+    python scripts/perf_pairs.py --base HEAD~1 --workload sim_route \\
+        --metric cpu_us_per_op --also all
+
+It reads only ``BENCHMARK.json`` (the workload names, each metric's
+direction and bound) and that last line; it imports nothing from and
+writes nothing under ``benchmarks/perf/``.  Exit status: 0 gain shown
+and nothing on any workload worse than its bound, 1 otherwise, 2 a
+run failed or answered incorrectly.
 """
 
 from __future__ import annotations
@@ -145,42 +155,56 @@ def measure(tree: Path, workload: str, seed: int) -> dict:
     }
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="revision to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--metric", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args()
-    better = direction_of(args.metric)
-    base, change = [], []  # one {metric: value} per run
-    with tempfile.TemporaryDirectory(prefix="perf_pairs_") as scratch:
-        base_tree = Path(scratch)
-        export_base(args.base, base_tree)
-        print(f"# {args.workload} {args.metric} ({better} is better), "
-              f"base {args.base} vs {ROOT}")
-        print("| seed | first | base | change |")
-        print("|---|---|---|---|")
-        for seed in range(1, args.pairs + 1):
-            order = ("base", "change") if seed % 2 else ("change", "base")
-            values = {}
-            for side in order:
-                tree = base_tree if side == "base" else ROOT
-                values[side] = measure(tree, args.workload, seed)
-            base.append(values["base"])
-            change.append(values["change"])
-            print(
-                f"| {seed} | {order[0]} | {values['base'][args.metric]:.6g} "
-                f"| {values['change'][args.metric]:.6g} |",
-                flush=True,
-            )
+def declared_workloads() -> list:
+    """``BENCHMARK.json``'s workload names, in declared order."""
+    with open(ROOT / "BENCHMARK.json") as handle:
+        return [entry["name"] for entry in json.load(handle)["workloads"]]
 
-    def column(runs, metric):
-        return [run[metric] for run in runs]
 
-    claimed = column(base, args.metric), column(change, args.metric)
-    verdict = judge(*claimed, better)
-    for side, values in zip(("base", "change"), claimed):
+def expand_also(also: list, claimed: str) -> list:
+    """The workloads ``--also`` names, in declared order, without
+    ``claimed``; ``all`` names every declared workload."""
+    declared = declared_workloads()
+    wanted = set(declared) if "all" in also else set(also)
+    unknown = sorted(wanted - set(declared))
+    if unknown:
+        sys.exit(
+            f"perf_pairs: {', '.join(unknown)} not a declared workload "
+            f"({', '.join(declared)})"
+        )
+    return [name for name in declared if name in wanted and name != claimed]
+
+
+def run_pairs(base_tree: Path, workload: str, metric: str, pairs: int) -> tuple:
+    """``pairs`` alternating runs of both trees: (base runs, change
+    runs), one {metric: value} per run, ``metric`` printed per pair."""
+    base, change = [], []
+    print(f"# {workload}: {metric} per pair")
+    print("| seed | first | base | change |")
+    print("|---|---|---|---|")
+    for seed in range(1, pairs + 1):
+        order = ("base", "change") if seed % 2 else ("change", "base")
+        values = {}
+        for side in order:
+            tree = base_tree if side == "base" else ROOT
+            values[side] = measure(tree, workload, seed)
+        base.append(values["base"])
+        change.append(values["change"])
+        print(
+            f"| {seed} | {order[0]} | {values['base'][metric]:.6g} "
+            f"| {values['change'][metric]:.6g} |",
+            flush=True,
+        )
+    return base, change
+
+
+def column(runs, metric):
+    return [run[metric] for run in runs]
+
+
+def print_verdict(base: list, change: list, better: str) -> dict:
+    verdict = judge(base, change, better)
+    for side, values in (("base", base), ("change", change)):
         q1, median, q3 = quartiles(values)
         print(f"{side:>6}: median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
     print(
@@ -194,14 +218,19 @@ def main() -> int:
         f"(needs more: {'yes' if verdict['clear_of_spread'] else 'no'})"
     )
     print("verdict:", "gain shown" if verdict["gain_shown"] else "gain NOT shown")
+    return verdict
 
-    print(f"# the other end-to-end metrics of {args.workload}, same pairs")
+
+def print_bounds(workload: str, base: list, change: list, skip=None) -> list:
+    """The bound table of ``workload``'s end-to-end metrics (all but
+    ``skip``); returns the names of those worse than their bound."""
+    print(f"# end-to-end metrics of {workload} against their bounds, same pairs")
     print("| metric | base median | change median | change/base | bound | |")
     print("|---|---|---|---|---|---|")
     worse = []
     for entry in declared_metrics():
         name = entry["name"]
-        if name == args.metric:
+        if name == skip:
             continue
         check = bound_check(
             column(base, name), column(change, name), entry["better"], entry["bound"]
@@ -213,6 +242,44 @@ def main() -> int:
             f"| {check['ratio']:.3f} | {check['bound']:g} "
             f"| {'WORSE' if check['worse'] else 'within bound'} |"
         )
+    return worse
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--metric", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--also", action="append", default=[], metavar="W",
+        help="one more workload held to its bounds (repeatable); 'all' for "
+        "every other declared workload",
+    )
+    args = parser.parse_args()
+    better = direction_of(args.metric)
+    also = expand_also(args.also, args.workload)
+    worse = []
+    with tempfile.TemporaryDirectory(prefix="perf_pairs_") as scratch:
+        base_tree = Path(scratch)
+        export_base(args.base, base_tree)
+        print(
+            f"# claim: {args.workload} {args.metric} ({better} is better), "
+            f"base {args.base} vs {ROOT}"
+        )
+        base, change = run_pairs(base_tree, args.workload, args.metric, args.pairs)
+        verdict = print_verdict(
+            column(base, args.metric), column(change, args.metric), better
+        )
+        worse += [
+            f"{args.workload}/{name}"
+            for name in print_bounds(args.workload, base, change, skip=args.metric)
+        ]
+        for workload in also:
+            base, change = run_pairs(base_tree, workload, args.metric, args.pairs)
+            worse += [
+                f"{workload}/{name}" for name in print_bounds(workload, base, change)
+            ]
     if worse:
         print("worse than its bound:", ", ".join(worse))
     return 0 if verdict["gain_shown"] and not worse else 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.overlay.routing import RouteResult
-from repro.overlay.zone import Zone
+from repro.overlay.zone import CODE_BITS, Zone, point_code
 
 
 @dataclass
@@ -174,14 +174,17 @@ class CanOverlay:
         return owner
 
     def _resolve_owner(self, point) -> int:
-        for depth in self._by_depth:
-            zones = self._by_depth[depth]
-            # reconstruct the index the containing zone of this depth would have
-            idx = []
-            for dim in range(self.dims):
-                splits = depth // self.dims + (1 if dim < depth % self.dims else 0)
-                idx.append(min((1 << splits) - 1, int(point[dim] * (1 << splits))))
-            node_id = zones.get(tuple(idx))
+        dims = self.dims
+        code = point_code(point, dims)
+        for depth, zones in self._by_depth.items():
+            # the index the containing zone of this depth would have: the
+            # top ``splits`` bits of each coordinate's code
+            splits, extra = divmod(depth, dims)
+            shift = CODE_BITS - splits
+            idx = tuple(
+                [c >> (shift - 1 if i < extra else shift) for i, c in enumerate(code)]
+            )
+            node_id = zones.get(idx)
             if node_id is not None:
                 return node_id
         raise KeyError(f"no owner for point {point}")

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.overlay.can import CanOverlay
 from repro.overlay.routing import RouteResult
-from repro.overlay.zone import cell_center, point_cell, sibling_cells
+from repro.overlay.zone import CODE_BITS, cell_center, point_code, sibling_cells
 
 #: hard cap on indexed quadtree depth; 2^24 cells per side is far beyond
 #: any overlay size this simulator will see.
@@ -421,61 +421,60 @@ class EcanOverlay:
         else:
             self._entry_failures[key] = failures
 
-    def _expressway(self, current, point, pcells: list) -> tuple:
-        """The expressway candidate for one hop from ``current``.
-
-        Returns ``(entry, level, cell, repaired)``: the representative
-        for the destination's cell at the first level where it differs
-        from the node's own, or ``entry`` None when no level differs or
-        the cell has no member.  ``pcells`` memoises the destination's
-        cell per level across the hops of one route (index 0 unused).
-        A table entry whose validity verdict is memoised and current is
-        read in place; anything else -- empty slot, stale verdict,
-        invalid entry -- goes through :meth:`table_entry`, which repairs.
-        """
-        zcells = current.zone.cells()
-        known = len(pcells)
-        for level in range(1, len(zcells)):
-            if level == known:
-                pcells.append(point_cell(point, level))
-                known += 1
-            cell = pcells[level]
-            if zcells[level] == cell:
-                continue
-            node_id = current.node_id
-            try:
-                entry = self._tables[node_id][level][cell]
-                epoch, verdicts = self._valid_memo[entry]
-            except KeyError:
-                pass
-            else:
-                if epoch == self.can.zone_epoch.get(entry) and verdicts.get(
-                    (level, cell)
-                ):
-                    return entry, level, cell, False
-            entry, repaired = self.table_entry(node_id, level, cell)
-            return entry, level, cell, repaired
-        return None, None, None, False
-
-    def _decide(self, current, point, pcells: list, visited) -> tuple:
-        """The forwarding rule on a network that delivers every message.
+    def _decide(self, current, code, point, visited) -> tuple:
+        """The forwarding rule: one hop from ``current`` toward ``point``.
 
         Returns ``(next_id, level, cell, repaired)``: an unvisited
         expressway representative (``level`` and ``cell`` name its
         table slot), else the unvisited CAN neighbor nearest to
         ``point`` with ``level`` None, else ``next_id`` None (stuck).
-        Shared by :meth:`next_hop` and the fault-free loop of
-        :meth:`route`, so the live runtime and the simulator cannot
-        drift apart.
+        ``repaired`` says the expressway slot was repaired on the way.
+        The one copy of the rule: :meth:`next_hop`, the fault-free loop
+        of :meth:`route` and the lossy :meth:`_route_per_hop` all call
+        it, so the live runtime and the simulator cannot drift apart.
+
+        The expressway level is the first at which the destination's
+        cell differs from the node's own.  ``code`` is the destination's
+        :func:`~repro.overlay.zone.point_code`: the highest set bit of
+        its XOR with the zone's code, OR-ed over the dimensions, names
+        that level, and the destination's cell there is the code
+        shifted right.  A table entry whose validity verdict is
+        memoised and current is read in place; anything else -- empty
+        slot, stale verdict, invalid entry -- goes through
+        :meth:`table_entry`, which repairs.
         """
-        entry, level, cell, repaired = self._expressway(current, point, pcells)
-        if entry is not None and entry not in visited:
-            return entry, level, cell, repaired
+        zone = current.zones[0]
+        diff = 0
+        for own, dest in zip(zone.code, code):
+            diff |= own ^ dest
+        level = CODE_BITS + 1 - diff.bit_length()
+        repaired = False
+        if level <= zone.max_level:
+            shift = CODE_BITS - level
+            digits = []
+            for c in code:  # a plain loop: a comprehension costs a frame
+                digits.append(c >> shift)
+            cell = tuple(digits)
+            node_id = current.node_id
+            try:
+                entry = self._tables[node_id][level][cell]
+                epoch, verdicts = self._valid_memo[entry]
+            except KeyError:
+                entry = None
+            else:
+                if epoch != self.can.zone_epoch.get(entry) or not verdicts.get(
+                    (level, cell)
+                ):
+                    entry = None
+            if entry is None:
+                entry, repaired = self.table_entry(node_id, level, cell)
+            if entry is not None and entry not in visited:
+                return entry, level, cell, repaired
         nodes = self.can.nodes
         torus = self.can.torus
-        # the first attempt always delivers, so only the nearest
-        # candidate is ever tried: min() picks the (distance, id) pair
-        # a full sort would put first
+        # min() picks the (distance, id) pair a full sort would put
+        # first; on a network that delivers every message it is the
+        # only candidate ever tried
         best = min(
             (
                 (nodes[n].distance_to_point(point, torus), n)
@@ -497,12 +496,14 @@ class EcanOverlay:
         :meth:`route` -- the live runtime (:mod:`repro.runtime`)
         forwards one wire frame per decision, and the resulting hop
         sequence matches what the synchronous simulator produces for
-        the same tessellation.
+        the same tessellation.  A point :func:`point_code` refuses
+        raises ValueError.
         """
+        code = point_code(point, self.can.dims)
         current = self.can.nodes[node_id]
         if current.contains(point):
             return None, "delivered"
-        next_id, level, _, _ = self._decide(current, point, [None], visited)
+        next_id, level, _, _ = self._decide(current, code, point, visited)
         if next_id is None:
             return None, "stuck"
         return next_id, "can" if level is None else "expressway"
@@ -525,19 +526,21 @@ class EcanOverlay:
         favour of greedy CAN neighbors, and alternative neighbors are
         tried before the route is declared failed.  Without a policy a
         single lost hop fails the route -- the fire-and-forget baseline.
+        A point :func:`point_code` refuses raises ValueError before any
+        hop is made.
         """
         nodes = self.can.nodes
         if start_node not in nodes:
             raise KeyError(f"start node {start_node} not present")
+        code = point_code(point, self.can.dims)
         network = self.network
         faults = network.faults if network is not None else None
         if faults is not None and faults.armed:
-            return self._route_per_hop(start_node, point, category, max_hops)
+            return self._route_per_hop(start_node, code, point, category, max_hops)
         path = [start_node]
         visited = {start_node}
         result = RouteResult(path=path)
         current = nodes[start_node]
-        pcells: list = [None]
         failures = self._entry_failures
         try:
             while not current.contains(point):
@@ -545,7 +548,7 @@ class EcanOverlay:
                     result.success = False
                     break
                 next_id, level, cell, repaired = self._decide(
-                    current, point, pcells, visited
+                    current, code, point, visited
                 )
                 if repaired:
                     result.repairs += 1
@@ -573,28 +576,33 @@ class EcanOverlay:
         return result
 
     def _route_per_hop(
-        self, start_node: int, point, category: str, max_hops: int
+        self, start_node: int, code, point, category: str, max_hops: int
     ) -> RouteResult:
-        """:meth:`route` when a hop can be lost (an injector is armed)."""
+        """:meth:`route` when a hop can be lost (an injector is armed).
+
+        Each hop starts from :meth:`_decide`'s choice.  When that is a
+        greedy CAN hop, or an expressway hop that could not be
+        delivered, the unvisited CAN neighbors are tried nearest first
+        (the order whose head ``_decide`` picked).  ``excluded`` holds
+        the nodes visited and the ones found unreachable.
+        """
         path = [start_node]
-        visited = {start_node}
-        unreachable: set = set()
+        excluded = {start_node}
         result = RouteResult(path=path)
         nodes = self.can.nodes
         torus = self.can.torus
         current = nodes[start_node]
         degrade = self.retry_policy is not None
-        pcells: list = [None]
         while not current.contains(point):
             if len(path) > max_hops:
                 result.success = False
                 return result
-            next_id = None
-            entry, level, cell, repaired = self._expressway(current, point, pcells)
+            next_id, level, cell, repaired = self._decide(
+                current, code, point, excluded
+            )
             result.repairs += int(repaired)
-            if entry is not None and entry not in visited and entry not in unreachable:
-                if self._try_hop(current.host, nodes[entry].host, category, result):
-                    next_id = entry
+            if level is not None:
+                if self._try_hop(current.host, nodes[next_id].host, category, result):
                     result.expressway_hops += 1
                     self._entry_failures.pop((current.node_id, level, cell), None)
                 else:
@@ -602,14 +610,16 @@ class EcanOverlay:
                     if not degrade:
                         result.success = False
                         return result
-                    unreachable.add(entry)
+                    excluded.add(next_id)
                     result.degraded += 1
-            if next_id is None:
+                    level = None
+            if level is None:
                 candidates = (
                     (nodes[n].distance_to_point(point, torus), n)
                     for n in current.neighbors
-                    if n not in visited and n not in unreachable
+                    if n not in excluded
                 )
+                next_id = None
                 for _, neighbor_id in sorted(candidates):
                     if self._try_hop(
                         current.host, nodes[neighbor_id].host, category, result
@@ -620,12 +630,12 @@ class EcanOverlay:
                     if not degrade:
                         result.success = False
                         return result
-                    unreachable.add(neighbor_id)
+                    excluded.add(neighbor_id)
                 if next_id is None:
                     result.success = False
                     return result
             current = nodes[next_id]
-            visited.add(next_id)
+            excluded.add(next_id)
             path.append(next_id)
         result.owner = current.node_id
         return result

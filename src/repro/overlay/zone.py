@@ -11,12 +11,23 @@ A zone at depth ``k`` has per-dimension extents ``2^-(k//d)`` or
 *quadtree cell* at every level ``l <= k // d``.  These cells are
 eCAN's high-order zones (every ``2^d`` level-``l+1`` cells form a
 level-``l`` cell); :meth:`Zone.cell` computes them.
+
+The router reads the same geometry as integers: a coordinate ``x`` in
+``[0, 1)`` becomes its *code* ``floor(x * 2^52)`` (:func:`point_code`,
+:attr:`Zone.code`).  Scaling a double by a power of two is exact, so
+the level-``l`` cell index ``floor(x * 2^l)`` is the code shifted
+right by ``52 - l`` for every ``l <= 52``, and the first level at
+which two codes disagree is read off the highest set bit of their XOR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+#: bits of a coordinate code; level-``l`` cells are its top ``l`` bits
+CODE_BITS = 52
+_CODE_SCALE = float(1 << CODE_BITS)
 
 
 @dataclass(frozen=True)
@@ -43,7 +54,7 @@ class Zone:
         """The dimension along which this zone will next be split."""
         return self.depth % self.dims
 
-    @property
+    @cached_property
     def max_level(self) -> int:
         """Finest quadtree level at which this zone fits a single cell."""
         return self.depth // self.dims
@@ -58,7 +69,12 @@ class Zone:
         return vol
 
     def center(self) -> tuple:
-        return tuple((lo + hi) / 2.0 for lo, hi in zip(self.lo, self.hi))
+        """Midpoint of the box, memoised per (immutable) instance."""
+        got = self.__dict__.get("_center")
+        if got is None:
+            got = tuple((lo + hi) / 2.0 for lo, hi in zip(self.lo, self.hi))
+            object.__setattr__(self, "_center", got)
+        return got
 
     def contains(self, point) -> bool:
         """Half-open containment test."""
@@ -192,12 +208,32 @@ class Zone:
             object.__setattr__(self, "_cells_all", got)
         return got
 
+    @cached_property
+    def code(self) -> tuple:
+        """The lower corner as integer codes (see :func:`point_code`).
 
-def point_cell(point, level: int) -> tuple:
-    """Index of the level-``level`` quadtree cell containing ``point``."""
-    scale = 1 << level
-    top = scale - 1
-    return tuple([c if (c := int(x * scale)) < top else top for x in point])
+        Every boundary is dyadic, so the conversion is exact.  Computed
+        once per (immutable) instance, then a plain attribute read.
+        """
+        return tuple([int(lo * _CODE_SCALE) for lo in self.lo])
+
+
+def point_code(point, dims: int) -> tuple:
+    """``point`` as per-dimension integers ``floor(x * 2^CODE_BITS)``.
+
+    The one gate a routed point passes: ValueError unless it has
+    exactly ``dims`` coordinates and each satisfies ``0.0 <= x < 1.0``
+    (NaN fails the comparison, so it is refused too).
+    """
+    code = []
+    for x in point:
+        if not 0.0 <= x < 1.0:
+            break
+        code.append(int(x * _CODE_SCALE))
+    else:
+        if len(code) == dims:
+            return tuple(code)
+    raise ValueError(f"point {point!r} is not {dims} coordinates in [0, 1)")
 
 
 def cell_center(cell: tuple, level: int) -> tuple:

@@ -35,6 +35,7 @@ from repro.core.builder import TopologyAwareOverlay
 from repro.core.config import NetworkParams, OverlayParams, make_network
 from repro.core.reliability import DeadlineTable
 from repro.netsim.faults import Partition
+from repro.overlay.zone import point_code
 from repro.runtime.node import NodeProcess, Pump
 from repro.runtime.transport import make_transport
 from repro.runtime.wire import MsgType
@@ -603,8 +604,12 @@ class Cluster(ClusterSurface):
     async def lookup(self, src_id: int, point) -> dict:
         """Key lookup: route ``point`` from ``src_id`` to its owner.
 
-        Returns ``{"owner", "path", "hops"}`` from the final ACK.
+        Returns ``{"owner", "path", "hops"}`` from the final ACK.  A
+        point the router cannot deliver (see
+        :func:`~repro.overlay.zone.point_code`) raises ValueError here,
+        before any frame is built.
         """
+        point_code(point, self.routing.dims)
         result = await self._actor(src_id).rpc_route(point, op="lookup")
         self.network.telemetry.count("runtime_lookup")
         return result

@@ -51,6 +51,7 @@ import asyncio
 import multiprocessing
 import time
 
+from repro.overlay.zone import point_code
 from repro.runtime.cluster import Cluster, ClusterConfig, ClusterSurface
 from repro.runtime.loadgen import LoadReport, run_load
 from repro.runtime.transport import StreamTransport, Transport, TransportError
@@ -478,6 +479,7 @@ class ShardedCluster(ClusterSurface):
     # -- RPCs --------------------------------------------------------------
 
     async def lookup(self, src_id: int, point) -> dict:
+        point_code(point, self.routing.dims)  # ValueError before the pipe
         return await self._call(
             self._owner(src_id),
             ("lookup", int(src_id), [float(x) for x in point]),

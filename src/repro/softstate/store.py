@@ -625,7 +625,7 @@ class SoftStateStore:
             own = self.registry.get(querier_id)
             if own is None:
                 raise KeyError(f"querier {querier_id} has no registered identity")
-            query_vector = np.asarray(own.landmark_vector, dtype=np.float64)
+            query_vector = own.vector()
             # the landmark number is cached on the registered identity --
             # a pure function of the vector and the space
             query_number = own.landmark_number

@@ -92,3 +92,20 @@ def test_every_declared_metric_carries_a_bound(pairs):
     declared = pairs.declared_metrics()
     assert {entry["name"] for entry in declared} >= {"cpu_us_per_op", "mean_stretch"}
     assert all("bound" in entry and "better" in entry for entry in declared)
+
+
+def test_also_names_other_declared_workloads_in_declared_order(pairs):
+    declared = pairs.declared_workloads()
+    assert "sim_route" in declared and "live_lookup_closed" in declared
+    everything_else = [name for name in declared if name != "sim_route"]
+    assert pairs.expand_also(["all"], "sim_route") == everything_else
+    # repeats, the claimed workload itself and declared order are all handled
+    picked = pairs.expand_also(
+        ["sim_build", "live_lookup_closed", "sim_route", "sim_build"], "sim_route"
+    )
+    assert picked == [
+        name for name in declared if name in {"sim_build", "live_lookup_closed"}
+    ]
+    assert pairs.expand_also([], "sim_route") == []
+    with pytest.raises(SystemExit):
+        pairs.expand_also(["sim_rout"], "sim_route")

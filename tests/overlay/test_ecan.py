@@ -9,7 +9,8 @@ from repro.overlay import (
     EcanOverlay,
     RandomNeighborPolicy,
 )
-from repro.overlay.zone import cell_zone, point_cell
+from repro.overlay.zone import cell_zone
+from tests.overlay.test_integer_geometry import float_cell
 
 
 def build_ecan(n: int, seed: int = 0, stats=None, policy=None, dims: int = 2):
@@ -159,6 +160,25 @@ class TestPolicies:
         assert a._tables == b._tables
 
 
+class TestPointsOutsideTheSpace:
+    """A point no zone holds is refused at the routing boundary."""
+
+    BAD = ((1.0, 0.5), (0.5, 0.1, 0.2), (float("nan"), 0.5), (-5e-324, 0.5))
+
+    def test_route_next_hop_and_owner_lookup_refuse_it(self):
+        stats = MessageStats()
+        ecan = build_ecan(40, stats=stats)
+        for point in self.BAD:
+            with pytest.raises(ValueError):
+                ecan.route(3, point)
+            with pytest.raises(ValueError):
+                ecan.next_hop(3, point)
+            with pytest.raises(ValueError):
+                ecan.can.owner_of_point(point)
+        # refused before the first hop: nothing walked, nothing charged
+        assert stats.get("ecan_route") == 0
+
+
 class TestRouting:
     def test_route_reaches_owner(self, rng):
         ecan = build_ecan(80, seed=2)
@@ -226,7 +246,7 @@ class TestRouting:
                 zone = ecan.can.nodes[node_id].zone
                 level = 0
                 for l in range(1, zone.max_level + 1):
-                    if zone.cell(l) != point_cell(point, l):
+                    if zone.cell(l) != float_cell(point, l):
                         break
                     level = l
                 return level

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overlay.zone import (
+    CODE_BITS,
     Zone,
     cell_center,
     cell_zone,
     parent_cell,
-    point_cell,
+    point_code,
     sibling_cells,
     torus_distance,
 )
+from tests.overlay.test_integer_geometry import float_cell
 
 
 def random_zone(draw, dims: int, max_depth: int = 10) -> Zone:
@@ -153,13 +155,22 @@ class TestCells:
         with pytest.raises(ValueError):
             zone.cell(1)
 
-    def test_point_cell_matches_zone_cell(self):
+    def test_point_code_matches_zone_cell(self):
         zone = Zone.root(2).split()[1].split()[1].split()[0].split()[1]
         level = zone.max_level
-        assert point_cell(zone.center(), level) == zone.cell(level)
+        shift = CODE_BITS - level
+        coded = tuple(c >> shift for c in point_code(zone.center(), 2))
+        assert coded == float_cell(zone.center(), level) == zone.cell(level)
+        assert tuple(c >> shift for c in zone.code) == zone.cell(level)
 
-    def test_point_cell_clamps_at_one(self):
-        assert point_cell((1.0, 1.0), 2) == (3, 3)
+    def test_point_code_refuses_what_no_zone_holds(self):
+        # the old clamp mapped 1.0 into the top cell, which no half-open
+        # zone contains; NaN, a wrong arity and negatives go the same way
+        for bad in ((1.0, 1.0), (0.5, float("nan")), (0.5,), (0.1, 0.2, 0.3),
+                    (-5e-324, 0.5), (0.5, float("inf"))):
+            with pytest.raises(ValueError):
+                point_code(bad, 2)
+        assert point_code((0.0, 1 - 2**-53), 2) == (0, (1 << CODE_BITS) - 1)
 
     def test_cell_zone_round_trip(self):
         zone = cell_zone((2, 1), 2)

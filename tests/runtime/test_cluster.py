@@ -139,6 +139,37 @@ class TestRpcs:
         assert live["served_by"] == local.served_by
         assert live["records"] == [record.node_id for record in local.records]
 
+    def test_point_outside_the_space_is_refused(self):
+        """``lookup`` checks the point before a frame is built; a
+        foreign ROUTE frame carrying one is answered with an ERROR by
+        its first hop, which forwards nothing."""
+        from repro.runtime.node import RemoteError
+        from repro.runtime.wire import MsgType
+
+        def routes_handled(cluster):
+            return sum(a.handled.get("ROUTE", 0) for a in cluster.actors.values())
+
+        async def scenario():
+            async with Cluster(make_config(nodes=16)) as cluster:
+                asker, victim = sorted(cluster.node_ids)[:2]
+                before = routes_handled(cluster)
+                for point in ((1.0, 0.5), (0.5, 0.5, 0.5), (float("nan"), 0.5)):
+                    with pytest.raises(ValueError):
+                        await cluster.lookup(asker, point)
+                refused_early = routes_handled(cluster) - before
+                with pytest.raises(RemoteError, match="ValueError"):
+                    await cluster._actor(asker).request(
+                        victim,
+                        MsgType.ROUTE,
+                        {"point": [1.0, 0.5], "path": [asker], "op": "lookup"},
+                        timeout=2.0,
+                    )
+                return refused_early, routes_handled(cluster) - before
+
+        refused_early, handled = run(scenario())
+        assert refused_early == 0
+        assert handled == 1
+
     def test_unknown_member_raises(self):
         async def scenario():
             async with Cluster(make_config(nodes=6)) as cluster:

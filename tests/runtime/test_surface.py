@@ -82,6 +82,9 @@ class TestSurfaceContract:
                     (await cluster.lookup(n, (0.4, 0.6)))["owner"]
                     for n in cluster.node_ids
                 ]
+                # and a point outside the space is refused alike
+                with pytest.raises(ValueError):
+                    await cluster.lookup(cluster.node_ids[0], (1.0, 0.6))
                 return owners, cluster.node_ids
 
         owners, survivors = run(scenario())
