@@ -131,11 +131,15 @@ class Network:
         subclass) or a raised
         :class:`~repro.netsim.faults.ProbeTimeout`.
         """
-        self.stats.count(category)
-        self.telemetry.count("probe")
+        self._charge_probes(category, 1)
         if self.faults is not None:
             return self.faults.probe(u, v)
         return 2.0 * self.oracle.distance(u, v)
+
+    def _charge_probes(self, category: str, n: int) -> None:
+        """The one place a probe is charged, to both ledgers."""
+        self.stats.count(category, n)
+        self.telemetry.count("probe", n)
 
     def rtt_many(self, u: int, hosts, category: str = "rtt_probe") -> np.ndarray:
         """Measure RTTs from ``u`` to each host in ``hosts`` (charged).
@@ -143,6 +147,22 @@ class Network:
         With faults armed, lost/timed-out probes come back as ``NaN``.
         """
         return self.rtt_many_detailed(u, hosts, category=category)[0]
+
+    def rtt_list(self, u: int, hosts, category: str = "rtt_probe") -> list:
+        """:meth:`rtt_many` as a list of Python floats, for short batches.
+
+        On the perfect network each RTT is read straight off the oracle
+        row: ``row.item(v)`` widens the float32 one-way latency to a
+        float64 exactly, and doubling it is exact too, so the list holds
+        the very bits ``rtt_many`` returns -- without an index array, a
+        gather, a cast or a spike mask per call.  With faults armed it
+        is ``rtt_many(...).tolist()``.
+        """
+        if self.faults is not None:
+            return self.rtt_many(u, hosts, category=category).tolist()
+        self._charge_probes(category, len(hosts))
+        row = self.oracle.row(u)
+        return [2.0 * row.item(v) for v in hosts]
 
     def rtt_many_detailed(
         self, u: int, hosts, category: str = "rtt_probe"
@@ -156,8 +176,7 @@ class Network:
         avoid propagating a spiked outlier as their estimate.
         """
         hosts = np.asarray(hosts, dtype=np.int64)
-        self.stats.count(category, len(hosts))
-        self.telemetry.count("probe", len(hosts))
+        self._charge_probes(category, len(hosts))
         if self.faults is not None:
             return self.faults.probe_many_detailed(u, hosts)
         row = self.oracle.row(u)

@@ -622,7 +622,12 @@ class Cluster(ClusterSurface):
         return result
 
     async def lookup_map(self, querier_id: int, region) -> dict:
-        """Soft-state map read: route to the serving node, read its shard."""
+        """Soft-state map read: route to the serving node, read its shard.
+
+        A region this overlay has not (see
+        :func:`~repro.softstate.maps.check_region`) raises ValueError
+        here, when its position is computed, before any frame is built.
+        """
         store = self.routing.store
         record = store.registry[querier_id]
         position = store.position_of(record, region)

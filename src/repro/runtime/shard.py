@@ -56,6 +56,7 @@ from repro.runtime.cluster import Cluster, ClusterConfig, ClusterSurface
 from repro.runtime.loadgen import LoadReport, run_load
 from repro.runtime.transport import StreamTransport, Transport, TransportError
 from repro.runtime.wire import ENVELOPE, Frame, encode_frame
+from repro.softstate.maps import check_region
 
 
 class ShardError(Exception):
@@ -493,6 +494,7 @@ class ShardedCluster(ClusterSurface):
         )
 
     async def lookup_map(self, querier_id: int, region) -> dict:
+        check_region(region, self.routing.dims)  # ValueError before the pipe
         return await self._call(
             self._owner(querier_id), ("lookup_map", int(querier_id), region)
         )

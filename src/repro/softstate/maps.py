@@ -22,16 +22,20 @@ region (Figure 16 sweeps this trade-off).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.overlay.zone import Zone, cell_zone
 from repro.proximity.hilbert import HilbertCurve
 
 
-@dataclass(frozen=True)
-class Region:
-    """A high-order zone: quadtree ``cell`` at ``level``."""
+class Region(NamedTuple):
+    """A high-order zone: quadtree ``cell`` at ``level``.
+
+    A plain tuple underneath, so hashing and equality run in C for every
+    map, index and cache key it is part of.  It therefore also compares
+    equal to the bare ``(level, cell)`` tuple.
+    """
 
     level: int
     cell: tuple
@@ -67,11 +71,26 @@ def _expansion_curve(total_bits: int, dims: int) -> HilbertCurve:
     return HilbertCurve(bits=bits_per_dim, dims=dims)
 
 
+def check_region(region: Region, dims: int) -> None:
+    """Refuse a region that is not a cell of a ``dims``-dimensional overlay.
+
+    ValueError, naming the region, unless its cell has exactly ``dims``
+    coordinates, each in ``[0, 2**level)``.
+    """
+    level, cell = region
+    if level < 0 or len(cell) != dims or not all(0 <= c < 1 << level for c in cell):
+        raise ValueError(
+            f"{region!r} is not a region of a {dims}-dimensional overlay: "
+            f"a level-{level} cell has {dims} coordinates, each in [0, 2**{level})"
+        )
+
+
 @lru_cache(maxsize=1 << 16)
 def map_position(
     landmark_number: int,
     total_bits: int,
     region: Region,
+    dims: int,
     condense_rate: float = 1.0,
 ) -> tuple:
     """Position inside ``region`` at which a record is stored.
@@ -79,11 +98,14 @@ def map_position(
     ``landmark_number`` is a Hilbert index of ``total_bits`` bits;
     it is scaled onto a region-dimensional Hilbert curve (preserving
     order, hence locality), decoded to a point of the unit cube, then
-    squeezed into the condensed sub-box of the region.
+    squeezed into the condensed sub-box of the region.  This is where
+    a region becomes a position, so this is where it is checked
+    (:func:`check_region` against the overlay's ``dims``); the cache
+    makes the check a one-off per argument tuple.
     """
     if not 0 < condense_rate <= 1.0:
         raise ValueError("condense_rate must be in (0, 1]")
-    dims = region.dims
+    check_region(region, dims)
     curve = _expansion_curve(total_bits, dims)
     shift = curve.bits * dims - total_bits
     index = landmark_number << shift if shift >= 0 else landmark_number >> -shift

@@ -95,9 +95,9 @@ class SoftStateNeighborPolicy(NeighborPolicy):
         if network.faults is None and self.retry_policy is None:
             # nothing can be lost or retried per probe: one batch
             # charges the same count and reads the same float64 RTTs
-            rtts = network.rtt_many(
+            rtts = network.rtt_list(
                 host, [record.host for record in probed], category="neighbor_probe"
-            ).tolist()
+            )
         else:
             rtts = [self._probe(host, record.host) for record in probed]
         best = None

@@ -27,10 +27,8 @@ class NodeRecord:
     load: float = 0.0
     published_at: float = 0.0
     expires_at: float = math.inf
-    #: extension point for additional published statistics (§6)
-    extra: dict = field(default_factory=dict)
     #: lazily cached read-only ndarray of ``landmark_vector``; derived
-    #: data, so excluded from equality/repr and carried by ``replace``
+    #: data, so excluded from equality/repr and carried by both copies
     vector_array: object = field(default=None, compare=False, repr=False)
 
     def vector(self) -> np.ndarray:
@@ -53,8 +51,19 @@ class NodeRecord:
         return self.load / self.capacity
 
     def refreshed(self, now: float, ttl: float) -> "NodeRecord":
-        """Copy with a renewed lease."""
-        return replace(self, published_at=now, expires_at=now + ttl)
+        """Copy with a renewed lease (every publish makes one, so it is
+        built directly rather than through ``dataclasses.replace``)."""
+        return NodeRecord(
+            node_id=self.node_id,
+            host=self.host,
+            landmark_vector=self.landmark_vector,
+            landmark_number=self.landmark_number,
+            capacity=self.capacity,
+            load=self.load,
+            published_at=now,
+            expires_at=now + ttl,
+            vector_array=self.vector_array,
+        )
 
     def with_load(self, load: float) -> "NodeRecord":
         """Copy with updated load statistics."""

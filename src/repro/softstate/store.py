@@ -48,7 +48,7 @@ class MapEvent:
     record: NodeRecord
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredRecord:
     record: NodeRecord
     position: tuple
@@ -66,7 +66,7 @@ class StoredRecord:
     owner: int = None
 
 
-@dataclass
+@dataclass(slots=True)
 class LookupResult:
     """Outcome of a map lookup (Table 1 of the paper)."""
 
@@ -251,7 +251,11 @@ class SoftStateStore:
 
     def position_of(self, record: NodeRecord, region: Region) -> tuple:
         return map_position(
-            record.landmark_number, self.space.total_bits, region, self.condense_rate
+            record.landmark_number,
+            self.space.total_bits,
+            region,
+            self.ecan.can.dims,
+            self.condense_rate,
         )
 
     def replica_positions(self, record: NodeRecord, region: Region) -> tuple:
@@ -634,7 +638,11 @@ class SoftStateStore:
             query_number = self.space.number(query_vector)
 
         position = map_position(
-            query_number, self.space.total_bits, region, self.condense_rate
+            query_number,
+            self.space.total_bits,
+            region,
+            self.ecan.can.dims,
+            self.condense_rate,
         )
         category = "softstate_lookup" if charge else None
         if charge:

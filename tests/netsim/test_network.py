@@ -1,9 +1,11 @@
 """Network facade: measurement accounting and host sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.netsim import NodeKind
+from repro.netsim import FaultPlan, NodeKind
 from repro.netsim.network import MessageStats
 
 
@@ -57,6 +59,24 @@ class TestRtt:
         assert tiny_network.stats.get("rtt_probe") == 3
         for host, rtt in zip(hosts, rtts):
             assert rtt == pytest.approx(2 * tiny_network.latency(0, host))
+
+    def test_rtt_list_is_rtt_many_as_python_floats(self, tiny_network):
+        hosts = [0, 3, 4, 5, np.int64(9)]
+        many = tiny_network.rtt_many(0, hosts).tolist()
+        listed = tiny_network.rtt_list(0, hosts)
+        assert [type(rtt) for rtt in listed] == [float] * len(hosts)
+        assert [rtt.hex() for rtt in listed] == [rtt.hex() for rtt in many]
+        assert tiny_network.stats.get("rtt_probe") == 2 * len(hosts)
+        assert tiny_network.telemetry.events["probe"] == 2 * len(hosts)
+
+    def test_rtt_list_with_faults_armed_is_rtt_many(self, tiny_network):
+        hosts = list(range(1, 40))
+        tiny_network.arm_faults(FaultPlan(probe_loss_rate=0.5), seed=1)
+        listed = tiny_network.rtt_list(0, hosts)
+        tiny_network.arm_faults(FaultPlan(probe_loss_rate=0.5), seed=1)
+        many = tiny_network.rtt_many(0, hosts).tolist()
+        assert any(math.isnan(rtt) for rtt in listed)
+        assert [repr(rtt) for rtt in listed] == [repr(rtt) for rtt in many]
 
     def test_path_latency(self, tiny_network):
         path = [0, 4, 9]

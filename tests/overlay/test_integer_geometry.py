@@ -57,10 +57,9 @@ def brute_owner(can, point) -> int:
 SPECIAL = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1 - 2**-53)
 
 
-@pytest.fixture(scope="module")
-def churned(tiny_topology):
-    """72 members after crashes and leaves; some hold several zones."""
-    network = Network(tiny_topology, ManualLatencyModel())
+def build_churned(topology) -> TopologyAwareOverlay:
+    """96 built (seed 5), then 16 crashes and 8 leaves: 72 members."""
+    network = Network(topology, ManualLatencyModel())
     overlay = TopologyAwareOverlay(
         network, OverlayParams(num_nodes=96, landmarks=6, seed=5)
     )
@@ -69,6 +68,12 @@ def churned(tiny_topology):
     for graceful in [False] * 16 + [True] * 8:
         overlay.remove_node(int(rng.choice(overlay.node_ids)), graceful=graceful)
     return overlay
+
+
+@pytest.fixture(scope="module")
+def churned(tiny_topology):
+    """72 members after crashes and leaves; some hold several zones."""
+    return build_churned(tiny_topology)
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +181,32 @@ class TestCodesMatchFloats:
         hops = (kinds.count("expressway"), kinds.count("can"))
         assert (plain.expressway_hops, plain.can_hops) == hops
         assert (per_hop.expressway_hops, per_hop.can_hops) == hops
+
+
+class TestChurnedDeadEnd:
+    """Greedy forwarding dead-ends on a churned overlay whose CAN
+    invariants hold: 11 of the 72 members' routes to ``(0.3125, 0.0)``
+    stop short of its owner (node 1, for one, after 9 hops)."""
+
+    POINT = (0.3125, 0.0)
+
+    def test_the_can_invariants_hold(self, churned):
+        churned.ecan.can.check_invariants()
+        assert len(churned.node_ids) == 72
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="greedy forwarding dead-ends after churn (ROADMAP item 3)",
+    )
+    def test_every_member_reaches_the_owner(self, tiny_topology):
+        # a fresh overlay: the module's is repaired by the routes above
+        overlay = build_churned(tiny_topology)
+        ecan = overlay.ecan
+        owner = brute_owner(ecan.can, self.POINT)
+        stuck = [
+            src
+            for src in sorted(ecan.can.nodes)
+            if ecan.route(src, self.POINT, category=None).owner != owner
+        ]
+        assert stuck == []

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.config import NetworkParams, OverlayParams
 from repro.runtime import ClusterConfig, ClusterSurface, ShardError, make_cluster
+from repro.softstate import Region
 
 
 def run(coroutine):
@@ -89,6 +90,23 @@ class TestSurfaceContract:
 
         owners, survivors = run(scenario())
         assert set(owners) <= set(survivors) and len(set(owners)) == 1
+
+    def test_lookup_map_refuses_a_region_the_overlay_has_not(self, shards):
+        """Refused before a frame or a pipe message is sent, so no
+        handler raises and the error names the region."""
+
+        async def scenario():
+            async with make_cluster(make_config(shards)) as cluster:
+                querier = cluster.node_ids[0]
+                for region in (Region(1, (2, 0)), Region(1, (-1, 0)), Region(1, (0,))):
+                    with pytest.raises(ValueError, match=r"Region\(level=1, cell="):
+                        await cluster.lookup_map(querier, region)
+                served = await cluster.lookup_map(querier, Region(1, (0, 1)))
+                return served, await cluster.counters()
+
+        served, counters = run(scenario())
+        assert served["records"]
+        assert counters["events"].get("runtime_dispatch_error", 0) == 0
 
 
 class TestControlDispatch:

@@ -106,6 +106,18 @@ class TestLookup:
         with pytest.raises(KeyError):
             overlay.store.lookup(424242, Region(1, (0, 0)))
 
+    @pytest.mark.parametrize(
+        "region", [Region(1, (2, 0)), Region(1, (-1, 0)), Region(1, (0,))]
+    )
+    def test_lookup_refuses_a_region_the_overlay_has_not(self, overlay, region):
+        """The region is checked where it becomes a map position, and the
+        error names it rather than the position it would have made."""
+        stats = overlay.network.stats
+        before = stats.snapshot()
+        with pytest.raises(ValueError, match=r"Region\(level=1, cell="):
+            overlay.store.lookup(overlay.node_ids[0], region)
+        assert stats.delta(before) == {}
+
     def test_widening_finds_records_despite_tight_condense(self, small_overlay):
         """With a strongly condensed map, a lookup landing on an empty
         shard must widen and still return candidates."""
