@@ -40,11 +40,9 @@ def run(load_weight: float, messages: int = 1024) -> dict:
             src = int(rng.choice(ids))
             result = overlay.ecan.route(src, tuple(key))
             tracker.record_route(result)
-            src_host = overlay.ecan.can.nodes[src].host
-            dst_host = overlay.ecan.can.nodes[result.owner].host
-            direct = network.latency(src_host, dst_host)
-            if direct > 1e-9:
-                stretches.append(result.latency(overlay.ecan.can, network) / direct)
+            stretch = result.stretch(overlay.ecan.can.nodes, network)
+            if stretch is not None:
+                stretches.append(stretch)
         return stretches
 
     # §6 control loop: route, publish load, re-select -- repeatedly, the

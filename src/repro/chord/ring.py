@@ -20,8 +20,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from repro.overlay.ring import IdRing, SlotPolicy, distance_cw, in_interval
-from repro.overlay.routing import RouteResult
+from repro.overlay.ring import IdRing, distance_cw, in_interval
+from repro.overlay.routing import NeighborPolicy, RouteResult
 
 
 @dataclass
@@ -34,14 +34,14 @@ class ChordNode:
     fingers: dict = field(default_factory=dict)
 
 
-class SuccessorFingerPolicy(SlotPolicy):
+class SuccessorFingerPolicy(NeighborPolicy):
     """Vanilla Chord: the first node at or after ``n + 2^i``."""
 
     name = "successor"
 
-    def select(self, ring, node_id, index, candidates):
-        start = (node_id + (1 << index)) % ring.space
-        return min(candidates, key=lambda c: distance_cw(start, c, ring.space))
+    def select(self, overlay, node_id, slot, candidates):
+        start = (node_id + (1 << slot)) % overlay.space
+        return min(candidates, key=lambda c: distance_cw(start, c, overlay.space))
 
 
 class ChordRing(IdRing):
@@ -50,7 +50,7 @@ class ChordRing(IdRing):
     Node = ChordNode
 
     def __init__(self, bits: int = 24, network=None, rng=None, stats=None,
-                 policy: SlotPolicy = None):
+                 policy: NeighborPolicy = None):
         if bits < 3:
             raise ValueError("bits must be >= 3")
         super().__init__(

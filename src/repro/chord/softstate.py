@@ -2,11 +2,11 @@
 
 The region geometry Chord puts on the shared ring engine
 (:mod:`repro.softstate.ring`: registry, maps, ``map_key`` placement,
-publish / withdraw / lookup, the landmark+RTT slot policy).  A prefix
-region is an aligned ID interval; a node publishes its record into the
-map of every aligned interval that contains its ring id -- at most
-``log N`` useful levels -- and a finger selection queries the
-region(s) overlapping the finger's interval.
+publish / withdraw / lookup, ``slot_records``).  A prefix region is
+an aligned ID interval; a node publishes its record into the map of
+every aligned interval that contains its ring id -- at most ``log N``
+useful levels -- and a finger selection queries the region(s)
+overlapping the finger's interval.
 """
 
 from __future__ import annotations

@@ -25,10 +25,11 @@ import numpy as np
 
 from repro.core.config import OverlayParams
 from repro.core.reliability import RetryPolicy, measure_vector_reliably
-from repro.overlay.ecan import (
+from repro.overlay.ecan import EcanOverlay
+from repro.overlay.routing import (
     ClosestNeighborPolicy,
-    EcanOverlay,
     RandomNeighborPolicy,
+    sample_stretch,
 )
 from repro.softstate.maintenance import MaintenanceDriver, MaintenancePolicy
 from repro.softstate.maps import Region
@@ -210,10 +211,12 @@ class TopologyAwareOverlay:
         once against the final tessellation and builds its expressway
         table.  Membership, hosts and zones are identical to
         :meth:`build` for the same seed (the host and join-point
-        streams are consumed in the same order); expressway tables may
-        differ because neighbor selection sees the final maps instead
-        of each intermediate one.  Intended for large soak and runtime
-        boots.
+        streams are consumed in the same order).  The expressway
+        tables are the ones :meth:`build` followed by one
+        ``build_table`` round over every member gives (for the
+        soft-state and oracle policies): selection sees the final
+        maps, where :meth:`build` leaves each table as it was chosen
+        at join time.  Intended for large soak and runtime boots.
         """
         if num_nodes is None:
             num_nodes = self.params.num_nodes
@@ -299,20 +302,15 @@ class TopologyAwareOverlay:
     def route_between(self, src_id: int, dst_id: int, category: str = "lookup_route"):
         """Route src -> dst; returns (RouteResult, stretch or None).
 
-        Stretch is accumulated path latency over the direct
-        shortest-path latency; ``None`` when the pair is degenerate
-        (zero direct latency) or routing failed.
+        Stretch is :meth:`~repro.overlay.routing.RouteResult.stretch`:
+        accumulated path latency over the direct shortest-path latency,
+        ``None`` when the pair is degenerate (zero direct latency) or
+        routing failed.
         """
-        dst = self.ecan.can.nodes[dst_id]
-        result = self.ecan.route(src_id, dst.zone.center(), category=category)
-        if not result.success:
-            return result, None
-        src_host = self.ecan.can.nodes[src_id].host
-        direct = self.network.latency(src_host, dst.host)
-        if direct <= 1e-9:
-            return result, None
-        path_latency = result.latency(self.ecan.can, self.network)
-        return result, path_latency / direct
+        nodes = self.ecan.can.nodes
+        point = nodes[dst_id].zone.center()
+        result = self.ecan.route(src_id, point, category=category)
+        return result, result.stretch(nodes, self.network)
 
     def prewarm_latencies(self, hosts=None) -> int:
         """Bulk-populate the oracle's row cache for member hosts (free).
@@ -333,20 +331,14 @@ class TopologyAwareOverlay:
         """Stretch over random member pairs (paper default: 2N routes)."""
         if samples is None:
             samples = 2 * len(self)
-        if rng is None:
-            rng = self.rng
-        ids = np.array(self.node_ids)
-        stretches = []
-        attempts = 0
         self.prewarm_latencies()
         with self.network.telemetry.phase("routing"):
-            while len(stretches) < samples and attempts < 4 * samples:
-                attempts += 1
-                src, dst = rng.choice(ids, size=2, replace=False)
-                _, stretch = self.route_between(int(src), int(dst))
-                if stretch is not None:
-                    stretches.append(stretch)
-        return np.asarray(stretches)
+            return sample_stretch(
+                self.node_ids,
+                samples,
+                self.rng if rng is None else rng,
+                lambda src, dst: self.route_between(src, dst)[1],
+            )
 
     # -- soft-state refresh ----------------------------------------------------------
 

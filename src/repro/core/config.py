@@ -9,7 +9,7 @@ nodes, 15 landmarks (swept 5-30), 10 RTT probes (swept 1-40), and a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.netsim import Network, TransitStubConfig, generate_transit_stub
 from repro.netsim.latency import latency_model_from_name
@@ -26,9 +26,6 @@ class NetworkParams:
     latency: str = "manual"  # "generated" | "manual" | "noisy-*"
     topo_scale: float = 1.0
     seed: int = 0
-
-    def scaled(self, topo_scale: float) -> "NetworkParams":
-        return replace(self, topo_scale=topo_scale)
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,9 @@ def _route_workload(overlay, tracker, keys, rng) -> list:
         if not result.success:
             continue
         tracker.record_route(result)
-        src_host = overlay.ecan.can.nodes[src].host
-        dst_host = overlay.ecan.can.nodes[result.owner].host
-        direct = overlay.network.latency(src_host, dst_host)
-        if direct > 1e-9:
-            stretches.append(
-                result.latency(overlay.ecan.can, overlay.network) / direct
-            )
+        stretch = result.stretch(overlay.ecan.can.nodes, overlay.network)
+        if stretch is not None:
+            stretches.append(stretch)
     return stretches
 
 

@@ -14,36 +14,29 @@
 * :mod:`repro.overlay.ring` -- the id-ring substrate the Chord and
   Pastry ports are geometries over: consistent membership, policy-
   filled slot tables with lazy repair, routing-stretch measurement.
-* :mod:`repro.overlay.routing` -- route results and path metrics.
+* :mod:`repro.overlay.routing` -- route results, stretch, and the one
+  neighbor-policy interface every overlay fills its slots through.
 """
 
 from repro.overlay.can import CanNode, CanOverlay
-from repro.overlay.ecan import (
+from repro.overlay.ecan import EcanOverlay
+from repro.overlay.ring import IdRing
+from repro.overlay.routing import (
     ClosestNeighborPolicy,
-    EcanOverlay,
     NeighborPolicy,
     RandomNeighborPolicy,
+    RouteResult,
 )
-from repro.overlay.ring import (
-    ClosestSlotPolicy,
-    IdRing,
-    RandomSlotPolicy,
-    SlotPolicy,
-)
-from repro.overlay.routing import RouteResult
 from repro.overlay.zone import Zone
 
 __all__ = [
     "CanNode",
     "CanOverlay",
     "ClosestNeighborPolicy",
-    "ClosestSlotPolicy",
     "EcanOverlay",
     "IdRing",
     "NeighborPolicy",
     "RandomNeighborPolicy",
-    "RandomSlotPolicy",
     "RouteResult",
-    "SlotPolicy",
     "Zone",
 ]

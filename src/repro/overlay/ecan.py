@@ -14,16 +14,8 @@ CAN hops inside the finest shared cell -- O(log N) hops overall.
 
 The choice of representative is exactly the freedom that
 proximity-neighbor selection exploits; it is abstracted behind
-:class:`NeighborPolicy`:
-
-* :class:`RandomNeighborPolicy` -- the paper's baseline ("each node
-  simply randomly picks one node from the neighboring zone").
-* :class:`ClosestNeighborPolicy` -- the oracle *optimal*: the
-  physically closest member, as if infinitely many RTT measurements
-  were allowed.
-* :class:`repro.softstate.neighbor_selection.SoftStateNeighborPolicy`
-  -- the paper's contribution: consult the global soft-state map of
-  the sibling zone, then probe RTTs to the top candidates.
+:class:`~repro.overlay.routing.NeighborPolicy`, whose slot here is the
+``(level, cell)`` pair of a sibling zone.
 
 Table entries are validated lazily at use; a dead or stale entry is
 repaired through the policy and charged as a ``table_repair``
@@ -37,7 +29,7 @@ from bisect import bisect_left, insort
 import numpy as np
 
 from repro.overlay.can import CanOverlay
-from repro.overlay.routing import RouteResult
+from repro.overlay.routing import NeighborPolicy, RandomNeighborPolicy, RouteResult
 from repro.overlay.zone import CODE_BITS, cell_center, point_code, sibling_cells
 
 #: hard cap on indexed quadtree depth; 2^24 cells per side is far beyond
@@ -48,57 +40,6 @@ MAX_LEVEL = 24
 #: (the default of :meth:`EcanOverlay.route`) and on the wire (a live
 #: actor refuses to forward a ROUTE frame whose path is longer)
 MAX_HOPS = 512
-
-
-class NeighborPolicy:
-    """Strategy for choosing a high-order (expressway) neighbor."""
-
-    #: short name used in experiment tables
-    name = "base"
-
-    def select(self, ecan: "EcanOverlay", node_id: int, level: int, cell, candidates):
-        """Pick a representative for ``cell`` from ``candidates``.
-
-        ``candidates`` is a non-empty list of member node ids.  May
-        return ``None`` to decline (the caller falls back to a random
-        member).  Implementations charge their own measurement cost to
-        ``ecan.stats``.
-        """
-        raise NotImplementedError
-
-
-class RandomNeighborPolicy(NeighborPolicy):
-    """Baseline: a uniformly random member of the sibling zone."""
-
-    name = "random"
-
-    def __init__(self, rng=None):
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def select(self, ecan, node_id, level, cell, candidates):
-        return candidates[int(self.rng.integers(0, len(candidates)))]
-
-
-class ClosestNeighborPolicy(NeighborPolicy):
-    """Oracle optimal: the physically closest member (free of charge).
-
-    Models the limit of infinitely many RTT measurements; the paper's
-    "optimal" curves use this policy.
-    """
-
-    name = "optimal"
-
-    def __init__(self, network):
-        self.network = network
-
-    def select(self, ecan, node_id, level, cell, candidates):
-        host = ecan.can.nodes[node_id].host
-        best = None
-        for candidate in candidates:
-            dist = self.network.latency(host, ecan.can.nodes[candidate].host)
-            if best is None or (dist, candidate) < best:
-                best = (dist, candidate)
-        return best[1]
 
 
 class EcanOverlay:
@@ -277,7 +218,7 @@ class EcanOverlay:
         candidates = self.members(level, cell, exclude=node_id)
         if not candidates:
             return None
-        chosen = self.policy.select(self, node_id, level, cell, candidates)
+        chosen = self.policy.select(self, node_id, (level, cell), candidates)
         if chosen is None:
             chosen = candidates[int(self._fallback_rng.integers(0, len(candidates)))]
         self._count("neighbor_select")

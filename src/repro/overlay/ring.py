@@ -11,10 +11,11 @@ are lives here, once:
   the same idealization the CAN substrate makes about its neighbor
   sets.  A join costs one charged lookup for the id position.
 * Tables, by contrast, are per-node state chosen by a
-  :class:`SlotPolicy` and may go stale; :meth:`IdRing.entry` validates
-  an entry lazily and repairs through the policy, charging
-  ``table_repair``, and :meth:`IdRing.invalidate_member` drops a
-  confirmed-dead member eagerly.
+  :class:`~repro.overlay.routing.NeighborPolicy` (the one eCAN uses)
+  and may go stale; :meth:`IdRing.entry` validates an entry lazily and
+  repairs through the policy, charging ``table_repair``, and
+  :meth:`IdRing.invalidate_member` drops a confirmed-dead member
+  eagerly.
 
 A port subclasses :class:`IdRing` and supplies its geometry: the
 ``Node`` state class and ``table_of`` (where a node keeps its slots),
@@ -29,6 +30,8 @@ import bisect
 
 import numpy as np
 
+from repro.overlay.routing import NeighborPolicy, sample_stretch
+
 
 def distance_cw(a: int, b: int, space: int) -> int:
     """Clockwise distance from ``a`` to ``b`` on the ring."""
@@ -40,56 +43,13 @@ def in_interval(x: int, lo: int, hi: int, space: int) -> bool:
     return distance_cw(lo, x, space) < distance_cw(lo, hi, space)
 
 
-class SlotPolicy:
-    """Strategy for choosing a table entry among a slot's candidates.
-
-    ``slot`` is whatever the ring keys its tables by: the finger index
-    on Chord, the ``(row, digit)`` pair on Pastry.
-    """
-
-    name = "base"
-
-    def select(self, ring: "IdRing", node_id: int, slot, candidates):
-        """Pick from non-empty ``candidates``; None defers to the ring,
-        which takes the first member of the slot's interval."""
-        raise NotImplementedError
-
-
-class RandomSlotPolicy(SlotPolicy):
-    """The no-proximity baseline: any member of the slot's interval."""
-
-    name = "random"
-
-    def __init__(self, rng=None):
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def select(self, ring, node_id, slot, candidates):
-        return candidates[int(self.rng.integers(0, len(candidates)))]
-
-
-class ClosestSlotPolicy(SlotPolicy):
-    """Oracle: the physically closest interval member (free probes)."""
-
-    name = "optimal"
-
-    def __init__(self, network):
-        self.network = network
-
-    def select(self, ring, node_id, slot, candidates):
-        host = ring.nodes[node_id].host
-        return min(
-            candidates,
-            key=lambda c: (self.network.latency(host, ring.nodes[c].host), c),
-        )
-
-
 class IdRing:
     """Sorted-id membership, policy-filled tables, lazy repair, stretch."""
 
     #: per-node state class, constructed as ``Node(node_id=, host=)``
     Node = None
 
-    def __init__(self, bits: int, network, rng, stats, policy: SlotPolicy):
+    def __init__(self, bits: int, network, rng, stats, policy: NeighborPolicy):
         self.bits = bits
         self.space = 1 << bits
         self.network = network
@@ -236,20 +196,9 @@ class IdRing:
         """Routing stretch over random member pairs (needs a network)."""
         if self.network is None:
             raise RuntimeError("ring has no attached network")
-        if rng is None:
-            rng = self.rng
-        ids = np.array(self._ids)
-        stretches = []
-        attempts = 0
-        while len(stretches) < samples and attempts < 4 * samples:
-            attempts += 1
-            src, dst = rng.choice(ids, size=2, replace=False)
-            result = self.route(int(src), int(dst))
-            if not result.success or result.owner != int(dst):
-                continue
-            direct = self.network.latency(self.nodes[int(src)].host,
-                                          self.nodes[int(dst)].host)
-            if direct <= 1e-9:
-                continue
-            stretches.append(result.latency(self, self.network) / direct)
-        return np.asarray(stretches)
+        return sample_stretch(
+            self._ids,
+            samples,
+            self.rng if rng is None else rng,
+            lambda src, dst: self.route(src, dst).stretch(self.nodes, self.network),
+        )

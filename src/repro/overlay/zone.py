@@ -59,9 +59,6 @@ class Zone:
         """Finest quadtree level at which this zone fits a single cell."""
         return self.depth // self.dims
 
-    def extent(self, dim: int) -> float:
-        return self.hi[dim] - self.lo[dim]
-
     def volume(self) -> float:
         vol = 1.0
         for lo, hi in zip(self.lo, self.hi):

@@ -14,7 +14,7 @@ id space).  Per node:
   whose id shares the first ``row`` digits with the node and has
   ``digit`` at position ``row``.  *Any* such member qualifies: this
   is the freedom proximity-neighbor selection exploits, abstracted as
-  :class:`~repro.overlay.ring.SlotPolicy`.
+  :class:`~repro.overlay.routing.NeighborPolicy`.
 
 Routing (Rowstron & Druschel, Middleware 2001): if the key falls in
 the leaf-set range, jump to the numerically closest leaf; otherwise
@@ -28,8 +28,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from repro.overlay.ring import IdRing, RandomSlotPolicy, SlotPolicy
-from repro.overlay.routing import RouteResult
+from repro.overlay.ring import IdRing
+from repro.overlay.routing import NeighborPolicy, RandomNeighborPolicy, RouteResult
 
 
 def ring_distance(a: int, b: int, space: int) -> int:
@@ -48,12 +48,12 @@ class PastryNode:
     table: dict = field(default_factory=dict)
 
 
-class FirstSlotPolicy(SlotPolicy):
+class FirstSlotPolicy(NeighborPolicy):
     """Deterministic baseline: the numerically smallest candidate."""
 
     name = "first"
 
-    def select(self, ring, node_id, slot, candidates):
+    def select(self, overlay, node_id, slot, candidates):
         return min(candidates)
 
 
@@ -63,7 +63,7 @@ class PastryRing(IdRing):
     Node = PastryNode
 
     def __init__(self, digits: int = 16, digit_bits: int = 2, leaf_span: int = 4,
-                 network=None, rng=None, stats=None, policy: SlotPolicy = None):
+                 network=None, rng=None, stats=None, policy: NeighborPolicy = None):
         if digits < 2 or digit_bits < 1:
             raise ValueError("need digits >= 2 and digit_bits >= 1")
         super().__init__(digits * digit_bits, network, rng, stats, policy)
@@ -72,7 +72,7 @@ class PastryRing(IdRing):
         self.base = 1 << digit_bits
         self.leaf_span = leaf_span
         if policy is None:  # the default draws from the ring's own stream
-            self.policy = RandomSlotPolicy(self.rng)
+            self.policy = RandomNeighborPolicy(self.rng)
 
     # -- id arithmetic -------------------------------------------------------
 

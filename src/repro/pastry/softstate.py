@@ -9,10 +9,10 @@ record is stored, for every prefix region containing its id, at the
 region's base id plus the scaled landmark number (condensed to a
 prefix of the region).
 
-The slot policy then mirrors eCAN's: to fill slot ``(row, digit)``, a
-node looks up the map of the corresponding prefix region under its
-own landmark number, receives the candidates closest in landmark
-space, and RTT-probes the top few.
+Slot selection is eCAN's own soft-state policy: to fill slot
+``(row, digit)``, a node looks up the map of the corresponding prefix
+region under its own landmark number, receives the candidates closest
+in landmark space, and RTT-probes the top few.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def build_soft_state_pastry(
     seed: int = 0,
     converge: bool = True,
 ):
-    """Assemble a Pastry overlay with the chosen slot policy.
+    """Assemble a Pastry overlay with the chosen neighbor policy.
 
     ``policy_name`` is ``first``, ``random``, ``softstate`` or
     ``optimal``; see :func:`~repro.softstate.ring.build_soft_state_overlay`.

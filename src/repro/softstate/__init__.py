@@ -18,10 +18,11 @@ close nodes sit logically close:
 * :mod:`repro.softstate.maintenance` -- the three §5.2 staleness
   policies: reactive purge, periodic polling, proactive deregistration.
 * :mod:`repro.softstate.neighbor_selection` -- proximity-neighbor
-  selection through the maps: landmark pre-selection + RTT probes.
-* :mod:`repro.softstate.ring` -- the same technique on an id ring
-  (regions are aligned id intervals, the landmark number is the key):
-  the engine the Chord and Pastry ports supply their geometry to.
+  selection through the maps: landmark pre-selection + RTT probes,
+  one policy for eCAN, Chord and Pastry.
+* :mod:`repro.softstate.ring` -- the maps on an id ring (regions are
+  aligned id intervals, the landmark number is the key): the engine
+  the Chord and Pastry ports supply their geometry to.
 """
 
 from repro.softstate.maintenance import MaintenanceDriver, MaintenancePolicy
@@ -29,11 +30,7 @@ from repro.softstate.maps import Region, map_position, regions_of_zone
 from repro.softstate.neighbor_selection import SoftStateNeighborPolicy
 from repro.softstate.pubsub import Condition, PubSubService, Subscription
 from repro.softstate.records import NodeRecord
-from repro.softstate.ring import (
-    RingSoftState,
-    SoftStateSlotPolicy,
-    build_soft_state_overlay,
-)
+from repro.softstate.ring import RingSoftState, build_soft_state_overlay
 from repro.softstate.store import SoftStateStore
 
 __all__ = [
@@ -45,7 +42,6 @@ __all__ = [
     "Region",
     "RingSoftState",
     "SoftStateNeighborPolicy",
-    "SoftStateSlotPolicy",
     "SoftStateStore",
     "Subscription",
     "build_soft_state_overlay",

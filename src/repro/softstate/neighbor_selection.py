@@ -1,11 +1,12 @@
 """Proximity-neighbor selection through the global soft-state.
 
-This policy is the paper's payoff: when an eCAN node needs a
-high-order neighbor for a sibling zone, it
+This policy is the paper's payoff, and it serves every overlay: when a
+node needs an entry for one of its table slots (an eCAN sibling zone,
+a Chord finger, a Pastry ``(row, digit)``), it
 
-1. looks the sibling zone's map up under its own landmark number
-   (charged overlay routing),
-2. receives the ``X`` records closest to it in landmark space,
+1. looks the slot's map up under its own landmark number (charged
+   overlay routing) -- its store's ``slot_records``,
+2. receives the records closest to it in landmark space,
 3. RTT-probes up to ``rtt_budget`` of them (charged probes), and
 4. picks the one with the smallest measured RTT.
 
@@ -15,9 +16,9 @@ forwarding headroom.
 
 Re-entrancy: a lookup routes through the overlay, routing may repair
 a table entry, and repairing runs this policy again.  The recursion
-is cut by falling back to a random candidate while a selection is
-already in progress (the bootstrap pick; it gets refined the next
-time the entry is rebuilt).
+is cut by declining while a selection is already in progress (the
+overlay's bootstrap pick; it gets refined the next time the entry is
+rebuilt).
 """
 
 from __future__ import annotations
@@ -25,25 +26,31 @@ from __future__ import annotations
 import numpy as np
 
 from repro.netsim.faults import ProbeTimeout
-from repro.overlay.ecan import NeighborPolicy
-from repro.softstate.maps import Region
-from repro.softstate.store import SoftStateStore
+from repro.overlay.routing import NeighborPolicy
 
 
 class SoftStateNeighborPolicy(NeighborPolicy):
-    """Landmark-guided, RTT-confirmed high-order neighbor choice."""
+    """Landmark-guided, RTT-confirmed choice of a slot's entry.
+
+    ``store`` is the overlay's soft-state -- a
+    :class:`~repro.softstate.store.SoftStateStore` on eCAN, a
+    :class:`~repro.softstate.ring.RingSoftState` on a ring -- and
+    answers ``slot_records(node_id, slot, limit)``.
+    """
 
     name = "softstate"
 
     def __init__(
         self,
-        store: SoftStateStore,
+        store,
         network,
         rtt_budget: int = 10,
         load_weight: float = 0.0,
         maintenance=None,
         retry_policy=None,
     ):
+        if rtt_budget < 1:
+            raise ValueError("rtt_budget must be >= 1")
         self.store = store
         self.network = network
         self.rtt_budget = rtt_budget
@@ -55,30 +62,19 @@ class SoftStateNeighborPolicy(NeighborPolicy):
         self.retry_policy = retry_policy
         self._selecting = False
 
-    def select(self, ecan, node_id, level, cell, candidates):
-        if self._selecting:
+    def select(self, overlay, node_id, slot, candidates):
+        if self._selecting or node_id not in self.store.registry:
             return None  # bootstrap fallback; see module docstring
-        own = self.store.registry.get(node_id)
-        if own is None:
-            return None
         self._selecting = True
         try:
-            # no explicit query_vector: the default path uses the same
-            # registered vector plus the identity's cached landmark
-            # number, skipping a re-encode per selection
-            result = self.store.lookup(
-                node_id,
-                Region(level, cell),
-                max_results=max(self.rtt_budget, 1),
-            )
+            records = self.store.slot_records(node_id, slot, self.rtt_budget)
         finally:
             self._selecting = False
 
+        nodes = overlay.nodes
         alive = []
-        for record in result.records:
-            if record.node_id == node_id:
-                continue
-            if record.node_id in ecan.can.nodes:
+        for record in records:
+            if record.node_id in nodes:
                 alive.append(record)
             else:
                 # a stale record costs a timed-out probe before the node
@@ -89,19 +85,18 @@ class SoftStateNeighborPolicy(NeighborPolicy):
         if not alive:
             return None
 
-        host = ecan.can.nodes[node_id].host
-        probed = alive[: self.rtt_budget]
+        host = nodes[node_id].host
         network = self.network
         if network.faults is None and self.retry_policy is None:
             # nothing can be lost or retried per probe: one batch
             # charges the same count and reads the same float64 RTTs
             rtts = network.rtt_list(
-                host, [record.host for record in probed], category="neighbor_probe"
+                host, [record.host for record in alive], category="neighbor_probe"
             )
         else:
-            rtts = [self._probe(host, record.host) for record in probed]
+            rtts = [self._probe(host, record.host) for record in alive]
         best = None
-        for record, rtt in zip(probed, rtts):
+        for record, rtt in zip(alive, rtts):
             if rtt is None:
                 continue
             score = rtt

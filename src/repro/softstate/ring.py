@@ -9,8 +9,11 @@ co-locate on the same owner, exactly as on eCAN.
 
 A node publishes its record into the map of every region that contains
 its id, and a slot selection queries the region(s) covering the slot's
-interval, ranks the returned records by landmark-vector distance, and
-confirms the top few with RTT probes.
+interval (:meth:`RingSoftState.slot_records`), ranks the returned
+records by landmark-vector distance, and confirms the top few with RTT
+probes -- the same
+:class:`~repro.softstate.neighbor_selection.SoftStateNeighborPolicy`
+eCAN uses.
 
 A port subclasses :class:`RingSoftState` and supplies its region
 geometry: ``regions_of`` (the regions a node publishes into),
@@ -23,14 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.overlay.ring import (
-    ClosestSlotPolicy,
-    IdRing,
-    RandomSlotPolicy,
-    SlotPolicy,
-    in_interval,
+from repro.overlay.ring import IdRing, in_interval
+from repro.overlay.routing import (
+    ClosestNeighborPolicy,
+    NeighborPolicy,
+    RandomNeighborPolicy,
 )
 from repro.proximity.landmarks import LandmarkSpace, select_landmarks
+from repro.softstate.neighbor_selection import SoftStateNeighborPolicy
 from repro.softstate.records import NodeRecord
 
 
@@ -146,53 +149,22 @@ class RingSoftState:
                            kind="stable")
         return [records[i] for i in order[:max_results]]
 
-
-class SoftStateSlotPolicy(SlotPolicy):
-    """The paper's technique on a ring: map lookup + RTT confirmation."""
-
-    name = "softstate"
-
-    def __init__(self, softstate: RingSoftState, network, rtt_budget: int = 10):
-        self.softstate = softstate
-        self.network = network
-        self.rtt_budget = rtt_budget
-        # the lookup routes, and routing may repair a slot through this
-        # same policy: nested selections defer to the ring's default
-        self._selecting = False
-
-    def select(self, ring, node_id, slot, candidates):
-        if self._selecting or node_id not in self.softstate.registry:
-            return None
-        self._selecting = True
-        try:
-            records = []
-            for region in self.softstate.slot_regions(node_id, slot):
-                records.extend(self.softstate.lookup(node_id, region))
-        finally:
-            self._selecting = False
-        lo, hi = ring.slot_interval(node_id, slot)
-        usable = [
-            r for r in records
-            if r.node_id != node_id
-            and r.node_id in ring.nodes
-            and in_interval(r.node_id, lo, hi, ring.space)
-        ]
-        if not usable:
-            return None
-        host = ring.nodes[node_id].host
-        best = None
-        for record in usable[: self.rtt_budget]:
-            rtt = self.network.rtt(host, record.host, category="neighbor_probe")
-            if best is None or (rtt, record.node_id) < best:
-                best = (rtt, record.node_id)
-        return best[1]
+    def slot_records(self, node_id: int, slot, limit: int) -> list:
+        """The first ``limit`` records of ``slot``'s regions (each
+        landmark-closest first) whose ids lie in the slot's interval."""
+        records = []
+        for region in self.slot_regions(node_id, slot):
+            records.extend(self.lookup(node_id, region))
+        lo, hi = self.ring.slot_interval(node_id, slot)
+        space = self.ring.space
+        return [r for r in records if in_interval(r.node_id, lo, hi, space)][:limit]
 
 
-def build_soft_state_overlay(ring_cls, softstate_cls, vanilla: SlotPolicy,
+def build_soft_state_overlay(ring_cls, softstate_cls, vanilla: NeighborPolicy,
                              network, num_nodes: int, landmarks: int,
                              policy_name: str, rtt_budget: int, seed: int,
                              converge: bool, **geometry):
-    """Assemble a ring overlay with the chosen slot policy, fully built.
+    """Assemble a ring overlay with the chosen neighbor policy, fully built.
 
     ``policy_name`` is ``random``, ``optimal``, ``softstate`` or the
     name of ``vanilla``, the port's own proximity-blind rule;
@@ -212,13 +184,13 @@ def build_soft_state_overlay(ring_cls, softstate_cls, vanilla: SlotPolicy,
         policy.name: policy
         for policy in (
             vanilla,
-            RandomSlotPolicy(policy_rng),
-            ClosestSlotPolicy(network),
-            SoftStateSlotPolicy(softstate, network, rtt_budget),
+            RandomNeighborPolicy(policy_rng),
+            ClosestNeighborPolicy(network),
+            SoftStateNeighborPolicy(softstate, network, rtt_budget),
         )
     }
     if policy_name not in policies:
-        raise ValueError(f"unknown slot policy {policy_name!r}")
+        raise ValueError(f"unknown neighbor policy {policy_name!r}")
     ring.policy = policies[policy_name]
     publishing = policy_name == "softstate"
 

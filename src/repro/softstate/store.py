@@ -716,6 +716,13 @@ class SoftStateStore:
             collected = [collected[i] for i in order[:max_results]]
         return LookupResult(records=collected, served_by=served_by, widened=widened)
 
+    def slot_records(self, node_id: int, slot, limit: int) -> list:
+        """The ``limit`` records of expressway slot ``(level, cell)``
+        closest to ``node_id`` in landmark space (never its own): one
+        charged :meth:`lookup` of the sibling zone's map."""
+        level, cell = slot
+        return self.lookup(node_id, Region(level, cell), max_results=limit).records
+
     # -- diagnostics -------------------------------------------------------------
 
     def entries_per_node(self) -> dict:

@@ -48,7 +48,3 @@ class TestMakeNetwork:
             NetworkParams(topology="tsk-small", latency="generated", topo_scale=0.25)
         )
         assert network.latency_model.name == "generated"
-
-    def test_scaled(self):
-        params = NetworkParams().scaled(0.3)
-        assert params.topo_scale == 0.3

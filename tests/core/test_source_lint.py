@@ -79,25 +79,54 @@ NO_CALLER_NEEDED = {
 }
 
 
-def definitions() -> dict:
-    """Name -> ``path:line`` of every function, method and class defined
-    in ``src/repro``.  Dunder methods are the interpreter's to call."""
-    found = {}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions() -> list:
+    """``(name, path:line, is_method)`` of every function, method and
+    class defined in ``src/repro``.  Dunder methods are the
+    interpreter's to call."""
+    found = []
     for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) and not (node.name.startswith("__") and node.name.endswith("__")):
-                found.setdefault(node.name, f"{path.relative_to(ROOT)}:{node.lineno}")
+        tree = ast.parse(path.read_text())
+        methods = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, DEFINITIONS) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                where = f"{path.relative_to(ROOT)}:{node.lineno}"
+                found.append((node.name, where, id(node) in methods))
     return found
 
 
-def references() -> set:
-    """Every name read outside ``tests/``: a loaded name, an attribute
-    read, or an identifier-shaped string (a ``getattr`` table, a patch
-    target).  A package ``__init__``'s imports and ``__all__`` only
-    re-export, so they are not reads."""
-    names = set()
+def class_scope(cls: ast.ClassDef):
+    """The nodes a class body evaluates itself: its statements other
+    than definitions (``build_table = build_fingers``) and the
+    decorators of its methods (``@dims.setter``)."""
+    for statement in cls.body:
+        if isinstance(statement, DEFINITIONS):
+            for decorator in statement.decorator_list:
+                yield from ast.walk(decorator)
+        else:
+            yield from ast.walk(statement)
+
+
+def references() -> tuple:
+    """``(attributes, names)`` read outside ``tests/``.
+
+    ``attributes`` are what can call a method: an attribute read, an
+    identifier-shaped string (a ``getattr`` table, a patch target) or a
+    name a class body reads (an alias of a sibling method).  ``names``
+    are all bare names loaded, which call a function or a class -- but
+    not a method: a local variable spelled like an orphaned method
+    would hide it.  A package ``__init__``'s imports and ``__all__``
+    only re-export, so they are not reads."""
+    attributes, names = set(), set()
     for top in CALLER_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
@@ -115,22 +144,40 @@ def references() -> set:
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    names.add(node.attr)
+                    attributes.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     if node.value.isidentifier():
-                        names.add(node.value)
-    return names
+                        attributes.add(node.value)
+                elif isinstance(node, ast.ClassDef):
+                    attributes.update(
+                        n.id
+                        for n in class_scope(node)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                    )
+    return attributes, names
+
+
+def uncalled() -> dict:
+    """Name -> ``path:line`` of every definition nothing outside
+    ``tests/`` calls: a method no attribute read, string or class body
+    names, a function or class nothing names at all."""
+    attributes, names = references()
+    found = {}
+    for name, where, is_method in definitions():
+        if name not in attributes and (is_method or name not in names):
+            found.setdefault(name, where)
+    return found
 
 
 def test_every_definition_has_a_caller_outside_tests():
     """A function, method or class in ``src/repro`` stays only while
-    something outside ``tests/`` reads its name, or while
-    :data:`NO_CALLER_NEEDED` says why it may stay without one."""
-    read = references()
+    something outside ``tests/`` reads its name -- a method only as an
+    attribute -- or while :data:`NO_CALLER_NEEDED` says why it may stay
+    without one."""
     orphans = [
         f"{where} {name}"
-        for name, where in definitions().items()
-        if name not in read and name not in NO_CALLER_NEEDED
+        for name, where in uncalled().items()
+        if name not in NO_CALLER_NEEDED
     ]
     assert sorted(orphans) == []
 
@@ -142,7 +189,7 @@ def test_every_exemption_is_current_and_of_its_kind():
     import asyncio
     import re
 
-    defined, read = definitions(), references()
+    orphans = uncalled()
     tests = "\n".join(p.read_text() for p in (ROOT / "tests").rglob("*.py"))
     paper_map = (ROOT / "docs" / "paper_to_code.md").read_text()
     holds = {
@@ -153,6 +200,6 @@ def test_every_exemption_is_current_and_of_its_kind():
     wrong = [
         name
         for name, (kind, _reason) in NO_CALLER_NEEDED.items()
-        if name not in defined or name in read or not holds[kind](name)
+        if name not in orphans or not holds[kind](name)
     ]
     assert wrong == []

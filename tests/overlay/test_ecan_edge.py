@@ -63,12 +63,12 @@ class TestTablesEdge:
     def test_fallback_rng_does_not_disturb_join_points(self):
         """Two overlays differing only in policy-fallback usage grow the
         same zone structure (the rng-isolation guarantee)."""
-        from repro.overlay.ecan import NeighborPolicy
+        from repro.overlay import NeighborPolicy
 
         class DecliningPolicy(NeighborPolicy):
             name = "declines"
 
-            def select(self, ecan, node_id, level, cell, candidates):
+            def select(self, overlay, node_id, slot, candidates):
                 return None  # force the fallback path every time
 
         a = EcanOverlay(dims=2, rng=np.random.default_rng(7))

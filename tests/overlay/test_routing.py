@@ -22,13 +22,13 @@ class TestRouteResult:
 
     def test_host_path(self, can_with_hosts):
         result = RouteResult(path=[0, 1, 2])
-        hosts = result.host_path(can_with_hosts)
+        hosts = result.host_path(can_with_hosts.nodes)
         assert hosts == [can_with_hosts.nodes[i].host for i in (0, 1, 2)]
 
     def test_latency_accumulates(self, can_with_hosts, tiny_network):
         result = RouteResult(path=[0, 1, 2])
-        expected = tiny_network.path_latency(result.host_path(can_with_hosts))
-        assert result.latency(can_with_hosts, tiny_network) == pytest.approx(expected)
+        expected = tiny_network.path_latency(result.host_path(can_with_hosts.nodes))
+        assert result.latency(can_with_hosts.nodes, tiny_network) == pytest.approx(expected)
 
     def test_real_route_latency_at_least_direct(self, can_with_hosts, tiny_network, rng):
         """Overlay path latency can never beat the shortest path."""
@@ -39,7 +39,7 @@ class TestRouteResult:
             assert result.success
             src = can_with_hosts.nodes[start].host
             dst = can_with_hosts.nodes[result.owner].host
-            path_latency = result.latency(can_with_hosts, tiny_network)
+            path_latency = result.latency(can_with_hosts.nodes, tiny_network)
             assert path_latency >= tiny_network.latency(src, dst) - 1e-9
 
     def test_default_flags(self):

@@ -85,6 +85,12 @@ class TestPolicies:
         with pytest.raises(ValueError):
             build_soft_state_pastry(tiny_network, 8, policy_name="tarot")
 
+    def test_zero_rtt_budget_is_refused_like_ecan(self, tiny_network):
+        """Refused up front, as ``OverlayParams`` refuses it on eCAN,
+        instead of failing inside the first join."""
+        with pytest.raises(ValueError, match="rtt_budget must be >= 1"):
+            build_soft_state_pastry(tiny_network, 48, rtt_budget=0)
+
     def test_softstate_slots_respect_prefix(self, ring_pair):
         ring, _ = ring_pair
         for node_id in ring.members()[:10]:

@@ -25,14 +25,14 @@ class TestSelection:
 
         for sibling in sibling_cells(cell):
             candidates = overlay.ecan.members(level, sibling, exclude=node_id)
-            chosen = policy.select(overlay.ecan, node_id, level, sibling, candidates)
+            chosen = policy.select(overlay.ecan, node_id, (level, sibling), candidates)
             if chosen is not None:
                 assert chosen in overlay.ecan.can.nodes
                 assert chosen != node_id
 
     def test_select_none_without_identity(self, overlay):
         policy = overlay.ecan.policy
-        chosen = policy.select(overlay.ecan, 10 ** 9, 1, (0, 0), overlay.node_ids[:3])
+        chosen = policy.select(overlay.ecan, 10 ** 9, (1, (0, 0)), overlay.node_ids[:3])
         assert chosen is None
 
     def test_selection_quality_close_to_oracle(self, overlay):
