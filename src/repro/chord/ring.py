@@ -104,13 +104,12 @@ class ChordRing(IdRing):
 
     # -- routing --------------------------------------------------------------------------
 
-    def route(self, start_id: int, key: int, category: str = "chord_route",
-              max_hops: int = None):
-        """Greedy clockwise routing; returns (path ids, owner id)."""
+    def route(self, start_id: int, key: int, category: str = "chord_route"):
+        """Greedy clockwise routing, given up past ``4 * bits`` hops;
+        returns (path ids, owner id)."""
         if start_id not in self.nodes:
             raise KeyError(f"start node {start_id} not on the ring")
-        if max_hops is None:
-            max_hops = 4 * self.bits
+        max_hops = 4 * self.bits
         key %= self.space
         path = [start_id]
         current = start_id

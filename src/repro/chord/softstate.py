@@ -82,7 +82,6 @@ def build_soft_state_ring(
     rtt_budget: int = 10,
     bits: int = 20,
     seed: int = 0,
-    converge: bool = True,
 ):
     """Assemble a Chord ring with the chosen finger policy, fully built.
 
@@ -91,5 +90,5 @@ def build_soft_state_ring(
     """
     return build_soft_state_overlay(
         ChordRing, ChordSoftState, SuccessorFingerPolicy(), network, num_nodes,
-        landmarks, policy_name, rtt_budget, seed, converge, bits=bits,
+        landmarks, policy_name, rtt_budget, seed, bits=bits,
     )

@@ -151,7 +151,7 @@ def _cluster_config(args):
         latency_scale=args.latency_scale,
         request_timeout=args.request_timeout,
         retry=retry,
-        mailbox_cap=args.mailbox_cap if args.mailbox_cap > 0 else None,
+        mailbox_cap=args.mailbox_cap,
         shed_policy=args.shed_policy,
         breaker_threshold=args.breaker_threshold,
     )
@@ -163,9 +163,12 @@ def cmd_cluster(args) -> int:
 
     from repro.runtime import make_cluster
 
+    try:
+        config = _cluster_config(args)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     if args.uvloop:
         _install_uvloop()
-    config = _cluster_config(args)
 
     async def drive():
         cluster = make_cluster(config)
@@ -261,9 +264,12 @@ def cmd_controller(args) -> int:
     from repro.mgmt import Controller
     from repro.runtime import NotSupportedError, make_cluster
 
+    try:
+        cluster_config, controller_config = _controller_configs(args)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     if args.uvloop:
         _install_uvloop()
-    cluster_config, controller_config = _controller_configs(args)
 
     async def serve():
         cluster = make_cluster(cluster_config)
@@ -445,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         metavar="N",
-        help="data-lane depth cap per actor; frames past it are shed "
-        "with a BUSY reply (0 = unbounded; default 1024)",
+        help="data-lane depth cap per actor, at least 1; frames past it "
+        "are shed with a BUSY reply (default 1024)",
     )
     cluster.add_argument(
         "--shed-policy",
@@ -461,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="K",
-        help="consecutive BUSY/timeout failures that open a per-peer "
-        "circuit breaker (0 disables breakers; default 8)",
+        help="consecutive BUSY/timeout failures, at least 1, that open "
+        "a per-peer circuit breaker (default 8)",
     )
     cluster.add_argument(
         "--status-port",
@@ -473,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and the zone-map view) on this loopback port while the load "
         "runs (0 picks a free port; default off)",
     )
-    cluster.set_defaults(func=cmd_cluster)
+    cluster.set_defaults(func=cmd_cluster, usage_error=cluster.error)
     controller = sub.add_parser(
         "controller",
         parents=[shared],
@@ -521,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the stack-wide invariant check on each /health "
         "(default on; disable when the scrape budget matters)",
     )
-    controller.set_defaults(func=cmd_controller)
+    controller.set_defaults(func=cmd_controller, usage_error=controller.error)
     sub.add_parser(
         "report", help="rewrite EXPERIMENTS.md from the committed bench records"
     ).set_defaults(func=cmd_report)

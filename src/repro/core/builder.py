@@ -160,13 +160,12 @@ class TopologyAwareOverlay:
             return int(pool[int(self._host_rng.integers(0, len(pool)))])
         return free[int(self._host_rng.integers(0, len(free)))]
 
-    def _admit(self, host: int, capacity: float) -> int:
-        """What every join starts with, one at a time or in bulk: take a
-        host (drawn when None) and the next id, measure the landmark
-        vector, join the CAN and register the identity.  Publishing and
-        the expressway table are the caller's, now or batched."""
-        if host is None:
-            host = self._pick_host()
+    def _admit(self, capacity: float) -> int:
+        """What every join starts with, one at a time or in bulk: draw a
+        host and the next id, measure the landmark vector, join the CAN
+        and register the identity.  Publishing and the expressway table
+        are the caller's, now or batched."""
+        host = self._pick_host()
         self._used_hosts.add(host)
         node_id = next(self._ids)
         if self.network.faults is not None:
@@ -184,9 +183,9 @@ class TopologyAwareOverlay:
         self.store.register_identity(node_id, host, vector, capacity=capacity)
         return node_id
 
-    def add_node(self, host: int = None, capacity: float = 1.0) -> int:
+    def add_node(self, capacity: float = 1.0) -> int:
         """Join one node: measure landmarks, join CAN, publish, select."""
-        node_id = self._admit(host, capacity)
+        node_id = self._admit(capacity)
         self.store.publish(node_id)
         self.ecan.build_table(node_id)
         return node_id
@@ -224,7 +223,7 @@ class TopologyAwareOverlay:
         with self.network.telemetry.phase("overlay_build_bulk"):
             with self.store.bulk_load() as dirty:
                 for _ in range(num_nodes - len(self)):
-                    node_id = self._admit(None, 1.0)
+                    node_id = self._admit(1.0)
                     dirty.add(node_id)
                     added.append(node_id)
             for node_id in added:
@@ -272,7 +271,7 @@ class TopologyAwareOverlay:
         self.network.telemetry.count("crash")
         return {"salvageable": len(salvageable), "lost": len(lost)}
 
-    def enable_recovery(self, detector_params=None, seed: int = 0xFD):
+    def enable_recovery(self, detector_params=None):
         """Arm the self-healing stack: failure detection, crash
         takeover, re-replication and partition-heal reconciliation.
 
@@ -282,7 +281,7 @@ class TopologyAwareOverlay:
             return self.recovery
         from repro.core.recovery import FailureDetector, RecoveryManager
 
-        self.detector = FailureDetector(self, detector_params, seed=seed)
+        self.detector = FailureDetector(self, detector_params, seed=0xFD)
         self.recovery = RecoveryManager(self, self.detector)
         self.detector.start()
         self.recovery.watch_partitions()
@@ -299,7 +298,7 @@ class TopologyAwareOverlay:
 
     # -- routing & stretch -------------------------------------------------------
 
-    def route_between(self, src_id: int, dst_id: int, category: str = "lookup_route"):
+    def route_between(self, src_id: int, dst_id: int):
         """Route src -> dst; returns (RouteResult, stretch or None).
 
         Stretch is :meth:`~repro.overlay.routing.RouteResult.stretch`:
@@ -309,10 +308,10 @@ class TopologyAwareOverlay:
         """
         nodes = self.ecan.can.nodes
         point = nodes[dst_id].zone.center()
-        result = self.ecan.route(src_id, point, category=category)
+        result = self.ecan.route(src_id, point, category="lookup_route")
         return result, result.stretch(nodes, self.network)
 
-    def prewarm_latencies(self, hosts=None) -> int:
+    def prewarm_latencies(self) -> int:
         """Bulk-populate the oracle's row cache for member hosts (free).
 
         One multi-source Dijkstra replaces per-pair cache misses during
@@ -320,9 +319,7 @@ class TopologyAwareOverlay:
         is charged and no overlay state changes.  Returns the number of
         hosts warmed.
         """
-        if hosts is None:
-            hosts = {node.host for node in self.ecan.can.nodes.values()}
-        hosts = sorted(int(h) for h in hosts)
+        hosts = sorted({int(node.host) for node in self.ecan.can.nodes.values()})
         if hosts:
             self.network.oracle.rows(hosts)
         return len(hosts)

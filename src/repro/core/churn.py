@@ -66,19 +66,17 @@ class ChurnDriver:
         self.skipped = 0
         self._epoch = None
 
-    def apply(self, event: ChurnEvent, epoch: float = None) -> bool:
+    def apply(self, event: ChurnEvent) -> bool:
         """Apply one event; returns False when it had to be skipped.
 
-        Event times are relative to ``epoch`` (default: the clock's
-        current time on first use), so traces replay correctly even on
-        a clock another experiment already advanced.
+        Event times are relative to the clock's time at first use, so
+        traces replay correctly even on a clock another experiment
+        already advanced.
         """
         clock = self.overlay.network.clock
-        if epoch is None:
-            if self._epoch is None:
-                self._epoch = clock.now
-            epoch = self._epoch
-        target = epoch + event.time
+        if self._epoch is None:
+            self._epoch = clock.now
+        target = self._epoch + event.time
         if target > clock.now:
             clock.run_until(target)
         if event.kind == "join":

@@ -21,18 +21,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def hop_latency_profile(overlay, samples: int = 200, rng=None, max_hops: int = 12) -> list:
+#: hops past this one are left out of :func:`hop_latency_profile`
+PROFILE_HOPS = 12
+
+
+def hop_latency_profile(overlay, samples: int = 200) -> list:
     """Mean latency of the k-th hop across sampled routes.
 
-    Works on a :class:`~repro.core.builder.TopologyAwareOverlay`.
-    Returns rows ``{"hop", "mean_latency_ms", "count"}``.
+    Works on a :class:`~repro.core.builder.TopologyAwareOverlay`; the
+    route pairs are drawn from a generator seeded with 0.  Returns rows
+    ``{"hop", "mean_latency_ms", "count"}`` for the first
+    :data:`PROFILE_HOPS` hops.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     network = overlay.network
     nodes = overlay.ecan.can.nodes
-    totals = np.zeros(max_hops)
-    counts = np.zeros(max_hops, dtype=np.int64)
+    totals = np.zeros(PROFILE_HOPS)
+    counts = np.zeros(PROFILE_HOPS, dtype=np.int64)
     ids = np.array(overlay.node_ids)
     for _ in range(samples):
         src, dst = rng.choice(ids, size=2, replace=False)
@@ -41,7 +46,7 @@ def hop_latency_profile(overlay, samples: int = 200, rng=None, max_hops: int = 1
             continue
         hosts = [nodes[n].host for n in result.path]
         for k, (a, b) in enumerate(zip(hosts, hosts[1:])):
-            if k >= max_hops:
+            if k >= PROFILE_HOPS:
                 break
             totals[k] += network.latency(a, b)
             counts[k] += 1
@@ -51,7 +56,7 @@ def hop_latency_profile(overlay, samples: int = 200, rng=None, max_hops: int = 1
             "mean_latency_ms": float(totals[k] / counts[k]) if counts[k] else None,
             "count": int(counts[k]),
         }
-        for k in range(max_hops)
+        for k in range(PROFILE_HOPS)
         if counts[k]
     ]
 

@@ -31,12 +31,13 @@ from repro.softstate.pubsub import Condition
 
 
 def pareto_capacities(
-    rng: np.random.Generator, n: int, alpha: float = 1.5, scale: float = 1.0
+    rng: np.random.Generator, n: int, alpha: float = 1.5
 ) -> np.ndarray:
-    """Heavy-tailed forwarding capacities (few strong, many weak nodes)."""
+    """Heavy-tailed forwarding capacities (few strong, many weak nodes),
+    each at least 1."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return scale * (1.0 + rng.pareto(alpha, size=n))
+    return 1.0 + rng.pareto(alpha, size=n)
 
 
 class LoadTracker:

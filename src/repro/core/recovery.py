@@ -429,7 +429,7 @@ class RecoveryManager:
         faults = self.network.faults
         if faults is None:
             return 0
-        return faults.watch_partitions(self.reconcile)
+        return faults.watch_partitions(lambda _partition: self.reconcile())
 
     # -- crash takeover ----------------------------------------------------
 
@@ -480,7 +480,7 @@ class RecoveryManager:
             removed += overlay.store.purge_record(node_id, charge=True)
         return removed
 
-    def reconcile(self, partition=None) -> dict:
+    def reconcile(self) -> dict:
         """Anti-entropy after a partition heals (or on demand).
 
         Generalizes the pub/sub anti-entropy round: missed

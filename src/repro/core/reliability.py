@@ -107,8 +107,9 @@ class RetryPolicy:
         telemetry.count("backoff_ms", delay)
         return delay
 
-    def call(self, fn, *, telemetry, clock=None, retry_on=(ProbeTimeout,)):
-        """Run ``fn(attempt)`` until it succeeds or attempts run out.
+    def call(self, fn, *, telemetry, clock=None):
+        """Run ``fn(attempt)`` until it raises no :class:`ProbeTimeout`
+        or attempts run out.
 
         Between attempts the simulated ``clock`` (if given) is advanced
         by the backoff delay and every backoff is charged to
@@ -118,7 +119,7 @@ class RetryPolicy:
         for attempt in range(self.max_attempts):
             try:
                 return fn(attempt)
-            except retry_on as exc:
+            except ProbeTimeout as exc:
                 last = exc
                 if attempt + 1 < self.max_attempts:
                     self.sleep(attempt, telemetry=telemetry, clock=clock)
@@ -151,19 +152,18 @@ class DecorrelatedJitter:
     serves one request.
     """
 
-    def __init__(self, base_ms: float = 2.0, cap_ms: float = 250.0, rng=None):
-        if base_ms <= 0:
-            raise ValueError("base_ms must be positive")
-        if cap_ms < base_ms:
-            raise ValueError("cap_ms must be >= base_ms")
-        self.base_ms = float(base_ms)
-        self.cap_ms = float(cap_ms)
-        self._rng = rng if rng is not None else random.Random()
-        self._prev_ms = float(base_ms)
+    #: the first delay and the floor of every draw (ms)
+    BASE_MS = 2.0
+    #: the ceiling of every draw (ms)
+    CAP_MS = 250.0
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+        self._prev_ms = self.BASE_MS
 
     def next_delay(self) -> float:
         """Next backoff in milliseconds (also advances the ladder)."""
-        delay = min(self.cap_ms, self._rng.uniform(self.base_ms, self._prev_ms * 3.0))
+        delay = min(self.CAP_MS, self._rng.uniform(self.BASE_MS, self._prev_ms * 3.0))
         self._prev_ms = delay
         return delay
 
@@ -378,46 +378,32 @@ class DeadlineTable:
 
 
 def measure_vector_reliably(
-    network,
-    landmarks,
-    host: int,
-    policy: RetryPolicy = None,
-    category: str = "landmark_probe",
+    network, landmarks, host: int, policy: RetryPolicy = None
 ) -> np.ndarray:
     """Measure a landmark vector under faults, re-probing lost entries.
 
     Entries still missing after the policy's attempts are filled with
-    the worst successfully measured *non-spiked* RTT -- a pessimistic
-    estimate that keeps the joiner operational (graceful degradation)
-    instead of stalling the join, without letting a single
-    latency-spiked :class:`~repro.netsim.faults.ProbeResult` become
-    the fill for every silent landmark.  Only when *every* answered
-    probe was spiked does the fill fall back to the spiked maximum.
-    Raises :class:`ProbeTimeout` only if every landmark stayed silent
-    through every attempt.
+    the worst successfully measured RTT -- a pessimistic estimate that
+    keeps the joiner operational (graceful degradation) instead of
+    stalling the join.  Raises :class:`ProbeTimeout` only if every
+    landmark stayed silent through every attempt.
     """
     if policy is None:
         policy = RetryPolicy()
     hosts = np.asarray(landmarks.hosts, dtype=np.int64)
-    vector, spiked = network.rtt_many_detailed(int(host), hosts, category=category)
-    vector = np.asarray(vector, dtype=np.float64)
-    spiked = np.asarray(spiked, dtype=bool)
+    vector = network.rtt_many(int(host), hosts, category="landmark_probe")
     for attempt in range(policy.max_attempts - 1):
         missing = np.isnan(vector)
         if not missing.any():
             break
         policy.sleep(attempt, clock=network.clock, telemetry=network.telemetry)
-        refreshed, re_spiked = network.rtt_many_detailed(
-            int(host), hosts[missing], category=category
+        vector[missing] = network.rtt_many(
+            int(host), hosts[missing], category="landmark_probe"
         )
-        vector[missing] = refreshed
-        spiked[missing] = re_spiked
     missing = np.isnan(vector)
     if missing.all():
         raise ProbeTimeout(int(host), int(hosts[0]), reason="all landmarks silent")
     if missing.any():
-        clean = vector[~missing & ~spiked]
-        fill = float(clean.max()) if clean.size else float(np.nanmax(vector))
-        vector[missing] = fill
+        vector[missing] = float(np.nanmax(vector))
     return vector
 

@@ -63,11 +63,15 @@ class SoakConfig:
 # -- the adversary -----------------------------------------------------------
 
 
-def inject_corruption(overlay, kind: str, rng, fraction: float = 0.2) -> int:
+#: share of the chosen structure's entries one corruption hits
+CORRUPT_FRACTION = 0.2
+
+
+def inject_corruption(overlay, kind: str, rng) -> int:
     """Corrupt live overlay state in place; returns entries corrupted.
 
-    ``fraction`` of the chosen structure's entries are hit (at least
-    one).  Each class trips a distinct :func:`check_invariants`
+    :data:`CORRUPT_FRACTION` of the chosen structure's entries are hit
+    (at least one).  Each class trips a distinct :func:`check_invariants`
     assertion until the matching repair runs:
 
     * ``scramble_tables`` -- point expressway entries at ghost node
@@ -94,7 +98,7 @@ def inject_corruption(overlay, kind: str, rng, fraction: float = 0.2) -> int:
         ]
         if not slots:
             return 0
-        count = min(len(slots), max(1, int(fraction * len(slots))))
+        count = min(len(slots), max(1, int(CORRUPT_FRACTION * len(slots))))
         picks = rng.choice(len(slots), size=count, replace=False)
         ghost = -4096  # ids are non-negative, so never a member
         for index in picks:
@@ -111,7 +115,7 @@ def inject_corruption(overlay, kind: str, rng, fraction: float = 0.2) -> int:
     if kind == "stale_replicas":
         if not entries:
             return 0
-        count = min(len(entries), max(1, int(fraction * len(entries))))
+        count = min(len(entries), max(1, int(CORRUPT_FRACTION * len(entries))))
         picks = rng.choice(len(entries), size=count, replace=False)
         for index in picks:
             region, node_id = entries[int(index)]
@@ -127,7 +131,7 @@ def inject_corruption(overlay, kind: str, rng, fraction: float = 0.2) -> int:
         members = sorted(overlay.ecan.can.nodes)
         if not entries or len(members) < 2:
             return 0
-        count = min(len(entries), max(1, int(fraction * len(entries))))
+        count = min(len(entries), max(1, int(CORRUPT_FRACTION * len(entries))))
         picks = rng.choice(len(entries), size=count, replace=False)
         for index in picks:
             region, node_id = entries[int(index)]
@@ -325,7 +329,7 @@ async def _converge_live(cluster, recovery, budget: int) -> tuple:
     return None, violation
 
 
-async def run_live_soak(config: SoakConfig, transport: str = "loopback") -> dict:
+async def run_live_soak(config: SoakConfig) -> dict:
     """Soak a live cluster over the wire; returns the convergence record.
 
     Sequence: bulk-boot N actors, arm the SWIM loop, then (1) sustain
@@ -344,7 +348,6 @@ async def run_live_soak(config: SoakConfig, transport: str = "loopback") -> dict
         nodes=config.nodes,
         network=NetworkParams(topo_scale=config.topo_scale, seed=config.seed),
         overlay=OverlayParams(num_nodes=config.nodes, seed=config.seed),
-        transport=transport,
         request_timeout=LIVE_REQUEST_TIMEOUT,
         heartbeat_period=LIVE_HEARTBEAT_PERIOD,
         probe_timeout=LIVE_PROBE_TIMEOUT,
@@ -427,7 +430,7 @@ async def run_live_soak(config: SoakConfig, transport: str = "loopback") -> dict
         counters = cluster.retry_counters()
         return {
             "mode": "live",
-            "transport": transport,
+            "transport": cluster_config.transport,
             "nodes": config.nodes,
             "nodes_final": len(cluster),
             "epochs": epochs,

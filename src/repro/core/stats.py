@@ -10,14 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def bootstrap_ci(
-    values,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    rng: np.random.Generator = None,
-    statistic=np.mean,
-) -> tuple:
-    """Percentile-bootstrap confidence interval for ``statistic``.
+#: coverage of the interval
+CONFIDENCE = 0.95
+#: bootstrap resamples behind one interval
+RESAMPLES = 2000
+
+
+def bootstrap_ci(values, rng: np.random.Generator = None) -> tuple:
+    """Percentile-bootstrap :data:`CONFIDENCE` interval for the mean.
 
     Returns ``(low, high)``; degenerates to the point value for
     samples of size one.
@@ -25,19 +25,17 @@ def bootstrap_ci(
     values = np.asarray(list(values), dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
     if values.size == 1:
-        point = float(statistic(values))
+        point = float(values.mean())
         return point, point
     if rng is None:
         # standalone convenience only -- aggregation loops must thread
         # one shared Generator through every call, or all their cells
         # reuse identical resample indices and the CIs correlate
         rng = np.random.default_rng(0)
-    indices = rng.integers(0, values.size, size=(resamples, values.size))
-    stats = statistic(values[indices], axis=1)
-    alpha = (1.0 - confidence) / 2.0
+    indices = rng.integers(0, values.size, size=(RESAMPLES, values.size))
+    stats = np.mean(values[indices], axis=1)
+    alpha = (1.0 - CONFIDENCE) / 2.0
     return (
         float(np.quantile(stats, alpha)),
         float(np.quantile(stats, 1.0 - alpha)),

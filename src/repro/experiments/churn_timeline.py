@@ -28,6 +28,10 @@ from repro.softstate.maintenance import MaintenancePolicy
 #: laid over fewer units than one sweep's backoffs is overtaken by the
 #: first poll, and the periodic timer never fires again.
 DURATION_MS = 120_000.0
+#: sim ms between the periodic policy's sweeps: six over the trace
+POLL_INTERVAL_MS = 20_000.0
+#: share of departures that announce themselves
+GRACEFUL_FRACTION = 0.2
 
 
 def run_policy(
@@ -36,8 +40,6 @@ def run_policy(
     latency: str = "manual",
     scale: Scale = None,
     seed: int = 0,
-    graceful_fraction: float = 0.2,
-    poll_interval: float = 20_000.0,
 ) -> dict:
     """One churn run; returns the timeline plus end-state summary."""
     if scale is None:
@@ -51,14 +53,14 @@ def run_policy(
         maintenance_policy=policy,
     )
     overlay.build()
-    overlay.maintenance.poll_interval = poll_interval
+    overlay.maintenance.poll_interval = POLL_INTERVAL_MS
     overlay.maintenance.start()
 
     rng = np.random.default_rng(seed + 73)
     rate = scale.churn_events / DURATION_MS / 2
     events = poisson_churn(rng, DURATION_MS, join_rate=rate, leave_rate=rate)
     driver = ChurnDriver(
-        overlay, rng=rng, graceful_fraction=graceful_fraction,
+        overlay, rng=rng, graceful_fraction=GRACEFUL_FRACTION,
         min_nodes=max(8, scale.overlay_nodes // 4),
     )
     stats = overlay.network.stats

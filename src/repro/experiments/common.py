@@ -145,8 +145,9 @@ def bulk_vectors(network, landmark_set, hosts, charge: bool = True) -> np.ndarra
     return 2.0 * rows[:, hosts].T.astype(np.float64)
 
 
-def format_table(rows, columns=None, floatfmt: str = "{:.3f}") -> str:
-    """Render rows as an aligned text table (bench output)."""
+def format_table(rows, columns=None) -> str:
+    """Render rows as an aligned text table (bench output), floats to
+    three decimals."""
     if not rows:
         return "(no rows)"
     if columns is None:
@@ -154,7 +155,7 @@ def format_table(rows, columns=None, floatfmt: str = "{:.3f}") -> str:
 
     def fmt(value):
         if isinstance(value, float):
-            return floatfmt.format(value)
+            return f"{value:.3f}"
         return str(value)
 
     table = [[fmt(row.get(c, "")) for c in columns] for row in rows]

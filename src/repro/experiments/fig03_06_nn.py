@@ -32,14 +32,14 @@ class NearestNeighborTestbed:
         topology: str,
         latency: str = "generated",
         topo_scale: float = None,
-        landmarks: int = 15,
         seed: int = 0,
     ):
         if topo_scale is None:
             topo_scale = current_scale().topo_scale
         self.network = get_network(topology, latency, topo_scale, seed)
         self.rng = np.random.default_rng(seed + 1)
-        self.landmarks = select_landmarks(self.network, landmarks, self.rng)
+        # the paper's 15 landmarks
+        self.landmarks = select_landmarks(self.network, 15, self.rng)
         self.space = LandmarkSpace(self.landmarks)
         # the paper puts *all* topology nodes into the search CAN
         self.hosts = np.arange(self.network.num_nodes)

@@ -48,9 +48,9 @@ def run_mode(
     latency: str = "manual",
     scale: Scale = None,
     seed: int = 0,
-    polls: int = 4,
 ) -> dict:
-    """One churn phase under ``mode`` ("pubsub" | "polling" | "none")."""
+    """One churn phase under ``mode`` ("pubsub" | "polling" | "none");
+    polling rebuilds every table four times over the phase."""
     if scale is None:
         scale = current_scale()
     base_nodes = scale.overlay_nodes
@@ -72,7 +72,7 @@ def run_mode(
             overlay.enable_adaptive(node_id)
     before = stats.snapshot()
 
-    poll_every = max(1, joins // max(polls, 1))
+    poll_every = max(1, joins // 4)
     for i in range(joins):
         overlay.add_node()
         if mode == "polling" and (i + 1) % poll_every == 0:

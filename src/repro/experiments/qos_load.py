@@ -42,13 +42,11 @@ def run_weight(
     latency: str = "manual",
     scale: Scale = None,
     seed: int = 0,
-    messages: int = None,
 ) -> dict:
     """One full adapt-then-measure cycle at a given ``load_weight``."""
     if scale is None:
         scale = current_scale()
-    if messages is None:
-        messages = min(scale.route_samples, 4 * scale.overlay_nodes)
+    messages = min(scale.route_samples, 4 * scale.overlay_nodes)
     network = get_network(topology, latency, scale.topo_scale, seed)
     rng = np.random.default_rng(seed + 31)
 

@@ -59,17 +59,15 @@ class Response:
         return cls(status=status, body=text.encode("utf-8"))
 
     @classmethod
-    def text(cls, text: str, status: int = 200,
-             content_type: str = "text/plain; version=0.0.4; charset=utf-8"):
-        """A plain-text response (the default content type is the
-        Prometheus exposition media type)."""
-        return cls(status=status, content_type=content_type,
+    def text(cls, text: str) -> "Response":
+        """A plain-text response in the Prometheus exposition media type."""
+        return cls(content_type="text/plain; version=0.0.4; charset=utf-8",
                    body=text.encode("utf-8"))
 
     @classmethod
-    def html(cls, text: str, status: int = 200) -> "Response":
+    def html(cls, text: str) -> "Response":
         """An HTML page response."""
-        return cls(status=status, content_type="text/html; charset=utf-8",
+        return cls(content_type="text/html; charset=utf-8",
                    body=text.encode("utf-8"))
 
 
@@ -176,12 +174,12 @@ class HttpServer:
             writer.close()
 
 
-async def http_get(host: str, port: int, path: str, timeout: float = 10.0):
+async def http_get(host: str, port: int, path: str):
     """Minimal HTTP GET: returns ``(status, headers, body_bytes)``.
 
     A real-socket client for tests and the smoke runner; speaks exactly
     the ``Connection: close`` dialect the server serves, so the body
-    is simply everything until EOF.
+    is simply everything until EOF.  Gives up after 10 s.
     """
 
     async def fetch():
@@ -204,4 +202,4 @@ async def http_get(host: str, port: int, path: str, timeout: float = 10.0):
             headers[name.strip().lower()] = value.strip()
         return status, headers, body
 
-    return await asyncio.wait_for(fetch(), timeout)
+    return await asyncio.wait_for(fetch(), 10.0)

@@ -24,14 +24,11 @@ overlays get the status strip and a member table instead.
 
 from __future__ import annotations
 
-#: default poll interval of the served page, milliseconds
-DEFAULT_REFRESH_MS = 1000
-
 _PAGE = """<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<title>__TITLE__</title>
+<title>repro overlay — live zone map</title>
 <style>
   body { font: 13px/1.5 system-ui, sans-serif; margin: 0; padding: 16px;
          background: #10141a; color: #d7dde6; }
@@ -50,7 +47,7 @@ _PAGE = """<!DOCTYPE html>
 </style>
 </head>
 <body>
-<h1>__TITLE__</h1>
+<h1>repro overlay — live zone map</h1>
 <div id="strip">loading&hellip;</div>
 <svg id="map" width="760" height="760" viewBox="0 0 760 760"></svg>
 <div id="legend">
@@ -64,7 +61,7 @@ _PAGE = """<!DOCTYPE html>
 <div id="fallback"></div>
 <script>
 "use strict";
-const SIZE = 760, REFRESH_MS = __REFRESH_MS__;
+const SIZE = 760, REFRESH_MS = 1000;
 const svg = document.getElementById("map");
 const strip = document.getElementById("strip");
 const fallback = document.getElementById("fallback");
@@ -173,11 +170,7 @@ setInterval(refresh, REFRESH_MS);
 """
 
 
-def render_zone_map_html(
-    title: str = "repro overlay — live zone map",
-    refresh_ms: int = DEFAULT_REFRESH_MS,
-) -> str:
-    """The complete page served at ``/`` (no external assets)."""
-    return _PAGE.replace("__TITLE__", title).replace(
-        "__REFRESH_MS__", str(int(refresh_ms))
-    )
+def render_zone_map_html() -> str:
+    """The complete page served at ``/`` (no external assets); it polls
+    once a second."""
+    return _PAGE

@@ -19,8 +19,8 @@ measurements with an in-process equivalent:
 * :mod:`repro.netsim.events` -- a tiny discrete-event scheduler used
   for soft-state expiry, publish/subscribe and churn experiments.
 * :mod:`repro.netsim.faults` -- deterministic fault injection (probe
-  loss, timeouts, latency spikes, transit-domain partitions,
-  crash-stop failures) armed via :meth:`Network.arm_faults`.
+  and message loss, transit-domain partitions, crash-stop failures)
+  armed via :meth:`Network.arm_faults`.
 """
 
 from repro.netsim.distance import DistanceOracle
@@ -30,7 +30,6 @@ from repro.netsim.faults import (
     FaultInjector,
     FaultPlan,
     Partition,
-    ProbeResult,
     ProbeTimeout,
 )
 from repro.netsim.latency import (
@@ -64,7 +63,6 @@ __all__ = [
     "NodeKind",
     "NoisyLatencyModel",
     "Partition",
-    "ProbeResult",
     "ProbeTimeout",
     "Topology",
     "TransitStubConfig",

@@ -39,7 +39,7 @@ class DistanceOracle:
 
     @classmethod
     def from_topology(
-        cls, topology: Topology, latency_model: LatencyModel, **kwargs
+        cls, topology: Topology, latency_model: LatencyModel
     ) -> "DistanceOracle":
         """Build an oracle from a topology and a latency model."""
         w = latency_model.weights(topology)
@@ -49,7 +49,7 @@ class DistanceOracle:
             (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
             shape=(n, n),
         )
-        return cls(graph, **kwargs)
+        return cls(graph)
 
     def is_connected(self) -> bool:
         """True if the underlying graph has a single component."""

@@ -9,10 +9,8 @@ and the *simulated* clock, never wall-clock time -- injects:
 
 * **probe loss** -- a measurement simply never answers
   (``fault_probe_lost``);
-* **probe timeouts** -- a latency spike pushes the answer past the
-  per-probe deadline (``fault_probe_timeout``);
-* **per-link latency spikes** -- the probe succeeds but reports an
-  inflated RTT (``fault_latency_spike``);
+* **message loss** -- one overlay forwarding hop drops the message
+  (``fault_message_lost``);
 * **transit-domain partitions** -- scheduled windows during which a
   set of transit domains is severed from the rest of the topology
   (``fault_partition_drop``);
@@ -24,16 +22,14 @@ Every injected fault is also accounted in the network's
 so experiments can report exactly what the fault plan did.
 
 While an injector is armed (see :meth:`Network.arm_faults`),
-``Network.rtt`` returns a :class:`ProbeResult` -- a ``float``
-subclass, so existing arithmetic keeps working -- or raises
-:class:`ProbeTimeout`; ``Network.rtt_many`` returns ``NaN`` for lost
-probes.  Determinism: two injectors built from the same plan and seed
+``Network.rtt`` returns the same ``float`` as on the perfect network
+or raises :class:`ProbeTimeout`; ``Network.rtt_many`` returns ``NaN``
+for lost probes.  Determinism: two injectors built from the same plan and seed
 observe identical fault sequences for identical call sequences.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -42,8 +38,6 @@ import numpy as np
 #: stats categories an injector may charge
 FAULT_CATEGORIES = (
     "fault_probe_lost",
-    "fault_probe_timeout",
-    "fault_latency_spike",
     "fault_partition_drop",
     "fault_crash_drop",
     "fault_message_lost",
@@ -51,36 +45,13 @@ FAULT_CATEGORIES = (
 
 
 class ProbeTimeout(Exception):
-    """A charged probe went unanswered (lost, partitioned, or too slow)."""
+    """A charged probe went unanswered (lost, partitioned or crashed)."""
 
-    def __init__(self, u: int, v: int, reason: str = "lost", waited: float = 0.0):
+    def __init__(self, u: int, v: int, reason: str = "lost"):
         super().__init__(f"probe {u}->{v} timed out ({reason})")
         self.u = u
         self.v = v
         self.reason = reason
-        #: simulated ms the prober waited before giving up
-        self.waited = waited
-
-
-class ProbeResult(float):
-    """A measured RTT plus fault metadata.
-
-    A ``float`` subclass so every existing caller of ``Network.rtt``
-    keeps working unchanged when faults are armed.
-    """
-
-    def __new__(cls, rtt: float, spiked: bool = False, attempts: int = 1):
-        self = super().__new__(cls, rtt)
-        self.spiked = spiked
-        self.attempts = attempts
-        return self
-
-    @property
-    def rtt(self) -> float:
-        return float(self)
-
-    def __repr__(self):
-        return f"ProbeResult({float(self):.3f}, spiked={self.spiked})"
 
 
 @dataclass(frozen=True)
@@ -120,23 +91,14 @@ class FaultPlan:
     probe_loss_rate: float = 0.0
     #: probability one overlay forwarding hop loses the message
     message_loss_rate: float = 0.0
-    #: probability a probe's RTT is inflated by ``latency_spike_factor``
-    latency_spike_rate: float = 0.0
-    latency_spike_factor: float = 4.0
-    #: per-probe deadline (ms); a (possibly spiked) RTT above it times out
-    probe_timeout_ms: float = math.inf
     #: scheduled :class:`Partition` windows
     partitions: tuple = ()
 
     def __post_init__(self):
-        for name in ("probe_loss_rate", "message_loss_rate", "latency_spike_rate"):
+        for name in ("probe_loss_rate", "message_loss_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {rate}")
-        if self.latency_spike_factor < 1.0:
-            raise ValueError("latency_spike_factor must be >= 1")
-        if self.probe_timeout_ms <= 0:
-            raise ValueError("probe_timeout_ms must be positive")
         object.__setattr__(self, "partitions", tuple(self.partitions))
 
     def with_loss(self, rate: float) -> "FaultPlan":
@@ -234,48 +196,31 @@ class FaultInjector:
                     return "fault_partition_drop"
         return None
 
-    def probe(self, u: int, v: int) -> ProbeResult:
+    def probe(self, u: int, v: int) -> float:
         """One RTT probe through the fault plan (already charged).
 
         Raises :class:`ProbeTimeout` when the probe is lost, crosses a
-        partition, targets a crashed host, or exceeds the deadline.
+        partition or targets a crashed host.
         """
-        plan = self.plan
         blocked = self._blocked(u, v)
         if blocked is not None:
             self._inject(blocked)
-            raise ProbeTimeout(u, v, reason=blocked, waited=plan.probe_timeout_ms)
-        if plan.probe_loss_rate and self.rng.random() < plan.probe_loss_rate:
+            raise ProbeTimeout(u, v, reason=blocked)
+        loss = self.plan.probe_loss_rate
+        if loss and self.rng.random() < loss:
             self._inject("fault_probe_lost")
-            raise ProbeTimeout(u, v, reason="lost", waited=plan.probe_timeout_ms)
-        rtt = 2.0 * self.network.oracle.distance(u, v)
-        spiked = False
-        if plan.latency_spike_rate and self.rng.random() < plan.latency_spike_rate:
-            rtt *= plan.latency_spike_factor
-            spiked = True
-            self._inject("fault_latency_spike")
-        if rtt > plan.probe_timeout_ms:
-            self._inject("fault_probe_timeout")
-            raise ProbeTimeout(u, v, reason="timeout", waited=plan.probe_timeout_ms)
-        return ProbeResult(rtt, spiked=spiked)
+            raise ProbeTimeout(u, v)
+        return 2.0 * self.network.oracle.distance(u, v)
 
-    def probe_many_detailed(self, u: int, hosts) -> tuple:
-        """Probe each host; returns ``(rtts, spiked)``.
-
-        ``rtts`` holds ``NaN`` for lost probes; ``spiked`` flags
-        answers inflated by a latency-spike fault.
-        """
-        hosts = np.asarray(hosts, dtype=np.int64)
+    def probe_many(self, u: int, hosts) -> np.ndarray:
+        """Probe each host; ``NaN`` marks a lost probe."""
         out = np.empty(len(hosts), dtype=np.float64)
-        spiked = np.zeros(len(hosts), dtype=bool)
         for i, host in enumerate(hosts):
             try:
-                result = self.probe(u, int(host))
-                out[i] = result
-                spiked[i] = result.spiked
+                out[i] = self.probe(u, int(host))
             except ProbeTimeout:
                 out[i] = np.nan
-        return out, spiked
+        return out
 
     def deliver(self, u: int, v: int) -> bool:
         """Would one overlay forwarding hop ``u -> v`` arrive?"""

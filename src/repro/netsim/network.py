@@ -69,21 +69,14 @@ class MessageStats:
 class Network:
     """Simulated physical network: topology + latency model + oracle."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        latency_model: LatencyModel,
-        max_cached_rows: int = 4096,
-    ):
+    def __init__(self, topology: Topology, latency_model: LatencyModel):
         # late import: repro.core.reliability imports repro.netsim.faults,
         # so a module-level import here would be circular
         from repro.core.telemetry import Telemetry
 
         self.topology = topology
         self.latency_model = latency_model
-        self.oracle = DistanceOracle.from_topology(
-            topology, latency_model, max_cached_rows=max_cached_rows
-        )
+        self.oracle = DistanceOracle.from_topology(topology, latency_model)
         self.stats = MessageStats()
         self.clock = EventScheduler()
         #: structured observability channel shared by every layer above
@@ -126,9 +119,7 @@ class Network:
     def rtt(self, u: int, v: int, category: str = "rtt_probe") -> float:
         """Measure the RTT between hosts ``u`` and ``v`` (charged).
 
-        With faults armed the result is a
-        :class:`~repro.netsim.faults.ProbeResult` (a ``float``
-        subclass) or a raised
+        With faults armed a lost probe raises
         :class:`~repro.netsim.faults.ProbeTimeout`.
         """
         self._charge_probes(category, 1)
@@ -144,9 +135,13 @@ class Network:
     def rtt_many(self, u: int, hosts, category: str = "rtt_probe") -> np.ndarray:
         """Measure RTTs from ``u`` to each host in ``hosts`` (charged).
 
-        With faults armed, lost/timed-out probes come back as ``NaN``.
+        With faults armed, lost probes come back as ``NaN``.
         """
-        return self.rtt_many_detailed(u, hosts, category=category)[0]
+        hosts = np.asarray(hosts, dtype=np.int64)
+        self._charge_probes(category, len(hosts))
+        if self.faults is not None:
+            return self.faults.probe_many(u, hosts)
+        return 2.0 * self.oracle.row(u)[hosts].astype(np.float64)
 
     def rtt_list(self, u: int, hosts, category: str = "rtt_probe") -> list:
         """:meth:`rtt_many` as a list of Python floats, for short batches.
@@ -155,32 +150,14 @@ class Network:
         row: ``row.item(v)`` widens the float32 one-way latency to a
         float64 exactly, and doubling it is exact too, so the list holds
         the very bits ``rtt_many`` returns -- without an index array, a
-        gather, a cast or a spike mask per call.  With faults armed it
-        is ``rtt_many(...).tolist()``.
+        gather or a cast per call.  With faults armed it is
+        ``rtt_many(...).tolist()``.
         """
         if self.faults is not None:
             return self.rtt_many(u, hosts, category=category).tolist()
         self._charge_probes(category, len(hosts))
         row = self.oracle.row(u)
         return [2.0 * row.item(v) for v in hosts]
-
-    def rtt_many_detailed(
-        self, u: int, hosts, category: str = "rtt_probe"
-    ) -> tuple:
-        """Like :meth:`rtt_many`, plus a boolean latency-spike mask.
-
-        Returns ``(rtts, spiked)``: under an armed injector ``spiked``
-        flags measurements inflated by a latency-spike fault, so
-        callers filling gaps (see
-        :func:`repro.core.reliability.measure_vector_reliably`) can
-        avoid propagating a spiked outlier as their estimate.
-        """
-        hosts = np.asarray(hosts, dtype=np.int64)
-        self._charge_probes(category, len(hosts))
-        if self.faults is not None:
-            return self.faults.probe_many_detailed(u, hosts)
-        row = self.oracle.row(u)
-        return 2.0 * row[hosts].astype(np.float64), np.zeros(len(hosts), dtype=bool)
 
     # -- oracle access (not charged; used for ground truth / metrics) ----
 

@@ -65,11 +65,12 @@ class CanNode:
 class CanOverlay:
     """A d-dimensional CAN over simulated hosts."""
 
-    def __init__(self, dims: int = 2, torus: bool = True, rng=None, stats=None):
+    def __init__(self, dims: int = 2, rng=None, stats=None):
         if dims < 1:
             raise ValueError("dims must be >= 1")
         self.dims = dims
-        self.torus = torus
+        #: the key space wraps around in every dimension
+        self.torus = True
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.stats = stats
         self.nodes: dict = {}
@@ -256,17 +257,17 @@ class CanOverlay:
         """Remove ``node_id``; its zones are taken over by neighbors."""
         return self._depart(node_id, exclude={node_id}, category="leave_update")
 
-    def takeover_dead(self, node_id: int, dead=(), category: str = "crash_takeover") -> set:
+    def takeover_dead(self, node_id: int, dead=()) -> set:
         """Absorb a *crashed* member's zones (failure-detector driven).
 
         Same zone handover as :meth:`leave`, but charged under
-        ``category`` and with ``dead`` -- other members currently
+        ``crash_takeover`` and with ``dead`` -- other members currently
         believed dead -- excluded from the taker candidates, so one
         corpse never absorbs another's zones during a mass-crash
         repair.  Returns the set of taker node ids.
         """
         exclude = {node_id} | {int(d) for d in dead}
-        return self._depart(node_id, exclude=exclude, category=category)
+        return self._depart(node_id, exclude=exclude, category="crash_takeover")
 
     def _depart(self, node_id: int, exclude: set, category: str) -> set:
         node = self.nodes.get(node_id)
@@ -398,13 +399,12 @@ class CanOverlay:
         start_node: int,
         point,
         category: str = "can_route",
-        max_hops: int = None,
     ) -> RouteResult:
-        """Greedy-forward from ``start_node`` to the owner of ``point``."""
+        """Greedy-forward from ``start_node`` to the owner of ``point``;
+        a route that outgrows its hop budget fails."""
         if start_node not in self.nodes:
             raise KeyError(f"start node {start_node} not present")
-        if max_hops is None:
-            max_hops = 16 * self.dims * max(4, int(len(self.nodes) ** (1.0 / self.dims)) + 2)
+        max_hops = 16 * self.dims * max(4, int(len(self.nodes) ** (1.0 / self.dims)) + 2)
         path = [start_node]
         visited = {start_node}
         current = self.nodes[start_node]

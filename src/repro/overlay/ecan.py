@@ -40,6 +40,8 @@ MAX_LEVEL = 24
 #: (the default of :meth:`EcanOverlay.route`) and on the wire (a live
 #: actor refuses to forward a ROUTE frame whose path is longer)
 MAX_HOPS = 512
+#: consecutive failed hops through an expressway entry that evict it
+DEAD_ENTRY_THRESHOLD = 3
 
 
 class EcanOverlay:
@@ -48,31 +50,26 @@ class EcanOverlay:
     def __init__(
         self,
         dims: int = 2,
-        torus: bool = True,
         rng=None,
         stats=None,
-        policy: NeighborPolicy = None,
         network=None,
         retry_policy=None,
-        dead_entry_threshold: int = 3,
     ):
-        self.can = CanOverlay(dims=dims, torus=torus, rng=rng, stats=stats)
+        self.can = CanOverlay(dims=dims, rng=rng, stats=stats)
         self.stats = stats
         #: optional Network; only consulted for fault injection on hops
         self.network = network
         #: optional RetryPolicy driving per-hop resend + backoff; None
         #: models fire-and-forget forwarding (a lost hop fails the route)
         self.retry_policy = retry_policy
-        #: expressway entries are dropped after this many failed hops
-        self.dead_entry_threshold = dead_entry_threshold
         #: (node, level, cell) -> consecutive failed delivery attempts
         self._entry_failures: dict = {}
         # Neither the default policy nor fallback picks may draw from the
         # join-point stream (can.rng), or two overlays differing only in
         # policy would grow structurally different zone layouts.
-        self.policy = (
-            policy if policy is not None
-            else RandomNeighborPolicy(np.random.default_rng(0xECA9))
+        #: fills every expressway slot; replace it before the first join
+        self.policy: NeighborPolicy = RandomNeighborPolicy(
+            np.random.default_rng(0xECA9)
         )
         self._fallback_rng = np.random.default_rng(0x5F5E1)
         # level -> {cell tuple -> sorted list of node ids whose zone
@@ -224,13 +221,12 @@ class EcanOverlay:
         self._count("neighbor_select")
         return chosen
 
-    def build_table(self, node_id: int, max_level: int = None) -> None:
+    def build_table(self, node_id: int) -> None:
         """(Re)build all high-order entries for ``node_id`` via the policy."""
         node = self.can.nodes[node_id]
         zone = node.zone
         table: dict = {}
-        top = zone.max_level if max_level is None else min(max_level, zone.max_level)
-        for level in range(1, top + 1):
+        for level in range(1, zone.max_level + 1):
             own_cell = zone.cell(level)
             row = {}
             for sibling in sibling_cells(own_cell):
@@ -348,12 +344,12 @@ class EcanOverlay:
     def _record_entry_failure(self, node_id: int, level: int, cell) -> None:
         """One more failed delivery through an expressway entry.
 
-        After ``dead_entry_threshold`` consecutive failures the entry
-        is evicted so the next route re-selects through the policy.
+        After :data:`DEAD_ENTRY_THRESHOLD` consecutive failures the
+        entry is evicted so the next route re-selects through the policy.
         """
         key = (node_id, level, cell)
         failures = self._entry_failures.get(key, 0) + 1
-        if failures >= self.dead_entry_threshold:
+        if failures >= DEAD_ENTRY_THRESHOLD:
             self._entry_failures.pop(key, None)
             row = self._tables.get(node_id, {}).get(level)
             if row is not None:
@@ -463,7 +459,7 @@ class EcanOverlay:
         charged once at the end.  Otherwise each hop is a (possibly
         lost) message send: a :class:`RetryPolicy` resends with
         sim-clock backoff, expressway entries that keep failing are
-        skipped (and evicted after ``dead_entry_threshold`` strikes) in
+        skipped (and evicted after :data:`DEAD_ENTRY_THRESHOLD` strikes) in
         favour of greedy CAN neighbors, and alternative neighbors are
         tried before the route is declared failed.  Without a policy a
         single lost hop fails the route -- the fire-and-forget baseline.

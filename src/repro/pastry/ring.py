@@ -168,13 +168,12 @@ class PastryRing(IdRing):
 
     # -- routing --------------------------------------------------------------------------
 
-    def route(self, start_id: int, key: int, category: str = "pastry_route",
-              max_hops: int = None):
-        """Prefix routing with leaf-set completion."""
+    def route(self, start_id: int, key: int, category: str = "pastry_route"):
+        """Prefix routing with leaf-set completion, given up past
+        ``4 * digits + 16`` hops."""
         if start_id not in self.nodes:
             raise KeyError(f"start node {start_id} not present")
-        if max_hops is None:
-            max_hops = 4 * self.digits + 16
+        max_hops = 4 * self.digits + 16
         key %= self.space
         owner = self.numerically_closest(key)
         path = [start_id]

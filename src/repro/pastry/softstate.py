@@ -61,7 +61,6 @@ def build_soft_state_pastry(
     rtt_budget: int = 10,
     digits: int = 14,
     seed: int = 0,
-    converge: bool = True,
 ):
     """Assemble a Pastry overlay with the chosen neighbor policy.
 
@@ -70,5 +69,5 @@ def build_soft_state_pastry(
     """
     return build_soft_state_overlay(
         PastryRing, PastrySoftState, FirstSlotPolicy(), network, num_nodes,
-        landmarks, policy_name, rtt_budget, seed, converge, digits=digits,
+        landmarks, policy_name, rtt_budget, seed, digits=digits,
     )

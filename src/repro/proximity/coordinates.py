@@ -45,8 +45,9 @@ class CoordinateSystem:
         self.landmark_hosts: np.ndarray = None
         self.landmark_coords: np.ndarray = None
 
-    def fit_landmarks(self, network, landmark_hosts, category: str = "gnp_probe") -> None:
-        """Measure pairwise landmark RTTs and embed the landmarks."""
+    def fit_landmarks(self, network, landmark_hosts) -> None:
+        """Measure pairwise landmark RTTs (charged as ``gnp_probe``) and
+        embed the landmarks."""
         hosts = np.asarray(landmark_hosts, dtype=np.int64)
         n = len(hosts)
         if n <= self.dims:
@@ -61,7 +62,7 @@ class CoordinateSystem:
         for i in range(n):
             for j in range(i + 1, n):
                 rtt[i, j] = rtt[j, i] = network.rtt(
-                    int(hosts[i]), int(hosts[j]), category=category
+                    int(hosts[i]), int(hosts[j]), category="gnp_probe"
                 )
         # one-way latency target (embedding is defined on latency, factor-free)
         target = rtt / 2.0

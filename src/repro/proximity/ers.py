@@ -100,14 +100,13 @@ def expanding_ring_search(
     can,
     query_node: int,
     max_probes: int = 1000,
-    category: str = "ers_probe",
 ) -> SearchCurve:
     """Probe outward ring by ring from ``query_node``'s CAN position.
 
     ``can`` is a :class:`~repro.overlay.can.CanOverlay` whose members
     stand in for "all nodes in the topology".  Every node reached by
     the flood costs one control message; every distinct host is
-    RTT-probed once.  Returns the best-so-far curve.
+    RTT-probed once (``ers_probe``).  Returns the best-so-far curve.
     """
     if query_node not in can.nodes:
         raise KeyError(f"query node {query_node} not in the search CAN")
@@ -129,7 +128,7 @@ def expanding_ring_search(
                 control += 1
                 host = can.nodes[neighbor_id].host
                 if host != src_host:
-                    builder.probe(network, src_host, host, category)
+                    builder.probe(network, src_host, host, "ers_probe")
                     if builder._count >= max_probes:
                         break
         frontier = next_frontier

@@ -85,10 +85,8 @@ def hybrid_search(
     rank: str = "vector",
     landmark_space=None,
     rng: np.random.Generator = None,
-    category: str = "hybrid_probe",
     coordinates=None,
     query_coords=None,
-    retry_policy=None,
 ) -> SearchCurve:
     """Landmark-guided nearest-neighbor search; returns the probe curve.
 
@@ -97,10 +95,10 @@ def hybrid_search(
     lookup; in the Figure 3-6 experiments: every node in the system).
     The query host itself is skipped if present in the pool.
 
-    Under an armed fault injector, candidate probes may time out: a
-    ``retry_policy`` re-probes with sim-clock backoff before the
-    candidate is skipped (a timed-out candidate still consumes one
-    unit of probe budget).  If *every* probed candidate times out the
+    Every probe is charged as ``hybrid_probe``.  Under an armed fault
+    injector a candidate probe may time out: the candidate is skipped
+    but still consumes one unit of probe budget.  If *every* probed
+    candidate times out the
     search degrades to landmark-only ranking -- the top-ranked
     candidate is returned with its landmark-space distance standing in
     for the unmeasurable RTT.
@@ -125,11 +123,7 @@ def hybrid_search(
         if fallback_idx is None:
             fallback_idx = idx
         try:
-            if retry_policy is None:
-                builder.probe(network, query_host, host, category)
-            else:
-                rtt = retry_policy.probe(network, query_host, host, category=category)
-                builder.record(float(rtt), host)
+            builder.probe(network, query_host, host, "hybrid_probe")
         except ProbeTimeout:
             builder.failed()
         if builder._count >= budget:

@@ -49,8 +49,6 @@ def select_landmarks(
     network,
     count: int,
     rng: np.random.Generator,
-    stub_only: bool = False,
-    margin: float = 1.25,
     strategy: str = "random",
 ) -> LandmarkSet:
     """Pick ``count`` landmark hosts from the topology.
@@ -58,7 +56,7 @@ def select_landmarks(
     Strategies (the paper uses ``random`` -- "randomly scattered in
     the Internet"; the others exist for the placement ablation):
 
-    * ``random`` -- uniform over hosts;
+    * ``random`` -- uniform over all nodes;
     * ``transit`` -- uniform over backbone (transit) nodes, modelling
       landmarks hosted at well-connected infrastructure;
     * ``spread`` -- greedy max-min latency separation (2-approximate
@@ -67,13 +65,13 @@ def select_landmarks(
       calibration probes, charged as usual.
 
     The normalisation bound is estimated from the measured pairwise
-    landmark RTTs (times ``margin``), mirroring a deployment where the
+    landmark RTTs (times 1.25), mirroring a deployment where the
     landmarks calibrate the grid among themselves.
     """
     if count < 2:
         raise ValueError("need at least two landmarks")
     if strategy == "random":
-        hosts = network.sample_hosts(count, rng, stub_only=stub_only)
+        hosts = network.sample_hosts(count, rng, stub_only=False)
     elif strategy == "transit":
         pool = network.topology.transit_nodes()
         if count > len(pool):
@@ -83,7 +81,7 @@ def select_landmarks(
         # candidates: a modest random pool to keep probing realistic
         pool = network.sample_hosts(
             min(8 * count, len(network.topology.stub_nodes())), rng,
-            stub_only=stub_only,
+            stub_only=False,
         )
         chosen = [int(pool[int(rng.integers(0, len(pool)))])]
         best_gap = {int(h): np.inf for h in pool}
@@ -106,7 +104,7 @@ def select_landmarks(
     for i, a in enumerate(hosts):
         for b in hosts[i + 1 :]:
             max_rtt = max(max_rtt, network.rtt(int(a), int(b), category="landmark_calibration"))
-    return LandmarkSet(hosts=hosts, max_rtt_ms=max_rtt * margin)
+    return LandmarkSet(hosts=hosts, max_rtt_ms=max_rtt * 1.25)
 
 
 def measure_vector(

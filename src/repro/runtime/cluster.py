@@ -108,14 +108,13 @@ class ClusterConfig:
     #: differ; for large soak clusters where O(N) wire joins dominate)
     bulk_boot: bool = False
     #: data-lane depth cap per actor (ROUTE/PUBLISH); frames
-    #: past the cap are shed with a BUSY reply.  None = unbounded
-    #: (the pre-overload-protection behavior).
+    #: past the cap are shed with a BUSY reply
     mailbox_cap: int = 1024
     #: which frame a full data lane sheds: "oldest" drops the queue
     #: head and admits the arrival, "newest" refuses the arrival
     shed_policy: str = "oldest"
     #: consecutive BUSY/timeout failures that open a peer's circuit
-    #: breaker (0 disables breakers entirely)
+    #: breaker
     breaker_threshold: int = 8
     #: seconds an open breaker waits before its half-open probe
     breaker_reset_s: float = 1.0
@@ -144,10 +143,20 @@ class ClusterConfig:
             raise ValueError(
                 f"shed_policy must be 'oldest' or 'newest', got {self.shed_policy!r}"
             )
-        if self.mailbox_cap is not None and self.mailbox_cap < 1:
-            raise ValueError("mailbox_cap must be >= 1 (or None for unbounded)")
-        if self.breaker_threshold < 0:
-            raise ValueError("breaker_threshold must be >= 0 (0 disables)")
+        for name in ("mailbox_cap", "breaker_threshold"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in (
+            "request_timeout",
+            "rto_min_s",
+            "heartbeat_period",
+            "probe_timeout",
+            "breaker_reset_s",
+        ):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.latency_scale >= 0:
+            raise ValueError("latency_scale must be >= 0")
         if self.busy_retries < 0:
             raise ValueError("busy_retries must be >= 0")
         if self.overlay.num_nodes != self.nodes:
@@ -331,7 +340,7 @@ class ClusterSurface:
         return sim
 
     async def verify_against_sim(
-        self, lookups: int = 256, routes: int = 64, seed: int = 0xC0FFEE, sim=None
+        self, lookups: int = 256, routes: int = 64, seed: int = 0xC0FFEE
     ) -> dict:
         """Cross-validate the live cluster against the synchronous simulator.
 
@@ -341,8 +350,7 @@ class ClusterSurface:
         ``ok`` is True only if every comparison matched bit-for-bit --
         the same bar however many processes served the live side.
         """
-        if sim is None:
-            sim = self.build_reference_sim()
+        sim = self.build_reference_sim()
         rng = np.random.default_rng(seed)
         ids = np.array(self.node_ids)
         dims = self.routing.dims
@@ -500,17 +508,14 @@ class Cluster(ClusterSurface):
                 victims.extend((await self.crash(victim))["victims"])
         return sorted(victims)
 
-    async def restart(self, node_id: int = None) -> int:
+    async def restart(self) -> int:
         """Start a fresh process that (re)joins over the wire.
 
         Crash-stop destroys the old identity for good, so a restart is
         a brand-new member admitted through the normal JOIN path --
         landmark measurement, CAN join, publication, table build.
-        ``node_id`` optionally names the crashed member being replaced
-        (clears its crash-ledger entry).  Returns the new node id.
+        Returns the new node id.
         """
-        if node_id is not None:
-            self.crashed.pop(node_id, None)
         joiner = NodeProcess(self, f"rejoin:{next(self._rejoin_ids)}")
         await joiner.start()
         ack = await joiner.request(self.bootstrap.addr, MsgType.JOIN, {})
@@ -548,7 +553,7 @@ class Cluster(ClusterSurface):
         faults.plan = replace(faults.plan, partitions=keep)
         return healed
 
-    async def enable_recovery(self, params=None, seed: int = 0xFD):
+    async def enable_recovery(self, params=None):
         """Arm the wire-level SWIM loop + recovery stack (idempotent).
 
         Returns the running
@@ -557,7 +562,7 @@ class Cluster(ClusterSurface):
         if self.recovery is None:
             from repro.runtime.recovery import RuntimeRecovery
 
-            self.recovery = RuntimeRecovery(self, params, seed=seed)
+            self.recovery = RuntimeRecovery(self, params, seed=0xFD)
             await self.recovery.start()
         return self.recovery
 

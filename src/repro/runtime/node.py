@@ -263,9 +263,8 @@ class NodeProcess:
         if kind in _CONTROL_KINDS:
             self.control_lane.append(frame)
         else:
-            cap = self.cluster.config.mailbox_cap
             lane = self.data_lane
-            if cap is not None and len(lane) >= cap:
+            if len(lane) >= self.cluster.config.mailbox_cap:
                 if self.cluster.config.shed_policy == "oldest":
                     # admit the arrival, shed the head: under sustained
                     # overload the freshest work is the likeliest to
@@ -335,11 +334,9 @@ class NodeProcess:
     # -- client side -------------------------------------------------------
 
     def _breaker_for(self, dst):
-        config = self.cluster.config
-        if not config.breaker_threshold:
-            return None
         breaker = self._breakers.get(dst)
         if breaker is None:
+            config = self.cluster.config
             # the loop's clock, like every other time the request path reads
             breaker = self._breakers[dst] = CircuitBreaker(
                 threshold=config.breaker_threshold,
@@ -482,7 +479,7 @@ class NodeProcess:
 
     # -- RPC entry points (called by the Cluster) --------------------------
 
-    async def rpc_route(self, point, op: str = "route", timeout=None) -> dict:
+    async def rpc_route(self, point, op: str = "route") -> dict:
         """Route ``point`` over the wire from this node; returns the ACK.
 
         The first forwarding decision runs through the same machinery
@@ -494,7 +491,6 @@ class NodeProcess:
             self.addr,
             MsgType.ROUTE,
             {"point": [float(x) for x in point], "path": [self.addr], "op": op},
-            timeout=timeout,
         )
 
     # -- dispatch ----------------------------------------------------------

@@ -136,9 +136,8 @@ class PeeringTransport(StreamTransport):
         shard_id: int,
         shard_of: dict,
         inner: Transport,
-        interface: str = "127.0.0.1",
     ):
-        super().__init__(encoding=inner.encoding, interface=interface)
+        super().__init__(encoding=inner.encoding)
         self.shard_id = shard_id
         #: node id -> owning shard (string joiner addrs are never
         #: sharded: anything unknown is treated as local)
@@ -607,7 +606,7 @@ class ShardedCluster(ClusterSurface):
         await super().leave(node_id)
         self.assignment.pop(node_id, None)
 
-    async def enable_recovery(self, params=None, seed: int = 0xFD):
+    async def enable_recovery(self, params=None):
         """Unsupported: raises a typed :class:`NotSupportedError`.
 
         The wire-level SWIM loop would have to probe across worker

@@ -51,15 +51,14 @@ class MaintenanceDriver:
         ecan,
         network,
         policy: MaintenancePolicy = MaintenancePolicy.PROACTIVE,
-        poll_interval: float = 60.0,
         retry_policy=None,
-        confirmations: int = 2,
     ):
         self.store = store
         self.ecan = ecan
         self.network = network
         self.policy = policy
-        self.poll_interval = poll_interval
+        #: sim ms between periodic sweeps
+        self.poll_interval = 60.0
         if retry_policy is None:
             from repro.core.reliability import RetryPolicy
 
@@ -67,7 +66,7 @@ class MaintenanceDriver:
         #: RetryPolicy for liveness pings (attempts + sim-clock backoff)
         self.retry_policy = retry_policy
         #: silent ping rounds required before a record is declared dead
-        self.confirmations = confirmations
+        self.confirmations = 2
         self._timer = None
         self.purged = 0
         #: records re-published by their subjects after copy loss

@@ -92,7 +92,7 @@ class RingSoftState:
         self.registry[node_id] = record
         return record
 
-    def publish(self, node_id: int, charge: bool = True) -> int:
+    def publish(self, node_id: int) -> int:
         """Write the record to all current regions; drop stale placements.
 
         Soft-state refresh naturally reconciles level drift: as the
@@ -106,8 +106,7 @@ class RingSoftState:
         for region in wanted:
             key = self.map_key(record.landmark_number, region)
             self.maps.setdefault(region, {})[node_id] = (record, key)
-            if charge:
-                self.ring.route(node_id, key, category="softstate_publish")
+            self.ring.route(node_id, key, category="softstate_publish")
         return len(wanted)
 
     def withdraw(self, node_id: int, charge: bool = True) -> int:
@@ -163,15 +162,15 @@ class RingSoftState:
 def build_soft_state_overlay(ring_cls, softstate_cls, vanilla: NeighborPolicy,
                              network, num_nodes: int, landmarks: int,
                              policy_name: str, rtt_budget: int, seed: int,
-                             converge: bool, **geometry):
+                             **geometry):
     """Assemble a ring overlay with the chosen neighbor policy, fully built.
 
     ``policy_name`` is ``random``, ``optimal``, ``softstate`` or the
     name of ``vanilla``, the port's own proximity-blind rule;
-    ``geometry`` goes to ``ring_cls``.  ``converge=True`` runs one
-    table-rebuild round after all joins (the steady state a
-    fix-fingers style stabilization converges to; its cost is charged
-    to the usual counters).  Returns ``(ring, softstate)``;
+    ``geometry`` goes to ``ring_cls``.  After all joins one refresh and
+    table-rebuild round runs (the steady state a fix-fingers style
+    stabilization converges to; its cost is charged to the usual
+    counters).  Returns ``(ring, softstate)``;
     ``softstate`` is None for non-soft-state policies.
     """
     ring_rng, host_rng, landmark_rng, policy_rng = (
@@ -201,10 +200,9 @@ def build_soft_state_overlay(ring_cls, softstate_cls, vanilla: NeighborPolicy,
             softstate.register_identity(node_id, int(host), vector)
             softstate.publish(node_id)
         ring.build_table(node_id)
-    if converge:
-        if publishing:
-            for node_id in ring.members():
-                softstate.publish(node_id)  # soft-state refresh round
+    if publishing:
         for node_id in ring.members():
-            ring.build_table(node_id)
+            softstate.publish(node_id)  # soft-state refresh round
+    for node_id in ring.members():
+        ring.build_table(node_id)
     return ring, (softstate if publishing else None)

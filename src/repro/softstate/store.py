@@ -330,7 +330,7 @@ class SoftStateStore:
             regions.extend(regions_of_zone(zone))
         return regions
 
-    def publish(self, node_id: int, charge: bool = True) -> int:
+    def publish(self, node_id: int) -> int:
         """Insert/refresh the node's record in all enclosing region maps.
 
         Returns the number of regions written.  Also reconciles stale
@@ -366,10 +366,9 @@ class SoftStateStore:
                 owner=None if fresh else prior.owner,
             )
             self._index_insert(region, node_id, self.ecan.can.owner_of_point(position))
-            if charge:
-                self._charge_route(node_id, position, "softstate_publish")
-                for replica in replicas:
-                    self._charge_route(node_id, replica, "softstate_replicate")
+            self._charge_route(node_id, position, "softstate_publish")
+            for replica in replicas:
+                self._charge_route(node_id, replica, "softstate_replicate")
             if fresh:
                 self._emit(EventKind.NODE_JOINED, region, record)
         self._published[node_id] = wanted
@@ -445,7 +444,7 @@ class SoftStateStore:
         self._emit(kind, region, stored.record)
         return 1
 
-    def update_load(self, node_id: int, load: float, charge: bool = True) -> None:
+    def update_load(self, node_id: int, load: float) -> None:
         """Publish fresh load statistics to every map holding the node."""
         record = self.registry.get(node_id)
         if record is None:
@@ -460,8 +459,7 @@ class SoftStateStore:
             stored.record = record
             # the one mutation that reaches a shard without passing the index
             self._views.pop((stored.owner, region), None)
-            if charge:
-                self.network.stats.count("softstate_load_update")
+            self.network.stats.count("softstate_load_update")
             self._emit(EventKind.LOAD_UPDATED, region, record)
 
     # -- expiry -----------------------------------------------------------------
@@ -533,7 +531,7 @@ class SoftStateStore:
             self.network.telemetry.count("record_loss")
         return salvageable, lost
 
-    def rehost_from_replicas(self, dead_id: int, charge: bool = True) -> int:
+    def rehost_from_replicas(self, dead_id: int) -> int:
         """Re-host copies lost with ``dead_id`` from surviving replicas.
 
         Run by recovery *after* zone takeover, when the dead node's
@@ -560,8 +558,7 @@ class SoftStateStore:
                     src = owner  # a live surviving copy pushes the data
                     break
             for position in vacated:
-                if charge:
-                    self._charge_route(src, position, "softstate_rehost")
+                self._charge_route(src, position, "softstate_rehost")
                 rehosted += 1
         return rehosted
 
@@ -610,7 +607,6 @@ class SoftStateStore:
         self,
         querier_id: int,
         region: Region,
-        query_vector=None,
         max_results: int = None,
         charge: bool = True,
     ) -> LookupResult:
@@ -625,20 +621,15 @@ class SoftStateStore:
         """
         if max_results is None:
             max_results = self.max_results
-        if query_vector is None:
-            own = self.registry.get(querier_id)
-            if own is None:
-                raise KeyError(f"querier {querier_id} has no registered identity")
-            query_vector = own.vector()
-            # the landmark number is cached on the registered identity --
-            # a pure function of the vector and the space
-            query_number = own.landmark_number
-        else:
-            query_vector = np.asarray(query_vector, dtype=np.float64)
-            query_number = self.space.number(query_vector)
+        own = self.registry.get(querier_id)
+        if own is None:
+            raise KeyError(f"querier {querier_id} has no registered identity")
+        query_vector = own.vector()
 
         position = map_position(
-            query_number,
+            # the landmark number is cached on the registered identity --
+            # a pure function of the vector and the space
+            own.landmark_number,
             self.space.total_bits,
             region,
             self.ecan.can.dims,

@@ -40,18 +40,17 @@ def zipf_points(
     dims: int,
     rng: np.random.Generator,
     distinct: int = 64,
-    exponent: float = 1.1,
 ) -> np.ndarray:
     """Zipf-popular lookup keys over ``distinct`` hot points.
 
     Rank ``k`` is drawn with probability proportional to
-    ``k**-exponent`` -- a convenient stand-in for skewed object
+    ``k**-1.1`` -- a convenient stand-in for skewed object
     popularity when exercising forwarding-load imbalance.
     """
     if distinct < 1:
         raise ValueError("distinct must be >= 1")
     hot = rng.random((distinct, dims))
-    weights = 1.0 / np.arange(1, distinct + 1) ** exponent
+    weights = 1.0 / np.arange(1, distinct + 1) ** 1.1
     weights /= weights.sum()
     choices = rng.choice(distinct, size=count, p=weights)
     return hot[choices]

@@ -109,13 +109,6 @@ class TestDriver:
         driver.apply(ChurnEvent(time=25.0, kind="join"))
         assert clock.now == 525.0
 
-    def test_explicit_epoch_overrides_default(self, overlay):
-        clock = overlay.network.clock
-        clock.run_until(100.0)
-        driver = ChurnDriver(overlay)
-        driver.apply(ChurnEvent(time=5.0, kind="join"), epoch=200.0)
-        assert clock.now == 205.0
-
     def test_past_event_never_rewinds_clock(self, overlay):
         clock = overlay.network.clock
         driver = ChurnDriver(overlay)

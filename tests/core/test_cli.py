@@ -93,11 +93,24 @@ class TestCommands:
         assert config.shed_policy == "oldest"
         assert config.breaker_threshold == 8
 
-    def test_cluster_mailbox_cap_zero_means_unbounded(self):
-        from repro.cli import _cluster_config
-
-        args = build_parser().parse_args(["cluster", "--mailbox-cap", "0"])
-        assert _cluster_config(args).mailbox_cap is None
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("cluster", "--mailbox-cap"),
+            ("cluster", "--breaker-threshold"),
+            ("cluster", "--request-timeout"),
+            ("controller", "--heartbeat-period"),
+        ],
+    )
+    def test_a_value_the_config_refuses_is_a_usage_error(self, command, flag, capsys):
+        """``--request-timeout 0`` once booted the cluster and died at
+        the first lookup with a traceback; now nothing boots."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--nodes", "4", flag, "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: repro {command}" in err
+        assert flag[2:].replace("-", "_") in err
 
     def test_cluster_shards_flag_reaches_config(self):
         from repro.cli import _cluster_config

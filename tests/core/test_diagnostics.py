@@ -1,6 +1,5 @@
 """Diagnostics helpers."""
 
-import numpy as np
 import pytest
 
 from repro.core import OverlayParams, TopologyAwareOverlay
@@ -24,7 +23,7 @@ def overlay(small_topology):
 
 class TestHopProfile:
     def test_rows_shape(self, overlay):
-        rows = hop_latency_profile(overlay, samples=100, rng=np.random.default_rng(1))
+        rows = hop_latency_profile(overlay, samples=100)
         assert rows
         assert rows[0]["hop"] == 1
         for row in rows:
@@ -32,14 +31,14 @@ class TestHopProfile:
             assert row["count"] > 0
 
     def test_first_hop_count_is_largest(self, overlay):
-        rows = hop_latency_profile(overlay, samples=100, rng=np.random.default_rng(1))
+        rows = hop_latency_profile(overlay, samples=100)
         counts = [r["count"] for r in rows]
         assert counts[0] == max(counts)
 
     def test_proximity_signature(self, overlay):
         """With soft-state selection the first (high-choice) hop is on
         average cheaper than the late hops."""
-        rows = hop_latency_profile(overlay, samples=250, rng=np.random.default_rng(2))
+        rows = hop_latency_profile(overlay, samples=250)
         if len(rows) >= 3:
             assert rows[0]["mean_latency_ms"] <= max(
                 r["mean_latency_ms"] for r in rows[1:]

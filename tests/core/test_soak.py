@@ -39,7 +39,7 @@ class TestInjectCorruption:
         """Every corruption class trips the legitimacy predicate, and
         the repair loop converges inside the round budget."""
         rng = np.random.default_rng(7)
-        corrupted = inject_corruption(armed_overlay, kind, rng, fraction=0.2)
+        corrupted = inject_corruption(armed_overlay, kind, rng)
         assert corrupted > 0
         ok, violation = _legitimate(armed_overlay, armed_overlay.detector)
         assert not ok, f"{kind} left the overlay legitimate"

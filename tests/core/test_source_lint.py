@@ -203,3 +203,166 @@ def test_every_exemption_is_current_and_of_its_kind():
         if name not in orphans or not holds[kind](name)
     ]
     assert wrong == []
+
+
+#: defaulted parameters that no caller outside ``tests/`` sets, each a
+#: ``lever``: a test needs it to reach a bound the default cannot, and
+#: the named test file sets it
+UNSET_BY_CALLERS = {
+    "repro.overlay.ecan.EcanOverlay.route.max_hops": (
+        "lever",
+        "tests/overlay/test_route_loops.py",
+    ),
+}
+
+
+def defaulted_parameters(src: pathlib.Path) -> list:
+    """``(module.qualname, call name, {param: position}, path:line)`` of
+    every function, method and ``__init__`` under ``src`` with a
+    defaulted parameter.  ``position`` is the index a call passes the
+    parameter at positionally (``self``/``cls`` not counted), ``None``
+    for a keyword-only one; an ``__init__`` is called by its class name."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        parts = path.relative_to(src.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+        def visit(node, prefix: str, in_class: bool, owner: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.", True, child.name)
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    bound = in_class and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in child.decorator_list
+                    )
+                    defaulted = positional[len(positional) - len(args.defaults):]
+                    params = {
+                        p.arg: positional.index(p) - bound for p in defaulted
+                    }
+                    params.update(
+                        (p.arg, None)
+                        for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None
+                    )
+                    if params:
+                        name = owner if child.name == "__init__" else child.name
+                        where = f"{path.relative_to(src.parents[1])}:{child.lineno}"
+                        found.append(
+                            (f"{module}.{prefix}{child.name}", name, params, where)
+                        )
+                    visit(child, f"{prefix}{child.name}.<locals>.", False, owner)
+
+        visit(ast.parse(path.read_text()), "", False, "")
+    return found
+
+
+def calls_by_name(paths) -> dict:
+    """Name -> every call in ``paths`` to ``name(...)`` or ``x.name(...)``."""
+    found = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name:
+                    found.setdefault(name, []).append(node)
+    return found
+
+
+def passes(call: ast.Call, param: str, position) -> bool:
+    """Does ``call`` set ``param``: by keyword, at its position, or
+    through a ``*``/``**`` unpacking that may carry it?"""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(keyword.arg in (None, param) for keyword in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_parameters(src: pathlib.Path, caller_paths) -> dict:
+    """``module.qualname.param`` -> ``path:line`` of every defaulted
+    parameter of a definition some call in ``caller_paths`` reaches by
+    name, when no such call sets it."""
+    calls = calls_by_name(caller_paths)
+    found = {}
+    for qualname, name, params, where in defaulted_parameters(src):
+        reaching = calls.get(name)
+        if not reaching:
+            continue
+        for param, position in params.items():
+            if not any(passes(call, param, position) for call in reaching):
+                found[f"{qualname}.{param}"] = where
+    return found
+
+
+def caller_paths(root: pathlib.Path) -> list:
+    return [p for top in CALLER_DIRS for p in sorted((root / top).rglob("*.py"))]
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller_outside_tests():
+    """A setting needs a caller that sets it: a defaulted parameter
+    whose only value outside ``tests/`` is its default goes, with the
+    branch it guards, unless :data:`UNSET_BY_CALLERS` says which test
+    needs it as a lever."""
+    unset = unset_parameters(SRC, caller_paths(ROOT))
+    orphans = [
+        f"{where} {name}" for name, where in unset.items()
+        if name not in UNSET_BY_CALLERS
+    ]
+    assert sorted(orphans) == []
+
+
+def test_every_lever_is_current_and_set_by_its_test():
+    """An exemption names a parameter that is still unset outside
+    ``tests/``, its kind is ``lever``, and its test file sets it."""
+    unset = unset_parameters(SRC, caller_paths(ROOT))
+    definitions = {
+        f"{qualname}.{param}": (name, position)
+        for qualname, name, params, _where in defaulted_parameters(SRC)
+        for param, position in params.items()
+    }
+    wrong = []
+    for qualified, (kind, test_file) in UNSET_BY_CALLERS.items():
+        name, position = definitions.get(qualified, (None, None))
+        param = qualified.rsplit(".", 1)[1]
+        calls = calls_by_name([ROOT / test_file]).get(name, [])
+        if (
+            qualified not in unset
+            or kind != "lever"
+            or not any(passes(call, param, position) for call in calls)
+        ):
+            wrong.append(qualified)
+    assert wrong == []
+    assert len(UNSET_BY_CALLERS) <= 12
+
+
+def test_a_seeded_orphan_parameter_is_named(tmp_path):
+    """The lint names an unset parameter ``module.qualname.param`` and
+    counts a keyword, a position and an unpacking as setting one."""
+    package = tmp_path / "src" / "repro" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, size=1, *, label=''):\n"
+        "        pass\n"
+        "    def grow(self, by=1, twice=False):\n"
+        "        pass\n"
+        "def make(count=3, **options):\n"
+        "    return Box(count)\n"
+    )
+    caller = tmp_path / "scripts" / "use.py"
+    caller.parent.mkdir()
+    caller.write_text(
+        "box = Box(label='x')\n"
+        "box.grow(2)\n"
+        "make(*counts)\n"
+    )
+    unset = unset_parameters(tmp_path / "src" / "repro", [caller])
+    assert sorted(unset) == [
+        "repro.pkg.mod.Box.__init__.size",
+        "repro.pkg.mod.Box.grow.twice",
+    ]
+    assert unset["repro.pkg.mod.Box.grow.twice"] == "src/repro/pkg/mod.py:4"

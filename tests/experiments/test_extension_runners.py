@@ -69,10 +69,8 @@ class TestChurnTimeline:
             return poll_once(driver)
 
         monkeypatch.setattr(MaintenanceDriver, "poll_once", counted)
-        interval = churn_timeline.DURATION_MS / 6
-        result = churn_timeline.run_policy(
-            MaintenancePolicy.PERIODIC, scale=MICRO, poll_interval=interval
-        )
+        interval = churn_timeline.POLL_INTERVAL_MS
+        result = churn_timeline.run_policy(MaintenancePolicy.PERIODIC, scale=MICRO)
         last_event = result["timeline"][-1]["time"]
         assert last_event > 3 * interval
         assert len(polls) >= last_event // interval - 1

@@ -14,9 +14,9 @@ from tests.overlay.test_integer_geometry import float_cell
 
 
 def build_ecan(n: int, seed: int = 0, stats=None, policy=None, dims: int = 2):
-    ecan = EcanOverlay(
-        dims=dims, rng=np.random.default_rng(seed), stats=stats, policy=policy
-    )
+    ecan = EcanOverlay(dims=dims, rng=np.random.default_rng(seed), stats=stats)
+    if policy is not None:
+        ecan.policy = policy
     for i in range(n):
         ecan.join(i, host=1000 + i)
     return ecan
@@ -120,11 +120,8 @@ class TestTables:
 class TestPolicies:
     def test_closest_policy_picks_minimum_latency(self, tiny_network, rng):
         hosts = tiny_network.sample_hosts(40, rng)
-        ecan = EcanOverlay(
-            dims=2,
-            rng=np.random.default_rng(1),
-            policy=ClosestNeighborPolicy(tiny_network),
-        )
+        ecan = EcanOverlay(dims=2, rng=np.random.default_rng(1))
+        ecan.policy = ClosestNeighborPolicy(tiny_network)
         for i, host in enumerate(hosts):
             ecan.join(i, int(host))
         # rebuild so every entry reflects the final candidate sets,

@@ -72,7 +72,8 @@ class TestTablesEdge:
                 return None  # force the fallback path every time
 
         a = EcanOverlay(dims=2, rng=np.random.default_rng(7))
-        b = EcanOverlay(dims=2, rng=np.random.default_rng(7), policy=DecliningPolicy())
+        b = EcanOverlay(dims=2, rng=np.random.default_rng(7))
+        b.policy = DecliningPolicy()
         for i in range(48):
             a.join(i, host=i)
             b.join(i, host=i)

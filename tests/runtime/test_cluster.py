@@ -84,6 +84,25 @@ class TestBoot:
                 overlay=OverlayParams(num_nodes=4, seed=5),
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("request_timeout", 0.0),
+            ("rto_min_s", -1.0),
+            ("heartbeat_period", 0.0),
+            ("probe_timeout", -1.0),
+            ("breaker_reset_s", -1.0),
+            ("latency_scale", -1.0),
+            ("request_timeout", float("nan")),
+        ],
+    )
+    def test_config_rejects_a_timing_value_that_breaks_later(self, field, value):
+        """A zero timeout once booted and died at the first lookup; a
+        zero heartbeat period at ``enable_recovery``; a negative probe
+        timeout, breaker window or latency scale was kept silently."""
+        with pytest.raises(ValueError, match=field):
+            make_config(nodes=4, **{field: value})
+
 
 class TestRpcs:
     def test_lookup_owner_matches_local_resolution(self):

@@ -25,10 +25,14 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+#: a breaker threshold no test's failure streak reaches
+NEVER_OPENS = 10**9
+
+
 def make_config(nodes=12, **overrides):
     overrides.setdefault("mailbox_cap", 4)
     overrides.setdefault("busy_retries", 0)
-    overrides.setdefault("breaker_threshold", 0)
+    overrides.setdefault("breaker_threshold", NEVER_OPENS)
     return ClusterConfig(
         nodes=nodes,
         network=NetworkParams(topo_scale=0.25, seed=3),
@@ -246,8 +250,11 @@ class TestLanesAndShedding:
         assert failures == []
 
     def test_unbounded_cap_never_sheds(self):
+        """A cap above the flood (32 frames into a 33-deep lane) acts
+        as no cap at all: nothing is shed and every request answers."""
+
         async def scenario():
-            config = make_config(mailbox_cap=None)
+            config = make_config(mailbox_cap=33)
             async with Cluster(config) as cluster:
                 origin = cluster.bootstrap
                 victim_id = pick_peer(cluster)
@@ -274,7 +281,7 @@ class TestLanesAndShedding:
         with pytest.raises(ValueError, match="mailbox_cap"):
             make_config(mailbox_cap=0)
         with pytest.raises(ValueError, match="breaker_threshold"):
-            make_config(breaker_threshold=-1)
+            make_config(breaker_threshold=0)
 
 
 class TestHeartbeatSurvivalUnderSaturation:
@@ -513,7 +520,7 @@ class TestCircuitBreaker:
                 await cluster.crash(origin_id)
                 reads.append(cluster.overload_counters())
                 await release()
-                await cluster.restart(origin_id)
+                await cluster.restart()
                 reads.append(cluster.overload_counters())
                 await cluster.leave(victim_id)
                 reads.append(cluster.overload_counters())
@@ -652,7 +659,6 @@ class TestLoadgenOverloadAccounting:
                 nodes=8,
                 mailbox_cap=8,
                 busy_retries=2,
-                breaker_threshold=0,
             )
             async with Cluster(config) as cluster:
                 report = await run_load(

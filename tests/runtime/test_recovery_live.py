@@ -184,7 +184,7 @@ class TestRestart:
                     lambda: set(victims) <= set(recovery.confirmed_dead),
                 )
                 await recovery.reconcile()
-                rejoined = await cluster.restart(victim)
+                rejoined = await cluster.restart()
                 assert rejoined in cluster.actors
                 assert rejoined in cluster.overlay.ecan.can.nodes
                 result = await cluster.lookup(rejoined, (0.5, 0.5))

@@ -151,7 +151,7 @@ class TestPeriodic:
         overlay.maintenance.policy = MaintenancePolicy.PERIODIC
         overlay.store.record_ttl = 5.0
         node_id = overlay.node_ids[4]
-        overlay.store.publish(node_id, charge=False)
+        overlay.store.publish(node_id)
         overlay.network.clock.run_until(50.0)
         overlay.maintenance.poll_once()
         assert all(

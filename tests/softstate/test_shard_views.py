@@ -119,7 +119,7 @@ class TestViewsFollowEveryMutator:
     def test_poisoned_index_and_its_repair(self, viewed):
         assert_views_rederive(viewed)
         poisoned = inject_corruption(
-            viewed, "poison_owner_index", np.random.default_rng(4), fraction=0.3
+            viewed, "poison_owner_index", np.random.default_rng(4)
         )
         assert poisoned > 0
         # the poison went through _index_insert, so no view outlived it;

@@ -94,14 +94,6 @@ class TestLookup:
         overlay.store.lookup(overlay.node_ids[2], Region(1, (0, 1)), charge=False)
         assert "softstate_lookup" not in stats.delta(before)
 
-    def test_lookup_with_explicit_vector(self, overlay):
-        store = overlay.store
-        vector = store.registry[overlay.node_ids[4]].landmark_vector
-        result = store.lookup(
-            overlay.node_ids[0], Region(1, (0, 0)), query_vector=vector
-        )
-        assert isinstance(result.records, list)
-
     def test_lookup_unknown_querier(self, overlay):
         with pytest.raises(KeyError):
             overlay.store.lookup(424242, Region(1, (0, 0)))
@@ -135,7 +127,7 @@ class TestExpiry:
         store = overlay.store
         store.record_ttl = 10.0
         node_id = overlay.node_ids[0]
-        store.publish(node_id, charge=False)
+        store.publish(node_id)
         overlay.network.clock.run_until(100.0)
         removed = store.expire_stale()
         assert removed >= 1
@@ -146,9 +138,9 @@ class TestExpiry:
         store = overlay.store
         store.record_ttl = 50.0
         node_id = overlay.node_ids[1]
-        store.publish(node_id, charge=False)
+        store.publish(node_id)
         overlay.network.clock.run_until(30.0)
-        store.publish(node_id, charge=False)  # refresh
+        store.publish(node_id)  # refresh
         overlay.network.clock.run_until(60.0)
         store.expire_stale()
         assert any(node_id in bucket for bucket in store.maps.values())

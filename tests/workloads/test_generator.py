@@ -47,7 +47,7 @@ class TestPoissonArrivals:
 
 class TestZipfPoints:
     def test_skew(self, rng):
-        points = zipf_points(2000, 2, rng, distinct=16, exponent=1.2)
+        points = zipf_points(2000, 2, rng, distinct=16)
         assert points.shape == (2000, 2)
         _, counts = np.unique(points[:, 0], return_counts=True)
         counts = np.sort(counts)[::-1]
