@@ -49,17 +49,21 @@ perf-smoke:
 # nine-tenths + parent-IQR verdict.  ~20 s per run, so ~7 min at 10.
 # ALSO names more workloads (or "all") that get their own N pairs and
 # the bound table of every end-to-end metric: the whole no-regression
-# check in one command (~45 min at 10 pairs for all seven).
+# check in one command (~45 min at 10 pairs for all seven).  FIRST_SEED
+# moves the seeds (FIRST_SEED..FIRST_SEED+PAIRS-1), so a claim can be
+# re-checked on seeds not used while the change was written.
 #   make perf-pairs BASE=HEAD~1 WORKLOAD=live_map_mixed METRIC=cpu_us_per_op
 #   make perf-pairs BASE=HEAD~1 WORKLOAD=sim_route ALSO=all
 BASE ?= HEAD~1
 WORKLOAD ?= live_lookup_closed
 METRIC ?= cpu_us_per_op
 PAIRS ?= 10
+FIRST_SEED ?= 1
 ALSO ?=
 perf-pairs:
 	$(PYTHON) scripts/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) \
-		--metric $(METRIC) --pairs $(PAIRS) $(foreach w,$(ALSO),--also $(w))
+		--metric $(METRIC) --pairs $(PAIRS) --first-seed $(FIRST_SEED) \
+		$(foreach w,$(ALSO),--also $(w))
 
 # The acceptance scenarios, one process, ~15 s (scripts/smoke.py): chaos
 # recovery on three seeds, live-runtime sim parity under both payload

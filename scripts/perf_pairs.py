@@ -2,7 +2,8 @@
 
 ``benchmarks/perf/README.md`` says a gain "is claimed by the pairs
 rule"; this runs it.  The base revision is exported (``git archive``)
-into a temporary directory, and for seeds 1..N both trees run
+into a temporary directory, and for seeds S..S+N-1 (S is
+``--first-seed``, 1 unless given) both trees run
 
     python3 benchmarks/perf/run.py --workload W --seed i --trace 0
 
@@ -30,6 +31,9 @@ Only ``--workload`` gets the gain verdict.
 
     python scripts/perf_pairs.py --base HEAD~1 --workload sim_route \\
         --metric cpu_us_per_op --also all
+
+A claim can be re-checked on seeds that were not used while the
+change was written: ``--first-seed 101`` runs seeds 101..100+N.
 
 It reads only ``BENCHMARK.json`` (the workload names, each metric's
 direction and bound) and that last line; it imports nothing from and
@@ -175,15 +179,18 @@ def expand_also(also: list, claimed: str) -> list:
     return [name for name in declared if name in wanted and name != claimed]
 
 
-def run_pairs(base_tree: Path, workload: str, metric: str, pairs: int) -> tuple:
-    """``pairs`` alternating runs of both trees: (base runs, change
-    runs), one {metric: value} per run, ``metric`` printed per pair."""
+def run_pairs(
+    base_tree: Path, workload: str, metric: str, pairs: int, first_seed: int
+) -> tuple:
+    """``pairs`` alternating runs of both trees on seeds ``first_seed``
+    onwards: (base runs, change runs), one {metric: value} per run,
+    ``metric`` printed per pair.  The base goes first in the first pair."""
     base, change = [], []
     print(f"# {workload}: {metric} per pair")
     print("| seed | first | base | change |")
     print("|---|---|---|---|")
-    for seed in range(1, pairs + 1):
-        order = ("base", "change") if seed % 2 else ("change", "base")
+    for i, seed in enumerate(range(first_seed, first_seed + pairs)):
+        order = ("change", "base") if i % 2 else ("base", "change")
         values = {}
         for side in order:
             tree = base_tree if side == "base" else ROOT
@@ -252,6 +259,10 @@ def main() -> int:
     parser.add_argument("--metric", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument(
+        "--first-seed", type=int, default=1, metavar="N",
+        help="seed of the first pair (default 1); the pairs run N, N+1, ...",
+    )
+    parser.add_argument(
         "--also", action="append", default=[], metavar="W",
         help="one more workload held to its bounds (repeatable); 'all' for "
         "every other declared workload",
@@ -267,7 +278,9 @@ def main() -> int:
             f"# claim: {args.workload} {args.metric} ({better} is better), "
             f"base {args.base} vs {ROOT}"
         )
-        base, change = run_pairs(base_tree, args.workload, args.metric, args.pairs)
+        base, change = run_pairs(
+            base_tree, args.workload, args.metric, args.pairs, args.first_seed
+        )
         verdict = print_verdict(
             column(base, args.metric), column(change, args.metric), better
         )
@@ -276,7 +289,9 @@ def main() -> int:
             for name in print_bounds(args.workload, base, change, skip=args.metric)
         ]
         for workload in also:
-            base, change = run_pairs(base_tree, workload, args.metric, args.pairs)
+            base, change = run_pairs(
+                base_tree, workload, args.metric, args.pairs, args.first_seed
+            )
             worse += [
                 f"{workload}/{name}" for name in print_bounds(workload, base, change)
             ]

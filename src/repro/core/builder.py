@@ -320,8 +320,7 @@ class TopologyAwareOverlay:
         hosts warmed.
         """
         hosts = sorted({int(node.host) for node in self.ecan.can.nodes.values()})
-        if hosts:
-            self.network.oracle.rows(hosts)
+        self.network.oracle.rows(hosts)
         return len(hosts)
 
     def measure_stretch(self, samples: int = None, rng=None) -> np.ndarray:

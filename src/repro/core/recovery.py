@@ -600,6 +600,9 @@ def check_invariants(overlay, detector: SwimCore = None) -> dict:
       links are symmetric and adjacent (``Can.check_invariants``);
     * the store's incremental position->owner index agrees with a
       brute-force re-resolution (``SoftStateStore.check_owner_index``);
+    * eCAN's per-cell member lists and validity memo agree with a
+      recount from the live zones (``EcanOverlay.check_member_index``,
+      ``EcanOverlay.check_valid_memo``);
     * no member runs on a crashed host;
     * every map record belongs to a live member, sits at its correct
       :func:`~repro.softstate.maps.map_position`, and every copy is
@@ -652,6 +655,7 @@ def check_invariants(overlay, detector: SwimCore = None) -> dict:
         assert node_id in members, f"registry holds dead identity {node_id}"
 
     overlay.ecan.check_valid_memo()
+    overlay.ecan.check_member_index()
     for node_id, table in overlay.ecan._tables.items():
         assert node_id in members, f"expressway table of dead node {node_id}"
         for row in table.values():

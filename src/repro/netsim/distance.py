@@ -78,7 +78,8 @@ class DistanceOracle:
         ways: rows already cached are reused (Dijkstra runs only for
         the misses) and freshly computed rows are inserted, so later
         :meth:`row`/:meth:`distance` calls for the same sources are
-        cache hits.  The returned matrix is a private writable copy.
+        cache hits.  The returned matrix is a private writable copy,
+        ``(0, num_nodes)`` when ``sources`` is empty.
         """
         sources = np.asarray(sources, dtype=np.int64)
         unique = []
@@ -109,6 +110,8 @@ class DistanceOracle:
                 self._rows[s] = fresh
                 if len(self._rows) > self.max_cached_rows:
                     self._rows.popitem(last=False)
+        if not len(sources):
+            return np.empty((0, self.num_nodes), dtype=np.float32)
         return np.vstack([have[int(s)] for s in sources])
 
     def distance(self, u: int, v: int) -> float:

@@ -87,10 +87,12 @@ class CanOverlay:
         #: so a cache keyed on one node's stamp (eCAN's validity memo) can
         #: never read a verdict older than the zones it was computed from.
         self.zone_epoch: dict = {}
-        #: point -> owner memo; a pure function of the tessellation, so it
-        #: is cleared wholesale whenever a zone is (un)indexed.  Local data
-        #: structure only -- resolutions through it are never charged.
+        #: point -> owner memo; a pure function of the tessellation.  Local
+        #: data structure only -- resolutions through it are never charged.
         self._owner_memo: dict = {}
+        #: reverse side of the memo: owner -> the points memoised to it, so
+        #: a zone (un)index drops only the entries of the node it touched
+        self._memo_points: dict = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -125,12 +127,20 @@ class CanOverlay:
         self._zones_changed(holder)
 
     def _zones_changed(self, node_id) -> None:
-        """One zone of ``node_id`` was (un)indexed: new version, new stamp."""
+        """One zone of ``node_id`` was (un)indexed: new version, new stamp.
+
+        A memoised point changes owner only when the zone holding it is
+        unindexed, which names its holder here; so dropping that one
+        node's memo entries keeps the rest of the memo exact.
+        """
         self.zone_version += 1
         if node_id is not None:
             self.zone_epoch[node_id] = self.zone_version
-        if self._owner_memo:
-            self._owner_memo.clear()
+            points = self._memo_points.pop(node_id, None)
+            if points:
+                memo = self._owner_memo
+                for point in points:
+                    del memo[point]
 
     def _forget(self, node_id: int) -> None:
         del self.nodes[node_id]
@@ -160,9 +170,10 @@ class CanOverlay:
     def owner_of_point(self, point) -> int:
         """Node id owning ``point``; memoized O(#distinct depths) walk.
 
-        The memo is a pure cache over the current tessellation,
-        invalidated wholesale on every zone-set mutation; resolving an
-        owner is local computation and never charged.
+        The memo is a pure cache over the current tessellation; a zone
+        (un)index drops the entries of the node whose zones changed
+        (:meth:`_zones_changed`).  Resolving an owner is local
+        computation and never charged.
         """
         key = point if type(point) is tuple else tuple(point)
         memo = self._owner_memo
@@ -171,7 +182,9 @@ class CanOverlay:
             owner = self._resolve_owner(key)
             if len(memo) >= (1 << 17):
                 memo.clear()
+                self._memo_points.clear()
             memo[key] = owner
+            self._memo_points.setdefault(owner, []).append(key)
         return owner
 
     def _resolve_owner(self, point) -> int:
@@ -444,6 +457,14 @@ class CanOverlay:
             assert owner == self._resolve_owner(point), (
                 f"owner memo says {owner} for {point}"
             )
+        reverse = [
+            (point, owner)
+            for owner, points in self._memo_points.items()
+            for point in points
+        ]
+        assert sorted(reverse) == sorted(self._owner_memo.items()), (
+            "owner memo and its reverse index disagree"
+        )
         for node_id, node in self.nodes.items():
             assert node.zones, f"node {node_id} owns no zone"
             for neighbor_id in node.neighbors:

@@ -76,7 +76,8 @@ class EcanOverlay:
         # fits inside}; kept sorted incrementally so member queries on
         # the selection hot path never re-sort
         self._members: dict = {}
-        # node id -> list of (level, cell) index entries, for clean removal
+        # node id -> set of (level, cell) index entries, so a zone change
+        # updates the member lists by difference
         self._indexed: dict = {}
         # node id -> {level -> {sibling cell -> representative node id}}
         self._tables: dict = {}
@@ -116,52 +117,77 @@ class EcanOverlay:
             for key in [k for k in self._entry_failures if k[0] == node_id]:
                 del self._entry_failures[key]
 
+    @staticmethod
+    def _cells_of(node) -> set:
+        """The ``(level, cell)`` high-order zones ``node``'s zones fit in."""
+        entries = set()
+        for zone in node.zones:
+            cells = zone.cells()
+            for level in range(1, min(zone.max_level, MAX_LEVEL) + 1):
+                entries.add((level, cells[level]))
+        return entries
+
     def _unindex(self, node_id: int) -> None:
-        for level, cell in self._indexed.pop(node_id, ()):
-            bucket = self._members.get(level)
-            if bucket is None:
-                continue
-            members = bucket.get(cell)
-            if members is not None:
-                i = bisect_left(members, node_id)
-                if i < len(members) and members[i] == node_id:
-                    members.pop(i)
-                if not members:
-                    del bucket[cell]
+        self._drop_entries(node_id, self._indexed.pop(node_id, ()))
+
+    def _drop_entries(self, node_id: int, entries) -> None:
+        for level, cell in entries:
+            bucket = self._members[level]
+            members = bucket[cell]
+            members.pop(bisect_left(members, node_id))
+            if not members:
+                del bucket[cell]
+                if not bucket:
+                    del self._members[level]
 
     def _reindex(self, node_id: int) -> None:
-        self._unindex(node_id)
+        """Bring ``node_id``'s member entries in line with its zones,
+        touching only the cells it entered or left."""
         node = self.can.nodes.get(node_id)
         if node is None:
+            self._unindex(node_id)
             return
-        entries = []
-        for zone in node.zones:
-            for level in range(1, min(zone.max_level, MAX_LEVEL) + 1):
-                cell = zone.cell(level)
-                members = self._members.setdefault(level, {}).setdefault(cell, [])
-                # two zones of one node can share a cell; keep ids unique
-                i = bisect_left(members, node_id)
-                if i >= len(members) or members[i] != node_id:
-                    insort(members, node_id)
-                entries.append((level, cell))
-        self._indexed[node_id] = entries
+        old = self._indexed.get(node_id, set())
+        new = self._cells_of(node)
+        self._drop_entries(node_id, old - new)
+        for level, cell in new - old:
+            insort(self._members.setdefault(level, {}).setdefault(cell, []), node_id)
+        self._indexed[node_id] = new
+
+    def check_member_index(self) -> None:
+        """AssertionError unless the member index matches a recount.
+
+        Recomputes every node's ``(level, cell)`` entries and every
+        cell's sorted member list from the live zones; run from the
+        stack-wide :func:`repro.core.recovery.check_invariants`.
+        """
+        indexed = {
+            node_id: self._cells_of(node) for node_id, node in self.can.nodes.items()
+        }
+        assert self._indexed == indexed, "member index entries out of step with zones"
+        members: dict = {}
+        for node_id in sorted(indexed):
+            for level, cell in indexed[node_id]:
+                members.setdefault(level, {}).setdefault(cell, []).append(node_id)
+        assert self._members == members, "per-cell member lists out of step with zones"
 
     def members(self, level: int, cell, exclude: int = None) -> list:
         """Sorted member node ids of the high-order zone ``(level, cell)``.
 
         Only nodes whose zone lies fully inside the cell are indexed;
         if none exists, the single node whose (larger) zone covers the
-        cell's center is returned instead.
+        cell's center is returned instead.  When ``exclude`` is not a
+        member the index's own list comes back: read-only by contract.
         """
         found = self._members.get(level, {}).get(cell)
         if found:
-            out = list(found)
-            if exclude is not None:
-                i = bisect_left(out, exclude)
-                if i < len(out) and out[i] == exclude:
-                    del out[i]
-            if out:
-                return out
+            if exclude is None:
+                return found
+            i = bisect_left(found, exclude)
+            if i == len(found) or found[i] != exclude:
+                return found
+            if len(found) > 1:
+                return found[:i] + found[i + 1:]
         owner = self.can.owner_of_point(cell_center(cell, level))
         return [] if owner == exclude else [owner]
 
@@ -361,29 +387,40 @@ class EcanOverlay:
     def _decide(self, current, code, point, visited) -> tuple:
         """The forwarding rule: one hop from ``current`` toward ``point``.
 
-        Returns ``(next_id, level, cell, repaired)``: an unvisited
-        expressway representative (``level`` and ``cell`` name its
-        table slot), else the unvisited CAN neighbor nearest to
+        Returns None when ``point`` lies in ``current``'s zones (the
+        route is delivered), else ``(next_id, level, cell, repaired)``:
+        an unvisited expressway representative (``level`` and ``cell``
+        name its table slot), else the unvisited CAN neighbor nearest to
         ``point`` with ``level`` None, else ``next_id`` None (stuck).
         ``repaired`` says the expressway slot was repaired on the way.
         The one copy of the rule: :meth:`next_hop`, the fault-free loop
         of :meth:`route` and the lossy :meth:`_route_per_hop` all call
         it, so the live runtime and the simulator cannot drift apart.
 
-        The expressway level is the first at which the destination's
-        cell differs from the node's own.  ``code`` is the destination's
-        :func:`~repro.overlay.zone.point_code`: the highest set bit of
-        its XOR with the zone's code, OR-ed over the dimensions, names
-        that level, and the destination's cell there is the code
-        shifted right.  A table entry whose validity verdict is
-        memoised and current is read in place; anything else -- empty
-        slot, stale verdict, invalid entry -- goes through
+        ``code`` is the destination's
+        :func:`~repro.overlay.zone.point_code`, XOR-ed once per
+        dimension with the primary zone's code.  Shifted right by the
+        zone's :attr:`~repro.overlay.zone.Zone.code_shifts`, the XORs
+        say whether the zone contains the point (a multi-zone node then
+        tests its other zones).  OR-ed together, their highest set bit
+        names the expressway level, the first at which the destination's
+        cell differs from the node's own, and the destination's cell
+        there is the code shifted right.  A table entry whose validity
+        verdict is memoised and current is read in place; anything else
+        -- empty slot, stale verdict, invalid entry -- goes through
         :meth:`table_entry`, which repairs.
         """
-        zone = current.zones[0]
-        diff = 0
-        for own, dest in zip(zone.code, code):
-            diff |= own ^ dest
+        zones = current.zones
+        zone = zones[0]
+        diff = outside = 0
+        for own, dest, shift in zip(zone.code, code, zone.code_shifts):
+            bits = own ^ dest
+            diff |= bits
+            outside |= bits >> shift
+        if not outside or (
+            len(zones) > 1 and any(z.contains(point) for z in zones[1:])
+        ):
+            return None
         level = CODE_BITS + 1 - diff.bit_length()
         repaired = False
         if level <= zone.max_level:
@@ -437,10 +474,10 @@ class EcanOverlay:
         raises ValueError.
         """
         code = point_code(point, self.can.dims)
-        current = self.can.nodes[node_id]
-        if current.contains(point):
+        decision = self._decide(self.can.nodes[node_id], code, point, visited)
+        if decision is None:
             return None, "delivered"
-        next_id, level, _, _ = self._decide(current, code, point, visited)
+        next_id, level, _, _ = decision
         if next_id is None:
             return None, "stuck"
         return next_id, "can" if level is None else "expressway"
@@ -480,13 +517,16 @@ class EcanOverlay:
         current = nodes[start_node]
         failures = self._entry_failures
         try:
-            while not current.contains(point):
-                if len(path) > max_hops:
+            while True:
+                # the budget is judged before a decision that might repair
+                if len(path) > max_hops and not current.contains(point):
                     result.success = False
                     break
-                next_id, level, cell, repaired = self._decide(
-                    current, code, point, visited
-                )
+                decision = self._decide(current, code, point, visited)
+                if decision is None:
+                    result.owner = current.node_id
+                    break
+                next_id, level, cell, repaired = decision
                 if repaired:
                     result.repairs += 1
                 if next_id is None:
@@ -501,8 +541,6 @@ class EcanOverlay:
                 current = nodes[next_id]
                 visited.add(next_id)
                 path.append(next_id)
-            else:
-                result.owner = current.node_id
         finally:
             # every hop made was a message sent, however the route ended
             hops = len(path) - 1
@@ -530,13 +568,15 @@ class EcanOverlay:
         torus = self.can.torus
         current = nodes[start_node]
         degrade = self.retry_policy is not None
-        while not current.contains(point):
-            if len(path) > max_hops:
+        while True:
+            if len(path) > max_hops and not current.contains(point):
                 result.success = False
                 return result
-            next_id, level, cell, repaired = self._decide(
-                current, code, point, excluded
-            )
+            decision = self._decide(current, code, point, excluded)
+            if decision is None:
+                result.owner = current.node_id
+                return result
+            next_id, level, cell, repaired = decision
             result.repairs += int(repaired)
             if level is not None:
                 if self._try_hop(current.host, nodes[next_id].host, category, result):
@@ -574,5 +614,3 @@ class EcanOverlay:
             current = nodes[next_id]
             excluded.add(next_id)
             path.append(next_id)
-        result.owner = current.node_id
-        return result

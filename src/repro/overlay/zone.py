@@ -174,36 +174,46 @@ class Zone:
         """Index of the level-``level`` cell containing this zone.
 
         Valid for ``0 <= level <= max_level``; the cell index is a
-        tuple of per-dimension integers in ``[0, 2^level)``.  Zones are
-        immutable, so the result is memoised per instance (routing asks
-        for the same cells on every hop through a node).
+        tuple of per-dimension integers in ``[0, 2^level)``, read off
+        :meth:`cells`.
         """
-        cells = self.__dict__.get("_cells")
-        if cells is None:
-            cells = {}
-            object.__setattr__(self, "_cells", cells)
-        hit = cells.get(level)
-        if hit is not None:
-            return hit
         if level < 0 or level > self.max_level:
             raise ValueError(
                 f"zone at depth {self.depth} has no single cell at level {level}"
             )
-        scale = 1 << level
-        cells[level] = result = tuple(int(lo * scale) for lo in self.lo)
-        return result
+        return self.cells()[level]
 
     def cells(self) -> tuple:
         """Cells of every level ``0..max_level``, memoised as one tuple.
 
-        Lets routing scan for the first differing level with plain
-        indexing instead of a method call per level.
+        The level-``l`` cell is the top ``l`` bits of each coordinate's
+        :attr:`code` (exactly ``floor(lo * 2^l)``, see the module
+        docstring).  Zones are immutable, so it is computed once per
+        instance; routing and the member index read it by plain indexing.
         """
         got = self.__dict__.get("_cells_all")
         if got is None:
-            got = tuple(self.cell(level) for level in range(self.max_level + 1))
+            code = self.code
+            got = tuple(
+                tuple([c >> (CODE_BITS - level) for c in code])
+                for level in range(self.max_level + 1)
+            )
             object.__setattr__(self, "_cells_all", got)
         return got
+
+    @cached_property
+    def code_shifts(self) -> tuple:
+        """Per dimension, how far a code shifts right to keep only the
+        bits this zone fixes (its splits along that dimension).
+
+        A point lies in the zone exactly when, in every dimension, its
+        code XOR :attr:`code` shifted right by this is zero: the half-open
+        float test of :meth:`contains` read as integers.
+        """
+        splits, extra = divmod(self.depth, self.dims)
+        return tuple(
+            CODE_BITS - splits - (1 if i < extra else 0) for i in range(self.dims)
+        )
 
     @cached_property
     def code(self) -> tuple:
@@ -253,14 +263,17 @@ def parent_cell(cell: tuple) -> tuple:
     return tuple(c >> 1 for c in cell)
 
 
-def sibling_cells(cell: tuple):
-    """The other ``2^d - 1`` cells sharing this cell's parent."""
+@lru_cache(maxsize=1 << 14)
+def sibling_cells(cell: tuple) -> tuple:
+    """The other ``2^d - 1`` cells sharing this cell's parent, memoised."""
     dims = len(cell)
     base = tuple((c >> 1) << 1 for c in cell)
+    siblings = []
     for mask in range(1 << dims):
         candidate = tuple(base[i] + ((mask >> i) & 1) for i in range(dims))
         if candidate != cell:
-            yield candidate
+            siblings.append(candidate)
+    return tuple(siblings)
 
 
 def torus_distance(a, b) -> float:

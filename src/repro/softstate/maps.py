@@ -71,6 +71,17 @@ def _expansion_curve(total_bits: int, dims: int) -> HilbertCurve:
     return HilbertCurve(bits=bits_per_dim, dims=dims)
 
 
+@lru_cache(maxsize=1 << 14)
+def _unit_point(landmark_number: int, total_bits: int, dims: int) -> tuple:
+    """The unit-cube point of ``landmark_number``: the centre of its cell
+    on the ``dims``-dimensional expansion curve.  One per node and
+    dimensionality, shared by every region the node's record enters."""
+    curve = _expansion_curve(total_bits, dims)
+    shift = curve.bits * dims - total_bits
+    index = landmark_number << shift if shift >= 0 else landmark_number >> -shift
+    return curve.decode_center(index)
+
+
 def check_region(region: Region, dims: int) -> None:
     """Refuse a region that is not a cell of a ``dims``-dimensional overlay.
 
@@ -106,10 +117,7 @@ def map_position(
     if not 0 < condense_rate <= 1.0:
         raise ValueError("condense_rate must be in (0, 1]")
     check_region(region, dims)
-    curve = _expansion_curve(total_bits, dims)
-    shift = curve.bits * dims - total_bits
-    index = landmark_number << shift if shift >= 0 else landmark_number >> -shift
-    unit = curve.decode_center(index)
+    unit = _unit_point(landmark_number, total_bits, dims)
     side_fraction = condense_rate ** (1.0 / dims)
     zone = region.zone()
     return tuple(

@@ -72,11 +72,11 @@ class SoftStateNeighborPolicy(NeighborPolicy):
             self._selecting = False
 
         nodes = overlay.nodes
-        alive = []
-        for record in records:
-            if record.node_id in nodes:
-                alive.append(record)
-            else:
+        alive = [record for record in records if record.node_id in nodes]
+        if len(alive) < len(records):
+            for record in records:
+                if record.node_id in nodes:
+                    continue
                 # a stale record costs a timed-out probe before the node
                 # is discovered dead -- the price of lazy maintenance
                 self.network.stats.count("neighbor_probe_failed")
@@ -95,20 +95,22 @@ class SoftStateNeighborPolicy(NeighborPolicy):
             )
         else:
             rtts = [self._probe(host, record.host) for record in alive]
-        best = None
-        for record, rtt in zip(alive, rtts):
-            if rtt is None:
-                continue
-            score = rtt
-            if self.load_weight > 0:
-                score = rtt * (1.0 + self.load_weight * min(record.utilization, 10.0))
-            if best is None or (score, record.node_id) < best:
-                best = (score, record.node_id)
-        if best is None:
+        weight = self.load_weight
+        scored = [
+            (
+                rtt * (1.0 + weight * min(record.utilization, 10.0))
+                if weight > 0
+                else rtt,
+                record.node_id,
+            )
+            for record, rtt in zip(alive, rtts)
+            if rtt is not None
+        ]
+        if not scored:
             # every confirmation probe timed out: degrade to landmark-only
             # ranking (the lookup already sorted by landmark distance)
             return alive[0].node_id
-        return best[1]
+        return min(scored)[1]
 
     def _probe(self, host: int, target: int):
         """One confirmation probe; None when it timed out."""

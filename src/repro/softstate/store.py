@@ -113,8 +113,9 @@ class SoftStateStore:
         self._attributed: dict = {}
         #: (owner, region) -> (records in seq order, their landmark vectors
         #: stacked as one read-only matrix): what a lookup served by
-        #: ``owner`` reads, built on first use and dropped whenever that
-        #: one shard of :attr:`_attributed` (or a record in it) changes
+        #: ``owner`` reads, built on first use and kept current in place:
+        #: a refresh swaps the record, a first insert appends a row, and
+        #: only a record leaving that one shard drops it
         self._views: dict = {}
         #: region -> next insertion sequence number (never reused, so
         #: seq order always equals bucket insertion order)
@@ -168,15 +169,54 @@ class SoftStateStore:
             if not by_region:
                 del self._attributed[owner]
 
-    def _index_insert(self, region: Region, node_id: int, owner: int) -> None:
-        """Attribute ``(region, node_id)`` to ``owner`` in both directions."""
+    def _index_insert(
+        self, region: Region, node_id: int, owner: int, replaced: NodeRecord = None
+    ) -> None:
+        """Attribute ``(region, node_id)`` to ``owner`` in both directions.
+
+        ``replaced`` is the record the entry held before this write (None
+        for a first insert).  A refresh by the same owner swaps it for the
+        new record in that owner's view; a first insert appends a row to
+        it, since its ``seq`` is the region's largest; a move between
+        owners drops the views of both.
+        """
         stored = self.maps[region][node_id]
-        if stored.owner is not None and stored.owner != owner:
-            self._attribution_drop(stored.owner, region, node_id)
+        prior = stored.owner
+        if prior == owner:
+            if replaced is not None:
+                self._view_swap(owner, region, replaced, stored.record)
+            return
+        if prior is not None:
+            self._attribution_drop(prior, region, node_id)
         stored.owner = owner
         self._attributed.setdefault(owner, {}).setdefault(region, set()).add(node_id)
-        # also on a refresh by the same owner: the stored record is new
-        self._views.pop((owner, region), None)
+        key = (owner, region)
+        view = self._views.get(key)
+        if view is None:
+            return
+        if prior is not None:
+            del self._views[key]
+            return
+        records, matrix = view
+        records.append(stored.record)
+        matrix = np.concatenate((matrix, stored.record.vector()[None, :]))
+        matrix.flags.writeable = False
+        self._views[key] = (records, matrix)
+
+    def _view_swap(
+        self, owner: int, region: Region, old: NodeRecord, new: NodeRecord
+    ) -> None:
+        """``new`` replaces ``old`` in the ``(owner, region)`` view, if built."""
+        key = (owner, region)
+        view = self._views.get(key)
+        if view is None:
+            return
+        if old.landmark_vector != new.landmark_vector:
+            del self._views[key]  # its matrix row moved too
+            return
+        records = view[0]
+        # by identity: list.index would run NodeRecord's field-by-field __eq__
+        records[list(map(id, records)).index(id(old))] = new
 
     def _reassign_hosted(self, changed_id: int) -> None:
         """Re-resolve owner-index entries attributed to ``changed_id``.
@@ -365,7 +405,12 @@ class SoftStateStore:
                 seq=seq,
                 owner=None if fresh else prior.owner,
             )
-            self._index_insert(region, node_id, self.ecan.can.owner_of_point(position))
+            self._index_insert(
+                region,
+                node_id,
+                self.ecan.can.owner_of_point(position),
+                None if fresh else prior.record,
+            )
             self._charge_route(node_id, position, "softstate_publish")
             for replica in replicas:
                 self._charge_route(node_id, replica, "softstate_replicate")
@@ -456,9 +501,9 @@ class SoftStateStore:
             stored = bucket.get(node_id)
             if stored is None:
                 continue
-            stored.record = record
+            replaced, stored.record = stored.record, record
             # the one mutation that reaches a shard without passing the index
-            self._views.pop((stored.owner, region), None)
+            self._view_swap(stored.owner, region, replaced, record)
             self.network.stats.count("softstate_load_update")
             self._emit(EventKind.LOAD_UPDATED, region, record)
 

@@ -87,6 +87,13 @@ class TestRouting:
         assert (stretch >= 1.0 - 1e-9).all()
         assert np.isfinite(stretch).all()
 
+    def test_prewarm_of_an_empty_overlay_warms_nothing(self, tiny_topology):
+        network = Network(tiny_topology, ManualLatencyModel())
+        overlay = TopologyAwareOverlay(network, OverlayParams(num_nodes=8, seed=5))
+        rows = network.oracle.cache_info()["rows"]  # the landmarks' own
+        assert overlay.prewarm_latencies() == 0
+        assert network.oracle.cache_info()["rows"] == rows
+
     def test_measure_hops(self, softstate_overlay):
         from repro.experiments.fig02_hops import _measure_hops
 

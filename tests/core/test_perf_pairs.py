@@ -109,3 +109,22 @@ def test_also_names_other_declared_workloads_in_declared_order(pairs):
     assert pairs.expand_also([], "sim_route") == []
     with pytest.raises(SystemExit):
         pairs.expand_also(["sim_rout"], "sim_route")
+
+
+def test_first_seed_moves_the_seeds_and_keeps_the_alternation(pairs, monkeypatch):
+    ran = []
+
+    def measure(tree, workload, seed):
+        side = "base" if tree == "base-tree" else "change"
+        ran.append((seed, side))
+        return {"cpu_us_per_op": float(seed)}
+
+    monkeypatch.setattr(pairs, "measure", measure)
+    base, change = pairs.run_pairs("base-tree", "sim_build", "cpu_us_per_op", 3, 101)
+    assert ran == [
+        (101, "base"), (101, "change"),
+        (102, "change"), (102, "base"),
+        (103, "base"), (103, "change"),
+    ]
+    assert [run["cpu_us_per_op"] for run in base] == [101.0, 102.0, 103.0]
+    assert [run["cpu_us_per_op"] for run in change] == [101.0, 102.0, 103.0]

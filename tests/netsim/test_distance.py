@@ -65,6 +65,13 @@ class TestExactness:
         for i, src in enumerate([2, 4, 6]):
             assert np.allclose(bulk[i], oracle.row(src), rtol=1e-6)
 
+    def test_rows_of_no_source_is_an_empty_matrix(self, tiny_topology):
+        oracle = DistanceOracle.from_topology(tiny_topology, ManualLatencyModel())
+        empty = oracle.rows([])
+        assert empty.shape == (0, tiny_topology.num_nodes)
+        assert empty.dtype == np.float32
+        assert oracle.cache_info()["rows"] == 0
+
 
 class TestCache:
     def test_rows_are_cached_and_reused(self, tiny_topology):

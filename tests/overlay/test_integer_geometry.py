@@ -12,6 +12,7 @@ router must name the same first differing level and cell, the same
 owner and the same hops as the reference.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -125,6 +126,7 @@ class TestCodesMatchFloats:
         zone = churned.ecan.can.nodes[draw_member(data, pools)].zone
         for level, cell in enumerate(zone.cells()):
             assert tuple(c >> (CODE_BITS - level) for c in zone.code) == cell
+            assert float_cell(zone.lo, level) == cell == zone.cell(level)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -134,15 +136,54 @@ class TestCodesMatchFloats:
         point = draw_point(data, pools)
         current = ecan.can.nodes[node_id]
         level, cell = float_first_difference(current.zone, point)
-        _, got_level, got_cell, _ = ecan._decide(
-            current, point_code(point, 2), point, ()
-        )
+        decision = ecan._decide(current, point_code(point, 2), point, ())
+        if current.contains(point):
+            # a point inside the node (any of its zones) is delivered
+            assert decision is None
+            return
+        _, got_level, got_cell, _ = decision
         if got_level is not None:
             assert (got_level, got_cell) == (level, cell)
         else:
             # no expressway hop: either no level differs, or the cell
             # that differs has no member other than this node
             assert level is None or ecan.members(level, cell, exclude=node_id) == []
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_delivered_verdict_is_float_containment(self, churned, pools, data):
+        """``_decide``'s delivered verdict (None) comes from the code XOR
+        pass; it must equal ``CanNode.contains`` on zone boundaries, one
+        ulp either side of them, and on multi-zone holders."""
+        ecan = churned.ecan
+        current = ecan.can.nodes[draw_member(data, pools)]
+        point = draw_point(data, pools)
+        decision = ecan._decide(current, point_code(point, 2), point, ())
+        assert (decision is None) == current.contains(point)
+
+    def test_delivered_verdict_at_every_corner_of_every_zone(self, churned):
+        """Per dimension the lower bound (inside), the ulp below it, the
+        upper bound (outside, unless another zone of the node holds it)
+        and the ulp below that, in every combination across dimensions,
+        over every zone of every member, multi-zone holders included."""
+        ecan = churned.ecan
+        checked = 0
+        for current in ecan.can.nodes.values():
+            for zone in current.zones:
+                per_dim = [
+                    {lo, math.nextafter(lo, -1.0), hi % 1.0, math.nextafter(hi, 0.0)}
+                    for lo, hi in zip(zone.lo, zone.hi)
+                ]
+                for point in itertools.product(*per_dim):
+                    if min(point) < 0.0:
+                        continue  # below 0.0 is no point
+                    decision = ecan._decide(current, point_code(point, 2), point, ())
+                    assert (decision is None) == current.contains(point), (
+                        current.node_id,
+                        point,
+                    )
+                    checked += 1
+        assert checked >= 9 * len(ecan.can.nodes)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

@@ -15,8 +15,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import OverlayParams, TopologyAwareOverlay
+from repro.core.recovery import check_invariants
 from repro.core.soak import inject_corruption
 from repro.netsim import ManualLatencyModel, Network
 from repro.netsim.faults import FaultPlan
@@ -191,3 +194,94 @@ class TestEdges:
                 assert distances == sorted(distances)
                 widened += bool(result.records)
         assert widened, "no lookup exercised a widening read that found records"
+
+
+#: the mutators and reads one sequence step may apply
+STEPS = (
+    "join", "publish", "refresh", "update_load", "withdraw",
+    "expire", "leave", "crash", "lookup",
+)
+
+
+def assert_caches_rederive(overlay) -> None:
+    """Every cached shard view equals a fresh ``_collect_shard`` (records
+    by identity and order, matrix by value), every owner-memo entry a
+    fresh ``_resolve_owner``, and the whole legitimacy predicate holds."""
+    check_invariants(overlay)
+    store = overlay.store
+    for (owner, region), (records, matrix) in store._views.items():
+        fresh = store._collect_shard(owner, region)
+        assert len(records) == len(fresh)
+        assert all(a is b for a, b in zip(records, fresh)), (owner, region)
+        assert np.array_equal(matrix, np.array([r.vector() for r in fresh]))
+    can = overlay.ecan.can
+    for point, owner in can._owner_memo.items():
+        assert owner == can._resolve_owner(point), point
+
+
+class TestCachesFollowAnySequence:
+    """Views and the owner memo are updated in place by whatever changed;
+    after any interleaving of mutators and reads they still re-derive."""
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(STEPS), st.integers(0, 1 << 16)),
+            min_size=4,
+            max_size=24,
+        )
+    )
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_views_and_memo_rederive_after_every_step(self, tiny_topology, steps):
+        network = Network(tiny_topology, ManualLatencyModel())
+        overlay = TopologyAwareOverlay(
+            network, OverlayParams(num_nodes=48, landmarks=6, seed=13, record_ttl=50.0)
+        )
+        overlay.build()
+        store = overlay.store
+        withdrawn = {}  # node id -> its record, until it publishes again
+        for step, pick in steps:
+            registered = [n for n in overlay.node_ids if n in store.registry]
+            member = registered[pick % len(registered)]
+            if step == "join":
+                overlay.add_node()
+            elif step == "publish":
+                if withdrawn:
+                    node_id = sorted(withdrawn)[pick % len(withdrawn)]
+                    old = withdrawn.pop(node_id)
+                    store.register_identity(node_id, old.host, old.landmark_vector)
+                    store.publish(node_id)
+                else:
+                    store.publish(member)
+            elif step == "refresh":
+                network.clock.advance(20.0)
+                store.publish(member)
+            elif step == "update_load":
+                store.update_load(member, 0.125 * (pick % 17))
+            elif step == "withdraw" and len(registered) > 8:
+                withdrawn[member] = store.registry[member]
+                store.withdraw(member)
+            elif step == "expire":
+                network.clock.advance(30.0)
+                store.expire_stale()
+            elif step == "leave" and len(overlay) > 16:
+                overlay.remove_node(member, graceful=True)
+                # tables repair lazily; the predicate wants no dead entry
+                overlay.ecan.invalidate_member(member)
+            elif step == "crash" and len(overlay) > 16:
+                overlay.arm_faults(FaultPlan(), seed=pick)
+                overlay.enable_recovery()
+                overlay.crash_node(member)
+                overlay.recovery.handle_death(member)
+                overlay.disable_recovery()
+                overlay.disarm_faults()
+            withdrawn = {n: r for n, r in withdrawn.items() if n in overlay.ecan.nodes}
+            # charged reads after every step build the views the next
+            # step's mutation must keep current
+            querier = [n for n in overlay.node_ids if n in store.registry][0]
+            for region in regions(overlay):
+                store.lookup(querier, region)
+            if step == "lookup":
+                overlay.ecan.route(member, overlay.ecan.can.random_point())
+            assert_caches_rederive(overlay)
