@@ -273,7 +273,7 @@ SHARD_GATES = (
 SOAK_SIM_NODES = 128
 SOAK_LIVE_NODES = 48
 SOAK_LIVE_LOOKUPS = 120
-SOAK_SHAPE = {"epochs": 3, "round_budget": 25}
+SOAK_ROUND_BUDGET = 25
 
 
 def _soak_fields(result: dict, rounds_key: str) -> dict:
@@ -289,7 +289,9 @@ def soak_sim(seed: int) -> dict:
     """A sim overlay under continuous join/leave/crash/partition churn
     with adversarial corruption each epoch (scrambled tables, stale
     replicas, poisoned owner index); every epoch must re-converge."""
-    config = SoakConfig(nodes=SOAK_SIM_NODES, seed=seed, **SOAK_SHAPE)
+    config = SoakConfig(
+        nodes=SOAK_SIM_NODES, round_budget=SOAK_ROUND_BUDGET, seed=seed
+    )
     return _soak_fields(run_sim_soak(config), "rounds_to_converge")
 
 
@@ -297,7 +299,10 @@ async def soak_live(seed: int) -> dict:
     """The same corruption classes against a live cluster running the
     wire-level SWIM loop, serving lookups through a kill-33% event."""
     config = SoakConfig(
-        nodes=SOAK_LIVE_NODES, lookups=SOAK_LIVE_LOOKUPS, seed=seed, **SOAK_SHAPE
+        nodes=SOAK_LIVE_NODES,
+        round_budget=SOAK_ROUND_BUDGET,
+        lookups=SOAK_LIVE_LOOKUPS,
+        seed=seed,
     )
     return _soak_fields(await run_live_soak(config), "wall_rounds_to_converge")
 
@@ -439,9 +444,8 @@ async def _scrape(port: int) -> dict:
 
 
 async def _decreased_since(controller, fields: dict) -> list:
-    """Scrape again once the first scrape's ``/stats`` cache has expired:
-    the counter-typed samples that now read lower than ``fields`` has them."""
-    await asyncio.sleep(controller.config.refresh_s)
+    """Scrape again: the counter-typed samples that now read lower than
+    ``fields`` has them."""
     now = (await _scrape(controller.port))["counter_samples"]
     return [
         name for name, value in fields["counter_samples"].items()

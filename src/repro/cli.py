@@ -139,20 +139,17 @@ def _cluster_config(args):
     Split from :func:`cmd_cluster` so tests can assert every CLI flag
     lands on the config without booting a cluster.
     """
+    from repro.core.reliability import RetryPolicy
     from repro.runtime import ClusterConfig
 
-    retry = None
-    if args.retries > 1:
-        from repro.core.reliability import RetryPolicy
-
-        retry = RetryPolicy(max_attempts=args.retries)
+    if args.retries < 1:
+        raise ValueError(f"retries must be >= 1, got {args.retries}")
     return ClusterConfig(
         **_shared_cluster_fields(args),
         latency_scale=args.latency_scale,
         request_timeout=args.request_timeout,
-        retry=retry,
+        retry=RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None,
         mailbox_cap=args.mailbox_cap,
-        shed_policy=args.shed_policy,
         breaker_threshold=args.breaker_threshold,
     )
 
@@ -161,10 +158,14 @@ def cmd_cluster(args) -> int:
     """Boot a live cluster, drive lookups, print latency + parity."""
     import asyncio
 
+    from repro.mgmt import Controller, ControllerConfig
     from repro.runtime import make_cluster
 
     try:
         config = _cluster_config(args)
+        status_config = None
+        if args.status_port is not None:
+            status_config = ControllerConfig(port=args.status_port)
     except ValueError as exc:
         args.usage_error(str(exc))
     if args.uvloop:
@@ -174,12 +175,8 @@ def cmd_cluster(args) -> int:
         cluster = make_cluster(config)
         await cluster.start()
         controller = None
-        if args.status_port is not None:
-            from repro.mgmt import Controller, ControllerConfig
-
-            controller = Controller(
-                cluster, ControllerConfig(port=args.status_port)
-            )
+        if status_config is not None:
+            controller = Controller(cluster, status_config)
             await controller.start()
             print(
                 f"management API on {controller.url} "
@@ -248,12 +245,7 @@ def _controller_configs(args):
     from repro.runtime import ClusterConfig
 
     cluster_config = ClusterConfig(**_shared_cluster_fields(args))
-    controller_config = ControllerConfig(
-        host=args.host,
-        port=args.port,
-        refresh_s=args.refresh,
-        check_invariants=args.check_invariants,
-    )
+    controller_config = ControllerConfig(host=args.host, port=args.port)
     return cluster_config, controller_config
 
 
@@ -443,24 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="attempts per request: >1 arms a cluster-wide RetryPolicy "
-        "with exponential backoff (default 1 = no resends)",
+        help="attempts per request, at least 1: >1 arms a cluster-wide "
+        "RetryPolicy with exponential backoff (default 1 = no resends)",
     )
     cluster.add_argument(
         "--mailbox-cap",
         type=int,
         default=1024,
         metavar="N",
-        help="data-lane depth cap per actor, at least 1; frames past it "
-        "are shed with a BUSY reply (default 1024)",
-    )
-    cluster.add_argument(
-        "--shed-policy",
-        choices=["oldest", "newest"],
-        default="oldest",
-        help="which frame a full data lane sheds: the queue head "
-        "('oldest', admits the arrival) or the arrival itself "
-        "('newest'); default oldest",
+        help="data-lane depth cap per actor, at least 1; an arrival at a "
+        "full lane sheds the lane's oldest frame with a BUSY reply "
+        "(default 1024)",
     )
     cluster.add_argument(
         "--breaker-threshold",
@@ -498,14 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="management API listen port; 0 picks a free one (default 8642)",
     )
     controller.add_argument(
-        "--refresh",
-        type=float,
-        default=0.5,
-        metavar="S",
-        help="snapshot refresh period / cache lifetime, wall seconds "
-        "(default 0.5)",
-    )
-    controller.add_argument(
         "--duration",
         type=float,
         default=0.0,
@@ -519,13 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="arm the SWIM failure detector so /health reports live "
         "verdicts (single-process clusters only; default on)",
-    )
-    controller.add_argument(
-        "--check-invariants",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the stack-wide invariant check on each /health "
-        "(default on; disable when the scrape budget matters)",
     )
     controller.set_defaults(func=cmd_controller, usage_error=controller.error)
     sub.add_parser(

@@ -65,13 +65,8 @@ class TopologyAwareOverlay:
         self.stats = network.stats
 
         landmarks = select_landmarks(network, self.params.landmarks, landmark_rng)
-        self.space = LandmarkSpace(
-            landmarks,
-            bits_per_dim=self.params.bits_per_dim,
-            index_dims=min(self.params.index_dims, landmarks.count),
-        )
+        self.space = LandmarkSpace(landmarks)
         self.ecan = EcanOverlay(
-            dims=self.params.dims,
             rng=self.rng,
             stats=self.stats,
             network=network,
@@ -83,8 +78,6 @@ class TopologyAwareOverlay:
             self.space,
             condense_rate=self.params.condense_rate,
             record_ttl=self.params.record_ttl,
-            max_results=self.params.max_results,
-            widen_ttl=self.params.widen_ttl,
             replication_factor=self.params.replication_factor,
         )
         self.pubsub = PubSubService(self.store, self.ecan, network)

@@ -32,16 +32,11 @@ class NetworkParams:
 class OverlayParams:
     """Overlay + soft-state knobs (Table 2)."""
 
-    dims: int = 2
     num_nodes: int = 4096
     landmarks: int = 15
-    bits_per_dim: int = 5
-    index_dims: int = 4
     rtt_budget: int = 10
     condense_rate: float = 1.0 / 16.0
     record_ttl: float = math.inf
-    max_results: int = 16
-    widen_ttl: int = 2
     #: map copies per record (1 = primary only; >1 arms crash durability)
     replication_factor: int = 1
     policy: str = "softstate"

@@ -10,7 +10,7 @@ path (so every recovery action has a message bill and a latency):
 * :class:`SwimCore` -- the SWIM-style detector as a clock- and IO-free
   state machine: each protocol period every live member direct-pings
   one rotating peer; on silence it issues indirect ping-reqs through
-  ``witnesses`` other members; only when every path stays silent does
+  :data:`WITNESSES` other members; only when every path stays silent does
   the target become *suspected*, and only after ``suspicion_periods``
   further all-silent rounds is it confirmed dead.  Any answered probe
   refutes the suspicion, so probe loss alone never kills a live node.
@@ -60,12 +60,18 @@ RECOVERY_CATEGORIES = (
 )
 
 
+#: direct pings a prober sends its target per round
+PING_ATTEMPTS = 2
+#: indirect ping-req witnesses consulted when every direct ping is silent
+WITNESSES = 3
+
+
 @dataclass(frozen=True)
 class DetectorParams:
     """Knobs of the SWIM-style failure detector.
 
     With probe loss rate ``L`` the probability that one round of a
-    live node stays silent is ``L ** (ping_attempts + witnesses)``;
+    live node stays silent is ``L ** (PING_ATTEMPTS + WITNESSES)``;
     a false death verdict needs ``suspicion_periods + 1`` consecutive
     such rounds, so the defaults push the false-kill probability to
     ``L**15`` -- effectively zero for any plausible loss rate.
@@ -73,20 +79,12 @@ class DetectorParams:
 
     #: protocol period (simulated ms) between detector rounds
     period: float = 500.0
-    #: direct-ping attempts per round (retried with backoff)
-    ping_attempts: int = 2
-    #: indirect ping-req witnesses consulted when the direct ping is silent
-    witnesses: int = 3
     #: additional all-silent rounds before a suspect is confirmed dead
     suspicion_periods: int = 2
 
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError("period must be positive")
-        if self.ping_attempts < 1:
-            raise ValueError("ping_attempts must be >= 1")
-        if self.witnesses < 0:
-            raise ValueError("witnesses must be non-negative")
         if self.suspicion_periods < 0:
             raise ValueError("suspicion_periods must be non-negative")
 
@@ -156,14 +154,14 @@ class SwimCore:
         Yields probe requests ``(src, dst, indirect)`` and is sent
         each one's verdict: True (answered), False (clean silence) or
         None (inconclusive).  Direct pings come first
-        (``ping_attempts`` of them); on silence ``witnesses`` other
-        members are asked to probe on the prober's behalf.  Returns
+        (:data:`PING_ATTEMPTS` of them); on silence :data:`WITNESSES`
+        other members are asked to probe on the prober's behalf.  Returns
         True as soon as anything answered, False when at least one
         direct probe was cleanly silent, None when every probe
         abstained.
         """
         saw_silence = False
-        for _ in range(max(1, self.params.ping_attempts)):
+        for _ in range(PING_ATTEMPTS):
             verdict = yield prober, target, False
             if verdict:
                 return True
@@ -177,7 +175,7 @@ class SwimCore:
             for m in members
             if m != prober and m != target and m not in self.suspected
         ]
-        k = min(self.params.witnesses, len(pool))
+        k = min(WITNESSES, len(pool))
         if k:
             for index in self.rng.choice(len(pool), size=k, replace=False):
                 if (yield pool[int(index)], target, True):
@@ -257,7 +255,7 @@ class SwimCore:
         """Who direct-pings whom after a partition heal.
 
         Suspects that departed are dropped from the ledger; returns
-        ``(probers, suspects)`` -- up to ``witnesses`` + 1 live,
+        ``(probers, suspects)`` -- up to :data:`WITNESSES` + 1 live,
         unsuspected probers and the suspects still in ``members``.
         Any answer un-suspects through :meth:`refute`.
         """
@@ -267,7 +265,7 @@ class SwimCore:
         probers = [
             m for m in members if m not in self.suspected and runs_protocol(m)
         ]
-        return probers[: self.params.witnesses + 1], list(self.suspected)
+        return probers[: WITNESSES + 1], list(self.suspected)
 
 
 def member_domains(overlay):
@@ -389,7 +387,7 @@ class FailureDetector(SwimCore):
     # -- reconciliation support --------------------------------------------
 
     def reprobe_suspects(self) -> int:
-        """Direct-ping every suspect from up to ``witnesses`` + 1 live
+        """Direct-ping every suspect from up to :data:`WITNESSES` + 1 live
         probers; any answer un-suspects (partition-heal refutation).
         Returns the number of suspicions cleared."""
         probers, suspects = self.reprobe_plan(

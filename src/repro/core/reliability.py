@@ -51,19 +51,22 @@ class CircuitOpenError(Exception):
         self.retry_after_s = retry_after_s
 
 
+#: each backoff is this many times the one before it
+BACKOFF_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded attempts with sim-clock exponential backoff.
 
     ``delay(k)`` is the wait after the ``k``-th failed attempt
-    (0-indexed): ``base_delay * backoff_factor**k`` capped at
+    (0-indexed): ``base_delay * BACKOFF_FACTOR**k`` capped at
     ``max_delay``.  A policy with ``max_attempts=1`` never retries
     (the "no-retry" baseline of the resilience experiments).
     """
 
     max_attempts: int = 3
     base_delay: float = 50.0
-    backoff_factor: float = 2.0
     max_delay: float = 2000.0
 
     def __post_init__(self):
@@ -71,8 +74,6 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.base_delay < 0:
             raise ValueError("base_delay must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
         if self.max_delay < self.base_delay:
             raise ValueError("max_delay must be >= base_delay")
 
@@ -82,7 +83,7 @@ class RetryPolicy:
         """Backoff (simulated ms) after failed attempt ``attempt``."""
         if attempt < 0:
             raise ValueError("attempt must be non-negative")
-        return min(self.base_delay * self.backoff_factor**attempt, self.max_delay)
+        return min(self.base_delay * BACKOFF_FACTOR**attempt, self.max_delay)
 
     def schedule(self) -> tuple:
         """All backoff delays a fully exhausted call sleeps through."""

@@ -37,8 +37,13 @@ from repro.core.config import NetworkParams, OverlayParams, make_network
 from repro.core.recovery import DetectorParams, check_invariants
 from repro.netsim.faults import FaultPlan, Partition
 
-#: the adversarial state-corruption classes the harness must heal from
+#: the adversarial state-corruption classes the harness must heal from;
+#: a sim soak runs one churn epoch per class
 CORRUPTION_KINDS = ("scramble_tables", "stale_replicas", "poison_owner_index")
+#: members joined, and again departed and crashed, per churn epoch
+CHURN_PER_EPOCH = 2
+#: the transit-stub scale a soak's physical network is built at
+SOAK_TOPO_SCALE = 0.25
 
 
 @dataclass(frozen=True)
@@ -46,18 +51,11 @@ class SoakConfig:
     """Shape of one soak run (either execution mode)."""
 
     nodes: int = 256
-    #: churn epochs; each injects one corruption class (cycling)
-    epochs: int = 3
-    #: members joined / departed / crashed per epoch
-    churn_joins: int = 2
-    churn_leaves: int = 2
-    churn_crashes: int = 2
     #: maximum repair rounds allowed before convergence counts as failed
     round_budget: int = 30
     #: availability probes per epoch (sim) / load requests (live)
     lookups: int = 128
     seed: int = 0
-    topo_scale: float = 0.25
 
 
 # -- the adversary -----------------------------------------------------------
@@ -215,7 +213,7 @@ def run_sim_soak(config: SoakConfig) -> dict:
     RNG), so results are byte-stable across runs.
     """
     network = make_network(
-        NetworkParams(topo_scale=config.topo_scale, seed=config.seed)
+        NetworkParams(topo_scale=SOAK_TOPO_SCALE, seed=config.seed)
     )
     overlay = TopologyAwareOverlay(
         network, OverlayParams(num_nodes=config.nodes, seed=config.seed)
@@ -226,16 +224,15 @@ def run_sim_soak(config: SoakConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     detector = overlay.detector
     epochs = []
-    for epoch in range(config.epochs):
-        kind = CORRUPTION_KINDS[epoch % len(CORRUPTION_KINDS)]
+    for epoch, kind in enumerate(CORRUPTION_KINDS):
         # -- churn: joins, graceful leaves, crash-stops ------------------
-        for _ in range(config.churn_joins):
+        for _ in range(CHURN_PER_EPOCH):
             overlay.add_node()
-        for _ in range(config.churn_leaves):
+        for _ in range(CHURN_PER_EPOCH):
             members = _live_members(overlay)
             overlay.remove_node(members[int(rng.integers(0, len(members)))])
         crash_loss = 0
-        for _ in range(config.churn_crashes):
+        for _ in range(CHURN_PER_EPOCH):
             members = _live_members(overlay)
             victim = members[int(rng.integers(0, len(members)))]
             crash_loss += overlay.crash_node(victim)["lost"]
@@ -346,7 +343,7 @@ async def run_live_soak(config: SoakConfig) -> dict:
 
     cluster_config = ClusterConfig(
         nodes=config.nodes,
-        network=NetworkParams(topo_scale=config.topo_scale, seed=config.seed),
+        network=NetworkParams(topo_scale=SOAK_TOPO_SCALE, seed=config.seed),
         overlay=OverlayParams(num_nodes=config.nodes, seed=config.seed),
         request_timeout=LIVE_REQUEST_TIMEOUT,
         heartbeat_period=LIVE_HEARTBEAT_PERIOD,
@@ -408,9 +405,9 @@ async def run_live_soak(config: SoakConfig) -> dict:
         cluster.heal_partition()
         await recovery.reconcile()
         # -- (4) churn + the three corruption classes --------------------
-        for _ in range(config.churn_joins):
+        for _ in range(CHURN_PER_EPOCH):
             await cluster.restart()
-        for _ in range(config.churn_leaves):
+        for _ in range(CHURN_PER_EPOCH):
             live = [n for n in cluster.actors if n != cluster.bootstrap.addr]
             await cluster.leave(live[int(rng.integers(0, len(live)))])
         for kind in CORRUPTION_KINDS:

@@ -61,7 +61,7 @@ def run_weight(
     for capacity in capacities:
         overlay.add_node(capacity=float(capacity))
 
-    keys = zipf_points(messages, overlay.params.dims, rng, distinct=48)
+    keys = zipf_points(messages, overlay.ecan.dims, rng, distinct=48)
     tracker = LoadTracker(overlay, window=max(1.0, messages / 10))
 
     # phase 1: observe load under initial (proximity-only-informed) tables

@@ -4,8 +4,8 @@ Modeled on the ipop-project controller split (BaseTopologyManager's
 control loop + OverlayVisualizer's periodic topology/stats push +
 Watchdog's per-node health): a :class:`Controller` attaches to a
 running :class:`~repro.runtime.cluster.Cluster` or
-:class:`~repro.runtime.shard.ShardedCluster`, runs a refresh loop on
-the same event loop, and serves:
+:class:`~repro.runtime.shard.ShardedCluster` on the same event loop
+and serves:
 
 * ``GET /topology`` -- zones, members, expressway links and shard
   assignment as versioned JSON
@@ -20,15 +20,13 @@ the same event loop, and serves:
 * ``GET /`` -- the self-contained live zone-map view
   (:mod:`repro.mgmt.viz`).
 
-``/topology`` and ``/stats`` are cached for one refresh period (the
-refresh loop re-warms them); ``/health`` is always computed fresh, so
-a probe observes a crash on the very next scrape.
+Every document is computed when it is requested, so a probe observes
+a crash on the very next scrape, and the ``/stats`` and ``/health``
+halves of one ``/metrics`` scrape read the same instant.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
 from dataclasses import dataclass
 
 from repro.mgmt.prometheus import render_prometheus
@@ -50,16 +48,10 @@ class ControllerConfig:
     host: str = "127.0.0.1"
     #: listen port; 0 picks a free one (read it back off ``.port``)
     port: int = 0
-    #: refresh-loop period and the /topology + /stats cache lifetime,
-    #: wall seconds
-    refresh_s: float = 0.5
-    #: run the (O(N) and worse) stack-wide invariant check on /health;
-    #: disable on very large clusters where the scrape budget matters
-    check_invariants: bool = True
 
     def __post_init__(self):
-        if self.refresh_s <= 0:
-            raise ValueError("refresh_s must be positive")
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be within 0..65535, got {self.port}")
 
 
 class Controller:
@@ -79,10 +71,6 @@ class Controller:
             host=self.config.host,
             port=self.config.port,
         )
-        #: refresh-loop passes completed so far
-        self.refreshes = 0
-        self._cache: dict = {}
-        self._task = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -97,20 +85,11 @@ class Controller:
         return self.server.url
 
     async def start(self) -> "Controller":
-        """Bind the listener and arm the refresh loop (idempotent)."""
+        """Bind the listener (idempotent)."""
         await self.server.start()
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._run())
         return self
 
     async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
         await self.server.close()
 
     async def __aenter__(self) -> "Controller":
@@ -119,57 +98,19 @@ class Controller:
     async def __aexit__(self, *exc_info) -> None:
         await self.stop()
 
-    async def _run(self) -> None:
-        """The control loop: keep the served snapshots warm."""
-        while True:
-            try:
-                await self.topology()
-                await self.stats()
-                self.refreshes += 1
-                self.cluster.network.telemetry.gauge(
-                    "mgmt_refreshes", self.refreshes
-                )
-            except Exception:
-                # a torn mid-churn read must not kill the daemon; the
-                # next pass (or an on-demand request) recomputes, and
-                # the count shows on /stats and /metrics
-                self.cluster.network.telemetry.count("mgmt_refresh_error")
-            await asyncio.sleep(self.config.refresh_s)
-
-    # -- snapshot access (cached) ------------------------------------------
-
-    def _cached(self, key: str):
-        entry = self._cache.get(key)
-        if entry is None:
-            return None
-        stamp, value = entry
-        if time.monotonic() - stamp > self.config.refresh_s:
-            return None
-        return value
-
-    def _store(self, key: str, value):
-        self._cache[key] = (time.monotonic(), value)
-        return value
+    # -- the served documents ----------------------------------------------
 
     async def topology(self) -> dict:
-        """The current ``/topology`` document (refresh-period cache)."""
-        cached = self._cached("topology")
-        if cached is None:
-            cached = self._store("topology", topology_snapshot(self.cluster))
-        return cached
+        """The current ``/topology`` document."""
+        return topology_snapshot(self.cluster)
 
     async def stats(self) -> dict:
-        """The current ``/stats`` document (refresh-period cache)."""
-        cached = self._cached("stats")
-        if cached is None:
-            cached = self._store("stats", await stats_snapshot(self.cluster))
-        return cached
+        """The current ``/stats`` document."""
+        return await stats_snapshot(self.cluster)
 
     async def health(self) -> dict:
-        """The current ``/health`` document (never cached)."""
-        return health_snapshot(
-            self.cluster, run_invariants=self.config.check_invariants
-        )
+        """The current ``/health`` document."""
+        return health_snapshot(self.cluster)
 
     # -- route handlers ----------------------------------------------------
 

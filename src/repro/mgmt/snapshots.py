@@ -223,7 +223,7 @@ def _recovery_section(cluster) -> dict:
     }
 
 
-def health_snapshot(cluster, run_invariants: bool = True) -> dict:
+def health_snapshot(cluster) -> dict:
     """Per-node SWIM verdicts, breaker states and the invariant check.
 
     The overall ``status`` is three-valued:
@@ -276,16 +276,14 @@ def health_snapshot(cluster, run_invariants: bool = True) -> dict:
         or breakers["half_open"] > 0
     )
 
-    invariants = {"ok": None, "checked": run_invariants}
-    if run_invariants:
-        try:
-            summary = check_invariants(cluster.overlay, detector=recovery)
-        except AssertionError as exc:
-            invariants = {"ok": False, "checked": True, "error": str(exc)}
-        except Exception as exc:  # torn mid-repair state must not 500
-            invariants = {"ok": False, "checked": True, "error": repr(exc)}
-        else:
-            invariants = {"ok": True, "checked": True, **summary}
+    try:
+        summary = check_invariants(cluster.overlay, detector=recovery)
+    except AssertionError as exc:
+        invariants = {"ok": False, "checked": True, "error": str(exc)}
+    except Exception as exc:  # torn mid-repair state must not 500
+        invariants = {"ok": False, "checked": True, "error": repr(exc)}
+    else:
+        invariants = {"ok": True, "checked": True, **summary}
 
     if live == 0:
         status = "unhealthy"

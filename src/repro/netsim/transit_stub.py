@@ -13,14 +13,11 @@ construction it performs:
    transit nodes form a connected random graph (random spanning tree
    plus extra edges).
 2. Domains are interconnected by cross-transit links: a spanning tree
-   over domains plus optional extra domain-to-domain links, each
-   realised as a link between random transit nodes of the two domains.
+   over domains plus a few extra domain-to-domain links, each realised
+   as a link between random transit nodes of the two domains.
 3. Every transit node sponsors a number of *stub domains*.  A stub
    domain is a connected random graph of stub nodes; its gateway node
    links to the sponsoring transit node.
-4. Optional extras mirror GT-ITM's knobs: multi-homed stubs (a second
-   transit-stub link from a random stub node) and cross-stub links
-   between random nodes of different stub domains.
 
 Every node receives planar coordinates (domain centres scattered over
 the plane, members jittered around them) so the distance-derived
@@ -50,7 +47,14 @@ class LinkClass(enum.IntEnum):
     INTRA_TRANSIT = 1  # transit nodes in the same transit domain
     TRANSIT_STUB = 2  # transit node <-> stub node
     INTRA_STUB = 3  # stub nodes in the same stub domain
-    CROSS_STUB = 4  # stub nodes in different stub domains
+
+
+#: probability of an extra intra-transit edge beyond the spanning tree
+EXTRA_TRANSIT_EDGE_PROB = 0.4
+#: probability of an extra intra-stub edge beyond the spanning tree
+EXTRA_STUB_EDGE_PROB = 0.2
+#: extra cross-transit (domain-to-domain) links beyond the spanning tree
+EXTRA_DOMAIN_LINKS = 4
 
 
 @dataclass(frozen=True)
@@ -65,16 +69,6 @@ class TransitStubConfig:
     transit_nodes_per_domain: int = 10
     stubs_per_transit_node: int = 10
     nodes_per_stub: int = 12
-    #: probability of an extra intra-transit edge beyond the spanning tree
-    extra_transit_edge_prob: float = 0.4
-    #: probability of an extra intra-stub edge beyond the spanning tree
-    extra_stub_edge_prob: float = 0.2
-    #: number of extra cross-transit (domain-to-domain) links beyond the tree
-    extra_domain_links: int = 4
-    #: fraction of stub domains that get a second transit attachment
-    multihome_fraction: float = 0.0
-    #: number of random stub-to-stub cross links
-    cross_stub_links: int = 0
 
     @property
     def total_nodes(self) -> int:
@@ -228,7 +222,6 @@ def generate_transit_stub(
     next_id = 0
     domain_transit_nodes: list = []
     stub_counter = 0
-    gateway_of_stub: list = []  # (stub nodes list, sponsoring transit) per stub domain
 
     for dom in range(config.transit_domains):
         center = domain_centers[dom]
@@ -240,7 +233,7 @@ def generate_transit_stub(
             transit_domain[t] = dom
             coords[t] = center + rng.uniform(-50.0, 50.0, size=2)
         add_edges(
-            _connected_random_graph(t_ids, config.extra_transit_edge_prob, rng),
+            _connected_random_graph(t_ids, EXTRA_TRANSIT_EDGE_PROB, rng),
             LinkClass.INTRA_TRANSIT,
         )
 
@@ -256,12 +249,11 @@ def generate_transit_stub(
                     stub_domain[s] = stub_counter
                     coords[s] = stub_center + rng.uniform(-5.0, 5.0, size=2)
                 add_edges(
-                    _connected_random_graph(s_ids, config.extra_stub_edge_prob, rng),
+                    _connected_random_graph(s_ids, EXTRA_STUB_EDGE_PROB, rng),
                     LinkClass.INTRA_STUB,
                 )
                 gateway = s_ids[int(rng.integers(0, len(s_ids)))]
                 add_edges([(t, gateway)], LinkClass.TRANSIT_STUB)
-                gateway_of_stub.append((s_ids, t))
                 stub_counter += 1
 
     # --- interconnect transit domains ------------------------------------
@@ -281,7 +273,7 @@ def generate_transit_stub(
             link_domains(dom_order[j], dom_order[i])
         attempts = 0
         added = 0
-        while added < config.extra_domain_links and attempts < 50 * (config.extra_domain_links + 1):
+        while added < EXTRA_DOMAIN_LINKS and attempts < 50 * (EXTRA_DOMAIN_LINKS + 1):
             attempts += 1
             d1, d2 = rng.integers(0, config.transit_domains, size=2)
             d1, d2 = int(d1), int(d2)
@@ -290,40 +282,13 @@ def generate_transit_stub(
             link_domains(d1, d2)
             added += 1
 
-    # --- optional extras: multi-homing and cross-stub links --------------
-    if config.multihome_fraction > 0:
-        all_transit = [t for ts in domain_transit_nodes for t in ts]
-        for s_ids, home_transit in gateway_of_stub:
-            if rng.random() < config.multihome_fraction:
-                other = all_transit[int(rng.integers(0, len(all_transit)))]
-                if other != home_transit:
-                    host = s_ids[int(rng.integers(0, len(s_ids)))]
-                    add_edges([(other, host)], LinkClass.TRANSIT_STUB)
-
-    for _ in range(config.cross_stub_links):
-        (s1, _t1), (s2, _t2) = (
-            gateway_of_stub[int(rng.integers(0, len(gateway_of_stub)))],
-            gateway_of_stub[int(rng.integers(0, len(gateway_of_stub)))],
-        )
-        if s1 is s2:
-            continue
-        a = s1[int(rng.integers(0, len(s1)))]
-        b = s2[int(rng.integers(0, len(s2)))]
-        add_edges([(a, b)], LinkClass.CROSS_STUB)
-
-    edges_arr = np.asarray(edges, dtype=np.int64)
-    # Deduplicate (spanning-tree + random extras can in principle collide
-    # with multihome/cross-stub additions).
-    key = edges_arr.min(axis=1) * total + edges_arr.max(axis=1)
-    _, keep = np.unique(key, return_index=True)
-    keep.sort()
-    edges_arr = edges_arr[keep]
-    class_arr = np.asarray(edge_class, dtype=np.int8)[keep]
-
+    # every pair is listed once: the random graphs skip their tree pairs,
+    # each stub domain has one gateway link, and two domains at most one
+    # cross-transit link
     return Topology(
         num_nodes=total,
-        edges=edges_arr,
-        edge_class=class_arr,
+        edges=np.asarray(edges, dtype=np.int64),
+        edge_class=np.asarray(edge_class, dtype=np.int8),
         node_kind=node_kind,
         transit_domain=transit_domain,
         stub_domain=stub_domain,

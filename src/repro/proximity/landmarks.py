@@ -12,13 +12,13 @@ close in landmark space.  Three derived forms are used:
   increasing RTT; the (coarser) technique of Topologically-Aware CAN,
   reproduced here as a baseline;
 * the **landmark number** -- a scalar obtained by binning the vector
-  onto a grid of ``2^(bits * index_dims)`` cells and threading a
+  onto a grid of ``2^(BITS_PER_DIM * index_dims)`` cells and threading a
   Hilbert curve through the grid; closeness in landmark number
   indicates physical closeness, and the number doubles as the DHT key
   under which a node's soft-state is stored.
 
 Per the paper's appendix optimisation, only a few components of the
-vector (the *landmark vector index*, ``index_dims`` of them) feed the
+vector (the *landmark vector index*, :data:`INDEX_DIMS` of them) feed the
 landmark number; the full vector is still carried in soft-state
 records for the final sort.
 """
@@ -30,6 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.proximity.hilbert import HilbertCurve
+
+#: grid resolution ``x``: each landmark-space axis is cut into ``2^x``
+#: bins; a smaller ``x`` makes it likelier that two nodes share a
+#: landmark number (coarser clustering)
+BITS_PER_DIM = 5
+#: vector components that feed the landmark number (the *landmark
+#: vector index*), fewer when there are fewer landmarks
+INDEX_DIMS = 4
 
 
 @dataclass
@@ -127,33 +135,16 @@ def landmark_order(vector: np.ndarray) -> tuple:
 class LandmarkSpace:
     """Landmark set + grid + Hilbert curve = landmark numbers.
 
-    Parameters
-    ----------
-    landmarks:
-        The landmark hosts and normalisation bound.
-    bits_per_dim:
-        Grid resolution ``x``: each landmark-space axis is cut into
-        ``2^x`` bins.  Smaller ``x`` makes it likelier that two nodes
-        share a landmark number (coarser clustering).
-    index_dims:
-        How many vector components feed the landmark number (the
-        *landmark vector index*); ``None`` uses min(4, n).
+    ``landmarks`` are the landmark hosts and the normalisation bound;
+    the first ``index_dims = min(INDEX_DIMS, landmarks.count)``
+    components of a vector, each cut into ``2^BITS_PER_DIM`` bins,
+    make its landmark number.
     """
 
-    def __init__(
-        self,
-        landmarks: LandmarkSet,
-        bits_per_dim: int = 5,
-        index_dims: int = None,
-    ):
+    def __init__(self, landmarks: LandmarkSet):
         self.landmarks = landmarks
-        self.bits_per_dim = bits_per_dim
-        if index_dims is None:
-            index_dims = min(4, landmarks.count)
-        if not 1 <= index_dims <= landmarks.count:
-            raise ValueError("index_dims must be within [1, #landmarks]")
-        self.index_dims = index_dims
-        self.curve = HilbertCurve(bits=bits_per_dim, dims=index_dims)
+        self.index_dims = min(INDEX_DIMS, landmarks.count)
+        self.curve = HilbertCurve(bits=BITS_PER_DIM, dims=self.index_dims)
         # vector-prefix bytes -> (bin cell, landmark number); the same
         # registered vectors are re-binned on every publish/lookup, so
         # the derivation is memoised (bounded -- see _MEMO_LIMIT)
@@ -165,7 +156,7 @@ class LandmarkSpace:
     @property
     def total_bits(self) -> int:
         """Bits in a landmark number."""
-        return self.bits_per_dim * self.index_dims
+        return BITS_PER_DIM * self.index_dims
 
     @property
     def number_range(self) -> int:
@@ -185,7 +176,7 @@ class LandmarkSpace:
         hit = self._derived.get(key)
         if hit is not None:
             return hit
-        side = 1 << self.bits_per_dim
+        side = 1 << BITS_PER_DIM
         scaled = prefix / self.landmarks.max_rtt_ms
         cells = np.clip((scaled * side).astype(np.int64), 0, side - 1)
         cell = tuple(int(c) for c in cells)

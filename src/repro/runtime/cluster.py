@@ -107,12 +107,9 @@ class ClusterConfig:
     #: of sequential wire JOINs (same membership/zones, tables may
     #: differ; for large soak clusters where O(N) wire joins dominate)
     bulk_boot: bool = False
-    #: data-lane depth cap per actor (ROUTE/PUBLISH); frames
-    #: past the cap are shed with a BUSY reply
+    #: data-lane depth cap per actor (ROUTE/PUBLISH); an arrival at a
+    #: full lane sheds the lane's head with a BUSY reply
     mailbox_cap: int = 1024
-    #: which frame a full data lane sheds: "oldest" drops the queue
-    #: head and admits the arrival, "newest" refuses the arrival
-    shed_policy: str = "oldest"
     #: consecutive BUSY/timeout failures that open a peer's circuit
     #: breaker
     breaker_threshold: int = 8
@@ -138,10 +135,6 @@ class ClusterConfig:
         if self.shards > self.nodes:
             raise ValueError(
                 f"cannot split {self.nodes} nodes across {self.shards} shards"
-            )
-        if self.shed_policy not in ("oldest", "newest"):
-            raise ValueError(
-                f"shed_policy must be 'oldest' or 'newest', got {self.shed_policy!r}"
             )
         for name in ("mailbox_cap", "breaker_threshold"):
             if getattr(self, name) < 1:

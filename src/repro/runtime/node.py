@@ -18,16 +18,15 @@ Overload protection (PR 8) splits the mailbox into two lanes:
   ``ClusterConfig.mailbox_cap``.  A frame that would overflow it is
   *shed*: dropped, counted (``runtime_shed``), and answered with a
   BUSY frame to the request origin so the client backs off instead
-  of waiting out a timeout.  ``shed_policy="oldest"`` drops the head
-  of the queue (the arrival is admitted -- freshest work survives),
-  ``"newest"`` refuses the arrival itself.
+  of waiting out a timeout.  The shed frame is the head of the queue:
+  the arrival is admitted, so the freshest work survives.
 
 Every delivery -- a self-addressed request, a loopback hop, a frame
 off a socket -- enqueues and kicks the process's one :class:`Pump`
 (``cluster.pump``): a single task that serves every kicked actor in
 turn, at most :attr:`NodeProcess.YIELD_EVERY` frames per turn, and
 yields to the event loop that often.  So floods queue in the *lanes*
-(where the cap and the shed policy apply), heartbeats interleave with
+(where the cap applies), heartbeats interleave with
 them, and the interpreter stack is as deep at the last hop of a route
 as at the first.  One pump serves the whole process, so **a handler
 that has to wait spawns, it never suspends the drain**: a SWIM witness
@@ -265,18 +264,13 @@ class NodeProcess:
         else:
             lane = self.data_lane
             if len(lane) >= self.cluster.config.mailbox_cap:
-                if self.cluster.config.shed_policy == "oldest":
-                    # admit the arrival, shed the head: under sustained
-                    # overload the freshest work is the likeliest to
-                    # still have a waiting client
-                    owed = self._shed(lane.popleft())
-                    lane.append(frame)
-                else:  # "newest": refuse the arrival itself
-                    owed = self._shed(frame)
-            else:
-                lane.append(frame)
+                # admit the arrival, shed the head: under sustained
+                # overload the freshest work is the likeliest to still
+                # have a waiting client
+                owed = self._shed(lane.popleft())
+            lane.append(frame)
         # decoupled from the arrival stack: floods queue in the *lanes*
-        # (where the cap and shed policy apply), not the ready queue
+        # (where the cap applies), not the ready queue
         self.cluster.pump.kick(self)
         return owed
 

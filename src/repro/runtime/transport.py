@@ -71,8 +71,7 @@ class Transport:
     kind = "base"
 
     def __init__(
-        self, oracle=None, latency_scale: float = 0.0, faults=None,
-        encoding: str = "json",
+        self, oracle=None, latency_scale: float = 0.0, encoding: str = "json"
     ):
         if encoding not in ("json", "packed"):
             raise ValueError(
@@ -83,8 +82,9 @@ class Transport:
         #: wall seconds of delay per simulated millisecond of one-way
         #: latency; 0 disables shaping entirely
         self.latency_scale = float(latency_scale)
-        #: armed :class:`FaultInjector` deciding drops (or None)
-        self.faults = faults
+        #: armed :class:`FaultInjector` deciding drops (or None); the
+        #: cluster arms it when faults are first injected
+        self.faults = None
         #: payload encoding: "json" or "packed" (struct fast path)
         self.encoding = encoding
         self._packed = encoding == "packed"
@@ -177,10 +177,9 @@ class LoopbackTransport(Transport):
     kind = "loopback"
 
     def __init__(
-        self, oracle=None, latency_scale: float = 0.0, faults=None,
-        encoding: str = "json",
+        self, oracle=None, latency_scale: float = 0.0, encoding: str = "json"
     ):
-        super().__init__(oracle, latency_scale, faults, encoding)
+        super().__init__(oracle, latency_scale, encoding)
         self._handlers: dict = {}
 
     async def bind(self, addr, handler, host: int = None) -> None:
@@ -328,11 +327,10 @@ class StreamTransport(Transport):
         self,
         oracle=None,
         latency_scale: float = 0.0,
-        faults=None,
         encoding: str = "json",
         interface: str = "127.0.0.1",
     ):
-        super().__init__(oracle, latency_scale, faults, encoding)
+        super().__init__(oracle, latency_scale, encoding)
         self.interface = interface
         #: address book: key -> (interface, port)
         self.endpoints: dict = {}

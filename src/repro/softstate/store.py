@@ -32,6 +32,14 @@ from repro.softstate.maps import Region, map_position, regions_of_zone
 from repro.softstate.records import NodeRecord
 
 
+#: "a maximum of X nodes closest to the requesting node is sent back":
+#: the candidates one lookup returns
+MAX_RESULTS = 16
+#: widening hops a lookup takes over the region's nodes when the serving
+#: node's shard is empty
+WIDEN_TTL = 2
+
+
 class EventKind(enum.Enum):
     NODE_JOINED = "node_joined"
     NODE_LEFT = "node_left"
@@ -87,8 +95,6 @@ class SoftStateStore:
         space,
         condense_rate: float = 1.0 / 16.0,
         record_ttl: float = math.inf,
-        max_results: int = 16,
-        widen_ttl: int = 2,
         replication_factor: int = 1,
     ):
         if replication_factor < 1:
@@ -98,8 +104,6 @@ class SoftStateStore:
         self.space = space
         self.condense_rate = condense_rate
         self.record_ttl = record_ttl
-        self.max_results = max_results
-        self.widen_ttl = widen_ttl
         #: copies kept per record per region (1 = no replication); the
         #: extra copies sit at landmark-number offsets so they usually
         #: land on different hosting nodes and survive a host crash
@@ -652,7 +656,7 @@ class SoftStateStore:
         self,
         querier_id: int,
         region: Region,
-        max_results: int = None,
+        max_results: int = MAX_RESULTS,
         charge: bool = True,
     ) -> LookupResult:
         """Find the closest candidates to ``querier_id`` in ``region``.
@@ -660,12 +664,10 @@ class SoftStateStore:
         Procedure: map the querier's landmark number into the region,
         route there, read the map entries hosted by the serving node;
         if that shard is empty, widen ring by ring over the region's
-        nodes up to ``widen_ttl`` hops.  The serving node sorts the
+        nodes up to :data:`WIDEN_TTL` hops.  The serving node sorts the
         entries by full-landmark-vector distance and returns the top
         ``max_results``.
         """
-        if max_results is None:
-            max_results = self.max_results
         own = self.registry.get(querier_id)
         if own is None:
             raise KeyError(f"querier {querier_id} has no registered identity")
@@ -716,7 +718,7 @@ class SoftStateStore:
         region_zone = region.zone()
         visited = {served_by}
         frontier = [served_by]
-        while not collected and widened < self.widen_ttl and frontier:
+        while not collected and widened < WIDEN_TTL and frontier:
             widened += 1
             next_frontier = []
             for node_id in frontier:

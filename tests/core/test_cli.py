@@ -75,13 +75,11 @@ class TestCommands:
                 "cluster",
                 "--nodes", "8",
                 "--mailbox-cap", "64",
-                "--shed-policy", "newest",
                 "--breaker-threshold", "3",
             ]
         )
         config = _cluster_config(args)
         assert config.mailbox_cap == 64
-        assert config.shed_policy == "newest"
         assert config.breaker_threshold == 3
 
     def test_cluster_overload_flag_defaults(self):
@@ -90,27 +88,41 @@ class TestCommands:
         args = build_parser().parse_args(["cluster", "--nodes", "8"])
         config = _cluster_config(args)
         assert config.mailbox_cap == 1024
-        assert config.shed_policy == "oldest"
         assert config.breaker_threshold == 8
 
+    #: (command, flag, value the config refuses, name the error gives)
+    REFUSED = [
+        ("cluster", "--mailbox-cap", "0", "mailbox_cap"),
+        ("cluster", "--breaker-threshold", "0", "breaker_threshold"),
+        ("cluster", "--request-timeout", "0", "request_timeout"),
+        ("controller", "--heartbeat-period", "0", "heartbeat_period"),
+        ("controller", "--port", "70000", "port"),
+        ("cluster", "--status-port", "-1", "port"),
+        ("cluster", "--retries", "0", "retries"),
+        ("cluster", "--retries", "-2", "retries"),
+    ]
+
     @pytest.mark.parametrize(
-        "command, flag",
-        [
-            ("cluster", "--mailbox-cap"),
-            ("cluster", "--breaker-threshold"),
-            ("cluster", "--request-timeout"),
-            ("controller", "--heartbeat-period"),
+        "command, flag, value, name",
+        REFUSED,
+        ids=[
+            f"{c}-{f}" if v == "0" and f != "--retries" else f"{c}-{f}-{v}"
+            for c, f, v, _ in REFUSED
         ],
     )
-    def test_a_value_the_config_refuses_is_a_usage_error(self, command, flag, capsys):
+    def test_a_value_the_config_refuses_is_a_usage_error(
+        self, command, flag, value, name, capsys
+    ):
         """``--request-timeout 0`` once booted the cluster and died at
-        the first lookup with a traceback; now nothing boots."""
+        the first lookup with a traceback, an out-of-range port died in
+        ``bind`` after the boot, and ``--retries 0`` ran as if it were
+        1; now nothing boots."""
         with pytest.raises(SystemExit) as exit_info:
-            main([command, "--nodes", "4", flag, "0"])
+            main([command, "--nodes", "4", flag, value])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"usage: repro {command}" in err
-        assert flag[2:].replace("-", "_") in err
+        assert name in err
 
     def test_cluster_shards_flag_reaches_config(self):
         from repro.cli import _cluster_config
@@ -138,8 +150,19 @@ class TestCommands:
         assert "verify-against-sim: ok" in out
 
     def test_cluster_rejects_unknown_shed_policy(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["cluster", "--shed-policy", "random"])
+        """One shed policy leaves nothing for a flag to select."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["cluster", "--shed-policy", "newest"])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--refresh=1", "--no-check-invariants"])
+    def test_controller_rejects_the_snapshot_flags(self, flag, capsys):
+        """Per-request snapshots and an always-run invariant check leave
+        nothing for these flags to select."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["controller", flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_controller_flags_reach_configs(self):
         from repro.cli import _controller_configs
@@ -151,8 +174,6 @@ class TestCommands:
                 "--shards", "2",
                 "--host", "0.0.0.0",
                 "--port", "9999",
-                "--refresh", "0.25",
-                "--no-check-invariants",
                 "--no-recovery",
             ]
         )
@@ -161,8 +182,6 @@ class TestCommands:
         assert cluster_config.shards == 2
         assert controller_config.host == "0.0.0.0"
         assert controller_config.port == 9999
-        assert controller_config.refresh_s == 0.25
-        assert controller_config.check_invariants is False
         assert args.recovery is False
 
     def test_controller_flag_defaults(self):
@@ -174,7 +193,6 @@ class TestCommands:
         assert cluster_config.shards == 1
         assert controller_config.host == "127.0.0.1"
         assert controller_config.port == 8642
-        assert controller_config.check_invariants is True
         assert args.recovery is True
         assert args.duration == 0.0
 

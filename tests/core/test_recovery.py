@@ -45,10 +45,6 @@ class TestDetectorParams:
         with pytest.raises(ValueError):
             DetectorParams(period=0.0)
         with pytest.raises(ValueError):
-            DetectorParams(ping_attempts=0)
-        with pytest.raises(ValueError):
-            DetectorParams(witnesses=-1)
-        with pytest.raises(ValueError):
             DetectorParams(suspicion_periods=-1)
 
 

@@ -16,9 +16,7 @@ from repro.proximity.landmarks import select_landmarks
 
 class TestSchedule:
     def test_exponential_backoff_capped(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=10.0, backoff_factor=2.0, max_delay=35.0
-        )
+        policy = RetryPolicy(max_attempts=5, base_delay=10.0, max_delay=35.0)
         assert policy.schedule() == (10.0, 20.0, 35.0, 35.0)
         assert policy.delay(0) == 10.0
         assert policy.delay(10) == 35.0
@@ -30,8 +28,6 @@ class TestSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=100.0, max_delay=10.0)
         with pytest.raises(ValueError):
@@ -105,7 +101,7 @@ class TestCall:
         policy = RetryPolicy(max_attempts=3, base_delay=5.0)
         policy.sleep(0, telemetry=Telemetry())
         fields = {f.name for f in dataclasses.fields(RetryPolicy)}
-        assert len(fields) == 4
+        assert fields == {"max_attempts", "base_delay", "max_delay"}
         for copy in (
             policy,
             pickle.loads(pickle.dumps(policy)),

@@ -9,6 +9,7 @@ from repro.core.builder import TopologyAwareOverlay
 from repro.core.config import OverlayParams
 from repro.core.recovery import DetectorParams, check_invariants
 from repro.core.soak import (
+    CHURN_PER_EPOCH,
     CORRUPTION_KINDS,
     SoakConfig,
     _converge_sim,
@@ -135,10 +136,6 @@ class TestRebuildOwnerIndex:
 class TestSimSoak:
     CONFIG = SoakConfig(
         nodes=48,
-        epochs=3,  # one epoch per corruption class
-        churn_joins=1,
-        churn_leaves=1,
-        churn_crashes=1,
         lookups=32,
         round_budget=15,
         seed=1,
@@ -156,7 +153,7 @@ class TestSimSoak:
         # legitimacy is restored without collateral damage
         assert record["false_kills"] == 0
         assert record["false_purges"] == 0
-        assert record["takeovers"] >= self.CONFIG.epochs * self.CONFIG.churn_crashes
+        assert record["takeovers"] >= len(CORRUPTION_KINDS) * CHURN_PER_EPOCH
 
     def test_soak_is_deterministic(self):
         """Pure simulated clock + seeded RNG: byte-stable records."""

@@ -205,96 +205,308 @@ def test_every_exemption_is_current_and_of_its_kind():
     assert wrong == []
 
 
-#: defaulted parameters that no caller outside ``tests/`` sets, each a
-#: ``lever``: a test needs it to reach a bound the default cannot, and
-#: the named test file sets it
+#: settings no caller outside ``tests/`` sets, each a ``lever`` (a test
+#: needs it to reach a bound the default cannot, and the named test file
+#: sets it) or ``paper`` (a paper mechanism docs/paper_to_code.md names,
+#: with the reason it stays)
 UNSET_BY_CALLERS = {
     "repro.overlay.ecan.EcanOverlay.route.max_hops": (
         "lever",
         "tests/overlay/test_route_loops.py",
     ),
+    "repro.netsim.distance.DistanceOracle.__init__.max_cached_rows": (
+        "lever",
+        "tests/netsim/test_distance.py",
+    ),
+    "repro.core.config.OverlayParams.record_ttl": (
+        "paper",
+        "the lease start_refresh renews",
+    ),
 }
 
 
-def defaulted_parameters(src: pathlib.Path) -> list:
-    """``(module.qualname, call name, {param: position}, path:line)`` of
-    every function, method and ``__init__`` under ``src`` with a
-    defaulted parameter.  ``position`` is the index a call passes the
-    parameter at positionally (``self``/``cls`` not counted), ``None``
-    for a keyword-only one; an ``__init__`` is called by its class name."""
+def module_name(path: pathlib.Path, src: pathlib.Path) -> str:
+    parts = path.relative_to(src.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def decorated(node, name: str) -> bool:
+    """Is ``node`` decorated ``@name`` or ``@name(...)``?"""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (getattr(target, "id", None) or getattr(target, "attr", None)) == name:
+            return True
+    return False
+
+
+def init_fields(cls: ast.ClassDef) -> list:
+    """``(field, position, defaulted, line)`` of each field a dataclass
+    body declares, in field order."""
+    found = []
+    for statement in cls.body:
+        if isinstance(statement, ast.AnnAssign):
+            value = statement.value
+            defaulted = value is not None
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+                defaulted = any(
+                    k.arg in ("default", "default_factory") for k in value.keywords
+                )
+            found.append(
+                (statement.target.id, len(found), defaulted, statement.lineno)
+            )
+    return found
+
+
+def filled_fields(src: pathlib.Path) -> set:
+    """``(class, attribute)`` of every store in ``src`` that fills an
+    object of ``class`` after its construction: ``self.f = ...`` in a
+    method of ``class`` other than ``__post_init__``, and ``x.f = ...``
+    or ``x.f += ...`` on a plain name ``x`` in a module that constructs
+    ``class`` (calls ``class(...)``)."""
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        constructed = {
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+
+        def visit(node, owner, function) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, child.name, None)
+                    continue
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, owner, child.name)
+                    continue
+                if (
+                    isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Store)
+                    and isinstance(child.value, ast.Name)
+                ):
+                    if child.value.id != "self":
+                        found.update((cls, child.attr) for cls in constructed)
+                    elif function != "__post_init__":
+                        found.add((owner, child.attr))
+                visit(child, owner, function)
+
+        visit(tree, None, None)
+    return found
+
+
+def settings(src: pathlib.Path) -> list:
+    """``(qualified name, call name, position, path:line, is field)`` of every
+    setting under ``src``: each defaulted parameter of a function,
+    method or ``__init__``, and each defaulted field of a dataclass.
+
+    A field is a parameter of ``Cls(...)`` at its field-order position;
+    a function parameter's ``position`` is the index a call passes it
+    at (``self``/``cls`` not counted), ``None`` if keyword-only; an
+    ``__init__`` is called by its class name.  A dataclass is a *record*,
+    not a setting, when ``src`` fills one of its fields after
+    construction (:func:`filled_fields`): its fields are results, and
+    no caller is meant to set them."""
+    filled = filled_fields(src)
     found = []
     for path in sorted(src.rglob("*.py")):
-        parts = path.relative_to(src.parent).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        module = module_name(path, src)
 
         def visit(node, prefix: str, in_class: bool, owner: str) -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
+                    if decorated(child, "dataclass"):
+                        fields = init_fields(child)
+                        if not any((child.name, f) in filled for f, *_ in fields):
+                            for field, position, defaulted, line in fields:
+                                if defaulted:
+                                    where = f"{path.relative_to(src.parents[1])}:{line}"
+                                    qualified = f"{module}.{prefix}{child.name}.{field}"
+                                    found.append((qualified, child.name, position, where, True))
                     visit(child, f"{prefix}{child.name}.", True, child.name)
                 elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     args = child.args
                     positional = args.posonlyargs + args.args
-                    bound = in_class and not any(
-                        isinstance(d, ast.Name) and d.id == "staticmethod"
-                        for d in child.decorator_list
-                    )
+                    bound = in_class and not decorated(child, "staticmethod")
                     defaulted = positional[len(positional) - len(args.defaults):]
-                    params = {
-                        p.arg: positional.index(p) - bound for p in defaulted
-                    }
-                    params.update(
+                    params = [(p.arg, positional.index(p) - bound) for p in defaulted]
+                    params += [
                         (p.arg, None)
                         for p, default in zip(args.kwonlyargs, args.kw_defaults)
                         if default is not None
-                    )
-                    if params:
-                        name = owner if child.name == "__init__" else child.name
-                        where = f"{path.relative_to(src.parents[1])}:{child.lineno}"
-                        found.append(
-                            (f"{module}.{prefix}{child.name}", name, params, where)
-                        )
+                    ]
+                    name = owner if child.name == "__init__" else child.name
+                    where = f"{path.relative_to(src.parents[1])}:{child.lineno}"
+                    for param, position in params:
+                        qualified = f"{module}.{prefix}{child.name}.{param}"
+                        found.append((qualified, name, position, where, False))
                     visit(child, f"{prefix}{child.name}.<locals>.", False, owner)
 
         visit(ast.parse(path.read_text()), "", False, "")
     return found
 
 
-def calls_by_name(paths) -> dict:
-    """Name -> every call in ``paths`` to ``name(...)`` or ``x.name(...)``."""
-    found = {}
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name:
-                    found.setdefault(name, []).append(node)
-    return found
+class Calls:
+    """Every call in ``paths`` by the name it calls -- ``name(...)`` and
+    ``x.name(...)`` call ``name``, ``cls(...)`` in a classmethod calls its
+    class -- with the scope a ``**`` unpacking in it is resolved in."""
+
+    def __init__(self, paths):
+        self.by_name = {}
+        self.scope = {}
+        for path in paths:
+            tree = ast.parse(path.read_text())
+            module = {"constants": {}, "functions": {}}
+            for statement in tree.body:
+                if isinstance(statement, ast.Assign) and len(statement.targets) == 1:
+                    module["constants"][ast.unparse(statement.targets[0])] = statement.value
+                elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    module["functions"][statement.name] = statement
+            self._visit(tree, (module, None), None)
+
+    def _visit(self, node, scope, owner) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                self._visit(child, scope, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                in_classmethod = owner if decorated(child, "classmethod") else None
+                self._visit(child, (scope[0], child), in_classmethod)
+            else:
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if name == "cls" and owner is not None:
+                        name = owner
+                    if name:
+                        self.by_name.setdefault(name, []).append(child)
+                        self.scope[id(child)] = scope
+                self._visit(child, scope, owner)
+
+    def get(self, name: str) -> list:
+        return self.by_name.get(name, [])
+
+    def keywords(self, call: ast.Call, depth: int = 0):
+        """The keywords ``call`` passes, its ``**`` unpackings resolved,
+        or ``None`` if one does not resolve."""
+        keys = set()
+        for keyword in call.keywords:
+            if keyword.arg is None:
+                inner = self.splat_keys(keyword.value, self.scope[id(call)], depth + 1)
+                if inner is None:
+                    return None
+                keys |= inner
+            else:
+                keys.add(keyword.arg)
+        return keys
+
+    def splat_keys(self, value, scope, depth: int = 0):
+        """The keys a ``**value`` evaluated in ``scope`` carries, or
+        ``None`` when they cannot be resolved.  Resolved are a dict
+        display, ``dict(k=...)``, a module-level constant holding one, a
+        module function that returns one, and the ``**`` parameter of
+        the function around the unpacking: it carries the keywords its
+        callers pass beyond its named parameters, if it has callers."""
+        module, function = scope
+        if depth > 4:
+            return None
+        if isinstance(value, ast.Dict):
+            keys = set()
+            for key, item in zip(value.keys, value.values):
+                if key is None:
+                    inner = self.splat_keys(item, scope, depth + 1)
+                elif isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    inner = {key.value}
+                else:
+                    inner = None
+                if inner is None:
+                    return None
+                keys |= inner
+            return keys
+        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+            if value.func.id == "dict" and not value.args:
+                keys = set()
+                for keyword in value.keywords:
+                    inner = (
+                        {keyword.arg} if keyword.arg
+                        else self.splat_keys(keyword.value, scope, depth + 1)
+                    )
+                    if inner is None:
+                        return None
+                    keys |= inner
+                return keys
+            helper = module["functions"].get(value.func.id)
+            if helper is None:
+                return None
+            keys = set()
+            for node in ast.walk(helper):
+                if isinstance(node, ast.Return):
+                    inner = node.value and self.splat_keys(
+                        node.value, (module, helper), depth + 1
+                    )
+                    if inner is None:
+                        return None
+                    keys |= inner
+            return keys
+        if not isinstance(value, ast.Name):
+            return None
+        if function is not None and getattr(function.args.kwarg, "arg", None) == value.id:
+            args = function.args
+            named = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            callers = self.get(function.name)
+            keys = set()
+            for caller in callers:
+                inner = self.keywords(caller, depth + 1)
+                if inner is None:
+                    return None
+                keys |= inner - named
+            return keys if callers else None
+        if value.id in module["constants"]:
+            return self.splat_keys(module["constants"][value.id], (module, None), depth + 1)
+        return None
 
 
-def passes(call: ast.Call, param: str, position) -> bool:
-    """Does ``call`` set ``param``: by keyword, at its position, or
-    through a ``*``/``**`` unpacking that may carry it?"""
+def passes(calls: Calls, call: ast.Call, param: str, position, field: bool) -> bool:
+    """Does ``call`` set ``param``: by keyword, at its position, through
+    a ``*`` unpacking, or through a ``**`` unpacking that carries it?
+    A ``**`` whose keys resolve carries exactly those; one that does not
+    may carry any parameter of a function (a forwarder passes on what
+    its own callers chose) but no dataclass field: a settings object is
+    built with its keys spelled out."""
     if any(isinstance(arg, ast.Starred) for arg in call.args):
         return True
-    if any(keyword.arg in (None, param) for keyword in call.keywords):
-        return True
+    for keyword in call.keywords:
+        if keyword.arg == param:
+            return True
+        if keyword.arg is None:
+            keys = calls.splat_keys(keyword.value, calls.scope[id(call)])
+            if (param in keys) if keys is not None else not field:
+                return True
     return position is not None and len(call.args) > position
 
 
-def unset_parameters(src: pathlib.Path, caller_paths) -> dict:
-    """``module.qualname.param`` -> ``path:line`` of every defaulted
-    parameter of a definition some call in ``caller_paths`` reaches by
-    name, when no such call sets it."""
-    calls = calls_by_name(caller_paths)
+def reaching(calls: Calls, name: str, position, field: bool) -> list:
+    """``(call, position)`` of each call that can set a setting: a call
+    of ``name``, and for a field of a dataclass some call of which
+    reaches, ``replace(x, f=...)`` too."""
+    found = [(call, position) for call in calls.get(name)]
+    if found and field:
+        found += [(call, None) for call in calls.get("replace")]
+    return found
+
+
+def unset_settings(src: pathlib.Path, caller_paths) -> dict:
+    """Qualified name -> ``path:line`` of every setting under ``src`` that
+    some call in ``caller_paths`` reaches by name, when no such call
+    sets it."""
+    calls = Calls(caller_paths)
     found = {}
-    for qualname, name, params, where in defaulted_parameters(src):
-        reaching = calls.get(name)
-        if not reaching:
-            continue
-        for param, position in params.items():
-            if not any(passes(call, param, position) for call in reaching):
-                found[f"{qualname}.{param}"] = where
+    for qualified, name, position, where, field in settings(src):
+        param = qualified.rsplit(".", 1)[1]
+        candidates = reaching(calls, name, position, field)
+        if candidates and not any(
+            passes(calls, call, param, at, field) for call, at in candidates
+        ):
+            found[qualified] = where
     return found
 
 
@@ -303,11 +515,11 @@ def caller_paths(root: pathlib.Path) -> list:
 
 
 def test_every_defaulted_parameter_is_set_by_a_caller_outside_tests():
-    """A setting needs a caller that sets it: a defaulted parameter
-    whose only value outside ``tests/`` is its default goes, with the
-    branch it guards, unless :data:`UNSET_BY_CALLERS` says which test
-    needs it as a lever."""
-    unset = unset_parameters(SRC, caller_paths(ROOT))
+    """A setting needs a caller that sets it: a defaulted parameter or
+    dataclass field whose only value outside ``tests/`` is its default
+    goes, with the branch it guards, unless :data:`UNSET_BY_CALLERS`
+    says which test needs it as a lever or which paper mechanism it is."""
+    unset = unset_settings(SRC, caller_paths(ROOT))
     orphans = [
         f"{where} {name}" for name, where in unset.items()
         if name not in UNSET_BY_CALLERS
@@ -316,27 +528,31 @@ def test_every_defaulted_parameter_is_set_by_a_caller_outside_tests():
 
 
 def test_every_lever_is_current_and_set_by_its_test():
-    """An exemption names a parameter that is still unset outside
-    ``tests/``, its kind is ``lever``, and its test file sets it."""
-    unset = unset_parameters(SRC, caller_paths(ROOT))
-    definitions = {
-        f"{qualname}.{param}": (name, position)
-        for qualname, name, params, _where in defaulted_parameters(SRC)
-        for param, position in params.items()
+    """An exemption names a setting that is still unset outside
+    ``tests/``; a ``lever``'s test file sets it, a ``paper`` setting is
+    named in docs/paper_to_code.md; at most 12 levers."""
+    unset = unset_settings(SRC, caller_paths(ROOT))
+    defined = {
+        qualified: (name, position, field)
+        for qualified, name, position, _, field in settings(SRC)
     }
+    paper_map = (ROOT / "docs" / "paper_to_code.md").read_text()
     wrong = []
-    for qualified, (kind, test_file) in UNSET_BY_CALLERS.items():
-        name, position = definitions.get(qualified, (None, None))
+    for qualified, (kind, detail) in UNSET_BY_CALLERS.items():
+        name, position, field = defined.get(qualified, (None, None, False))
         param = qualified.rsplit(".", 1)[1]
-        calls = calls_by_name([ROOT / test_file]).get(name, [])
-        if (
-            qualified not in unset
-            or kind != "lever"
-            or not any(passes(call, param, position) for call in calls)
-        ):
+        if kind == "lever":
+            calls = Calls([ROOT / detail])
+            holds = any(
+                passes(calls, call, param, at, field)
+                for call, at in reaching(calls, name, position, field)
+            )
+        else:
+            holds = kind == "paper" and f"`{param}`" in paper_map
+        if qualified not in unset or not holds:
             wrong.append(qualified)
     assert wrong == []
-    assert len(UNSET_BY_CALLERS) <= 12
+    assert sum(kind == "lever" for kind, _ in UNSET_BY_CALLERS.values()) <= 12
 
 
 def test_a_seeded_orphan_parameter_is_named(tmp_path):
@@ -360,9 +576,58 @@ def test_a_seeded_orphan_parameter_is_named(tmp_path):
         "box.grow(2)\n"
         "make(*counts)\n"
     )
-    unset = unset_parameters(tmp_path / "src" / "repro", [caller])
+    unset = unset_settings(tmp_path / "src" / "repro", [caller])
     assert sorted(unset) == [
         "repro.pkg.mod.Box.__init__.size",
         "repro.pkg.mod.Box.grow.twice",
     ]
     assert unset["repro.pkg.mod.Box.grow.twice"] == "src/repro/pkg/mod.py:4"
+
+
+def test_a_seeded_orphan_field_is_named(tmp_path):
+    """The lint names an unset dataclass field ``module.Class.field``.
+    A keyword, a field-order position, ``replace(x, f=...)``, a
+    ``cls(...)`` call in a classmethod and a ``**`` unpacking whose keys
+    resolve each set exactly their fields, and one that does not
+    resolve sets none; a record the source fills after construction is
+    not a setting."""
+    package = tmp_path / "src" / "repro" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass, field, replace\n"
+        "@dataclass(frozen=True)\n"
+        "class Box:\n"
+        "    size: int = 1\n"
+        "    wide: bool = False\n"
+        "    knob: float = 0.5\n"
+        "    label: str = ''\n"
+        "    shade: str = 'red'\n"
+        "    depth: int = field(default=2)\n"
+        "    @classmethod\n"
+        "    def small(cls):\n"
+        "        return cls(size=0)\n"
+        "@dataclass\n"
+        "class Tally:\n"
+        "    hits: int = 0\n"
+        "def count():\n"
+        "    tally = Tally()\n"
+        "    tally.hits += 1\n"
+        "    return tally\n"
+    )
+    caller = tmp_path / "scripts" / "use.py"
+    caller.parent.mkdir()
+    caller.write_text(
+        "SHAPE = {'label': 'x'}\n"
+        "def tinted():\n"
+        "    return dict(shade='blue')\n"
+        "def make(**extra):\n"
+        "    return Box(1, True, **extra)\n"
+        "box = Box(**SHAPE, **tinted())\n"
+        "make(depth=3)\n"
+        "Box.small()\n"
+        "Box(**load())\n"
+        "Tally()\n"
+    )
+    unset = unset_settings(tmp_path / "src" / "repro", [caller])
+    assert sorted(unset) == ["repro.pkg.mod.Box.knob"]
+    assert unset["repro.pkg.mod.Box.knob"] == "src/repro/pkg/mod.py:6"

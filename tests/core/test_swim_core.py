@@ -8,7 +8,7 @@ partition shielding, confirm bookkeeping) holds for both adapters.
 
 import pytest
 
-from repro.core.recovery import DetectorParams, SwimCore
+from repro.core.recovery import WITNESSES, DetectorParams, SwimCore
 from repro.netsim.faults import Partition
 
 MEMBERS = [2, 3, 5, 7, 11, 13]
@@ -82,7 +82,7 @@ class TestRotation:
 
 class TestProbeScript:
     def test_witnesses_are_drawn_only_after_direct_silence(self):
-        core = SwimCore(DetectorParams(ping_attempts=2, witnesses=3), seed=1)
+        core = SwimCore(seed=1)
         before = core.rng.bit_generator.state
         asked = []
 
@@ -95,7 +95,7 @@ class TestProbeScript:
         assert core.rng.bit_generator.state == before  # no draw was needed
 
     def test_silence_goes_through_every_attempt_then_the_witnesses(self):
-        core = SwimCore(DetectorParams(ping_attempts=2, witnesses=3), seed=1)
+        core = SwimCore(seed=1)
         core.suspected[13] = 1  # a suspect is never asked to witness
         asked = []
 
@@ -112,7 +112,7 @@ class TestProbeScript:
         assert len({src for src, _, _ in witnesses}) == 3
 
     def test_one_witness_answer_is_enough(self):
-        core = SwimCore(DetectorParams(witnesses=3), seed=1)
+        core = SwimCore(seed=1)
         assert (
             drive(
                 core.probe_script(2, TARGET, MEMBERS),
@@ -198,11 +198,13 @@ class TestSettlement:
 
 class TestReprobePlan:
     def test_drops_departed_suspects_and_caps_the_probers(self):
-        core = SwimCore(DetectorParams(witnesses=1))
+        core = SwimCore()
         core.suspected.update({TARGET: 2, 99: 1, 3: 1})
-        probers, suspects = core.reprobe_plan(MEMBERS, lambda m: m != 2)
+        members = MEMBERS + [17, 19, 23]
+        probers, suspects = core.reprobe_plan(members, lambda m: m != 2)
         assert suspects == [TARGET, 3]  # 99 left the membership
         assert 99 not in core.suspected
-        assert probers == [5, 11]  # live, unsuspected, witnesses + 1 of them
+        # live, unsuspected, WITNESSES + 1 of them
+        assert WITNESSES == 3 and probers == [5, 11, 13, 17]
         assert core.refute(TARGET) and not core.refute(TARGET)
         assert core.refutations == 1

@@ -19,11 +19,11 @@ from repro.netsim import GeneratedLatencyModel, ManualLatencyModel, Network, Noi
 from repro.softstate import MaintenancePolicy
 
 
-def build(topology, latency_model, policy="softstate", n=96, seed=21, **overrides):
+def build(topology, latency_model, policy="softstate", n=96, seed=21):
     network = Network(topology, latency_model)
     overlay = TopologyAwareOverlay(
         network,
-        OverlayParams(num_nodes=n, policy=policy, landmarks=8, seed=seed, **overrides),
+        OverlayParams(num_nodes=n, policy=policy, landmarks=8, seed=seed),
     )
     overlay.build()
     return overlay
@@ -54,12 +54,6 @@ class TestFullSystem:
         stretch = overlay.measure_stretch(samples=150)
         assert stretch.size > 0
         assert (stretch >= 1.0 - 1e-6).all()
-
-    def test_three_dimensional_overlay(self, small_topology):
-        overlay = build(small_topology, ManualLatencyModel(), n=64, dims=3)
-        stretch = overlay.measure_stretch(samples=100)
-        assert stretch.size > 0
-        overlay.ecan.can.check_invariants()
 
 
 class TestChurnIntegration:

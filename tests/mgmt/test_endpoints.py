@@ -6,7 +6,6 @@ import json
 from repro.core.config import NetworkParams, OverlayParams
 from repro.mgmt import (
     Controller,
-    ControllerConfig,
     counter_samples,
     http_get,
     parse_exposition,
@@ -162,25 +161,22 @@ class TestStatsAndMetrics:
         family reads at least what it read before."""
 
         async def scrape(controller):
-            await asyncio.sleep(2 * controller.config.refresh_s)  # stale cache out
             _, _, body = await http_get("127.0.0.1", controller.port, "/metrics")
             return counter_samples(parse_exposition(body.decode("utf-8")))
 
         async def scenario():
             async with Cluster(overload_config(**TRIPPING)) as cluster:
                 origin_id, _, release = await trip_a_breaker(cluster)
-                async with Controller(
-                    cluster, ControllerConfig(refresh_s=0.01)
-                ) as controller:
+                async with Controller(cluster) as controller:
                     before = await scrape(controller)
                     await cluster.crash(origin_id)
                     await release()
                     return before, await scrape(controller)
 
         before, after = run(scenario())
-        assert before["repro_overload_total{kind=busy_retries}"] == 2
+        assert before["repro_overload_total{kind=busy_retries}"] == 4
         assert before["repro_overload_total{kind=breaker_opens}"] == 1
-        assert before["repro_events_total{event=runtime_busy_retry}"] == 2
+        assert before["repro_events_total{event=runtime_busy_retry}"] == 4
         assert [key for key, value in before.items() if after.get(key, 0) < value] == []
 
 
@@ -336,20 +332,12 @@ class TestServerBehavior:
         raw = run(scenario())
         assert raw.startswith(b"HTTP/1.1 405 ")
 
-    def test_refresh_loop_warms_caches(self):
-        async def scenario():
-            async with Cluster(make_config(nodes=8)) as cluster:
-                config = ControllerConfig(refresh_s=0.05)
-                async with Controller(cluster, config) as controller:
-                    await asyncio.sleep(0.3)
-                    gauges = cluster.network.telemetry.gauges
-                    return controller.refreshes, gauges.get("mgmt_refreshes")
 
-        refreshes, gauge = run(scenario())
-        assert refreshes >= 2
-        assert gauge == refreshes
-
-    def test_a_failed_refresh_is_counted_and_the_loop_survives(self, monkeypatch):
+    def test_a_torn_read_answers_500_and_the_next_scrape_succeeds(
+        self, monkeypatch
+    ):
+        """Snapshots are computed per request: a read torn mid-churn
+        fails that one request, not the daemon."""
         from repro.mgmt import controller as controller_module
 
         calls = []
@@ -364,17 +352,11 @@ class TestServerBehavior:
 
         async def scenario():
             async with Cluster(make_config(nodes=8)) as cluster:
-                config = ControllerConfig(refresh_s=0.02)
-                async with Controller(cluster, config) as controller:
-                    while controller.refreshes < 1:
-                        await asyncio.sleep(0.01)
-                    _, stats = await get_json(controller, "/stats")
-                    _, _, metrics = await http_get(
-                        "127.0.0.1", controller.port, "/metrics"
-                    )
-                    return stats["events"], parse_exposition(metrics.decode("utf-8"))
+                async with Controller(cluster) as controller:
+                    torn = await get_json(controller, "/topology")
+                    whole = await get_json(controller, "/topology")
+                    return torn, whole
 
-        events, families = run(scenario())
-        assert events["mgmt_refresh_error"] == 1
-        samples = families["repro_events_total"]["samples"]
-        assert ({"event": "mgmt_refresh_error"}, 1.0) in samples
+        (torn_status, torn), (status, topology) = run(scenario())
+        assert torn_status == 500 and "torn mid-churn read" in torn["error"]
+        assert status == 200 and topology["members"]

@@ -22,18 +22,12 @@ class TestManual:
         assert np.allclose(weights[cls == LinkClass.TRANSIT_STUB], 5.5)
         assert np.allclose(weights[cls == LinkClass.INTRA_STUB], 1.0)
 
-    def test_custom_values(self, tiny_topology):
-        model = ManualLatencyModel(intra_stub_ms=3.0)
-        weights = model.weights(tiny_topology)
-        cls = tiny_topology.edge_class
-        assert np.allclose(weights[cls == LinkClass.INTRA_STUB], 3.0)
-
     def test_latency_ordering_matches_hierarchy(self, tiny_topology):
         """Backbone links must dominate edge links."""
-        model = ManualLatencyModel()
-        assert model.cross_transit_ms > model.intra_transit_ms
-        assert model.intra_transit_ms > model.transit_stub_ms
-        assert model.transit_stub_ms > model.intra_stub_ms
+        ms = ManualLatencyModel.CLASS_MS
+        assert ms[LinkClass.CROSS_TRANSIT] > ms[LinkClass.INTRA_TRANSIT]
+        assert ms[LinkClass.INTRA_TRANSIT] > ms[LinkClass.TRANSIT_STUB]
+        assert ms[LinkClass.TRANSIT_STUB] > ms[LinkClass.INTRA_STUB]
 
 
 class TestGenerated:
@@ -53,16 +47,20 @@ class TestGenerated:
         assert np.array_equal(model.weights(tiny_topology), model.weights(tiny_topology))
 
     def test_scale_knob(self, tiny_topology):
-        base = GeneratedLatencyModel(ms_per_unit=0.25).weights(tiny_topology)
-        double = GeneratedLatencyModel(ms_per_unit=0.5).weights(tiny_topology)
-        big_enough = base > GeneratedLatencyModel().min_latency_ms
-        assert np.allclose(double[big_enough], 2 * base[big_enough])
+        model = GeneratedLatencyModel()
+        weights = model.weights(tiny_topology)
+        coords, edges = tiny_topology.coords, tiny_topology.edges
+        dist = np.linalg.norm(coords[edges[:, 0]] - coords[edges[:, 1]], axis=1)
+        above = weights > model.MIN_LATENCY_MS
+        assert above.any() and (~above).any()
+        assert np.allclose(weights[above] / dist[above], model.MS_PER_UNIT)
+        assert (weights[~above] == model.MIN_LATENCY_MS).all()
 
 
 class TestNoisy:
-    def test_requires_base(self, tiny_topology):
-        with pytest.raises(ValueError):
-            NoisyLatencyModel().weights(tiny_topology)
+    def test_requires_base(self):
+        with pytest.raises(TypeError):
+            NoisyLatencyModel()
 
     def test_perturbs_but_preserves_scale(self, tiny_topology):
         base_model = ManualLatencyModel()

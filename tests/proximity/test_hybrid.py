@@ -10,7 +10,7 @@ from repro.experiments.common import bulk_vectors
 @pytest.fixture
 def testbed(tiny_network, rng):
     landmarks = select_landmarks(tiny_network, 8, rng)
-    space = LandmarkSpace(landmarks, bits_per_dim=5, index_dims=4)
+    space = LandmarkSpace(landmarks)
     hosts = tiny_network.topology.stub_nodes()
     vectors = bulk_vectors(tiny_network, landmarks, hosts, charge=False)
     return tiny_network, space, hosts, vectors

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.proximity import LandmarkSpace, select_landmarks
-from repro.proximity.landmarks import landmark_order, measure_vector
+from repro.proximity.landmarks import (
+    BITS_PER_DIM,
+    INDEX_DIMS,
+    LandmarkSet,
+    landmark_order,
+    measure_vector,
+)
 
 
 @pytest.fixture
@@ -71,28 +77,29 @@ class TestOrdering:
 
 class TestLandmarkSpace:
     def test_total_bits(self, landmark_set):
-        space = LandmarkSpace(landmark_set, bits_per_dim=5, index_dims=3)
-        assert space.total_bits == 15
-        assert space.number_range == 1 << 15
+        space = LandmarkSpace(landmark_set)
+        assert space.total_bits == BITS_PER_DIM * INDEX_DIMS == 20
+        assert space.number_range == 1 << 20
 
     def test_default_index_dims_capped(self, landmark_set):
         space = LandmarkSpace(landmark_set)
         assert space.index_dims == 4
 
     def test_index_dims_validation(self, landmark_set):
-        with pytest.raises(ValueError):
-            LandmarkSpace(landmark_set, index_dims=7)
-        with pytest.raises(ValueError):
-            LandmarkSpace(landmark_set, index_dims=0)
+        """Fewer landmarks than INDEX_DIMS: every component feeds the number."""
+        few = LandmarkSet(landmark_set.hosts[:2], landmark_set.max_rtt_ms)
+        space = LandmarkSpace(few)
+        assert space.index_dims == 2
+        assert space.total_bits == 2 * BITS_PER_DIM
 
     def test_number_in_range(self, tiny_network, landmark_set):
-        space = LandmarkSpace(landmark_set, bits_per_dim=4, index_dims=3)
+        space = LandmarkSpace(landmark_set)
         for host in (2, 9, 30):
             vector = measure_vector(tiny_network, host, landmark_set)
             assert 0 <= space.number(vector) < space.number_range
 
     def test_number_overflow_clipped(self, landmark_set):
-        space = LandmarkSpace(landmark_set, bits_per_dim=3, index_dims=2)
+        space = LandmarkSpace(landmark_set)
         huge = np.full(landmark_set.count, 10 * landmark_set.max_rtt_ms)
         assert 0 <= space.number(huge) < space.number_range
 
@@ -100,7 +107,7 @@ class TestLandmarkSpace:
         self, tiny_network, landmark_set
     ):
         """Statistical locality of the landmark number."""
-        space = LandmarkSpace(landmark_set, bits_per_dim=5, index_dims=4)
+        space = LandmarkSpace(landmark_set)
         topo = tiny_network.topology
         stubs = topo.stub_nodes()
         rng = np.random.default_rng(5)

@@ -83,7 +83,8 @@ class TestPartitionsAndLoss:
         faults.armed = True
 
         async def scenario():
-            transport = make_transport(kind, faults=faults)
+            transport = make_transport(kind)
+            transport.faults = faults
             await transport.start()
             inbox_far = Collector()
             inbox_near = Collector()
@@ -113,7 +114,8 @@ class TestPartitionsAndLoss:
         faults.armed = True
 
         async def scenario():
-            transport = make_transport(kind, faults=faults)
+            transport = make_transport(kind)
+            transport.faults = faults
             await transport.start()
             await transport.bind("a", Collector(), host=0)
             inbox = Collector()
@@ -134,7 +136,8 @@ class TestPartitionsAndLoss:
         faults.crash_host(5)
 
         async def scenario():
-            transport = make_transport(kind, faults=faults)
+            transport = make_transport(kind)
+            transport.faults = faults
             await transport.start()
             await transport.bind("a", Collector(), host=0)
             await transport.bind("b", Collector(), host=5)

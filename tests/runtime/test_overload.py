@@ -65,42 +65,58 @@ def pick_peer(cluster, not_on_host=None):
     raise AssertionError("no suitable peer")
 
 
+async def park(origin, victim_id, retry=False):
+    """Send one of ``origin``'s requests to ``victim_id`` and let it
+    land in the victim's lane (or in flight); returns its task."""
+    task = asyncio.ensure_future(
+        origin.request(victim_id, MsgType.PUBLISH, {}, retry=retry)
+    )
+    await asyncio.sleep(0.01)
+    return task
+
+
 async def saturate(origin, victim) -> tuple:
-    """Gate ``victim``'s dispatch and park two of ``origin``'s requests
-    on it: the first is popped in flight (and hangs on the gate), the
-    second fills a one-slot lane, so the next data frame is shed.
-    Returns ``(gate, hung)``."""
+    """Gate ``victim``'s dispatch and park one of ``origin``'s requests
+    on it, popped in flight (it hangs on the gate), so with a one-slot
+    lane the second data frame after it evicts the first.  Returns
+    ``(gate, hung)``."""
     gate = gate_dispatch(victim)
-    hung = []
-    for _ in range(2):
-        hung.append(
-            asyncio.ensure_future(
-                origin.request(victim.addr, MsgType.PUBLISH, {}, retry=False)
-            )
-        )
-        await asyncio.sleep(0.01)
-    return gate, hung
+    return gate, [await park(origin, victim.addr)]
 
 
-#: the config under which :func:`trip_a_breaker` earns exactly two BUSY
-#: retries and one breaker trip
+async def evict(origin, victim_id, queued):
+    """Send a filler arrival that evicts ``queued`` -- a request parked
+    in the victim's full one-slot lane -- and await ``queued``'s BUSY.
+    Returns the filler's task: the filler is the lane's new occupant."""
+    filler = asyncio.ensure_future(
+        origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
+    )
+    with pytest.raises(PeerBusy):
+        await queued
+    return filler
+
+
+#: the config under which :func:`trip_a_breaker` earns exactly four
+#: BUSY retries and one breaker trip
 TRIPPING = dict(
-    nodes=16, mailbox_cap=1, shed_policy="newest",
+    nodes=16, mailbox_cap=1,
     busy_retries=2, breaker_threshold=3, breaker_reset_s=30.0,
 )  # fmt: skip
 
 
 async def trip_a_breaker(cluster):
-    """A non-bootstrap origin is shed three times by a gated victim on
-    another machine: two jittered resends, then the third consecutive
-    BUSY trips its breaker.  Returns ``(origin_id, victim_id, release)``;
+    """A non-bootstrap origin's request and a filler evict each other
+    from the one-slot lane of a gated victim on another machine until
+    the request's two jittered resends are spent: five BUSYs in a row
+    (three to the request, two to the filler), the third of which trips
+    the origin's breaker.  Returns ``(origin_id, victim_id, release)``;
     ``await release()`` opens the gate and reaps the hung requests."""
     origin_id = pick_peer(cluster)
     origin = cluster.actors[origin_id]
     victim_id = pick_peer(cluster, not_on_host=origin.host)
     gate, hung = await saturate(origin, cluster.actors[victim_id])
-    with pytest.raises(PeerBusy):
-        await origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
+    queued = await park(origin, victim_id)
+    hung.append(await evict(origin, victim_id, queued))
 
     async def release():
         gate.set()
@@ -112,7 +128,7 @@ async def trip_a_breaker(cluster):
 class TestLanesAndShedding:
     def test_oldest_policy_sheds_queue_head_and_answers_busy(self):
         async def scenario():
-            async with Cluster(make_config(shed_policy="oldest")) as cluster:
+            async with Cluster(make_config()) as cluster:
                 origin = cluster.bootstrap
                 victim_id = pick_peer(cluster)
                 victim = cluster.actors[victim_id]
@@ -145,62 +161,43 @@ class TestLanesAndShedding:
         # evicted; the freshest arrivals survived
         assert busy_indices == [0, 1, 2, 3]
 
-    def test_newest_policy_refuses_the_arrival(self):
-        async def scenario():
-            async with Cluster(make_config(shed_policy="newest")) as cluster:
-                origin = cluster.bootstrap
-                victim_id = pick_peer(cluster)
-                victim = cluster.actors[victim_id]
-                gate = gate_dispatch(victim)
-                tasks = [
-                    asyncio.ensure_future(
-                        origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
-                    )
-                    for _ in range(8)
-                ]
-                await asyncio.sleep(0.05)
-                gate.set()
-                results = await asyncio.gather(*tasks, return_exceptions=True)
-                busy_indices = [
-                    i for i, r in enumerate(results) if isinstance(r, PeerBusy)
-                ]
-                return busy_indices
-
-        # arrivals 5-8 bounced off the full lane; the queue kept 1-4
-        assert run(scenario()) == [4, 5, 6, 7]
-
     def test_a_self_addressed_request_refused_by_its_own_full_lane(self):
-        """The one reply that is there before ``_request_once`` awaits:
-        the BUSY of a refused self-send comes back inside the owed await
-        of ``on_frame``.  Same ``PeerBusy``, nothing left behind."""
+        """A self-send evicted from its own full lane by the actor's
+        next self-send: the BUSY the actor sends itself fails the first
+        with the same ``PeerBusy`` a peer's would, and leaves nothing of
+        it behind."""
 
         async def scenario():
-            config = make_config(mailbox_cap=1, shed_policy="newest")
+            config = make_config(mailbox_cap=1)
             async with Cluster(config) as cluster:
                 victim = cluster.actors[pick_peer(cluster)]
                 gate, hung = await saturate(cluster.bootstrap, victim)
                 registered = len(cluster.deadlines)
+                queued = asyncio.ensure_future(victim.rpc_route((0.3, 0.7)))
+                await asyncio.sleep(0.01)
+                filler = asyncio.ensure_future(victim.rpc_route((0.6, 0.2)))
                 with pytest.raises(PeerBusy):
-                    await victim.rpc_route((0.3, 0.7))
-                left = dict(victim.pending), len(cluster.deadlines) - registered
+                    await queued
+                # only the filler is still waiting
+                left = len(victim.pending), len(cluster.deadlines) - registered
                 gate.set()
-                await asyncio.gather(*hung)
+                await asyncio.gather(filler, *hung)
                 return left, cluster.overload_counters()["shed"]
 
-        assert run(scenario()) == (({}, 0), 1)
+        assert run(scenario()) == ((1, 1), 1)
 
     def test_a_full_lane_over_tcp_still_answers_busy_and_counts_the_shed(self):
         """On a socket the BUSY send is what ``ingress`` is owed: the
         read side's slow path awaits it, frame order intact."""
 
         async def scenario():
-            config = make_config(shed_policy="newest", transport="tcp")
+            config = make_config(transport="tcp")
             async with Cluster(config) as cluster:
                 origin = cluster.bootstrap
                 victim_id = pick_peer(cluster)
                 gate = gate_dispatch(cluster.actors[victim_id])
-                # one batch, one chunk: 4 fill the lane, the 5th bounces
-                # off it; the pump's first turn comes before the rest
+                # one batch, one chunk: 4 fill the lane, the 5th evicts
+                # its head; the pump's first turn comes before the rest
                 tasks = [
                     asyncio.ensure_future(
                         origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
@@ -216,7 +213,8 @@ class TestLanesAndShedding:
                 return first_done, busy, served, cluster.overload_counters()["shed"]
 
         first_done, busy, served, shed = run(scenario())
-        assert first_done[0] == busy[0] == 4  # BUSY arrives while dispatch is gated
+        # the evicted head's BUSY arrives while dispatch is gated
+        assert first_done[0] == busy[0] == 0
         assert len(busy) == shed >= 2
         assert served == 8 - shed
 
@@ -276,8 +274,6 @@ class TestLanesAndShedding:
         assert all(isinstance(r, dict) for r in results)
 
     def test_config_validates_overload_knobs(self):
-        with pytest.raises(ValueError, match="shed_policy"):
-            make_config(shed_policy="random")
         with pytest.raises(ValueError, match="mailbox_cap"):
             make_config(mailbox_cap=0)
         with pytest.raises(ValueError, match="breaker_threshold"):
@@ -376,7 +372,6 @@ class TestCircuitBreaker:
         async def scenario():
             config = make_config(
                 mailbox_cap=1,
-                shed_policy="newest",
                 breaker_threshold=2,
                 breaker_reset_s=0.05,
             )
@@ -385,11 +380,10 @@ class TestCircuitBreaker:
                 victim_id = pick_peer(cluster)
                 gate, hung = await saturate(origin, cluster.actors[victim_id])
                 # two BUSY sheds in a row open the breaker...
+                queued = await park(origin, victim_id)
                 for _ in range(2):
-                    with pytest.raises(PeerBusy):
-                        await origin.request(
-                            victim_id, MsgType.PUBLISH, {}, retry=False
-                        )
+                    queued = await evict(origin, victim_id, queued)
+                hung.append(queued)
                 counters_open = cluster.overload_counters()
                 # ...and the next request fast-fails locally
                 with pytest.raises(CircuitOpenError):
@@ -447,15 +441,13 @@ class TestCircuitBreaker:
         """HEARTBEATs flow to a peer whose data breaker is open."""
 
         async def scenario():
-            config = make_config(
-                mailbox_cap=1, shed_policy="newest", breaker_threshold=1
-            )
+            config = make_config(mailbox_cap=1, breaker_threshold=1)
             async with Cluster(config) as cluster:
                 origin = cluster.bootstrap
                 victim_id = pick_peer(cluster)
                 gate, hung = await saturate(origin, cluster.actors[victim_id])
-                with pytest.raises(PeerBusy):
-                    await origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
+                queued = await park(origin, victim_id)
+                hung.append(await evict(origin, victim_id, queued))
                 assert cluster.overload_counters()["breakers_open_now"] == 1
                 with pytest.raises(CircuitOpenError):
                     await origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
@@ -483,19 +475,19 @@ class TestCircuitBreaker:
         once the backlog clears."""
 
         async def scenario():
-            config = make_config(
-                mailbox_cap=1,
-                shed_policy="newest",
-                busy_retries=8,
-            )
+            config = make_config(mailbox_cap=1, busy_retries=8)
             async with Cluster(config) as cluster:
                 origin = cluster.bootstrap
                 victim_id = pick_peer(cluster)
                 gate, hung = await saturate(origin, cluster.actors[victim_id])
-                # this request gets shed now, but its jittered resends
-                # land after the gate opens
-                retried = asyncio.ensure_future(
-                    origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
+                # the filler sheds this request now; it and the filler
+                # evict each other until the gate opens, and a resend
+                # lands after that
+                retried = await park(origin, victim_id)
+                hung.append(
+                    asyncio.ensure_future(
+                        origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
+                    )
                 )
                 await asyncio.sleep(0.01)
                 gate.set()
@@ -528,8 +520,8 @@ class TestCircuitBreaker:
 
         reads = run(scenario())
         earned = reads[0]
-        assert earned["busy_retries"] == 2 and earned["breaker_opens"] == 1
-        assert earned["busy_replies"] == earned["shed"] == 3
+        assert earned["busy_retries"] == 4 and earned["breaker_opens"] == 1
+        assert earned["busy_replies"] == earned["shed"] == 5
         assert earned["breakers_open_now"] == 1
         assert reads[1]["breakers_open_now"] == 0  # the one gauge
         for earlier, later in zip(reads, reads[1:]):
@@ -542,12 +534,13 @@ class TestCircuitBreaker:
         """Two boots from one seed back off by the same delay ladder."""
 
         async def ladder(seed):
-            config = make_config(mailbox_cap=1, shed_policy="newest", busy_retries=5)
+            config = make_config(mailbox_cap=1, busy_retries=5)
             config.overlay = replace(config.overlay, seed=seed)
             async with Cluster(config) as cluster:
                 origin = cluster.bootstrap
                 victim_id = pick_peer(cluster)
                 gate, hung = await saturate(origin, cluster.actors[victim_id])
+                queued = await park(origin, victim_id, retry=None)
                 delays = []
                 real_sleep = asyncio.sleep
 
@@ -555,16 +548,17 @@ class TestCircuitBreaker:
                     delays.append(delay * 1000.0)
                     await real_sleep(0)
 
-                # every resend is shed again: the whole ladder is drawn
+                # the request and the filler evict each other until the
+                # request's resends are spent: both ladders are drawn,
+                # five resends each
                 with mock.patch.object(asyncio, "sleep", recording_sleep):
-                    with pytest.raises(PeerBusy):
-                        await origin.request(victim_id, MsgType.PUBLISH, {})
+                    hung.append(await evict(origin, victim_id, queued))
                 gate.set()
                 await asyncio.gather(*hung)
                 return [delay for delay in delays if delay > 0.0]
 
         first, again, other = run(ladder(5)), run(ladder(5)), run(ladder(6))
-        assert len(first) == 5 and all(2.0 <= delay <= 250.0 for delay in first)
+        assert len(first) == 10 and all(2.0 <= delay <= 250.0 for delay in first)
         assert first == again
         assert first != other
 

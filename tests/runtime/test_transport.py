@@ -155,7 +155,8 @@ class TestFaultInjection:
                 tiny_network, FaultPlan(message_loss_rate=1.0), seed=1
             )
             faults.armed = True
-            transport = LoopbackTransport(faults=faults)
+            transport = LoopbackTransport()
+            transport.faults = faults
             await transport.start()
             await transport.bind("a", Collector(), host=0)
             inbox = Collector()
@@ -176,7 +177,8 @@ class TestFaultInjection:
                 tiny_network, FaultPlan(message_loss_rate=0.5), seed=seed
             )
             faults.armed = True
-            transport = LoopbackTransport(faults=faults)
+            transport = LoopbackTransport()
+            transport.faults = faults
             transport.hosts["a"] = 0
             transport.hosts["b"] = 5
             return [transport.drops("a", "b") for _ in range(64)]
@@ -189,7 +191,8 @@ class TestFaultInjection:
             faults = FaultInjector(tiny_network, FaultPlan(), seed=0)
             faults.armed = True
             faults.crash_host(5)
-            transport = LoopbackTransport(faults=faults)
+            transport = LoopbackTransport()
+            transport.faults = faults
             await transport.start()
             await transport.bind("a", Collector(), host=0)
             await transport.bind("b", Collector(), host=5)
