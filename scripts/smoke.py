@@ -177,8 +177,9 @@ async def runtime(seed: int, encoding: str, transport: str = "loopback") -> dict
     """One-process cluster, joins over the wire, open-loop lookups, then
     bit-identical owners and endpoints against the simulator.  Run under
     both payload encodings it pins the packed path to JSON semantics;
-    the ``tcp`` step is the only scenario that opens a socket per node
-    (connects, the per-tick outbox write, the write-buffer reads)."""
+    the ``tcp`` step is the only scenario on real sockets (connects, the
+    per-tick outbox write, the write-buffer reads), all 64 nodes behind
+    one listener and one connection."""
     config = cluster_config(
         RUNTIME_NODES, seed, wire_encoding=encoding, transport=transport
     )
@@ -203,8 +204,14 @@ async def runtime(seed: int, encoding: str, transport: str = "loopback") -> dict
             task.get_coro().__qualname__.endswith("Transport._serve")
             for task in asyncio.all_tasks()
         )
+        sockets = {}
+        if transport == "tcp":
+            sockets = {
+                "listeners": len(set(cluster.transport.endpoints.values())),
+                "connections": len(cluster.transport._writers),
+            }
         return {
-            **report.summary(), **parity,
+            **report.summary(), **parity, **sockets,
             "reader_tasks": readers, "pump_tasks": pump_tasks,
         }  # fmt: skip
 
@@ -224,6 +231,8 @@ RUNTIME_LOOPBACK_GATES = RUNTIME_GATES + (
 RUNTIME_TCP_GATES = RUNTIME_GATES + (
     ("no reader task alive once the load has settled",
      lambda r: r["reader_tasks"] == 0),
+    (f"{RUNTIME_NODES} nodes: one listening socket, at most one outbound connection",
+     lambda r: r["listeners"] == 1 and r["connections"] <= 1),
 )
 
 

@@ -229,7 +229,8 @@ def cmd_cluster(args) -> int:
     status = "ok" if verdict["ok"] else "MISMATCH"
     print(
         f"verify-against-sim: {status} "
-        f"({verdict['mismatches']}/{verdict['checked']} mismatches)"
+        f"({verdict['mismatches']}/{verdict['checked']} mismatches, "
+        f"{verdict['unanswered']} unanswered)"
     )
     return 0 if verdict["ok"] and report.errors == 0 else 1
 

@@ -33,11 +33,17 @@ import numpy as np
 
 from repro.core.builder import TopologyAwareOverlay
 from repro.core.config import NetworkParams, OverlayParams, make_network
-from repro.core.reliability import DeadlineTable
+from repro.core.reliability import CircuitOpenError, DeadlineTable
 from repro.netsim.faults import Partition
 from repro.overlay.zone import point_code
-from repro.runtime.node import NodeProcess, Pump
-from repro.runtime.transport import make_transport
+from repro.runtime.node import (
+    NodeProcess,
+    PeerBusy,
+    Pump,
+    RemoteError,
+    RequestTimeout,
+)
+from repro.runtime.transport import TransportError, make_transport
 from repro.runtime.wire import MsgType
 
 
@@ -166,6 +172,13 @@ def retry_counts(events) -> dict:
         "retries": int(events.get("retry", 0)),
         "backoff_ms": float(events.get("backoff_ms", 0.0)),
     }
+
+
+#: how a request that reached the wire fails: the parity check counts
+#: these as unanswered instead of raising
+REQUEST_ERRORS = (
+    RequestTimeout, RemoteError, PeerBusy, CircuitOpenError, TransportError,
+)
 
 
 class ClusterSurface:
@@ -341,23 +354,33 @@ class ClusterSurface:
         seed), replays a seeded workload on both sides, and compares
         lookup owners and route endpoints.  Returns a summary dict;
         ``ok`` is True only if every comparison matched bit-for-bit --
-        the same bar however many processes served the live side.
+        the same bar however many processes served the live side.  A
+        live request that fails (timeout, error or BUSY reply, refusal)
+        is a mismatch, also counted as ``unanswered``.
         """
         sim = self.build_reference_sim()
         rng = np.random.default_rng(seed)
         ids = np.array(self.node_ids)
         dims = self.routing.dims
-        mismatches = 0
+        mismatches = unanswered = 0
         for i in range(lookups):
             src = int(ids[int(rng.integers(0, len(ids)))])
             point = tuple(float(x) for x in rng.random(dims))
-            live = await self.lookup(src, point)
+            try:
+                live = await self.lookup(src, point)
+            except REQUEST_ERRORS:
+                unanswered += 1
+                continue
             sim_result = sim.ecan.route(src, point, category="parity_check")
             if not sim_result.success or live["owner"] != sim_result.owner:
                 mismatches += 1
         for i in range(routes):
             src, dst = (int(x) for x in rng.choice(ids, size=2, replace=False))
-            live = await self.route(src, dst)
+            try:
+                live = await self.route(src, dst)
+            except REQUEST_ERRORS:
+                unanswered += 1
+                continue
             sim_dst = sim.ecan.can.nodes[dst]
             sim_result = sim.ecan.route(
                 src, sim_dst.zone.center(), category="parity_check"
@@ -365,12 +388,13 @@ class ClusterSurface:
             endpoint = sim_result.path[-1] if sim_result.success else None
             if live["path"][-1] != endpoint or live["owner"] != endpoint:
                 mismatches += 1
-        checked = lookups + routes
+        mismatches += unanswered
         return {
-            "checked": checked,
+            "checked": lookups + routes,
             "lookups": lookups,
             "routes": routes,
             "mismatches": mismatches,
+            "unanswered": unanswered,
             "ok": mismatches == 0,
         }
 

@@ -26,13 +26,14 @@ deterministic mutation on every replica.
 
 * *data plane, intra-shard*: frames between co-sharded members go
   through the worker's inner transport (in-process loopback by
-  default, per-node TCP when configured) -- unchanged semantics;
+  default, TCP when configured) -- unchanged semantics;
 * *data plane, cross-shard*: each worker listens on one TCP *peering
   socket*; a frame for a remote member rides the existing wire v3
   encoding prefixed with a 4-byte destination node id
-  (:class:`PeeringTransport`).  Batching is the TCP transport's:
-  frames coalesce per destination shard and one callback per loop
-  tick writes every shard's batch;
+  (:class:`PeeringTransport`), the framing every stream socket
+  carries.  Batching is the TCP transport's: frames coalesce per
+  destination shard and one callback per loop tick writes every
+  shard's batch;
 * *control plane*: one :mod:`multiprocessing` pipe per worker carries
   boot orchestration, RPCs (lookup/route/map reads for the parity
   check), load-generation commands, crash/leave injection and
@@ -120,13 +121,15 @@ class PeeringTransport(StreamTransport):
     """Hybrid shard transport: local fast path + one TCP link per peer shard.
 
     Frames between co-sharded members delegate to the worker's inner
-    transport (loopback or per-node TCP) with unchanged semantics.  A
-    frame for a member of another shard is encoded once (wire v3,
-    untouched), prefixed with its 4-byte destination node id, and
-    coalesced into that shard's outbox -- the batched stream links of
-    :class:`~repro.runtime.transport.StreamTransport`, keyed by shard.
-    The receiving worker's single peering server demultiplexes by the
-    envelope id onto its local handlers.
+    transport (loopback or TCP) with unchanged semantics.  A frame for
+    a member of another shard is encoded once (wire v3, untouched),
+    prefixed with its 4-byte destination node id, and coalesced into
+    the outbox of that shard's listener -- the batched stream links of
+    :class:`~repro.runtime.transport.StreamTransport`.  The receiving
+    worker's peering listener (:attr:`port`) demultiplexes by the
+    envelope id onto its local handlers (:meth:`StreamTransport._route`);
+    :attr:`endpoints` maps every shard id to its peering endpoint once
+    the parent has them all.
     """
 
     kind = "peering"
@@ -143,18 +146,10 @@ class PeeringTransport(StreamTransport):
         #: sharded: anything unknown is treated as local)
         self.shard_of = shard_of
         self.inner = inner
-        #: this worker's peering port; :attr:`endpoints` maps every
-        #: shard id to its peering endpoint once the parent has them all
-        self.port = None
-        self._local: dict = {}
-        #: peered frames that arrived for an unbound (dead?) member
-        self.misrouted = 0
-        self.peer_sent = 0
-        self.peer_delivered = 0
 
     async def start(self) -> None:
         await self.inner.start()
-        self.port = await self._listen(self.shard_id, self._route, envelope=True)
+        await self._listen()
 
     async def bind(self, addr, handler, host: int = None) -> None:
         self._local[addr] = handler
@@ -171,30 +166,19 @@ class PeeringTransport(StreamTransport):
         if shard == self.shard_id:
             return await self.inner.send(src, dst, frame)
         self.sent += 1
-        self.peer_sent += 1
+        key = self.endpoints.get(shard)
+        if key is None:
+            self.dropped += 1
+            return False
         return self._enqueue(
-            shard, ENVELOPE.pack(dst) + encode_frame(frame, packed=self._packed)
+            key, ENVELOPE.pack(dst) + encode_frame(frame, packed=self._packed)
         )
-
-    def _route(self, envelope):
-        """Hand one peered ``(dst, frame)`` to the member it names."""
-        dst, frame = envelope
-        handler = self._local.get(dst)
-        if handler is None:
-            # a crashed/unbound member: the frame drops and the origin's
-            # request times out, exactly like a frame to a dead host on
-            # the flat transports
-            self.misrouted += 1
-            return None
-        self.peer_delivered += 1
-        self.delivered += 1
-        return handler(frame)
 
     def counters(self) -> dict:
         """Peering + inner traffic accounting for aggregation."""
         return {
-            "peer_sent": self.peer_sent,
-            "peer_delivered": self.peer_delivered,
+            "peer_sent": self.sent,
+            "peer_delivered": self.delivered,
             "peer_misrouted": self.misrouted,
             "local_sent": self.inner.sent,
             "local_delivered": self.inner.delivered,

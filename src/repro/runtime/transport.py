@@ -29,28 +29,33 @@ through the binary codec, so the wire format is exercised on every
 test) and is deterministic and fast; an unshaped frame is handed to
 its handler before ``send`` returns, so the hot path costs a codec
 round-trip and a mailbox put -- no task per frame.
-:class:`TcpTransport` listens on one localhost port per endpoint and
-speaks the length-prefixed protocol over real sockets; endpoints may
-live in different processes as long as they share the address book.
-Sends coalesce: frames queue (shaped ones once their delay is up) in a
-per-destination outbox and one ``call_soon`` callback per loop tick
-writes every destination's batch to its live connection; a destination
-that has to wait (no connection yet, a closing one, a write buffer
-over its high-water mark) gets a ``_flush`` coroutine, which owns that
-outbox until it is empty and awaits ``drain()`` per batch.  Reads are
-one protocol per accepted connection, whose ``data_received`` delivers
-every frame of a chunk before it returns; a connection whose handler
-is owed an awaitable is paused and gets a ``_serve`` coroutine, which
-owns it until its backlog is delivered.  Either side costs a task only
-while it waits, with explicit backpressure and frames in order.
+:class:`TcpTransport` listens on one localhost port per transport
+(one per process, whatever its node count) and speaks the
+length-prefixed protocol over real sockets, each frame behind its
+destination's 4-byte envelope id; members may live in different
+processes as long as they share the address book.
+Sends coalesce: frames queue (shaped ones once their delay is up) in
+the outbox of the listener they go to, and one ``call_soon`` callback
+per loop tick writes every listener's batch to its live connection; a
+listener that has to wait (no connection yet, a closing one, a write
+buffer over its high-water mark) gets a ``_flush`` coroutine, which
+owns that outbox until it is empty and awaits ``drain()`` per batch.
+Reads are one protocol per accepted connection, whose ``data_received``
+delivers every frame of a chunk before it returns; a connection whose
+handler is owed an awaitable is paused and gets a ``_serve``
+coroutine, which owns it until its backlog is delivered.  Either side
+costs a task only while it waits, with explicit backpressure and
+frames in order.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 from collections import deque
 
 from repro.runtime.wire import (
+    ENVELOPE,
     Frame,
     FrameDecoder,
     ProtocolError,
@@ -103,7 +108,7 @@ class Transport:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Prepare shared machinery (no-op for both built-ins)."""
+        """Prepare shared machinery (a TCP listener; loopback needs none)."""
 
     async def bind(self, addr, handler, host: int = None) -> None:
         """``handler(frame)`` never blocks; it returns ``None`` or the
@@ -241,15 +246,17 @@ class LoopbackTransport(Transport):
 
 class _Connection(asyncio.Protocol):
     """One accepted stream connection: ``data_received`` hands every
-    frame its chunk completes to ``deliver`` before it returns.  Once a
-    delivery is owed an awaitable the connection stops reading and a
-    :meth:`StreamTransport._serve` task owns it, and the frames behind
-    that one in :attr:`backlog`, until nothing is owed."""
+    frame its chunk completes to :meth:`StreamTransport._route` before
+    it returns.  Once a delivery is owed an awaitable the connection
+    stops reading and a :meth:`StreamTransport._serve` task owns it,
+    and the frames behind that one in :attr:`backlog`, until nothing
+    is owed."""
 
-    def __init__(self, owner, deliver, envelope: bool):
-        self.owner, self.deliver = owner, deliver
-        self.decoder = FrameDecoder(envelope)
-        #: decoded, undelivered frames; non-empty only while :attr:`owed`
+    def __init__(self, owner):
+        self.owner = owner
+        self.decoder = FrameDecoder()
+        #: decoded, undelivered ``(dst, frame)`` pairs; non-empty only
+        #: while :attr:`owed`
         self.backlog: deque = deque()
         #: what the last delivery is owed (None: nobody has to wait)
         self.owed = None
@@ -273,7 +280,7 @@ class _Connection(asyncio.Protocol):
         if self.decoder.poisoned:
             # a poisoned byte stream (bad magic, corrupt length, junk
             # payload) kills only this connection, after the frames it
-            # completed: the endpoint stays bound, and the peer's next
+            # completed: every handler stays bound, and the peer's next
             # connection gets a fresh decoder
             self.owner.dropped += 1
             self.stream.close()
@@ -281,10 +288,10 @@ class _Connection(asyncio.Protocol):
     def pump(self):
         """Deliver the backlog in order, up to the first frame that is
         owed an awaitable; returns (and keeps) that awaitable."""
-        backlog, deliver = self.backlog, self.deliver
+        backlog, route = self.backlog, self.owner._route
         self.owed = None
         while backlog and self.owed is None:
-            self.owed = deliver(backlog.popleft())
+            self.owed = route(backlog.popleft())
         return self.owed
 
     def _released(self, _task) -> None:
@@ -304,18 +311,23 @@ class _Connection(asyncio.Protocol):
 
 
 class StreamTransport(Transport):
-    """Batched stream links: one cached connection and outbox per key.
+    """Batched stream links: one listener, one link per peer listener.
 
-    What every socket-backed transport shares, keyed by whatever it
-    connects *to* (an endpoint address for :class:`TcpTransport`, a
-    peer shard for the sharded runtime's
+    What every socket-backed transport shares.  A transport serves all
+    its handlers on one port (:meth:`_listen`), and every frame on a
+    socket is the destination's 4-byte :data:`~repro.runtime.wire.ENVELOPE`
+    id ahead of the v3 frame: :meth:`_route` hands it to the handler
+    bound here under that id (:attr:`_local`).  Sends are keyed by the
+    ``(interface, port)`` listener they go to, which subclasses look up
+    in the :attr:`endpoints` address book (by node address for
+    :class:`TcpTransport`, by peer shard for the sharded runtime's
     :class:`~repro.runtime.shard.PeeringTransport`): encoded frames
-    queue in a per-key outbox; one callback per loop tick writes every
-    key's batch to its live connection (:meth:`_tick`), and a key that
-    must wait -- to connect, or for a full write buffer to drain -- is
-    owned by a :meth:`_flush` coroutine until its outbox is empty.
-    Reads mirror it: :meth:`_listen` accepts, :meth:`_serve` is the
-    path that waits.  Subclasses fill the :attr:`endpoints` address book.
+    queue in that listener's outbox; one callback per loop tick writes
+    every key's batch to its live connection (:meth:`_tick`), and a key
+    that must wait -- to connect, or for a full write buffer to drain
+    -- is owned by a :meth:`_flush` coroutine until its outbox is
+    empty.  Reads mirror it: one protocol per accepted connection, and
+    :meth:`_serve` is the path that waits.
     """
 
     #: per-key write-queue cap in frames: a peer whose flusher cannot
@@ -332,10 +344,16 @@ class StreamTransport(Transport):
     ):
         super().__init__(oracle, latency_scale, encoding)
         self.interface = interface
-        #: address book: key -> (interface, port)
+        #: address book: key -> (interface, port) of the listener serving it
         self.endpoints: dict = {}
-        #: listening servers, by the key they accept for
-        self._servers: dict = {}
+        #: this transport's listening port (None until :meth:`_listen`)
+        self.port = None
+        self._server = None
+        #: envelope id -> handler, for the frames this listener accepts
+        self._local: dict = {}
+        #: accepted frames whose envelope id is bound to no handler
+        #: here (also counted in ``dropped``)
+        self.misrouted = 0
         self._writers: dict = {}
         self._readers: set = set()
         #: key -> encoded frames not yet written; present while the
@@ -354,11 +372,8 @@ class StreamTransport(Transport):
             # letting the overwritten writer leak its socket
             self._writers.pop(key, None)
             writer.close()
-        endpoint = self.endpoints.get(key)
-        if endpoint is None:
-            raise TransportError(f"no endpoint bound for {key!r}")
         try:
-            _, writer = await asyncio.open_connection(*endpoint)
+            _, writer = await asyncio.open_connection(*key)
         except OSError as exc:
             raise TransportError(f"connect to {key!r} failed: {exc}") from exc
         self._writers[key] = writer
@@ -429,13 +444,25 @@ class StreamTransport(Transport):
                 self.dropped += len(batch)
         outbox.pop(key, None)
 
-    async def _listen(self, key, deliver, envelope: bool = False) -> int:
-        """Serve ``key`` on a fresh port (returned) via ``deliver(frame)``."""
-        server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self, deliver, envelope), self.interface, 0
+    async def _listen(self) -> None:
+        """Open this transport's one listening port (:attr:`port`)."""
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.interface, 0
         )
-        self._servers[key] = server
-        return server.sockets[0].getsockname()[1]
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    def _route(self, envelope):
+        """Hand one accepted ``(dst, frame)`` to the handler bound under
+        envelope id ``dst``; an id bound to nothing here (a crashed
+        member, a joiner that has moved on) drops and counts."""
+        dst, frame = envelope
+        handler = self._local.get(dst)
+        if handler is None:
+            self.misrouted += 1
+            self.dropped += 1
+            return None
+        self.delivered += 1
+        return handler(frame)
 
     async def _serve(self, connection, owed) -> None:
         """Own ``connection`` until nothing is owed: the read that
@@ -456,51 +483,56 @@ class StreamTransport(Transport):
             writer.close()
         self._writers.clear()
         self._readers.clear()
-        for server in self._servers.values():
-            server.close()
-        await asyncio.gather(
-            *(server.wait_closed() for server in self._servers.values()),
-            return_exceptions=True,
-        )
-        self._servers.clear()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
         self.endpoints.clear()
 
 
 class TcpTransport(StreamTransport):
-    """Real sockets: one localhost ``asyncio`` server per endpoint."""
+    """Real sockets: every endpoint of a process behind one listener.
+
+    :meth:`start` opens the one localhost listening port; :meth:`bind`
+    and :meth:`unbind` only add or remove a handler, and every bound
+    address maps to that port in the address book, so the frames for
+    all of a process's nodes ride one connection to it, whatever the
+    node count.  A member's envelope id is its node id, so any
+    transport that shares the address book can reach it.  A temporary
+    string address (``"joiner:k"``, ``"rejoin:k"``) takes an id counted
+    down from the top of the u32 range at bind and frees it at unbind;
+    an id is never handed out twice, so a frame still on its way to a
+    joiner that has moved on drops (and counts) at the receiver instead
+    of reaching the next joiner.
+    """
 
     kind = "tcp"
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: address bound here -> its envelope id
+        self._ids: dict = {}
+        self._temporary_ids = itertools.count(2**32 - 1, -1)
+
+    async def start(self) -> None:
+        await self._listen()
+
     async def bind(self, addr, handler, host: int = None) -> None:
-        if addr in self._servers:
+        if self.port is None:
+            raise TransportError("transport is not started")
+        if addr in self._ids:
             raise TransportError(f"address {addr!r} already bound")
-
-        def deliver(frame):
-            self.delivered += 1
-            return handler(frame)
-
-        self.endpoints[addr] = (self.interface, await self._listen(addr, deliver))
+        ident = next(self._temporary_ids) if isinstance(addr, str) else int(addr)
+        self._ids[addr] = ident
+        self._local[ident] = handler
+        self.endpoints[addr] = (self.interface, self.port)
         if host is not None:
             self.hosts[addr] = int(host)
-        # a rebind hands the address a fresh port, so a cached writer
-        # still points at the old (dying) endpoint and would black-hole
-        # every frame until it noticed the close -- invalidate eagerly
-        self._discard_writer(addr)
 
     async def unbind(self, addr) -> None:
-        server = self._servers.pop(addr, None)
+        self._local.pop(self._ids.pop(addr, None), None)
         self.endpoints.pop(addr, None)
         self.hosts.pop(addr, None)
-        self._discard_writer(addr)
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-
-    def _discard_writer(self, dst) -> None:
-        """Drop (and actually close) the cached connection to ``dst``."""
-        writer = self._writers.pop(dst, None)
-        if writer is not None:
-            writer.close()
 
     async def send(self, src, dst, frame: Frame) -> bool:
         if self._closed:
@@ -509,23 +541,26 @@ class TcpTransport(StreamTransport):
         if self.drops(src, dst):
             self.dropped += 1
             return False
-        if dst not in self.endpoints:
+        key = self.endpoints.get(dst)
+        if key is None:
             self.dropped += 1
             return False
-        data = encode_frame(frame, packed=self._packed)
+        data = ENVELOPE.pack(self._ids.get(dst, dst)) + encode_frame(
+            frame, packed=self._packed
+        )
         delay = self.delay_for(src, dst)
         if delay > 0.0:
             # shaped frames keep their individual departure times
             self._on_wire += 1
-            self._spawn(self._depart(dst, data, delay))
+            self._spawn(self._depart(key, data, delay))
             return True
-        return self._enqueue(dst, data)
+        return self._enqueue(key, data)
 
-    async def _depart(self, dst, data: bytes, delay: float) -> None:
-        """A shaped frame joins ``dst``'s outbox when its time comes."""
+    async def _depart(self, key, data: bytes, delay: float) -> None:
+        """A shaped frame joins ``key``'s outbox when its time comes."""
         await asyncio.sleep(delay)
         self._on_wire -= 1
-        self._enqueue(dst, data)
+        self._enqueue(key, data)
 
 
 def make_transport(kind: str, **kwargs) -> Transport:

@@ -56,11 +56,18 @@ sent, and are rejected like any other unknown value.
 Decoding is strict: bad magic, unknown version or message type, an
 oversized length, malformed JSON, a malformed packed layout, or a
 truncated buffer all raise :class:`ProtocolError` -- never a hang,
-never a partial frame.  :class:`FrameDecoder` is the incremental
-flavour for byte streams (TCP): feed it arbitrary chunks, it yields
-complete frames and keeps the tail buffered.  It parses in place with
-offset-based ``unpack_from`` reads, copying only each frame's payload
-slice, so a large coalesced chunk costs O(bytes), not O(bytes^2).
+never a partial frame.
+
+On a byte stream every frame follows an :data:`ENVELOPE`: the 4-byte
+id of the destination endpoint, which a listener shared by many
+endpoints (every node of a ``TcpTransport``, every member of a peering
+shard) routes on.  The frame behind it is unchanged.
+:class:`FrameDecoder` is the incremental reader of that framing, the
+one every socket uses: feed it arbitrary chunks, it yields complete
+``(dst, frame)`` pairs and keeps the tail buffered.  It parses in
+place with offset-based ``unpack_from`` reads, copying only each
+frame's payload slice, so a large coalesced chunk costs O(bytes), not
+O(bytes^2).
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ MAX_PAYLOAD = 1 << 20
 #: magic(2s) version(B) type(B) request_id(Q) payload_len(I)
 HEADER = struct.Struct("!2sBBQI")
 
-#: peering envelope: a destination node id preceding each frame
+#: stream envelope: the destination endpoint's id, ahead of each frame
 ENVELOPE = struct.Struct("!I")
 
 
@@ -496,14 +503,14 @@ def roundtrip_payload(kind: MsgType, payload: dict, packed: bool = False) -> dic
 class FrameDecoder:
     """Incremental frame reassembly over an arbitrary byte stream.
 
-    ``feed(chunk)`` returns every frame completed by the chunk; bytes
-    of a not-yet-complete frame stay buffered for the next feed.  With
-    ``envelope=True`` each frame follows a 4-byte :data:`ENVELOPE`
-    destination id and comes back as a ``(dst, frame)`` pair.  A
-    malformed header or payload poisons the decoder -- the stream is
-    unrecoverable past that point: however it was cut into chunks, the
-    frames completed before the corrupt one are returned first and the
-    first feed with nothing else to return raises :class:`ProtocolError`.
+    Each frame follows a 4-byte :data:`ENVELOPE` destination id.
+    ``feed(chunk)`` returns a ``(dst, frame)`` pair for every frame the
+    chunk completes; bytes of a not-yet-complete one stay buffered for
+    the next feed.  A malformed header or payload poisons the decoder
+    -- the stream is unrecoverable past that point: however it was cut
+    into chunks, the frames completed before the corrupt one are
+    returned first and the first feed with nothing else to return
+    raises :class:`ProtocolError`.
 
     Parsing walks the buffer by offset (``unpack_from`` on the
     bytearray, one payload-sized copy per frame) and compacts the
@@ -511,9 +518,8 @@ class FrameDecoder:
     not the O(bytes^2) a per-frame full-buffer copy would.
     """
 
-    def __init__(self, envelope: bool = False):
+    def __init__(self):
         self._buffer = bytearray()
-        self._prefix = ENVELOPE.size if envelope else 0
         #: a protocol error was found: no feed decodes anything again
         self.poisoned = False
 
@@ -529,7 +535,7 @@ class FrameDecoder:
         buffer.extend(chunk)
         frames = []
         offset = 0
-        prefix = self._prefix
+        prefix = ENVELOPE.size
         head = prefix + HEADER.size
         try:
             while len(buffer) - offset >= head:
@@ -542,10 +548,8 @@ class FrameDecoder:
                 payload = _parse_payload(
                     kind, packed, bytes(buffer[start:start + length])
                 )
-                frame = Frame(kind, request_id, payload)
-                if prefix:
-                    frame = (ENVELOPE.unpack_from(buffer, offset)[0], frame)
-                frames.append(frame)
+                dst = ENVELOPE.unpack_from(buffer, offset)[0]
+                frames.append((dst, Frame(kind, request_id, payload)))
                 offset = start + length
         except ProtocolError:
             self.poisoned = True

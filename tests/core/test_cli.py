@@ -67,6 +67,43 @@ class TestCommands:
         assert "latency: p50" in out
         assert "verify-against-sim: ok" in out
 
+    def test_an_unanswered_parity_request_is_a_mismatch_not_a_traceback(
+        self, capsys, monkeypatch
+    ):
+        from repro.runtime import Cluster, RequestTimeout
+
+        lookup, calls = Cluster.lookup, []
+
+        async def first_parity_lookup_times_out(self, src_id, point):
+            calls.append(src_id)
+            if len(calls) == 21:  # 20 load lookups, then the parity replay
+                raise RequestTimeout("ROUTE unanswered")
+            return await lookup(self, src_id, point)
+
+        monkeypatch.setattr(Cluster, "lookup", first_parity_lookup_times_out)
+        code = main(["cluster", "--nodes", "12", "--lookups", "20"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "errors 0" in out
+        assert "verify-against-sim: MISMATCH (1/52 mismatches, 1 unanswered)" in out
+
+    def test_shaped_tcp_cluster_verifies(self, capsys):
+        """Shaped frames for every node of the process share one
+        listener's outbox and still arrive."""
+        code = main(
+            [
+                "cluster",
+                "--nodes", "16",
+                "--lookups", "16",
+                "--transport", "tcp",
+                "--latency-scale", "0.0002",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "cluster: 16 nodes over tcp" in out
+        assert "verify-against-sim: ok (0/48 mismatches, 0 unanswered)" in out
+
     def test_cluster_overload_flags_reach_config(self):
         from repro.cli import _cluster_config
 

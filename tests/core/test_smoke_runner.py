@@ -43,7 +43,7 @@ HEALTHY = {
     ("chaos", "loss-only"): {"confirmed": [], "false_kills": 0, "violation": None},
     ("runtime", "json"): {**LOAD, "pump_tasks": 990},
     ("runtime", "packed"): {**LOAD, "pump_tasks": 990},
-    ("runtime", "tcp"): {**LOAD, "reader_tasks": 0},
+    ("runtime", "tcp"): {**LOAD, "reader_tasks": 0, "listeners": 1, "connections": 1},
     ("shard", "shard"): {**LOAD, "wall_throughput_ops": 500.0, "frames_cross_shard": 1},
     ("soak", "sim"): SOAK,
     ("soak", "live"): {**SOAK, "wall_availability": 0.01},
@@ -127,6 +127,10 @@ VIOLATIONS = {
     ("runtime", "tcp"): {
         **RUNTIME_BAD,
         "no reader task alive once the load has settled": {"reader_tasks": 1},
+        # a listener and a connection per node, as TCP once had it
+        "64 nodes: one listening socket, at most one outbound connection": {
+            "listeners": 64, "connections": 64,
+        },
     },
     ("shard", "shard"): {
         **LOAD_BAD,
@@ -182,7 +186,8 @@ def test_the_tables_here_cover_every_step_and_every_gate(smoke):
     distinct = {gate for gates in steps.values() for gate in gates}
     # the retired scripts' 47 (see CHANGES.md) + PR 22's reader-task gate
     # + PR 23's counters-never-decrease gate + PR 24's pump-task gate
-    assert len(distinct) == 50
+    # + the tcp step's one-listener gate
+    assert len(distinct) == 51
 
 
 @pytest.mark.parametrize("key", sorted(HEALTHY), ids="/".join)

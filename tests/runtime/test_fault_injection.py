@@ -208,15 +208,15 @@ class TestDecoderPoisonRecovery:
     def test_fresh_decoder_recovers_after_poison(self):
         """A ProtocolError poisons the decoder for good; stream recovery
         is connection-scoped -- a fresh decoder picks the stream back up."""
-        good = encode_frame(Frame(MsgType.ACK, 1, {"ok": True}))
+        good = ENVELOPE.pack(1) + encode_frame(Frame(MsgType.ACK, 1, {"ok": True}))
         decoder = FrameDecoder()
-        assert decoder.feed(good)[0].payload == {"ok": True}
+        assert decoder.feed(good)[0][1].payload == {"ok": True}
         with pytest.raises(ProtocolError):
-            decoder.feed(b"XX" + b"\x00" * 32)
+            decoder.feed(ENVELOPE.pack(1) + b"XX" + b"\x00" * 32)
         with pytest.raises(ProtocolError, match="poisoned"):
             decoder.feed(good)
         replacement = FrameDecoder()
-        assert replacement.feed(good)[0].payload == {"ok": True}
+        assert replacement.feed(good)[0][1].payload == {"ok": True}
 
     def test_tcp_garbage_poisons_only_its_connection(self):
         """Junk bytes on one TCP connection never unbind the endpoint:
@@ -230,7 +230,7 @@ class TestDecoderPoisonRecovery:
             await transport.bind("tx", Collector())
             # raw junk straight at rx's socket
             _, writer = await asyncio.open_connection(*transport.endpoints["rx"])
-            writer.write(b"GARBAGE-NOT-A-FRAME" * 4)
+            writer.write(ENVELOPE.pack(0) + b"GARBAGE-NOT-A-FRAME" * 4)
             await writer.drain()
             await asyncio.sleep(0.1)
             writer.close()
@@ -256,14 +256,11 @@ class TestDecoderPoisonRecovery:
             inbox = Collector()
             if plane == "tcp":
                 transport = make_transport("tcp")
-                await transport.start()
-                await transport.bind(2, inbox)
-                endpoint, prefix = transport.endpoints[2], b""
             else:
                 transport = PeeringTransport(1, {2: 1}, LoopbackTransport())
-                await transport.start()
-                await transport.bind(2, inbox)
-                endpoint, prefix = ("127.0.0.1", transport.port), ENVELOPE.pack(2)
+            await transport.start()
+            await transport.bind(2, inbox)
+            endpoint, prefix = ("127.0.0.1", transport.port), ENVELOPE.pack(2)
             good = [Frame(MsgType.HEARTBEAT, i, {"seq": i}) for i in (1, 2)]
             reader, writer = await asyncio.open_connection(*endpoint)
             writer.write(

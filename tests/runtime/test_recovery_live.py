@@ -63,9 +63,10 @@ def pick_victim(cluster):
 
 
 class TestCrashDetection:
-    def test_crash_confirm_takeover_invariants(self):
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_crash_confirm_takeover_invariants(self, transport):
         async def scenario():
-            async with Cluster(make_config()) as cluster:
+            async with Cluster(make_config(transport=transport)) as cluster:
                 recovery = make_detector(cluster)
                 victims = (await cluster.crash(pick_victim(cluster)))["victims"]
                 await tick_until(
@@ -173,9 +174,13 @@ class TestPartitionShielding:
 
 
 class TestRestart:
-    def test_crashed_member_rejoins_over_the_wire(self):
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_crashed_member_rejoins_over_the_wire(self, transport):
+        """Over TCP the rejoin binds a temporary address (its envelope
+        id from the top of the u32 range), then rebinds to its node id."""
+
         async def scenario():
-            async with Cluster(make_config()) as cluster:
+            async with Cluster(make_config(transport=transport)) as cluster:
                 recovery = make_detector(cluster)
                 victim = pick_victim(cluster)
                 victims = (await cluster.crash(victim))["victims"]

@@ -23,7 +23,7 @@ from repro.runtime.transport import (
     TransportError,
     make_transport,
 )
-from repro.runtime.wire import Frame, MsgType, encode_frame
+from repro.runtime.wire import ENVELOPE, Frame, MsgType, encode_frame
 
 NODES = 12
 YIELD_EVERY = NodeProcess.YIELD_EVERY
@@ -371,11 +371,13 @@ class TestOutboxTick:
                     assert await transport.send("tx", addr, beat(request_id))
             await until(lambda: all(len(i.ids) == 3 for i in inboxes.values()))
             counters, spawned = transport.counters(), len(tasks)
+            listener = transport.endpoints["rx0"]
             await transport.close()
-            return calls, spawned, [i.ids for i in inboxes.values()], counters
+            return calls, spawned, [i.ids for i in inboxes.values()], counters, listener
 
-        calls, tasks, arrived, counters = run(scenario())
-        assert calls == {"tick": [[f"rx{i}" for i in range(8)]], "flush": []}
+        calls, tasks, arrived, counters, listener = run(scenario())
+        # every destination shares the one listener: one key, one batch
+        assert calls == {"tick": [[listener]], "flush": []}
         assert tasks == 0
         assert arrived == [[0, 1, 2]] * 8
         assert counters["sent"] == counters["delivered"] == 24
@@ -390,11 +392,12 @@ class TestOutboxTick:
             assert await transport.send("tx", "rx", beat(0))
             at_enqueue = {k: list(v) for k, v in calls.items()}
             await until(lambda: inbox.ids)
+            listener = transport.endpoints["rx"]
             await transport.close()
-            return at_enqueue, calls
+            return at_enqueue, calls, listener
 
-        at_enqueue, calls = run(scenario())
-        assert at_enqueue == {"tick": [], "flush": ["rx"]}
+        at_enqueue, calls, listener = run(scenario())
+        assert at_enqueue == {"tick": [], "flush": [listener]}
         assert calls == at_enqueue  # and no tick was ever scheduled for it
 
     def test_a_shaped_frame_joins_the_outbox_when_its_delay_is_up(self, tiny_network):
@@ -409,14 +412,14 @@ class TestOutboxTick:
                 assert await transport.send("tx", "rx", beat(request_id))
             queued_at_send = dict(transport._outbox)
             await until(lambda: len(inbox.ids) == 5)
-            counters = transport.counters()
+            counters, listener = transport.counters(), transport.endpoints["rx"]
             await transport.close()
-            return queued_at_send, inbox.ids, calls["flush"], counters
+            return queued_at_send, inbox.ids, calls["flush"], counters, listener
 
-        queued_at_send, ids, flushes, counters = run(scenario())
+        queued_at_send, ids, flushes, counters, listener = run(scenario())
         assert queued_at_send == {}  # on the (simulated) wire, not in the outbox
         assert ids == [0, 1, 2, 3, 4]
-        assert flushes == ["rx"]  # one connect; the rest coalesce or ride the tick
+        assert flushes == [listener]  # one connect; the rest coalesce or ride the tick
         assert counters["sent"] == counters["delivered"] == 5
 
     def test_fifo_across_tick_slow_path_and_tick_again(self):
@@ -429,7 +432,8 @@ class TestOutboxTick:
             await until(lambda: inbox.ids)
             # a small kernel send buffer: the stream's own buffer (and
             # so its high-water mark) is reached after a few frames
-            writer = transport._writers["rx"]
+            listener = transport.endpoints["rx"]
+            writer = transport._writers[listener]
             writer.get_extra_info("socket").setsockopt(
                 socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
             )
@@ -450,9 +454,9 @@ class TestOutboxTick:
                 assert await transport.send("tx", "rx", beat(sent, blob))
                 sent += 1
                 await asyncio.sleep(0)
-            owned = "rx" in transport._outbox and len(calls["tick"]) == ticks_before
+            owned = listener in transport._outbox and len(calls["tick"]) == ticks_before
             inbox.reading.set()
-            await until(lambda: "rx" not in transport._outbox)
+            await until(lambda: listener not in transport._outbox)
             # released: back on the tick path, same connection
             flushes = len(calls["flush"])
             for _ in range(3):
@@ -467,13 +471,13 @@ class TestOutboxTick:
             await transport.close()
             return (
                 inbox.ids, sent, ticks_before, over > high, owned, back_on_tick,
-                calls["flush"], counters,
+                calls["flush"] == [listener], counters,
             )  # fmt: skip
 
-        ids, sent, ticks, over, owned, back_on_tick, flushes, counters = run(scenario())
+        ids, sent, ticks, over, owned, back_on_tick, one_flush, counters = run(scenario())
         assert ids == list(range(sent))
         assert ticks > 0 and over and owned and back_on_tick
-        assert flushes == ["rx"]
+        assert one_flush
         assert counters["sent"] == counters["delivered"] == sent
         assert counters["dropped"] == counters["backpressure_drops"] == 0
 
@@ -522,7 +526,10 @@ class TestProtocolReader:
                 burst = [own_route(cluster, target.addr, i) for i in range(5)]
                 ack = Frame(MsgType.ACK, 77, {"owner": 1, "path": [1], "hops": 0})
                 connection.data_received(
-                    b"".join(encode_frame(f, packed=True) for f in burst + [ack])
+                    b"".join(
+                        ENVELOPE.pack(target.addr) + encode_frame(f, packed=True)
+                        for f in burst + [ack]
+                    )
                 )
                 # no await since the call: this is what it left behind
                 seen = (
@@ -545,23 +552,23 @@ class TestProtocolReader:
             transport, other = TcpTransport(), TcpTransport()
             await transport.start()
             door = Door()
-            await transport.bind("rx", door)
+            await transport.bind(1, door)  # a member: its envelope id is 1
             other.endpoints.update(transport.endpoints)  # a second connection
             for sender, request_id in ((transport, 0), (other, 10)):
-                assert await sender.send("tx", "rx", beat(request_id))
+                assert await sender.send("tx", 1, beat(request_id))
             await until(lambda: len(door.ids) == 2)
             tasks = count_tasks()
             for request_id, blob in ((1, "hold"), (2, ""), (3, "")):
-                assert await transport.send("tx", "rx", beat(request_id, blob))
+                assert await transport.send("tx", 1, beat(request_id, blob))
             await until(lambda: serve_tasks(tasks))
             for request_id in (11, 12):
-                assert await other.send("tx", "rx", beat(request_id))
+                assert await other.send("tx", 1, beat(request_id))
             await until(lambda: len(door.ids) == 4)
             while_held = list(door.ids)
             reading = sorted(c.stream.is_reading() for c in transport._readers)
             door.open.set()
             await until(lambda: len(door.ids) == 7)
-            assert await transport.send("tx", "rx", beat(4))  # reading again
+            assert await transport.send("tx", 1, beat(4))  # reading again
             await until(lambda: len(door.ids) == 8)
             resumed = all(c.stream.is_reading() for c in transport._readers)
             counters, tasks = transport.counters(), list(tasks)
@@ -597,13 +604,14 @@ class TestCloseAccounting:
             calls = spy(transport)
             for request_id in (1, 2, 3):
                 assert await transport.send("tx", "rx", beat(request_id))
+            listener = transport.endpoints["rx"]
             await transport.close()
             await asyncio.sleep(0.01)  # the scheduled tick runs, and writes nothing
-            return transport.counters(), calls, inbox.ids, transport._due
+            return transport.counters(), calls, inbox.ids, transport._due, listener
 
-        counters, calls, arrived, due = run(scenario())
+        counters, calls, arrived, due, listener = run(scenario())
         assert (counters["sent"], counters["delivered"], counters["dropped"]) == (4, 1, 3)
-        assert calls["tick"] == [["rx"]] and calls["flush"] == [] and due == []
+        assert calls["tick"] == [[listener]] and calls["flush"] == [] and due == []
         assert arrived == [0]
 
     @pytest.mark.parametrize("turns", [0, 1], ids=["unstarted", "mid-connect"])

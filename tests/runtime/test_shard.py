@@ -82,7 +82,7 @@ class TestEnvelope:
             ENVELOPE.pack(100 + i) + encode_frame(f, packed=True)
             for i, f in enumerate(frames)
         )
-        decoder = FrameDecoder(envelope=True)
+        decoder = FrameDecoder()
         out = []
         for i in range(0, len(blob), 7):  # feed in awkward 7-byte slivers
             out.extend(decoder.feed(blob[i:i + 7]))

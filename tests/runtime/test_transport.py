@@ -204,17 +204,32 @@ class TestFaultInjection:
 
 
 class TestTcpSpecifics:
-    def test_endpoints_get_distinct_ports(self):
+    def test_one_listener_one_connection_for_any_node_count(self):
         async def scenario():
             transport = TcpTransport()
+            with pytest.raises(TransportError, match="not started"):
+                await transport.bind(0, Collector())  # no listener to name yet
             await transport.start()
-            await transport.bind("a", Collector())
-            await transport.bind("b", Collector())
-            ports = {port for _, port in transport.endpoints.values()}
+            inboxes = {addr: Collector() for addr in [*range(16), "joiner:1"]}
+            for addr, inbox in inboxes.items():
+                await transport.bind(addr, inbox)
+            for addr in inboxes:
+                assert await transport.send(0, addr, Frame(MsgType.ACK, 1, {}))
+            for inbox in inboxes.values():
+                await inbox.wait(1)
+            shape = (
+                len(transport._server.sockets),
+                set(transport.endpoints.values()),
+                len(transport._writers),
+                len(transport._readers),
+            )
             await transport.close()
-            return ports
+            return transport.port, shape
 
-        assert len(run(scenario())) == 2
+        port, (listeners, endpoints, writers, readers) = run(scenario())
+        assert listeners == 1
+        assert endpoints == {("127.0.0.1", port)}
+        assert writers == readers == 1
 
     def test_large_frame_crosses_the_socket(self):
         async def scenario():
@@ -235,64 +250,66 @@ class TestTcpSpecifics:
         with pytest.raises(ValueError, match="unknown transport"):
             make_transport("carrier-pigeon")
 
-    def test_rebind_then_send_reaches_the_new_server(self):
-        """A restarted endpoint must receive traffic on its new socket.
-
-        The sender caches one connection per destination; rebinding an
-        address starts a fresh server on a fresh port, so a cached
-        writer aimed at the old port would send frames into the void.
-        The bind must invalidate the stale writer.
-        """
+    def test_a_rebound_address_receives_without_a_reconnect(self):
+        """Rebinding only swaps a handler: the next frame rides the same
+        cached connection, and one still queued for the old binding
+        drops at the receiver, counted."""
 
         async def scenario():
             transport = TcpTransport()
             await transport.start()
-            await transport.bind("tx", Collector())
             first = Collector()
             await transport.bind("rx", first)
             assert await transport.send(
                 "tx", "rx", Frame(MsgType.HEARTBEAT, 1, {"seq": 1})
             )
             await first.wait(1)
-            # restart: same address, new server (and new port)
-            await transport.unbind("rx")
-            second = Collector()
-            await transport.bind("rx", second)
+            (writer,) = transport._writers.values()
+            # queued for the old binding: written on the next tick
             assert await transport.send(
                 "tx", "rx", Frame(MsgType.HEARTBEAT, 2, {"seq": 2})
             )
-            await second.wait(1)
-            await transport.close()
-            return first.frames, second.frames
-
-        first, second = run(scenario())
-        assert [f.payload["seq"] for f in first] == [1]
-        assert [f.payload["seq"] for f in second] == [2]
-
-    def test_rebind_closes_the_replaced_writer(self):
-        """Writers displaced from the cache are closed, not leaked."""
-
-        async def scenario():
-            transport = TcpTransport()
-            await transport.start()
-            await transport.bind("tx", Collector())
-            inbox = Collector()
-            await transport.bind("rx", inbox)
-            await transport.send(
-                "tx", "rx", Frame(MsgType.HEARTBEAT, 1, {"seq": 1})
-            )
-            await inbox.wait(1)
-            writer = transport._writers.get("rx")
-            assert writer is not None
             await transport.unbind("rx")
-            closing = writer.is_closing()
-            stale = "rx" in transport._writers
+            unbound = await transport.send(
+                "tx", "rx", Frame(MsgType.HEARTBEAT, 3, {"seq": 3})
+            )
+            second = Collector()
+            await transport.bind("rx", second)
+            assert await transport.send(
+                "tx", "rx", Frame(MsgType.HEARTBEAT, 4, {"seq": 4})
+            )
+            await second.wait(1)
+            (same,) = transport._writers.values()
+            counters = transport.counters()
             await transport.close()
-            return closing, stale
+            return first.frames, second.frames, unbound, same is writer, counters
 
-        closing, stale = run(scenario())
-        assert closing, "displaced writer must be closed"
-        assert not stale, "unbind must drop the cached writer"
+        first, second, unbound, reused, counters = run(scenario())
+        assert [f.payload["seq"] for f in first] == [1]
+        assert [f.payload["seq"] for f in second] == [4]
+        assert unbound is False and reused
+        assert (counters["sent"], counters["delivered"], counters["dropped"]) == (4, 2, 2)
+
+    def test_a_frame_for_an_unbound_id_is_a_counted_drop(self):
+        async def scenario():
+            receiver, sender = TcpTransport(), TcpTransport()
+            await receiver.start()
+            inbox = Collector()
+            await receiver.bind(2, inbox)
+            # the sender's address book names 3 at the receiver's
+            # listener, where nothing is bound under envelope id 3
+            sender.endpoints[3] = sender.endpoints[2] = receiver.endpoints[2]
+            assert await sender.send(1, 3, Frame(MsgType.HEARTBEAT, 1, {}))
+            assert await sender.send(1, 2, Frame(MsgType.HEARTBEAT, 2, {}))
+            await inbox.wait(1)
+            await sender.close()
+            await receiver.close()
+            return sender, receiver, [f.request_id for f in inbox.frames]
+
+        sender, receiver, arrived = run(scenario())
+        assert arrived == [2]
+        assert (receiver.delivered, receiver.dropped, receiver.misrouted) == (1, 1, 1)
+        assert sender.sent == receiver.delivered + receiver.dropped + sender.dropped
 
 
 class TestOutboxBackpressure:

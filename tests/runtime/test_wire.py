@@ -36,6 +36,11 @@ SAMPLE_PAYLOADS = {
 }
 
 
+def enveloped(frames, dst=0, packed=False) -> bytes:
+    """``frames`` as a stream carries them: each behind its envelope."""
+    return b"".join(ENVELOPE.pack(dst) + encode_frame(f, packed) for f in frames)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("kind", list(MsgType))
     def test_every_frame_type_roundtrips(self, kind):
@@ -82,7 +87,7 @@ class TestMalformedFrames:
     @pytest.mark.parametrize("version", [1, 2, WIRE_VERSION + 1])
     @pytest.mark.parametrize(
         "decode",
-        [decode_frame, lambda data: FrameDecoder().feed(data)],
+        [decode_frame, lambda data: FrameDecoder().feed(ENVELOPE.pack(0) + data)],
         ids=["decode_frame", "FrameDecoder.feed"],
     )
     def test_any_other_wire_version_is_rejected(self, version, decode):
@@ -345,32 +350,33 @@ class TestFrameDecoder:
             Frame(MsgType.ACK, 1, {"node_id": 4, "host": 17}),
             Frame(MsgType.HEARTBEAT, 2, {"seq": 0}),
         ]
-        stream = b"".join(encode_frame(f) for f in frames)
+        stream = enveloped(frames, dst=7)
         decoder = FrameDecoder()
         out = []
         for i in range(len(stream)):
             out.extend(decoder.feed(stream[i : i + 1]))
-        assert [f.kind for f in out] == [f.kind for f in frames]
-        assert [f.payload for f in out] == [f.payload for f in frames]
+        assert [dst for dst, _ in out] == [7, 7, 7]
+        assert [f.kind for _, f in out] == [f.kind for f in frames]
+        assert [f.payload for _, f in out] == [f.payload for f in frames]
         assert decoder.pending_bytes == 0
 
     def test_multiple_frames_in_one_chunk(self):
         frames = [Frame(MsgType.ACK, i, {"i": i}) for i in range(5)]
         decoder = FrameDecoder()
-        out = decoder.feed(b"".join(encode_frame(f) for f in frames))
-        assert [f.payload["i"] for f in out] == [0, 1, 2, 3, 4]
+        out = decoder.feed(enveloped(frames))
+        assert [f.payload["i"] for _, f in out] == [0, 1, 2, 3, 4]
 
     def test_partial_tail_stays_buffered(self):
-        data = encode_frame(Frame(MsgType.ACK, 1, {"ok": True}))
+        data = enveloped([Frame(MsgType.ACK, 1, {"ok": True})])
         decoder = FrameDecoder()
         assert decoder.feed(data + data[:5]) != []
         assert decoder.pending_bytes == 5
-        assert decoder.feed(data[5:])[0].payload == {"ok": True}
+        assert decoder.feed(data[5:])[0][1].payload == {"ok": True}
 
     def test_poisoned_after_protocol_error(self):
         decoder = FrameDecoder()
         with pytest.raises(ProtocolError):
-            decoder.feed(b"XX" + b"\x00" * 32)
+            decoder.feed(ENVELOPE.pack(0) + b"XX" + b"\x00" * 32)
         with pytest.raises(ProtocolError, match="poisoned"):
             decoder.feed(b"")
 
@@ -379,9 +385,9 @@ class TestFrameDecoder:
         error is the next feed's -- exactly as byte-by-byte feeding
         would have it."""
         good = [Frame(MsgType.ACK, i, {"i": i}) for i in (1, 2)]
-        stream = b"".join(encode_frame(f) for f in good) + b"XX" + b"\x00" * 32
+        stream = enveloped(good) + ENVELOPE.pack(0) + b"XX" + b"\x00" * 32
         decoder = FrameDecoder()
-        assert decoder.feed(stream) == good
+        assert decoder.feed(stream) == [(0, f) for f in good]
         assert decoder.poisoned
         with pytest.raises(ProtocolError, match="poisoned"):
             decoder.feed(b"")
@@ -389,7 +395,7 @@ class TestFrameDecoder:
         with pytest.raises(ProtocolError, match="bad magic"):
             for i in range(len(stream)):
                 out.extend(trickled.feed(stream[i : i + 1]))
-        assert out == good
+        assert out == [(0, f) for f in good]
 
     def test_header_size_is_stable(self):
         """The frame header is part of the versioned wire contract."""
@@ -411,13 +417,13 @@ class TestFrameDecoder:
             Frame(MsgType.ACK, i, {"blob": "x" * 2000, "i": i})
             for i in range(5000)
         ]
-        chunk = b"".join(encode_frame(f) for f in frames)
+        chunk = enveloped(frames)
         decoder = FrameDecoder()
         began = time.perf_counter()
         out = decoder.feed(chunk)
         elapsed = time.perf_counter() - began
         assert len(out) == 5000
-        assert [f.payload["i"] for f in out[:3]] == [0, 1, 2]
+        assert [f.payload["i"] for _, f in out[:3]] == [0, 1, 2]
         assert decoder.pending_bytes == 0
         assert elapsed < 5.0, f"coalesced feed took {elapsed:.2f}s"
 
@@ -458,29 +464,25 @@ class TestAnyChunking:
             max_size=6,
         ),
         packed=st.booleans(),
-        envelope=st.booleans(),
         cuts=st.lists(st.integers(min_value=0), max_size=12),
     )
     @settings(max_examples=200, deadline=None)
-    def test_any_partition_and_any_truncation_of_a_stream(
-        self, picks, packed, envelope, cuts
-    ):
+    def test_any_partition_and_any_truncation_of_a_stream(self, picks, packed, cuts):
         expected, ends, stream = [], [], b""
         for index, request_id, dst in picks:
             kind, payload = STREAM_POOL[index]
             frame = Frame(kind, request_id, payload)
-            prefix = ENVELOPE.pack(dst) if envelope else b""
-            stream += prefix + encode_frame(frame, packed=packed)
+            stream += enveloped([frame], dst, packed)
             ends.append(len(stream))
-            expected.append((dst, frame) if envelope else frame)
-        assert FrameDecoder(envelope).feed(stream) == expected
+            expected.append((dst, frame))
+        assert FrameDecoder().feed(stream) == expected
         bounds = sorted({cut % (len(stream) + 1) for cut in cuts} | {0, len(stream)})
-        chunked, out = FrameDecoder(envelope), []
+        chunked, out = FrameDecoder(), []
         for begin, end in zip(bounds, bounds[1:]):
             out.extend(chunked.feed(stream[begin:end]))
         assert out == expected and chunked.pending_bytes == 0
         for cut in bounds:  # a truncated stream yields whole frames only
-            truncated = FrameDecoder(envelope)
+            truncated = FrameDecoder()
             whole = sum(1 for end in ends if end <= cut)
             assert truncated.feed(stream[:cut]) == expected[:whole]
             assert truncated.pending_bytes == cut - ([0] + ends)[whole]
