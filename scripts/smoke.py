@@ -1,6 +1,6 @@
 """One smoke runner: the six acceptance scenarios, their gates as data.
 
-``make smoke`` and CI run this once.  A scenario is one to three steps;
+``make smoke`` and CI run this once.  A scenario is one to four steps;
 a step is a function of a seed returning a flat record (``async def``
 when it drives the live runtime) plus the tuple of ``(label,
 predicate)`` gates that record must pass, and :data:`SCENARIOS` binds
@@ -234,6 +234,26 @@ RUNTIME_TCP_GATES = RUNTIME_GATES + (
     (f"{RUNTIME_NODES} nodes: one listening socket, at most one outbound connection",
      lambda r: r["listeners"] == 1 and r["connections"] <= 1),
 )
+
+
+SHAPED_NODES = 16
+SHAPED_LOOKUPS = 100
+
+
+async def runtime_shaped(seed: int) -> dict:
+    """A burst of lookups on a bulk-booted cluster whose hops take wall
+    time: every one is a whole route the origin sends to itself, from
+    zero hops to several, and each must be answered within the one
+    request deadline."""
+    config = cluster_config(SHAPED_NODES, seed, latency_scale=0.001, bulk_boot=True)
+    async with Cluster(config) as cluster:
+        report = await run_load(
+            cluster, rate=RUNTIME_RATE, count=SHAPED_LOOKUPS, seed=seed
+        )
+    return report.summary()
+
+
+SHAPED_GATES = (("every shaped lookup answered", lambda r: r["errors"] == 0),)
 
 
 # -- shard -------------------------------------------------------------------
@@ -596,6 +616,7 @@ SCENARIOS = {
          RUNTIME_LOOPBACK_GATES),
         ("tcp", functools.partial(runtime, encoding="packed", transport="tcp"), (0,),
          RUNTIME_TCP_GATES),
+        ("shaped", runtime_shaped, (0, 1, 2), SHAPED_GATES),
     ),
     "shard": (("shard", shard, (0,), SHARD_GATES),),
     "soak": (

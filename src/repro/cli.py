@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="K",
         help="consecutive BUSY/timeout failures, at least 1, that open "
-        "a per-peer circuit breaker (default 8)",
+        "the origin's circuit breaker (default 8)",
     )
     cluster.add_argument(
         "--status-port",

@@ -6,17 +6,15 @@ exponential backoff that advances the *simulated* clock -- never
 wall-clock time -- so resilience experiments stay deterministic and
 can report recovery times in simulated milliseconds.
 
-The live runtime additionally needs client-side *overload* reaction
-(PR 8): :class:`DecorrelatedJitter` spreads BUSY retries so shed
-requests do not re-arrive in lockstep, :class:`CircuitBreaker` stops
-hammering a peer that keeps shedding or timing out (closed -> open ->
-half-open probe -> closed), and :class:`AdaptiveTimeout` derives a
-Jacobson-style per-peer RTO from EWMA RTT + variance so timeouts
-track the network instead of a static ``--request-timeout``, and
-:class:`DeadlineTable` enforces those timeouts for every in-flight
-request of a process from one shared sweep timer.  All four are pure
-state machines over an injected clock/rng/timer, so they stay
-unit-testable and deterministic outside the event loop.
+The live runtime additionally needs client-side *overload* reaction:
+:class:`DecorrelatedJitter` spreads BUSY retries so shed requests do
+not re-arrive in lockstep, :class:`CircuitBreaker` stops a request
+origin that keeps being shed or timing out from adding more load
+(closed -> open -> half-open probe -> closed), and
+:class:`DeadlineTable` enforces every in-flight request's deadline in
+a process from one shared sweep timer.  All three are pure state
+machines over an injected clock/rng/timer, so they stay unit-testable
+and deterministic outside the event loop.
 
 Consumers receive a policy instance rather than importing this module
 (the soft-state and overlay packages sit *below* ``repro.core`` in
@@ -34,7 +32,6 @@ the import graph):
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +40,7 @@ from repro.netsim.faults import ProbeTimeout
 
 
 class CircuitOpenError(Exception):
-    """Raised (fast, locally) when a peer's circuit breaker is open."""
+    """Raised (fast, locally) while the origin's circuit breaker is open."""
 
     def __init__(self, peer, retry_after_s: float = 0.0):
         super().__init__(f"circuit open for peer {peer!r}")
@@ -170,23 +167,23 @@ class DecorrelatedJitter:
 
 
 class CircuitBreaker:
-    """Per-peer circuit breaker: closed -> open -> half-open -> closed.
+    """A request origin's circuit breaker: closed -> open -> half-open -> closed.
 
     ``threshold`` *consecutive* failures (BUSY sheds or timeouts) open
     the circuit; while open, :meth:`allow` fast-fails locally so a
-    struggling peer gets breathing room instead of more retries.
+    struggling overlay gets breathing room instead of more retries.
     After ``reset_timeout_s`` one half-open probe is let through: its
     success closes the circuit, its failure re-opens it for another
-    full window.  The clock is injected (defaults to
-    :func:`time.monotonic`) so tests drive state transitions without
-    sleeping.
+    full window.  The clock is injected -- the event loop's on the
+    request path, a fake one in tests -- so state transitions never
+    read wall time of their own.
     """
 
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    def __init__(self, threshold: int = 8, reset_timeout_s: float = 1.0, clock=time.monotonic):
+    def __init__(self, threshold: int, reset_timeout_s: float, clock):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         if reset_timeout_s <= 0:
@@ -254,67 +251,6 @@ class CircuitBreaker:
         if self.state != self.OPEN:
             return 0.0
         return max(0.0, self.reset_timeout_s - (self._clock() - self._opened_at))
-
-
-class AdaptiveTimeout:
-    """Jacobson-style per-peer RTO from EWMA RTT + variance.
-
-    ``observe(rtt)`` folds a round-trip sample into the smoothed RTT
-    (gain 1/8) and mean deviation (gain 1/4); :meth:`timeout` yields
-    ``srtt + 4 * rttvar`` clamped to ``[min_s, max_s]``.  Until the
-    first sample arrives the initial (static) timeout applies, so
-    cold-start behavior is exactly the pre-adaptive one.  Karn-style:
-    :meth:`backoff` doubles the effective RTO after a timeout (capped
-    at ``max_s``) and any successful sample collapses the backoff.
-    """
-
-    ALPHA = 1.0 / 8.0
-    BETA = 1.0 / 4.0
-    K = 4.0
-
-    def __init__(self, initial_s: float, min_s: float = 0.25, max_s: float = None):
-        if initial_s <= 0:
-            raise ValueError("initial_s must be positive")
-        if min_s <= 0:
-            raise ValueError("min_s must be positive")
-        if max_s is None:
-            max_s = initial_s
-        if max_s < min_s:
-            raise ValueError("max_s must be >= min_s")
-        self.initial_s = float(initial_s)
-        self.min_s = float(min_s)
-        self.max_s = float(max_s)
-        self.srtt = None
-        self.rttvar = 0.0
-        self._backoff = 1.0
-        self.samples = 0
-
-    def observe(self, rtt_s: float) -> None:
-        """Fold one successful round-trip time (seconds) into the RTO."""
-        rtt_s = float(rtt_s)
-        if rtt_s < 0:
-            raise ValueError("rtt_s must be non-negative")
-        if self.srtt is None:
-            self.srtt = rtt_s
-            self.rttvar = rtt_s / 2.0
-        else:
-            err = rtt_s - self.srtt
-            self.rttvar += self.BETA * (abs(err) - self.rttvar)
-            self.srtt += self.ALPHA * err
-        self._backoff = 1.0
-        self.samples += 1
-
-    def timeout(self) -> float:
-        """Current RTO in seconds (with any post-timeout backoff applied)."""
-        if self.srtt is None:
-            base = self.initial_s
-        else:
-            base = max(self.min_s, min(self.max_s, self.srtt + self.K * self.rttvar))
-        return min(self.max_s, base * self._backoff)
-
-    def backoff(self) -> None:
-        """Double the effective RTO after a timeout (Karn-style)."""
-        self._backoff = min(self._backoff * 2.0, 64.0)
 
 
 #: seconds between two sweeps of a non-empty :class:`DeadlineTable`: how

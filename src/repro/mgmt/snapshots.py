@@ -165,27 +165,22 @@ async def stats_snapshot(cluster) -> dict:
 # -- /health -----------------------------------------------------------------
 
 
-def _breaker_summary(cluster, members) -> dict:
-    """Circuit-breaker states toward *current members*, across actors.
+def _breaker_summary(cluster) -> dict:
+    """Circuit-breaker states across actors, one breaker per origin.
 
-    Breakers toward departed peers are ignored: a breaker opened
-    against a node the recovery stack has since removed is stale
-    bookkeeping, not an active degradation.  A sharded parent serves
-    no actors, so its summary is all zeros; the aggregated
-    ``breakers_open_now`` overload counter in ``/stats`` stands in.
+    A sharded parent serves no actors, so its summary is all zeros;
+    the aggregated ``breakers_open_now`` overload counter in ``/stats``
+    stands in.
     """
     summary = {"closed": 0, "open": 0, "half_open": 0}
-    live = set(members)
     for actor in cluster.actors.values():
-        for peer, breaker in actor._breakers.items():
-            if peer not in live:
-                continue
-            if breaker.state == breaker.CLOSED:
-                summary["closed"] += 1
-            elif breaker.state == breaker.OPEN:
-                summary["open"] += 1
-            else:
-                summary["half_open"] += 1
+        breaker = actor.breaker
+        if breaker.state == breaker.CLOSED:
+            summary["closed"] += 1
+        elif breaker.state == breaker.OPEN:
+            summary["open"] += 1
+        else:
+            summary["half_open"] += 1
     return summary
 
 
@@ -266,7 +261,7 @@ def health_snapshot(cluster) -> dict:
     partitions = (
         len(faults.active_partitions()) if faults is not None and faults.armed else 0
     )
-    breakers = _breaker_summary(cluster, members)
+    breakers = _breaker_summary(cluster)
     live = sum(1 for node_id in members if verdicts[node_id] == "alive")
     disturbed = (
         live < len(members)

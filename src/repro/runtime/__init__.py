@@ -33,11 +33,10 @@ sim-parity bar enforced end to end.
 
 The runtime degrades gracefully under overload (DESIGN.md §12): each
 actor's mailbox is two lanes -- control traffic is never shed, data
-traffic is capped and sheds with a BUSY wire frame -- and clients
-react with jittered BUSY retries, per-peer circuit breakers and
-Jacobson-style adaptive timeouts (:exc:`~repro.runtime.node.PeerBusy`,
-:class:`~repro.core.reliability.CircuitBreaker`,
-:class:`~repro.core.reliability.AdaptiveTimeout`).
+traffic is capped and sheds with a BUSY wire frame -- and request
+origins react with jittered BUSY retries and the origin's circuit
+breaker (:exc:`~repro.runtime.node.PeerBusy`,
+:class:`~repro.core.reliability.CircuitBreaker`).
 """
 
 from repro.core.reliability import CircuitOpenError

@@ -116,16 +116,18 @@ class ClusterConfig:
     #: data-lane depth cap per actor (ROUTE/PUBLISH); an arrival at a
     #: full lane sheds the lane's head with a BUSY reply
     mailbox_cap: int = 1024
-    #: consecutive BUSY/timeout failures that open a peer's circuit
-    #: breaker
+    #: consecutive BUSY/timeout failures that open a request origin's
+    #: circuit breaker
     breaker_threshold: int = 8
     #: seconds an open breaker waits before its half-open probe
     breaker_reset_s: float = 1.0
     #: extra resend attempts granted to BUSY sheds (decorrelated
     #: jitter, separate from the loss-retry budget)
     busy_retries: int = 2
-    #: floor for the per-peer adaptive request timeout of data traffic
-    #: (Jacobson RTO from EWMA RTT + variance, capped at request_timeout)
+    #: read by nothing: kept, with its positivity check, only because
+    #: the frozen ``live_*`` benchmark workloads construct
+    #: ``ClusterConfig(..., rto_min_s=RTO_FLOOR_S)``; ROADMAP item 4's
+    #: benchmark change deletes it
     rto_min_s: float = 0.25
     #: worker processes the membership shards across (1 = the classic
     #: single-process cluster; >1 boots a
@@ -602,10 +604,8 @@ class Cluster(ClusterSurface):
             "breaker_closes": int(events["runtime_breaker_close"]),
             "breaker_fastfails": int(events["runtime_breaker_fastfail"]),
             "breakers_open_now": sum(
-                1
+                actor.breaker.state != actor.breaker.CLOSED
                 for actor in self.actors.values()
-                for breaker in actor._breakers.values()
-                if breaker.state != breaker.CLOSED
             ),
             "backpressure_drops": self.transport.backpressure_drops,
         }

@@ -37,15 +37,16 @@ what the delivering side owes it (a shed's BUSY send) or ``None``;
 :meth:`NodeProcess.on_frame` is its awaited form.
 
 Client-side reaction lives in :meth:`NodeProcess.request`: BUSY
-replies retry on a decorrelated-jitter schedule, a per-peer
-:class:`~repro.core.reliability.CircuitBreaker` fast-fails locally
-after ``breaker_threshold`` consecutive BUSY/timeout failures, and
-per-peer Jacobson RTO (:class:`~repro.core.reliability.AdaptiveTimeout`)
-replaces the static request timeout for data traffic once RTT
-samples exist.  Whatever the timeout, enforcing it costs a request one
-entry in the process-wide :class:`~repro.core.reliability.DeadlineTable`
-(``cluster.deadlines``): register, await the bare reply future,
-deregister -- one shared sweep timer fails the overdue ones.
+replies retry on a decorrelated-jitter schedule, and the origin's one
+:class:`~repro.core.reliability.CircuitBreaker` fast-fails its data
+requests locally after ``breaker_threshold`` consecutive BUSY/timeout
+failures.  Every data request is a whole route its origin addresses to
+itself, so there is no per-peer state to keep: a request waits the
+caller's ``timeout`` or ``config.request_timeout``.  Enforcing it costs
+a request one entry in the process-wide
+:class:`~repro.core.reliability.DeadlineTable` (``cluster.deadlines``):
+register, await the bare reply future, deregister -- one shared sweep
+timer fails the overdue ones.
 
 Routing is hop-by-hop over the wire: each actor makes exactly one
 forwarding decision (:meth:`EcanOverlay.next_hop`, the fault-free
@@ -64,7 +65,6 @@ import random
 from collections import deque
 
 from repro.core.reliability import (
-    AdaptiveTimeout,
     CircuitBreaker,
     CircuitOpenError,
     DecorrelatedJitter,
@@ -161,10 +161,13 @@ class NodeProcess:
         #: draws the BUSY-retry jitter: seeded, so the resend timing of
         #: a run is reproducible from (overlay seed, first address)
         self._jitter_rng = random.Random(f"{cluster.config.overlay.seed}:{addr}")
-        #: dst -> CircuitBreaker (data-kind requests only)
-        self._breakers: dict = {}
-        #: dst -> AdaptiveTimeout (data-kind requests only)
-        self._rtos: dict = {}
+        #: guards this origin's data requests, on the loop's clock like
+        #: every other time the request path reads
+        self.breaker = CircuitBreaker(
+            threshold=cluster.config.breaker_threshold,
+            reset_timeout_s=cluster.config.breaker_reset_s,
+            clock=asyncio.get_running_loop().time,
+        )
 
     @property
     def node_id(self):
@@ -327,29 +330,6 @@ class NodeProcess:
 
     # -- client side -------------------------------------------------------
 
-    def _breaker_for(self, dst):
-        breaker = self._breakers.get(dst)
-        if breaker is None:
-            config = self.cluster.config
-            # the loop's clock, like every other time the request path reads
-            breaker = self._breakers[dst] = CircuitBreaker(
-                threshold=config.breaker_threshold,
-                reset_timeout_s=config.breaker_reset_s,
-                clock=asyncio.get_running_loop().time,
-            )
-        return breaker
-
-    def _rto_for(self, dst):
-        rto = self._rtos.get(dst)
-        if rto is None:
-            config = self.cluster.config
-            rto = self._rtos[dst] = AdaptiveTimeout(
-                initial_s=config.request_timeout,
-                min_s=min(config.rto_min_s, config.request_timeout),
-                max_s=config.request_timeout,
-            )
-        return rto
-
     async def request(
         self, dst, kind: MsgType, payload: dict, timeout=None, retry=None
     ) -> dict:
@@ -365,14 +345,16 @@ class NodeProcess:
         ``backoff_ms``).  A :class:`RemoteError` is never retried: the
         peer answered, it just said no.
 
-        Data-kind requests additionally react to overload: a BUSY
-        shed retries up to ``ClusterConfig.busy_retries`` times on a
-        decorrelated-jitter schedule (separate from the loss-retry
-        budget -- a shed is *positive* evidence the peer is alive),
-        consecutive BUSY/timeout failures trip the per-peer circuit
-        breaker, and while the breaker is open the request fast-fails
-        locally with :class:`~repro.core.reliability.CircuitOpenError`
-        instead of piling more load on the struggling peer.
+        Each attempt waits ``timeout``, or ``config.request_timeout``
+        when the caller passes none.  Data-kind requests additionally
+        react to overload: a BUSY shed retries up to
+        ``ClusterConfig.busy_retries`` times on a decorrelated-jitter
+        schedule (separate from the loss-retry budget -- a shed is
+        *positive* evidence the peer is alive), consecutive
+        BUSY/timeout failures trip the origin's circuit breaker, and
+        while it is open the request fast-fails locally with
+        :class:`~repro.core.reliability.CircuitOpenError` instead of
+        piling more load on the struggling overlay.
         """
         if retry is None:
             retry = self.cluster.config.retry
@@ -380,7 +362,7 @@ class NodeProcess:
         config = self.cluster.config
         telemetry = self.cluster.network.telemetry
         data_kind = kind in _DATA_KINDS
-        breaker = self._breaker_for(dst) if data_kind else None
+        breaker = self.breaker if data_kind else None
         if breaker is not None and not breaker.allow():
             telemetry.count("runtime_breaker_fastfail")
             raise CircuitOpenError(dst, breaker.retry_after_s())
@@ -422,14 +404,8 @@ class NodeProcess:
                 return result
 
     async def _request_once(self, dst, kind: MsgType, payload: dict, timeout) -> dict:
-        config = self.cluster.config
-        rto = None
         if timeout is None:
-            if kind in _DATA_KINDS:
-                rto = self._rto_for(dst)
-                timeout = rto.timeout()
-            else:
-                timeout = config.request_timeout
+            timeout = self.cluster.config.request_timeout
         request_id = next(self._req_ids)
         loop = asyncio.get_running_loop()
         future = loop.create_future()
@@ -455,8 +431,6 @@ class NodeProcess:
             try:
                 result = await future
             except TimeoutError:
-                if rto is not None:
-                    rto.backoff()
                 raise RequestTimeout(
                     f"{kind.name} to {dst!r} unanswered after {timeout}s"
                 ) from None
@@ -467,8 +441,6 @@ class NodeProcess:
             # arrives finds no entry and drops in on_frame
             deadlines.discard(future)
             self.pending.pop(request_id, None)
-        if rto is not None:
-            rto.observe(loop.time() - started)
         return result
 
     # -- RPC entry points (called by the Cluster) --------------------------

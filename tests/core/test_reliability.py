@@ -295,10 +295,11 @@ class TestCircuitBreaker:
     def test_validation(self):
         from repro.core.reliability import CircuitBreaker
 
+        clock = FakeClock()
         with pytest.raises(ValueError, match="threshold"):
-            CircuitBreaker(threshold=0)
+            CircuitBreaker(threshold=0, reset_timeout_s=1.0, clock=clock)
         with pytest.raises(ValueError, match="reset_timeout_s"):
-            CircuitBreaker(reset_timeout_s=0.0)
+            CircuitBreaker(threshold=8, reset_timeout_s=0.0, clock=clock)
 
 
 class TestDecorrelatedJitter:
@@ -323,63 +324,6 @@ class TestDecorrelatedJitter:
             delay = jitter.next_delay()
             assert 2.0 <= delay <= prev * 3.0
             prev = delay
-
-
-class TestAdaptiveTimeout:
-    def test_cold_start_uses_the_initial_timeout(self):
-        from repro.core.reliability import AdaptiveTimeout
-
-        rto = AdaptiveTimeout(initial_s=30.0, min_s=0.25)
-        assert rto.timeout() == 30.0
-        assert rto.samples == 0
-
-    def test_first_sample_seeds_jacobson_state(self):
-        from repro.core.reliability import AdaptiveTimeout
-
-        rto = AdaptiveTimeout(initial_s=30.0, min_s=0.01)
-        rto.observe(0.1)
-        assert rto.srtt == pytest.approx(0.1)
-        assert rto.rttvar == pytest.approx(0.05)
-        # srtt + 4 * rttvar = 0.3
-        assert rto.timeout() == pytest.approx(0.3)
-
-    def test_timeout_tracks_ewma_and_clamps(self):
-        from repro.core.reliability import AdaptiveTimeout
-
-        rto = AdaptiveTimeout(initial_s=30.0, min_s=0.25)
-        for _ in range(50):
-            rto.observe(0.001)  # 1 ms RTTs: raw RTO would be ~5 ms
-        assert rto.timeout() == pytest.approx(0.25)  # clamped to the floor
-        rto_hi = AdaptiveTimeout(initial_s=2.0, min_s=0.25)
-        for _ in range(50):
-            rto_hi.observe(10.0)  # slower than the ceiling allows
-        assert rto_hi.timeout() == pytest.approx(2.0)  # clamped to max_s
-
-    def test_karn_backoff_doubles_and_success_collapses(self):
-        from repro.core.reliability import AdaptiveTimeout
-
-        rto = AdaptiveTimeout(initial_s=8.0, min_s=0.25)
-        rto.observe(0.5)
-        base = rto.timeout()
-        rto.backoff()
-        assert rto.timeout() == pytest.approx(min(8.0, base * 2.0))
-        rto.backoff()
-        assert rto.timeout() == pytest.approx(min(8.0, base * 4.0))
-        rto.observe(0.5)  # a fresh sample collapses the backoff
-        assert rto.timeout() < base * 2.0
-
-    def test_validation(self):
-        from repro.core.reliability import AdaptiveTimeout
-
-        with pytest.raises(ValueError, match="initial_s"):
-            AdaptiveTimeout(initial_s=0.0)
-        with pytest.raises(ValueError, match="min_s"):
-            AdaptiveTimeout(initial_s=1.0, min_s=0.0)
-        with pytest.raises(ValueError, match="max_s"):
-            AdaptiveTimeout(initial_s=1.0, min_s=2.0, max_s=1.0)
-        rto = AdaptiveTimeout(initial_s=1.0)
-        with pytest.raises(ValueError, match="rtt_s"):
-            rto.observe(-1.0)
 
 
 class FakeFuture:

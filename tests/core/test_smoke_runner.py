@@ -44,6 +44,7 @@ HEALTHY = {
     ("runtime", "json"): {**LOAD, "pump_tasks": 990},
     ("runtime", "packed"): {**LOAD, "pump_tasks": 990},
     ("runtime", "tcp"): {**LOAD, "reader_tasks": 0, "listeners": 1, "connections": 1},
+    ("runtime", "shaped"): {"errors": 0},
     ("shard", "shard"): {**LOAD, "wall_throughput_ops": 500.0, "frames_cross_shard": 1},
     ("soak", "sim"): SOAK,
     ("soak", "live"): {**SOAK, "wall_availability": 0.01},
@@ -132,6 +133,8 @@ VIOLATIONS = {
             "listeners": 64, "connections": 64,
         },
     },
+    # lookups timed out while their routes were still on the wire
+    ("runtime", "shaped"): {"every shaped lookup answered": {"errors": 4}},
     ("shard", "shard"): {
         **LOAD_BAD,
         "throughput >= 500 ops/s": {"wall_throughput_ops": 499.9},
@@ -186,8 +189,8 @@ def test_the_tables_here_cover_every_step_and_every_gate(smoke):
     distinct = {gate for gates in steps.values() for gate in gates}
     # the retired scripts' 47 (see CHANGES.md) + PR 22's reader-task gate
     # + PR 23's counters-never-decrease gate + PR 24's pump-task gate
-    # + the tcp step's one-listener gate
-    assert len(distinct) == 51
+    # + the tcp step's one-listener gate + the shaped step's answered gate
+    assert len(distinct) == 52
 
 
 @pytest.mark.parametrize("key", sorted(HEALTHY), ids="/".join)
@@ -214,7 +217,7 @@ def test_thresholds_sit_exactly_where_the_retired_scripts_had_them(smoke):
     assert smoke.MGMT_PROBE_PERIOD_S == 0.1
     assert [(n, [s[2] for s in steps]) for n, steps in smoke.SCENARIOS.items()] == [
         ("chaos", [(0, 1, 2), (0, 1, 2)]),
-        ("runtime", [(0,), (0,), (0,)]),
+        ("runtime", [(0,), (0,), (0,), (0, 1, 2)]),
         ("shard", [(0,)]),
         ("soak", [(0,), (0,)]),
         ("overload", [(0,), (0,)]),

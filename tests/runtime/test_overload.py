@@ -1,4 +1,4 @@
-"""Overload protection: lanes, shedding, BUSY, breakers, adaptive RTO.
+"""Overload protection: lanes, shedding, BUSY, breakers.
 
 The tentpole coverage for DESIGN.md §12.  Saturation is produced
 deterministically: a victim actor's dispatch (or just its data-kind
@@ -409,8 +409,8 @@ class TestCircuitBreaker:
 
     def test_reset_window_runs_on_the_event_loop_clock(self):
         """The window elapses when the loop's clock says so, with no wall
-        time passing: a breaker reads the clock the deadline table and
-        the RTO read, not ``time.monotonic``."""
+        time passing: the breaker reads the clock the deadline table
+        reads, not ``time.monotonic``."""
 
         class SteppedLoop(asyncio.SelectorEventLoop):
             offset = 0.0
@@ -423,7 +423,7 @@ class TestCircuitBreaker:
             async with Cluster(config) as cluster:
                 origin = cluster.bootstrap
                 victim_id = pick_peer(cluster)
-                origin._breaker_for(victim_id).record_failure()
+                origin.breaker.record_failure()
                 with pytest.raises(CircuitOpenError):
                     await origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
                 asyncio.get_running_loop().offset += 3600.0
@@ -458,7 +458,7 @@ class TestCircuitBreaker:
                 assert cluster.overload_counters()["breakers_open_now"] == 0
                 # re-open it without any traffic in flight, so data
                 # fast-fails while the victim is perfectly healthy...
-                origin._breaker_for(victim_id).record_failure()
+                origin.breaker.record_failure()
                 with pytest.raises(CircuitOpenError):
                     await origin.request(victim_id, MsgType.PUBLISH, {}, retry=False)
                 # ...but the heartbeat goes through: control frames
@@ -561,32 +561,6 @@ class TestCircuitBreaker:
         assert len(first) == 10 and all(2.0 <= delay <= 250.0 for delay in first)
         assert first == again
         assert first != other
-
-
-class TestAdaptiveTimeoutIntegration:
-    def test_rtt_samples_tighten_the_request_timeout(self):
-        async def scenario():
-            config = make_config(
-                nodes=12, mailbox_cap=1024, request_timeout=30.0, rto_min_s=0.25
-            )
-            async with Cluster(config) as cluster:
-                src = cluster.bootstrap.addr
-                for i in range(8):
-                    await cluster.lookup(src, (0.1 * (i % 9) + 0.05, 0.5))
-                actor = cluster.actors[src]
-                rtos = dict(actor._rtos)
-                return {
-                    dst: (rto.samples, rto.timeout()) for dst, rto in rtos.items()
-                }, config.request_timeout
-
-        rtos, static = run(scenario())
-        assert rtos  # data requests built per-peer RTO state
-        for samples, timeout in rtos.values():
-            assert samples >= 1
-            # local loopback RTTs are microseconds: the adaptive RTO
-            # collapses to the floor instead of the 30 s static value
-            assert timeout == pytest.approx(0.25)
-            assert timeout < static
 
 
 class TestCrashDropAccounting:
