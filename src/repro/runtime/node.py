@@ -84,6 +84,15 @@ _CONTROL_KINDS = frozenset({MsgType.HEARTBEAT, MsgType.JOIN})
 #: capped lane; sheds answer BUSY to the request origin
 _DATA_KINDS = frozenset({MsgType.ROUTE, MsgType.PUBLISH})
 
+#: resolve the pending request they answer; never queued
+_REPLY_KINDS = frozenset({MsgType.ACK, MsgType.ERROR, MsgType.BUSY})
+
+# members the per-frame paths compare by identity, read once: an enum
+# member lookup on the class costs as much as a small dict probe
+_ROUTE = MsgType.ROUTE
+_ACK = MsgType.ACK
+_BUSY = MsgType.BUSY
+
 
 class RemoteError(Exception):
     """A peer answered with an ERROR frame."""
@@ -153,6 +162,8 @@ class NodeProcess:
         self._req_ids = itertools.count(1)
         #: waiting for a turn on ``cluster.pump`` (the pump's flag)
         self._queued = False
+        #: ``cluster.pump``, which every delivery kicks
+        self._pump = cluster.pump
         #: relayed SWIM probes in flight (a handler that waits spawns)
         self._relays: set = set()
         self._stopped = True
@@ -242,12 +253,12 @@ class NodeProcess:
     def ingress(self, frame: Frame):
         """Transport delivery callback: never blocks, may be owed an await."""
         kind = frame.kind
-        if kind is MsgType.ACK or kind is MsgType.ERROR or kind is MsgType.BUSY:
+        if kind in _REPLY_KINDS:
             future = self.pending.pop(frame.request_id, None)
             if future is not None and not future.done():
-                if kind is MsgType.ACK:
+                if kind is _ACK:
                     future.set_result(frame.payload)
-                elif kind is MsgType.BUSY:
+                elif kind is _BUSY:
                     future.set_exception(
                         PeerBusy(
                             f"peer {frame.payload.get('from')!r} shed "
@@ -274,7 +285,7 @@ class NodeProcess:
             lane.append(frame)
         # decoupled from the arrival stack: floods queue in the *lanes*
         # (where the cap applies), not the ready queue
-        self.cluster.pump.kick(self)
+        self._pump.kick(self)
         return owed
 
     async def _shed(self, frame: Frame) -> None:
@@ -298,15 +309,16 @@ class NodeProcess:
         """Serve up to ``quantum`` frames, control lane first; returns
         how many.  :meth:`Pump._run` is the one caller."""
         processed = 0
+        control, data, handled = self.control_lane, self.data_lane, self.handled
         while not self._stopped and processed != quantum:
-            if self.control_lane:
-                frame = self.control_lane.popleft()
-            elif self.data_lane:
-                frame = self.data_lane.popleft()
+            if control:
+                frame = control.popleft()
+            elif data:
+                frame = data.popleft()
             else:
                 break
             name = _KIND_NAME[frame.kind]
-            self.handled[name] = self.handled.get(name, 0) + 1
+            handled[name] = handled.get(name, 0) + 1
             try:
                 await self._dispatch(frame)
             except Exception as exc:  # answer rather than kill the actor
@@ -315,7 +327,7 @@ class NodeProcess:
                 # until the requester's timeout: count every dispatch
                 # error and keep the repr visible in the diagnostics
                 self.cluster.network.telemetry.count("runtime_dispatch_error")
-                errors = self.handled.setdefault("dispatch_errors", [])
+                errors = handled.setdefault("dispatch_errors", [])
                 if len(errors) < self.MAX_ERROR_REPRS:
                     errors.append(f"{name}: {exc!r}")
                 src = frame.payload.get("src")
@@ -462,13 +474,14 @@ class NodeProcess:
     # -- dispatch ----------------------------------------------------------
 
     async def _dispatch(self, frame: Frame) -> None:
-        if frame.kind is MsgType.ROUTE:
+        kind = frame.kind
+        if kind is _ROUTE:
             await self._handle_route(frame)
-        elif frame.kind is MsgType.JOIN:
+        elif kind is MsgType.JOIN:
             await self._handle_join(frame)
-        elif frame.kind is MsgType.PUBLISH:
+        elif kind is MsgType.PUBLISH:
             await self._handle_publish(frame)
-        elif frame.kind is MsgType.HEARTBEAT:
+        elif kind is MsgType.HEARTBEAT:
             await self._handle_heartbeat(frame)
         else:  # pragma: no cover - on_frame filters reply kinds already
             raise ValueError(f"unroutable frame kind {frame.kind!r}")
@@ -528,8 +541,10 @@ class NodeProcess:
 
     async def _handle_route(self, frame: Frame) -> None:
         # hot path: `payload` is this frame's private decoded dict, so
-        # the forward below may mutate it in place, and `path` rides
-        # through next_hop as the visited collection (membership only)
+        # the forward below may mutate it in place and send the very
+        # frame it arrived in (the transport hands the next hop its own
+        # decoded copy), and `path` rides through next_hop as the
+        # visited collection (membership only)
         payload = frame.payload
         path = payload["path"]
         cluster = self.cluster
@@ -558,8 +573,7 @@ class NodeProcess:
             return
         cluster.network.telemetry.count(self._HOP_EVENT[kind])
         payload["path"] = path + [next_id]
-        forwarded = Frame(MsgType.ROUTE, frame.request_id, payload)
-        sent = await self.transport.send(self.addr, next_id, forwarded)
+        sent = await cluster.transport.send(self.addr, next_id, frame)
         if not sent:
             await self._reply(
                 frame,

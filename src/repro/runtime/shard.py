@@ -170,9 +170,13 @@ class PeeringTransport(StreamTransport):
         if key is None:
             self.dropped += 1
             return False
-        return self._enqueue(
-            key, ENVELOPE.pack(dst) + encode_frame(frame, packed=self._packed)
-        )
+        try:
+            data = ENVELOPE.pack(dst) + encode_frame(frame, packed=self._packed)
+        except Exception:
+            # the codec refused the frame: it was sent, and never delivered
+            self.dropped += 1
+            raise
+        return self._enqueue(key, data)
 
     def counters(self) -> dict:
         """Peering + inner traffic accounting for aggregation."""

@@ -202,22 +202,24 @@ class LoopbackTransport(Transport):
         if self._closed:
             raise TransportError("transport is closed")
         self.sent += 1
-        # round-trip the payload through the codec so loopback runs
-        # carry exactly what TCP would decode (the fixed 16-byte
-        # header needs no such fidelity check per frame)
-        frame = Frame(
-            frame.kind,
-            frame.request_id,
-            roundtrip_payload(frame.kind, frame.payload, self._packed),
-        )
-        if self.drops(src, dst):
+        if self.faults is not None and self.drops(src, dst):
             self.dropped += 1
             return False
         handler = self._handlers.get(dst)
         if handler is None:
             self.dropped += 1
             return False
-        delay = self.delay_for(src, dst)
+        # round-trip the payload through the codec so loopback runs
+        # carry exactly what TCP would decode, and refuse what TCP
+        # would refuse to encode (the fixed 16-byte header needs no
+        # such fidelity check per frame)
+        try:
+            payload = roundtrip_payload(frame.kind, frame.payload, self._packed)
+        except Exception:
+            self.dropped += 1
+            raise
+        frame = Frame(frame.kind, frame.request_id, payload)
+        delay = self.delay_for(src, dst) if self.latency_scale > 0.0 else 0.0
         if delay <= 0.0:
             # unshaped fast path: the handler only enqueues (mailbox
             # put / future resolution), so this never blocks and saves
@@ -545,9 +547,14 @@ class TcpTransport(StreamTransport):
         if key is None:
             self.dropped += 1
             return False
-        data = ENVELOPE.pack(self._ids.get(dst, dst)) + encode_frame(
-            frame, packed=self._packed
-        )
+        try:
+            data = ENVELOPE.pack(self._ids.get(dst, dst)) + encode_frame(
+                frame, packed=self._packed
+            )
+        except Exception:
+            # the codec refused the frame: it was sent, and never delivered
+            self.dropped += 1
+            raise
         delay = self.delay_for(src, dst)
         if delay > 0.0:
             # shaped frames keep their individual departure times

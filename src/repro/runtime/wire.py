@@ -28,9 +28,14 @@ The payload travels in one of two encodings, discriminated by the
 * **packed** (flag set) -- the data plane (ROUTE and every ACK
   answering a ``lookup`` / ``route`` / ``lookup_map`` / ``publish``
   RPC; a map read rides fused into the ROUTE that delivers it) carries
-  points, paths and integer ids, so its payloads pack into fixed
-  struct layouts through the same :mod:`struct` machinery as the
-  header: no JSON stringification per hop.  Packing is decided
+  points, paths and integer ids, so its payloads pack into struct
+  layouts through the same :mod:`struct` machinery as the header: no
+  JSON stringification per hop.  Each of the five packed shapes (ROUTE,
+  fused ROUTE, route ACK, fused ACK, publish ACK) compiles one
+  :class:`struct.Struct` per length tuple into a bounded shape table
+  keyed by integers, so a payload packs with one ``pack`` call and
+  unpacks with one ``unpack_from`` once its lengths are read.
+  Packing is decided
   at encode time -- a payload outside its packed schema (extra keys,
   out-of-range ids, non-float coordinates) falls back to JSON -- and
   lossless: ``decode(encode(p, packed=True)) == p``.  The runtime
@@ -65,9 +70,9 @@ shard) routes on.  The frame behind it is unchanged.
 :class:`FrameDecoder` is the incremental reader of that framing, the
 one every socket uses: feed it arbitrary chunks, it yields complete
 ``(dst, frame)`` pairs and keeps the tail buffered.  It parses in
-place with offset-based ``unpack_from`` reads, copying only each
-frame's payload slice, so a large coalesced chunk costs O(bytes), not
-O(bytes^2).
+place with offset-based ``unpack_from`` reads -- a packed payload is
+decoded straight out of the stream buffer, a JSON one copied once --
+so a large coalesced chunk costs O(bytes), not O(bytes^2).
 """
 
 from __future__ import annotations
@@ -75,8 +80,7 @@ from __future__ import annotations
 import enum
 import json
 import struct
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 #: protocol magic, first on the wire
 MAGIC = b"RW"
@@ -95,31 +99,6 @@ HEADER = struct.Struct("!2sBBQI")
 
 #: stream envelope: the destination endpoint's id, ahead of each frame
 ENVELOPE = struct.Struct("!I")
-
-
-@lru_cache(maxsize=512)
-def _layout(fmt: str) -> struct.Struct:
-    """Compiled :class:`struct.Struct` for a variadic payload layout.
-
-    The packed codecs build their format strings from runtime lengths
-    (``f"!{npoint}d"`` and friends), so ``struct.pack``/``unpack_from``
-    would re-compile the format on every frame -- measurably the
-    hottest slice of the per-hop codec cost.  Real traffic draws from
-    a tiny set of lengths (point dims, path depths up to ``max_hops``,
-    record counts), so a bounded LRU turns the compile into a dict
-    hit; pathological length churn merely evicts, never grows.
-    """
-    return struct.Struct(fmt)
-
-
-# fixed-layout segments, compiled once at import
-_ROUTE_FIX = struct.Struct("!BBIB")
-_FUSED_FIX = struct.Struct("!IBB")
-_MAP_FIX = struct.Struct("!BIH")
-_ACK_FIX = struct.Struct("!IHH")
-_PUBLISH_FIX = struct.Struct("!HI")
-_U16 = struct.Struct("!H")
-_U8 = struct.Struct("!B")
 
 
 class ProtocolError(Exception):
@@ -143,36 +122,42 @@ class MsgType(enum.IntEnum):
 #: type-byte -> MsgType, resolved without an enum-constructor call
 _MSG_BY_BYTE = {int(member): member for member in MsgType}
 
+#: read once: an enum member lookup on the class costs as much as a
+#: small dict probe, and every reply names this one
+_ACK = MsgType.ACK
 
-@dataclass(slots=True)
+
+@dataclass(slots=True, init=False)
 class Frame:
     """One decoded wire frame.
 
     A plain slots value object, created once or more per hop on the
-    data path -- a frozen dataclass would route every ``__init__``
-    field store through ``object.__setattr__`` and roughly double the
-    construction cost for nothing (the payload dict it carries was
-    always mutable anyway).
+    data path, with a plain positional ``__init__``: a frozen
+    dataclass would route every field store through
+    ``object.__setattr__`` for nothing (the payload dict it carries
+    was always mutable anyway).  ``Frame(kind, request_id)`` carries
+    an empty payload.
     """
 
     kind: MsgType
     request_id: int
-    payload: dict = field(default_factory=dict)
+    payload: dict
+
+    def __init__(self, kind: MsgType, request_id: int, payload: dict = None):
+        self.kind = kind
+        self.request_id = request_id
+        self.payload = {} if payload is None else payload
 
     def reply(self, payload: dict, kind: "MsgType" = None) -> "Frame":
         """An ACK (or ``kind``) frame correlated to this request."""
-        return Frame(
-            kind=MsgType.ACK if kind is None else kind,
-            request_id=self.request_id,
-            payload=payload,
-        )
+        return Frame(_ACK if kind is None else kind, self.request_id, payload)
 
 
 # -- packed payload codecs ---------------------------------------------------
 #
 # Each packed payload starts with a one-byte schema tag; the rest is a
-# fixed struct layout for that tag.  Integer ids ride as u32, zone/map
-# cell coordinates as i32, coordinates as f64 -- all exactly the value
+# struct layout for that tag.  Integer ids ride as u32, zone/map cell
+# coordinates as i32, coordinates as f64 -- all exactly the value
 # domain the runtime produces, guarded at pack time so anything else
 # falls back to JSON.
 
@@ -184,160 +169,242 @@ _TAG_ACK_PUBLISH = 6  # {regions, node_id}
 _OP_CODES = {"route": 0, "lookup": 1}
 _OP_NAMES = {code: name for name, code in _OP_CODES.items()}
 
-#: exact key sets of the packable payload shapes (anything else -> JSON)
-_ROUTE_KEYS = frozenset({"point", "path", "op", "src"})
-_ROUTE_FUSED_KEYS = frozenset(
-    {"point", "path", "op", "src", "querier", "level", "cell"}
-)
-_ACK_ROUTE_KEYS = frozenset({"owner", "path", "hops"})
-_ACK_FUSED_KEYS = frozenset(
-    {"owner", "path", "hops", "served_by", "widened", "records"}
-)
-_ACK_PUBLISH_KEYS = frozenset({"regions", "node_id"})
+# The shape table: one layout per packed payload shape, the whole
+# payload tag included, so a frame packs with one ``Struct.pack`` and
+# unpacks with one ``unpack_from``.  Four shapes carry lengths; a
+# shape key is ``shape | n1 << 3 | n2 << 19 | n3 << 35`` -- the shape
+# id, then its lengths in 16-bit slots, in wire order.  The publish
+# ACK has none and is compiled once, below.
+_ROUTE_SHAPE = 0        # point dims, path length
+_FUSED_ROUTE_SHAPE = 1  # point dims, path length, cell dims
+_ACK_SHAPE = 2          # path length
+_FUSED_ACK_SHAPE = 3    # path length, record count
 
-# Integer fields lean on struct's own C-level range checks (a value
-# outside u32/i32, a non-int, or an overlong list raises struct.error
-# and the encoder falls back to JSON); only floats need a Python-side
-# type gate, because struct would silently coerce ints to doubles and
-# break decode(encode(p)) == p.
+_SHAPE_FORMATS = {
+    # tag op fused src npoint point npath path
+    _ROUTE_SHAPE: "!BBBIB{}dH{}I",
+    # ... querier level ncell cell
+    _FUSED_ROUTE_SHAPE: "!BBBIB{}dH{}IIBB{}i",
+    # tag owner hops npath path
+    _ACK_SHAPE: "!BIHH{}I",
+    # ... flags served_by nrecords records (the map-read triple)
+    _FUSED_ACK_SHAPE: "!BIHH{}IBIH{}I",
+}
+
+#: tag regions node_id
+_PUBLISH_ACK = struct.Struct("!BHI")
+
+#: compiled shapes held before the oldest is evicted
+MAX_SHAPES = 512
+
+#: shape key -> its compiled :class:`struct.Struct`
+_SHAPES: dict = {}
+
+
+def _shape(key: int) -> struct.Struct:
+    """The compiled :class:`struct.Struct` of the shape ``key`` names.
+
+    Each length tuple of a shape compiles once; the hot paths read
+    :data:`_SHAPES` themselves and call this only on a miss.  Real
+    traffic draws from a tiny set of lengths (point dims, path depths
+    up to ``max_hops``, record counts), so the table stays small;
+    pathological length churn evicts the oldest shape once
+    :data:`MAX_SHAPES` are held, it never grows past that.  A length
+    too wide for its 16-bit slot spills into the next one and names
+    another shape, but it also overflows its own u8/u16 count field,
+    so packing raises :class:`struct.error` either way and the payload
+    falls back to JSON.
+    """
+    shape = _SHAPES.get(key)
+    if shape is None:
+        if len(_SHAPES) >= MAX_SHAPES:
+            del _SHAPES[next(iter(_SHAPES))]
+        lengths = (key >> 3 & 0xFFFF, key >> 19 & 0xFFFF, key >> 35 & 0xFFFF)
+        shape = _SHAPES[key] = struct.Struct(
+            _SHAPE_FORMATS[key & 7].format(*lengths)
+        )
+    return shape
+
+
+# A packable payload has exactly its schema's keys: the packers pick a
+# schema by the payload's size and read every key of it, so a missing
+# key raises KeyError -- and a dict of n keys holding all n schema
+# keys holds no other.  Integer fields lean on struct's own C-level
+# range checks (a value outside u32/i32, a non-int, or an overlong
+# list raises struct.error); only floats need a Python-side type
+# gate, because struct would silently coerce ints to doubles and
+# break decode(encode(p)) == p.  Each of these makes the payload fall
+# back to JSON.
 
 
 def _pack_route(payload: dict):
-    keys = payload.keys()
-    if keys == _ROUTE_KEYS:
-        fused = 0
-    elif keys == _ROUTE_FUSED_KEYS:
-        fused = 1
-    else:
+    """{point, path, op, src}, or the same plus the map-read request
+    {querier, level, cell} a lookup carries to the serving node."""
+    size = len(payload)
+    if size != 4 and size != 7:
         return None
     opcode = _OP_CODES.get(payload["op"])
     if opcode is None:
         return None
     point = payload["point"]
     path = payload["path"]
+    src = payload["src"]
     for x in point:
         if type(x) is not float:
             return None
-    if fused:
+    npoint = len(point)
+    npath = len(path)
+    if size == 7:
         cell = payload["cell"]
-        return _layout(
-            f"!BBBIB{len(point)}dH{len(path)}IIBB{len(cell)}i"
-        ).pack(
+        key = _FUSED_ROUTE_SHAPE | npoint << 3 | npath << 19 | len(cell) << 35
+        return (_SHAPES.get(key) or _shape(key)).pack(
             _TAG_ROUTE,
             opcode,
             1,
-            payload["src"],
-            len(point),
+            src,
+            npoint,
             *point,
-            len(path),
+            npath,
             *path,
             payload["querier"],
             payload["level"],
             len(cell),
             *cell,
         )
-    return _layout(f"!BBBIB{len(point)}dH{len(path)}I").pack(
-        _TAG_ROUTE,
-        opcode,
-        0,
-        payload["src"],
-        len(point),
-        *point,
-        len(path),
-        *path,
+    key = npoint << 3 | npath << 19
+    return (_SHAPES.get(key) or _shape(key)).pack(
+        _TAG_ROUTE, opcode, 0, src, npoint, *point, npath, *path
     )
-
-
-def _unpack_route(data, offset: int) -> tuple:
-    opcode, fused, src, npoint = _ROUTE_FIX.unpack_from(data, offset)
-    offset += 7
-    op = _OP_NAMES.get(opcode)
-    if op is None or fused not in (0, 1):
-        raise ProtocolError(f"packed ROUTE with bad op/fused ({opcode}/{fused})")
-    point = list(_layout(f"!{npoint}d").unpack_from(data, offset))
-    offset += 8 * npoint
-    (npath,) = _U16.unpack_from(data, offset)
-    offset += 2
-    path = list(_layout(f"!{npath}I").unpack_from(data, offset))
-    offset += 4 * npath
-    payload = {"point": point, "path": path, "op": op, "src": src}
-    if fused:
-        querier, level, ncell = _FUSED_FIX.unpack_from(data, offset)
-        offset += 6
-        payload["querier"] = querier
-        payload["level"] = level
-        payload["cell"] = list(_layout(f"!{ncell}i").unpack_from(data, offset))
-        offset += 4 * ncell
-    return payload, offset
-
-
-def _pack_map_read(served_by, widened, records):
-    """The map-read result triple that ends a fused lookup ACK.
-
-    The flags byte carries "``served_by`` present" in bit 0 and
-    ``widened`` -- the number of rings the store widened the read by
-    -- in bits 1-7; a count outside 0..127 overflows the byte and
-    falls back.  Frames written when ``widened`` was a bool set bit 1
-    for ``True``, which reads back as the count 1.
-    """
-    return _layout(f"!BIH{len(records)}I").pack(
-        (served_by is not None) | (widened << 1),
-        0 if served_by is None else served_by,
-        len(records),
-        *records,
-    )
-
-
-def _unpack_map_read(data, offset: int) -> tuple:
-    flags, served_by, nrecords = _MAP_FIX.unpack_from(data, offset)
-    offset += 7
-    records = list(_layout(f"!{nrecords}I").unpack_from(data, offset))
-    offset += 4 * nrecords
-    triple = {
-        "served_by": served_by if flags & 1 else None,
-        "widened": flags >> 1,
-        "records": records,
-    }
-    return triple, offset
 
 
 def _pack_ack(payload: dict):
-    keys = payload.keys()
-    if keys == _ACK_PUBLISH_KEYS:
-        return _U8.pack(_TAG_ACK_PUBLISH) + _PUBLISH_FIX.pack(
-            payload["regions"], payload["node_id"]
+    """A route ACK, a fused lookup ACK, or a publish ACK.
+
+    The fused ACK ends in the map-read triple, whose flags byte
+    carries "``served_by`` present" in bit 0 and ``widened`` -- the
+    number of rings the store widened the read by -- in bits 1-7; a
+    count outside 0..127 overflows the byte and falls back.  Frames
+    written when ``widened`` was a bool set bit 1 for ``True``, which
+    reads back as the count 1.
+    """
+    size = len(payload)
+    if size == 3:
+        path = payload["path"]
+        npath = len(path)
+        key = _ACK_SHAPE | npath << 3
+        return (_SHAPES.get(key) or _shape(key)).pack(
+            _TAG_ACK_ROUTE, payload["owner"], payload["hops"], npath, *path
         )
-    fused = keys == _ACK_FUSED_KEYS
-    if not fused and keys != _ACK_ROUTE_KEYS:
-        return None
-    path = payload["path"]
-    head = _layout(f"!BIHH{len(path)}I").pack(
-        _TAG_ACK_FUSED if fused else _TAG_ACK_ROUTE,
-        payload["owner"],
-        payload["hops"],
-        len(path),
-        *path,
-    )
-    if not fused:
-        return head
-    return head + _pack_map_read(
-        payload["served_by"], payload["widened"], payload["records"]
+    if size == 6:
+        path = payload["path"]
+        npath = len(path)
+        served_by = payload["served_by"]
+        records = payload["records"]
+        key = _FUSED_ACK_SHAPE | npath << 3 | len(records) << 19
+        return (_SHAPES.get(key) or _shape(key)).pack(
+            _TAG_ACK_FUSED,
+            payload["owner"],
+            payload["hops"],
+            npath,
+            *path,
+            (served_by is not None) | (payload["widened"] << 1),
+            0 if served_by is None else served_by,
+            len(records),
+            *records,
+        )
+    if size == 2:
+        return _PUBLISH_ACK.pack(
+            _TAG_ACK_PUBLISH, payload["regions"], payload["node_id"]
+        )
+    return None
+
+
+def _truncated(size: int, need: int) -> ProtocolError:
+    return ProtocolError(
+        f"truncated packed payload: {size} bytes, its layout needs {need}"
     )
 
 
-def _unpack_ack(tag: int, data, offset: int) -> tuple:
+def _misfit(size: int, need: int) -> ProtocolError:
+    """A payload of ``size`` bytes whose layout needs ``need``."""
+    if need > size:
+        return _truncated(size, need)
+    return ProtocolError(f"{size - need} trailing bytes after packed payload")
+
+
+# The unpackers read a payload of ``size`` bytes at ``start`` of
+# ``data`` -- a whole packed payload, or a frame inside a stream
+# buffer -- and never past it: every length they read to find the
+# shape is bounds-checked against ``size`` first.
+
+
+def _unpack_route(data, start: int, size: int) -> dict:
+    if size < 8:
+        raise _truncated(size, 8)
+    opcode = data[start + 1]
+    fused = data[start + 2]
+    op = _OP_NAMES.get(opcode)
+    if op is None or fused > 1:
+        raise ProtocolError(f"packed ROUTE with bad op/fused ({opcode}/{fused})")
+    npoint = data[start + 7]
+    at = 8 + 8 * npoint  # npath
+    if size < at + 2:
+        raise _truncated(size, at + 2)
+    npath = data[start + at] << 8 | data[start + at + 1]
+    if fused:
+        at += 7 + 4 * npath  # ncell, behind the path, querier and level
+        if size <= at:
+            raise _truncated(size, at + 1)
+        key = _FUSED_ROUTE_SHAPE | npoint << 3 | npath << 19 | data[start + at] << 35
+    else:
+        key = npoint << 3 | npath << 19
+    shape = _SHAPES.get(key) or _shape(key)
+    if shape.size != size:
+        raise _misfit(size, shape.size)
+    values = shape.unpack_from(data, start)
+    end = 6 + npoint + npath
+    payload = {
+        "point": list(values[5 : 5 + npoint]),
+        "path": list(values[6 + npoint : end]),
+        "op": op,
+        "src": values[3],
+    }
+    if fused:
+        payload["querier"] = values[end]
+        payload["level"] = values[end + 1]
+        payload["cell"] = list(values[end + 3 :])
+    return payload
+
+
+def _unpack_ack(tag: int, data, start: int, size: int) -> dict:
     if tag == _TAG_ACK_PUBLISH:
-        regions, node_id = _PUBLISH_FIX.unpack_from(data, offset)
-        return {"regions": regions, "node_id": node_id}, offset + 6
-    owner, hops, npath = _ACK_FIX.unpack_from(data, offset)
-    offset += 8
-    path = list(_layout(f"!{npath}I").unpack_from(data, offset))
-    offset += 4 * npath
-    payload = {"owner": owner, "path": path, "hops": hops}
+        if size != _PUBLISH_ACK.size:
+            raise _misfit(size, _PUBLISH_ACK.size)
+        _, regions, node_id = _PUBLISH_ACK.unpack_from(data, start)
+        return {"regions": regions, "node_id": node_id}
+    if size < 9:
+        raise _truncated(size, 9)
+    npath = data[start + 7] << 8 | data[start + 8]
     if tag == _TAG_ACK_FUSED:
-        triple, offset = _unpack_map_read(data, offset)
-        payload.update(triple)
-    return payload, offset
+        at = 14 + 4 * npath  # nrecords, behind the path, flags and served_by
+        if size < at + 2:
+            raise _truncated(size, at + 2)
+        nrecords = data[start + at] << 8 | data[start + at + 1]
+        key = _FUSED_ACK_SHAPE | npath << 3 | nrecords << 19
+    else:
+        key = _ACK_SHAPE | npath << 3
+    shape = _SHAPES.get(key) or _shape(key)
+    if shape.size != size:
+        raise _misfit(size, shape.size)
+    values = shape.unpack_from(data, start)
+    end = 4 + npath
+    payload = {"owner": values[1], "path": list(values[4:end]), "hops": values[2]}
+    if tag == _TAG_ACK_FUSED:
+        flags = values[end]
+        payload["served_by"] = values[end + 1] if flags & 1 else None
+        payload["widened"] = flags >> 1
+        payload["records"] = list(values[end + 3 :])
+    return payload
 
 
 _PACKERS = {
@@ -366,33 +433,37 @@ def pack_payload(kind: MsgType, payload: dict):
         return None
     try:
         return packer(payload)
-    except (struct.error, TypeError):
+    except (struct.error, TypeError, KeyError):
         # out-of-range or mistyped value: the schema doesn't fit, JSON does
         return None
 
 
-def unpack_payload(kind: MsgType, data) -> dict:
-    """Decode a packed payload; strict -- raises :class:`ProtocolError`."""
-    try:
-        (tag,) = _U8.unpack_from(data, 0)
-        if tag not in _TAGS_FOR.get(kind, ()):
-            raise ProtocolError(
-                f"packed payload tag {tag} does not belong to {kind.name}"
-            )
-        if tag == _TAG_ROUTE:
-            payload, end = _unpack_route(data, 1)
-        else:
-            payload, end = _unpack_ack(tag, data, 1)
-    except struct.error as exc:
-        raise ProtocolError(f"truncated packed payload: {exc}") from None
-    if end != len(data):
+def unpack_payload(kind: MsgType, data, start: int = 0, end: int = None) -> dict:
+    """Decode a packed payload; strict -- raises :class:`ProtocolError`.
+
+    Reads ``data[start:end]`` (all of ``data`` by default) in place:
+    a frame inside a stream buffer decodes without a copy.
+    """
+    if end is None:
+        end = len(data)
+    if start == end:
+        raise _truncated(0, 1)
+    tag = data[start]
+    if tag not in _TAGS_FOR.get(kind, ()):
         raise ProtocolError(
-            f"{len(data) - end} trailing bytes after packed payload"
+            f"packed payload tag {tag} does not belong to {kind.name}"
         )
-    return payload
+    if tag == _TAG_ROUTE:
+        return _unpack_route(data, start, end - start)
+    return _unpack_ack(tag, data, start, end - start)
 
 
 # -- frame codec -------------------------------------------------------------
+
+def _oversized(size: int) -> ProtocolError:
+    return ProtocolError(
+        f"payload of {size} bytes exceeds MAX_PAYLOAD ({MAX_PAYLOAD})"
+    )
 
 
 def encode_frame(frame: Frame, packed: bool = False) -> bytes:
@@ -403,20 +474,19 @@ def encode_frame(frame: Frame, packed: bool = False) -> bytes:
     plane -- and any payload outside a schema -- rides as JSON.  Both
     encodings decode to the identical payload dict.
     """
+    kind = frame.kind
+    type_byte = kind
     payload = None
-    type_byte = int(frame.kind)
     if packed:
-        payload = pack_payload(frame.kind, frame.payload)
+        payload = pack_payload(kind, frame.payload)
         if payload is not None:
-            type_byte |= PACKED_FLAG
+            type_byte = kind | PACKED_FLAG
     if payload is None:
         payload = json.dumps(
             frame.payload, separators=(",", ":"), sort_keys=True
         ).encode("utf-8")
     if len(payload) > MAX_PAYLOAD:
-        raise ProtocolError(
-            f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD ({MAX_PAYLOAD})"
-        )
+        raise _oversized(len(payload))
     header = HEADER.pack(
         MAGIC, WIRE_VERSION, type_byte, int(frame.request_id), len(payload)
     )
@@ -448,11 +518,12 @@ def _parse_header(buffer, offset: int = 0) -> tuple:
     return kind, packed, request_id, length
 
 
-def _parse_payload(kind: MsgType, packed: bool, data) -> dict:
+def _parse_payload(kind: MsgType, packed: bool, buffer, start: int, end: int) -> dict:
+    """The payload at ``buffer[start:end]``; a packed one is read in place."""
     if packed:
-        return unpack_payload(kind, data)
+        return unpack_payload(kind, buffer, start, end)
     try:
-        payload = json.loads(bytes(data).decode("utf-8"))
+        payload = json.loads(str(buffer[start:end], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"malformed frame payload: {exc}") from None
     if not isinstance(payload, dict):
@@ -477,7 +548,7 @@ def decode_frame(buffer: bytes) -> Frame:
         )
     if len(buffer) > end:
         raise ProtocolError(f"{len(buffer) - end} trailing bytes after frame")
-    return Frame(kind, request_id, _parse_payload(kind, packed, buffer[HEADER.size:end]))
+    return Frame(kind, request_id, _parse_payload(kind, packed, buffer, HEADER.size, end))
 
 
 def roundtrip_payload(kind: MsgType, payload: dict, packed: bool = False) -> dict:
@@ -489,15 +560,20 @@ def roundtrip_payload(kind: MsgType, payload: dict, packed: bool = False) -> dic
     header it would immediately re-parse.  Matches
     ``decode_frame(encode_frame(frame, packed)).payload`` for every
     payload, by construction: the same pack/unpack (or JSON) pair
-    runs, only the header round trip is skipped.
+    runs, only the header round trip is skipped.  It refuses what
+    :func:`encode_frame` refuses, with the same exception: a payload
+    JSON cannot carry, or one over :data:`MAX_PAYLOAD`.
     """
     if packed:
         data = pack_payload(kind, payload)
         if data is not None:
+            if len(data) > MAX_PAYLOAD:
+                raise _oversized(len(data))
             return unpack_payload(kind, data)
-    return json.loads(
-        json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    )
+    text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    if len(text) > MAX_PAYLOAD:  # ensure_ascii: one byte a character
+        raise _oversized(len(text))
+    return json.loads(text)
 
 
 class FrameDecoder:
@@ -513,9 +589,10 @@ class FrameDecoder:
     raises :class:`ProtocolError`.
 
     Parsing walks the buffer by offset (``unpack_from`` on the
-    bytearray, one payload-sized copy per frame) and compacts the
-    buffer once per feed, so N coalesced frames cost O(total bytes) --
-    not the O(bytes^2) a per-frame full-buffer copy would.
+    bytearray; a packed payload is read in place, a JSON one copied
+    once to decode it) and compacts the buffer once per feed, so N
+    coalesced frames cost O(total bytes) -- not the O(bytes^2) a
+    per-frame full-buffer copy would.
     """
 
     def __init__(self):
@@ -543,14 +620,13 @@ class FrameDecoder:
                     buffer, offset + prefix
                 )
                 start = offset + head
-                if len(buffer) - start < length:
+                end = start + length
+                if len(buffer) < end:
                     break
-                payload = _parse_payload(
-                    kind, packed, bytes(buffer[start:start + length])
-                )
+                payload = _parse_payload(kind, packed, buffer, start, end)
                 dst = ENVELOPE.unpack_from(buffer, offset)[0]
                 frames.append((dst, Frame(kind, request_id, payload)))
-                offset = start + length
+                offset = end
         except ProtocolError:
             self.poisoned = True
             if not frames:

@@ -11,7 +11,7 @@ from repro.runtime.transport import (
     TransportError,
     make_transport,
 )
-from repro.runtime.wire import Frame, MsgType
+from repro.runtime.wire import MAX_PAYLOAD, Frame, MsgType, ProtocolError
 
 
 def run(coroutine):
@@ -103,6 +103,37 @@ class TestDelivery:
             return [f.payload["i"] for f in inbox.frames]
 
         assert run(scenario()) == list(range(20))
+
+    @pytest.mark.parametrize("encoding", ["json", "packed"])
+    def test_a_frame_the_codec_refuses_is_a_counted_drop(self, kind, encoding):
+        """What ``encode_frame`` refuses -- a payload JSON cannot carry,
+        one over MAX_PAYLOAD -- every transport refuses alike: the
+        sender sees the codec's exception, the frame counts as sent and
+        dropped, and the next frame goes through."""
+        refused = [
+            ({"seq": {1, 2}}, TypeError),
+            ({"blob": "x" * (MAX_PAYLOAD + 1)}, ProtocolError),
+        ]
+
+        async def scenario():
+            transport = make_transport(kind, encoding=encoding)
+            await transport.start()
+            inbox = Collector()
+            await transport.bind("rx", inbox)
+            await transport.bind("tx", Collector())
+            for payload, error in refused:
+                with pytest.raises(error):
+                    await transport.send("tx", "rx", Frame(MsgType.HEARTBEAT, 1, payload))
+            assert await transport.send("tx", "rx", Frame(MsgType.ACK, 2, {"ok": True}))
+            await inbox.wait(1)
+            await transport.close()
+            return transport.counters(), inbox.frames
+
+        counters, frames = run(scenario())
+        assert [frame.payload for frame in frames] == [{"ok": True}]
+        assert counters["sent"] == 3
+        assert counters["dropped"] == 2
+        assert counters["sent"] == counters["delivered"] + counters["dropped"]
 
 
 class TestLatencyShaping:

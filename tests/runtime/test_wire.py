@@ -218,6 +218,34 @@ PACKED_PAYLOADS = [
 ]
 
 
+#: one payload of each of the five packed shapes
+PACKED_SHAPES = {
+    "route": PACKED_PAYLOADS[0],
+    "fused route": PACKED_PAYLOADS[2],
+    "ack": PACKED_PAYLOADS[4],
+    "fused ack": PACKED_PAYLOADS[5],
+    "publish ack": PACKED_PAYLOADS[8],
+}
+
+
+def packed_frame(kind, data: bytes, request_id=1) -> bytes:
+    """A v3 frame carrying ``data`` as its packed payload, as is."""
+    type_byte = int(kind) | PACKED_FLAG
+    return HEADER.pack(MAGIC, WIRE_VERSION, type_byte, request_id, len(data)) + data
+
+
+def feed_one(kind, data: bytes) -> list:
+    """Decode ``data`` in place in a stream buffer, a valid frame
+    right behind it: a reader overrunning the payload finds bytes."""
+    next_frame = Frame(MsgType.ACK, 2, {"owner": 1, "path": [1], "hops": 0})
+    stream = ENVELOPE.pack(0) + packed_frame(kind, data) + enveloped([next_frame], packed=True)
+    return FrameDecoder().feed(stream)
+
+
+#: the two strict readers of a packed payload
+STRICT_DECODES = (unpack_payload, feed_one)
+
+
 class TestPackedEncoding:
     @pytest.mark.parametrize("kind,payload", PACKED_PAYLOADS)
     def test_packed_roundtrip_is_lossless(self, kind, payload):
@@ -308,23 +336,46 @@ class TestPackedEncoding:
             assert not (data[3] & PACKED_FLAG)
 
     def test_wrong_kind_tag_rejected(self):
-        """An ACK payload smuggled under a ROUTE header must not parse."""
-        data = pack_payload(MsgType.ACK, {"owner": 1, "path": [1], "hops": 0})
-        with pytest.raises(ProtocolError, match="does not belong"):
-            unpack_payload(MsgType.ROUTE, data)
+        """A payload smuggled under the other data-plane kind's header
+        must not parse, whatever its shape."""
+        for kind, payload in PACKED_SHAPES.values():
+            other = MsgType.ACK if kind is MsgType.ROUTE else MsgType.ROUTE
+            data = pack_payload(kind, payload)
+            for decode in STRICT_DECODES:
+                with pytest.raises(ProtocolError, match="does not belong"):
+                    decode(other, data)
 
     def test_trailing_bytes_rejected(self):
-        kind, payload = PACKED_PAYLOADS[0]
-        data = pack_payload(kind, payload)
-        with pytest.raises(ProtocolError, match="trailing"):
-            unpack_payload(kind, data + b"\x00")
+        for kind, payload in PACKED_SHAPES.values():
+            data = pack_payload(kind, payload)
+            for decode in STRICT_DECODES:
+                with pytest.raises(ProtocolError, match="trailing"):
+                    decode(kind, data + b"\x00")
 
     def test_truncated_packed_payload_rejected(self):
-        kind, payload = PACKED_PAYLOADS[0]
-        data = pack_payload(kind, payload)
-        for cut in range(len(data)):
-            with pytest.raises(ProtocolError):
-                unpack_payload(kind, data[:cut])
+        """Every cut of every shape is refused; in a stream the bytes
+        behind the cut belong to the next frame and are never read."""
+        for kind, payload in PACKED_SHAPES.values():
+            data = pack_payload(kind, payload)
+            for cut in range(len(data)):
+                for decode in STRICT_DECODES:
+                    with pytest.raises(ProtocolError, match="truncated"):
+                        decode(kind, data[:cut])
+
+    @pytest.mark.parametrize("name", ["route", "fused route"])
+    @pytest.mark.parametrize(
+        "position,value", [(1, 2), (1, 255), (2, 2), (2, 255)],
+        ids=["op-2", "op-255", "fused-2", "fused-255"],
+    )  # fmt: skip
+    def test_bad_op_or_fused_byte_rejected(self, name, position, value):
+        """Byte 1 is the op code (0 route, 1 lookup), byte 2 the fused
+        flag (0 or 1): anything else is refused on both paths."""
+        kind, payload = PACKED_SHAPES[name]
+        data = bytearray(pack_payload(kind, payload))
+        data[position] = value
+        for decode in STRICT_DECODES:
+            with pytest.raises(ProtocolError, match="bad op/fused"):
+                decode(kind, bytes(data))
 
     def test_corrupt_packed_bytes_never_hang(self):
         """Mirror of the JSON fuzz: corruptions decode or raise, promptly."""
@@ -341,6 +392,73 @@ class TestPackedEncoding:
                     decode_frame(bytes(corrupt))
                 except ProtocolError:
                     pass
+
+
+#: ``(kind, request_id, payload, packed, frame hex)``: the exact wire
+#: bytes of each packed shape, plus one payload off every schema
+GOLDEN_FRAMES = [
+    (
+        MsgType.ROUTE, 7,
+        {"point": [0.25, 0.75], "path": [0, 4, 9], "op": "lookup", "src": 3},
+        True,
+        "5257038200000000000000070000002601010000000003023fd00000000000003fe8"
+        "0000000000000003000000000000000400000009",
+    ),
+    (
+        MsgType.ROUTE, 8,
+        {
+            "point": [0.1, 0.9, 0.5], "path": [2, 5], "op": "route", "src": 2,
+            "querier": 6, "level": 2, "cell": [1, -3, 2],
+        },
+        True,
+        "5257038200000000000000080000003c01000100000002033fb999999999999a3fec"
+        "cccccccccccd3fe00000000000000002000000020000000500000006020300000001"
+        "fffffffd00000002",
+    ),
+    (
+        MsgType.ACK, 9, {"owner": 5, "path": [1, 5], "hops": 1}, True,
+        "525703860000000000000009000000110300000005000100020000000100000005",
+    ),
+    (
+        MsgType.ACK, 10,
+        {
+            "owner": 5, "path": [1, 5], "hops": 1,
+            "served_by": None, "widened": 2, "records": [4, 9],
+        },
+        True,
+        "52570386000000000000000a00000020040000000500010002000000010000000504"
+        "0000000000020000000400000009",
+    ),
+    (
+        MsgType.ACK, 11, {"regions": 3, "node_id": 12}, True,
+        "52570386000000000000000b000000070600030000000c",
+    ),
+    (
+        # an int coordinate: off the ROUTE schema, so it rides as JSON
+        MsgType.ROUTE, 12, {"point": [1, 0.5], "path": [1], "op": "route", "src": 1},
+        True,
+        "52570302000000000000000c000000317b226f70223a22726f757465222c2270617468"
+        "223a5b315d2c22706f696e74223a5b312c302e355d2c22737263223a317d",
+    ),
+]  # fmt: skip
+
+
+class TestGoldenFrames:
+    """The wire bytes of every packed shape, pinned: a codec change that
+    moves one byte fails here before it reaches a peer."""
+
+    @pytest.mark.parametrize(
+        "kind,request_id,payload,packed,frame", GOLDEN_FRAMES,
+        ids=["route", "fused route", "ack", "fused ack", "publish ack", "json"],
+    )  # fmt: skip
+    def test_golden_frame(self, kind, request_id, payload, packed, frame):
+        data = bytes.fromhex(frame)
+        assert encode_frame(Frame(kind, request_id, payload), packed) == data
+        decoded = decode_frame(data)
+        assert (decoded.kind, decoded.request_id) == (kind, request_id)
+        assert decoded.payload == payload
+        assert FrameDecoder().feed(ENVELOPE.pack(3) + data) == [(3, decoded)]
+        assert roundtrip_payload(kind, payload, packed) == payload
 
 
 class TestFrameDecoder:
@@ -489,24 +607,35 @@ class TestAnyChunking:
 
 
 class TestLayoutCache:
-    """The per-count compiled-Struct cache behind the packed codec."""
+    """The shape table behind the packed codec: one compiled Struct per
+    shape and length tuple, bounded."""
 
     def test_same_layout_is_compiled_once(self):
-        from repro.runtime.wire import _layout
+        from repro.runtime import wire
 
-        first = _layout("!BBIB5d")
-        assert _layout("!BBIB5d") is first
-        assert isinstance(first, struct.Struct)
+        wire._SHAPES.clear()
+        for kind, payload in PACKED_SHAPES.values():
+            assert roundtrip_payload(kind, payload, packed=True) == payload
+        first = dict(wire._SHAPES)
+        # route, fused route, ack, fused ack; the publish ACK is fixed
+        assert len(first) == 4
+        assert all(isinstance(shape, struct.Struct) for shape in first.values())
+        for kind, payload in 2 * list(PACKED_SHAPES.values()):
+            assert roundtrip_payload(kind, payload, packed=True) == payload
+        assert wire._SHAPES == first  # Struct compares by identity
 
     def test_cache_is_bounded(self):
-        from repro.runtime.wire import _layout
+        from repro.runtime import wire
 
-        _layout.cache_clear()
-        for n in range(600):  # more distinct layouts than the cache holds
-            _layout(f"!{n + 1}d")
-        info = _layout.cache_info()
-        assert info.maxsize == 512
-        assert info.currsize <= 512
+        wire._SHAPES.clear()
+        for n in range(wire.MAX_SHAPES + 88):  # more shapes than it holds
+            payload = {"owner": 1, "path": list(range(n)), "hops": 0}
+            assert roundtrip_payload(MsgType.ACK, payload, packed=True) == payload
+        assert wire.MAX_SHAPES == 512
+        assert len(wire._SHAPES) == wire.MAX_SHAPES
+        # the oldest shapes went first; the newest one is held
+        assert wire._ACK_SHAPE | (wire.MAX_SHAPES + 87) << 3 in wire._SHAPES
+        assert wire._ACK_SHAPE | 0 << 3 not in wire._SHAPES
 
     def test_cached_packers_round_trip_variadic_sizes(self):
         # distinct dims/path lengths hit distinct cached layouts
