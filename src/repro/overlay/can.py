@@ -14,8 +14,9 @@ space; the node whose zone contains a point owns it.
   neighboring node, which then holds multiple zones until merges
   become possible.
 * **Routing** -- greedy geographic forwarding on the torus: each hop
-  moves to the neighbor whose zone is closest to the target point.
-  A visited set guards against ties/cycles (cannot happen in a
+  moves to the neighbor whose zone is closest to the target point
+  (:meth:`CanOverlay.closest_neighbor`, which eCAN's greedy hops
+  share).  A visited set guards against ties/cycles (cannot happen in a
   well-formed CAN, but keeps routing total under any state).
 
 Message accounting: every forwarding hop is charged to the overlay's
@@ -407,14 +408,45 @@ class CanOverlay:
 
     # -- routing -----------------------------------------------------------------
 
+    def closest_neighbor(self, current: CanNode, point, excluded) -> int:
+        """The greedy step: ``current``'s neighbour nearest ``point``.
+
+        Neighbours in ``excluded`` are skipped; of equally near ones the
+        lower id wins, and None means every neighbour is excluded.  A
+        point on a zone boundary is at distance 0 from every zone that
+        touches it, so when the nearest neighbour is at distance 0
+        without containing the point, the neighbour that contains it
+        (if any) goes first: the order is ``(not contains, distance,
+        id)``.  Calling again with the returned id added to
+        ``excluded`` walks that order one neighbour at a time.
+        """
+        nodes = self.nodes
+        torus = self.torus
+        best = node_id = None
+        # a plain loop: a generator fed to min() costs a frame per call
+        for n in current.neighbors:
+            if n in excluded:
+                continue
+            distance = nodes[n].distance_to_point(point, torus)
+            if best is None or distance < best or (distance == best and n < node_id):
+                best = distance
+                node_id = n
+        if best == 0.0 and not nodes[node_id].contains(point):
+            for n in current.neighbors:
+                if n not in excluded and nodes[n].contains(point):
+                    return n
+        return node_id
+
     def route(
         self,
         start_node: int,
         point,
         category: str = "can_route",
     ) -> RouteResult:
-        """Greedy-forward from ``start_node`` to the owner of ``point``;
-        a route that outgrows its hop budget fails."""
+        """Greedy-forward from ``start_node`` to the owner of ``point``
+        by :meth:`closest_neighbor` steps; a route that outgrows its hop
+        budget, or reaches a node whose neighbours are all visited,
+        fails."""
         if start_node not in self.nodes:
             raise KeyError(f"start node {start_node} not present")
         max_hops = 16 * self.dims * max(4, int(len(self.nodes) ** (1.0 / self.dims)) + 2)
@@ -424,19 +456,12 @@ class CanOverlay:
         while not current.contains(point):
             if len(path) > max_hops:
                 return RouteResult(path=path, owner=None, success=False)
-            best = None
-            for neighbor_id in current.neighbors:
-                if neighbor_id in visited:
-                    continue
-                neighbor = self.nodes[neighbor_id]
-                dist = neighbor.distance_to_point(point, self.torus)
-                if best is None or (dist, neighbor_id) < best:
-                    best = (dist, neighbor_id)
-            if best is None:
+            next_id = self.closest_neighbor(current, point, visited)
+            if next_id is None:
                 return RouteResult(path=path, owner=None, success=False)
-            current = self.nodes[best[1]]
-            visited.add(best[1])
-            path.append(best[1])
+            current = self.nodes[next_id]
+            visited.add(next_id)
+            path.append(next_id)
             self._count(category)
         return RouteResult(path=path, owner=current.node_id, success=True)
 

@@ -345,8 +345,8 @@ class EcanOverlay:
 
         Every send attempt is charged under ``category`` (a lost
         message was still transmitted); injected faults are accounted
-        by the injector itself.  Only :meth:`_route_per_hop` sends
-        through here, so the network's injector is armed.
+        by the injector itself.  :meth:`route` sends through here only
+        while the network's injector is armed.
         """
         network = self.network
         telemetry = network.telemetry
@@ -393,9 +393,11 @@ class EcanOverlay:
         name its table slot), else the unvisited CAN neighbor nearest to
         ``point`` with ``level`` None, else ``next_id`` None (stuck).
         ``repaired`` says the expressway slot was repaired on the way.
-        The one copy of the rule: :meth:`next_hop`, the fault-free loop
-        of :meth:`route` and the lossy :meth:`_route_per_hop` all call
-        it, so the live runtime and the simulator cannot drift apart.
+        The one copy of the rule: :meth:`next_hop` and every hop of
+        :meth:`route`, lossy or not, start from it, so the live runtime
+        and the simulator cannot drift apart.  The greedy fallback is
+        :meth:`CanOverlay.closest_neighbor`, the same step plain CAN
+        routing takes.
 
         ``code`` is the destination's
         :func:`~repro.overlay.zone.point_code`, XOR-ed once per
@@ -444,20 +446,7 @@ class EcanOverlay:
                 entry, repaired = self.table_entry(node_id, level, cell)
             if entry is not None and entry not in visited:
                 return entry, level, cell, repaired
-        nodes = self.can.nodes
-        torus = self.can.torus
-        # min() picks the (distance, id) pair a full sort would put
-        # first; on a network that delivers every message it is the
-        # only candidate ever tried
-        best = min(
-            (
-                (nodes[n].distance_to_point(point, torus), n)
-                for n in current.neighbors
-                if n not in visited
-            ),
-            default=None,
-        )
-        return (None if best is None else best[1]), None, None, repaired
+        return self.can.closest_neighbor(current, point, visited), None, None, repaired
 
     def next_hop(self, node_id: int, point, visited=frozenset()) -> tuple:
         """One perfect-network forwarding decision from ``node_id``.
@@ -466,8 +455,8 @@ class EcanOverlay:
         point lies in the node's own zone, ``(id, "expressway")`` for a
         high-order jump, ``(id, "can")`` for a greedy CAN hop, or
         ``(None, "stuck")`` when every neighbor was already visited.
-        The same :meth:`_decide` drives the fault-free loop of
-        :meth:`route` -- the live runtime (:mod:`repro.runtime`)
+        The same :meth:`_decide` starts every hop of :meth:`route` --
+        the live runtime (:mod:`repro.runtime`)
         forwards one wire frame per decision, and the resulting hop
         sequence matches what the synchronous simulator produces for
         the same tessellation.  A point :func:`point_code` refuses
@@ -491,17 +480,19 @@ class EcanOverlay:
     ) -> RouteResult:
         """Prefix-style routing: expressway jumps, then CAN greedy hops.
 
-        On a network that delivers every message (no injector armed)
-        the route is a run of :meth:`_decide` steps whose hops are
-        charged once at the end.  Otherwise each hop is a (possibly
-        lost) message send: a :class:`RetryPolicy` resends with
-        sim-clock backoff, expressway entries that keep failing are
-        skipped (and evicted after :data:`DEAD_ENTRY_THRESHOLD` strikes) in
-        favour of greedy CAN neighbors, and alternative neighbors are
-        tried before the route is declared failed.  Without a policy a
-        single lost hop fails the route -- the fire-and-forget baseline.
-        A point :func:`point_code` refuses raises ValueError before any
-        hop is made.
+        Every hop starts from :meth:`_decide`.  On a network that
+        delivers every message (no injector armed) that decision is the
+        hop, and the hops are charged once at the end.  Otherwise each
+        hop is a (possibly lost) message send through :meth:`_try_hop`,
+        charged per attempt: a :class:`RetryPolicy` resends with
+        sim-clock backoff, a lost expressway hop strikes its entry
+        (evicted after :data:`DEAD_ENTRY_THRESHOLD` strikes) and falls
+        back to greedy CAN neighbours, and unreachable neighbours are
+        skipped, nearest first (:meth:`CanOverlay.closest_neighbor`
+        again with each one excluded), before the route is declared
+        failed.  Without a policy a single lost hop fails the route --
+        the fire-and-forget baseline.  A point :func:`point_code`
+        refuses raises ValueError before any hop is made.
         """
         nodes = self.can.nodes
         if start_node not in nodes:
@@ -509,10 +500,12 @@ class EcanOverlay:
         code = point_code(point, self.can.dims)
         network = self.network
         faults = network.faults if network is not None else None
-        if faults is not None and faults.armed:
-            return self._route_per_hop(start_node, code, point, category, max_hops)
+        lossy = faults is not None and faults.armed
+        degrade = self.retry_policy is not None
+        closest = self.can.closest_neighbor
         path = [start_node]
-        visited = {start_node}
+        # the nodes visited, and (lossy) the ones found unreachable
+        excluded = {start_node}
         result = RouteResult(path=path)
         current = nodes[start_node]
         failures = self._entry_failures
@@ -522,13 +515,30 @@ class EcanOverlay:
                 if len(path) > max_hops and not current.contains(point):
                     result.success = False
                     break
-                decision = self._decide(current, code, point, visited)
+                decision = self._decide(current, code, point, excluded)
                 if decision is None:
                     result.owner = current.node_id
                     break
                 next_id, level, cell, repaired = decision
                 if repaired:
                     result.repairs += 1
+                if lossy and next_id is not None:
+                    # a lost hop strikes its expressway entry; without a
+                    # retry policy it fails the route, with one the
+                    # nearest neighbour not yet tried is tried next
+                    host = current.host
+                    while not self._try_hop(
+                        host, nodes[next_id].host, category, result
+                    ):
+                        if level is not None:
+                            self._record_entry_failure(current.node_id, level, cell)
+                            if degrade:
+                                result.degraded += 1
+                            level = None
+                        excluded.add(next_id)
+                        next_id = closest(current, point, excluded) if degrade else None
+                        if next_id is None:
+                            break
                 if next_id is None:
                     result.success = False
                     break
@@ -539,78 +549,14 @@ class EcanOverlay:
                     if failures:
                         failures.pop((current.node_id, level, cell), None)
                 current = nodes[next_id]
-                visited.add(next_id)
+                excluded.add(next_id)
                 path.append(next_id)
         finally:
-            # every hop made was a message sent, however the route ended
+            # every hop made was a message sent, however the route ended;
+            # a lossy route paid for each attempt as it sent it
             hops = len(path) - 1
-            if hops:
+            if hops and not lossy:
                 self._count(category, hops)
                 if network is not None:
                     network.telemetry.count("hop", hops)
         return result
-
-    def _route_per_hop(
-        self, start_node: int, code, point, category: str, max_hops: int
-    ) -> RouteResult:
-        """:meth:`route` when a hop can be lost (an injector is armed).
-
-        Each hop starts from :meth:`_decide`'s choice.  When that is a
-        greedy CAN hop, or an expressway hop that could not be
-        delivered, the unvisited CAN neighbors are tried nearest first
-        (the order whose head ``_decide`` picked).  ``excluded`` holds
-        the nodes visited and the ones found unreachable.
-        """
-        path = [start_node]
-        excluded = {start_node}
-        result = RouteResult(path=path)
-        nodes = self.can.nodes
-        torus = self.can.torus
-        current = nodes[start_node]
-        degrade = self.retry_policy is not None
-        while True:
-            if len(path) > max_hops and not current.contains(point):
-                result.success = False
-                return result
-            decision = self._decide(current, code, point, excluded)
-            if decision is None:
-                result.owner = current.node_id
-                return result
-            next_id, level, cell, repaired = decision
-            result.repairs += int(repaired)
-            if level is not None:
-                if self._try_hop(current.host, nodes[next_id].host, category, result):
-                    result.expressway_hops += 1
-                    self._entry_failures.pop((current.node_id, level, cell), None)
-                else:
-                    self._record_entry_failure(current.node_id, level, cell)
-                    if not degrade:
-                        result.success = False
-                        return result
-                    excluded.add(next_id)
-                    result.degraded += 1
-                    level = None
-            if level is None:
-                candidates = (
-                    (nodes[n].distance_to_point(point, torus), n)
-                    for n in current.neighbors
-                    if n not in excluded
-                )
-                next_id = None
-                for _, neighbor_id in sorted(candidates):
-                    if self._try_hop(
-                        current.host, nodes[neighbor_id].host, category, result
-                    ):
-                        next_id = neighbor_id
-                        result.can_hops += 1
-                        break
-                    if not degrade:
-                        result.success = False
-                        return result
-                    excluded.add(neighbor_id)
-                if next_id is None:
-                    result.success = False
-                    return result
-            current = nodes[next_id]
-            excluded.add(next_id)
-            path.append(next_id)

@@ -1,23 +1,24 @@
 """Property-based churn: arbitrary op interleavings keep every overlay sound.
 
 One hypothesis-driven harness applies a random sequence of
-join/leave/route operations to each overlay family and asserts the
-family's invariants afterwards.  These are the tests that caught the
-zone-sibling aliasing bug during development; they guard the whole
-membership machinery.
+join/leave/route operations (and, on eCAN, crashes) to each overlay
+family and asserts the family's invariants afterwards.  These are the
+tests that caught the zone-sibling aliasing bug during development;
+they guard the whole membership machinery.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.chord.ring import ChordRing
 from repro.overlay import EcanOverlay
 from repro.pastry.ring import PastryRing
 
-# op encoding: 0/1 join, 2 leave, 3 route
+# op encoding: 0/1 join, 2 leave, 3 route, 4 crash (eCAN only)
 OPS = st.lists(st.integers(min_value=0, max_value=3), min_size=8, max_size=50)
+ECAN_OPS = st.lists(st.integers(min_value=0, max_value=4), min_size=8, max_size=50)
 RELAXED = settings(
     max_examples=20,
     deadline=None,
@@ -25,7 +26,7 @@ RELAXED = settings(
 )
 
 
-def apply_ops(ops, join, leave, route, members, rng):
+def apply_ops(ops, join, leave, route, members, rng, crash=None):
     next_id = 0
     for op in ops:
         population = members()
@@ -34,20 +35,40 @@ def apply_ops(ops, join, leave, route, members, rng):
             next_id += 1
         elif op == 2 and len(population) > 1:
             leave(population[int(rng.integers(0, len(population)))])
+        elif op == 4 and len(population) > 1:
+            crash(population[int(rng.integers(0, len(population)))])
         elif population:
             route(population[int(rng.integers(0, len(population)))])
 
 
+def dyadic_point(rng) -> tuple:
+    """A point ``k / 2**m`` per coordinate: on a zone boundary whenever
+    some zone's side is ``2**-m`` or shorter."""
+    m = int(rng.integers(0, 7))
+    return tuple(float(k) / 2**m for k in rng.integers(0, 2**m, size=2))
+
+
 class TestEcanChurnProperty:
-    @given(OPS)
+    @given(ECAN_OPS)
+    # four leaves strand a route to a point on a zone boundary when
+    # the greedy step ranks by (distance, id) alone
+    @example(ops=[0, 0, 0, 0, 2, 2, 2, 0, 0, 0, 0, 0, 0, 2, 2, 3])
     @RELAXED
     def test_random_ops_keep_invariants(self, ops):
+        """Join, leave, crash (``takeover_dead``) and route in any order;
+        a route op sends every member to one uniform and one dyadic
+        boundary point, and each route is delivered to the member whose
+        zone contains the point."""
         ecan = EcanOverlay(dims=2, rng=np.random.default_rng(3))
         rng = np.random.default_rng(5)
 
-        def route(start):
-            result = ecan.route(start, tuple(rng.random(2)))
-            assert result.success
+        def route(_start):
+            for point in (tuple(rng.random(2)), dyadic_point(rng)):
+                owner = ecan.can._resolve_owner(point)
+                assert ecan.nodes[owner].contains(point)
+                for src in list(ecan.nodes):
+                    result = ecan.route(src, point)
+                    assert result.success and result.owner == owner, (src, point)
 
         apply_ops(
             ops,
@@ -56,6 +77,7 @@ class TestEcanChurnProperty:
             route=route,
             members=lambda: list(ecan.nodes),
             rng=rng,
+            crash=ecan.takeover_dead,
         )
         if len(ecan):
             ecan.can.check_invariants()

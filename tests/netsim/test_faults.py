@@ -219,7 +219,7 @@ class TestEmptyPlanChangesNothing:
     """An armed plan that injects nothing sends a build down the other
     path at every layer -- ``measure_vector_reliably`` for landmark
     vectors, ``probe_many`` for neighbour confirmations, per-probe
-    selection and ``_route_per_hop`` for routes -- and none of it may
+    selection and ``_try_hop`` sends for routes -- and none of it may
     change what the build produces or what it is charged."""
 
     @staticmethod

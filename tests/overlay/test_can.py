@@ -142,6 +142,32 @@ class TestRouting:
             means[dims] = np.mean(samples)
         assert means[4] < means[2]
 
+    def test_a_boundary_point_goes_to_the_neighbour_that_owns_it(self):
+        """``(0.5, 0.5)`` is a corner of four quadrants: it is at distance
+        0 from node 2's neighbours 0 (lower id, not the owner) and 3
+        (the owner); node 4 is a quarter away.  The greedy step takes
+        the owner, and excluding each pick walks the rest by
+        ``(distance, id)``."""
+        can = CanOverlay(dims=2, rng=np.random.default_rng(0))
+        joins = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75), (0.1, 0.9)]
+        for node_id, point in enumerate(joins):
+            can.join(node_id, host=node_id, point=point)
+        can.check_invariants()
+        point = (0.5, 0.5)
+        current = can.nodes[2]
+        assert current.neighbors == {0, 3, 4}
+        distances = {n: can.nodes[n].distance_to_point(point) for n in (0, 3, 4)}
+        assert distances == {0: 0.0, 3: 0.0, 4: 0.25}
+        assert can.owner_of_point(point) == 3 and not can.nodes[0].contains(point)
+
+        excluded = {2}
+        walk = []
+        while (next_id := can.closest_neighbor(current, point, excluded)) is not None:
+            walk.append(next_id)
+            excluded.add(next_id)
+        assert walk == [3, 0, 4]
+        assert can.route(2, point).path == [2, 3]
+
     def test_route_message_accounting(self):
         stats = MessageStats()
         can = build_can(32, stats=stats)

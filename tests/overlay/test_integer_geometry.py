@@ -194,7 +194,7 @@ class TestCodesMatchFloats:
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_route_per_hop_and_next_hop_choose_the_same_hops(
+    def test_route_and_next_hop_choose_the_same_hops_and_deliver(
         self, churned, pools, data
     ):
         ecan = churned.ecan
@@ -215,19 +215,19 @@ class TestCodesMatchFloats:
             kinds.append(kind)
             path.append(next_id)
         assert settled.path == plain.path == per_hop.path == path
-        # greedy forwarding can dead-end on this churned overlay,
-        # whatever the encoding; the three loops must then stop alike
-        owner = brute_owner(ecan.can, point) if kind == "delivered" else None
-        assert plain.owner == per_hop.owner == owner
+        assert kind == "delivered"
+        assert plain.owner == per_hop.owner == brute_owner(ecan.can, point)
         hops = (kinds.count("expressway"), kinds.count("can"))
         assert (plain.expressway_hops, plain.can_hops) == hops
         assert (per_hop.expressway_hops, per_hop.can_hops) == hops
 
 
 class TestChurnedDeadEnd:
-    """Greedy forwarding dead-ends on a churned overlay whose CAN
-    invariants hold: 11 of the 72 members' routes to ``(0.3125, 0.0)``
-    stop short of its owner (node 1, for one, after 9 hops)."""
+    """On this churned overlay ``(0.3125, 0.0)`` lies on a zone boundary,
+    at distance 0 from its owner and from two other neighbours of it.
+    Ranked by ``(distance, id)`` alone, 11 of the 72 members' routes
+    stopped short of the owner (node 1, for one, after 9 hops); the
+    greedy step now ranks the neighbour that contains the point first."""
 
     POINT = (0.3125, 0.0)
 
@@ -235,11 +235,6 @@ class TestChurnedDeadEnd:
         churned.ecan.can.check_invariants()
         assert len(churned.node_ids) == 72
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="greedy forwarding dead-ends after churn (ROADMAP item 3)",
-    )
     def test_every_member_reaches_the_owner(self, tiny_topology):
         # a fresh overlay: the module's is repaired by the routes above
         overlay = build_churned(tiny_topology)
