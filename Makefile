@@ -51,7 +51,10 @@ perf-smoke:
 # the bound table of every end-to-end metric: the whole no-regression
 # check in one command (~45 min at 10 pairs for all seven).  FIRST_SEED
 # moves the seeds (FIRST_SEED..FIRST_SEED+PAIRS-1), so a claim can be
-# re-checked on seeds not used while the change was written.
+# re-checked on seeds not used while the change was written.  Exit
+# status: 0 gain shown and nothing worse, 1 some end-to-end metric worse
+# than its bound, 3 nothing worse but no gain shown (the answer of a
+# check that claims nothing), 2 a run failed.
 #   make perf-pairs BASE=HEAD~1 WORKLOAD=live_map_mixed METRIC=cpu_us_per_op
 #   make perf-pairs BASE=HEAD~1 WORKLOAD=sim_route ALSO=all
 BASE ?= HEAD~1

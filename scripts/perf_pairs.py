@@ -19,9 +19,9 @@ by more than the parent's own interquartile range**.
 
 The last line ``run.py`` prints carries every end-to-end metric, so
 the same pairs also answer the other half of a claim: after the
-verdict on ``--metric`` it lists the remaining end-to-end metrics of
-that workload (both medians, their ratio, the bound ``BENCHMARK.json``
-fixes) as ``within bound`` or ``WORSE``.
+verdict on ``--metric`` it lists every end-to-end metric of that
+workload, ``--metric`` included (both medians, their ratio, the bound
+``BENCHMARK.json`` fixes), as ``within bound`` or ``WORSE``.
 
 ``--also W`` (repeatable; ``--also all`` for every other declared
 workload) makes the same command the whole no-regression check: each
@@ -37,9 +37,14 @@ change was written: ``--first-seed 101`` runs seeds 101..100+N.
 
 It reads only ``BENCHMARK.json`` (the workload names, each metric's
 direction and bound) and that last line; it imports nothing from and
-writes nothing under ``benchmarks/perf/``.  Exit status: 0 gain shown
-and nothing on any workload worse than its bound, 1 otherwise, 2 a
-run failed or answered incorrectly.
+writes nothing under ``benchmarks/perf/``.  Exit status:
+
+* 0 -- the gain is shown and nothing on any workload is worse than its
+  bound;
+* 1 -- some end-to-end metric of some workload is worse than its bound;
+* 2 -- a run failed or answered incorrectly;
+* 3 -- nothing is worse than its bound, but the gain is not shown (the
+  whole answer of a no-regression check that claims nothing).
 """
 
 from __future__ import annotations
@@ -228,17 +233,15 @@ def print_verdict(base: list, change: list, better: str) -> dict:
     return verdict
 
 
-def print_bounds(workload: str, base: list, change: list, skip=None) -> list:
-    """The bound table of ``workload``'s end-to-end metrics (all but
-    ``skip``); returns the names of those worse than their bound."""
+def print_bounds(workload: str, base: list, change: list) -> list:
+    """The bound table of ``workload``'s end-to-end metrics; returns the
+    names of those worse than their bound."""
     print(f"# end-to-end metrics of {workload} against their bounds, same pairs")
     print("| metric | base median | change median | change/base | bound | |")
     print("|---|---|---|---|---|---|")
     worse = []
     for entry in declared_metrics():
         name = entry["name"]
-        if name == skip:
-            continue
         check = bound_check(
             column(base, name), column(change, name), entry["better"], entry["bound"]
         )
@@ -286,7 +289,7 @@ def main() -> int:
         )
         worse += [
             f"{args.workload}/{name}"
-            for name in print_bounds(args.workload, base, change, skip=args.metric)
+            for name in print_bounds(args.workload, base, change)
         ]
         for workload in also:
             base, change = run_pairs(
@@ -297,7 +300,8 @@ def main() -> int:
             ]
     if worse:
         print("worse than its bound:", ", ".join(worse))
-    return 0 if verdict["gain_shown"] and not worse else 1
+        return 1
+    return 0 if verdict["gain_shown"] else 3
 
 
 if __name__ == "__main__":

@@ -30,7 +30,13 @@ import numpy as np
 
 from repro.overlay.can import CanOverlay
 from repro.overlay.routing import NeighborPolicy, RandomNeighborPolicy, RouteResult
-from repro.overlay.zone import CODE_BITS, cell_center, point_code, sibling_cells
+from repro.overlay.zone import (
+    CODE_BITS,
+    cell_center,
+    cell_zone,
+    point_code,
+    sibling_cells,
+)
 
 #: hard cap on indexed quadtree depth; 2^24 cells per side is far beyond
 #: any overlay size this simulator will see.
@@ -323,16 +329,8 @@ class EcanOverlay:
         node = self.can.nodes.get(entry)
         if node is None:
             return False
-        side = 1.0 / (1 << level)
-        lo = [c * side for c in cell]
-        hi = [(c + 1) * side for c in cell]
-        for zone in node.zones:
-            if all(
-                zl < h and l < zh
-                for zl, zh, l, h in zip(zone.lo, zone.hi, lo, hi)
-            ):
-                return True
-        return False
+        box = cell_zone(cell, level)
+        return any(zone.overlaps(box) for zone in node.zones)
 
     def table_of(self, node_id: int) -> dict:
         """Read-only view of a node's high-order table (level -> cell -> id)."""

@@ -83,6 +83,16 @@ class Zone:
                 return False
         return True
 
+    def overlaps(self, other: "Zone") -> bool:
+        """Half-open box intersection: the boxes share a point.
+
+        Boxes that only touch along a boundary do not overlap.
+        """
+        for a_lo, a_hi, b_lo, b_hi in zip(self.lo, self.hi, other.lo, other.hi):
+            if not (a_lo < b_hi and b_lo < a_hi):
+                return False
+        return True
+
     # -- splitting / merging ----------------------------------------------
 
     def split(self) -> tuple:

@@ -128,3 +128,54 @@ def test_first_seed_moves_the_seeds_and_keeps_the_alternation(pairs, monkeypatch
     ]
     assert [run["cpu_us_per_op"] for run in base] == [101.0, 102.0, 103.0]
     assert [run["cpu_us_per_op"] for run in change] == [101.0, 102.0, 103.0]
+
+
+def fake_main(pairs, monkeypatch, change_of, argv=()) -> int:
+    """``main`` on canned pairs: every declared metric reads ``BASE`` on
+    the base side and ``change_of(workload, metric, value)`` on the
+    change side; nothing is exported or run."""
+    names = [entry["name"] for entry in pairs.declared_metrics()]
+
+    def run_pairs(base_tree, workload, metric, count, first_seed):
+        base = [{name: value for name in names} for value in BASE[:count]]
+        change = [
+            {name: change_of(workload, name, value) for name in names}
+            for value in BASE[:count]
+        ]
+        return base, change
+
+    monkeypatch.setattr(pairs, "export_base", lambda rev, target: None)
+    monkeypatch.setattr(pairs, "run_pairs", run_pairs)
+    monkeypatch.setattr(
+        "sys.argv",
+        ["perf_pairs.py", "--base", "HEAD~1", "--workload", "sim_route",
+         "--metric", "cpu_us_per_op", *argv],
+    )
+    return pairs.main()
+
+
+@pytest.mark.parametrize(
+    ("case", "change_of", "status"),
+    [
+        ("gain shown, nothing worse",
+         lambda w, m, v: v - 15.0 if m == "cpu_us_per_op" else v, 0),
+        ("gain shown, another workload worse",
+         lambda w, m, v: v - 15.0 if m == "cpu_us_per_op"
+         else v * 1.3 if (w, m) == ("sim_build", "p50_ms") else v, 1),
+        ("the claimed metric itself worse than its bound",
+         lambda w, m, v: v * 1.3 if m == "cpu_us_per_op" else v, 1),
+        ("nothing worse, gain not shown", lambda w, m, v: v, 3),
+        ("nothing worse, gain inside the parent's spread",
+         lambda w, m, v: v - 0.5 if m == "cpu_us_per_op" else v, 3),
+    ],
+)
+def test_exit_status_separates_regression_from_no_gain(
+    pairs, monkeypatch, capsys, case, change_of, status
+):
+    assert fake_main(
+        pairs, monkeypatch, change_of, ["--also", "sim_build"]
+    ) == status, case
+    out = capsys.readouterr().out
+    # the claimed metric has its own bound row on the claimed workload
+    assert out.count("| cpu_us_per_op |") == 2
+    assert ("worse than its bound:" in out) == (status == 1)

@@ -1,4 +1,6 @@
-"""Zone arithmetic: splits, siblings, adjacency, cells."""
+"""Zone arithmetic: splits, siblings, adjacency, overlap, cells."""
+
+import math
 
 import numpy as np
 import pytest
@@ -116,6 +118,32 @@ class TestNeighbors:
     def test_same_zone_not_neighbor(self):
         zone = Zone.root(2)
         assert not zone.is_neighbor(zone)
+
+
+class TestOverlaps:
+    def test_shared_boundary_is_no_overlap_one_ulp_across_is(self):
+        """Half-open boxes: touching at ``0.5`` shares no point; moving the
+        lower box's upper bound one ulp past it (or the upper box's lower
+        bound one ulp before it) does, in either argument order."""
+        lower, upper = Zone.root(2).split()  # [0, .5) and [.5, 1) on dim 0
+        assert not lower.overlaps(upper) and not upper.overlaps(lower)
+        past = Zone(lower.lo, (math.nextafter(0.5, 1.0), 1.0), lower.depth)
+        before = Zone((math.nextafter(0.5, 0.0), 0.0), upper.hi, upper.depth)
+        short = Zone(lower.lo, (math.nextafter(0.5, 0.0), 1.0), lower.depth)
+        for a, b in ((past, upper), (lower, before)):
+            assert a.overlaps(b) and b.overlaps(a)
+        assert not short.overlaps(upper) and not upper.overlaps(short)
+
+    def test_every_dimension_must_overlap(self):
+        a = Zone(lo=(0.0, 0.0), hi=(0.5, 0.5), depth=2)
+        assert a.overlaps(a) and a.overlaps(Zone.root(2))
+        assert not a.overlaps(Zone(lo=(0.25, 0.5), hi=(0.5, 1.0), depth=3))
+
+    @given(zones(max_depth=6), zones(max_depth=6))
+    @settings(max_examples=60, deadline=None)
+    def test_dyadic_boxes_overlap_iff_one_contains_the_other(self, a, b):
+        nested = a.contains(b.center()) or b.contains(a.center())
+        assert a.overlaps(b) == nested == b.overlaps(a)
 
 
 class TestDistance:

@@ -2,7 +2,8 @@
 
 A view is a per-``(owner, region)`` copy of what the reverse index
 already says (records in ``seq`` order plus their stacked landmark
-matrix), so it may never answer differently from a fresh collection.
+matrix) and of the orders that matrix served each querier vector, so
+it may never answer differently from a fresh collection and ranking.
 After every kind of store mutation ``check_owner_index`` (the
 legitimacy predicate's store half) is the oracle: it re-resolves each
 attribution against the live tessellation and re-derives every live
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.softstate.store as store_module
 from repro.core import OverlayParams, TopologyAwareOverlay
 from repro.core.recovery import check_invariants
 from repro.core.soak import inject_corruption
@@ -139,10 +141,117 @@ class TestViewsFollowEveryMutator:
     def test_a_tampered_view_fails_the_predicate(self, viewed):
         region = Region(1, (0, 0))
         viewed.store.lookup(viewed.node_ids[0], region, charge=False)
-        key, (records, matrix) = next(iter(viewed.store._views.items()))
-        viewed.store._views[key] = (records[::-1] + records[:1], matrix)
+        key, (records, matrix, orders) = next(iter(viewed.store._views.items()))
+        viewed.store._views[key] = (records[::-1] + records[:1], matrix, orders)
         with pytest.raises(AssertionError, match="shard view"):
             viewed.store.check_owner_index()
+
+    def test_a_forged_remembered_order_fails_the_predicate(self, viewed):
+        store = viewed.store
+        querier = viewed.node_ids[0]
+        for region in regions(viewed):
+            store.lookup(querier, region, charge=False)
+        orders = next(
+            orders
+            for records, _, orders in store._views.values()
+            if len(records) >= 3 and orders
+        )
+        key, (vector, top) = next(iter(orders.items()))
+        store.check_owner_index()
+        orders[key] = (vector, top[1::-1] + top[2:])
+        with pytest.raises(AssertionError, match="shard view"):
+            check_invariants(viewed)
+
+
+def reference_order(store, served_by, region, querier_id, vector, limit):
+    """A fresh ranking of the served shard, by the norm itself."""
+    shard = store._collect_shard(served_by, region)
+    matrix = np.array([r.vector() for r in shard])
+    order = np.argsort(np.linalg.norm(matrix - vector, axis=1), kind="stable")
+    return [shard[i] for i in order if shard[i].node_id != querier_id][:limit]
+
+
+class TestRememberedOrders:
+    def test_rank_runs_once_per_querier_and_matrix(self, viewed, monkeypatch):
+        """First read ranks, a repeat does not; a refresh (same vector,
+        same row) keeps the order; a first insert (a new row) re-ranks."""
+        store = viewed.store
+        ranked = []
+        rank = store_module._rank
+
+        def spy(matrix, vector, limit):
+            ranked.append(limit)
+            return rank(matrix, vector, limit)
+
+        monkeypatch.setattr(store_module, "_rank", spy)
+        querier = viewed.node_ids[0]
+        for region in regions(viewed):
+            served_by = store.lookup(querier, region, charge=False).served_by
+            view = store._views.get((served_by, region))  # None: it widened
+            if view is not None and len(view[0]) >= 3:
+                break
+        records = view[0]
+        ranked.clear()
+        first = store.lookup(querier, region, charge=False)
+        again = store.lookup(querier, region, charge=False)
+        assert ranked == [] and again.records == first.records
+
+        viewed.network.clock.advance(10.0)
+        for record in [*records, store.registry[querier]]:
+            store.publish(record.node_id)
+        refreshed = store.lookup(querier, region, charge=False)
+        assert ranked == []
+        assert [r.node_id for r in refreshed.records] == [
+            r.node_id for r in first.records
+        ]
+        for record in refreshed.records:
+            assert record is store.maps[region][record.node_id].record
+            assert record.published_at == viewed.network.clock.now
+
+        mover = next(r for r in records if r.node_id != querier)
+        store.withdraw(mover.node_id)
+        store.lookup(querier, region, charge=False)
+        assert ranked == [store_module.MAX_RESULTS + 1]
+        rows = len(store._views[(served_by, region)][1])
+        store.register_identity(mover.node_id, mover.host, mover.landmark_vector)
+        store.publish(mover.node_id)
+        records, matrix, orders = store._views[(served_by, region)]
+        assert len(matrix) == rows + 1 and records[-1].node_id == mover.node_id
+        assert orders == {}
+        result = store.lookup(querier, region, charge=False)
+        assert ranked == [store_module.MAX_RESULTS + 1] * 2
+        assert result.records == reference_order(
+            store, served_by, region, querier,
+            store.registry[querier].vector(), store_module.MAX_RESULTS,
+        )
+        store.check_owner_index()
+
+    def test_a_reregistered_querier_is_ranked_afresh(self, viewed):
+        """A new vector under the same id (same index prefix, so the same
+        landmark number and serving node) is never served the old order."""
+        store = viewed.store
+        prefix = store.space.index_dims
+        for querier, region in itertools.product(viewed.node_ids, regions(viewed)):
+            old = store.registry[querier]
+            first = store.lookup(querier, region, charge=False)
+            if first.widened or len(first.records) < 2:
+                continue
+            far = first.records[-1].landmark_vector
+            vector = old.landmark_vector[:prefix] + far[prefix:]
+            fresh = reference_order(
+                store, first.served_by, region, querier,
+                np.asarray(vector), store_module.MAX_RESULTS,
+            )
+            if fresh == first.records:
+                continue
+            renewed = store.register_identity(querier, old.host, vector)
+            assert renewed.landmark_number == old.landmark_number
+            again = store.lookup(querier, region, charge=False)
+            assert again.served_by == first.served_by
+            assert again.records == fresh
+            store.check_owner_index()
+            return
+        pytest.fail("no tail change reordered any read")
 
 
 class TestEdges:
@@ -205,15 +314,19 @@ STEPS = (
 
 def assert_caches_rederive(overlay) -> None:
     """Every cached shard view equals a fresh ``_collect_shard`` (records
-    by identity and order, matrix by value), every owner-memo entry a
-    fresh ``_resolve_owner``, and the whole legitimacy predicate holds."""
+    by identity and order, matrix by value, each remembered order by a
+    fresh norm ranking), every owner-memo entry a fresh ``_resolve_owner``,
+    and the whole legitimacy predicate holds."""
     check_invariants(overlay)
     store = overlay.store
-    for (owner, region), (records, matrix) in store._views.items():
+    for (owner, region), (records, matrix, orders) in store._views.items():
         fresh = store._collect_shard(owner, region)
         assert len(records) == len(fresh)
         assert all(a is b for a, b in zip(records, fresh)), (owner, region)
         assert np.array_equal(matrix, np.array([r.vector() for r in fresh]))
+        for (_, max_results), (vector, top) in orders.items():
+            order = np.argsort(np.linalg.norm(matrix - vector, axis=1), kind="stable")
+            assert top == order[: max_results + 1].tolist(), (owner, region)
     can = overlay.ecan.can
     for point, owner in can._owner_memo.items():
         assert owner == can._resolve_owner(point), point
@@ -282,6 +395,7 @@ class TestCachesFollowAnySequence:
             querier = [n for n in overlay.node_ids if n in store.registry][0]
             for region in regions(overlay):
                 store.lookup(querier, region)
+                store.lookup(querier, region, max_results=4)
             if step == "lookup":
                 overlay.ecan.route(member, overlay.ecan.can.random_point())
             assert_caches_rederive(overlay)
