@@ -298,7 +298,7 @@ class CanOverlay:
         takers = set()
         for zone in list(node.zones):
             self._unindex_zone(zone)
-            taker = self._takeover_target(zone, exclude=exclude)
+            taker = self._takeover_target(zone, exclude)
             taker_node = self.nodes[taker]
             taker_node.zones.append(zone)
             self._index_zone(zone, taker)
@@ -314,18 +314,14 @@ class CanOverlay:
             self._notify("zone_change", taker)
         return takers
 
-    def _takeover_target(self, zone: Zone, exclude) -> int:
+    def _takeover_target(self, zone: Zone, excluded: set) -> int:
         """Pick the node to absorb ``zone``: sibling owner, else the
         smallest-volume neighboring node, else (mass-crash fallback)
         the globally smallest-volume surviving node.
 
-        ``exclude`` is the departing node id, or a collection of ids
-        (the departing node plus any other currently-dead members).
+        ``excluded`` is the set of ids that may not take it: the
+        departing node plus any other currently-dead members.
         """
-        if isinstance(exclude, (set, frozenset, list, tuple)):
-            excluded = {int(e) for e in exclude}
-        else:
-            excluded = {int(exclude)}
         candidates = []
         for other_id, other in self.nodes.items():
             if other_id in excluded:

@@ -292,16 +292,23 @@ class EcanOverlay:
         row[cell] = entry
         return entry, repaired
 
-    def _entry_valid(self, entry: int, level: int, cell) -> bool:
-        # validity is a pure function of the entry node's zones, so its
-        # verdicts are memoised until that node's zone epoch moves
-        epoch = self.can.zone_epoch.get(entry)
-        if epoch is None:
-            return False  # not a member
+    def _verdicts(self, entry: int):
+        """``entry``'s ``{(level, cell) -> valid}`` verdicts, None once
+        its zone epoch moved (a verdict reads only the entry's zones):
+        the routing path's one ``_valid_memo`` read."""
         slot = self._valid_memo.get(entry)
-        if slot is None or slot[0] != epoch:
-            slot = self._valid_memo[entry] = (epoch, {})
-        verdicts = slot[1]
+        if slot is not None and slot[0] == self.can.zone_epoch.get(entry):
+            return slot[1]
+        return None
+
+    def _entry_valid(self, entry: int, level: int, cell) -> bool:
+        verdicts = self._verdicts(entry)
+        if verdicts is None:
+            epoch = self.can.zone_epoch.get(entry)
+            if epoch is None:
+                return False  # not a member
+            verdicts = {}
+            self._valid_memo[entry] = (epoch, verdicts)
         key = (level, cell)
         hit = verdicts.get(key)
         if hit is None:
@@ -315,11 +322,8 @@ class EcanOverlay:
         use), so only current ones are compared; run from the
         stack-wide :func:`repro.core.recovery.check_invariants`.
         """
-        epochs = self.can.zone_epoch
-        for entry, (epoch, verdicts) in self._valid_memo.items():
-            if epochs.get(entry) != epoch:
-                continue
-            for (level, cell), verdict in verdicts.items():
+        for entry in self._valid_memo:
+            for (level, cell), verdict in (self._verdicts(entry) or {}).items():
                 assert verdict == self._entry_valid_uncached(entry, level, cell), (
                     f"validity memo says {verdict} for entry {entry} "
                     f"at level {level} cell {cell}"
@@ -382,20 +386,17 @@ class EcanOverlay:
         else:
             self._entry_failures[key] = failures
 
-    def _decide(self, current, code, point, visited) -> tuple:
+    def decide(self, current, code, point, visited) -> tuple:
         """The forwarding rule: one hop from ``current`` toward ``point``.
 
-        Returns None when ``point`` lies in ``current``'s zones (the
-        route is delivered), else ``(next_id, level, cell, repaired)``:
-        an unvisited expressway representative (``level`` and ``cell``
-        name its table slot), else the unvisited CAN neighbor nearest to
-        ``point`` with ``level`` None, else ``next_id`` None (stuck).
-        ``repaired`` says the expressway slot was repaired on the way.
-        The one copy of the rule: :meth:`next_hop` and every hop of
-        :meth:`route`, lossy or not, start from it, so the live runtime
-        and the simulator cannot drift apart.  The greedy fallback is
-        :meth:`CanOverlay.closest_neighbor`, the same step plain CAN
-        routing takes.
+        Pure: it reads the tables and the validity memo only.  Returns
+        None when ``point`` lies in ``current``'s zones (delivered),
+        else ``(next_id, level, cell, needs_repair)``: the unvisited
+        representative of expressway slot ``(level, cell)``, else the
+        greedy step :meth:`CanOverlay.closest_neighbor` with ``level``
+        None, else ``next_id`` None (stuck).  A slot that is empty,
+        unverified at its entry's zone epoch, or invalid comes back
+        with ``next_id`` None and ``needs_repair`` set instead.
 
         ``code`` is the destination's
         :func:`~repro.overlay.zone.point_code`, XOR-ed once per
@@ -405,10 +406,7 @@ class EcanOverlay:
         tests its other zones).  OR-ed together, their highest set bit
         names the expressway level, the first at which the destination's
         cell differs from the node's own, and the destination's cell
-        there is the code shifted right.  A table entry whose validity
-        verdict is memoised and current is read in place; anything else
-        -- empty slot, stale verdict, invalid entry -- goes through
-        :meth:`table_entry`, which repairs.
+        there is the code shifted right.
         """
         zones = current.zones
         zone = zones[0]
@@ -422,29 +420,38 @@ class EcanOverlay:
         ):
             return None
         level = CODE_BITS + 1 - diff.bit_length()
-        repaired = False
         if level <= zone.max_level:
             shift = CODE_BITS - level
             digits = []
             for c in code:  # a plain loop: a comprehension costs a frame
                 digits.append(c >> shift)
             cell = tuple(digits)
-            node_id = current.node_id
             try:
-                entry = self._tables[node_id][level][cell]
-                epoch, verdicts = self._valid_memo[entry]
+                entry = self._tables[current.node_id][level][cell]
             except KeyError:
-                entry = None
-            else:
-                if epoch != self.can.zone_epoch.get(entry) or not verdicts.get(
-                    (level, cell)
-                ):
-                    entry = None
-            if entry is None:
-                entry, repaired = self.table_entry(node_id, level, cell)
-            if entry is not None and entry not in visited:
-                return entry, level, cell, repaired
-        return self.can.closest_neighbor(current, point, visited), None, None, repaired
+                return None, level, cell, True
+            verdicts = self._verdicts(entry)
+            if verdicts is None or not verdicts.get((level, cell)):
+                return None, level, cell, True
+            if entry not in visited:
+                return entry, level, cell, False
+        return self.can.closest_neighbor(current, point, visited), None, None, False
+
+    def _step(self, current, code, point, visited, result) -> tuple:
+        """:meth:`decide`, then the one :meth:`table_entry` it asks for
+        (a repair counts on ``result`` unless None): routing's only
+        table write.  Deciding again after a repair would find no
+        verdict for the new entry and select twice."""
+        decision = self.decide(current, code, point, visited)
+        if decision is None or not decision[3]:
+            return decision
+        _, level, cell, _ = decision
+        entry, repaired = self.table_entry(current.node_id, level, cell)
+        if repaired and result is not None:
+            result.repairs += 1
+        if entry is None or entry in visited:
+            return self.can.closest_neighbor(current, point, visited), None, None, False
+        return entry, level, cell, False
 
     def next_hop(self, node_id: int, point, visited=frozenset()) -> tuple:
         """One perfect-network forwarding decision from ``node_id``.
@@ -453,15 +460,14 @@ class EcanOverlay:
         point lies in the node's own zone, ``(id, "expressway")`` for a
         high-order jump, ``(id, "can")`` for a greedy CAN hop, or
         ``(None, "stuck")`` when every neighbor was already visited.
-        The same :meth:`_decide` starts every hop of :meth:`route` --
-        the live runtime (:mod:`repro.runtime`)
-        forwards one wire frame per decision, and the resulting hop
-        sequence matches what the synchronous simulator produces for
-        the same tessellation.  A point :func:`point_code` refuses
-        raises ValueError.
+        Every hop of :meth:`route` takes the same :meth:`_step`; the
+        live runtime (:mod:`repro.runtime`) forwards one wire frame per
+        decision, and the resulting hop sequence matches what the
+        synchronous simulator produces for the same tessellation.  A
+        point :func:`point_code` refuses raises ValueError.
         """
         code = point_code(point, self.can.dims)
-        decision = self._decide(self.can.nodes[node_id], code, point, visited)
+        decision = self._step(self.can.nodes[node_id], code, point, visited, None)
         if decision is None:
             return None, "delivered"
         next_id, level, _, _ = decision
@@ -478,7 +484,7 @@ class EcanOverlay:
     ) -> RouteResult:
         """Prefix-style routing: expressway jumps, then CAN greedy hops.
 
-        Every hop starts from :meth:`_decide`.  On a network that
+        Every hop starts from :meth:`_step`.  On a network that
         delivers every message (no injector armed) that decision is the
         hop, and the hops are charged once at the end.  Otherwise each
         hop is a (possibly lost) message send through :meth:`_try_hop`,
@@ -509,17 +515,15 @@ class EcanOverlay:
         failures = self._entry_failures
         try:
             while True:
-                # the budget is judged before a decision that might repair
+                # the budget is judged before a step that might repair
                 if len(path) > max_hops and not current.contains(point):
                     result.success = False
                     break
-                decision = self._decide(current, code, point, excluded)
+                decision = self._step(current, code, point, excluded, result)
                 if decision is None:
                     result.owner = current.node_id
                     break
-                next_id, level, cell, repaired = decision
-                if repaired:
-                    result.repairs += 1
+                next_id, level, cell, _ = decision
                 if lossy and next_id is not None:
                     # a lost hop strikes its expressway entry; without a
                     # retry policy it fails the route, with one the

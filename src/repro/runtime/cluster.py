@@ -74,7 +74,7 @@ class RoutingView:
         return self.ecan.dims
 
     def next_hop(self, node_id: int, point, visited=None) -> tuple:
-        """One forwarding decision (the fault-free sim ``route`` branch)."""
+        """One forwarding decision: the step of each ``EcanOverlay.route`` hop."""
         return self.ecan.next_hop(node_id, point, visited=visited)
 
     def zone_center(self, node_id: int):

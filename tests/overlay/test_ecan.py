@@ -9,7 +9,7 @@ from repro.overlay import (
     EcanOverlay,
     RandomNeighborPolicy,
 )
-from repro.overlay.zone import cell_zone
+from repro.overlay.zone import cell_center, cell_zone, point_code
 from tests.overlay.test_integer_geometry import float_cell
 
 
@@ -102,6 +102,14 @@ class TestTables:
                 break
         node_id, level, cell, entry = victim
         ecan.leave(entry)
+        # deciding toward the victim's cell names the slot, repairs nothing
+        point = cell_center(cell, level)
+        current = ecan.can.nodes[node_id]
+        before = stats.snapshot()
+        decision = ecan.decide(current, point_code(point, 2), point, {node_id})
+        assert decision == (None, level, cell, True)
+        assert ecan.table_of(node_id)[level][cell] == entry
+        assert stats.snapshot() == before
         new_entry, repaired = ecan.table_entry(node_id, level, cell)
         assert repaired
         assert new_entry is None or new_entry in ecan.can.nodes

@@ -136,7 +136,7 @@ class TestCodesMatchFloats:
         point = draw_point(data, pools)
         current = ecan.can.nodes[node_id]
         level, cell = float_first_difference(current.zone, point)
-        decision = ecan._decide(current, point_code(point, 2), point, ())
+        decision = ecan.decide(current, point_code(point, 2), point, ())
         if current.contains(point):
             # a point inside the node (any of its zones) is delivered
             assert decision is None
@@ -152,13 +152,13 @@ class TestCodesMatchFloats:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_delivered_verdict_is_float_containment(self, churned, pools, data):
-        """``_decide``'s delivered verdict (None) comes from the code XOR
+        """``decide``'s delivered verdict (None) comes from the code XOR
         pass; it must equal ``CanNode.contains`` on zone boundaries, one
         ulp either side of them, and on multi-zone holders."""
         ecan = churned.ecan
         current = ecan.can.nodes[draw_member(data, pools)]
         point = draw_point(data, pools)
-        decision = ecan._decide(current, point_code(point, 2), point, ())
+        decision = ecan.decide(current, point_code(point, 2), point, ())
         assert (decision is None) == current.contains(point)
 
     def test_delivered_verdict_at_every_corner_of_every_zone(self, churned):
@@ -177,7 +177,7 @@ class TestCodesMatchFloats:
                 for point in itertools.product(*per_dim):
                     if min(point) < 0.0:
                         continue  # below 0.0 is no point
-                    decision = ecan._decide(current, point_code(point, 2), point, ())
+                    decision = ecan.decide(current, point_code(point, 2), point, ())
                     assert (decision is None) == current.contains(point), (
                         current.node_id,
                         point,

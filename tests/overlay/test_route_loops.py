@@ -1,7 +1,7 @@
 """``EcanOverlay.route`` makes one set of decisions, lossy or not.
 
-On a network that delivers everything ``route`` takes ``_decide``'s
-steps and charges the hops once at the end; with an injector armed it
+On a network that delivers everything ``route`` takes ``_step``'s hops
+and charges them once at the end; with an injector armed it
 sends (and charges) each hop through ``_try_hop``.  A lossless network
 must not be able to tell them apart: same path, same repairs, same
 ``MessageStats``, same ``hop`` count.
