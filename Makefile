@@ -54,19 +54,23 @@ perf-smoke:
 # re-checked on seeds not used while the change was written.  Exit
 # status: 0 gain shown and nothing worse, 1 some end-to-end metric worse
 # than its bound, 3 nothing worse but no gain shown (the answer of a
-# check that claims nothing), 2 a run failed.
+# check that claims nothing), 2 a run failed.  LAYERS names per-layer
+# metrics of WORKLOAD to print side by side from one traced run per
+# side on the first seed, after the pairs: where the gain sits.
 #   make perf-pairs BASE=HEAD~1 WORKLOAD=live_map_mixed METRIC=cpu_us_per_op
 #   make perf-pairs BASE=HEAD~1 WORKLOAD=sim_route ALSO=all
+#   make perf-pairs BASE=HEAD~1 WORKLOAD=sim_route LAYERS="ecan.route_us store.self_us_per_op"
 BASE ?= HEAD~1
 WORKLOAD ?= live_lookup_closed
 METRIC ?= cpu_us_per_op
 PAIRS ?= 10
 FIRST_SEED ?= 1
 ALSO ?=
+LAYERS ?=
 perf-pairs:
 	$(PYTHON) scripts/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) \
 		--metric $(METRIC) --pairs $(PAIRS) --first-seed $(FIRST_SEED) \
-		$(foreach w,$(ALSO),--also $(w))
+		$(foreach w,$(ALSO),--also $(w)) $(if $(LAYERS),--layers $(LAYERS))
 
 # The acceptance scenarios, one process, ~15 s (scripts/smoke.py): chaos
 # recovery on three seeds, live-runtime sim parity under both payload

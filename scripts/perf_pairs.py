@@ -35,9 +35,18 @@ Only ``--workload`` gets the gain verdict.
 A claim can be re-checked on seeds that were not used while the
 change was written: ``--first-seed 101`` runs seeds 101..100+N.
 
+``--layers NAME...`` says where a gain sits: after the pairs, one
+``--trace 1`` run per side on the first seed, and the named per-layer
+metrics of ``--workload`` (names ``BENCHMARK.json`` declares under
+``per_layer``) side by side.
+
+    python scripts/perf_pairs.py --base HEAD~1 --workload sim_route \
+        --metric cpu_us_per_op --layers ecan.route_us store.self_us_per_op
+
 It reads only ``BENCHMARK.json`` (the workload names, each metric's
-direction and bound) and that last line; it imports nothing from and
-writes nothing under ``benchmarks/perf/``.  Exit status:
+direction and bound, the per-layer names) and that last line; it
+imports nothing from and writes nothing under ``benchmarks/perf/``.
+Exit status:
 
 * 0 -- the gain is shown and nothing on any workload is worse than its
   bound;
@@ -138,12 +147,13 @@ def export_base(rev: str, target: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
 
 
-def measure(tree: Path, workload: str, seed: int) -> dict:
-    """One run's end-to-end metrics, name -> value."""
+def measure(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One run's metrics, name -> value: the end-to-end ones, or with
+    ``trace`` 1 the per-layer ones."""
     done = subprocess.run(
         [
             sys.executable, "benchmarks/perf/run.py",
-            "--workload", workload, "--seed", str(seed), "--trace", "0",
+            "--workload", workload, "--seed", str(seed), "--trace", str(trace),
         ],
         cwd=tree, capture_output=True, text=True,
     )
@@ -162,6 +172,33 @@ def measure(tree: Path, workload: str, seed: int) -> dict:
     return {
         name: float(entry["value"]) for name, entry in outcome["metrics"].items()
     }
+
+
+def declared_layers(names: list) -> list:
+    """``names``, each checked to be a per-layer metric ``BENCHMARK.json``
+    declares."""
+    with open(ROOT / "BENCHMARK.json") as handle:
+        declared = [entry["name"] for entry in json.load(handle)["per_layer"]]
+    unknown = [name for name in names if name not in declared]
+    if unknown:
+        sys.exit(f"perf_pairs: {', '.join(unknown)} not a per-layer metric")
+    return names
+
+
+def print_layers(base_tree: Path, workload: str, seed: int, names: list) -> None:
+    """One traced run per side on ``seed``; the named per-layer metrics
+    of both, side by side."""
+    runs = {
+        side: measure(tree, workload, seed, trace=1)
+        for side, tree in (("base", base_tree), ("change", ROOT))
+    }
+    print(f"# per-layer metrics of {workload}, one traced run per side, seed {seed}")
+    print("| metric | base | change | change/base |")
+    print("|---|---|---|---|")
+    for name in names:
+        base, change = runs["base"][name], runs["change"][name]
+        ratio = f"{change / base:.3f}" if base else "-"
+        print(f"| {name} | {base:.6g} | {change:.6g} | {ratio} |")
 
 
 def declared_workloads() -> list:
@@ -266,6 +303,11 @@ def main() -> int:
         help="seed of the first pair (default 1); the pairs run N, N+1, ...",
     )
     parser.add_argument(
+        "--layers", nargs="+", default=[], metavar="NAME",
+        help="per-layer metrics of --workload to print from one traced run "
+        "per side on the first seed, after the pairs",
+    )
+    parser.add_argument(
         "--also", action="append", default=[], metavar="W",
         help="one more workload held to its bounds (repeatable); 'all' for "
         "every other declared workload",
@@ -273,6 +315,7 @@ def main() -> int:
     args = parser.parse_args()
     better = direction_of(args.metric)
     also = expand_also(args.also, args.workload)
+    layers = declared_layers(args.layers)
     worse = []
     with tempfile.TemporaryDirectory(prefix="perf_pairs_") as scratch:
         base_tree = Path(scratch)
@@ -291,6 +334,8 @@ def main() -> int:
             f"{args.workload}/{name}"
             for name in print_bounds(args.workload, base, change)
         ]
+        if layers:
+            print_layers(base_tree, args.workload, args.first_seed, layers)
         for workload in also:
             base, change = run_pairs(
                 base_tree, workload, args.metric, args.pairs, args.first_seed

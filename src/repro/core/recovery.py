@@ -522,21 +522,12 @@ class RecoveryManager:
         ecan = self.overlay.ecan
         members = ecan.can.nodes
         repaired = 0
-        for node_id in sorted(ecan._tables):
-            if node_id not in members:
+        for node_id, level, cell, entry in sorted(ecan.slots()):
+            if node_id not in members or ecan.entry_valid(entry, level, cell):
                 continue
-            table = ecan._tables[node_id]
-            for level in sorted(table):
-                row = table[level]
-                for cell in sorted(row):
-                    entry = row[cell]
-                    if entry in members and ecan._entry_valid_uncached(
-                        entry, level, cell
-                    ):
-                        continue
-                    if ecan.refresh_entry(node_id, level, cell) is None:
-                        row.pop(cell, None)
-                    repaired += 1
+            if ecan.refresh_entry(node_id, level, cell) is None:
+                ecan.set_entry(node_id, level, cell, None)
+            repaired += 1
         return repaired
 
     def scrub_store(self) -> int:
@@ -598,9 +589,8 @@ def check_invariants(overlay, detector: SwimCore = None) -> dict:
       links are symmetric and adjacent (``Can.check_invariants``);
     * the store's incremental position->owner index agrees with a
       brute-force re-resolution (``SoftStateStore.check_owner_index``);
-    * eCAN's per-cell member lists and validity memo agree with a
-      recount from the live zones (``EcanOverlay.check_member_index``,
-      ``EcanOverlay.check_valid_memo``);
+    * eCAN's per-cell member lists agree with a recount from the live
+      zones (``EcanOverlay.check_member_index``);
     * no member runs on a crashed host;
     * every map record belongs to a live member, sits at its correct
       :func:`~repro.softstate.maps.map_position`, and every copy is
@@ -652,7 +642,6 @@ def check_invariants(overlay, detector: SwimCore = None) -> dict:
     for node_id in store.registry:
         assert node_id in members, f"registry holds dead identity {node_id}"
 
-    overlay.ecan.check_valid_memo()
     overlay.ecan.check_member_index()
     for node_id, table in overlay.ecan._tables.items():
         assert node_id in members, f"expressway table of dead node {node_id}"

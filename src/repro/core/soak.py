@@ -88,20 +88,15 @@ def inject_corruption(overlay, kind: str, rng) -> int:
     store = overlay.store
     if kind == "scramble_tables":
         ecan = overlay.ecan
-        slots = [
-            (node_id, level, cell)
-            for node_id, table in ecan._tables.items()
-            for level, row in table.items()
-            for cell in row
-        ]
+        slots = ecan.slots()
         if not slots:
             return 0
         count = min(len(slots), max(1, int(CORRUPT_FRACTION * len(slots))))
         picks = rng.choice(len(slots), size=count, replace=False)
         ghost = -4096  # ids are non-negative, so never a member
         for index in picks:
-            node_id, level, cell = slots[int(index)]
-            ecan._tables[node_id][level][cell] = ghost
+            node_id, level, cell, _ = slots[int(index)]
+            ecan.set_entry(node_id, level, cell, ghost)
             ghost -= 1
         return count
     # the other two classes pick among the stored map records

@@ -81,20 +81,15 @@ def topology_snapshot(cluster) -> dict:
             }
         )
 
-    expressways = []
-    tables = cluster.overlay.ecan._tables
-    for src in sorted(tables):
-        for level in sorted(tables[src]):
-            row = tables[src][level]
-            for cell in sorted(row):
-                expressways.append(
-                    {
-                        "src": int(src),
-                        "level": int(level),
-                        "cell": [int(c) for c in cell],
-                        "dst": int(row[cell]),
-                    }
-                )
+    expressways = [
+        {
+            "src": int(src),
+            "level": int(level),
+            "cell": [int(c) for c in cell],
+            "dst": int(dst),
+        }
+        for src, level, cell, dst in sorted(cluster.overlay.ecan.slots())
+    ]
 
     by_shard = [0] * config.shards
     for member in members:

@@ -83,11 +83,9 @@ class CanOverlay:
         #: monotonically increasing tessellation version; bumped on every
         #: zone-set mutation
         self.zone_version = 0
-        #: member id -> :attr:`zone_version` at that member's last zone-set
-        #: change.  Stamped in the same statement that bumps the version,
-        #: so a cache keyed on one node's stamp (eCAN's validity memo) can
-        #: never read a verdict older than the zones it was computed from.
-        self.zone_epoch: dict = {}
+        #: depth of the deepest zone, so of all of a point key that a
+        #: routing decision reads (:func:`~repro.overlay.zone.point_key`)
+        self.max_depth = 0
         #: point -> owner memo; a pure function of the tessellation.  Local
         #: data structure only -- resolutions through it are never charged.
         self._owner_memo: dict = {}
@@ -116,6 +114,7 @@ class CanOverlay:
 
     def _index_zone(self, zone: Zone, node_id: int) -> None:
         self._by_depth.setdefault(zone.depth, {})[self._zone_index(zone)] = node_id
+        self.max_depth = max(self.max_depth, zone.depth)
         self._zones_changed(node_id)
 
     def _unindex_zone(self, zone: Zone) -> None:
@@ -125,27 +124,22 @@ class CanOverlay:
             holder = bucket.pop(self._zone_index(zone), None)
             if not bucket:
                 del self._by_depth[zone.depth]
+                self.max_depth = max(self._by_depth, default=0)
         self._zones_changed(holder)
 
     def _zones_changed(self, node_id) -> None:
-        """One zone of ``node_id`` was (un)indexed: new version, new stamp.
+        """One zone of ``node_id`` was (un)indexed: a new version.
 
         A memoised point changes owner only when the zone holding it is
         unindexed, which names its holder here; so dropping that one
         node's memo entries keeps the rest of the memo exact.
         """
         self.zone_version += 1
-        if node_id is not None:
-            self.zone_epoch[node_id] = self.zone_version
-            points = self._memo_points.pop(node_id, None)
-            if points:
-                memo = self._owner_memo
-                for point in points:
-                    del memo[point]
-
-    def _forget(self, node_id: int) -> None:
-        del self.nodes[node_id]
-        self.zone_epoch.pop(node_id, None)
+        points = self._memo_points.pop(node_id, None)
+        if points:
+            memo = self._owner_memo
+            for point in points:
+                del memo[point]
 
     def _notify(self, event: str, node_id: int) -> None:
         for observer in self.observers:
@@ -290,7 +284,7 @@ class CanOverlay:
         if len(self.nodes) == 1:
             for zone in node.zones:
                 self._unindex_zone(zone)
-            self._forget(node_id)
+            del self.nodes[node_id]
             self._notify("leave", node_id)
             return set()
 
@@ -304,7 +298,7 @@ class CanOverlay:
             self._index_zone(zone, taker)
             takers.add(taker)
             self._count(category)
-        self._forget(node_id)
+        del self.nodes[node_id]
 
         for taker in takers:
             self._merge_zones(self.nodes[taker])
@@ -471,9 +465,7 @@ class CanOverlay:
         """Raise AssertionError if the zone set or neighbor sets are broken."""
         volume = self.total_volume()
         assert abs(volume - 1.0) < 1e-9, f"zone volumes sum to {volume}"
-        assert set(self.zone_epoch) == set(self.nodes), (
-            "zone-epoch stamps out of step with the membership"
-        )
+        assert self.max_depth == max(self._by_depth, default=0), "stale max_depth"
         for point, owner in self._owner_memo.items():
             assert owner == self._resolve_owner(point), (
                 f"owner memo says {owner} for {point}"

@@ -17,9 +17,12 @@ proximity-neighbor selection exploits; it is abstracted behind
 :class:`~repro.overlay.routing.NeighborPolicy`, whose slot here is the
 ``(level, cell)`` pair of a sibling zone.
 
-Table entries are validated lazily at use; a dead or stale entry is
-repaired through the policy and charged as a ``table_repair``
-message.
+A table row is keyed by its cells' Z-order indexes
+(:func:`~repro.overlay.zone.interleave`), so the forwarding rule reads
+a slot straight off the destination's key; :meth:`EcanOverlay.table_of`
+and :meth:`EcanOverlay.slots` render them as cells.  Table entries are
+validated lazily at use; a dead or stale entry is repaired through the
+policy and charged as a ``table_repair`` message.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from repro.overlay.routing import NeighborPolicy, RandomNeighborPolicy, RouteRes
 from repro.overlay.zone import (
     CODE_BITS,
     cell_center,
-    cell_zone,
-    point_code,
+    index_cell,
+    interleave,
+    point_key,
     sibling_cells,
 )
 
@@ -68,7 +72,7 @@ class EcanOverlay:
         #: optional RetryPolicy driving per-hop resend + backoff; None
         #: models fire-and-forget forwarding (a lost hop fails the route)
         self.retry_policy = retry_policy
-        #: (node, level, cell) -> consecutive failed delivery attempts
+        #: (node, level, index) -> consecutive failed delivery attempts
         self._entry_failures: dict = {}
         # Neither the default policy nor fallback picks may draw from the
         # join-point stream (can.rng), or two overlays differing only in
@@ -85,13 +89,11 @@ class EcanOverlay:
         # node id -> set of (level, cell) index entries, so a zone change
         # updates the member lists by difference
         self._indexed: dict = {}
-        # node id -> {level -> {sibling cell -> representative node id}}
+        # node id -> {level -> {sibling cell's Z-order index ->
+        # representative node id}}, each row in sibling_cells order
         self._tables: dict = {}
-        # entry node -> (zone epoch the verdicts were computed at,
-        # {(level, cell) -> bool}).  A verdict depends only on the entry
-        # node's own zones, so a slot lives until *that node's* stamp in
-        # ``can.zone_epoch`` moves; everyone else's joins leave it alone.
-        self._valid_memo: dict = {}
+        #: bits of a Z-order key (:func:`~repro.overlay.zone.point_key`)
+        self._key_bits = CODE_BITS * dims
         self.can.observers.append(self._on_can_event)
 
     # -- conveniences ------------------------------------------------------
@@ -119,7 +121,6 @@ class EcanOverlay:
         elif event == "leave":
             self._unindex(node_id)
             self._tables.pop(node_id, None)
-            self._valid_memo.pop(node_id, None)
             for key in [k for k in self._entry_failures if k[0] == node_id]:
                 del self._entry_failures[key]
 
@@ -232,10 +233,10 @@ class EcanOverlay:
         removed = 0
         for node_id, table in self._tables.items():
             for level, row in table.items():
-                doomed = [cell for cell, entry in row.items() if entry == dead_id]
-                for cell in doomed:
-                    del row[cell]
-                    self._entry_failures.pop((node_id, level, cell), None)
+                doomed = [index for index, entry in row.items() if entry == dead_id]
+                for index in doomed:
+                    del row[index]
+                    self._entry_failures.pop((node_id, level, index), None)
                     removed += 1
         if removed:
             self._count("eager_invalidate", removed)
@@ -264,7 +265,7 @@ class EcanOverlay:
             for sibling in sibling_cells(own_cell):
                 entry = self._select(node_id, level, sibling)
                 if entry is not None:
-                    row[sibling] = entry
+                    row[interleave(sibling)] = entry
             table[level] = row
         self._tables[node_id] = table
 
@@ -272,73 +273,76 @@ class EcanOverlay:
         """Re-run the policy for one table slot (used by pub/sub repair)."""
         entry = self._select(node_id, level, cell)
         if entry is not None:
-            self._tables.setdefault(node_id, {}).setdefault(level, {})[cell] = entry
+            self.set_entry(node_id, level, cell, entry)
         return entry
+
+    def set_entry(self, node_id: int, level: int, cell, entry) -> None:
+        """Write ``entry`` into ``node_id``'s slot ``(level, cell)`` as it
+        is, or empty the slot when ``entry`` is None: the one table write
+        that bypasses the policy (a repair's drop, an injected fault)."""
+        row = self._tables.setdefault(node_id, {}).setdefault(level, {})
+        if entry is None:
+            row.pop(interleave(cell), None)
+        else:
+            row[interleave(cell)] = entry
 
     def table_entry(self, node_id: int, level: int, cell):
         """Current representative for ``cell``, repairing lazily if stale."""
-        table = self._tables.setdefault(node_id, {})
-        row = table.setdefault(level, {})
-        entry = row.get(cell)
-        if entry is not None and self._entry_valid(entry, level, cell):
+        index = interleave(cell)
+        row = self._tables.setdefault(node_id, {}).setdefault(level, {})
+        entry = row.get(index)
+        if entry is not None and self._entry_valid(entry, level, index):
             return entry, False
         repaired = entry is not None
         entry = self._select(node_id, level, cell)
         if entry is None:
-            row.pop(cell, None)
+            row.pop(index, None)
             return None, repaired
         if repaired:
             self._count("table_repair")
-        row[cell] = entry
+        row[index] = entry
         return entry, repaired
 
-    def _verdicts(self, entry: int):
-        """``entry``'s ``{(level, cell) -> valid}`` verdicts, None once
-        its zone epoch moved (a verdict reads only the entry's zones):
-        the routing path's one ``_valid_memo`` read."""
-        slot = self._valid_memo.get(entry)
-        if slot is not None and slot[0] == self.can.zone_epoch.get(entry):
-            return slot[1]
-        return None
+    def entry_valid(self, entry: int, level: int, cell) -> bool:
+        """Whether ``entry`` is a member with a zone overlapping the
+        high-order zone ``(level, cell)``, i.e. may represent that slot."""
+        return self._entry_valid(entry, level, interleave(cell))
 
-    def _entry_valid(self, entry: int, level: int, cell) -> bool:
-        verdicts = self._verdicts(entry)
-        if verdicts is None:
-            epoch = self.can.zone_epoch.get(entry)
-            if epoch is None:
-                return False  # not a member
-            verdicts = {}
-            self._valid_memo[entry] = (epoch, verdicts)
-        key = (level, cell)
-        hit = verdicts.get(key)
-        if hit is None:
-            hit = verdicts[key] = self._entry_valid_uncached(entry, level, cell)
-        return hit
-
-    def check_valid_memo(self) -> None:
-        """AssertionError unless every current verdict matches a recount.
-
-        Slots whose epoch has moved are dead weight (replaced at next
-        use), so only current ones are compared; run from the
-        stack-wide :func:`repro.core.recovery.check_invariants`.
-        """
-        for entry in self._valid_memo:
-            for (level, cell), verdict in (self._verdicts(entry) or {}).items():
-                assert verdict == self._entry_valid_uncached(entry, level, cell), (
-                    f"validity memo says {verdict} for entry {entry} "
-                    f"at level {level} cell {cell}"
-                )
-
-    def _entry_valid_uncached(self, entry: int, level: int, cell) -> bool:
+    def _entry_valid(self, entry: int, level: int, index: int) -> bool:
+        """Whether member ``entry`` has a zone overlapping the level-``level``
+        cell of Z-order ``index``: two dyadic boxes overlap exactly when
+        their keys agree on the bits both of them fix."""
         node = self.can.nodes.get(entry)
         if node is None:
             return False
-        box = cell_zone(cell, level)
-        return any(zone.overlaps(box) for zone in node.zones)
+        fixed = level * self.can.dims
+        drop = self._key_bits - fixed
+        for zone in node.zones:
+            unfixed = fixed - zone.depth  # cell bits the zone leaves free
+            if not (zone.key >> drop ^ index) >> (unfixed if unfixed > 0 else 0):
+                return True
+        return False
 
     def table_of(self, node_id: int) -> dict:
-        """Read-only view of a node's high-order table (level -> cell -> id)."""
-        return self._tables.get(node_id, {})
+        """A copy of a node's high-order table as level -> cell -> id,
+        each row in slot order."""
+        dims = self.can.dims
+        return {
+            level: {
+                index_cell(index, level, dims): entry for index, entry in row.items()
+            }
+            for level, row in self._tables.get(node_id, {}).items()
+        }
+
+    def slots(self) -> list:
+        """Every filled slot of every table as ``(node_id, level, cell,
+        entry)``, in table order."""
+        return [
+            (node_id, level, cell, entry)
+            for node_id in self._tables
+            for level, row in self.table_of(node_id).items()
+            for cell, entry in row.items()
+        ]
 
     # -- routing ---------------------------------------------------------------
 
@@ -369,89 +373,86 @@ class EcanOverlay:
                 return True
         return False
 
-    def _record_entry_failure(self, node_id: int, level: int, cell) -> None:
+    def _record_entry_failure(self, node_id: int, level: int, index: int) -> None:
         """One more failed delivery through an expressway entry.
 
         After :data:`DEAD_ENTRY_THRESHOLD` consecutive failures the
         entry is evicted so the next route re-selects through the policy.
         """
-        key = (node_id, level, cell)
+        key = (node_id, level, index)
         failures = self._entry_failures.get(key, 0) + 1
         if failures >= DEAD_ENTRY_THRESHOLD:
             self._entry_failures.pop(key, None)
             row = self._tables.get(node_id, {}).get(level)
             if row is not None:
-                row.pop(cell, None)
+                row.pop(index, None)
             self._count("expressway_dead_skip")
         else:
             self._entry_failures[key] = failures
 
-    def decide(self, current, code, point, visited) -> tuple:
+    def decide(self, current, key, point, visited) -> tuple:
         """The forwarding rule: one hop from ``current`` toward ``point``.
 
-        Pure: it reads the tables and the validity memo only.  Returns
-        None when ``point`` lies in ``current``'s zones (delivered),
-        else ``(next_id, level, cell, needs_repair)``: the unvisited
-        representative of expressway slot ``(level, cell)``, else the
-        greedy step :meth:`CanOverlay.closest_neighbor` with ``level``
-        None, else ``next_id`` None (stuck).  A slot that is empty,
-        unverified at its entry's zone epoch, or invalid comes back
-        with ``next_id`` None and ``needs_repair`` set instead.
+        Pure: it reads the tables and zone keys only.  Returns None when
+        ``point`` lies in ``current``'s zones (delivered), else
+        ``(next_id, level, index, needs_repair)``: the unvisited
+        representative of the expressway slot at ``level`` whose cell
+        has Z-order ``index``, else the greedy step
+        :meth:`CanOverlay.closest_neighbor` with ``level`` None, else
+        ``next_id`` None (stuck).  A slot that is empty or whose entry
+        no longer overlaps its cell comes back with ``next_id`` None and
+        ``needs_repair`` set instead.
 
-        ``code`` is the destination's
-        :func:`~repro.overlay.zone.point_code`, XOR-ed once per
-        dimension with the primary zone's code.  Shifted right by the
-        zone's :attr:`~repro.overlay.zone.Zone.code_shifts`, the XORs
-        say whether the zone contains the point (a multi-zone node then
-        tests its other zones).  OR-ed together, their highest set bit
-        names the expressway level, the first at which the destination's
-        cell differs from the node's own, and the destination's cell
-        there is the code shifted right.
+        ``key`` is the destination's
+        :func:`~repro.overlay.zone.point_key` (exact down to the deepest
+        zone, all this reads), XOR-ed once with the primary zone's
+        :attr:`~repro.overlay.zone.Zone.key`: no set bit
+        among the top ``depth`` means the zone contains the point (a
+        multi-zone node then tests its other zones the same way); the
+        highest set bit names the expressway level, the first at which
+        the destination's cell differs from the node's own; and the
+        destination's cell there is the key's top ``level * dims`` bits.
         """
         zones = current.zones
         zone = zones[0]
-        diff = outside = 0
-        for own, dest, shift in zip(zone.code, code, zone.code_shifts):
-            bits = own ^ dest
-            diff |= bits
-            outside |= bits >> shift
-        if not outside or (
-            len(zones) > 1 and any(z.contains(point) for z in zones[1:])
+        bits = self._key_bits
+        diff = zone.key ^ key
+        if not diff >> (bits - zone.depth) or (
+            len(zones) > 1
+            and any(not (z.key ^ key) >> (bits - z.depth) for z in zones[1:])
         ):
             return None
-        level = CODE_BITS + 1 - diff.bit_length()
+        dims = self.can.dims
+        level = (bits - diff.bit_length()) // dims + 1
         if level <= zone.max_level:
-            shift = CODE_BITS - level
-            digits = []
-            for c in code:  # a plain loop: a comprehension costs a frame
-                digits.append(c >> shift)
-            cell = tuple(digits)
+            index = key >> (bits - level * dims)
             try:
-                entry = self._tables[current.node_id][level][cell]
+                entry = self._tables[current.node_id][level][index]
             except KeyError:
-                return None, level, cell, True
-            verdicts = self._verdicts(entry)
-            if verdicts is None or not verdicts.get((level, cell)):
-                return None, level, cell, True
+                return None, level, index, True
+            if not self._entry_valid(entry, level, index):
+                return None, level, index, True
             if entry not in visited:
-                return entry, level, cell, False
+                return entry, level, index, False
         return self.can.closest_neighbor(current, point, visited), None, None, False
 
-    def _step(self, current, code, point, visited, result) -> tuple:
+    def _step(self, current, key, point, visited, result) -> tuple:
         """:meth:`decide`, then the one :meth:`table_entry` it asks for
         (a repair counts on ``result`` unless None): routing's only
-        table write.  Deciding again after a repair would find no
-        verdict for the new entry and select twice."""
-        decision = self.decide(current, code, point, visited)
+        table write.  Deciding again after a repair would select and
+        charge the slot twice when the policy finds no member."""
+        decision = self.decide(current, key, point, visited)
         if decision is None or not decision[3]:
             return decision
-        _, level, cell, _ = decision
-        entry, repaired = self.table_entry(current.node_id, level, cell)
+        _, level, index, _ = decision
+        entry, repaired = self.table_entry(
+            current.node_id, level, index_cell(index, level, self.can.dims)
+        )
         if repaired and result is not None:
             result.repairs += 1
         if entry is None or entry in visited:
             return self.can.closest_neighbor(current, point, visited), None, None, False
-        return entry, level, cell, False
+        return entry, level, index, False
 
     def next_hop(self, node_id: int, point, visited=frozenset()) -> tuple:
         """One perfect-network forwarding decision from ``node_id``.
@@ -466,8 +467,8 @@ class EcanOverlay:
         synchronous simulator produces for the same tessellation.  A
         point :func:`point_code` refuses raises ValueError.
         """
-        code = point_code(point, self.can.dims)
-        decision = self._step(self.can.nodes[node_id], code, point, visited, None)
+        key = point_key(point, self.can.dims, self.can.max_depth)
+        decision = self._step(self.can.nodes[node_id], key, point, visited, None)
         if decision is None:
             return None, "delivered"
         next_id, level, _, _ = decision
@@ -501,7 +502,7 @@ class EcanOverlay:
         nodes = self.can.nodes
         if start_node not in nodes:
             raise KeyError(f"start node {start_node} not present")
-        code = point_code(point, self.can.dims)
+        key = point_key(point, self.can.dims, self.can.max_depth)
         network = self.network
         faults = network.faults if network is not None else None
         lossy = faults is not None and faults.armed
@@ -519,11 +520,11 @@ class EcanOverlay:
                 if len(path) > max_hops and not current.contains(point):
                     result.success = False
                     break
-                decision = self._step(current, code, point, excluded, result)
+                decision = self._step(current, key, point, excluded, result)
                 if decision is None:
                     result.owner = current.node_id
                     break
-                next_id, level, cell, _ = decision
+                next_id, level, index, _ = decision
                 if lossy and next_id is not None:
                     # a lost hop strikes its expressway entry; without a
                     # retry policy it fails the route, with one the
@@ -533,7 +534,7 @@ class EcanOverlay:
                         host, nodes[next_id].host, category, result
                     ):
                         if level is not None:
-                            self._record_entry_failure(current.node_id, level, cell)
+                            self._record_entry_failure(current.node_id, level, index)
                             if degrade:
                                 result.degraded += 1
                             level = None
@@ -549,7 +550,7 @@ class EcanOverlay:
                 else:
                     result.expressway_hops += 1
                     if failures:
-                        failures.pop((current.node_id, level, cell), None)
+                        failures.pop((current.node_id, level, index), None)
                 current = nodes[next_id]
                 excluded.add(next_id)
                 path.append(next_id)

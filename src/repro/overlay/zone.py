@@ -16,8 +16,14 @@ The router reads the same geometry as integers: a coordinate ``x`` in
 ``[0, 1)`` becomes its *code* ``floor(x * 2^52)`` (:func:`point_code`,
 :attr:`Zone.code`).  Scaling a double by a power of two is exact, so
 the level-``l`` cell index ``floor(x * 2^l)`` is the code shifted
-right by ``52 - l`` for every ``l <= 52``, and the first level at
-which two codes disagree is read off the highest set bit of their XOR.
+right by ``52 - l`` for every ``l <= 52``.  Interleaving the codes'
+bits, dimension 0 first, gives one *Z-order key* (:func:`point_key`,
+:attr:`Zone.key`) in which the splits of a zone at depth ``k`` are
+exactly the top ``k`` bits, and the level-``l`` cell is the top
+``l * d`` bits (its Z-order *index*, :func:`interleave` of the cell;
+:func:`index_cell` reverses it).  So containment, the first level at
+which a point leaves a zone's cells, and the cell there are each one
+XOR and one shift of two keys.
 """
 
 from __future__ import annotations
@@ -212,20 +218,6 @@ class Zone:
         return got
 
     @cached_property
-    def code_shifts(self) -> tuple:
-        """Per dimension, how far a code shifts right to keep only the
-        bits this zone fixes (its splits along that dimension).
-
-        A point lies in the zone exactly when, in every dimension, its
-        code XOR :attr:`code` shifted right by this is zero: the half-open
-        float test of :meth:`contains` read as integers.
-        """
-        splits, extra = divmod(self.depth, self.dims)
-        return tuple(
-            CODE_BITS - splits - (1 if i < extra else 0) for i in range(self.dims)
-        )
-
-    @cached_property
     def code(self) -> tuple:
         """The lower corner as integer codes (see :func:`point_code`).
 
@@ -233,6 +225,17 @@ class Zone:
         once per (immutable) instance, then a plain attribute read.
         """
         return tuple([int(lo * _CODE_SCALE) for lo in self.lo])
+
+    @cached_property
+    def key(self) -> int:
+        """The lower corner as one Z-order key (see :func:`point_key`).
+
+        Its top :attr:`depth` bits are this zone's splits and the rest
+        are zero, so a point key lies in the zone exactly when the two
+        agree on those bits: ``(key ^ point_key) >> (CODE_BITS * dims -
+        depth) == 0``, the half-open float test of :meth:`contains`.
+        """
+        return interleave(self.code)
 
 
 def point_code(point, dims: int) -> tuple:
@@ -251,6 +254,69 @@ def point_code(point, dims: int) -> tuple:
         if len(code) == dims:
             return tuple(code)
     raise ValueError(f"point {point!r} is not {dims} coordinates in [0, 1)")
+
+
+@lru_cache(maxsize=None)
+def _spread(dims: int) -> tuple:
+    """``(table, s1, s2, s3)`` for ``dims``-dimensional keys:
+    ``table[v]`` is the 13-bit ``v`` with its bit ``b`` moved to bit
+    ``b * dims``, and chunk ``j`` of a code lands ``sj`` bits up."""
+    table = [0]
+    for value in range(1, 1 << 13):
+        table.append(table[value >> 1] << dims | (value & 1))
+    step = 13 * dims
+    return tuple(table), step, 2 * step, 3 * step
+
+
+def interleave(codes) -> int:
+    """The Z-order key of per-dimension codes, dimension 0 first.
+
+    Bit ``b`` of ``codes[i]`` (each below ``2^CODE_BITS``) becomes bit
+    ``b * d + d - 1 - i``, so dimension 0 leads every group of ``d`` bits.
+
+    Of a level-``l`` cell this is its Z-order index, the top ``l * d``
+    bits of the key of any point inside it.
+    """
+    table, s1, s2, s3 = _spread(len(codes))
+    key = 0
+    for c in codes:  # four 13-bit chunks hold a CODE_BITS = 52 code
+        key = key << 1 | (
+            table[c >> 39] << s3
+            | table[c >> 26 & 0x1FFF] << s2
+            | table[c >> 13 & 0x1FFF] << s1
+            | table[c & 0x1FFF]
+        )
+    return key
+
+
+def point_key(point, dims: int, depth: int) -> int:
+    """``point``'s Z-order key, exact in at least its top ``depth`` bits.
+
+    It is the point's :func:`point_code` interleaved (the same ValueError
+    for a point that code refuses).  A decision at a zone reads no key
+    bit below the zone's depth, so a router passes the overlay's deepest
+    (``CanOverlay.max_depth``); while that is at most 13 splits per
+    dimension, only the codes' top 13 bits are spread and the rest read 0.
+    """
+    codes = point_code(point, dims)
+    if depth > 13 * dims:
+        return interleave(codes)
+    table = _spread(dims)[0]
+    key = 0
+    for c in codes:
+        key = key << 1 | table[c >> 39]
+    return key << 39 * dims
+
+
+@lru_cache(maxsize=1 << 14)
+def index_cell(index: int, level: int, dims: int) -> tuple:
+    """The level-``level`` cell whose Z-order index is ``index``: the
+    inverse of :func:`interleave` on a cell."""
+    cell = [0] * dims
+    for bit in range(level * dims - 1, -1, -1):
+        i = dims - 1 - bit % dims
+        cell[i] = cell[i] << 1 | (index >> bit & 1)
+    return tuple(cell)
 
 
 def cell_center(cell: tuple, level: int) -> tuple:

@@ -73,7 +73,7 @@ class RoutingView:
     def dims(self) -> int:
         return self.ecan.dims
 
-    def next_hop(self, node_id: int, point, visited=None) -> tuple:
+    def next_hop(self, node_id: int, point, visited=()) -> tuple:
         """One forwarding decision: the step of each ``EcanOverlay.route`` hop."""
         return self.ecan.next_hop(node_id, point, visited=visited)
 

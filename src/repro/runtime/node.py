@@ -49,8 +49,8 @@ register, await the bare reply future, deregister -- one shared sweep
 timer fails the overdue ones.
 
 Routing is hop-by-hop over the wire: each actor makes exactly one
-forwarding decision (:meth:`EcanOverlay.next_hop`, the fault-free
-branch of the simulator's ``route``) and sends the ROUTE frame to the
+forwarding decision (:meth:`EcanOverlay.next_hop`, the step every hop
+of the simulator's ``route`` takes) and sends the ROUTE frame to the
 chosen peer; the final owner replies straight to the origin.  The
 wire therefore carries the same hop sequence the synchronous
 simulator would produce for the same tessellation, which is what the

@@ -179,3 +179,34 @@ def test_exit_status_separates_regression_from_no_gain(
     # the claimed metric has its own bound row on the claimed workload
     assert out.count("| cpu_us_per_op |") == 2
     assert ("worse than its bound:" in out) == (status == 1)
+
+
+def test_layers_print_one_traced_run_per_side_after_the_pairs(
+    pairs, monkeypatch, capsys
+):
+    traced = []
+
+    def measure(tree, workload, seed, trace=0):
+        assert trace == 1, "the pairs themselves are not run here"
+        side = "change" if tree == pairs.ROOT else "base"
+        traced.append((side, workload, seed))
+        scale = 1.0 if side == "base" else 0.5
+        return {"ecan.route_us": 20.0 * scale, "store.self_us_per_op": 8.0}
+
+    monkeypatch.setattr(pairs, "measure", measure)
+    status = fake_main(
+        pairs, monkeypatch, lambda w, m, v: v,
+        ["--first-seed", "7", "--layers", "ecan.route_us", "store.self_us_per_op"],
+    )
+    assert status == 3
+    assert traced == [("base", "sim_route", 7), ("change", "sim_route", 7)]
+    out = capsys.readouterr().out
+    table = out[out.index("# per-layer metrics of sim_route"):]
+    assert "| ecan.route_us | 20 | 10 | 0.500 |" in table
+    assert "| store.self_us_per_op | 8 | 8 | 1.000 |" in table
+
+
+def test_layers_must_be_declared_per_layer_metrics(pairs):
+    assert pairs.declared_layers(["ecan.route_us"]) == ["ecan.route_us"]
+    with pytest.raises(SystemExit):
+        pairs.declared_layers(["cpu_us_per_op"])

@@ -19,6 +19,7 @@ from repro.core.soak import (
 )
 from repro.netsim import ManualLatencyModel, Network
 from repro.netsim.faults import FaultPlan
+from repro.overlay.zone import cell_zone
 
 
 @pytest.fixture()
@@ -78,14 +79,9 @@ class TestArbitraryCorruption:
     @given(data=st.data())
     def test_scrub_and_reconcile_restore_invariants(self, tiny_topology, data):
         overlay = corruptible_overlay(tiny_topology)
-        tables, store = overlay.ecan._tables, overlay.store
-        members = sorted(overlay.ecan.can.nodes)
-        slots = [
-            (node_id, level, cell)
-            for node_id, table in tables.items()
-            for level, row in table.items()
-            for cell in row
-        ]
+        ecan, store = overlay.ecan, overlay.store
+        members = sorted(ecan.can.nodes)
+        slots = [(node_id, level, cell) for node_id, level, cell, _ in ecan.slots()]
         entries = [
             (region, node_id)
             for region, bucket in store.maps.items()
@@ -101,9 +97,9 @@ class TestArbitraryCorruption:
 
         any_entry = st.one_of(st.integers(), st.sampled_from(members))
         for (node_id, level, cell), entry in corrupt(slots, any_entry):
-            tables[node_id][level][cell] = entry
+            ecan.set_entry(node_id, level, cell, entry)
         any_point = st.tuples(
-            *[st.floats(0.0, 1.0, exclude_max=True)] * overlay.ecan.dims
+            *[st.floats(0.0, 1.0, exclude_max=True)] * ecan.dims
         )
         for (region, node_id), position in corrupt(entries, any_point):
             store.maps[region][node_id].position = position
@@ -115,10 +111,8 @@ class TestArbitraryCorruption:
         check_invariants(overlay, overlay.detector)
         # scrub_tables' own promise, beyond the predicate's liveness check
         assert all(
-            overlay.ecan._entry_valid_uncached(entry, level, cell)
-            for table in tables.values()
-            for level, row in table.items()
-            for cell, entry in row.items()
+            any(zone.overlaps(cell_zone(cell, level)) for zone in ecan.nodes[entry].zones)
+            for _, level, cell, entry in ecan.slots()
         )
 
 

@@ -1,7 +1,7 @@
 """Golden values for one seeded build, churn and read sequence.
 
-The caches under the simulator's hot path (validity memo, shard views,
-owner memo, owner index) are only legitimate if they never change what
+The caches under the simulator's hot path (shard views, owner memo,
+owner index) are only legitimate if they never change what
 a run *does*.  ``check_invariants`` re-derives each of them from the
 authoritative state; this file pins them against history: for a fixed
 seed the charged messages, every expressway table, every map (ids and ``seq``),

@@ -9,8 +9,8 @@ from repro.overlay import (
     EcanOverlay,
     RandomNeighborPolicy,
 )
-from repro.overlay.zone import cell_center, cell_zone, point_code
-from tests.overlay.test_integer_geometry import float_cell
+from repro.overlay.zone import cell_center, cell_zone, interleave
+from tests.overlay.test_integer_geometry import float_cell, route_key
 
 
 def build_ecan(n: int, seed: int = 0, stats=None, policy=None, dims: int = 2):
@@ -83,31 +83,21 @@ class TestTables:
         table = ecan.table_of(node_id)
         level, row = next(iter(table.items()))
         cell, entry = next(iter(row.items()))
-        assert ecan._entry_valid(entry, level, cell)
-        assert not ecan._entry_valid(99999, level, cell)
+        assert ecan.entry_valid(entry, level, cell)
+        assert not ecan.entry_valid(99999, level, cell)
 
     def test_table_entry_repairs_dead_entry(self):
         stats = MessageStats()
         ecan = build_ecan(48, stats=stats)
         # find a node whose table references some victim
-        victim = None
-        for node_id, table in ecan._tables.items():
-            for level, row in table.items():
-                for cell, entry in row.items():
-                    victim = (node_id, level, cell, entry)
-                    break
-                if victim:
-                    break
-            if victim:
-                break
-        node_id, level, cell, entry = victim
+        node_id, level, cell, entry = ecan.slots()[0]
         ecan.leave(entry)
         # deciding toward the victim's cell names the slot, repairs nothing
         point = cell_center(cell, level)
         current = ecan.can.nodes[node_id]
         before = stats.snapshot()
-        decision = ecan.decide(current, point_code(point, 2), point, {node_id})
-        assert decision == (None, level, cell, True)
+        decision = ecan.decide(current, route_key(ecan, point), point, {node_id})
+        assert decision == (None, level, interleave(cell), True)
         assert ecan.table_of(node_id)[level][cell] == entry
         assert stats.snapshot() == before
         new_entry, repaired = ecan.table_entry(node_id, level, cell)

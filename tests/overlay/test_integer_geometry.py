@@ -1,9 +1,11 @@
 """Integer geometry equals float geometry.
 
 The router reads zones and destinations as integer codes
-(:func:`repro.overlay.zone.point_code`, :attr:`Zone.code`): the first
-level at which a destination leaves a node's cell is the highest set
-bit of an XOR, and every cell index is a shift.  The float arithmetic
+(:func:`repro.overlay.zone.point_code`, :attr:`Zone.code`) interleaved
+into Z-order keys (:func:`~repro.overlay.zone.point_key`,
+:attr:`Zone.key`): the first level at which a destination leaves a
+node's cell is the highest set bit of an XOR, and every cell index is
+a shift.  The float arithmetic
 those codes replaced lives here as the reference (:func:`float_cell`
 and the scans built on it).  Over a churned overlay that has
 multi-zone holders, with coordinates drawn on, and one ulp either side
@@ -23,7 +25,12 @@ from hypothesis import strategies as st
 from repro.core import OverlayParams, TopologyAwareOverlay
 from repro.netsim import ManualLatencyModel, Network
 from repro.netsim.faults import FaultPlan
-from repro.overlay.zone import CODE_BITS, point_code
+from repro.overlay.zone import CODE_BITS, interleave, point_code, point_key
+
+
+def route_key(ecan, point) -> int:
+    """The key ``route`` and ``next_hop`` hand ``decide``."""
+    return point_key(point, ecan.dims, ecan.can.max_depth)
 
 
 def float_cell(point, level: int) -> tuple:
@@ -136,14 +143,14 @@ class TestCodesMatchFloats:
         point = draw_point(data, pools)
         current = ecan.can.nodes[node_id]
         level, cell = float_first_difference(current.zone, point)
-        decision = ecan.decide(current, point_code(point, 2), point, ())
+        decision = ecan.decide(current, route_key(ecan, point), point, ())
         if current.contains(point):
             # a point inside the node (any of its zones) is delivered
             assert decision is None
             return
-        _, got_level, got_cell, _ = decision
+        _, got_level, got_index, _ = decision
         if got_level is not None:
-            assert (got_level, got_cell) == (level, cell)
+            assert (got_level, got_index) == (level, interleave(cell))
         else:
             # no expressway hop: either no level differs, or the cell
             # that differs has no member other than this node
@@ -152,13 +159,13 @@ class TestCodesMatchFloats:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_delivered_verdict_is_float_containment(self, churned, pools, data):
-        """``decide``'s delivered verdict (None) comes from the code XOR
-        pass; it must equal ``CanNode.contains`` on zone boundaries, one
-        ulp either side of them, and on multi-zone holders."""
+        """``decide``'s delivered verdict (None) comes from the key XOR;
+        it must equal ``CanNode.contains`` on zone boundaries, one ulp
+        either side of them, and on multi-zone holders."""
         ecan = churned.ecan
         current = ecan.can.nodes[draw_member(data, pools)]
         point = draw_point(data, pools)
-        decision = ecan.decide(current, point_code(point, 2), point, ())
+        decision = ecan.decide(current, route_key(ecan, point), point, ())
         assert (decision is None) == current.contains(point)
 
     def test_delivered_verdict_at_every_corner_of_every_zone(self, churned):
@@ -177,7 +184,7 @@ class TestCodesMatchFloats:
                 for point in itertools.product(*per_dim):
                     if min(point) < 0.0:
                         continue  # below 0.0 is no point
-                    decision = ecan.decide(current, point_code(point, 2), point, ())
+                    decision = ecan.decide(current, route_key(ecan, point), point, ())
                     assert (decision is None) == current.contains(point), (
                         current.node_id,
                         point,

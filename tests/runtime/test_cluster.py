@@ -1,6 +1,7 @@
 """Cluster harness: over-the-wire joins, RPCs, and sim parity."""
 
 import asyncio
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from repro.core.config import NetworkParams, OverlayParams
 from repro.core.reliability import RetryPolicy
 from repro.netsim.faults import FaultInjector, FaultPlan
-from repro.runtime import Cluster, ClusterConfig, TransportError
+from repro.overlay import EcanOverlay
+from repro.runtime import Cluster, ClusterConfig, RoutingView, TransportError
 from repro.softstate.maps import Region
 
 
@@ -196,6 +198,21 @@ class TestRpcs:
                     await cluster.lookup(999, (0.5, 0.5))
 
         run(scenario())
+
+
+class TestRoutingView:
+    def test_next_hop_without_visited_forwards(self):
+        """``visited`` defaults to nothing visited, so a hop that is not
+        a delivery still gets a next node."""
+        ecan = EcanOverlay(dims=2, rng=np.random.default_rng(4))
+        for i in range(16):
+            ecan.join(i, host=i)
+        routing = RoutingView(SimpleNamespace(ecan=ecan, store=None))
+        src, dst = 0, 15
+        point = ecan.nodes[dst].zone.center()
+        next_id, kind = routing.next_hop(src, point)
+        assert kind in ("expressway", "can") and next_id in ecan.nodes
+        assert (next_id, kind) == routing.next_hop(src, point, visited=[src])
 
 
 class TestSimParity:
