@@ -35,10 +35,11 @@ Only ``--workload`` gets the gain verdict.
 A claim can be re-checked on seeds that were not used while the
 change was written: ``--first-seed 101`` runs seeds 101..100+N.
 
-``--layers NAME...`` says where a gain sits: after the pairs, one
-``--trace 1`` run per side on the first seed, and the named per-layer
-metrics of ``--workload`` (names ``BENCHMARK.json`` declares under
-``per_layer``) side by side.
+``--layers NAME...`` says where a gain sits: after the pairs, three
+``--trace 1`` runs per side on the first three seeds, and the named
+per-layer metrics of ``--workload`` (names ``BENCHMARK.json`` declares
+under ``per_layer``) side by side, every run and each side's median:
+one run's per-layer cells can swing 1.7x on a 2-vCPU box.
 
     python scripts/perf_pairs.py --base HEAD~1 --workload sim_route \
         --metric cpu_us_per_op --layers ecan.route_us store.self_us_per_op
@@ -46,6 +47,7 @@ metrics of ``--workload`` (names ``BENCHMARK.json`` declares under
 It reads only ``BENCHMARK.json`` (the workload names, each metric's
 direction and bound, the per-layer names) and that last line; it
 imports nothing from and writes nothing under ``benchmarks/perf/``.
+A SIGTERM unwinds like a SIGINT: the base export is removed either way.
 Exit status:
 
 * 0 -- the gain is shown and nothing on any workload is worse than its
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -67,6 +70,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+#: traced runs per side behind each per-layer median (``--layers``)
+LAYER_RUNS = 3
 
 
 def quartiles(values) -> tuple:
@@ -185,20 +190,33 @@ def declared_layers(names: list) -> list:
     return names
 
 
-def print_layers(base_tree: Path, workload: str, seed: int, names: list) -> None:
-    """One traced run per side on ``seed``; the named per-layer metrics
-    of both, side by side."""
-    runs = {
-        side: measure(tree, workload, seed, trace=1)
-        for side, tree in (("base", base_tree), ("change", ROOT))
-    }
-    print(f"# per-layer metrics of {workload}, one traced run per side, seed {seed}")
-    print("| metric | base | change | change/base |")
-    print("|---|---|---|---|")
+def print_layers(base_tree: Path, workload: str, first_seed: int, names: list) -> None:
+    """:data:`LAYER_RUNS` traced runs per side on seeds ``first_seed``
+    onwards, alternating which side goes first as the pairs do; the
+    named per-layer metrics of every run and each side's median."""
+    seeds = range(first_seed, first_seed + LAYER_RUNS)
+    runs = {"base": [], "change": []}
+    for i, seed in enumerate(seeds):
+        for side in ("change", "base") if i % 2 else ("base", "change"):
+            tree = base_tree if side == "base" else ROOT
+            runs[side].append(measure(tree, workload, seed, trace=1))
+    print(
+        f"# per-layer metrics of {workload}, {LAYER_RUNS} traced runs per side, "
+        f"seeds {seeds[0]}..{seeds[-1]}"
+    )
+    columns = [f"{side} s{seed}" for side in runs for seed in seeds]
+    print(
+        "| metric | " + " | ".join(columns)
+        + " | base median | change median | change/base |"
+    )
+    print("|---" * (len(columns) + 4) + "|")
     for name in names:
-        base, change = runs["base"][name], runs["change"][name]
+        values = [run[name] for side in runs.values() for run in side]
+        base = statistics.median(run[name] for run in runs["base"])
+        change = statistics.median(run[name] for run in runs["change"])
         ratio = f"{change / base:.3f}" if base else "-"
-        print(f"| {name} | {base:.6g} | {change:.6g} | {ratio} |")
+        cells = " | ".join(f"{value:.6g}" for value in values)
+        print(f"| {name} | {cells} | {base:.6g} | {change:.6g} | {ratio} |")
 
 
 def declared_workloads() -> list:
@@ -304,8 +322,8 @@ def main() -> int:
     )
     parser.add_argument(
         "--layers", nargs="+", default=[], metavar="NAME",
-        help="per-layer metrics of --workload to print from one traced run "
-        "per side on the first seed, after the pairs",
+        help=f"per-layer metrics of --workload to print from {LAYER_RUNS} traced "
+        "runs per side on the first seeds, after the pairs",
     )
     parser.add_argument(
         "--also", action="append", default=[], metavar="W",
@@ -316,6 +334,8 @@ def main() -> int:
     better = direction_of(args.metric)
     also = expand_also(args.also, args.workload)
     layers = declared_layers(args.layers)
+    # a SIGTERM unwinds like a SIGINT, so the base export below is removed
+    signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
     worse = []
     with tempfile.TemporaryDirectory(prefix="perf_pairs_") as scratch:
         base_tree = Path(scratch)

@@ -449,7 +449,7 @@ async def _scrape(port: int) -> dict:
         members_without_zone_box=[
             m.get("id")
             for m in members
-            if not m.get("zones") or "lo" not in m["zones"][0]
+            if "lo" not in (m.get("zone") or {})
         ],
         expressways=len(topo.get("expressways") or ()),
         stats_missing=[s for s in STATS_SECTIONS if s not in stats],
@@ -558,7 +558,7 @@ ENDPOINT_GATES = (
      lambda r: r["page_status"] == 200 and r["page_has_svg"]),
     ("/topology /stats /health are application/json", lambda r: r["non_json"] == []),
     ("/topology answers 200", lambda r: r["topology_status"] == 200),
-    ("/topology schema_version 1", lambda r: r["topology_schema"] == 1),
+    ("/topology schema_version 2", lambda r: r["topology_schema"] == 2),
     ("/topology lists every member", lambda r: r["topology_members"] == r["nodes"]),
     ("/topology shard count", lambda r: r["topology_shards"] == r["shards"]),
     ("every member has a zone box", lambda r: r["members_without_zone_box"] == []),

@@ -52,7 +52,7 @@ RECOVERY_CATEGORIES = (
     "fd_ping",
     "fd_ping_req",
     "crash_takeover",
-    "takeover_fallback",
+    "zone_reassign",
     "eager_invalidate",
     "softstate_rehost",
     "recovery_republish",

@@ -265,6 +265,7 @@ def run_sim_soak(config: SoakConfig) -> dict:
         "false_purges": overlay.maintenance.false_purges,
         "shielded_verdicts": detector.shielded_verdicts,
         "takeovers": overlay.recovery.takeovers,
+        "zone_reassigns": network.stats.get("zone_reassign"),
         "scrub_repairs": overlay.recovery.scrubbed,
     }
 

@@ -74,6 +74,7 @@ def run(
         "sim_false_kills": sim["false_kills"],
         "sim_false_purges": sim["false_purges"],
         "sim_takeovers": sim["takeovers"],
+        "sim_zone_reassigns": sim["zone_reassigns"],
         "wall_live_availability": live["wall_availability"],
         "wall_live_false_kills": live["false_kills"],
         "wall_live_false_purges": live["false_purges"],

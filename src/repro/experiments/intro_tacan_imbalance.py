@@ -89,7 +89,7 @@ def run(
         uniform.join(i, host=i)
 
     def stats(can: CanOverlay) -> dict:
-        volumes = np.array([n.total_volume() for n in can.nodes.values()])
+        volumes = np.array([n.zone.volume() for n in can.nodes.values()])
         degrees = np.array([len(n.neighbors) for n in can.nodes.values()])
         return {
             "nodes_for_80pct_space": concentration(volumes, 0.80),

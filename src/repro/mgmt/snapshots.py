@@ -18,7 +18,7 @@ from repro.core.recovery import check_invariants, detector_verdicts
 from repro.runtime.cluster import retry_counts
 
 #: bump when a serving change breaks consumers of the JSON documents
-TOPOLOGY_SCHEMA_VERSION = 1
+TOPOLOGY_SCHEMA_VERSION = 2
 STATS_SCHEMA_VERSION = 2
 HEALTH_SCHEMA_VERSION = 1
 
@@ -67,14 +67,11 @@ def topology_snapshot(cluster) -> dict:
                 "host": host,
                 "domain": int(domains[host]),
                 "shard": int(cluster.shard_of(node_id)),
-                "zones": [
-                    {
-                        "lo": [float(x) for x in zone.lo],
-                        "hi": [float(x) for x in zone.hi],
-                        "depth": int(zone.depth),
-                    }
-                    for zone in node.zones
-                ],
+                "zone": {
+                    "lo": [float(x) for x in node.zone.lo],
+                    "hi": [float(x) for x in node.zone.hi],
+                    "depth": int(node.zone.depth),
+                },
                 "neighbors": sorted(int(n) for n in node.neighbors),
                 "load": float(record.load) if record is not None else 0.0,
                 "capacity": float(record.capacity) if record is not None else 1.0,

@@ -6,7 +6,7 @@ container has no CDN access, so the whole view -- markup, styles and
 script -- is inlined).  The script polls ``/topology`` and ``/health``
 on a timer and redraws:
 
-* every member's primary zone as a rectangle in the unit square,
+* every member's zone as a rectangle in the unit square,
   shaded by its published load relative to the current maximum (the
   paper's per-zone load story made visible);
 * expressway links as translucent chords between zone centers, drawn
@@ -105,7 +105,7 @@ function drawMap(topo, health) {
   svg.textContent = "";
   const centers = {};
   for (const member of topo.members) {
-    const zone = member.zones[0];
+    const zone = member.zone;
     centers[member.id] = center(zone);
     const verdict = verdicts[member.id] || "alive";
     let fill = loadShade(member.load / maxLoad);

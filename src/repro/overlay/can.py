@@ -1,18 +1,19 @@
 """The basic content-addressable network (CAN).
 
-A CAN partitions a d-dimensional unit torus into zones, one owner
-node per zone (after churn a node may temporarily own several zones,
-as in the original CAN's takeover procedure).  Keys are points in the
-space; the node whose zone contains a point owns it.
+A CAN partitions a d-dimensional unit torus into zones, exactly one
+zone per member node.  Keys are points in the space; the node whose
+zone contains a point owns it.
 
 * **Join** -- the newcomer picks a random point, routes to the owner
   of that point, and splits the owner's zone in half (split dimension
   cycles with depth), taking the half that contains its point.
-* **Leave** -- each zone of the departing node is handed to a
-  neighbor: the owner of the zone's *sibling* if that sibling is
-  intact (producing a clean merge), otherwise the smallest-volume
-  neighboring node, which then holds multiple zones until merges
-  become possible.
+* **Leave** -- the departing zone is reassigned so that every member
+  keeps one zone (CAN's zone reassignment, Ratnasamy et al., SIGCOMM
+  2001, section 3.3): the owner of the zone's *sibling* takes the
+  merged parent when that sibling is one whole zone; otherwise the two
+  owners of a pair of sibling leaf zones split the work -- one takes
+  their parent, the other moves into the departed zone
+  (:meth:`CanOverlay._reassign`).
 * **Routing** -- greedy geographic forwarding on the torus: each hop
   moves to the neighbor whose zone is closest to the target point
   (:meth:`CanOverlay.closest_neighbor`, which eCAN's greedy hops
@@ -39,28 +40,14 @@ class CanNode:
 
     node_id: int
     host: int
-    zones: list = field(default_factory=list)
+    zone: Zone
     neighbors: set = field(default_factory=set)
 
-    @property
-    def zone(self) -> Zone:
-        """Primary zone (the first one; nodes usually own exactly one)."""
-        return self.zones[0]
-
     def contains(self, point) -> bool:
-        zones = self.zones
-        if len(zones) == 1:  # the overwhelmingly common case
-            return zones[0].contains(point)
-        return any(z.contains(point) for z in zones)
+        return self.zone.contains(point)
 
     def distance_to_point(self, point, torus: bool = True) -> float:
-        zones = self.zones
-        if len(zones) == 1:
-            return zones[0].distance_to_point(point, torus)
-        return min(z.distance_to_point(point, torus) for z in zones)
-
-    def total_volume(self) -> float:
-        return sum(z.volume() for z in self.zones)
+        return self.zone.distance_to_point(point, torus)
 
 
 class CanOverlay:
@@ -222,12 +209,10 @@ class CanOverlay:
         """Add ``node_id`` (running on physical ``host``) to the overlay."""
         if node_id in self.nodes:
             raise ValueError(f"node {node_id} already present")
-        node = CanNode(node_id=node_id, host=host)
         if not self.nodes:
-            root = Zone.root(self.dims)
-            node.zones.append(root)
+            node = CanNode(node_id=node_id, host=host, zone=Zone.root(self.dims))
             self.nodes[node_id] = node
-            self._index_zone(root, node_id)
+            self._index_zone(node.zone, node_id)
             self._node_order.append(node_id)
             self._notify("join", node_id)
             return node
@@ -239,12 +224,12 @@ class CanOverlay:
         result = self.route(start_node, point, category="join_route")
         owner = self.nodes[result.owner]
 
-        # split the owner's zone that contains the join point
-        zone = next(z for z in owner.zones if z.contains(point))
+        # split the owner's zone, which contains the join point
+        zone = owner.zone
         lower, upper = zone.split()
         keep, give = (upper, lower) if lower.contains(point) else (lower, upper)
-        owner.zones[owner.zones.index(zone)] = keep
-        node.zones.append(give)
+        owner.zone = keep
+        node = CanNode(node_id=node_id, host=host, zone=give)
         self._unindex_zone(zone)
         self._index_zone(keep, owner.node_id)
         self._index_zone(give, node_id)
@@ -262,17 +247,17 @@ class CanOverlay:
         return node
 
     def leave(self, node_id: int) -> set:
-        """Remove ``node_id``; its zones are taken over by neighbors."""
+        """Remove ``node_id``; its zone is reassigned (:meth:`_reassign`)."""
         return self._depart(node_id, exclude={node_id}, category="leave_update")
 
     def takeover_dead(self, node_id: int, dead=()) -> set:
-        """Absorb a *crashed* member's zones (failure-detector driven).
+        """Reassign a *crashed* member's zone (failure-detector driven).
 
-        Same zone handover as :meth:`leave`, but charged under
+        Same reassignment as :meth:`leave`, but charged under
         ``crash_takeover`` and with ``dead`` -- other members currently
-        believed dead -- excluded from the taker candidates, so one
-        corpse never absorbs another's zones during a mass-crash
-        repair.  Returns the set of taker node ids.
+        believed dead -- taking part only when no live member can, so
+        one corpse absorbs another's zone only until its own takeover
+        passes it on.  Returns the set of members whose zone changed.
         """
         exclude = {node_id} | {int(d) for d in dead}
         return self._depart(node_id, exclude=exclude, category="crash_takeover")
@@ -281,90 +266,76 @@ class CanOverlay:
         node = self.nodes.get(node_id)
         if node is None:
             raise KeyError(f"node {node_id} not present")
-        if len(self.nodes) == 1:
-            for zone in node.zones:
-                self._unindex_zone(zone)
-            del self.nodes[node_id]
-            self._notify("leave", node_id)
-            return set()
-
-        affected = set(node.neighbors)
-        takers = set()
-        for zone in list(node.zones):
-            self._unindex_zone(zone)
-            taker = self._takeover_target(zone, exclude)
-            taker_node = self.nodes[taker]
-            taker_node.zones.append(zone)
-            self._index_zone(zone, taker)
-            takers.add(taker)
-            self._count(category)
+        if len(self.nodes) > 1 and exclude.issuperset(self.nodes):
+            raise RuntimeError(f"zone {node.zone} has no takeover candidate")
+        self._unindex_zone(node.zone)
         del self.nodes[node_id]
-
-        for taker in takers:
-            self._merge_zones(self.nodes[taker])
-        self._rewire(affected | takers)
+        takers = self._reassign(node.zone, exclude) if self.nodes else set()
+        if takers:
+            self._count(category)
+            self._rewire(node.neighbors | takers)
         self._notify("leave", node_id)
-        for taker in takers:
+        for taker in sorted(takers):
             self._notify("zone_change", taker)
         return takers
 
-    def _takeover_target(self, zone: Zone, excluded: set) -> int:
-        """Pick the node to absorb ``zone``: sibling owner, else the
-        smallest-volume neighboring node, else (mass-crash fallback)
-        the globally smallest-volume surviving node.
+    def _reassign(self, zone: Zone, exclude: set) -> set:
+        """Hand the orphaned, unindexed ``zone`` on so that every member
+        keeps exactly one zone; returns the members whose zone changed.
 
-        ``excluded`` is the set of ids that may not take it: the
-        departing node plus any other currently-dead members.
+        If ``zone``'s sibling is one whole zone, its holder takes the
+        merged parent.  Otherwise the holders ``a``, ``b`` of a pair of
+        sibling leaf zones (:meth:`_leaf_pairs`) do: ``a`` takes their
+        parent and ``b`` moves into ``zone``, charged as one
+        ``zone_reassign`` message.  Members in ``exclude`` take part
+        only when no choice without them exists.  No RNG is drawn.
         """
-        candidates = []
-        for other_id, other in self.nodes.items():
-            if other_id in excluded:
-                continue
-            for oz in other.zones:
-                if zone.is_sibling(oz):
-                    return other_id
-            if any(zone.is_neighbor(oz, self.torus) for oz in other.zones):
-                candidates.append((other.total_volume(), other_id))
-        if not candidates:
-            # After a mass crash every neighboring zone may belong to
-            # another corpse; hand the zone to the globally
-            # smallest-volume survivor rather than dying on a repair.
-            survivors = [
-                (other.total_volume(), other_id)
-                for other_id, other in self.nodes.items()
-                if other_id not in excluded
-            ]
-            if not survivors:
-                raise RuntimeError(f"zone {zone} has no takeover candidate")
-            self._count("takeover_fallback")
-            return min(survivors)[1]
-        return min(candidates)[1]
+        bucket = self._by_depth.get(zone.depth, {})
+        sibling = bucket.get(self._sibling_index(zone.depth, self._zone_index(zone)))
+        for eligible in (self.nodes.keys() - exclude, self.nodes):
+            if sibling in eligible:
+                self._absorb(sibling, zone)
+                return {sibling}
+            for a, b in self._leaf_pairs():
+                if a in eligible and b in eligible:
+                    mover = self.nodes[b]
+                    self._unindex_zone(mover.zone)
+                    self._absorb(a, mover.zone)
+                    mover.zone = zone
+                    self._index_zone(zone, b)
+                    self._count("zone_reassign")
+                    return {a, b}
+        raise AssertionError(f"no sibling leaf pair to take over {zone}")
 
-    def _merge_zones(self, node: CanNode) -> None:
-        """Collapse sibling pairs held by one node into their parents."""
-        merged = True
-        while merged and len(node.zones) > 1:
-            merged = False
-            for i in range(len(node.zones)):
-                for j in range(i + 1, len(node.zones)):
-                    if node.zones[i].is_sibling(node.zones[j]):
-                        parent = node.zones[i].merge(node.zones[j])
-                        self._unindex_zone(node.zones[i])
-                        self._unindex_zone(node.zones[j])
-                        node.zones = [
-                            z for k, z in enumerate(node.zones) if k not in (i, j)
-                        ]
-                        node.zones.insert(0, parent)
-                        self._index_zone(parent, node.node_id)
-                        merged = True
-                        break
-                if merged:
-                    break
+    def _absorb(self, node_id: int, sibling: Zone) -> None:
+        """``node_id``'s zone merges with the unindexed ``sibling``."""
+        node = self.nodes[node_id]
+        self._unindex_zone(node.zone)
+        node.zone = node.zone.merge(sibling)
+        self._index_zone(node.zone, node_id)
+
+    def _sibling_index(self, depth: int, index: tuple) -> tuple:
+        """Index of the other half of the split that made a depth-``depth``
+        zone of grid index ``index``."""
+        dim = (depth - 1) % self.dims
+        return index[:dim] + (index[dim] ^ 1,) + index[dim + 1:]
+
+    def _leaf_pairs(self):
+        """Holders ``(a, b)`` of two sibling zones, lower half first:
+        deepest depth first, then lowest index.  Every zone of the
+        deepest depth has a whole sibling, so when the departed zone's
+        sibling is split the first depth yields a pair."""
+        for depth in sorted(self._by_depth, reverse=True):
+            bucket = self._by_depth[depth]
+            dim = (depth - 1) % self.dims
+            for index in sorted(bucket):
+                if not index[dim] & 1:
+                    upper = bucket.get(self._sibling_index(depth, index))
+                    if upper is not None:
+                        yield bucket[index], upper
 
     def _adjacent(self, a: CanNode, b: CanNode) -> bool:
-        return any(
-            za.is_neighbor(zb, self.torus) for za in a.zones for zb in b.zones
-        )
+        return a.zone.is_neighbor(b.zone, self.torus)
 
     def _rewire(self, node_ids) -> None:
         """Recompute neighbor sets for ``node_ids`` after local zone changes."""
@@ -459,7 +430,7 @@ class CanOverlay:
 
     def total_volume(self) -> float:
         """Sum of all zone volumes (must equal 1.0 in a consistent CAN)."""
-        return sum(z.volume() for n in self.nodes.values() for z in n.zones)
+        return sum(n.zone.volume() for n in self.nodes.values())
 
     def check_invariants(self) -> None:
         """Raise AssertionError if the zone set or neighbor sets are broken."""
@@ -478,8 +449,21 @@ class CanOverlay:
         assert sorted(reverse) == sorted(self._owner_memo.items()), (
             "owner memo and its reverse index disagree"
         )
+        indexed = [
+            (depth, index, holder)
+            for depth, bucket in self._by_depth.items()
+            for index, holder in bucket.items()
+        ]
+        assert len(indexed) == len(self.nodes), (
+            f"{len(indexed)} indexed zones for {len(self.nodes)} members"
+        )
+        for depth, index, holder in indexed:
+            assert holder in self.nodes, f"zone index names non-member {holder}"
+            zone = self.nodes[holder].zone
+            assert (zone.depth, self._zone_index(zone)) == (depth, index), (
+                f"zone index says {holder} holds ({depth}, {index}), not {zone}"
+            )
         for node_id, node in self.nodes.items():
-            assert node.zones, f"node {node_id} owns no zone"
             for neighbor_id in node.neighbors:
                 assert neighbor_id in self.nodes, "dangling neighbor link"
                 assert node_id in self.nodes[neighbor_id].neighbors, (

@@ -126,13 +126,11 @@ class EcanOverlay:
 
     @staticmethod
     def _cells_of(node) -> set:
-        """The ``(level, cell)`` high-order zones ``node``'s zones fit in."""
-        entries = set()
-        for zone in node.zones:
-            cells = zone.cells()
-            for level in range(1, min(zone.max_level, MAX_LEVEL) + 1):
-                entries.add((level, cells[level]))
-        return entries
+        """The ``(level, cell)`` high-order zones ``node``'s zone fits in."""
+        zone = node.zone
+        cells = zone.cells()
+        top = min(zone.max_level, MAX_LEVEL)
+        return {(level, cells[level]) for level in range(1, top + 1)}
 
     def _unindex(self, node_id: int) -> None:
         self._drop_entries(node_id, self._indexed.pop(node_id, ()))
@@ -208,18 +206,31 @@ class EcanOverlay:
 
     def leave(self, node_id: int) -> None:
         """Leave the overlay; stale references elsewhere repair lazily."""
-        self.can.leave(node_id)
+        self._depart(self.can.leave, node_id)
 
     def takeover_dead(self, node_id: int, dead=()) -> set:
-        """Absorb a crashed member's zones and eagerly invalidate it.
+        """Reassign a crashed member's zone and eagerly invalidate it.
 
         Unlike :meth:`leave`, every expressway table entry pointing at
         the corpse is evicted immediately (charged as
         ``eager_invalidate``) instead of waiting for a route to trip
-        over it.  Returns the set of taker node ids.
+        over it.  Returns the set of members whose zone changed.
         """
-        takers = self.can.takeover_dead(node_id, dead=dead)
+        takers = self._depart(self.can.takeover_dead, node_id, dead)
         self.invalidate_member(node_id)
+        return takers
+
+    def _depart(self, depart, node_id: int, *args) -> set:
+        """``depart(node_id, *args)``, then a member that moved into the
+        departed zone (:meth:`CanOverlay._reassign`) builds its table
+        again, as a joiner does: its cells changed at every level.  A
+        taker of a merged parent keeps the cells its table was built
+        for."""
+        node = self.can.nodes.get(node_id)
+        takers = depart(node_id, *args)
+        for taker in sorted(takers):
+            if self.can.nodes[taker].zone == node.zone:
+                self.build_table(taker)
         return takers
 
     def invalidate_member(self, dead_id: int) -> int:
@@ -309,19 +320,17 @@ class EcanOverlay:
         return self._entry_valid(entry, level, interleave(cell))
 
     def _entry_valid(self, entry: int, level: int, index: int) -> bool:
-        """Whether member ``entry`` has a zone overlapping the level-``level``
+        """Whether member ``entry``'s zone overlaps the level-``level``
         cell of Z-order ``index``: two dyadic boxes overlap exactly when
         their keys agree on the bits both of them fix."""
         node = self.can.nodes.get(entry)
         if node is None:
             return False
+        zone = node.zone
         fixed = level * self.can.dims
-        drop = self._key_bits - fixed
-        for zone in node.zones:
-            unfixed = fixed - zone.depth  # cell bits the zone leaves free
-            if not (zone.key >> drop ^ index) >> (unfixed if unfixed > 0 else 0):
-                return True
-        return False
+        unfixed = fixed - zone.depth  # cell bits the zone leaves free
+        diff = zone.key >> (self._key_bits - fixed) ^ index
+        return not diff >> (unfixed if unfixed > 0 else 0)
 
     def table_of(self, node_id: int) -> dict:
         """A copy of a node's high-order table as level -> cell -> id,
@@ -394,7 +403,7 @@ class EcanOverlay:
         """The forwarding rule: one hop from ``current`` toward ``point``.
 
         Pure: it reads the tables and zone keys only.  Returns None when
-        ``point`` lies in ``current``'s zones (delivered), else
+        ``point`` lies in ``current``'s zone (delivered), else
         ``(next_id, level, index, needs_repair)``: the unvisited
         representative of the expressway slot at ``level`` whose cell
         has Z-order ``index``, else the greedy step
@@ -405,22 +414,17 @@ class EcanOverlay:
 
         ``key`` is the destination's
         :func:`~repro.overlay.zone.point_key` (exact down to the deepest
-        zone, all this reads), XOR-ed once with the primary zone's
+        zone, all this reads), XOR-ed once with the zone's
         :attr:`~repro.overlay.zone.Zone.key`: no set bit
-        among the top ``depth`` means the zone contains the point (a
-        multi-zone node then tests its other zones the same way); the
+        among the top ``depth`` means the zone contains the point; the
         highest set bit names the expressway level, the first at which
         the destination's cell differs from the node's own; and the
         destination's cell there is the key's top ``level * dims`` bits.
         """
-        zones = current.zones
-        zone = zones[0]
+        zone = current.zone
         bits = self._key_bits
         diff = zone.key ^ key
-        if not diff >> (bits - zone.depth) or (
-            len(zones) > 1
-            and any(not (z.key ^ key) >> (bits - z.depth) for z in zones[1:])
-        ):
+        if not diff >> (bits - zone.depth):
             return None
         dims = self.can.dims
         level = (bits - diff.bit_length()) // dims + 1

@@ -388,10 +388,7 @@ class SoftStateStore:
         node = self.ecan.can.nodes.get(node_id)
         if node is None:
             return []
-        regions = []
-        for zone in node.zones:
-            regions.extend(regions_of_zone(zone))
-        return regions
+        return regions_of_zone(node.zone)
 
     def publish(self, node_id: int) -> int:
         """Insert/refresh the node's record in all enclosing region maps.
@@ -758,7 +755,7 @@ class SoftStateStore:
                     if neighbor_id in visited:
                         continue
                     neighbor = self.ecan.can.nodes[neighbor_id]
-                    if not any(z.overlaps(region_zone) for z in neighbor.zones):
+                    if not neighbor.zone.overlaps(region_zone):
                         continue
                     visited.add(neighbor_id)
                     next_frontier.append(neighbor_id)

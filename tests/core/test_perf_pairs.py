@@ -1,7 +1,11 @@
 """scripts/perf_pairs.py: the pairs rule itself (no benchmark runs)."""
 
 import importlib.util
+import os
 import pathlib
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -181,7 +185,7 @@ def test_exit_status_separates_regression_from_no_gain(
     assert ("worse than its bound:" in out) == (status == 1)
 
 
-def test_layers_print_one_traced_run_per_side_after_the_pairs(
+def test_layers_print_three_traced_runs_per_side_after_the_pairs(
     pairs, monkeypatch, capsys
 ):
     traced = []
@@ -191,7 +195,9 @@ def test_layers_print_one_traced_run_per_side_after_the_pairs(
         side = "change" if tree == pairs.ROOT else "base"
         traced.append((side, workload, seed))
         scale = 1.0 if side == "base" else 0.5
-        return {"ecan.route_us": 20.0 * scale, "store.self_us_per_op": 8.0}
+        # the middle seed is an outlier on both sides: the median skips it
+        swing = 1.7 if seed == 8 else 1.0
+        return {"ecan.route_us": 20.0 * scale * swing, "store.self_us_per_op": 8.0}
 
     monkeypatch.setattr(pairs, "measure", measure)
     status = fake_main(
@@ -199,11 +205,61 @@ def test_layers_print_one_traced_run_per_side_after_the_pairs(
         ["--first-seed", "7", "--layers", "ecan.route_us", "store.self_us_per_op"],
     )
     assert status == 3
-    assert traced == [("base", "sim_route", 7), ("change", "sim_route", 7)]
+    assert traced == [
+        ("base", "sim_route", 7), ("change", "sim_route", 7),
+        ("change", "sim_route", 8), ("base", "sim_route", 8),
+        ("base", "sim_route", 9), ("change", "sim_route", 9),
+    ]
     out = capsys.readouterr().out
     table = out[out.index("# per-layer metrics of sim_route"):]
-    assert "| ecan.route_us | 20 | 10 | 0.500 |" in table
-    assert "| store.self_us_per_op | 8 | 8 | 1.000 |" in table
+    assert "3 traced runs per side, seeds 7..9" in table
+    assert "one traced run per side" not in out
+    assert (
+        "| metric | base s7 | base s8 | base s9 | change s7 | change s8 | change s9 "
+        "| base median | change median | change/base |"
+    ) in table
+    assert "| ecan.route_us | 20 | 34 | 20 | 10 | 17 | 10 | 20 | 10 | 0.500 |" in table
+    assert "| store.self_us_per_op | 8 | 8 | 8 | 8 | 8 | 8 | 8 | 8 | 1.000 |" in table
+
+
+def test_sigterm_removes_the_base_export(tmp_path):
+    """Stopped by SIGTERM mid-run, ``main`` unwinds and its
+    ``perf_pairs_*`` export of the base tree is gone."""
+    script = REPO_ROOT / "scripts" / "perf_pairs.py"
+    code = f"""
+import importlib.util, sys, time
+spec = importlib.util.spec_from_file_location("perf_pairs", {str(script)!r})
+pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pairs)
+
+def export_base(rev, target):
+    (target / "exported").write_text(rev)
+
+def run_pairs(*args):
+    print("running", flush=True)
+    time.sleep(60)
+
+pairs.export_base = export_base
+pairs.run_pairs = run_pairs
+sys.argv = ["perf_pairs.py", "--base", "HEAD~1", "--workload", "sim_route",
+            "--metric", "cpu_us_per_op"]
+sys.exit(pairs.main())
+"""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        env={**os.environ, "TMPDIR": str(tmp_path)},
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert "running\n" in iter(proc.stdout.readline, "")
+        assert len(list(tmp_path.glob("perf_pairs_*/exported"))) == 1
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=30)
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    assert list(tmp_path.glob("perf_pairs_*")) == []
 
 
 def test_layers_must_be_declared_per_layer_metrics(pairs):

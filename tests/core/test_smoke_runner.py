@@ -28,7 +28,7 @@ OVERLOAD = {
 }  # fmt: skip
 ENDPOINTS = {
     "page_status": 200, "page_has_svg": True, "non_json": [],
-    "topology_status": 200, "topology_schema": 1, "members_without_zone_box": [],
+    "topology_status": 200, "topology_schema": 2, "members_without_zone_box": [],
     "expressways": 9, "stats_status": 200, "stats_missing": [],
     "metrics_status": 200, "metrics_parse_error": None, "metrics_missing": [],
     "health_schema": 1, "health_status": 200, "health": "healthy",
@@ -95,7 +95,7 @@ ENDPOINTS_BAD = {
     "zone-map page serves an <svg>": {"page_has_svg": False},
     "/topology /stats /health are application/json": {"non_json": ["stats"]},
     "/topology answers 200": {"topology_status": 500},
-    "/topology schema_version 1": {"topology_schema": 2},
+    "/topology schema_version 2": {"topology_schema": 1},
     "/topology lists every member": {"topology_members": 15},
     "/topology shard count": {"topology_shards": 3},
     "every member has a zone box": {"members_without_zone_box": [4]},

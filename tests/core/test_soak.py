@@ -111,7 +111,7 @@ class TestArbitraryCorruption:
         check_invariants(overlay, overlay.detector)
         # scrub_tables' own promise, beyond the predicate's liveness check
         assert all(
-            any(zone.overlaps(cell_zone(cell, level)) for zone in ecan.nodes[entry].zones)
+            ecan.nodes[entry].zone.overlaps(cell_zone(cell, level))
             for _, level, cell, entry in ecan.slots()
         )
 

@@ -30,17 +30,17 @@ SEED = 23
 GOLDEN = {
     "build": {
         "built": "00104653a70b2c74",
-        "churned": "f3fe50d6790b3d43",
-        "routes": "3ce697b10f2a73c0",
-        "lookups": "8af1a90ee8ced578",
-        "stats": "57d3e3cdf156c936",
+        "churned": "faeed7085a99c6ba",
+        "routes": "27ef13f8eebe59ad",
+        "lookups": "c3b5798dab6ef96c",
+        "stats": "4c9c2513ddcfc16f",
     },
     "build_bulk": {
         "built": "ca2e87f7a655d011",
-        "churned": "09ae3fd7dd048517",
-        "routes": "ae2d452ce64eb7d3",
-        "lookups": "8af1a90ee8ced578",
-        "stats": "a44822082b85c4bc",
+        "churned": "50effd793c00f49c",
+        "routes": "1e7135343230a123",
+        "lookups": "c3b5798dab6ef96c",
+        "stats": "a046a49f1481bfa1",
     },
 }
 
@@ -78,7 +78,7 @@ def structure(overlay) -> dict:
         ],
         "neighbors": [[n, sorted(can.nodes[n].neighbors)] for n in members],
         "zones": [
-            [n, [[z.depth, list(can._zone_index(z))] for z in can.nodes[n].zones]]
+            [n, [[can.nodes[n].zone.depth, list(can._zone_index(can.nodes[n].zone))]]]
             for n in members
         ],
     }

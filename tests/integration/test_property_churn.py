@@ -53,19 +53,15 @@ class TestEcanChurnProperty:
     # four leaves strand a route to a point on a zone boundary when
     # the greedy step ranks by (distance, id) alone
     @example(ops=[0, 0, 0, 0, 2, 2, 2, 0, 0, 0, 0, 0, 0, 2, 2, 3])
-    # a known defect, pinned until it is fixed: the expressway level is
-    # read off a node's first zone only, so member 3's route walks
-    # 3 -> 20 -> 8 -> 18 -> 19 -> 22 through multi-zone holders 20 and 8
-    # and strands short of owner 23
+    # when departures left members holding several zones, each read its
+    # expressway level off its first zone only, so member 3's route
+    # walked 3 -> 20 -> 8 -> 18 -> 19 -> 22 through multi-zone holders
+    # 20 and 8 and stranded short of owner 23
     @example(
         ops=[
             0, 0, 2, 0, 3, 2, 0, 0, 3, 3, 0, 0, 0, 0, 0, 3, 2, 0, 0, 0, 2, 0, 0,
             2, 0, 2, 0, 2, 0, 2, 3, 0, 3, 3, 0, 0, 3, 0, 0, 2, 3, 0, 2, 0, 3, 3,
         ]
-    ).xfail(
-        raises=AssertionError,
-        reason="multi-zone holders strand a route: the level is read off "
-        "a node's first zone only",
     )
     @RELAXED
     def test_random_ops_keep_invariants(self, ops):

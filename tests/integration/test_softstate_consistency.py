@@ -93,10 +93,8 @@ class TestStoreConsistencyProperty:
                 # the record's owner must be (or have been) a member of
                 # the region: its zone intersects the region's box
                 box = region.zone()
-                assert any(
-                    all(
-                        zl < bh and bl < zh
-                        for zl, zh, bl, bh in zip(z.lo, z.hi, box.lo, box.hi)
-                    )
-                    for z in node.zones
+                z = node.zone
+                assert all(
+                    zl < bh and bl < zh
+                    for zl, zh, bl, bh in zip(z.lo, z.hi, box.lo, box.hi)
                 )

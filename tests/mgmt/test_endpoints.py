@@ -70,7 +70,7 @@ class TestTopologyGolden:
                     return (await get_json(controller, "/topology"))[1]
 
         topo = run(scenario())
-        assert topo["schema_version"] == 1
+        assert topo["schema_version"] == 2
         assert topo["dims"] == 2
         assert len(topo["members"]) == 16
         assert [m["id"] for m in topo["members"]] == sorted(
@@ -78,10 +78,11 @@ class TestTopologyGolden:
         )
         member = topo["members"][0]
         assert set(member) == {
-            "id", "host", "domain", "shard", "zones", "neighbors",
+            "id", "host", "domain", "shard", "zone", "neighbors",
             "load", "capacity",
         }
-        zone = member["zones"][0]
+        zone = member["zone"]
+        assert set(zone) == {"lo", "hi", "depth"}
         assert len(zone["lo"]) == 2 and len(zone["hi"]) == 2
         assert topo["expressways"], "expressway tables must be exported"
         link = topo["expressways"][0]

@@ -235,7 +235,7 @@ class TestEmptyPlanChangesNothing:
         assert (network.faults is not None) == armed
         nodes = overlay.ecan.can.nodes
         return {
-            "zones": {n: [str(z) for z in nodes[n].zones] for n in sorted(nodes)},
+            "zones": {n: str(nodes[n].zone) for n in sorted(nodes)},
             "tables": {n: overlay.ecan.table_of(n) for n in sorted(nodes)},
             "vectors": {
                 n: record.landmark_vector

@@ -29,11 +29,8 @@ class TestMembership:
             for cell, node_ids in buckets.items():
                 box = cell_zone(cell, level)
                 for node_id in node_ids:
-                    node = ecan.can.nodes[node_id]
-                    assert any(
-                        box.contains(z.center()) and z.max_level >= level
-                        for z in node.zones
-                    )
+                    zone = ecan.can.nodes[node_id].zone
+                    assert box.contains(zone.center()) and zone.max_level >= level
 
     def test_members_returns_owner_when_cell_empty(self):
         # 2 nodes: level-2 cells have no contained zones yet

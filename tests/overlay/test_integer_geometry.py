@@ -7,9 +7,8 @@ into Z-order keys (:func:`~repro.overlay.zone.point_key`,
 node's cell is the highest set bit of an XOR, and every cell index is
 a shift.  The float arithmetic
 those codes replaced lives here as the reference (:func:`float_cell`
-and the scans built on it).  Over a churned overlay that has
-multi-zone holders, with coordinates drawn on, and one ulp either side
-of, every zone boundary, plus subnormals and ``1 - 2**-53``, the coded
+and the scans built on it).  Over a churned overlay, with coordinates
+drawn on, and one ulp either side of, every zone boundary, plus subnormals and ``1 - 2**-53``, the coded
 router must name the same first differing level and cell, the same
 owner and the same hops as the reference.
 """
@@ -56,7 +55,7 @@ def brute_owner(can, point) -> int:
     (owner,) = [
         node_id
         for node_id, node in can.nodes.items()
-        if any(zone.contains(point) for zone in node.zones)
+        if node.zone.contains(point)
     ]
     return owner
 
@@ -80,22 +79,20 @@ def build_churned(topology) -> TopologyAwareOverlay:
 
 @pytest.fixture(scope="module")
 def churned(tiny_topology):
-    """72 members after crashes and leaves; some hold several zones."""
+    """72 members after crashes and leaves."""
     return build_churned(tiny_topology)
 
 
 @pytest.fixture(scope="module")
 def pools(churned):
-    """(member ids, multi-zone holders, adversarial coordinates)."""
+    """(member ids, adversarial coordinates)."""
     nodes = churned.ecan.can.nodes
-    multi = sorted(n for n, node in nodes.items() if len(node.zones) > 1)
-    assert multi, "churn left no multi-zone holder"
-    edges = {x for node in nodes.values() for z in node.zones for x in z.lo + z.hi}
+    edges = {x for node in nodes.values() for x in node.zone.lo + node.zone.hi}
     near = set(SPECIAL)
     for x in edges:
         near.update((x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)))
     coords = sorted(x for x in near if 0.0 <= x < 1.0)
-    return sorted(nodes), multi, coords
+    return sorted(nodes), coords
 
 
 def near_dyadic():
@@ -110,7 +107,7 @@ def near_dyadic():
 
 def draw_point(data, pools) -> tuple:
     coordinate = st.one_of(
-        st.sampled_from(pools[2]),
+        st.sampled_from(pools[1]),
         near_dyadic().filter(lambda x: x < 1.0),
         st.floats(0.0, 1.0, exclude_max=True),
     )
@@ -118,7 +115,7 @@ def draw_point(data, pools) -> tuple:
 
 
 def draw_member(data, pools) -> int:
-    return data.draw(st.one_of(st.sampled_from(pools[1]), st.sampled_from(pools[0])))
+    return data.draw(st.sampled_from(pools[0]))
 
 
 class TestCodesMatchFloats:
@@ -145,7 +142,7 @@ class TestCodesMatchFloats:
         level, cell = float_first_difference(current.zone, point)
         decision = ecan.decide(current, route_key(ecan, point), point, ())
         if current.contains(point):
-            # a point inside the node (any of its zones) is delivered
+            # a point inside the node's zone is delivered
             assert decision is None
             return
         _, got_level, got_index, _ = decision
@@ -160,8 +157,8 @@ class TestCodesMatchFloats:
     @settings(max_examples=300, deadline=None)
     def test_delivered_verdict_is_float_containment(self, churned, pools, data):
         """``decide``'s delivered verdict (None) comes from the key XOR;
-        it must equal ``CanNode.contains`` on zone boundaries, one ulp
-        either side of them, and on multi-zone holders."""
+        it must equal ``CanNode.contains`` on zone boundaries and one
+        ulp either side of them."""
         ecan = churned.ecan
         current = ecan.can.nodes[draw_member(data, pools)]
         point = draw_point(data, pools)
@@ -170,26 +167,25 @@ class TestCodesMatchFloats:
 
     def test_delivered_verdict_at_every_corner_of_every_zone(self, churned):
         """Per dimension the lower bound (inside), the ulp below it, the
-        upper bound (outside, unless another zone of the node holds it)
-        and the ulp below that, in every combination across dimensions,
-        over every zone of every member, multi-zone holders included."""
+        upper bound (outside) and the ulp below that, in every
+        combination across dimensions, over the zone of every member."""
         ecan = churned.ecan
         checked = 0
         for current in ecan.can.nodes.values():
-            for zone in current.zones:
-                per_dim = [
-                    {lo, math.nextafter(lo, -1.0), hi % 1.0, math.nextafter(hi, 0.0)}
-                    for lo, hi in zip(zone.lo, zone.hi)
-                ]
-                for point in itertools.product(*per_dim):
-                    if min(point) < 0.0:
-                        continue  # below 0.0 is no point
-                    decision = ecan.decide(current, route_key(ecan, point), point, ())
-                    assert (decision is None) == current.contains(point), (
-                        current.node_id,
-                        point,
-                    )
-                    checked += 1
+            zone = current.zone
+            per_dim = [
+                {lo, math.nextafter(lo, -1.0), hi % 1.0, math.nextafter(hi, 0.0)}
+                for lo, hi in zip(zone.lo, zone.hi)
+            ]
+            for point in itertools.product(*per_dim):
+                if min(point) < 0.0:
+                    continue  # below 0.0 is no point
+                decision = ecan.decide(current, route_key(ecan, point), point, ())
+                assert (decision is None) == current.contains(point), (
+                    current.node_id,
+                    point,
+                )
+                checked += 1
         assert checked >= 9 * len(ecan.can.nodes)
 
     @given(data=st.data())

@@ -10,7 +10,7 @@ here are the rules those keys replaced: a bit-by-bit interleave,
 ``Zone.contains``, ``Zone.overlaps(cell_zone(...))`` and the
 per-dimension ``decide`` (:func:`reference_decide`), checked on random
 dyadic zones with points one ulp either side of their boundaries and
-on churned overlays of 1 to 3 dimensions with multi-zone holders.
+on churned overlays of 1 to 3 dimensions.
 """
 
 import itertools
@@ -144,18 +144,17 @@ class TestPrefixRules:
     @given(data=st.data(), dims=st.integers(1, 3))
     @settings(max_examples=300)
     def test_entry_validity_is_cell_overlap(self, data, dims):
-        count = data.draw(st.integers(1, 3))
-        zones = [data.draw(dyadic_zone(dims)) for _ in range(count)]
+        zone = data.draw(dyadic_zone(dims))
         ecan = EcanOverlay(dims=dims)
-        ecan.can.nodes[0] = CanNode(node_id=0, host=0, zones=zones)
+        ecan.can.nodes[0] = CanNode(node_id=0, host=0, zone=zone)
         level = data.draw(st.integers(0, 24))
-        point = data.draw(near_point(data.draw(st.sampled_from(zones))))
+        point = data.draw(near_point(zone))
         cell = tuple(int(x * (1 << level)) for x in point)
         # the cell holding the point, or one beside it
         nudge = st.sampled_from([0, 0, 1, -1])
         cell = tuple((c + data.draw(nudge)) % (1 << level) for c in cell)
         box = cell_zone(cell, level)
-        assert ecan.entry_valid(0, level, cell) == any(z.overlaps(box) for z in zones)
+        assert ecan.entry_valid(0, level, cell) == zone.overlaps(box)
         assert not ecan.entry_valid(1, level, cell)  # not a member
 
 
@@ -165,7 +164,7 @@ def reference_decide(ecan, current, point, visited):
     containment, per-dimension code XORs and ``Zone.overlaps``."""
     if current.contains(point):
         return None
-    zone = current.zones[0]
+    zone = current.zone
     diff = 0
     for own, dest in zip(zone.code, point_code(point, ecan.dims)):
         diff |= own ^ dest
@@ -175,7 +174,7 @@ def reference_decide(ecan, current, point, visited):
         entry = ecan.table_of(current.node_id).get(level, {}).get(cell)
         holder = ecan.nodes.get(entry)
         box = cell_zone(cell, level)
-        if holder is None or not any(z.overlaps(box) for z in holder.zones):
+        if holder is None or not holder.zone.overlaps(box):
             return None, level, cell, True
         if entry not in visited:
             return entry, level, cell, False
@@ -184,7 +183,7 @@ def reference_decide(ecan, current, point, visited):
 
 def churned(dims: int) -> EcanOverlay:
     """32 joins, then 6 leaves and 6 crashes (``takeover_dead``): stale
-    and emptied slots, and nodes holding more than one zone."""
+    and emptied slots, and members moved by a zone reassignment."""
     ecan = EcanOverlay(dims=dims, rng=np.random.default_rng(7 + dims))
     for i in range(32):
         ecan.join(i, host=i)
@@ -197,7 +196,6 @@ def churned(dims: int) -> EcanOverlay:
 @pytest.mark.parametrize("dims", [1, 2, 3])
 def test_decide_agrees_with_the_per_dimension_rule(dims):
     ecan = churned(dims)
-    assert any(len(node.zones) > 1 for node in ecan.nodes.values())
     axis = [k / 16 for k in range(16)] + [1 - 2**-52]
     outcomes = set()
     for current in ecan.nodes.values():
