@@ -55,8 +55,9 @@ perf-smoke:
 # status: 0 gain shown and nothing worse, 1 some end-to-end metric worse
 # than its bound, 3 nothing worse but no gain shown (the answer of a
 # check that claims nothing), 2 a run failed.  LAYERS names per-layer
-# metrics of WORKLOAD to print side by side from one traced run per
-# side on the first seed, after the pairs: where the gain sits.
+# metrics of WORKLOAD to print side by side after the pairs, from three
+# traced runs per side on seeds FIRST_SEED.. with each side's median:
+# where the gain sits.
 #   make perf-pairs BASE=HEAD~1 WORKLOAD=live_map_mixed METRIC=cpu_us_per_op
 #   make perf-pairs BASE=HEAD~1 WORKLOAD=sim_route ALSO=all
 #   make perf-pairs BASE=HEAD~1 WORKLOAD=sim_route LAYERS="ecan.route_us store.self_us_per_op"

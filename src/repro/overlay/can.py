@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.overlay.routing import RouteResult
-from repro.overlay.zone import CODE_BITS, Zone, point_code
+from repro.overlay.zone import CODE_BITS, Zone, point_key
 
 
 @dataclass
@@ -62,7 +62,7 @@ class CanOverlay:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.stats = stats
         self.nodes: dict = {}
-        # owner lookup: depth -> {integer index tuple -> node_id}
+        # owner lookup: depth -> {zone prefix (:attr:`Zone.prefix`) -> node_id}
         self._by_depth: dict = {}
         self._node_order: list = []
         #: observers notified as (event, node_id) on zone-set changes
@@ -73,12 +73,10 @@ class CanOverlay:
         #: depth of the deepest zone, so of all of a point key that a
         #: routing decision reads (:func:`~repro.overlay.zone.point_key`)
         self.max_depth = 0
-        #: point -> owner memo; a pure function of the tessellation.  Local
-        #: data structure only -- resolutions through it are never charged.
+        #: point -> owner memo; a pure function of the tessellation, so
+        #: emptied on every zone (un)index.  Local data structure only --
+        #: resolutions through it are never charged.
         self._owner_memo: dict = {}
-        #: reverse side of the memo: owner -> the points memoised to it, so
-        #: a zone (un)index drops only the entries of the node it touched
-        self._memo_points: dict = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -92,41 +90,25 @@ class CanOverlay:
         if self.stats is not None and category is not None and n:
             self.stats.count(category, n)
 
-    @staticmethod
-    def _zone_index(zone: Zone) -> tuple:
-        """Integer grid index of a zone among equal-shaped zones of its depth."""
-        return tuple(
-            int(round(lo / (hi - lo))) for lo, hi in zip(zone.lo, zone.hi)
-        )
-
     def _index_zone(self, zone: Zone, node_id: int) -> None:
-        self._by_depth.setdefault(zone.depth, {})[self._zone_index(zone)] = node_id
+        self._by_depth.setdefault(zone.depth, {})[zone.prefix] = node_id
         self.max_depth = max(self.max_depth, zone.depth)
-        self._zones_changed(node_id)
+        self._zones_changed()
 
     def _unindex_zone(self, zone: Zone) -> None:
-        holder = None
         bucket = self._by_depth.get(zone.depth)
         if bucket is not None:
-            holder = bucket.pop(self._zone_index(zone), None)
+            bucket.pop(zone.prefix, None)
             if not bucket:
                 del self._by_depth[zone.depth]
                 self.max_depth = max(self._by_depth, default=0)
-        self._zones_changed(holder)
+        self._zones_changed()
 
-    def _zones_changed(self, node_id) -> None:
-        """One zone of ``node_id`` was (un)indexed: a new version.
-
-        A memoised point changes owner only when the zone holding it is
-        unindexed, which names its holder here; so dropping that one
-        node's memo entries keeps the rest of the memo exact.
-        """
+    def _zones_changed(self) -> None:
+        """A zone was (un)indexed: a new version, and an empty owner memo
+        (a pure function of the version)."""
         self.zone_version += 1
-        points = self._memo_points.pop(node_id, None)
-        if points:
-            memo = self._owner_memo
-            for point in points:
-                del memo[point]
+        self._owner_memo.clear()
 
     def _notify(self, event: str, node_id: int) -> None:
         for observer in self.observers:
@@ -152,10 +134,9 @@ class CanOverlay:
     def owner_of_point(self, point) -> int:
         """Node id owning ``point``; memoized O(#distinct depths) walk.
 
-        The memo is a pure cache over the current tessellation; a zone
-        (un)index drops the entries of the node whose zones changed
-        (:meth:`_zones_changed`).  Resolving an owner is local
-        computation and never charged.
+        The memo is a pure cache over the current tessellation, emptied
+        on every zone (un)index (:meth:`_zones_changed`).  Resolving an
+        owner is local computation and never charged.
         """
         key = point if type(point) is tuple else tuple(point)
         memo = self._owner_memo
@@ -164,23 +145,15 @@ class CanOverlay:
             owner = self._resolve_owner(key)
             if len(memo) >= (1 << 17):
                 memo.clear()
-                self._memo_points.clear()
             memo[key] = owner
-            self._memo_points.setdefault(owner, []).append(key)
         return owner
 
     def _resolve_owner(self, point) -> int:
-        dims = self.dims
-        code = point_code(point, dims)
+        bits = CODE_BITS * self.dims
+        key = point_key(point, self.dims, self.max_depth)
         for depth, zones in self._by_depth.items():
-            # the index the containing zone of this depth would have: the
-            # top ``splits`` bits of each coordinate's code
-            splits, extra = divmod(depth, dims)
-            shift = CODE_BITS - splits
-            idx = tuple(
-                [c >> (shift - 1 if i < extra else shift) for i, c in enumerate(code)]
-            )
-            node_id = zones.get(idx)
+            # the prefix the containing zone of this depth would have
+            node_id = zones.get(key >> (bits - depth))
             if node_id is not None:
                 return node_id
         raise KeyError(f"no owner for point {point}")
@@ -189,8 +162,9 @@ class CanOverlay:
         """Batch :meth:`owner_of_point`; deduplicates repeated positions.
 
         Condensed proximity maps place many records at few distinct
-        positions, so resolving each distinct point once (on top of the
-        memo) makes sweeps over whole maps near dictionary-speed.
+        positions, so resolving each distinct point once (through
+        :meth:`owner_of_point`) makes sweeps over whole maps near
+        dictionary-speed.
         """
         seen: dict = {}
         out = []
@@ -290,8 +264,7 @@ class CanOverlay:
         ``zone_reassign`` message.  Members in ``exclude`` take part
         only when no choice without them exists.  No RNG is drawn.
         """
-        bucket = self._by_depth.get(zone.depth, {})
-        sibling = bucket.get(self._sibling_index(zone.depth, self._zone_index(zone)))
+        sibling = self._by_depth.get(zone.depth, {}).get(zone.prefix ^ 1)
         for eligible in (self.nodes.keys() - exclude, self.nodes):
             if sibling in eligible:
                 self._absorb(sibling, zone)
@@ -314,25 +287,19 @@ class CanOverlay:
         node.zone = node.zone.merge(sibling)
         self._index_zone(node.zone, node_id)
 
-    def _sibling_index(self, depth: int, index: tuple) -> tuple:
-        """Index of the other half of the split that made a depth-``depth``
-        zone of grid index ``index``."""
-        dim = (depth - 1) % self.dims
-        return index[:dim] + (index[dim] ^ 1,) + index[dim + 1:]
-
     def _leaf_pairs(self):
         """Holders ``(a, b)`` of two sibling zones, lower half first:
-        deepest depth first, then lowest index.  Every zone of the
-        deepest depth has a whole sibling, so when the departed zone's
-        sibling is split the first depth yields a pair."""
+        deepest depth first, then lowest corner (:attr:`Zone.code`, which
+        orders zones of one depth as their grid indices do).  Every zone
+        of the deepest depth has a whole sibling, so when the departed
+        zone's sibling is split the first depth yields a pair."""
+        nodes = self.nodes
         for depth in sorted(self._by_depth, reverse=True):
             bucket = self._by_depth[depth]
-            dim = (depth - 1) % self.dims
-            for index in sorted(bucket):
-                if not index[dim] & 1:
-                    upper = bucket.get(self._sibling_index(depth, index))
-                    if upper is not None:
-                        yield bucket[index], upper
+            for a in sorted(bucket.values(), key=lambda n: nodes[n].zone.code):
+                prefix = nodes[a].zone.prefix
+                if not prefix & 1 and prefix ^ 1 in bucket:
+                    yield a, bucket[prefix ^ 1]
 
     def _adjacent(self, a: CanNode, b: CanNode) -> bool:
         return a.zone.is_neighbor(b.zone, self.torus)
@@ -441,27 +408,19 @@ class CanOverlay:
             assert owner == self._resolve_owner(point), (
                 f"owner memo says {owner} for {point}"
             )
-        reverse = [
-            (point, owner)
-            for owner, points in self._memo_points.items()
-            for point in points
-        ]
-        assert sorted(reverse) == sorted(self._owner_memo.items()), (
-            "owner memo and its reverse index disagree"
-        )
         indexed = [
-            (depth, index, holder)
+            (depth, prefix, holder)
             for depth, bucket in self._by_depth.items()
-            for index, holder in bucket.items()
+            for prefix, holder in bucket.items()
         ]
         assert len(indexed) == len(self.nodes), (
             f"{len(indexed)} indexed zones for {len(self.nodes)} members"
         )
-        for depth, index, holder in indexed:
+        for depth, prefix, holder in indexed:
             assert holder in self.nodes, f"zone index names non-member {holder}"
             zone = self.nodes[holder].zone
-            assert (zone.depth, self._zone_index(zone)) == (depth, index), (
-                f"zone index says {holder} holds ({depth}, {index}), not {zone}"
+            assert (zone.depth, zone.prefix) == (depth, prefix), (
+                f"zone index says {holder} holds ({depth}, {prefix}), not {zone}"
             )
         for node_id, node in self.nodes.items():
             for neighbor_id in node.neighbors:

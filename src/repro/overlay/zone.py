@@ -114,24 +114,9 @@ class Zone:
         return lower, upper
 
     def is_sibling(self, other: "Zone") -> bool:
-        """True if ``self`` and ``other`` are the two halves of one split."""
-        if self.depth != other.depth or self.depth == 0:
-            return False
-        dim = (self.depth - 1) % self.dims
-        for i in range(self.dims):
-            if i == dim:
-                continue
-            if self.lo[i] != other.lo[i] or self.hi[i] != other.hi[i]:
-                return False
-        if not (self.hi[dim] == other.lo[dim] or other.hi[dim] == self.lo[dim]):
-            return False
-        # Abutting same-shape zones may still belong to *different* parents
-        # (upper half of one parent next to the lower half of the next);
-        # true siblings re-join into a box aligned at an even multiple of
-        # the child extent.
-        extent = self.hi[dim] - self.lo[dim]
-        child_index = round(min(self.lo[dim], other.lo[dim]) / extent)
-        return child_index % 2 == 0
+        """True if ``self`` and ``other`` are the two halves of one split:
+        their :attr:`prefix` differs in the last split's bit only."""
+        return self.depth == other.depth and self.prefix ^ 1 == other.prefix
 
     def merge(self, other: "Zone") -> "Zone":
         """Re-join two sibling zones into their parent."""
@@ -236,6 +221,15 @@ class Zone:
         depth) == 0``, the half-open float test of :meth:`contains`.
         """
         return interleave(self.code)
+
+    @cached_property
+    def prefix(self) -> int:
+        """This zone's splits as an integer: the top :attr:`depth` bits
+        of :attr:`key`, the last split lowest.  Its sibling's prefix is
+        ``prefix ^ 1``, its parent's ``prefix >> 1``, and the zone of a
+        depth holding point key ``k`` has prefix ``k >> (CODE_BITS *
+        dims - depth)``."""
+        return self.key >> (CODE_BITS * self.dims - self.depth)
 
 
 def point_code(point, dims: int) -> tuple:

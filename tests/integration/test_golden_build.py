@@ -50,6 +50,12 @@ def digest(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def grid_index(zone) -> list:
+    """A zone's integer grid index among the equal-shaped zones of its
+    depth: each lower corner over its extent (exact on dyadic zones)."""
+    return [int(lo / (hi - lo)) for lo, hi in zip(zone.lo, zone.hi)]
+
+
 def structure(overlay) -> dict:
     """Every piece of overlay state a join or departure can move."""
     can = overlay.ecan.can
@@ -78,7 +84,7 @@ def structure(overlay) -> dict:
         ],
         "neighbors": [[n, sorted(can.nodes[n].neighbors)] for n in members],
         "zones": [
-            [n, [[can.nodes[n].zone.depth, list(can._zone_index(can.nodes[n].zone))]]]
+            [n, [[can.nodes[n].zone.depth, grid_index(can.nodes[n].zone)]]]
             for n in members
         ],
     }

@@ -153,11 +153,13 @@ def test_a_moved_member_rebuilds_its_table():
 
 def test_check_invariants_holds_the_zone_index_to_one_zone_per_member():
     can = quadrants()
-    index = can._by_depth[2]
-    index[(1, 0)], index[(1, 1)] = index[(1, 1)], index[(1, 0)]
+    index = can._by_depth[2]  # prefixes 0b00 .. 0b11, dimension 0 first
+    assert sorted(index) == [0, 1, 2, 3]
+    index[2], index[3] = index[3], index[2]  # quadrants (1, 0) and (1, 1)
     with pytest.raises(AssertionError, match="zone index says"):
         can.check_invariants()
-    index[(1, 0)], index[(1, 1)] = index[(1, 1)], index[(1, 0)]
-    del index[(0, 0)]
+    index[2], index[3] = index[3], index[2]
+    can.check_invariants()
+    del index[0]
     with pytest.raises(AssertionError, match="3 indexed zones for 4 members"):
         can.check_invariants()

@@ -8,9 +8,11 @@ key is exact only down to the overlay's deepest zone, so every rule is
 checked with that key and with the full one.  The references
 here are the rules those keys replaced: a bit-by-bit interleave,
 ``Zone.contains``, ``Zone.overlaps(cell_zone(...))`` and the
-per-dimension ``decide`` (:func:`reference_decide`), checked on random
-dyadic zones with points one ulp either side of their boundaries and
-on churned overlays of 1 to 3 dimensions.
+per-dimension ``decide`` (:func:`reference_decide`), the float
+sibling rule (:func:`float_is_sibling`) and the grid-tuple order of
+sibling leaf pairs (:func:`grid_leaf_pairs`), checked on random dyadic
+zones with points one ulp either side of their boundaries and on
+churned overlays of 1 to 3 dimensions.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overlay import EcanOverlay
-from repro.overlay.can import CanNode
+from repro.overlay.can import CanNode, CanOverlay
 from repro.overlay.zone import (
     CODE_BITS,
     Zone,
@@ -156,6 +158,123 @@ class TestPrefixRules:
         box = cell_zone(cell, level)
         assert ecan.entry_valid(0, level, cell) == zone.overlaps(box)
         assert not ecan.entry_valid(1, level, cell)  # not a member
+
+
+def float_is_sibling(a: Zone, b: Zone) -> bool:
+    """Reference: the float rule the prefix test replaced -- equal depth,
+    equal extents off the last split's dimension, abutting in it, and
+    re-joining into a box aligned at an even multiple of the child
+    extent (abutting halves of two different parents, cousins, are not)."""
+    if a.depth != b.depth or a.depth == 0:
+        return False
+    dim = (a.depth - 1) % a.dims
+    for i in range(a.dims):
+        if i != dim and (a.lo[i], a.hi[i]) != (b.lo[i], b.hi[i]):
+            return False
+    if not (a.hi[dim] == b.lo[dim] or b.hi[dim] == a.lo[dim]):
+        return False
+    extent = a.hi[dim] - a.lo[dim]
+    return round(min(a.lo[dim], b.lo[dim]) / extent) % 2 == 0
+
+
+def shifted(zone: Zone, dim: int, steps: int):
+    """``zone`` moved ``steps`` of its own extent along ``dim`` (another
+    zone of its depth), or None when that leaves the unit box."""
+    extent = zone.hi[dim] - zone.lo[dim]
+    lo = zone.lo[dim] + steps * extent
+    if not 0.0 <= lo < 1.0:
+        return None
+    return Zone(
+        zone.lo[:dim] + (lo,) + zone.lo[dim + 1:],
+        zone.hi[:dim] + (lo + extent,) + zone.hi[dim + 1:],
+        zone.depth,
+    )
+
+
+def assert_sibling_rule(a: Zone, b: Zone) -> bool:
+    """``prefix ^ 1``, ``is_sibling`` and ``merge`` agree with the float
+    rule on ``(a, b)``; returns whether they are siblings."""
+    sibling = float_is_sibling(a, b)
+    assert (a.depth == b.depth and a.prefix ^ 1 == b.prefix) == sibling, (a, b)
+    assert a.is_sibling(b) == sibling, (a, b)
+    if sibling:
+        parent = Zone(
+            tuple(map(min, a.lo, b.lo)), tuple(map(max, a.hi, b.hi)), a.depth - 1
+        )
+        assert a.merge(b) == parent
+        assert parent.prefix == a.prefix >> 1
+    else:
+        with pytest.raises(ValueError):
+            a.merge(b)
+    return sibling
+
+
+class TestSiblingRule:
+    @given(data=st.data(), dims=st.integers(1, 3))
+    @settings(max_examples=300)
+    def test_sibling_is_the_prefix_with_its_last_bit_flipped(self, data, dims):
+        zone = data.draw(dyadic_zone(dims))
+        # itself, any zone, and every same-depth zone it abuts: its
+        # sibling and its cousin along the last split's dimension
+        others = [zone, data.draw(dyadic_zone(dims))]
+        for dim in range(dims):
+            others += [shifted(zone, dim, -1), shifted(zone, dim, 1)]
+        for other in others:
+            if other is not None:
+                assert_sibling_rule(zone, other)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_every_pair_of_a_tiling(self, dims):
+        seen = set()
+        for depth in range(1, 7):
+            tiling = [Zone.root(dims)]
+            for _ in range(depth):
+                tiling = [half for zone in tiling for half in zone.split()]
+            for a, b in itertools.product(tiling, repeat=2):
+                abut = a.is_neighbor(b, torus=False)
+                seen.add((abut, assert_sibling_rule(a, b)))
+        # abutting non-siblings include the cousin pairs
+        assert seen == {(True, True), (True, False), (False, False)}
+
+
+def grid_leaf_pairs(can) -> list:
+    """Reference: sibling leaf pairs in the order ``_leaf_pairs`` had
+    when zones were indexed by grid tuple -- deepest depth first, then
+    the lower half's grid index, the other half found by flipping the
+    last split's dimension."""
+    by_depth = {}
+    for node_id, node in can.nodes.items():
+        zone = node.zone
+        grid = tuple(round(lo / (hi - lo)) for lo, hi in zip(zone.lo, zone.hi))
+        by_depth.setdefault(zone.depth, {})[grid] = node_id
+    pairs = []
+    for depth in sorted(by_depth, reverse=True):
+        bucket = by_depth[depth]
+        dim = (depth - 1) % can.dims
+        for index in sorted(bucket):
+            upper = index[:dim] + (index[dim] ^ 1,) + index[dim + 1:]
+            if not index[dim] & 1 and upper in bucket:
+                pairs.append((bucket[index], bucket[upper]))
+    return pairs
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_leaf_pairs_keep_the_grid_order(dims):
+    can = CanOverlay(dims=dims, rng=np.random.default_rng(11 + dims))
+    for i in range(48):
+        can.join(i, host=i)
+    rng = np.random.default_rng(dims)
+    depths = set()
+    for step in range(24):
+        pairs = list(can._leaf_pairs())
+        assert pairs == grid_leaf_pairs(can), step
+        depths |= {can.nodes[a].zone.depth for a, _ in pairs}
+        victim = int(rng.choice(sorted(can.nodes)))
+        if step % 2:
+            can.takeover_dead(victim)
+        else:
+            can.leave(victim)
+    assert len(depths) > 1
 
 
 def reference_decide(ecan, current, point, visited):

@@ -312,11 +312,15 @@ STEPS = (
 )
 
 
+#: a point no step resolves, planted in the owner memo around each step
+SENTINEL = (0.3141592653589793, 0.2718281828459045)
+
+
 def assert_caches_rederive(overlay) -> None:
     """Every cached shard view equals a fresh ``_collect_shard`` (records
     by identity and order, matrix by value, each remembered order by a
-    fresh norm ranking), every owner-memo entry a fresh ``_resolve_owner``,
-    and the whole legitimacy predicate holds."""
+    fresh norm ranking), the whole legitimacy predicate holds, and it
+    fails on a planted stale owner-memo entry."""
     check_invariants(overlay)
     store = overlay.store
     for (owner, region), (records, matrix, orders) in store._views.items():
@@ -328,13 +332,17 @@ def assert_caches_rederive(overlay) -> None:
             order = np.argsort(np.linalg.norm(matrix - vector, axis=1), kind="stable")
             assert top == order[: max_results + 1].tolist(), (owner, region)
     can = overlay.ecan.can
-    for point, owner in can._owner_memo.items():
-        assert owner == can._resolve_owner(point), point
+    owner = can._resolve_owner(SENTINEL)
+    can._owner_memo[SENTINEL] = min(n for n in can.nodes if n != owner)
+    with pytest.raises(AssertionError, match="owner memo says"):
+        check_invariants(overlay)
+    del can._owner_memo[SENTINEL]
 
 
 class TestCachesFollowAnySequence:
-    """Views and the owner memo are updated in place by whatever changed;
-    after any interleaving of mutators and reads they still re-derive."""
+    """Views are updated in place by whatever changed and the owner memo
+    is emptied by any zone (un)index; after any interleaving of mutators
+    and reads they still re-derive."""
 
     @given(
         st.lists(
@@ -354,7 +362,11 @@ class TestCachesFollowAnySequence:
         overlay.build()
         store = overlay.store
         withdrawn = {}  # node id -> its record, until it publishes again
+        can = overlay.ecan.can
         for step, pick in steps:
+            # a correct entry now, which any zone (un)index must drop
+            version = can.zone_version
+            can._owner_memo[SENTINEL] = can._resolve_owner(SENTINEL)
             registered = [n for n in overlay.node_ids if n in store.registry]
             member = registered[pick % len(registered)]
             if step == "join":
@@ -390,6 +402,9 @@ class TestCachesFollowAnySequence:
                 overlay.disable_recovery()
                 overlay.disarm_faults()
             withdrawn = {n: r for n, r in withdrawn.items() if n in overlay.ecan.nodes}
+            if can.zone_version != version:
+                assert SENTINEL not in can._owner_memo, step
+            can._owner_memo.pop(SENTINEL, None)
             # charged reads after every step build the views the next
             # step's mutation must keep current
             querier = [n for n in overlay.node_ids if n in store.registry][0]
